@@ -10,7 +10,7 @@
 //!
 //! Each configuration runs a short concurrent SmallBank burst; Criterion
 //! reports time per committed transaction, and the abort ratio is printed to
-//! stderr for the EXPERIMENTS.md record.
+//! stderr.
 
 use std::time::Duration;
 

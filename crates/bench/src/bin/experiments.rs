@@ -1,6 +1,6 @@
 //! Command-line harness that regenerates the evaluation figures of the
-//! thesis (Chapter 6). See EXPERIMENTS.md for the mapping and for recorded
-//! results.
+//! thesis (Chapter 6). `experiments list` prints the mapping from figure
+//! ids to workloads; results are printed as tables, not recorded.
 //!
 //! ```bash
 //! # list experiments

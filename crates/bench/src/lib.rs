@@ -457,9 +457,9 @@ pub fn run_experiment(def: &ExperimentDef, harness: &HarnessConfig) -> Vec<Point
     results
 }
 
-/// Ablation configurations for the design choices called out in DESIGN.md:
-/// basic vs enhanced conflict representation, SIREAD upgrade on/off, and the
-/// mixed mode that runs read-only queries at SI.
+/// Ablation configurations for the paper's design choices: basic vs enhanced
+/// conflict representation, SIREAD upgrade on/off, and the mixed mode that
+/// runs read-only queries at SI.
 pub fn ablation_options(base: IsolationLevel) -> Vec<(&'static str, Options)> {
     let mut enhanced = Options::default().with_isolation(base);
     enhanced.ssi.variant = SsiVariant::Enhanced;

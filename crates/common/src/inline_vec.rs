@@ -53,6 +53,27 @@ impl<T: Copy + Default, const N: usize> InlineVec<T, N> {
         }
     }
 
+    pub fn as_mut_slice(&mut self) -> &mut [T] {
+        if self.spill.is_empty() {
+            &mut self.inline[..self.len]
+        } else {
+            &mut self.spill
+        }
+    }
+
+    /// Removes and returns the element at `index`, moving the last element
+    /// into its place (order is not preserved). Panics if out of bounds.
+    pub fn swap_remove(&mut self, index: usize) -> T {
+        if self.spill.is_empty() {
+            let last = self.len - 1;
+            self.inline[..self.len].swap(index, last);
+            self.len = last;
+            self.inline[last]
+        } else {
+            self.spill.swap_remove(index)
+        }
+    }
+
     pub fn len(&self) -> usize {
         if self.spill.is_empty() {
             self.len
@@ -169,6 +190,26 @@ mod tests {
         assert_eq!(v, vec![7, 8]);
         assert_eq!(v, [7, 8]);
         assert!(v.iter().eq([7, 8].iter()));
+    }
+
+    #[test]
+    fn swap_remove_and_mutation_work_inline_and_spilled() {
+        let mut v: InlineVec<u64, 2> = [1, 2].into_iter().collect();
+        v.as_mut_slice()[0] = 9;
+        assert_eq!(v.swap_remove(0), 9);
+        assert_eq!(v, [2]);
+        assert!(v.spill.is_empty());
+        for i in 3..6 {
+            v.push(i);
+        }
+        assert_eq!(v.swap_remove(1), 3);
+        assert_eq!(v, [2, 5, 4]);
+        // Emptying a spilled vector returns it to the inline buffer.
+        while !v.is_empty() {
+            v.swap_remove(0);
+        }
+        v.push(7);
+        assert_eq!(v, [7]);
     }
 
     #[test]

@@ -13,6 +13,12 @@
 //!   lock protecting the key range (phantom handling, Sec. 3.5);
 //! * `scan` is `get` applied to every row the predicate examines, plus
 //!   SIREAD gap locks so later inserts into the scanned range are detected.
+//!   It works a page at a time: the storage cursor lists the page's keys
+//!   without reading them, one `lock_siread_batch` call takes every row's
+//!   record and gap SIREAD, each row is then read exactly once under its
+//!   lock, and the phantom sweep of the page's key range runs only if the
+//!   table's membership epoch moved since the page was listed (see "Why
+//!   scans stay consistent under SSI" in `ssi_storage::table`).
 //!
 //! ## Secondary-index protocol
 //!
@@ -48,10 +54,11 @@ use std::ops::Bound;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use ssi_common::{AbortReason, Bytes, Error, IsolationLevel, Result, Timestamp, TxnId};
-use ssi_lock::{LockKey, LockMode};
+use ssi_common::{AbortReason, Bytes, Error, IsolationLevel, Result, TableId, Timestamp, TxnId};
+use ssi_lock::{LockKey, LockMode, ModeSet};
 use ssi_storage::{
-    as_ref_bound, clone_bound, decode_entry, encode_entry, entry_range, Index, VisibleRead,
+    as_ref_bound, clone_bound, decode_entry, encode_entry, entry_range, Index, ScanPage, ScanRow,
+    VisibleRead,
 };
 
 use crate::db::{IndexRef, TableRef};
@@ -60,6 +67,13 @@ use crate::ssi::{self, CallerRole};
 use crate::txn::{Transaction, WriteRecord};
 use crate::txn_shared::DependencyOutcome;
 use crate::verify::{ReadRecord, WriteRecordEntry};
+
+/// Lists the keys of an ordered structure (a table's key index, a secondary
+/// index's entry map) that lie between two bounds, ascending.
+type KeyLister<'a> = &'a dyn Fn(Bound<&[u8]>, Bound<&[u8]>) -> Vec<Arc<[u8]>>;
+
+/// Rows an index scan keeps, in entry order: `(entry, primary key, value)`.
+type IndexHits = Vec<(Arc<[u8]>, Vec<u8>, Bytes)>;
 
 /// How a speculative read (of a provisionally stamped version) resolved.
 enum Speculation {
@@ -197,14 +211,16 @@ impl Transaction {
     // Lock-name helpers
     // ------------------------------------------------------------------
 
-    fn lock_target(&self, table: &TableRef, key: &[u8]) -> LockKey {
+    /// Lock name of a row: its record, or its page at page granularity.
+    /// Accepts a borrowed key or an `Arc<[u8]>` the lock can share.
+    fn lock_target(&self, table: &TableRef, key: impl AsRef<[u8]> + Into<Arc<[u8]>>) -> LockKey {
         match &self.db.pages {
-            Some(pages) => LockKey::page(table.id(), pages.page_of(key)),
-            None => LockKey::record(table.id(), key.to_vec()),
+            Some(pages) => LockKey::page(table.id(), pages.page_of(key.as_ref())),
+            None => LockKey::record(table.id(), key),
         }
     }
 
-    fn gap_target(&self, table: &TableRef, next: Option<Vec<u8>>) -> LockKey {
+    fn gap_target(&self, table: &TableRef, next: Option<Arc<[u8]>>) -> LockKey {
         match next {
             Some(k) => LockKey::gap(table.id(), k),
             None => LockKey::supremum(table.id()),
@@ -229,54 +245,117 @@ impl Transaction {
         matches!(self.db.options.granularity, LockGranularity::Row)
     }
 
-    /// Closes a scanned region against phantoms. `visited` holds the keys
-    /// the scan processed inside `(from, to)` in ascending order; the
-    /// caller must already hold, in `mode`, the gap locks of every visited
-    /// key *and* of the region's upper boundary.
+    /// Closes one page of a gap-locking scan against phantoms. The page's
+    /// key region runs from `from` (exclusive end of the previous page, or
+    /// the scan's lower bound) to the page's last key — or, for the last
+    /// page, to the scan's `upper` bound. The caller must already hold, in
+    /// `mode`, the gap locks of every key of the page *and*, on the last
+    /// page, of the region's upper boundary.
     ///
-    /// Any other key present in the region was committed into a gap while
-    /// the scan was paging. Each one is gap-locked in `mode` as well — an
-    /// insert splits a gap, and without a lock on the new key's gap a
-    /// *second* insert in front of it would escape detection — and the
-    /// region is re-queried until a full pass finds nothing new. After that
-    /// fixpoint, every key in the region carries our gap lock, so any later
-    /// insert's next-key gap target must collide with a lock this
-    /// transaction holds. Returns the newly discovered keys in ascending
+    /// Any key present in the region that the page did not list was
+    /// inserted into one of its gaps after the page was taken. Inserts that
+    /// request their gap lock once ours is granted collide with it in the
+    /// lock table; the sweep ([`Transaction::sweep_region`]) is for the ones
+    /// that were entirely done by then. It runs only if the table's
+    /// membership epoch moved since the page was listed: an unchanged epoch,
+    /// read under the ordered-index lock now that the locks are held, proves
+    /// the index still holds exactly the page's keys, so the sweep's listing
+    /// would find nothing. Returns the newly discovered keys in ascending
     /// order for the caller to read/conflict on.
-    ///
-    /// The pass count is bounded: a writer storm that lands a fresh insert
-    /// inside the race window of every single pass would otherwise starve
-    /// the scan. Exhausting the bound aborts this transaction (retryably),
-    /// which is sound — an aborted scan imposes no ordering constraints.
     fn sweep_gap_region(
         &mut self,
         table: &TableRef,
+        page: &ScanPage,
+        from: Bound<&[u8]>,
+        upper: Bound<&[u8]>,
+        mode: LockMode,
+    ) -> Result<Vec<Arc<[u8]>>> {
+        let stats = self.db.txns.stats();
+        if table.table.membership_epoch() == page.epoch {
+            stats.scan_sweeps_skipped.fetch_add(1, Ordering::Relaxed);
+            return Ok(Vec::new());
+        }
+        stats.scan_sweeps_run.fetch_add(1, Ordering::Relaxed);
+        let to = match page.rows.last() {
+            Some(row) if !page.last => Bound::Included(&row.key[..]),
+            _ => upper,
+        };
+        let seen = page.rows.iter().map(|row| row.key.clone()).collect();
+        let list = &|from: Bound<&[u8]>, to: Bound<&[u8]>| table.table.keys_in_range(from, to);
+        self.sweep_region(table.id(), list, seen, from, to, mode)
+    }
+
+    /// The phantom sweep shared by row scans and index scans: finds the
+    /// keys of `space` (a table's keys or an index's entries, as `list`
+    /// reports them) that lie in `(from, to)` and are not in `seen` — the
+    /// ascending keys whose gap lock this transaction already holds in
+    /// `mode`, along with the gap lock of the region's upper boundary.
+    ///
+    /// Each key found is gap-locked in `mode` as well — an insert splits a
+    /// gap, and without a lock on the new key's gap a *second* insert in
+    /// front of it would escape detection — which opens the same race for
+    /// the new lock: an insert in front of the found key may have come and
+    /// gone before that lock was granted. So the part of the region below
+    /// the highest key just locked is listed again, until a pass finds
+    /// nothing new. Keys that appear *above* the keys a pass locked need no
+    /// further pass: their inserts aimed at a gap lock this transaction
+    /// already held, and met it in the lock table. After that fixpoint,
+    /// every key listed in the region carries our gap lock. Returns the
+    /// discovered keys in ascending order.
+    ///
+    /// Every pass lists a strictly lower range than the one before, so an
+    /// append storm ends the sweep after two passes, and a pass is one
+    /// listing merged against `seen` (both sorted) — a walk, not a search
+    /// per key — so it stays short next to the interval between inserts.
+    /// The pass count is bounded all the same: a writer storm that lands a
+    /// fresh insert below the previous one in the race window of every
+    /// single pass would otherwise starve the scan. Exhausting the bound
+    /// aborts this transaction (retryably), which is sound — an aborted
+    /// scan imposes no ordering constraints.
+    fn sweep_region(
+        &mut self,
+        space: TableId,
+        list: KeyLister<'_>,
+        mut seen: Vec<Arc<[u8]>>,
         from: Bound<&[u8]>,
         to: Bound<&[u8]>,
-        visited: &[Vec<u8>],
         mode: LockMode,
-    ) -> Result<Vec<Vec<u8>>> {
+    ) -> Result<Vec<Arc<[u8]>>> {
         const MAX_PASSES: usize = 16;
-        debug_assert!(visited.windows(2).all(|w| w[0] < w[1]));
-        let mut seen: Vec<Vec<u8>> = visited.to_vec();
-        let mut missed: Vec<Vec<u8>> = Vec::new();
+        debug_assert!(seen.windows(2).all(|w| w[0] < w[1]));
+        let mut missed: Vec<Arc<[u8]>> = Vec::new();
         for _ in 0..MAX_PASSES {
-            let mut grew = false;
-            for key in table.table.keys_in_range(from, to) {
-                let Err(pos) = seen.binary_search(&key) else {
-                    continue;
-                };
-                let outcome = self.acquire(LockKey::gap(table.id(), key.clone()), mode)?;
+            // Highest key the previous pass locked (a pass finds its keys in
+            // ascending order): only inserts in front of it can have raced
+            // that pass's locks.
+            let to = match missed.last() {
+                Some(key) => Bound::Excluded(&key[..]),
+                None => to,
+            };
+            let listed = list(from, to);
+            let mut union = Vec::with_capacity(seen.len().max(listed.len()));
+            let mut old = seen.into_iter().peekable();
+            let found = missed.len();
+            for key in listed {
+                while let Some(held) = old.next_if(|held| *held < key) {
+                    union.push(held);
+                }
+                if old.next_if_eq(&key).is_none() {
+                    missed.push(key.clone());
+                }
+                union.push(key);
+            }
+            union.extend(old);
+            seen = union;
+            if missed.len() == found {
+                missed.sort_unstable();
+                return Ok(missed);
+            }
+            for key in &missed[found..] {
+                let outcome = self.acquire(LockKey::gap(space, key.clone()), mode)?;
                 if mode == LockMode::SiRead {
                     self.mark_read_conflicts(&outcome.rw_conflicts)?;
                 }
-                seen.insert(pos, key.clone());
-                let mpos = missed.binary_search(&key).unwrap_err();
-                missed.insert(mpos, key);
-                grew = true;
-            }
-            if !grew {
-                return Ok(missed);
             }
         }
         Err(Error::abort_with_reason(
@@ -290,18 +369,18 @@ impl Transaction {
     fn absorb_missed_rows_2pl(
         &mut self,
         table: &TableRef,
-        missed: Vec<Vec<u8>>,
+        missed: Vec<Arc<[u8]>>,
         result: &mut Vec<(Vec<u8>, Bytes)>,
     ) -> Result<()> {
         let id = self.shared.id();
         for key in missed {
-            let lock = self.lock_target(table, &key);
+            let lock = self.lock_target(table, key.clone());
             self.acquire(lock, LockMode::Shared)?;
             if let Some(value) = table.table.read_latest_committed(&key, id) {
                 let pos = result
-                    .binary_search_by(|(k, _)| k.as_slice().cmp(&key))
+                    .binary_search_by(|(k, _)| k[..].cmp(&key))
                     .unwrap_or_else(|p| p);
-                result.insert(pos, (key.clone(), value));
+                result.insert(pos, (key.to_vec(), value));
             }
             let ts = table.table.newest_committed_ts(&key);
             self.record_read(table, &key, ts, false);
@@ -310,7 +389,7 @@ impl Transaction {
     }
 
     /// SSI handling of keys [`Transaction::sweep_gap_region`] discovered:
-    /// treat each exactly like a cursor-visited row — row SIREAD first
+    /// treat each exactly like a row of the page — row SIREAD first
     /// (without it a later *update* of the phantom key, which takes no gap
     /// lock, would escape both detection channels), then conflict with the
     /// creators of its (invisible) versions under that lock and record the
@@ -320,11 +399,11 @@ impl Transaction {
     fn absorb_missed_keys_ssi(
         &mut self,
         table: &TableRef,
-        missed: Vec<Vec<u8>>,
+        missed: Vec<Arc<[u8]>>,
         snapshot: Timestamp,
     ) -> Result<()> {
         for key in missed {
-            let lock = self.lock_target(table, &key);
+            let lock = self.lock_target(table, key.clone());
             let outcome = self.acquire(lock, LockMode::SiRead)?;
             self.mark_read_conflicts(&outcome.rw_conflicts)?;
             let probe = self.snapshot_read(table, &key, snapshot);
@@ -407,6 +486,25 @@ impl Transaction {
         Ok(())
     }
 
+    /// Takes SIREAD on every key of a predicate read's page in one
+    /// lock-table pass (never blocks; see
+    /// [`ssi_lock::LockManager::lock_siread_batch`]), moves the newly
+    /// acquired keys into the lock set and registers the conflicts with the
+    /// EXCLUSIVE holders found (Fig. 3.4's lock step, applied to a batch).
+    fn acquire_sireads(&mut self, keys: Vec<LockKey>) -> Result<()> {
+        let batch = self.db.locks.lock_siread_batch(self.shared.id(), &keys);
+        self.locks.reserve(keys.len());
+        for (key, newly_acquired) in keys.into_iter().zip(batch.newly_acquired) {
+            if newly_acquired {
+                self.locks
+                    .entry(key)
+                    .or_insert(ModeSet::EMPTY)
+                    .insert(LockMode::SiRead);
+            }
+        }
+        self.mark_read_conflicts(&batch.rw_conflicts)
+    }
+
     /// Records a read for the history verifier. Reads satisfied by the
     /// transaction's own uncommitted write are skipped: they impose no
     /// ordering constraints between transactions and would otherwise be
@@ -450,8 +548,27 @@ impl Transaction {
     /// The returned read keeps `speculative_of` set only if the value was
     /// actually taken speculatively.
     fn snapshot_read(&mut self, table: &TableRef, key: &[u8], snapshot: Timestamp) -> VisibleRead {
+        let id = self.shared.id();
+        self.settled_read(|| table.table.read(key, id, snapshot))
+    }
+
+    /// [`Transaction::snapshot_read`] of a scanned row, through the chain
+    /// handle its page carries instead of a lookup by key.
+    fn snapshot_read_row(
+        &mut self,
+        table: &TableRef,
+        row: &ScanRow,
+        snapshot: Timestamp,
+    ) -> VisibleRead {
+        let id = self.shared.id();
+        self.settled_read(|| table.table.read_row(row, id, snapshot))
+    }
+
+    /// Repeats `read` until it returns a value that is settled or safely
+    /// speculative (see [`Transaction::snapshot_read`]).
+    fn settled_read(&mut self, read: impl Fn() -> VisibleRead) -> VisibleRead {
         loop {
-            let mut read = table.table.read(key, self.shared.id(), snapshot);
+            let mut read = read();
             let Some(creator) = read.speculative_of else {
                 return read;
             };
@@ -733,7 +850,7 @@ impl Transaction {
             if fresh_claim {
                 let ik = new_ik.as_deref().expect("fresh_claim implies Some");
                 if index.unique() {
-                    let marker = LockKey::record(index.id(), ik.to_vec());
+                    let marker = LockKey::record(index.id(), ik);
                     let outcome = self.acquire(marker, LockMode::Exclusive)?;
                     if isolation == IsolationLevel::SerializableSnapshotIsolation {
                         self.mark_write_conflicts(&outcome.rw_conflicts)?;
@@ -749,7 +866,7 @@ impl Transaction {
                 {
                     let entry = encode_entry(ik, key);
                     let gap = match index.next_entry_after(&entry) {
-                        Some(next) => LockKey::gap(index.id(), next.to_vec()),
+                        Some(next) => LockKey::gap(index.id(), next),
                         None => LockKey::supremum(index.id()),
                     };
                     let gap_outcome = self.acquire(gap, LockMode::Exclusive)?;
@@ -820,11 +937,14 @@ impl Transaction {
     // Predicate reads
     // ------------------------------------------------------------------
 
-    /// All scan variants stream rows through the storage layer's paging
-    /// cursor ([`ssi_storage::Table::cursor`]): only one page of chain
-    /// handles is materialized at a time and the table's ordered-index lock
-    /// is released between pages, so a large scan never blocks writers of
-    /// new keys for its whole duration.
+    /// Every isolation level pages through the storage layer's handle
+    /// cursor ([`ssi_storage::Table::cursor`]): a page lists keys and chain
+    /// handles without reading them, only one page is materialized at a
+    /// time, and the table's ordered-index lock is released between pages,
+    /// so a large scan never blocks writers of new keys for its duration.
+    /// The levels differ in what happens between listing a page and reading
+    /// its rows: nothing (read committed, SI), one batch of SIREAD locks
+    /// (Serializable SI), or a blocking SHARED lock per row and gap (S2PL).
     fn do_scan(
         &mut self,
         table: &TableRef,
@@ -832,194 +952,116 @@ impl Transaction {
         upper: Bound<&[u8]>,
     ) -> Result<Vec<(Vec<u8>, Bytes)>> {
         let id = self.shared.id();
-        match self.shared.isolation() {
-            IsolationLevel::ReadCommitted => {
-                let snapshot = self.db.txns.current_ts();
-                let mut result = Vec::new();
-                for entry in table.table.cursor(lower, upper, id, snapshot) {
-                    // Even read-committed must not return data that can
-                    // still roll back: resolve provisional rows the same
-                    // way the snapshot levels do (the commit dependency is
-                    // settled in `Transaction::commit`).
-                    let value = if entry.speculative_of.is_some() {
-                        self.snapshot_read(table, &entry.key, snapshot).value
-                    } else {
-                        entry.value
-                    };
-                    if let Some(value) = value {
-                        result.push((entry.key, value));
-                    }
-                }
-                Ok(result)
-            }
-            IsolationLevel::StrictTwoPhaseLocking => {
-                let snapshot = self.db.txns.current_ts();
-                let gap_on = self.gap_locking_enabled();
-                let mut result = Vec::new();
-                // Region bookkeeping for the phantom sweep: keys visited
-                // (and gap-locked) since the last sweep, and where that
-                // region starts.
-                let mut region_start: Bound<Vec<u8>> = clone_bound(lower);
-                let mut batch: Vec<Vec<u8>> = Vec::new();
-                for entry in table.table.cursor(lower, upper, id, snapshot) {
+        let isolation = self.shared.isolation();
+        let snapshot = if isolation.uses_snapshot() {
+            self.db.txns.ensure_snapshot(&self.shared)
+        } else {
+            self.db.txns.current_ts()
+        };
+        let gap_on = self.gap_locking_enabled();
+        let mut result = Vec::new();
+        let mut cursor = table.table.cursor(lower, upper);
+        // Last key of the previous page: where this page's key region (the
+        // unit of the phantom sweep) starts.
+        let mut prev_last: Option<Arc<[u8]>> = None;
+        while let Some(page) = cursor.next_page() {
+            let region_start = match &prev_last {
+                Some(key) => Bound::Excluded(&key[..]),
+                None => lower,
+            };
+            if isolation == IsolationLevel::StrictTwoPhaseLocking {
+                for row in &page.rows {
                     if gap_on {
-                        let gap = LockKey::gap(table.id(), entry.key.clone());
+                        let gap = LockKey::gap(table.id(), row.key.clone());
                         self.acquire(gap, LockMode::Shared)?;
                     }
-                    let lock = self.lock_target(table, &entry.key);
+                    let lock = self.lock_target(table, row.key.clone());
                     self.acquire(lock, LockMode::Shared)?;
-                    // Re-read under the lock: the value may have changed
-                    // between the unlocked scan and the lock grant.
-                    if let Some(value) = table.table.read_latest_committed(&entry.key, id) {
-                        result.push((entry.key.clone(), value));
+                    // Read under the lock: no writer can change the row once
+                    // it is granted.
+                    if let Some(value) = table.table.read_latest_committed(&row.key, id) {
+                        result.push((row.key.to_vec(), value));
                     }
-                    let ts = table.table.newest_committed_ts(&entry.key);
-                    self.record_read(table, &entry.key, ts, false);
-                    if gap_on {
-                        batch.push(entry.key);
-                        if batch.len() >= GAP_SWEEP_BATCH {
-                            // Rows committed into the region's gaps before
-                            // their gap locks were granted were missed by
-                            // the storage scan; lock and include them.
-                            let to = Bound::Included(batch.last().unwrap().clone());
-                            let missed = self.sweep_gap_region(
-                                table,
-                                as_ref_bound(&region_start),
-                                as_ref_bound(&to),
-                                &batch,
-                                LockMode::Shared,
-                            )?;
-                            self.absorb_missed_rows_2pl(table, missed, &mut result)?;
-                            region_start = bound_excluded(to);
-                            batch.clear();
-                        }
-                    }
+                    let ts = table.table.newest_committed_ts(&row.key);
+                    self.record_read(table, &row.key, ts, false);
                 }
                 if gap_on {
-                    let end_gap = self.end_gap_target(table, &upper);
-                    self.acquire(end_gap, LockMode::Shared)?;
-                    let missed = self.sweep_gap_region(
-                        table,
-                        as_ref_bound(&region_start),
-                        upper,
-                        &batch,
-                        LockMode::Shared,
-                    )?;
+                    if page.last {
+                        let end_gap = self.end_gap_target(table, &upper);
+                        self.acquire(end_gap, LockMode::Shared)?;
+                    }
+                    // Rows committed into the page's gaps before their gap
+                    // locks were granted were not listed; lock and include
+                    // them.
+                    let missed =
+                        self.sweep_gap_region(table, &page, region_start, upper, LockMode::Shared)?;
                     self.absorb_missed_rows_2pl(table, missed, &mut result)?;
                 }
-                Ok(result)
-            }
-            IsolationLevel::SnapshotIsolation => {
-                let snapshot = self.db.txns.ensure_snapshot(&self.shared);
-                let mut result = Vec::new();
-                for entry in table.table.cursor(lower, upper, id, snapshot) {
-                    let (value, version_ts, own, speculative) = if entry.speculative_of.is_some() {
-                        let read = self.snapshot_read(table, &entry.key, snapshot);
-                        (
-                            read.value,
-                            read.read_version_ts,
-                            read.read_own_write,
-                            read.speculative_of.is_some(),
-                        )
-                    } else {
-                        (
-                            entry.value,
-                            entry.read_version_ts,
-                            entry.read_own_write,
-                            false,
-                        )
-                    };
-                    if !own {
-                        self.record_read(table, &entry.key, version_ts, speculative);
-                    }
-                    if let Some(value) = value {
-                        result.push((entry.key, value));
-                    }
-                }
-                Ok(result)
-            }
-            IsolationLevel::SerializableSnapshotIsolation => {
-                let snapshot = self.db.txns.ensure_snapshot(&self.shared);
-                let gap_on = self.gap_locking_enabled();
-                let mut result = Vec::new();
-                let mut region_start: Bound<Vec<u8>> = clone_bound(lower);
-                let mut batch: Vec<Vec<u8>> = Vec::new();
-                for entry in table.table.cursor(lower, upper, id, snapshot) {
+            } else {
+                let ssi = isolation == IsolationLevel::SerializableSnapshotIsolation;
+                if ssi {
                     // Fig. 3.6: every examined row is read under an SIREAD
-                    // lock with the usual conflict checks…
-                    let lock = self.lock_target(table, &entry.key);
-                    let outcome = self.acquire(lock, LockMode::SiRead)?;
-                    self.mark_read_conflicts(&outcome.rw_conflicts)?;
-                    // …re-probing the version chain *under* the SIREAD so
-                    // the paper's lock-then-read order (Fig. 3.4) holds per
-                    // row: a writer that installed, committed and released
-                    // its EXCLUSIVE lock entirely between the storage page
-                    // read and this lock grant is invisible to both the
-                    // page's `newer_creators` and the lock table, but a
-                    // fresh chain read under the lock cannot miss it. The
-                    // probe also resolves provisional rows (registering a
-                    // commit dependency on a mid-window creator), so its
-                    // result supersedes the page entry's below.
-                    let probe = self.snapshot_read(table, &entry.key, snapshot);
-                    self.mark_read_conflicts(&probe.newer_creators)?;
-                    // …plus an SIREAD gap lock so that inserts into the
-                    // scanned range are detected.
-                    if gap_on {
-                        let gap = LockKey::gap(table.id(), entry.key.clone());
-                        let gap_outcome = self.acquire(gap, LockMode::SiRead)?;
-                        self.mark_read_conflicts(&gap_outcome.rw_conflicts)?;
-                    }
-                    if !probe.read_own_write {
-                        self.record_read(
-                            table,
-                            &entry.key,
-                            probe.read_version_ts,
-                            probe.speculative_of.is_some(),
-                        );
-                    }
-                    if gap_on {
-                        batch.push(entry.key.clone());
-                        if batch.len() >= GAP_SWEEP_BATCH {
-                            // With the region's gap SIREADs held, keys
-                            // committed into its gaps before those locks
-                            // were granted (phantoms this scan missed) are
-                            // in the ordered index: gap-lock each of them
-                            // too (so inserts into the sub-gaps they create
-                            // are caught) and conflict with their creators
-                            // exactly as for a newer version.
-                            let to = Bound::Included(batch.last().unwrap().clone());
-                            let missed = self.sweep_gap_region(
-                                table,
-                                as_ref_bound(&region_start),
-                                as_ref_bound(&to),
-                                &batch,
-                                LockMode::SiRead,
-                            )?;
-                            self.absorb_missed_keys_ssi(table, missed, snapshot)?;
-                            region_start = bound_excluded(to);
-                            batch.clear();
+                    // lock, plus an SIREAD gap lock so that inserts into the
+                    // scanned range are detected. The whole page is locked
+                    // first (SIREAD never waits, so one lock-table pass
+                    // does it)…
+                    let mut keys = Vec::with_capacity(2 * page.rows.len() + 1);
+                    for row in &page.rows {
+                        keys.push(self.lock_target(table, row.key.clone()));
+                        if gap_on {
+                            keys.push(LockKey::gap(table.id(), row.key.clone()));
                         }
                     }
-                    if let Some(value) = probe.value {
-                        result.push((entry.key, value));
+                    if gap_on && page.last {
+                        keys.push(self.end_gap_target(table, &upper));
+                    }
+                    self.acquire_sireads(keys)?;
+                }
+                // …and each row is read once — under SSI, *under* its lock:
+                // the paper's lock-then-read order (Fig. 3.4), which is what
+                // makes the read see every writer the lock table could not
+                // show (one that installed, committed and released its
+                // EXCLUSIVE lock before the SIREAD was granted is in the
+                // chain by now). The read resolves provisional rows at every
+                // level, registering a commit dependency on a mid-window
+                // creator: even read-committed must not return data that can
+                // still roll back.
+                for row in &page.rows {
+                    let read = self.snapshot_read_row(table, row, snapshot);
+                    if ssi {
+                        self.mark_read_conflicts(&read.newer_creators)?;
+                    }
+                    if !read.key_exists {
+                        continue;
+                    }
+                    if isolation != IsolationLevel::ReadCommitted && !read.read_own_write {
+                        self.record_read(
+                            table,
+                            &row.key,
+                            read.read_version_ts,
+                            read.speculative_of.is_some(),
+                        );
+                    }
+                    if let Some(value) = read.value {
+                        result.push((row.key.to_vec(), value));
                     }
                 }
-                if gap_on {
-                    let end_gap = self.end_gap_target(table, &upper);
-                    let gap_outcome = self.acquire(end_gap, LockMode::SiRead)?;
-                    self.mark_read_conflicts(&gap_outcome.rw_conflicts)?;
-                    let missed = self.sweep_gap_region(
-                        table,
-                        as_ref_bound(&region_start),
-                        upper,
-                        &batch,
-                        LockMode::SiRead,
-                    )?;
+                if ssi && gap_on {
+                    // Keys committed into the page's gaps before the gap
+                    // SIREADs were granted (phantoms the listing missed) are
+                    // in the ordered index by now: gap-lock each of them too
+                    // and conflict with their creators exactly as for a
+                    // newer version.
+                    let missed =
+                        self.sweep_gap_region(table, &page, region_start, upper, LockMode::SiRead)?;
                     self.absorb_missed_keys_ssi(table, missed, snapshot)?;
                 }
-                Ok(result)
+            }
+            if let Some(row) = page.rows.last() {
+                prev_last = Some(row.key.clone());
             }
         }
+        Ok(result)
     }
 
     // ------------------------------------------------------------------
@@ -1063,54 +1105,26 @@ impl Transaction {
                 .next(),
         };
         match next {
-            Some(e) => LockKey::gap(index.id(), e.to_vec()),
+            Some(e) => LockKey::gap(index.id(), e),
             None => LockKey::supremum(index.id()),
         }
     }
 
-    /// [`Transaction::sweep_gap_region`] transplanted to entry space: the
-    /// ordered structure queried at the fixpoint is the index's entry map
-    /// instead of the table's key index, and the gap locks taken live in
-    /// the index's lock namespace. The soundness argument is identical —
-    /// after a clean pass every entry in the region carries this
-    /// transaction's gap lock, so a later index insert's next-entry gap
-    /// target must collide with one of them.
+    /// [`Transaction::sweep_region`] in entry space: the ordered structure
+    /// listed is the index's entry map instead of the table's key index,
+    /// and the gap locks taken live in the index's lock namespace. `visited`
+    /// holds the entries the scan gap-locked, ascending; the caller must
+    /// also hold the region's end gap.
     fn sweep_index_region(
         &mut self,
         index: &Arc<Index>,
         from: Bound<&[u8]>,
         to: Bound<&[u8]>,
-        visited: &[Vec<u8>],
+        visited: &[Arc<[u8]>],
         mode: LockMode,
-    ) -> Result<Vec<Vec<u8>>> {
-        const MAX_PASSES: usize = 16;
-        debug_assert!(visited.windows(2).all(|w| w[0] < w[1]));
-        let mut seen: Vec<Vec<u8>> = visited.to_vec();
-        let mut missed: Vec<Vec<u8>> = Vec::new();
-        for _ in 0..MAX_PASSES {
-            let mut grew = false;
-            for entry in index.entries_in_range(from, to, None) {
-                let entry = entry.to_vec();
-                let Err(pos) = seen.binary_search(&entry) else {
-                    continue;
-                };
-                let outcome = self.acquire(LockKey::gap(index.id(), entry.clone()), mode)?;
-                if mode == LockMode::SiRead {
-                    self.mark_read_conflicts(&outcome.rw_conflicts)?;
-                }
-                seen.insert(pos, entry.clone());
-                let mpos = missed.binary_search(&entry).unwrap_err();
-                missed.insert(mpos, entry);
-                grew = true;
-            }
-            if !grew {
-                return Ok(missed);
-            }
-        }
-        Err(Error::abort_with_reason(
-            AbortReason::GapSweepExhausted,
-            self.shared.id(),
-        ))
+    ) -> Result<Vec<Arc<[u8]>>> {
+        let list = &|from: Bound<&[u8]>, to: Bound<&[u8]>| index.entries_in_range(from, to, None);
+        self.sweep_region(index.id(), list, visited.to_vec(), from, to, mode)
     }
 
     /// 2PL handling of entries [`Transaction::sweep_index_region`]
@@ -1120,15 +1134,15 @@ impl Transaction {
         &mut self,
         table: &TableRef,
         index: &Arc<Index>,
-        missed: Vec<Vec<u8>>,
-        result: &mut Vec<(Vec<u8>, Vec<u8>, Bytes)>,
+        missed: Vec<Arc<[u8]>>,
+        result: &mut IndexHits,
     ) -> Result<()> {
         let id = self.shared.id();
         for entry in missed {
             let Some((ik, pk)) = decode_entry(&entry) else {
                 continue;
             };
-            let lock = self.lock_target(table, &pk);
+            let lock = self.lock_target(table, pk.as_slice());
             self.acquire(lock, LockMode::Shared)?;
             let value = table.table.read_latest_committed(&pk, id);
             let ts = table.table.newest_committed_ts(&pk);
@@ -1139,7 +1153,7 @@ impl Transaction {
             if live {
                 self.record_index_read(index, &entry, ts, false);
                 let pos = result
-                    .binary_search_by(|(e, _, _)| e.as_slice().cmp(&entry))
+                    .binary_search_by(|(e, _, _)| e.cmp(&entry))
                     .unwrap_or_else(|p| p);
                 result.insert(pos, (entry, pk, value.expect("live implies Some")));
             }
@@ -1147,25 +1161,22 @@ impl Transaction {
         Ok(())
     }
 
-    /// SSI handling of one entry [`Transaction::sweep_index_region`]
-    /// discovered: exactly the cursor-visited treatment — row SIREAD,
-    /// snapshot probe under it, conflicts with the creators of newer
-    /// versions — with the row kept (spliced in entry order) only if its
-    /// snapshot-visible value still extracts to the entry's index key.
-    fn examine_index_entry_ssi(
+    /// SSI examination of one index entry whose row SIREAD this transaction
+    /// already holds: snapshot read under the lock, conflicts with the
+    /// creators of newer versions, and the row kept (spliced in entry order)
+    /// only if its snapshot-visible value still extracts to the entry's
+    /// index key.
+    fn read_index_entry_ssi(
         &mut self,
         table: &TableRef,
         index: &Arc<Index>,
-        entry: Vec<u8>,
+        entry: Arc<[u8]>,
         snapshot: Timestamp,
-        result: &mut Vec<(Vec<u8>, Vec<u8>, Bytes)>,
+        result: &mut IndexHits,
     ) -> Result<()> {
         let Some((ik, pk)) = decode_entry(&entry) else {
             return Ok(());
         };
-        let lock = self.lock_target(table, &pk);
-        let outcome = self.acquire(lock, LockMode::SiRead)?;
-        self.mark_read_conflicts(&outcome.rw_conflicts)?;
         let probe = self.snapshot_read(table, &pk, snapshot);
         self.mark_read_conflicts(&probe.newer_creators)?;
         if !probe.read_own_write {
@@ -1190,7 +1201,7 @@ impl Transaction {
                 );
             }
             let pos = result
-                .binary_search_by(|(e, _, _)| e.as_slice().cmp(&entry))
+                .binary_search_by(|(e, _, _)| e.cmp(&entry))
                 .unwrap_or_else(|p| p);
             result.insert(pos, (entry, pk, probe.value.expect("live implies Some")));
         }
@@ -1235,18 +1246,16 @@ impl Transaction {
             }
             IsolationLevel::StrictTwoPhaseLocking => {
                 let gap_on = self.gap_locking_enabled();
-                let mut result: Vec<(Vec<u8>, Vec<u8>, Bytes)> = Vec::new();
-                let mut visited: Vec<Vec<u8>> = Vec::new();
-                for entry in idx.entries_in_range(as_ref_bound(&lo), as_ref_bound(&hi), None) {
-                    let entry_vec = entry.to_vec();
+                let mut result = IndexHits::new();
+                let entries = idx.entries_in_range(as_ref_bound(&lo), as_ref_bound(&hi), None);
+                for entry in &entries {
                     if gap_on {
-                        self.acquire(LockKey::gap(idx.id(), entry_vec.clone()), LockMode::Shared)?;
-                        visited.push(entry_vec.clone());
+                        self.acquire(LockKey::gap(idx.id(), entry.clone()), LockMode::Shared)?;
                     }
-                    let Some((ik, pk)) = decode_entry(&entry) else {
+                    let Some((ik, pk)) = decode_entry(entry) else {
                         continue;
                     };
-                    let lock = self.lock_target(&table, &pk);
+                    let lock = self.lock_target(&table, pk.as_slice());
                     self.acquire(lock, LockMode::Shared)?;
                     let value = table.table.read_latest_committed(&pk, id);
                     let ts = table.table.newest_committed_ts(&pk);
@@ -1255,8 +1264,8 @@ impl Transaction {
                         idx.spec().extract(&pk, v).as_deref() == Some(ik.as_slice())
                     });
                     if live {
-                        self.record_index_read(&idx, &entry_vec, ts, false);
-                        result.push((entry_vec, pk, value.expect("live implies Some")));
+                        self.record_index_read(&idx, entry, ts, false);
+                        result.push((entry.clone(), pk, value.expect("live implies Some")));
                     }
                 }
                 if gap_on {
@@ -1266,7 +1275,7 @@ impl Transaction {
                         &idx,
                         as_ref_bound(&lo),
                         as_ref_bound(&hi),
-                        &visited,
+                        &entries,
                         LockMode::Shared,
                     )?;
                     self.absorb_missed_entries_2pl(&table, &idx, missed, &mut result)?;
@@ -1309,84 +1318,51 @@ impl Transaction {
             IsolationLevel::SerializableSnapshotIsolation => {
                 let snapshot = self.db.txns.ensure_snapshot(&self.shared);
                 let gap_on = self.gap_locking_enabled();
-                let mut result: Vec<(Vec<u8>, Vec<u8>, Bytes)> = Vec::new();
-                let mut visited: Vec<Vec<u8>> = Vec::new();
-                for entry in idx.entries_in_range(as_ref_bound(&lo), as_ref_bound(&hi), None) {
-                    let entry_vec = entry.to_vec();
-                    // SIREAD the gap before the entry so inserts into the
-                    // scanned entry range are detected…
+                let mut result = IndexHits::new();
+                let entries = idx.entries_in_range(as_ref_bound(&lo), as_ref_bound(&hi), None);
+                // One lock-table pass for the whole predicate: an SIREAD on
+                // the gap before every entry (so inserts into the scanned
+                // entry range are detected), on every entry's row, and on
+                // the gap that closes the range…
+                let mut keys = Vec::with_capacity(2 * entries.len() + 1);
+                for entry in &entries {
                     if gap_on {
-                        let gap_outcome = self
-                            .acquire(LockKey::gap(idx.id(), entry_vec.clone()), LockMode::SiRead)?;
-                        self.mark_read_conflicts(&gap_outcome.rw_conflicts)?;
-                        visited.push(entry_vec.clone());
+                        keys.push(LockKey::gap(idx.id(), entry.clone()));
                     }
-                    let Some((ik, pk)) = decode_entry(&entry) else {
-                        continue;
-                    };
-                    // …then the entry's row under the ordinary Fig. 3.4/3.6
-                    // protocol: SIREAD, probe under the lock, conflict with
-                    // newer creators.
-                    let lock = self.lock_target(&table, &pk);
-                    let outcome = self.acquire(lock, LockMode::SiRead)?;
-                    self.mark_read_conflicts(&outcome.rw_conflicts)?;
-                    let probe = self.snapshot_read(&table, &pk, snapshot);
-                    self.mark_read_conflicts(&probe.newer_creators)?;
-                    if !probe.read_own_write {
-                        self.record_read(
-                            &table,
-                            &pk,
-                            probe.read_version_ts,
-                            probe.speculative_of.is_some(),
-                        );
-                    }
-                    let live = probe.value.as_ref().is_some_and(|v| {
-                        idx.spec().extract(&pk, v).as_deref() == Some(ik.as_slice())
-                    });
-                    if live {
-                        if !probe.read_own_write {
-                            self.record_index_read(
-                                &idx,
-                                &entry_vec,
-                                probe.read_version_ts,
-                                probe.speculative_of.is_some(),
-                            );
-                        }
-                        result.push((entry_vec, pk, probe.value.expect("live implies Some")));
+                    if let Some((_, pk)) = decode_entry(entry) {
+                        keys.push(self.lock_target(&table, pk));
                     }
                 }
                 if gap_on {
-                    let end_gap = self.index_end_gap(&idx, &hi);
-                    let gap_outcome = self.acquire(end_gap, LockMode::SiRead)?;
-                    self.mark_read_conflicts(&gap_outcome.rw_conflicts)?;
+                    keys.push(self.index_end_gap(&idx, &hi));
+                }
+                self.acquire_sireads(keys)?;
+                // …then each entry's row under the ordinary Fig. 3.4/3.6
+                // protocol: read under the lock, conflict with newer
+                // creators.
+                for entry in &entries {
+                    self.read_index_entry_ssi(&table, &idx, entry.clone(), snapshot, &mut result)?;
+                }
+                if gap_on {
                     let missed = self.sweep_index_region(
                         &idx,
                         as_ref_bound(&lo),
                         as_ref_bound(&hi),
-                        &visited,
+                        &entries,
                         LockMode::SiRead,
                     )?;
                     for entry in missed {
-                        self.examine_index_entry_ssi(&table, &idx, entry, snapshot, &mut result)?;
+                        if let Some((_, pk)) = decode_entry(&entry) {
+                            let lock = self.lock_target(&table, pk);
+                            let outcome = self.acquire(lock, LockMode::SiRead)?;
+                            self.mark_read_conflicts(&outcome.rw_conflicts)?;
+                        }
+                        self.read_index_entry_ssi(&table, &idx, entry, snapshot, &mut result)?;
                     }
                 }
                 Ok(result.into_iter().map(|(_, pk, v)| (pk, v)).collect())
             }
         }
-    }
-}
-
-/// Entries between phantom sweeps of a gap-locking scan: one ordered-index
-/// region query per this many visited rows (one per short scan), instead of
-/// one per row.
-const GAP_SWEEP_BATCH: usize = 32;
-
-/// Turns an inclusive region boundary into the exclusive start of the next
-/// region.
-fn bound_excluded(b: Bound<Vec<u8>>) -> Bound<Vec<u8>> {
-    match b {
-        Bound::Included(k) | Bound::Excluded(k) => Bound::Excluded(k),
-        Bound::Unbounded => Bound::Unbounded,
     }
 }
 

@@ -789,6 +789,8 @@ impl Database {
             commit_dependencies: load(&s.commit_dependencies),
             dependency_cascade_aborts: load(&s.dependency_cascade_aborts),
             watermark_sweeps: load(&s.watermark_sweeps),
+            scan_sweeps_run: load(&s.scan_sweeps_run),
+            scan_sweeps_skipped: load(&s.scan_sweeps_skipped),
             abort_reasons: s.abort_reason_counts(),
         };
         let gc = GcMetrics {

@@ -331,6 +331,13 @@ pub struct ManagerStats {
     /// `oldest_active_begin` watermark (cleanup cost signal: without the
     /// cache this would equal the number of cleanup calls).
     pub watermark_sweeps: AtomicU64,
+    /// Pages of gap-locking scans whose phantom sweep ran because the
+    /// table's membership epoch had moved since the page was listed.
+    pub scan_sweeps_run: AtomicU64,
+    /// Pages of gap-locking scans whose phantom sweep was skipped because
+    /// the epoch was unchanged (nothing entered or left the key range's
+    /// table, so the sweep could not have found anything).
+    pub scan_sweeps_skipped: AtomicU64,
     /// Version-GC passes run (`Database::purge`, manual or automatic).
     pub purge_runs: AtomicU64,
     /// Version-GC passes run by the background maintenance thread (a

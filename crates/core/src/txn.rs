@@ -9,7 +9,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use ssi_common::{AbortReason, Error, IsolationLevel, Result, Timestamp, TxnId};
-use ssi_lock::{LockKey, LockMode, LockOutcome, ModeSet};
+use ssi_lock::{FxBuildHasher, LockKey, LockMode, LockOutcome, ModeSet};
 use ssi_storage::{Table, Version};
 
 use crate::db::DbInner;
@@ -44,8 +44,10 @@ pub struct Transaction {
     pub(crate) db: Arc<DbInner>,
     pub(crate) shared: Arc<TxnShared>,
     state: LocalState,
-    /// Locks held, by key, with the set of modes acquired.
-    pub(crate) locks: HashMap<LockKey, ModeSet>,
+    /// Locks held, by key, with the set of modes acquired. Keys share their
+    /// bytes with the lock table (and, for scanned rows, with the storage
+    /// index), so the set is Fx-hashed like the lock table itself.
+    pub(crate) locks: HashMap<LockKey, ModeSet, FxBuildHasher>,
     /// Versions installed by this transaction.
     pub(crate) writes: Vec<WriteRecord>,
     /// Reads recorded for the serializability verifier (only when the
@@ -72,7 +74,7 @@ impl Transaction {
             db,
             shared,
             state: LocalState::Active,
-            locks: HashMap::new(),
+            locks: HashMap::default(),
             writes: Vec::new(),
             reads: Vec::new(),
             index_writes: Vec::new(),
@@ -410,33 +412,27 @@ impl Transaction {
         }
 
         // --- lock release / suspension --------------------------------------
-        let siread_keys: Vec<LockKey> = if is_ssi {
-            self.locks
-                .iter()
-                .filter(|(_, modes)| modes.contains(LockMode::SiRead))
-                .map(|(k, _)| k.clone())
-                .collect()
-        } else {
-            Vec::new()
-        };
+        // SIREAD locks outlive the commit while the transaction is suspended
+        // (Sec. 3.3): their keys move out of the lock set into the suspended
+        // record, bytes still shared with the lock table. Every other mode
+        // is released now.
+        let id = self.shared.id();
+        let mut siread_keys = Vec::new();
+        for (key, modes) in std::mem::take(&mut self.locks) {
+            for mode in modes.iter().filter(|mode| *mode != LockMode::SiRead) {
+                self.db.locks.unlock(id, &key, mode);
+            }
+            if modes.contains(LockMode::SiRead) {
+                siread_keys.push(key);
+            }
+        }
+        debug_assert!(is_ssi || siread_keys.is_empty());
         let (_, out_conflict) = self.shared.conflict_flags();
         let suspend = is_ssi && (!siread_keys.is_empty() || out_conflict);
 
-        let locks = std::mem::take(&mut self.locks);
-        for (key, modes) in locks {
-            for mode in modes.iter() {
-                if suspend && mode == LockMode::SiRead {
-                    continue; // retained while suspended
-                }
-                self.db.locks.unlock(self.shared.id(), &key, mode);
-            }
-        }
-
-        self.db.txns.finish_commit(
-            &self.shared,
-            if suspend { siread_keys } else { Vec::new() },
-            suspend,
-        );
+        self.db
+            .txns
+            .finish_commit(&self.shared, siread_keys, suspend);
         self.maybe_cleanup();
 
         self.writes.clear();

@@ -12,19 +12,27 @@
 //! `Gap(entry)` protects the gap before an index entry, and `Supremum` the
 //! gap after the last entry. The lock manager is oblivious to which
 //! namespace a key lives in.
+//!
+//! Record and gap targets hold their key as `Arc<[u8]>`: the storage layer's
+//! ordered index already owns every row key (and index entry) in that form,
+//! so a scan names its locks by bumping a refcount, and the lock table, the
+//! transaction's lock set and a suspended transaction's SIREAD list all share
+//! the one allocation.
 
 use ssi_common::TableId;
 use std::fmt;
+use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 
 /// What a lock protects inside a table.
 #[derive(Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum LockTarget {
     /// A single record, identified by its encoded key.
-    Record(Vec<u8>),
+    Record(Arc<[u8]>),
     /// The gap immediately before the record with this key: a lock on
     /// `Gap(k)` conflicts only with other gap locks on `k`, never with locks
     /// on the record `k` itself (InnoDB gap-lock semantics, Sec. 2.5.2).
-    Gap(Vec<u8>),
+    Gap(Arc<[u8]>),
     /// The gap after the last record of the table ("supremum" key).
     Supremum,
     /// A whole page of records (Berkeley DB granularity).
@@ -65,7 +73,7 @@ pub struct LockKey {
 
 impl LockKey {
     /// Lock name for a record.
-    pub fn record(table: TableId, key: impl Into<Vec<u8>>) -> Self {
+    pub fn record(table: TableId, key: impl Into<Arc<[u8]>>) -> Self {
         LockKey {
             table,
             target: LockTarget::Record(key.into()),
@@ -73,7 +81,7 @@ impl LockKey {
     }
 
     /// Lock name for the gap before `key`.
-    pub fn gap(table: TableId, key: impl Into<Vec<u8>>) -> Self {
+    pub fn gap(table: TableId, key: impl Into<Arc<[u8]>>) -> Self {
         LockKey {
             table,
             target: LockTarget::Gap(key.into()),
@@ -99,6 +107,19 @@ impl LockKey {
     /// True if this names a gap (including the supremum gap).
     pub fn is_gap(&self) -> bool {
         matches!(self.target, LockTarget::Gap(_) | LockTarget::Supremum)
+    }
+
+    /// Feeds the part of the name that picks the lock-table shard: the
+    /// table and the key bytes, but not whether the target is the record or
+    /// the gap before it. A row's record lock and gap lock therefore live in
+    /// one shard, and a scan reaches both under one shard mutex.
+    pub(crate) fn hash_placement<H: Hasher>(&self, state: &mut H) {
+        self.table.hash(state);
+        match &self.target {
+            LockTarget::Record(k) | LockTarget::Gap(k) => state.write(k),
+            LockTarget::Supremum => state.write_u8(0),
+            LockTarget::Page(p) => state.write_u64(*p),
+        }
     }
 }
 

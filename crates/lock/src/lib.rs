@@ -29,5 +29,5 @@ mod waitfor;
 
 pub use fxhash::{FxBuildHasher, FxHasher};
 pub use key::{LockKey, LockTarget};
-pub use manager::{LockConfig, LockManager, LockOutcome, LockStats};
+pub use manager::{LockConfig, LockManager, LockOutcome, LockStats, SireadBatch};
 pub use mode::{LockMode, ModeSet};

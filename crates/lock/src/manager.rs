@@ -4,30 +4,58 @@
 //! Design notes (mirroring the prototypes described in Chapter 4):
 //!
 //! * the lock table is a hash map from [`LockKey`] to the set of granted
-//!   modes per owner plus a FIFO-ish wait list; it is sharded to reduce
-//!   mutex contention;
+//!   modes per owner plus a FIFO-ish wait list. The usual one or two owners
+//!   of an item are stored inline in the entry, and a record or gap key is an
+//!   `Arc<[u8]>` shared with the storage index, so granting a lock on an
+//!   unlocked item allocates nothing and copies no key bytes;
+//! * the table is sharded to reduce mutex contention. The shard is picked
+//!   from the table id and the key bytes only (`LockKey::hash_placement`),
+//!   not from the target kind, so `Record(k)` and `Gap(k)` — distinct locks
+//!   that never conflict with each other — always sit in the same shard;
 //! * a transaction may hold several modes on one item (e.g. SIREAD and
 //!   EXCLUSIVE); re-requesting a mode that is already covered is a no-op;
 //! * requests that must wait register edges in a wait-for graph; the request
 //!   that closes a cycle is aborted with [`Error::Aborted`] of kind
-//!   `Deadlock`;
+//!   `Deadlock`. Only a request that actually has to wait pays for the wait
+//!   machinery (deadline clock read, wait node, graph mutex);
 //! * SIREAD locks never wait and never cause waits, but every grant reports
 //!   the other holders whose modes form a read-write conflict with the
 //!   requested mode, which is exactly the hook the Serializable SI algorithm
 //!   needs (Figs. 3.4 and 3.5 of the thesis);
 //! * locks owned by committed-but-suspended transactions simply stay in the
 //!   table until the engine releases them during cleanup (Sec. 3.3).
+//!
+//! ## Batched SIREAD for predicate reads
+//!
+//! A Serializable-SI range scan takes an SIREAD lock on every row it
+//! examines and on the gap before it (next-key locking, Sec. 3.5). Because
+//! SIREAD never waits, a whole page of such requests needs none of the
+//! blocking protocol: [`LockManager::lock_siread_batch`] groups the page's
+//! keys by shard, takes each shard mutex once, and for every key does what
+//! [`LockManager::lock`] would do for a lone SIREAD request — grant unless
+//! already covered, and report the EXCLUSIVE holders. Keys of one shard are
+//! processed in batch order, so the outcome (grants, reported conflicts,
+//! `stats.requests`) equals that of the same requests issued one by one; the
+//! tests below check that equivalence over random holder layouts. The scan
+//! reads the rows only after the batch returns, which keeps the paper's
+//! lock-then-read order: a writer either finds the scan's SIREAD when it
+//! takes its EXCLUSIVE lock, is found holding that lock by the batch, or has
+//! released it — and then its version is already in the chain the scan is
+//! about to read.
+//! [`LockManager::unlock_batch`] is the release-side counterpart, used when
+//! a suspended transaction's SIREAD locks are reclaimed.
 
 use std::collections::HashMap;
+use std::hash::Hasher;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex};
 
-use ssi_common::{Error, Result, TxnId};
+use ssi_common::{Error, InlineVec, Result, TxnId};
 
-use crate::fxhash::FxBuildHasher;
+use crate::fxhash::{FxBuildHasher, FxHasher};
 use crate::key::LockKey;
 use crate::mode::{LockMode, ModeSet};
 use crate::waitfor::WaitForGraph;
@@ -94,6 +122,18 @@ pub struct LockOutcome {
     pub waited: bool,
 }
 
+/// Result of [`LockManager::lock_siread_batch`].
+#[derive(Clone, Debug, Default)]
+pub struct SireadBatch {
+    /// Per requested key, in request order: true if the SIREAD mode was
+    /// newly added for the transaction (false when it already held SIREAD or
+    /// EXCLUSIVE on the item, or the key appeared earlier in the batch).
+    pub newly_acquired: Vec<bool>,
+    /// Distinct other transactions holding EXCLUSIVE on any requested item:
+    /// the union of the `rw_conflicts` the single requests would report.
+    pub rw_conflicts: Vec<TxnId>,
+}
+
 /// Per-waiter synchronization block.
 struct WaitNode {
     txn: TxnId,
@@ -129,14 +169,29 @@ impl WaitNode {
     }
 }
 
+/// Owners stored inline in a lock entry before it spills to the heap: an
+/// item is almost always held by one transaction, or by a reader and a
+/// writer.
+const INLINE_HOLDERS: usize = 2;
+
 /// One lock table entry: who holds what, and who is waiting.
 #[derive(Default)]
 struct LockEntry {
-    granted: Vec<(TxnId, ModeSet)>,
+    granted: InlineVec<(TxnId, ModeSet), INLINE_HOLDERS>,
     waiters: Vec<Arc<WaitNode>>,
 }
 
+/// One shard of the lock table.
+type ShardMap = HashMap<LockKey, LockEntry, FxBuildHasher>;
+
 impl LockEntry {
+    /// Entry for an item nobody held or waited for, granted to `txn`.
+    fn granted_to(txn: TxnId, mode: LockMode) -> Self {
+        let mut entry = LockEntry::default();
+        entry.granted.push((txn, ModeSet::single(mode)));
+        entry
+    }
+
     fn holder_modes(&self, txn: TxnId) -> ModeSet {
         self.granted
             .iter()
@@ -146,7 +201,12 @@ impl LockEntry {
     }
 
     fn add_mode(&mut self, txn: TxnId, mode: LockMode) {
-        if let Some((_, m)) = self.granted.iter_mut().find(|(t, _)| *t == txn) {
+        if let Some((_, m)) = self
+            .granted
+            .as_mut_slice()
+            .iter_mut()
+            .find(|(t, _)| *t == txn)
+        {
             m.insert(mode);
         } else {
             self.granted.push((txn, ModeSet::single(mode)));
@@ -209,7 +269,7 @@ impl LockEntry {
 /// The lock manager. Shared by reference (usually `Arc`) between all
 /// transactions of a database.
 pub struct LockManager {
-    shards: Vec<Mutex<HashMap<LockKey, LockEntry, FxBuildHasher>>>,
+    shards: Vec<Mutex<ShardMap>>,
     waits_for: Mutex<WaitForGraph>,
     config: LockConfig,
     stats: LockStats,
@@ -240,9 +300,45 @@ impl LockManager {
     }
 
     fn shard_index(&self, key: &LockKey) -> usize {
-        use std::hash::BuildHasher;
+        let mut hasher = FxHasher::default();
+        key.hash_placement(&mut hasher);
+        (hasher.finish() as usize) % self.shards.len()
+    }
 
-        (FxBuildHasher::default().hash_one(key) as usize) % self.shards.len()
+    /// Visits `count` keys grouped by lock-table shard: `visit(map, i)` runs
+    /// for every position `i < count` (`key_at(i)` names the key), with each
+    /// shard's mutex taken once for all of that shard's keys. Within a
+    /// shard, keys are visited in position order (the grouping is a stable
+    /// counting sort), so repeated keys and a row's record/gap pair are seen
+    /// in the order the caller gave them.
+    fn visit_by_shard<'k>(
+        &self,
+        count: usize,
+        key_at: impl Fn(usize) -> &'k LockKey,
+        mut visit: impl FnMut(&mut ShardMap, usize),
+    ) {
+        let shard_of: Vec<usize> = (0..count).map(|i| self.shard_index(key_at(i))).collect();
+        let mut next = vec![0usize; self.shards.len() + 1];
+        for &shard in &shard_of {
+            next[shard + 1] += 1;
+        }
+        for shard in 0..self.shards.len() {
+            next[shard + 1] += next[shard];
+        }
+        let mut order = vec![0usize; count];
+        for (i, &shard) in shard_of.iter().enumerate() {
+            order[next[shard]] = i;
+            next[shard] += 1;
+        }
+        let mut at = 0;
+        while at < order.len() {
+            let shard = shard_of[order[at]];
+            let mut map = self.shards[shard].lock();
+            while at < order.len() && shard_of[order[at]] == shard {
+                visit(&mut map, order[at]);
+                at += 1;
+            }
+        }
     }
 
     /// Acquires `mode` on `key` for `txn`, blocking if necessary.
@@ -254,16 +350,25 @@ impl LockManager {
     pub fn lock(&self, txn: TxnId, key: &LockKey, mode: LockMode) -> Result<LockOutcome> {
         self.stats.requests.fetch_add(1, Ordering::Relaxed);
         let shard = &self.shards[self.shard_index(key)];
-        let deadline = Instant::now() + self.config.wait_timeout;
+        // Taken when the request first has to wait: a request granted at
+        // once reads no clock.
+        let mut deadline: Option<Instant> = None;
         let mut waited = false;
         let mut wait_node: Option<Arc<WaitNode>> = None;
 
         loop {
             let mut map = shard.lock();
-            if !map.contains_key(key) {
-                map.insert(key.clone(), LockEntry::default());
-            }
-            let entry = map.get_mut(key).expect("entry just ensured");
+            let Some(entry) = map.get_mut(key) else {
+                // Nobody holds or waits for the item: grant at once. (A
+                // queued waiter keeps its entry alive, so this is always
+                // the request's first pass.)
+                map.insert(key.clone(), LockEntry::granted_to(txn, mode));
+                debug_assert!(!waited, "a queued waiter keeps its entry alive");
+                return Ok(LockOutcome {
+                    newly_acquired: true,
+                    ..LockOutcome::default()
+                });
+            };
             let own = entry.holder_modes(txn);
 
             // Re-acquisition of a covered mode is free.
@@ -344,6 +449,8 @@ impl LockManager {
                 waited = true;
             }
 
+            let deadline =
+                *deadline.get_or_insert_with(|| Instant::now() + self.config.wait_timeout);
             node.wait(Duration::from_millis(20));
             // NB: our wait-for edges stay registered while we remain blocked,
             // so whichever transaction later closes a cycle sees them and
@@ -367,6 +474,45 @@ impl LockManager {
         }
     }
 
+    /// Acquires SIREAD on every key of `keys` for `txn` without ever
+    /// blocking, taking each lock-table shard's mutex once for the whole
+    /// batch (see the module docs). Equivalent to calling
+    /// [`LockManager::lock`] with [`LockMode::SiRead`] on each key in order:
+    /// same grants, same reported EXCLUSIVE holders, one counted request per
+    /// key.
+    pub fn lock_siread_batch(&self, txn: TxnId, keys: &[LockKey]) -> SireadBatch {
+        const MODE: LockMode = LockMode::SiRead;
+        self.stats
+            .requests
+            .fetch_add(keys.len() as u64, Ordering::Relaxed);
+        let mut out = SireadBatch {
+            newly_acquired: vec![false; keys.len()],
+            rw_conflicts: Vec::new(),
+        };
+        self.visit_by_shard(
+            keys.len(),
+            |i| &keys[i],
+            |map, i| {
+                let key = &keys[i];
+                let Some(entry) = map.get_mut(key) else {
+                    map.insert(key.clone(), LockEntry::granted_to(txn, MODE));
+                    out.newly_acquired[i] = true;
+                    return;
+                };
+                if !entry.holder_modes(txn).covers(MODE) {
+                    entry.add_mode(txn, MODE);
+                    out.newly_acquired[i] = true;
+                }
+                for holder in entry.rw_conflict_holders(txn, MODE) {
+                    if !out.rw_conflicts.contains(&holder) {
+                        out.rw_conflicts.push(holder);
+                    }
+                }
+            },
+        );
+        out
+    }
+
     /// Releases one mode held by `txn` on `key`. Releasing a mode that is
     /// not held is a no-op.
     pub fn unlock(&self, txn: TxnId, key: &LockKey, mode: LockMode) {
@@ -377,16 +523,12 @@ impl LockManager {
 
     /// Single-key release against an already-locked shard map; shared by
     /// [`LockManager::unlock`] and [`LockManager::unlock_batch`].
-    fn unlock_locked(
-        map: &mut HashMap<LockKey, LockEntry, FxBuildHasher>,
-        txn: TxnId,
-        key: &LockKey,
-        mode: LockMode,
-    ) {
+    fn unlock_locked(map: &mut ShardMap, txn: TxnId, key: &LockKey, mode: LockMode) {
         if let Some(entry) = map.get_mut(key) {
             if let Some(pos) = entry.granted.iter().position(|(t, _)| *t == txn) {
-                entry.granted[pos].1.remove(mode);
-                if entry.granted[pos].1.is_empty() {
+                let modes = &mut entry.granted.as_mut_slice()[pos].1;
+                modes.remove(mode);
+                if modes.is_empty() {
                     entry.granted.swap_remove(pos);
                 }
                 entry.notify_waiters();
@@ -422,21 +564,14 @@ impl LockManager {
         txn: TxnId,
         locks: impl IntoIterator<Item = (&'a LockKey, LockMode)>,
     ) {
-        let mut items: Vec<(usize, &'a LockKey, LockMode)> = locks
-            .into_iter()
-            .map(|(key, mode)| (self.shard_index(key), key, mode))
-            .collect();
-        items.sort_unstable_by_key(|(shard, _, _)| *shard);
-        let mut i = 0;
-        while i < items.len() {
-            let shard = items[i].0;
-            let mut map = self.shards[shard].lock();
-            while i < items.len() && items[i].0 == shard {
-                let (_, key, mode) = items[i];
-                Self::unlock_locked(&mut map, txn, key, mode);
-                i += 1;
-            }
-        }
+        let (keys, modes): (Vec<&'a LockKey>, Vec<LockMode>) = locks.into_iter().unzip();
+        self.visit_by_shard(
+            keys.len(),
+            |i| keys[i],
+            |map, i| {
+                Self::unlock_locked(map, txn, keys[i], modes[i]);
+            },
+        );
     }
 
     /// Returns the set of modes `txn` currently holds on `key`.
@@ -485,6 +620,7 @@ impl Default for LockManager {
 mod tests {
     use super::*;
     use crate::key::LockKey;
+    use ssi_common::rng::WorkloadRng;
     use ssi_common::{AbortKind, TableId};
     use std::sync::atomic::{AtomicBool, Ordering as AOrd};
 
@@ -711,6 +847,166 @@ mod tests {
         // without waiting because the lock names differ.
         let out = lm.lock(t(2), &gap, LockMode::Exclusive).unwrap();
         assert!(!out.waited);
+    }
+
+    #[test]
+    fn record_and_gap_of_a_key_share_a_shard_and_stay_distinct_locks() {
+        let lm = LockManager::with_defaults();
+        for i in 0..200u64 {
+            let bytes = i.to_be_bytes();
+            let rec = LockKey::record(TableId(1), bytes);
+            let gap = LockKey::gap(TableId(1), bytes);
+            assert_eq!(lm.shard_index(&rec), lm.shard_index(&gap), "key {i}");
+        }
+        // Same shard, two locks: EXCLUSIVE on one neither blocks nor covers
+        // the other, and each is released on its own.
+        let rec = LockKey::record(TableId(1), vec![5]);
+        let gap = LockKey::gap(TableId(1), vec![5]);
+        lm.lock(t(1), &rec, LockMode::Exclusive).unwrap();
+        let out = lm.lock(t(2), &gap, LockMode::Exclusive).unwrap();
+        assert!(out.newly_acquired && !out.waited);
+        assert!(lm.holds(t(1), &gap).is_empty());
+        assert!(lm.holds(t(2), &rec).is_empty());
+        assert_eq!(lm.key_count(), 2);
+        lm.unlock(t(1), &rec, LockMode::Exclusive);
+        assert!(lm.holds(t(2), &gap).contains(LockMode::Exclusive));
+        assert_eq!(lm.key_count(), 1);
+        // The 200 keys still spread over the shards.
+        let used: std::collections::HashSet<usize> = (0..200u64)
+            .map(|i| lm.shard_index(&LockKey::record(TableId(1), i.to_be_bytes())))
+            .collect();
+        assert!(
+            used.len() > lm.shards.len() / 2,
+            "{} shards used",
+            used.len()
+        );
+    }
+
+    /// A random lock-table state that no request has to wait in: per item
+    /// either one EXCLUSIVE holder or some SHARED holders, plus any SIREAD
+    /// holders; owner 1 (the transaction that will scan) is among them.
+    fn random_layout(
+        rng: &mut WorkloadRng,
+        universe: &[LockKey],
+    ) -> Vec<(TxnId, LockKey, LockMode)> {
+        let mut layout = Vec::new();
+        for key in universe {
+            if rng.chance(0.4) {
+                continue;
+            }
+            let owners = 1 + rng.index(5) as u64;
+            if rng.chance(0.5) {
+                layout.push((t(1 + rng.index(5) as u64), key.clone(), LockMode::Exclusive));
+            } else {
+                for owner in 1..=owners {
+                    if rng.chance(0.5) {
+                        layout.push((t(owner), key.clone(), LockMode::Shared));
+                    }
+                }
+            }
+            for owner in 1..=owners {
+                if rng.chance(0.5) {
+                    layout.push((t(owner), key.clone(), LockMode::SiRead));
+                }
+            }
+        }
+        layout
+    }
+
+    #[test]
+    fn siread_batch_equals_the_same_requests_issued_one_by_one() {
+        let mut universe = Vec::new();
+        for table in [TableId(1), TableId(2)] {
+            for k in 0..6u8 {
+                universe.push(LockKey::record(table, vec![k]));
+                universe.push(LockKey::gap(table, vec![k]));
+            }
+            universe.push(LockKey::supremum(table));
+            universe.push(LockKey::page(table, 3));
+        }
+        let me = t(1);
+        for seed in 0..300 {
+            let mut rng = WorkloadRng::new(seed);
+            let layout = random_layout(&mut rng, &universe);
+            // Repeated keys, keys already held by `me`, keys held by others.
+            let batch: Vec<LockKey> = (0..rng.index(40))
+                .map(|_| universe[rng.index(universe.len())].clone())
+                .collect();
+
+            let batched = LockManager::new(LockConfig {
+                shards: 1 + rng.index(8),
+                ..LockConfig::default()
+            });
+            let single = LockManager::with_defaults();
+            for lm in [&batched, &single] {
+                for (owner, key, mode) in &layout {
+                    assert!(!lm.lock(*owner, key, *mode).unwrap().waited);
+                }
+            }
+            let requests = |lm: &LockManager| lm.stats().snapshot().0;
+            let (before_batched, before_single) = (requests(&batched), requests(&single));
+
+            let out = batched.lock_siread_batch(me, &batch);
+            let mut expected_conflicts = Vec::new();
+            for (i, key) in batch.iter().enumerate() {
+                let one = single.lock(me, key, LockMode::SiRead).unwrap();
+                assert!(!one.waited);
+                assert_eq!(
+                    out.newly_acquired[i], one.newly_acquired,
+                    "seed {seed} key {i}"
+                );
+                expected_conflicts.extend(one.rw_conflicts);
+            }
+            expected_conflicts.sort();
+            expected_conflicts.dedup();
+            let mut conflicts = out.rw_conflicts.clone();
+            conflicts.sort();
+            assert_eq!(conflicts, expected_conflicts, "seed {seed}");
+            assert!(!conflicts.contains(&me));
+            assert_eq!(
+                requests(&batched) - before_batched,
+                requests(&single) - before_single,
+                "one counted request per key"
+            );
+            assert_eq!(requests(&batched) - before_batched, batch.len() as u64);
+            for key in &universe {
+                for owner in 1..=5 {
+                    assert_eq!(
+                        batched.holds(t(owner), key),
+                        single.holds(t(owner), key),
+                        "seed {seed} {key:?} owner {owner}"
+                    );
+                }
+            }
+            assert_eq!(batched.grant_count(), single.grant_count(), "seed {seed}");
+            assert_eq!(batched.key_count(), single.key_count(), "seed {seed}");
+
+            // Release everything through the batch path: the table drains.
+            batched.unlock_batch(me, batch.iter().map(|key| (key, LockMode::SiRead)));
+            for owner in 1..=5 {
+                let held = layout.iter().filter(|(o, _, _)| *o == t(owner));
+                batched.unlock_batch(t(owner), held.map(|(_, key, mode)| (key, *mode)));
+            }
+            assert_eq!(batched.key_count(), 0, "seed {seed}");
+            assert_eq!(batched.grant_count(), 0, "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn siread_batch_reports_exclusive_holders_and_never_waits() {
+        let lm = LockManager::with_defaults();
+        lm.lock(t(2), &key(1), LockMode::Exclusive).unwrap();
+        lm.lock(t(3), &key(2), LockMode::Exclusive).unwrap();
+        lm.lock(t(3), &key(3), LockMode::Shared).unwrap();
+        let out = lm.lock_siread_batch(t(1), &[key(1), key(2), key(3), key(4), key(1)]);
+        assert_eq!(out.newly_acquired, vec![true, true, true, true, false]);
+        let mut holders = out.rw_conflicts;
+        holders.sort();
+        assert_eq!(holders, vec![t(2), t(3)]);
+        // A later writer finds the batch's SIREADs.
+        let w = lm.lock(t(4), &key(4), LockMode::Exclusive).unwrap();
+        assert_eq!(w.rw_conflicts, vec![t(1)]);
+        assert_eq!(lm.stats().snapshot().1, 0, "nothing waited");
     }
 
     #[test]

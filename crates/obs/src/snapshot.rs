@@ -59,6 +59,10 @@ pub struct TxnMetrics {
     pub commit_dependencies: u64,
     pub dependency_cascade_aborts: u64,
     pub watermark_sweeps: u64,
+    /// Scan pages whose phantom sweep ran (table membership epoch moved).
+    pub scan_sweeps_run: u64,
+    /// Scan pages whose phantom sweep was skipped (epoch unchanged).
+    pub scan_sweeps_skipped: u64,
     /// Aborts by [`AbortReason`], indexed by `AbortReason::index()`.
     /// Sums to `aborted`.
     pub abort_reasons: [u64; AbortReason::COUNT],
@@ -219,6 +223,16 @@ impl MetricsSnapshot {
             "ssi_txn_watermark_sweeps_total",
             self.txn.watermark_sweeps,
         );
+        counter(
+            &mut out,
+            "ssi_txn_scan_sweeps_run_total",
+            self.txn.scan_sweeps_run,
+        );
+        counter(
+            &mut out,
+            "ssi_txn_scan_sweeps_skipped_total",
+            self.txn.scan_sweeps_skipped,
+        );
 
         out.push_str("# TYPE ssi_txn_aborts_by_reason_total counter\n");
         for reason in AbortReason::ALL {
@@ -373,7 +387,8 @@ impl MetricsSnapshot {
             "\"txn\":{{\"started\":{},\"committed\":{},\"aborted\":{},\"suspended\":{},\
              \"cleaned\":{},\"publish_parks\":{},\"read_publication_waits\":{},\
              \"speculative_reads\":{},\"commit_dependencies\":{},\
-             \"dependency_cascade_aborts\":{},\"watermark_sweeps\":{},\"abort_reasons\":{{",
+             \"dependency_cascade_aborts\":{},\"watermark_sweeps\":{},\
+             \"scan_sweeps_run\":{},\"scan_sweeps_skipped\":{},\"abort_reasons\":{{",
             self.txn.started,
             self.txn.committed,
             self.txn.aborted,
@@ -385,6 +400,8 @@ impl MetricsSnapshot {
             self.txn.commit_dependencies,
             self.txn.dependency_cascade_aborts,
             self.txn.watermark_sweeps,
+            self.txn.scan_sweeps_run,
+            self.txn.scan_sweeps_skipped,
         ));
         for (i, reason) in AbortReason::ALL.iter().enumerate() {
             if i > 0 {

@@ -53,8 +53,8 @@ pub use index::{
 };
 pub use page::PageMap;
 pub use table::{
-    as_ref_bound, clone_bound, PurgeStats, ScanCursor, ScanEntry, ScanPage, Table, VisibleRead,
-    SCAN_PAGE_SIZE, SHARD_COUNT,
+    as_ref_bound, clone_bound, PurgeStats, ScanCursor, ScanEntries, ScanEntry, ScanPage, ScanRow,
+    Table, VisibleRead, SCAN_PAGE_SIZE, SHARD_COUNT,
 };
 pub use version::{Version, VersionState};
 pub use wal::{WalConfig, WriteAheadLog};

@@ -53,17 +53,55 @@
 //!
 //! ## Why scans stay consistent under SSI
 //!
-//! A scan snapshots the range's `(key, chain)` pairs under a brief
-//! ordered-index read lock, then visits each chain under its mutex. Unlike
-//! the old global-lock design, a writer may install a version for a new key
-//! *while* a scan is in flight. That does not weaken Serializable SI:
-//! per-key visibility is still atomic (the chain mutex), uncommitted or
-//! later-committed versions that the scan does observe are reported as
-//! rw-conflicts via `newer_creators`, and inserts the scan misses entirely
-//! are exactly the phantoms that SIREAD **gap locks** exist to catch — the
-//! writer of a new key must acquire the gap lock covering it, where it
-//! meets the scan's gap SIREAD locks in the lock manager regardless of the
-//! storage-level interleaving.
+//! A scan never holds the ordered-index lock while it looks at rows, so a
+//! writer may install a version — even the first version of a brand-new key
+//! — while a scan is in flight. The scan protocol is built so that this
+//! never hides a read-write conflict from Serializable SI. It has three
+//! steps per page, split between this module and `ssi-core`'s `do_scan`:
+//!
+//! 1. **Handles, not values.** [`ScanCursor::next_page`] takes the
+//!    ordered-index read lock once and copies out up to a page of
+//!    [`ScanRow`]s — the key (`Arc<[u8]>`, shared with the index) and a
+//!    handle to its version chain — together with the table's *membership
+//!    epoch* at that instant. No chain is read yet.
+//! 2. **Lock, then read once.** The engine takes the page's SIREAD locks
+//!    (every row's record and next-key gap, in one
+//!    `LockManager::lock_siread_batch` call) and only then reads each chain,
+//!    exactly once, through [`Table::read_row`]. This is the paper's
+//!    lock-then-read order (Fig. 3.4) per row: a concurrent writer of the
+//!    row either requests its EXCLUSIVE lock after the SIREAD is in the lock
+//!    table (and finds it), still holds it when the batch runs (and is
+//!    found), or released it before — in which case its version was
+//!    installed before the release and the chain read, which comes after
+//!    the grant, sees it and reports its creator in `newer_creators`. A
+//!    read taken *before* the lock could miss the third case, which is why
+//!    there is no pre-lock read to re-check. Per-key visibility is atomic
+//!    (the chain mutex). A handle whose chain died since the page was taken
+//!    (rollback of an insert, purge of an old tombstone) reads as empty;
+//!    `read_row` then re-resolves the key through its hash shard, so a chain
+//!    re-created for the same key is not missed either.
+//! 3. **Epoch-gated phantom sweep.** Keys *inserted* into the page's range
+//!    are phantoms, which gap locks catch: the writer of a new key takes the
+//!    EXCLUSIVE gap lock on the next key and meets the scan's gap SIREAD
+//!    there. The one interleaving the lock table cannot see is an insert
+//!    that took and released its gap lock entirely between step 1 and the
+//!    grant in step 2; the engine closes it by re-querying the page's key
+//!    range after the grant and treating every key it had not seen as a
+//!    scanned row (`sweep_gap_region`). That query is skipped when it cannot
+//!    find anything: the table counts membership changes in an epoch that
+//!    lives *inside* the ordered-index lock and is bumped in the same write
+//!    critical section as every insert into or removal from the index.
+//!    [`Table::membership_epoch`] reads it under the read lock. If the value
+//!    read after the grant equals the one recorded with the page, no write
+//!    critical section ran in between, so the index holds exactly the keys
+//!    the page listed and the sweep — which would read the index at that
+//!    same instant — would return nothing. The check is thus a pure
+//!    shortcut for the sweep, O(1) per page, and workloads that never insert
+//!    or delete never sweep.
+//!
+//! SI, read-committed and S2PL scans and [`Table::scan`] run over the same
+//! cursor; they differ only in what they do between fetching a page and
+//! reading its rows.
 //!
 //! ## Secondary index maintenance
 //!
@@ -147,8 +185,8 @@ pub struct VisibleRead {
 /// One row produced by a snapshot range scan.
 #[derive(Clone, Debug)]
 pub struct ScanEntry {
-    /// The row key.
-    pub key: Vec<u8>,
+    /// The row key, shared with the table's ordered index.
+    pub key: Arc<[u8]>,
     /// Visible value (`None` when the visible version is a tombstone or no
     /// version is visible to the snapshot). Entries with `None` are still
     /// reported so the caller can register conflicts for them.
@@ -201,29 +239,48 @@ impl PurgeStats {
     }
 }
 
-/// One page of a paged range scan (see [`Table::scan_page`]).
+/// One row of a [`ScanPage`]: the key plus a handle to its version chain.
+/// Nothing has been read yet; pass the row to [`Table::read_row`].
+#[derive(Clone)]
+pub struct ScanRow {
+    /// The row key, shared with the table's ordered index.
+    pub key: Arc<[u8]>,
+    chain: Arc<RowChain>,
+}
+
+impl std::fmt::Debug for ScanRow {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("ScanRow").field("key", &self.key).finish()
+    }
+}
+
+/// One page of a range scan (see [`ScanCursor::next_page`]).
 #[derive(Debug)]
 pub struct ScanPage {
-    /// Entries of this page, in key order.
-    pub entries: Vec<ScanEntry>,
-    /// Resume the scan with `Bound::Excluded` of this key; `None` when the
-    /// range is exhausted.
-    pub resume_after: Option<Vec<u8>>,
+    /// The keys the ordered index held in the page's range, in key order.
+    pub rows: Vec<ScanRow>,
+    /// The table's membership epoch when the page was taken (see
+    /// [`Table::membership_epoch`]).
+    pub epoch: u64,
+    /// True if the page reached the end of the scanned range. A page can be
+    /// empty and last (the previous page ended exactly at the range's end).
+    pub last: bool,
 }
 
-/// Streaming handle over a paged range scan (see [`Table::cursor`]).
-pub struct ScanCursor<'t> {
-    table: &'t Table,
-    /// Lower bound of the next page to fetch; `None` once exhausted.
-    lower: Option<Bound<Vec<u8>>>,
-    upper: Bound<Vec<u8>>,
-    reader: TxnId,
-    snapshot_ts: Timestamp,
+/// Paging handle over a key range (see [`Table::cursor`]). Each page costs
+/// one ordered-index read-lock acquisition; the lock is not held between
+/// pages, and no version chain is read by the cursor itself.
+pub struct ScanCursor<'a> {
+    table: &'a Table,
+    lower: Bound<&'a [u8]>,
+    upper: Bound<&'a [u8]>,
+    /// Last key of the previous page: the next page starts after it.
+    resume_after: Option<Arc<[u8]>>,
+    exhausted: bool,
     page_size: usize,
-    page: std::vec::IntoIter<ScanEntry>,
 }
 
-impl ScanCursor<'_> {
+impl<'a> ScanCursor<'a> {
     /// Overrides the page size (keys fetched per index-lock acquisition);
     /// exposed for tests and tuning.
     pub fn with_page_size(mut self, page_size: usize) -> Self {
@@ -231,29 +288,71 @@ impl ScanCursor<'_> {
         self.page_size = page_size;
         self
     }
+
+    /// Fetches the next page, or `None` after the page marked `last`.
+    pub fn next_page(&mut self) -> Option<ScanPage> {
+        if self.exhausted {
+            return None;
+        }
+        let lower = match &self.resume_after {
+            Some(key) => Bound::Excluded(&key[..]),
+            None => self.lower,
+        };
+        let page = self.table.page(lower, self.upper, self.page_size);
+        self.exhausted = page.last;
+        if let Some(row) = page.rows.last() {
+            self.resume_after = Some(row.key.clone());
+        }
+        Some(page)
+    }
+
+    /// Reads every row of the range as of `snapshot_ts` on behalf of
+    /// `reader`, page by page: the plain snapshot scan, with no locking
+    /// between fetching a page and reading it.
+    pub fn entries(self, reader: TxnId, snapshot_ts: Timestamp) -> ScanEntries<'a> {
+        ScanEntries {
+            cursor: self,
+            reader,
+            snapshot_ts,
+            page: Vec::new().into_iter(),
+        }
+    }
 }
 
-impl Iterator for ScanCursor<'_> {
+/// Iterator returned by [`ScanCursor::entries`].
+pub struct ScanEntries<'a> {
+    cursor: ScanCursor<'a>,
+    reader: TxnId,
+    snapshot_ts: Timestamp,
+    page: std::vec::IntoIter<ScanRow>,
+}
+
+impl Iterator for ScanEntries<'_> {
     type Item = ScanEntry;
 
     fn next(&mut self) -> Option<ScanEntry> {
         loop {
-            if let Some(entry) = self.page.next() {
-                return Some(entry);
+            let Some(row) = self.page.next() else {
+                self.page = self.cursor.next_page()?.rows.into_iter();
+                continue;
+            };
+            let r = self
+                .cursor
+                .table
+                .read_row(&row, self.reader, self.snapshot_ts);
+            // A key whose versions were all rolled back or purged since the
+            // page was taken no longer exists.
+            if !r.key_exists {
+                continue;
             }
-            // A page can be empty while the range continues (every chain in
-            // it emptied concurrently), so keep fetching until an entry or
-            // proven exhaustion shows up.
-            let lower = self.lower.take()?;
-            let page = self.table.scan_page(
-                as_ref_bound(&lower),
-                as_ref_bound(&self.upper),
-                self.reader,
-                self.snapshot_ts,
-                self.page_size,
-            );
-            self.lower = page.resume_after.map(Bound::Excluded);
-            self.page = page.entries.into_iter();
+            return Some(ScanEntry {
+                key: row.key,
+                value: r.value,
+                newer_creators: r.newer_creators,
+                read_version_ts: r.read_version_ts,
+                read_own_write: r.read_own_write,
+                speculative_of: r.speculative_of,
+            });
         }
     }
 }
@@ -364,6 +463,16 @@ impl RowChain {
     }
 }
 
+/// The ordered side index: every key with a chain, plus the count of
+/// membership changes. Both live behind one lock so that the epoch can only
+/// move in the write critical section that changes the key set.
+#[derive(Default)]
+struct OrderedIndex {
+    chains: BTreeMap<Arc<[u8]>, Arc<RowChain>>,
+    /// Bumped on every insert into and removal from `chains`.
+    epoch: u64,
+}
+
 /// One hash shard of a table.
 #[derive(Default)]
 struct Shard {
@@ -378,7 +487,7 @@ pub struct Table {
     shards: Box<[Shard]>,
     /// Ordered side index over the same chains, for scans and next-key
     /// queries only. Point operations on existing keys never touch it.
-    ordered: RwLock<BTreeMap<Arc<[u8]>, Arc<RowChain>>>,
+    ordered: RwLock<OrderedIndex>,
     /// Registered secondary indexes, maintained by the membership hooks
     /// (see the module docs). Lock order is always shard → this list.
     indexes: RwLock<Vec<Arc<Index>>>,
@@ -392,7 +501,7 @@ impl Table {
             id,
             name: name.into(),
             shards,
-            ordered: RwLock::new(BTreeMap::new()),
+            ordered: RwLock::new(OrderedIndex::default()),
             indexes: RwLock::new(Vec::new()),
         }
     }
@@ -420,7 +529,15 @@ impl Table {
 
     /// Number of keys with at least one version (including tombstoned keys).
     pub fn key_count(&self) -> usize {
-        self.ordered.read().len()
+        self.ordered.read().chains.len()
+    }
+
+    /// Number of membership changes (keys entering or leaving the ordered
+    /// index) so far, read under the index lock. Two equal readings prove
+    /// the index held the same key set at both instants and in between; see
+    /// the module docs on the epoch-gated phantom sweep.
+    pub fn membership_epoch(&self) -> u64 {
+        self.ordered.read().epoch
     }
 
     /// Snapshot read of `key` as of `snapshot_ts` on behalf of `reader`.
@@ -500,7 +617,11 @@ impl Table {
         let key_arc: Arc<[u8]> = Arc::from(key);
         let chain = RowChain::with_version(version.clone());
         rows.insert(key_arc.clone(), chain.clone());
-        self.ordered.write().insert(key_arc, chain);
+        {
+            let mut ordered = self.ordered.write();
+            ordered.chains.insert(key_arc, chain);
+            ordered.epoch += 1;
+        }
         self.add_index_refs(key, &version);
         version
     }
@@ -614,9 +735,10 @@ impl Table {
     /// the same key in the meantime.
     fn unlink_from_ordered(&self, key: &[u8], chain: &Arc<RowChain>) {
         let mut ordered = self.ordered.write();
-        if let Some(current) = ordered.get(key) {
+        if let Some(current) = ordered.chains.get(key) {
             if Arc::ptr_eq(current, chain) {
-                ordered.remove(key);
+                ordered.chains.remove(key);
+                ordered.epoch += 1;
             }
         }
     }
@@ -627,11 +749,9 @@ impl Table {
     /// Serializable SI needs those entries to register rw-conflicts with the
     /// concurrent writers that created the newer versions.
     ///
-    /// Entries come back in key order. Implemented on top of the paging
-    /// cursor: the ordered-index lock is taken once per
-    /// [`SCAN_PAGE_SIZE`]-key page rather than once for the whole range, so
-    /// arbitrarily large scans never hold the index lock for long. Prefer
-    /// [`Table::cursor`] when entries can be consumed incrementally.
+    /// Entries come back in key order. Runs over the paging cursor
+    /// ([`Table::cursor`]), so the ordered-index lock is taken once per
+    /// [`SCAN_PAGE_SIZE`]-key page and never held while rows are read.
     pub fn scan(
         &self,
         lower: Bound<&[u8]>,
@@ -639,115 +759,93 @@ impl Table {
         reader: TxnId,
         snapshot_ts: Timestamp,
     ) -> Vec<ScanEntry> {
-        self.cursor(lower, upper, reader, snapshot_ts).collect()
+        self.cursor(lower, upper)
+            .entries(reader, snapshot_ts)
+            .collect()
     }
 
-    /// One page of a paged range scan: up to `limit` keys' worth of entries,
-    /// plus the key to resume after when the range may hold more.
-    ///
-    /// `entries` can be shorter than `limit` even mid-range (keys whose
-    /// chains emptied concurrently are skipped but still consume page
-    /// budget), so callers must continue while `resume_after` is `Some`,
-    /// not while pages come back non-empty.
-    pub fn scan_page(
-        &self,
-        lower: Bound<&[u8]>,
-        upper: Bound<&[u8]>,
-        reader: TxnId,
-        snapshot_ts: Timestamp,
-        limit: usize,
-    ) -> ScanPage {
-        assert!(limit > 0, "scan page limit must be positive");
-        let chains: Vec<(Arc<[u8]>, Arc<RowChain>)> = {
-            let ordered = self.ordered.read();
-            ordered
-                .range::<[u8], _>((lower, upper))
-                .take(limit)
-                .map(|(k, c)| (k.clone(), c.clone()))
-                .collect()
-        };
-        // A full page means the range may continue past the last key seen;
-        // a short page proves the range was exhausted.
-        let resume_after = if chains.len() == limit {
-            chains.last().map(|(k, _)| k.to_vec())
-        } else {
-            None
-        };
-        let mut entries = Vec::with_capacity(chains.len());
-        for (key, chain) in chains {
-            let r = chain.read_all(reader, snapshot_ts);
-            if !r.key_exists {
-                continue;
-            }
-            entries.push(ScanEntry {
-                key: key.to_vec(),
-                value: r.value,
-                newer_creators: r.newer_creators,
-                read_version_ts: r.read_version_ts,
-                read_own_write: r.read_own_write,
-                speculative_of: r.speculative_of,
-            });
-        }
+    /// Copies out up to `limit` rows of the range under one ordered-index
+    /// read lock, with the membership epoch of that instant.
+    fn page(&self, lower: Bound<&[u8]>, upper: Bound<&[u8]>, limit: usize) -> ScanPage {
+        let ordered = self.ordered.read();
+        let rows: Vec<ScanRow> = ordered
+            .chains
+            .range::<[u8], _>((lower, upper))
+            .take(limit)
+            .map(|(key, chain)| ScanRow {
+                key: key.clone(),
+                chain: chain.clone(),
+            })
+            .collect();
         ScanPage {
-            entries,
-            resume_after,
+            // A short page proves the range was exhausted; a full one may
+            // be followed by more keys.
+            last: rows.len() < limit,
+            epoch: ordered.epoch,
+            rows,
         }
     }
 
-    /// Streaming range scan: an iterator that pulls [`SCAN_PAGE_SIZE`]-key
-    /// pages on demand via [`Table::scan_page`]. Only one page of chain
-    /// handles is ever materialized, and the ordered-index lock is released
-    /// between pages, so concurrent inserts of *new* keys proceed while a
-    /// large scan is in flight.
-    ///
-    /// Consistency is per key, exactly as for [`Table::scan`]: versions a
-    /// scan observes but cannot read are reported as rw-conflicts via
-    /// `newer_creators`, and keys inserted behind the cursor are phantoms,
-    /// which SIREAD gap locks catch in the lock manager (see the module
-    /// docs) — paging does not weaken Serializable SI.
-    pub fn cursor(
-        &self,
-        lower: Bound<&[u8]>,
-        upper: Bound<&[u8]>,
-        reader: TxnId,
-        snapshot_ts: Timestamp,
-    ) -> ScanCursor<'_> {
+    /// Paging cursor over a key range: [`ScanCursor::next_page`] hands out
+    /// [`SCAN_PAGE_SIZE`] keys and chain handles at a time without reading
+    /// them, so the caller decides what happens between seeing a key and
+    /// reading it (Serializable SI takes the page's SIREAD locks there; see
+    /// the module docs). Only one page of handles is ever materialized, and
+    /// concurrent inserts of new keys proceed between pages.
+    pub fn cursor<'a>(&'a self, lower: Bound<&'a [u8]>, upper: Bound<&'a [u8]>) -> ScanCursor<'a> {
         ScanCursor {
             table: self,
-            lower: Some(clone_bound(lower)),
-            upper: clone_bound(upper),
-            reader,
-            snapshot_ts,
+            lower,
+            upper,
+            resume_after: None,
+            exhausted: false,
             page_size: SCAN_PAGE_SIZE,
-            page: Vec::new().into_iter(),
+        }
+    }
+
+    /// Snapshot read of one scanned row through its chain handle: one chain
+    /// lock, one traversal, no shard lookup. A chain that is found without
+    /// live versions was rolled back or purged since the page was taken
+    /// and may have been replaced by a new chain for the same key, so that
+    /// (rare) case re-resolves the key through its hash shard.
+    pub fn read_row(&self, row: &ScanRow, reader: TxnId, snapshot_ts: Timestamp) -> VisibleRead {
+        let read = row.chain.read_all(reader, snapshot_ts);
+        if read.key_exists {
+            read
+        } else {
+            self.read(&row.key, reader, snapshot_ts)
         }
     }
 
     /// Smallest key `>= key` present in the table (used by insert/delete gap
     /// locking: the lock target is the key *after* the one being modified).
-    pub fn next_key_at_or_after(&self, key: &[u8]) -> Option<Vec<u8>> {
+    pub fn next_key_at_or_after(&self, key: &[u8]) -> Option<Arc<[u8]>> {
         let ordered = self.ordered.read();
         ordered
+            .chains
             .range::<[u8], _>((Bound::Included(key), Bound::Unbounded))
             .next()
-            .map(|(k, _)| k.to_vec())
+            .map(|(k, _)| k.clone())
     }
 
     /// Smallest key strictly greater than `key`.
-    pub fn next_key_after(&self, key: &[u8]) -> Option<Vec<u8>> {
+    pub fn next_key_after(&self, key: &[u8]) -> Option<Arc<[u8]>> {
         let ordered = self.ordered.read();
         ordered
+            .chains
             .range::<[u8], _>((Bound::Excluded(key), Bound::Unbounded))
             .next()
-            .map(|(k, _)| k.to_vec())
+            .map(|(k, _)| k.clone())
     }
 
-    /// All keys in the given range (used by tests and the verifier).
-    pub fn keys_in_range(&self, lower: Bound<&[u8]>, upper: Bound<&[u8]>) -> Vec<Vec<u8>> {
+    /// All keys in the given range, sharing the index's key bytes (used by
+    /// the engine's phantom sweep and by tests).
+    pub fn keys_in_range(&self, lower: Bound<&[u8]>, upper: Bound<&[u8]>) -> Vec<Arc<[u8]>> {
         let ordered = self.ordered.read();
         ordered
+            .chains
             .range::<[u8], _>((lower, upper))
-            .map(|(k, _)| k.to_vec())
+            .map(|(k, _)| k.clone())
             .collect()
     }
 
@@ -1049,7 +1147,7 @@ mod tests {
         v.mark_committed(20);
 
         let entries = tbl.scan(Bound::Unbounded, Bound::Unbounded, t(3), 10);
-        let keys: Vec<&[u8]> = entries.iter().map(|e| e.key.as_slice()).collect();
+        let keys: Vec<&[u8]> = entries.iter().map(|e| &e.key[..]).collect();
         assert_eq!(keys, vec![b"a" as &[u8], b"b", b"c", b"e"]);
         // "b" has no visible value but reports its creator as a conflict.
         let b_entry = &entries[1];
@@ -1070,7 +1168,7 @@ mod tests {
             t(2),
             10,
         );
-        let keys: Vec<&[u8]> = entries.iter().map(|e| e.key.as_slice()).collect();
+        let keys: Vec<&[u8]> = entries.iter().map(|e| &e.key[..]).collect();
         assert_eq!(keys, vec![b"b" as &[u8], b"c"]);
     }
 
@@ -1081,9 +1179,9 @@ mod tests {
             let v = tbl.install_version(k, t(1), Some(vec![1]));
             v.mark_committed(5);
         }
-        assert_eq!(tbl.next_key_at_or_after(b"d"), Some(b"d".to_vec()));
-        assert_eq!(tbl.next_key_after(b"d"), Some(b"f".to_vec()));
-        assert_eq!(tbl.next_key_at_or_after(b"c"), Some(b"d".to_vec()));
+        assert_eq!(tbl.next_key_at_or_after(b"d").as_deref(), Some(&b"d"[..]));
+        assert_eq!(tbl.next_key_after(b"d").as_deref(), Some(&b"f"[..]));
+        assert_eq!(tbl.next_key_at_or_after(b"c").as_deref(), Some(&b"d"[..]));
         assert_eq!(tbl.next_key_after(b"f"), None);
         assert_eq!(tbl.next_key_at_or_after(b"g"), None);
     }
@@ -1231,36 +1329,81 @@ mod tests {
     }
 
     #[test]
-    fn scan_page_pages_through_range_with_resume_keys() {
+    fn cursor_pages_through_range_and_marks_the_last_page() {
         let tbl = table();
-        for i in 0..10u64 {
+        for i in 0..8u64 {
             let v = tbl.install_version(&[i as u8], t(1), Some(vec![i as u8]));
             v.mark_committed(5);
         }
-        // Page of 4: [0..4), resume after 3.
-        let p1 = tbl.scan_page(Bound::Unbounded, Bound::Unbounded, t(2), 10, 4);
-        assert_eq!(p1.entries.len(), 4);
-        assert_eq!(p1.resume_after.as_deref(), Some(&[3u8][..]));
-        // Continue: next page picks up at 4.
-        let p2 = tbl.scan_page(
-            Bound::Excluded(p1.resume_after.as_deref().unwrap()),
-            Bound::Unbounded,
-            t(2),
-            10,
-            4,
-        );
-        assert_eq!(p2.entries[0].key, vec![4u8]);
-        assert_eq!(p2.resume_after.as_deref(), Some(&[7u8][..]));
-        // Final short page proves exhaustion.
-        let p3 = tbl.scan_page(
-            Bound::Excluded(p2.resume_after.as_deref().unwrap()),
-            Bound::Unbounded,
-            t(2),
-            10,
-            4,
-        );
-        assert_eq!(p3.entries.len(), 2);
-        assert_eq!(p3.resume_after, None);
+        let mut cursor = tbl
+            .cursor(Bound::Unbounded, Bound::Unbounded)
+            .with_page_size(4);
+        let keys = |p: &ScanPage| p.rows.iter().map(|r| r.key[0]).collect::<Vec<u8>>();
+        let p1 = cursor.next_page().unwrap();
+        assert_eq!((keys(&p1), p1.last), (vec![0, 1, 2, 3], false));
+        let p2 = cursor.next_page().unwrap();
+        assert_eq!((keys(&p2), p2.last), (vec![4, 5, 6, 7], false));
+        // The range ended exactly on a page boundary: one more, empty, page
+        // proves exhaustion.
+        let p3 = cursor.next_page().unwrap();
+        assert!(p3.rows.is_empty() && p3.last);
+        assert!(cursor.next_page().is_none());
+        // Nothing was inserted or removed meanwhile.
+        assert_eq!(p1.epoch, p3.epoch);
+        assert_eq!(p3.epoch, tbl.membership_epoch());
+    }
+
+    #[test]
+    fn membership_epoch_moves_exactly_when_a_key_enters_or_leaves() {
+        let tbl = table();
+        let e0 = tbl.membership_epoch();
+        let v1 = tbl.install_version(b"a", t(1), Some(vec![1]));
+        v1.mark_committed(10);
+        let e1 = tbl.membership_epoch();
+        assert!(e1 > e0, "first version of a key enters the index");
+        // Updates and deletes of an existing key do not change membership.
+        let v2 = tbl.install_version(b"a", t(2), Some(vec![2]));
+        v2.mark_committed(20);
+        let del = tbl.install_version(b"a", t(3), None);
+        assert_eq!(tbl.membership_epoch(), e1);
+        // Neither does rolling back one of several versions…
+        del.mark_aborted();
+        tbl.unlink_version(b"a", &del);
+        assert_eq!(tbl.membership_epoch(), e1);
+        // …but rolling back a key's only version removes the key,
+        let ins = tbl.install_version(b"b", t(4), Some(vec![4]));
+        let e2 = tbl.membership_epoch();
+        ins.mark_aborted();
+        tbl.unlink_version(b"b", &ins);
+        let e3 = tbl.membership_epoch();
+        assert!(e2 > e1 && e3 > e2);
+        // and so does purging a dead tombstone.
+        let d = tbl.install_version(b"a", t(5), None);
+        d.mark_committed(30);
+        tbl.purge_old_versions(40);
+        assert_eq!(tbl.key_count(), 0);
+        assert!(tbl.membership_epoch() > e3);
+    }
+
+    #[test]
+    fn read_row_follows_a_key_recreated_after_its_chain_died() {
+        let tbl = table();
+        let gone = tbl.install_version(b"k", t(1), Some(vec![1]));
+        let page = tbl
+            .cursor(Bound::Unbounded, Bound::Unbounded)
+            .next_page()
+            .unwrap();
+        // The insert rolls back (the handle's chain dies) and another
+        // transaction creates the key again before the page's rows are read.
+        gone.mark_aborted();
+        tbl.unlink_version(b"k", &gone);
+        let again = tbl.install_version(b"k", t(2), Some(vec![2]));
+        again.mark_committed(10);
+        assert!(tbl.membership_epoch() > page.epoch);
+        let read = tbl.read_row(&page.rows[0], t(3), 5);
+        assert!(read.key_exists, "the new chain must be found");
+        assert_eq!(read.newer_creators, vec![t(2)]);
+        assert_eq!(val(&tbl.read_row(&page.rows[0], t(3), 10)), Some(vec![2]));
     }
 
     #[test]
@@ -1272,9 +1415,10 @@ mod tests {
         }
         // Tiny pages force many refills; the stream must still be the whole
         // range in order, without duplicates.
-        let keys: Vec<Vec<u8>> = tbl
-            .cursor(Bound::Unbounded, Bound::Unbounded, t(2), 10)
+        let keys: Vec<Arc<[u8]>> = tbl
+            .cursor(Bound::Unbounded, Bound::Unbounded)
             .with_page_size(7)
+            .entries(t(2), 10)
             .map(|e| e.key)
             .collect();
         assert_eq!(keys.len(), 300);
@@ -1287,7 +1431,7 @@ mod tests {
             10,
         );
         assert_eq!(bounded.len(), 100);
-        assert_eq!(bounded[0].key, 100u64.to_be_bytes().to_vec());
+        assert_eq!(bounded[0].key[..], 100u64.to_be_bytes());
     }
 
     #[test]
@@ -1305,13 +1449,14 @@ mod tests {
                 v.mark_committed(5);
             }
         }
-        let keys: Vec<Vec<u8>> = tbl
-            .cursor(Bound::Unbounded, Bound::Unbounded, t(2), 10)
+        let keys: Vec<Arc<[u8]>> = tbl
+            .cursor(Bound::Unbounded, Bound::Unbounded)
             .with_page_size(3)
+            .entries(t(2), 10)
             .map(|e| e.key)
             .collect();
         assert_eq!(keys.len(), 10);
-        assert_eq!(keys[0], vec![10u8]);
+        assert_eq!(keys[0][..], [10u8]);
     }
 
     #[test]
@@ -1440,7 +1585,11 @@ mod tests {
         // The maps must still agree after the dust settles, in both
         // directions: every ordered-index key resolves in its hash shard
         // and every hash-shard key appears in the ordered index.
-        let mut ordered_keys = tbl.keys_in_range(Bound::Unbounded, Bound::Unbounded);
+        let mut ordered_keys: Vec<Vec<u8>> = tbl
+            .keys_in_range(Bound::Unbounded, Bound::Unbounded)
+            .iter()
+            .map(|k| k.to_vec())
+            .collect();
         ordered_keys.sort();
         let mut shard_keys: Vec<Vec<u8>> = tbl
             .shards
@@ -1499,9 +1648,7 @@ mod tests {
                         );
                         let evens = entries
                             .iter()
-                            .filter(|e| {
-                                u64::from_be_bytes(e.key.as_slice().try_into().unwrap()) % 2 == 0
-                            })
+                            .filter(|e| u64::from_be_bytes(e.key[..].try_into().unwrap()) % 2 == 0)
                             .count();
                         assert_eq!(evens, 256, "scan lost a committed key");
                     }

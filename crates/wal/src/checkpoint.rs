@@ -169,7 +169,8 @@ impl<'a> Checkpointer<'a> {
                 // Fuzzy scan: the cursor pages through the live table;
                 // per-row visibility at `ts` is atomic, and commits newer
                 // than `ts` are invisible to this snapshot by construction.
-                for entry in table.cursor(Bound::Unbounded, Bound::Unbounded, RECOVERY_TXN_ID, ts) {
+                let cursor = table.cursor(Bound::Unbounded, Bound::Unbounded);
+                for entry in cursor.entries(RECOVERY_TXN_ID, ts) {
                     let Some(value) = entry.value else {
                         continue; // tombstone or nothing visible: dead at ts
                     };

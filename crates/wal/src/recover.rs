@@ -272,7 +272,7 @@ mod tests {
             .unwrap()
             .scan(Bound::Unbounded, Bound::Unbounded, TxnId(999), at)
             .into_iter()
-            .filter_map(|e| e.value.map(|v| (e.key, v.to_vec())))
+            .filter_map(|e| e.value.map(|v| (e.key.to_vec(), v.to_vec())))
             .collect()
     }
 

@@ -14,9 +14,10 @@
 //!   benchmark driver;
 //! * [`common`](ssi_common) — shared types, errors, encoding and statistics.
 //!
-//! See `README.md` for a tour, `DESIGN.md` for the system inventory, and
-//! `EXPERIMENTS.md` for the mapping from the paper's figures to the
-//! benchmark harness.
+//! `ROADMAP.md` holds the system inventory (which crate owns which layer,
+//! with the last measured numbers); `benchmark/README.md` describes the
+//! repository's benchmark; `experiments list` (in `crates/bench`) prints the
+//! mapping from the thesis's figures to the harness.
 
 pub use ssi_common as common;
 pub use ssi_core as core;
