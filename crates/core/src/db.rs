@@ -783,6 +783,7 @@ impl Database {
             aborted: load(&s.aborted),
             suspended: load(&s.suspended),
             cleaned: load(&s.cleaned),
+            suspended_now: self.inner.txns.suspended_len() as u64,
             publish_parks: load(&s.publish_parks),
             read_publication_waits: load(&s.read_publication_waits),
             speculative_reads: load(&s.speculative_reads),

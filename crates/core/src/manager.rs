@@ -101,15 +101,35 @@
 //! full-registry scans cheap:
 //!
 //! * each shard maintains an **active-begin index** (`BTreeSet` of
-//!   `(begin_ts, id)` for its active snapshot-holding transactions), so
-//!   [`TransactionManager::oldest_active_begin`] is one `first()` per shard
-//!   — O(shards), not O(live transactions) under one big mutex;
-//! * the suspended list is a `BTreeMap` keyed by `(commit_ts, id)`, so
-//!   [`TransactionManager::cleanup_suspended`] pops reclaimable entries in
-//!   commit order and stops at the first survivor — O(reclaimed), not
-//!   O(suspended × registry). Reclaimed SIREAD locks are dropped with one
-//!   batched lock-manager call per transaction (one shard-lock acquisition
-//!   per lock-table shard touched, not one per key).
+//!   `(begin_ts, id)` for its active snapshot-holding transactions) and
+//!   publishes the index's minimum in an `AtomicU64` of its own
+//!   (`Timestamp::MAX` when empty), stored under the shard's mutex wherever
+//!   the index changes. [`TransactionManager::oldest_active_begin`] is one
+//!   atomic load per shard — 64 loads, no mutex, independent of how many
+//!   transactions are live;
+//! * the **suspended list** is a `BTreeMap` keyed by `(commit_ts, id)` with
+//!   its length mirrored in an atomic. The commit epilogue
+//!   (`reclaim_pass`, run by every finish) reads the horizon, then
+//!   takes the list's mutex once: it pops the reclaimable prefix in commit
+//!   order, stopping at the first survivor — O(reclaimed), not
+//!   O(suspended × registry) — and files the committer behind it, unless
+//!   the committer is itself reclaimable, in which case it never enters
+//!   the list. A finish that suspends nothing (every SI and S2PL finish,
+//!   every abort) looks at the atomic length first and touches the mutex
+//!   only when the list is non-empty. Reclaimed SIREAD locks are dropped
+//!   outside the mutex with one batched lock-manager call per transaction
+//!   (one shard-lock acquisition per lock-table shard touched, not one per
+//!   key; no heap allocation for sets of up to eight keys).
+//!
+//! What a Serializable-SI commit pays after its outcome is decided is
+//! therefore: one registry-shard mutex to leave the active set, one horizon
+//! read, one `suspended` mutex, one lock-table visit per SIREAD key, and
+//! one more registry-shard mutex when a record is retired. The horizon
+//! read is two atomic loads while no snapshot-holding transaction has
+//! finished since the last read; otherwise it is the 64-load sweep. Every
+//! finish invalidates the cached horizon, so under load the sweep is the
+//! steady state — `ManagerStats::watermark_sweeps` runs at about one per
+//! commit — which is why the sweep has to be cheap rather than rare.
 //!
 //! # Reclamation: the pinned GC horizon
 //!
@@ -120,18 +140,52 @@
 //!
 //! * **the clamped begin-watermark** — the raw shard-by-shard sweep of
 //!   [`TransactionManager::oldest_active_begin`] has a TOCTOU: a transaction
-//!   registering in an already-swept shard can be missed while the sweep
+//!   registering in an already-read shard can be missed while the sweep
 //!   returns a later shard's minimum (or `MAX`), so purging at the raw
 //!   result can reclaim a version a just-started snapshot still needs. The
-//!   fix is the same clamp `cleanup_suspended` uses: read the snapshot
-//!   clock *before* the sweep and take the minimum. Every transaction that
-//!   held a snapshot before that read is visited by the sweep; every
-//!   transaction that acquires one later gets `begin >= clock_before` (the
-//!   clock is monotone) — so `min(sweep, clock_before)` is `<=` every
-//!   active *and every future* begin timestamp, forever. The clamped value
-//!   is cached as the monotone `begin_watermark` (generation-gated, shared
-//!   with suspended-cleanup), so the steady-state horizon costs one atomic
-//!   load, not 64 shard locks;
+//!   fix is a clamp, shared with suspended-cleanup: read the snapshot
+//!   clock *before* the sweep and take the minimum. The claim is that
+//!   `min(sweep, clock_before)` is `<=` every active *and every future*
+//!   begin timestamp, forever.
+//!
+//!   The sweep reads each shard's published minimum without the shard's
+//!   mutex, so the claim rests on the order in which a beginning
+//!   transaction and a sweeper touch two atomics, the clock and the
+//!   shard's slot, all with `SeqCst` (one total order `S` over these
+//!   operations, consistent with each variable's modification order):
+//!
+//!   - *begin* (`ensure_snapshot`, under the shard mutex): if the shard's
+//!     index is empty, **store** the current clock value into the slot as
+//!     a reservation; then **load** the clock — that value `b` is the
+//!     begin timestamp; insert `(b, id)`; tighten the slot to `b` if the
+//!     clock moved in between. If the index is not empty the slot already
+//!     holds a begin that was read from the clock earlier under the same
+//!     mutex, hence `<= b`, and stays;
+//!   - *sweep*: **load** the clock (`clock_before`), then **load** every
+//!     slot.
+//!
+//!   Take any transaction `T` with begin `b`. Either `T`'s clock load
+//!   follows the sweeper's in `S`, and then `b >= clock_before` because the
+//!   clock is monotone; or it precedes it, and then so does the slot store
+//!   sequenced before it (the reservation, or the earlier store that made
+//!   the slot `<= b`), so the sweeper's later load of that slot returns
+//!   that store or a newer one. Every newer store is made under the shard
+//!   mutex from an index that still contains `(b, id)` — or from another
+//!   reservation that found the index empty, which means `T` has finished
+//!   — so while `T` is active the sweeper reads a value `<= b`. In both
+//!   cases the clamped result is `<= b`. A reservation *before* the clock
+//!   read is what the mutex used to provide by making the sweeper wait;
+//!   storing the slot only after reading the clock would let a sweeper
+//!   read a newer clock, find the slot still `MAX`, and return a horizon
+//!   above `b`.
+//!
+//!   Because begins come from the monotone clock, a bound that was valid
+//!   when computed stays valid, so the clamped value is cached as the
+//!   monotone `begin_watermark`, gated on a generation (`finish_gen`) that
+//!   moves whenever a snapshot-holding transaction finishes — the only
+//!   event that can raise the oldest active begin. A horizon read with the
+//!   generation unchanged costs two atomic loads; otherwise 64 more and no
+//!   mutex;
 //!
 //! * **horizon pins** ([`GcHorizon`], [`GcPin`]) — consumers of old
 //!   versions that are *not* transactions register a floor the horizon may
@@ -150,7 +204,7 @@
 //! invariants the GC stress net's proptest checks.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -169,8 +223,8 @@ use crate::txn_shared::TxnShared;
 pub const REGISTRY_SHARDS: usize = 64;
 
 /// Test-only instrumentation callback: invoked with the shard index after
-/// each registry shard is visited by the `oldest_active_begin` sweep (no
-/// shard lock held), so tests can deterministically interleave a begin with
+/// each registry shard's minimum is read by the `oldest_active_begin` sweep
+/// (no lock held), so tests can deterministically interleave a begin with
 /// a mid-flight sweep. See
 /// [`TransactionManager::set_sweep_pause_hook`].
 pub type SweepPauseHook = Arc<dyn Fn(usize) + Send + Sync>;
@@ -304,9 +358,14 @@ pub struct ManagerStats {
     pub committed: AtomicU64,
     /// Transactions aborted (any reason).
     pub aborted: AtomicU64,
-    /// Commits that had to be suspended (kept SIREAD locks).
+    /// Commits that entered the suspended list: Serializable-SI commits
+    /// with SIREAD locks or an outgoing conflict that some active
+    /// transaction was still concurrent with. (One that nothing is
+    /// concurrent with is reclaimed on the spot and counted in neither
+    /// this nor `cleaned`.)
     pub suspended: AtomicU64,
-    /// Suspended transactions reclaimed by cleanup.
+    /// Suspended transactions reclaimed from the list;
+    /// `suspended - cleaned` is the list's current length.
     pub cleaned: AtomicU64,
     /// Publication waits that outlasted the spin phase and parked the
     /// thread (commit pipeline contention signal).
@@ -327,9 +386,11 @@ pub struct ManagerStats {
     /// Transactions doomed because a creator they speculatively read from
     /// aborted out of its commit window (dependency-abort cascades).
     pub dependency_cascade_aborts: AtomicU64,
-    /// Full registry sweeps performed to refresh the cached
-    /// `oldest_active_begin` watermark (cleanup cost signal: without the
-    /// cache this would equal the number of cleanup calls).
+    /// Lock-free refreshes of the cached `oldest_active_begin` watermark:
+    /// one per horizon read that found `finish_gen` moved, each 64 atomic
+    /// loads and no mutex. Every finish of a snapshot-holding transaction
+    /// moves the generation, so under load this runs close to one per
+    /// commit.
     pub watermark_sweeps: AtomicU64,
     /// Pages of gap-locking scans whose phantom sweep ran because the
     /// table's membership epoch had moved since the page was listed.
@@ -408,8 +469,21 @@ pub struct TransactionManager {
     /// referenced: active transactions plus committed-but-suspended
     /// Serializable SI transactions.
     registry: Box<[Mutex<RegistryShard>]>,
+    /// Per registry shard, the oldest begin timestamp in its
+    /// `active_begins` (`Timestamp::MAX` when empty). Stored only under the
+    /// shard's own mutex, wherever `active_begins` changes, and equal to the
+    /// set's minimum whenever that mutex is free; loaded without it by
+    /// [`TransactionManager::oldest_active_begin`]. Kept apart from the
+    /// shards so the sweep reads eight cache lines, not sixty-four. See the
+    /// module docs, § Reclamation, for why reading it without the mutex is
+    /// sound.
+    shard_oldest_begin: Box<[AtomicU64]>,
     /// Suspended committed transactions, ordered by commit timestamp.
     suspended: Mutex<BTreeMap<(Timestamp, TxnId), SuspendedTxn>>,
+    /// `suspended.len()`, stored under the `suspended` mutex after every
+    /// change, so a finish that has nothing to reclaim (every SI and S2PL
+    /// finish, and SSI ones while the list is empty) never takes the mutex.
+    suspended_now: AtomicUsize,
     /// Lock-step fallback gate reproducing the thesis prototype's
     /// kernel-mutex commit; taken only when
     /// [`crate::SsiOptions::lockstep_commit`] is set (benchmark baseline).
@@ -433,28 +507,26 @@ pub struct TransactionManager {
     /// Pre-publication spins before parking (see [`commit_spin_limit`]).
     publish_spins: u32,
     /// Cached lower bound on [`TransactionManager::oldest_active_begin`],
-    /// used by suspended-cleanup so the common per-commit call does not
-    /// sweep all registry shards. Safety: begin timestamps are assigned
-    /// from the monotone snapshot clock, so any value that was `<=` the
-    /// oldest active begin (or `<=` the clock, when nothing was active)
-    /// when computed remains a valid lower bound forever — the cache can
-    /// only be *conservative*, never unsafe. See
-    /// [`TransactionManager::cleanup_suspended`].
+    /// shared by suspended-cleanup and the GC horizon so a horizon read
+    /// with no finish since the last one skips the sweep. Safety: begin
+    /// timestamps are assigned from the monotone snapshot clock, so any
+    /// value that was `<=` the oldest active begin (or `<=` the clock, when
+    /// nothing was active) when computed remains a valid lower bound
+    /// forever — the cache can only be *conservative*, never unsafe. See
+    /// [`TransactionManager::refresh_begin_watermark`].
     begin_watermark: AtomicU64,
     /// Value of [`Self::finish_gen`] when `begin_watermark` was last
     /// refreshed. The oldest active begin can only *increase* when a
     /// snapshot-holding transaction finishes, so an unchanged generation
     /// proves a fresh sweep would find nothing new.
     watermark_gen: AtomicU64,
-    /// Bumped whenever a snapshot-holding transaction leaves the active
-    /// set (commit or abort).
+    /// Bumped whenever a snapshot-holding transaction finishes (commit or
+    /// abort) — the only event that can raise the oldest active begin.
     finish_gen: AtomicU64,
     /// The pinned reclamation horizon (see the module docs, § Reclamation).
     gc: GcHorizon,
     /// Test-only sweep instrumentation; `None` (and one relaxed atomic
-    /// check) in normal operation. Sweeps are off the hot path — they run
-    /// only when a snapshot holder finished since the last one — so the
-    /// check costs nothing that matters.
+    /// check per sweep) in normal operation.
     sweep_pause_hook: Mutex<Option<SweepPauseHook>>,
     sweep_hook_set: std::sync::atomic::AtomicBool,
     /// Test-only commit-pipeline instrumentation (straggler choreography);
@@ -480,7 +552,11 @@ impl TransactionManager {
             registry: (0..REGISTRY_SHARDS)
                 .map(|_| Mutex::new(RegistryShard::default()))
                 .collect(),
+            shard_oldest_begin: (0..REGISTRY_SHARDS)
+                .map(|_| AtomicU64::new(Timestamp::MAX))
+                .collect(),
             suspended: Mutex::new(BTreeMap::new()),
+            suspended_now: AtomicUsize::new(0),
             gate: Mutex::new(()),
             pending_publish: Mutex::new(BTreeSet::new()),
             publish_waiters: AtomicU64::new(0),
@@ -528,8 +604,13 @@ impl TransactionManager {
     }
 
     #[inline]
+    fn shard_index(id: TxnId) -> usize {
+        id.0 as usize & (REGISTRY_SHARDS - 1)
+    }
+
+    #[inline]
     fn shard(&self, id: TxnId) -> &Mutex<RegistryShard> {
-        &self.registry[id.0 as usize & (REGISTRY_SHARDS - 1)]
+        &self.registry[Self::shard_index(id)]
     }
 
     /// Current value of the snapshot clock (highest published commit
@@ -560,15 +641,38 @@ impl TransactionManager {
         }
         // Take the shard lock across assign + index insert so a concurrent
         // finish cannot miss the index entry.
-        let mut shard = self.shard(txn.id()).lock();
+        let index = Self::shard_index(txn.id());
+        let mut shard = self.registry[index].lock();
         if let Some(ts) = txn.begin_ts() {
             return ts;
         }
-        let ts = self.current_ts();
+        if !shard.records.contains_key(&txn.id()) {
+            // Already retired: a snapshot for the record's own sake, not an
+            // active begin anyone has to respect.
+            txn.set_begin_ts(self.current_ts());
+            return txn.begin_ts().expect("begin timestamp was just set");
+        }
+        // Publish, then read the clock (module docs, § Reclamation). While
+        // the shard has an active begin its published minimum already
+        // covers this one: that begin was read from the clock under this
+        // mutex, so it is `<=` whatever the clock says now. An empty shard
+        // publishes `MAX`, so it first reserves the current clock value and
+        // only then reads the clock for the begin itself — SeqCst on all
+        // three, so a sweep that reads the clock after this begin did also
+        // sees the reservation.
+        let slot = &self.shard_oldest_begin[index];
+        let reserved = shard.active_begins.is_empty().then(|| {
+            let floor = self.clock.load(Ordering::SeqCst);
+            slot.store(floor, Ordering::SeqCst);
+            floor
+        });
+        let ts = self.clock.load(Ordering::SeqCst);
         txn.set_begin_ts(ts);
-        let ts = txn.begin_ts().unwrap_or(ts);
-        if shard.records.contains_key(&txn.id()) {
-            shard.active_begins.insert((ts, txn.id()));
+        shard.active_begins.insert((ts, txn.id()));
+        if reserved.is_some_and(|floor| floor != ts) {
+            // The clock moved between the two reads: tighten the
+            // reservation to the begin actually taken.
+            slot.store(ts, Ordering::SeqCst);
         }
         ts
     }
@@ -706,37 +810,38 @@ impl TransactionManager {
 
     /// The smallest begin timestamp among active transactions, or
     /// `Timestamp::MAX` if none is active (used to decide which suspended
-    /// transactions can be reclaimed). One ordered-index lookup per shard:
-    /// O(shards), independent of how many transactions are live.
+    /// transactions can be reclaimed). One atomic load per registry shard
+    /// of the minimum the shard publishes; no mutex, independent of how
+    /// many transactions are live.
     ///
     /// **The raw sweep result must never be used as a reclamation horizon
-    /// on its own**: the shards are visited one at a time, so a transaction
-    /// acquiring its snapshot in an already-visited shard is missed while a
+    /// on its own**: the shards are read one at a time, so a transaction
+    /// acquiring its snapshot in an already-read shard is missed while a
     /// later shard's minimum (or `MAX`) is returned. Clamp with the
     /// pre-sweep clock — [`TransactionManager::gc_horizon`] does — before
     /// reclaiming anything at the result.
     pub fn oldest_active_begin(&self) -> Timestamp {
+        let hook = self
+            .sweep_hook_set
+            .load(Ordering::Relaxed)
+            .then(|| self.sweep_pause_hook.lock().clone())
+            .flatten();
         let mut min_ts = Timestamp::MAX;
-        for (i, shard) in self.registry.iter().enumerate() {
-            if let Some(&(ts, _)) = shard.lock().active_begins.first() {
-                min_ts = min_ts.min(ts);
-            }
-            if self.sweep_hook_set.load(Ordering::Relaxed) {
-                let hook = self.sweep_pause_hook.lock().clone();
-                if let Some(hook) = hook {
-                    hook(i);
-                }
+        for (i, slot) in self.shard_oldest_begin.iter().enumerate() {
+            min_ts = min_ts.min(slot.load(Ordering::SeqCst));
+            if let Some(hook) = &hook {
+                hook(i);
             }
         }
         min_ts
     }
 
     /// Installs (or clears) the test-only sweep instrumentation hook: it is
-    /// called with the shard index after each registry shard is visited by
-    /// the [`TransactionManager::oldest_active_begin`] sweep, with no shard
-    /// lock held. Tests use it to pause a sweep mid-flight and interleave a
-    /// snapshot acquisition — the TOCTOU the clamped horizon exists to
-    /// survive. Not for production use.
+    /// called with the shard index after each registry shard's minimum is
+    /// read by the [`TransactionManager::oldest_active_begin`] sweep (which
+    /// holds no lock). Tests use it to pause a sweep mid-flight and
+    /// interleave a snapshot acquisition — the TOCTOU the clamped horizon
+    /// exists to survive. Not for production use.
     #[doc(hidden)]
     pub fn set_sweep_pause_hook(&self, hook: Option<SweepPauseHook>) {
         self.sweep_hook_set.store(hook.is_some(), Ordering::Relaxed);
@@ -770,10 +875,11 @@ impl TransactionManager {
 
     /// Refreshes (or reuses) the cached begin-watermark: a monotone lower
     /// bound on every active — and every future — begin timestamp. The
-    /// O(shards) sweep runs only when a snapshot-holding transaction
-    /// finished since the last sweep; otherwise a sweep provably returns
-    /// the same value and the cached bound is reused. See the field docs of
-    /// `begin_watermark` for why every computed bound stays valid forever.
+    /// sweep (64 atomic loads, no mutex) runs only when a snapshot-holding
+    /// transaction finished since the last sweep; otherwise a sweep could
+    /// not return a higher value and the cached bound is reused. See
+    /// the field docs of `begin_watermark` for why every computed bound
+    /// stays valid forever.
     fn refresh_begin_watermark(&self) -> Timestamp {
         let gen = self.finish_gen.load(Ordering::Acquire);
         if self.watermark_gen.load(Ordering::Acquire) == gen {
@@ -785,17 +891,19 @@ impl TransactionManager {
             // a lower horizon than one already returned elsewhere.
             return self.begin_watermark.load(Ordering::Acquire);
         }
-        // Clock read *before* the sweep. Every transaction that held a
-        // snapshot before this read is visited by the sweep (it is already
-        // in its shard's index); every transaction that acquires one after
-        // this read gets `begin >= clock_before` (the clock is monotone).
-        // So `min(sweep, clock_before)` is `<=` every active begin —
-        // including begins the sweep raced past — and, begins being issued
-        // from the monotone clock, it stays a valid lower bound forever.
-        // (The raw sweep alone has a TOCTOU: a transaction registering in
-        // an already-swept shard can be missed while a later-shard minimum
-        // — or MAX — is returned.)
-        let clock_before = self.current_ts();
+        // Clock read *before* the sweep, SeqCst like the sweep's loads and
+        // like the publish-then-read-clock sequence of `ensure_snapshot`:
+        // a begin whose clock read precedes this one has already published
+        // its shard's minimum, so the sweep sees it (or a later, still
+        // covering value); a begin whose clock read follows this one is
+        // `>= clock_before` (the clock is monotone). So
+        // `min(sweep, clock_before)` is `<=` every active begin — including
+        // begins the sweep raced past — and, begins being issued from the
+        // monotone clock, it stays a valid lower bound forever. (The raw
+        // sweep alone has a TOCTOU: a transaction registering in an
+        // already-read shard can be missed while a later-shard minimum — or
+        // MAX — is returned.)
+        let clock_before = self.clock.load(Ordering::SeqCst);
         self.stats.watermark_sweeps.fetch_add(1, Ordering::Relaxed);
         let swept = self.oldest_active_begin().min(clock_before);
         // fetch_max, not store: two racing sweeps may finish in either
@@ -867,51 +975,69 @@ impl TransactionManager {
         self.registry.iter().map(|s| s.lock().records.len()).sum()
     }
 
-    /// Number of suspended committed transactions, for tests and stats.
+    /// Number of suspended committed transactions (one atomic load; the
+    /// `txn.suspended_now` gauge).
     pub fn suspended_len(&self) -> usize {
-        self.suspended.lock().len()
+        self.suspended_now.load(Ordering::SeqCst)
     }
 
     /// Removes a finished transaction's record and active-begin entry.
     fn retire(&self, txn: &Arc<TxnShared>) {
-        let removed = {
-            let mut shard = self.shard(txn.id()).lock();
-            shard.records.remove(&txn.id());
-            match txn.begin_ts() {
-                Some(ts) => shard.active_begins.remove(&(ts, txn.id())),
-                None => false,
-            }
-        };
-        if removed {
-            // The oldest active begin may have moved: let the next cleanup
-            // refresh its cached watermark.
-            self.finish_gen.fetch_add(1, Ordering::Release);
-        }
+        let index = Self::shard_index(txn.id());
+        let mut shard = self.registry[index].lock();
+        shard.records.remove(&txn.id());
+        self.remove_active_begin(index, &mut shard, txn);
     }
 
     /// Removes only the active-begin entry (the record stays, e.g. while
     /// suspended).
     fn deactivate(&self, txn: &Arc<TxnShared>) {
-        if let Some(ts) = txn.begin_ts() {
-            let removed = self
-                .shard(txn.id())
-                .lock()
+        let index = Self::shard_index(txn.id());
+        let mut shard = self.registry[index].lock();
+        self.remove_active_begin(index, &mut shard, txn);
+    }
+
+    /// Drops `txn` from its shard's active-begin index (shard mutex held by
+    /// the caller), republishes the shard's oldest active begin and bumps
+    /// `finish_gen` so the next horizon read sweeps again.
+    fn remove_active_begin(&self, index: usize, shard: &mut RegistryShard, txn: &TxnShared) {
+        let Some(ts) = txn.begin_ts() else { return };
+        if shard.active_begins.remove(&(ts, txn.id())) {
+            let oldest = shard
                 .active_begins
-                .remove(&(ts, txn.id()));
-            if removed {
-                self.finish_gen.fetch_add(1, Ordering::Release);
-            }
+                .first()
+                .map_or(Timestamp::MAX, |&(ts, _)| ts);
+            self.shard_oldest_begin[index].store(oldest, Ordering::SeqCst);
+            // A sweep that sees this generation (acquire load in
+            // `refresh_begin_watermark`) also sees the minimum published
+            // just above. SeqCst for the handshake with the count in
+            // `suspend_and_reclaim`.
+            self.finish_gen.fetch_add(1, Ordering::SeqCst);
         }
     }
 
-    /// Records that `txn` committed. When `suspend` is true the record is
-    /// suspended (Sec. 3.3): it stays in the registry and its SIREAD locks
-    /// stay in the lock table until cleanup. Otherwise the record is retired
-    /// immediately and its conflict edges cleared. A transaction must be
-    /// suspended when it still holds SIREAD locks, and also — with the
-    /// SIREAD-upgrade optimization of Sec. 3.7.3 — when it has recorded an
-    /// outgoing conflict, even if its SIREAD locks were all upgraded away.
-    pub fn finish_commit(&self, txn: &Arc<TxnShared>, siread_locks: Vec<LockKey>, suspend: bool) {
+    /// Records that `txn` committed and runs the commit epilogue (eager
+    /// cleanup, Sec. 4.6.1). When `suspend` is true the transaction needs
+    /// the suspended treatment of Sec. 3.3 — its record and SIREAD locks
+    /// must outlive it while any transaction concurrent with it is active;
+    /// otherwise the record is retired immediately and its conflict edges
+    /// cleared. A transaction must be suspended when it still holds SIREAD
+    /// locks, and also — with the SIREAD-upgrade optimization of
+    /// Sec. 3.7.3 — when it has recorded an outgoing conflict, even if its
+    /// SIREAD locks were all upgraded away.
+    ///
+    /// A suspending commit reads the horizon once and makes one pass over
+    /// the suspended list (`reclaim_pass`);
+    /// if nothing active is concurrent with it, it is reclaimed on the spot
+    /// and never enters the list. A commit that does not suspend only looks
+    /// at the list when its atomic length says it is non-empty.
+    pub fn finish_commit(
+        &self,
+        txn: &Arc<TxnShared>,
+        siread_locks: Vec<LockKey>,
+        suspend: bool,
+        locks: &LockManager,
+    ) {
         self.stats.committed.fetch_add(1, Ordering::Relaxed);
         self.trace().emit(
             EventKind::TxnCommit,
@@ -923,96 +1049,125 @@ impl TransactionManager {
             debug_assert!(siread_locks.is_empty());
             self.retire(txn);
             txn.clear_conflicts();
+            self.suspend_and_reclaim(None, locks);
         } else {
-            self.stats.suspended.fetch_add(1, Ordering::Relaxed);
+            // Leave the active set first: the horizon read below must not
+            // count the committer as concurrent with itself.
             self.deactivate(txn);
-            let key = (txn.commit_ts().unwrap_or(Timestamp::MAX), txn.id());
-            self.suspended.lock().insert(
-                key,
-                SuspendedTxn {
-                    shared: txn.clone(),
-                    siread_locks,
-                },
-            );
+            let entry = SuspendedTxn {
+                shared: txn.clone(),
+                siread_locks,
+            };
+            self.suspend_and_reclaim(Some(entry), locks);
         }
     }
 
-    /// Records that `txn` aborted (with its typed provenance) and retires
-    /// its record. This is the single incrementer of both `aborted` and the
-    /// per-reason counters, so the per-reason sum equals `aborted` by
-    /// construction.
-    pub fn finish_abort(&self, txn: &Arc<TxnShared>, reason: AbortReason) {
+    /// Records that `txn` aborted (with its typed provenance), retires its
+    /// record and reclaims whatever its departure made reclaimable. This is
+    /// the single incrementer of both `aborted` and the per-reason
+    /// counters, so the per-reason sum equals `aborted` by construction.
+    pub fn finish_abort(&self, txn: &Arc<TxnShared>, reason: AbortReason, locks: &LockManager) {
         self.stats.aborted.fetch_add(1, Ordering::Relaxed);
         self.stats.abort_reasons[reason.index()].fetch_add(1, Ordering::Relaxed);
         self.trace()
             .emit(EventKind::TxnAbort, txn.id().0, reason.index() as u64, 0);
         self.retire(txn);
         txn.clear_conflicts();
+        self.suspend_and_reclaim(None, locks);
     }
 
     /// Reclaims suspended transactions that are no longer concurrent with
     /// any active transaction: their SIREAD locks are dropped from the lock
     /// table, their conflict edges cleared and their records removed from
-    /// the registry (Sec. 4.6.1).
-    ///
-    /// The suspended list is ordered by commit timestamp, so this pops from
-    /// the front and stops at the first transaction some active transaction
-    /// is still concurrent with — O(reclaimed), not a scan of everything
-    /// suspended. Each reclaimed transaction's SIREAD locks are released
-    /// with a single batched lock-manager call (one lock-table shard
-    /// acquisition per shard touched rather than one per key). Returns how
-    /// many were reclaimed.
+    /// the registry (Sec. 4.6.1). Every finish does this itself; the public
+    /// entry point is for tests and tools that want the list drained after
+    /// a quiesce. Returns how many were reclaimed.
     pub fn cleanup_suspended(&self, locks: &LockManager) -> usize {
-        // The horizon is the cached watermark (a permanently valid lower
-        // bound on the oldest active begin, see its field docs). The
-        // O(shards) sweep only runs when the front of the suspended list is
-        // not yet reclaimable under the cached bound *and* some
-        // snapshot-holding transaction finished since the last sweep —
-        // otherwise a sweep provably returns the same value. Per-commit
-        // cleanup therefore costs one atomic load + one BTreeMap peek in
-        // the steady state, instead of 64 shard locks.
-        let mut horizon = self.begin_watermark.load(Ordering::Acquire);
-        {
-            let suspended = self.suspended.lock();
-            match suspended.first_key_value() {
-                None => return 0,
-                Some((&(first_commit, _), _)) if first_commit > horizon => {
-                    drop(suspended);
-                    // The refresh reuses the cached bound (one generation
-                    // check) unless a snapshot-holding transaction finished
-                    // since the last sweep; see `refresh_begin_watermark`
-                    // for the TOCTOU clamp that makes the sweep safe.
-                    horizon = self.refresh_begin_watermark();
-                }
-                Some(_) => {}
-            }
+        self.suspend_and_reclaim(None, locks)
+    }
+
+    /// The commit epilogue: one pass over the suspended list (see
+    /// [`TransactionManager::reclaim_pass`]) that files `committer`, if
+    /// any, and reclaims what has become reclaimable. Returns how many
+    /// entries left the list. A finish with nobody to file looks at the
+    /// atomic length first and stops there when the list is empty.
+    ///
+    /// A committer that did enter the list looks at `finish_gen` once more
+    /// and makes a second pass if it moved. That closes the race with a
+    /// finisher who read `suspended_now == 0` just before the insert: the
+    /// finisher bumps the generation and then loads the count, the
+    /// committer stores the count and then loads the generation, all
+    /// SeqCst, so at least one of them sees the other and nobody is left
+    /// suspended with no finish to come.
+    fn suspend_and_reclaim(&self, committer: Option<SuspendedTxn>, locks: &LockManager) -> usize {
+        if committer.is_none() && self.suspended_len() == 0 {
+            // Nothing to file, nothing to reclaim: no SSI mutex taken. This
+            // is every SI and S2PL finish.
+            return 0;
         }
+        let gen = self.finish_gen.load(Ordering::SeqCst);
+        let (mut reclaimed, entered) = self.reclaim_pass(committer, locks);
+        if entered && self.finish_gen.load(Ordering::SeqCst) != gen {
+            reclaimed += self.reclaim_pass(None, locks).0;
+        }
+        if reclaimed > 0 {
+            self.stats
+                .cleaned
+                .fetch_add(reclaimed as u64, Ordering::Relaxed);
+        }
+        reclaimed
+    }
+
+    /// Reads the horizon (two atomic loads when no snapshot-holding
+    /// transaction finished since the last read, else the lock-free sweep),
+    /// then
+    /// under a single acquisition of the `suspended` mutex pops every entry
+    /// with `commit_ts <= horizon` — the list is ordered by commit
+    /// timestamp, so that is a prefix and the pass stops at the first
+    /// survivor — and files `committer` behind them unless it is itself at
+    /// or below the horizon. A record is kept exactly while some active
+    /// transaction began before it committed: the two are concurrent and
+    /// may still discover conflicts against each other.
+    ///
+    /// The reclaimed transactions' SIREAD locks are released after the
+    /// mutex is dropped, one batched lock-manager call each. Returns how
+    /// many entries left the list and whether `committer` entered it (a
+    /// committer reclaimed on the spot was never in it and is counted in
+    /// neither `suspended` nor `cleaned`).
+    fn reclaim_pass(&self, committer: Option<SuspendedTxn>, locks: &LockManager) -> (usize, bool) {
+        let horizon = self.refresh_begin_watermark();
         let mut reclaimed = Vec::new();
+        let mut on_the_spot = None;
+        let mut entered = false;
         {
             let mut suspended = self.suspended.lock();
-            // Keep a record while some active transaction began before it
-            // committed (they are concurrent and may still discover
-            // conflicts against it): reclaim exactly while commit <= horizon.
             while let Some(entry) = suspended.first_entry() {
                 if entry.key().0 > horizon {
                     break;
                 }
                 reclaimed.push(entry.remove());
             }
+            if let Some(entry) = committer {
+                let commit_ts = entry.shared.commit_ts().unwrap_or(Timestamp::MAX);
+                if commit_ts > horizon {
+                    suspended.insert((commit_ts, entry.shared.id()), entry);
+                    entered = true;
+                } else {
+                    on_the_spot = Some(entry);
+                }
+            }
+            self.suspended_now.store(suspended.len(), Ordering::SeqCst);
+        }
+        if entered {
+            self.stats.suspended.fetch_add(1, Ordering::Relaxed);
         }
         let count = reclaimed.len();
-        for entry in reclaimed {
-            locks.unlock_batch(
-                entry.shared.id(),
-                entry.siread_locks.iter().map(|key| (key, LockMode::SiRead)),
-            );
+        for entry in reclaimed.into_iter().chain(on_the_spot) {
+            locks.unlock_batch(entry.shared.id(), &entry.siread_locks, LockMode::SiRead);
             entry.shared.clear_conflicts();
             self.retire(&entry.shared);
         }
-        self.stats
-            .cleaned
-            .fetch_add(count as u64, Ordering::Relaxed);
-        count
+        (count, entered)
     }
 }
 
@@ -1156,17 +1311,18 @@ mod tests {
     #[test]
     fn commit_without_sireads_retires_immediately() {
         let m = mgr();
+        let locks = LockManager::with_defaults();
         let t = m.begin(IsolationLevel::SerializableSnapshotIsolation);
         m.ensure_snapshot(&t);
         t.mark_committed(5);
-        m.finish_commit(&t, Vec::new(), false);
+        m.finish_commit(&t, Vec::new(), false, &locks);
         assert_eq!(m.registry_len(), 0);
         assert_eq!(m.suspended_len(), 0);
         assert_eq!(m.oldest_active_begin(), Timestamp::MAX);
     }
 
     #[test]
-    fn suspended_commit_stays_until_cleanup() {
+    fn suspended_commit_stays_until_its_last_concurrent_finishes() {
         let m = mgr();
         let locks = LockManager::with_defaults();
         let key = LockKey::record(TableId(1), vec![1]);
@@ -1180,7 +1336,7 @@ mod tests {
         locks.lock(r.id(), &key, LockMode::SiRead).unwrap();
 
         r.mark_committed(tick(&m));
-        m.finish_commit(&r, vec![key.clone()], true);
+        m.finish_commit(&r, vec![key.clone()], true, &locks);
         assert_eq!(m.suspended_len(), 1);
         assert!(m.find(r.id()).is_some(), "suspended txns stay findable");
 
@@ -1188,19 +1344,22 @@ mod tests {
         assert_eq!(m.cleanup_suspended(&locks), 0);
         assert!(locks.holds(r.id(), &key).contains(LockMode::SiRead));
 
-        // Once C finishes, R is reclaimable and its SIREAD lock disappears.
+        // C's own finish reclaims R: the record and the SIREAD lock go.
         c.mark_committed(tick(&m));
-        m.finish_commit(&c, Vec::new(), false);
-        assert_eq!(m.cleanup_suspended(&locks), 1);
+        m.finish_commit(&c, Vec::new(), false, &locks);
         assert_eq!(m.suspended_len(), 0);
         assert!(m.find(r.id()).is_none());
         assert!(locks.holds(r.id(), &key).is_empty());
+        let stats = m.stats();
+        assert_eq!(stats.suspended.load(Ordering::Relaxed), 1);
+        assert_eq!(stats.cleaned.load(Ordering::Relaxed), 1);
     }
 
     #[test]
-    fn cleanup_drops_many_siread_locks_in_one_batch() {
-        // A suspended reader holding SIREAD locks spread over many
-        // lock-table shards: cleanup must drop every one of them.
+    fn commit_nothing_is_concurrent_with_is_reclaimed_on_the_spot() {
+        // A reader holding SIREAD locks spread over many lock-table shards
+        // commits with no other transaction active: it never enters the
+        // suspended list and every lock is dropped by its own finish.
         let m = mgr();
         let locks = LockManager::with_defaults();
         let r = m.begin(IsolationLevel::SerializableSnapshotIsolation);
@@ -1212,17 +1371,19 @@ mod tests {
             locks.lock(r.id(), key, LockMode::SiRead).unwrap();
         }
         r.mark_committed(tick(&m));
-        m.finish_commit(&r, keys.clone(), true);
-        assert_eq!(m.cleanup_suspended(&locks), 1);
+        m.finish_commit(&r, keys.clone(), true, &locks);
+        assert_eq!(m.suspended_len(), 0);
+        assert_eq!(m.registry_len(), 0);
         assert_eq!(locks.grant_count(), 0, "all SIREAD locks must be dropped");
-        for key in &keys {
-            assert!(locks.holds(r.id(), key).is_empty());
-        }
+        let stats = m.stats();
+        assert_eq!(stats.suspended.load(Ordering::Relaxed), 0);
+        assert_eq!(stats.cleaned.load(Ordering::Relaxed), 0);
     }
 
     #[test]
     fn oldest_active_begin_ignores_finished_transactions() {
         let m = mgr();
+        let locks = LockManager::with_defaults();
         let a = m.begin(IsolationLevel::SnapshotIsolation);
         m.ensure_snapshot(&a);
         tick(&m);
@@ -1230,10 +1391,10 @@ mod tests {
         m.ensure_snapshot(&b);
         assert_eq!(m.oldest_active_begin(), a.begin_ts().unwrap());
         a.mark_committed(tick(&m));
-        m.finish_commit(&a, Vec::new(), false);
+        m.finish_commit(&a, Vec::new(), false, &locks);
         assert_eq!(m.oldest_active_begin(), b.begin_ts().unwrap());
         b.mark_aborted();
-        m.finish_abort(&b, AbortReason::UserRollback);
+        m.finish_abort(&b, AbortReason::UserRollback, &locks);
         assert_eq!(m.oldest_active_begin(), Timestamp::MAX);
     }
 
@@ -1242,6 +1403,7 @@ mod tests {
         // Many concurrent snapshot holders spread over every shard; the
         // minimum must be exact regardless of which shard holds it.
         let m = mgr();
+        let locks = LockManager::with_defaults();
         let mut txns = Vec::new();
         for i in 0..(REGISTRY_SHARDS * 3) {
             let t = m.begin(IsolationLevel::SnapshotIsolation);
@@ -1261,41 +1423,44 @@ mod tests {
             .unwrap();
         let t = txns.remove(oldest);
         t.mark_aborted();
-        m.finish_abort(&t, AbortReason::UserRollback);
+        m.finish_abort(&t, AbortReason::UserRollback, &locks);
         let expected = txns.iter().filter_map(|t| t.begin_ts()).min().unwrap();
         assert_eq!(m.oldest_active_begin(), expected);
     }
 
     #[test]
-    fn cleanup_reclaims_in_commit_order_and_stops_early() {
+    fn one_finish_reclaims_the_prefix_in_commit_order_and_stops_early() {
         let m = mgr();
         let locks = LockManager::with_defaults();
-        // Three suspended readers committing at increasing timestamps, and
-        // one active transaction that began between the second and third
-        // commit: cleanup must reclaim exactly the first two.
-        let mut suspended = Vec::new();
+        // Three suspended readers committing at increasing timestamps, kept
+        // by `old`, and one transaction that began between the second and
+        // third commit: when `old` finishes, that one pass must reclaim
+        // exactly the first two.
+        let old = m.begin(IsolationLevel::SerializableSnapshotIsolation);
+        m.ensure_snapshot(&old);
         for _ in 0..2 {
             let r = m.begin(IsolationLevel::SerializableSnapshotIsolation);
             m.ensure_snapshot(&r);
             r.mark_committed(tick(&m));
-            m.finish_commit(&r, Vec::new(), true);
-            suspended.push(r);
+            m.finish_commit(&r, Vec::new(), true, &locks);
         }
         let active = m.begin(IsolationLevel::SerializableSnapshotIsolation);
         m.ensure_snapshot(&active);
         let r3 = m.begin(IsolationLevel::SerializableSnapshotIsolation);
         m.ensure_snapshot(&r3);
         r3.mark_committed(tick(&m));
-        m.finish_commit(&r3, Vec::new(), true);
-
+        m.finish_commit(&r3, Vec::new(), true, &locks);
         assert_eq!(m.suspended_len(), 3);
-        assert_eq!(m.cleanup_suspended(&locks), 2);
+
+        old.mark_aborted();
+        m.finish_abort(&old, AbortReason::UserRollback, &locks);
+        assert_eq!(m.stats().cleaned.load(Ordering::Relaxed), 2);
         assert_eq!(m.suspended_len(), 1);
         assert!(m.find(r3.id()).is_some(), "r3 still concurrent with active");
     }
 
     #[test]
-    fn cleanup_caches_the_begin_watermark_between_sweeps() {
+    fn horizon_reads_reuse_the_watermark_until_a_finish() {
         let m = mgr();
         let locks = LockManager::with_defaults();
         let sweeps = |m: &TransactionManager| m.stats().watermark_sweeps.load(Ordering::Relaxed);
@@ -1307,24 +1472,22 @@ mod tests {
         let r = m.begin(IsolationLevel::SerializableSnapshotIsolation);
         m.ensure_snapshot(&r);
         r.mark_committed(tick(&m));
-        m.finish_commit(&r, Vec::new(), true);
-
-        assert_eq!(m.cleanup_suspended(&locks), 0);
+        m.finish_commit(&r, Vec::new(), true, &locks);
+        assert_eq!(m.suspended_len(), 1);
         let after_first = sweeps(&m);
-        assert!(after_first >= 1, "first cleanup must sweep");
-        // Nothing finished since: further cleanups must not sweep again —
-        // this is the per-commit saving (old code swept all shards every
-        // time).
+        assert_eq!(after_first, 1, "one finish: one refresh");
+
+        // Nothing finished since: further horizon reads must not sweep.
         for _ in 0..10 {
             assert_eq!(m.cleanup_suspended(&locks), 0);
+            m.gc_horizon();
         }
         assert_eq!(sweeps(&m), after_first, "cached watermark must be reused");
 
-        // The pinning reader finishes: the next cleanup re-sweeps once and
+        // The pinning reader finishes: its finish refreshes once and
         // reclaims.
         pin.mark_aborted();
-        m.finish_abort(&pin, AbortReason::UserRollback);
-        assert_eq!(m.cleanup_suspended(&locks), 1);
+        m.finish_abort(&pin, AbortReason::UserRollback, &locks);
         assert_eq!(sweeps(&m), after_first + 1);
         assert_eq!(m.suspended_len(), 0);
     }
@@ -1339,12 +1502,12 @@ mod tests {
         let m = mgr();
         let locks = LockManager::with_defaults();
 
-        // Sweep with nothing active (via a reclaimed suspended entry).
+        // Sweep with nothing active (a commit reclaimed on the spot).
         let r0 = m.begin(IsolationLevel::SerializableSnapshotIsolation);
         m.ensure_snapshot(&r0);
         r0.mark_committed(tick(&m));
-        m.finish_commit(&r0, Vec::new(), true);
-        assert_eq!(m.cleanup_suspended(&locks), 1);
+        m.finish_commit(&r0, Vec::new(), true, &locks);
+        assert_eq!(m.suspended_len(), 0);
 
         // New active transaction A, then reader R commits suspended at a
         // later timestamp: R is concurrent with A and must stay.
@@ -1353,19 +1516,81 @@ mod tests {
         let r = m.begin(IsolationLevel::SerializableSnapshotIsolation);
         m.ensure_snapshot(&r);
         r.mark_committed(tick(&m));
-        m.finish_commit(&r, Vec::new(), true);
-        assert_eq!(m.cleanup_suspended(&locks), 0, "R is concurrent with A");
+        m.finish_commit(&r, Vec::new(), true, &locks);
+        assert_eq!(m.suspended_len(), 1, "R is concurrent with A");
+        assert_eq!(m.cleanup_suspended(&locks), 0);
         assert!(m.find(r.id()).is_some());
 
         // Once A finishes, R goes.
         a.mark_aborted();
-        m.finish_abort(&a, AbortReason::UserRollback);
-        assert_eq!(m.cleanup_suspended(&locks), 1);
+        m.finish_abort(&a, AbortReason::UserRollback, &locks);
+        assert_eq!(m.suspended_len(), 0);
+        assert!(m.find(r.id()).is_none());
+    }
+
+    #[test]
+    fn lock_free_watermark_equals_the_locked_minimum_on_random_schedules() {
+        // The reference: what the sweep computed before the shards
+        // published their minima — every shard's mutex, every index.
+        fn locked_minimum(m: &TransactionManager) -> Timestamp {
+            m.registry
+                .iter()
+                .filter_map(|shard| shard.lock().active_begins.first().map(|&(ts, _)| ts))
+                .min()
+                .unwrap_or(Timestamp::MAX)
+        }
+        for seed in 0..300 {
+            let mut rng = ssi_common::rng::WorkloadRng::new(seed);
+            let m = mgr();
+            let locks = LockManager::with_defaults();
+            // Registered transactions, with or without a snapshot yet.
+            let mut live: Vec<Arc<TxnShared>> = Vec::new();
+            let mut last_horizon = 0;
+            for step in 0..200 {
+                match rng.index(6) {
+                    0 | 1 => live.push(m.begin(IsolationLevel::SerializableSnapshotIsolation)),
+                    2 if !live.is_empty() => {
+                        m.ensure_snapshot(&live[rng.index(live.len())]);
+                    }
+                    3 if !live.is_empty() => {
+                        let t = live.swap_remove(rng.index(live.len()));
+                        // Like the engine, suspend only what took a
+                        // snapshot (SIREAD locks come from reads).
+                        let suspend = t.begin_ts().is_some() && rng.chance(0.5);
+                        t.mark_committed(tick(&m));
+                        m.finish_commit(&t, Vec::new(), suspend, &locks);
+                    }
+                    4 if !live.is_empty() => {
+                        let t = live.swap_remove(rng.index(live.len()));
+                        t.mark_aborted();
+                        m.finish_abort(&t, AbortReason::UserRollback, &locks);
+                    }
+                    _ => {
+                        tick(&m);
+                    }
+                }
+                let oldest = m.oldest_active_begin();
+                assert_eq!(oldest, locked_minimum(&m), "seed {seed} step {step}");
+                let horizon = m.gc_horizon();
+                assert!(horizon >= last_horizon, "seed {seed} step {step}");
+                assert!(horizon <= oldest, "seed {seed} step {step}");
+                last_horizon = horizon;
+            }
+            // Quiesce: nothing active, nothing suspended, nothing registered.
+            for t in live.drain(..) {
+                t.mark_aborted();
+                m.finish_abort(&t, AbortReason::UserRollback, &locks);
+            }
+            assert_eq!(m.oldest_active_begin(), Timestamp::MAX, "seed {seed}");
+            assert_eq!(m.suspended_len(), 0, "seed {seed}");
+            assert_eq!(m.registry_len(), 0, "seed {seed}");
+        }
     }
 
     #[test]
     fn gc_horizon_tracks_oldest_active_begin() {
         let m = mgr();
+        let locks = LockManager::with_defaults();
         // Nothing active: the horizon is the (pre-sweep) clock.
         assert_eq!(m.gc_horizon(), m.current_ts());
         tick(&m);
@@ -1376,13 +1601,14 @@ mod tests {
         // below it: the sweep reruns only once a snapshot holder finishes.)
         assert!(m.gc_horizon() <= a.begin_ts().unwrap());
         a.mark_committed(tick(&m));
-        m.finish_commit(&a, Vec::new(), false);
+        m.finish_commit(&a, Vec::new(), false, &locks);
         assert_eq!(m.gc_horizon(), m.current_ts());
     }
 
     #[test]
     fn gc_horizon_is_monotone_across_begin_and_finish() {
         let m = mgr();
+        let locks = LockManager::with_defaults();
         let mut last = 0;
         for i in 0..20u64 {
             let t = m.begin(IsolationLevel::SnapshotIsolation);
@@ -1394,7 +1620,7 @@ mod tests {
             assert!(h >= last, "horizon went backwards: {h} < {last}");
             last = h;
             t.mark_aborted();
-            m.finish_abort(&t, AbortReason::UserRollback);
+            m.finish_abort(&t, AbortReason::UserRollback, &locks);
             let h = m.gc_horizon();
             assert!(h >= last, "horizon went backwards: {h} < {last}");
             last = h;
@@ -1479,9 +1705,9 @@ mod tests {
         let a = m.begin(IsolationLevel::SerializableSnapshotIsolation);
         let b = m.begin(IsolationLevel::SerializableSnapshotIsolation);
         a.mark_committed(2);
-        m.finish_commit(&a, Vec::new(), false);
+        m.finish_commit(&a, Vec::new(), false, &locks);
         b.mark_aborted();
-        m.finish_abort(&b, AbortReason::UserRollback);
+        m.finish_abort(&b, AbortReason::UserRollback, &locks);
         m.cleanup_suspended(&locks);
         let s = m.stats();
         assert_eq!(s.started.load(Ordering::Relaxed), 2);

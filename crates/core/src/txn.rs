@@ -380,15 +380,8 @@ impl Transaction {
         }
 
         // --- simulated flush latency (paper figure reproduction) ------------
-        if !self.writes.is_empty() {
-            let bytes: usize = self
-                .writes
-                .iter()
-                .map(|w| w.key.len() + w.version.value().map_or(0, |v| v.len()))
-                .sum();
-            self.db
-                .wal
-                .commit_record(self.shared.id(), commit_ts, bytes);
+        if has_writes {
+            self.db.wal.commit_record();
         }
 
         // --- history recording (verifier) -----------------------------------
@@ -430,10 +423,11 @@ impl Transaction {
         let (_, out_conflict) = self.shared.conflict_flags();
         let suspend = is_ssi && (!siread_keys.is_empty() || out_conflict);
 
+        // The epilogue (Sec. 4.6.1, eager cleanup): suspend or reclaim this
+        // transaction and reclaim whatever its departure made reclaimable.
         self.db
             .txns
-            .finish_commit(&self.shared, siread_keys, suspend);
-        self.maybe_cleanup();
+            .finish_commit(&self.shared, siread_keys, suspend, &self.db.locks);
 
         self.writes.clear();
         self.state = LocalState::Committed;
@@ -554,18 +548,10 @@ impl Transaction {
                     .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
             }
         }
-        self.db.txns.finish_abort(&self.shared, reason);
-        self.maybe_cleanup();
+        self.db
+            .txns
+            .finish_abort(&self.shared, reason, &self.db.locks);
         self.state = LocalState::Aborted;
-    }
-
-    /// Reclaims suspended committed transactions eagerly (Sec. 4.6.1: "this
-    /// eager cleanup … maintains a tight window of active transactions and
-    /// minimizes the number of additional locks in the lock manager").
-    fn maybe_cleanup(&self) {
-        if self.db.txns.suspended_len() > 0 {
-            self.db.txns.cleanup_suspended(&self.db.locks);
-        }
     }
 }
 

@@ -174,6 +174,12 @@ impl WaitNode {
 /// writer.
 const INLINE_HOLDERS: usize = 2;
 
+/// Largest batch [`LockManager::visit_by_shard`] groups on the stack. A
+/// SmallBank transaction holds three or four SIREAD locks; eight covers
+/// every point transaction of the bundled workloads, and the quadratic
+/// grouping is still a handful of compares.
+const SMALL_BATCH: usize = 8;
+
 /// One lock table entry: who holds what, and who is waiting.
 #[derive(Default)]
 struct LockEntry {
@@ -308,15 +314,37 @@ impl LockManager {
     /// Visits `count` keys grouped by lock-table shard: `visit(map, i)` runs
     /// for every position `i < count` (`key_at(i)` names the key), with each
     /// shard's mutex taken once for all of that shard's keys. Within a
-    /// shard, keys are visited in position order (the grouping is a stable
-    /// counting sort), so repeated keys and a row's record/gap pair are seen
-    /// in the order the caller gave them.
+    /// shard, keys are visited in position order, so repeated keys and a
+    /// row's record/gap pair are seen in the order the caller gave them.
+    ///
+    /// A batch of up to [`SMALL_BATCH`] keys — the lock set of a point
+    /// transaction — keeps its shard indices on the stack and groups them
+    /// by rescanning, allocating nothing; a scan page's worth of keys goes
+    /// through a stable counting sort over the shards.
     fn visit_by_shard<'k>(
         &self,
         count: usize,
         key_at: impl Fn(usize) -> &'k LockKey,
         mut visit: impl FnMut(&mut ShardMap, usize),
     ) {
+        if count <= SMALL_BATCH {
+            let shard_of: InlineVec<usize, SMALL_BATCH> =
+                (0..count).map(|i| self.shard_index(key_at(i))).collect();
+            let mut visited = 0u32;
+            for first in 0..count {
+                if visited & (1 << first) != 0 {
+                    continue;
+                }
+                let mut map = self.shards[shard_of[first]].lock();
+                for i in first..count {
+                    if shard_of[i] == shard_of[first] {
+                        visit(&mut map, i);
+                        visited |= 1 << i;
+                    }
+                }
+            }
+            return;
+        }
         let shard_of: Vec<usize> = (0..count).map(|i| self.shard_index(key_at(i))).collect();
         let mut next = vec![0usize; self.shards.len() + 1];
         for &shard in &shard_of {
@@ -554,23 +582,17 @@ impl LockManager {
         }
     }
 
-    /// Releases a batch of `(key, mode)` pairs held by `txn`, grouped by
+    /// Releases `mode` on every key of `keys` for `txn`, grouped by
     /// lock-table shard so each shard mutex is taken once per shard touched
     /// rather than once per key — the batch analogue of
     /// [`LockManager::unlock`], used when a suspended Serializable-SI
-    /// transaction's SIREAD locks are reclaimed all at once.
-    pub fn unlock_batch<'a>(
-        &self,
-        txn: TxnId,
-        locks: impl IntoIterator<Item = (&'a LockKey, LockMode)>,
-    ) {
-        let (keys, modes): (Vec<&'a LockKey>, Vec<LockMode>) = locks.into_iter().unzip();
+    /// transaction's SIREAD locks are reclaimed all at once. Allocates
+    /// nothing for up to eight keys (`SMALL_BATCH`).
+    pub fn unlock_batch(&self, txn: TxnId, keys: &[LockKey], mode: LockMode) {
         self.visit_by_shard(
             keys.len(),
-            |i| keys[i],
-            |map, i| {
-                Self::unlock_locked(map, txn, keys[i], modes[i]);
-            },
+            |i| &keys[i],
+            |map, i| Self::unlock_locked(map, txn, &keys[i], mode),
         );
     }
 
@@ -913,6 +935,23 @@ mod tests {
         layout
     }
 
+    /// The keys of a [`random_layout`], per owner and mode: what it takes to
+    /// release the layout through `unlock_batch`.
+    fn holdings(layout: &[(TxnId, LockKey, LockMode)]) -> Vec<(TxnId, LockMode, Vec<LockKey>)> {
+        let mut out = Vec::new();
+        for mode in [LockMode::Exclusive, LockMode::Shared, LockMode::SiRead] {
+            for owner in (1..=5).map(t) {
+                let held = layout
+                    .iter()
+                    .filter(|(o, _, m)| *o == owner && *m == mode)
+                    .map(|(_, key, _)| key.clone())
+                    .collect();
+                out.push((owner, mode, held));
+            }
+        }
+        out
+    }
+
     #[test]
     fn siread_batch_equals_the_same_requests_issued_one_by_one() {
         let mut universe = Vec::new();
@@ -929,7 +968,10 @@ mod tests {
             let mut rng = WorkloadRng::new(seed);
             let layout = random_layout(&mut rng, &universe);
             // Repeated keys, keys already held by `me`, keys held by others.
-            let batch: Vec<LockKey> = (0..rng.index(40))
+            // Even seeds stay around the inline threshold of
+            // `visit_by_shard`, odd seeds go well past it.
+            let len = rng.index(if seed % 2 == 0 { 13 } else { 40 });
+            let batch: Vec<LockKey> = (0..len)
                 .map(|_| universe[rng.index(universe.len())].clone())
                 .collect();
 
@@ -982,10 +1024,9 @@ mod tests {
             assert_eq!(batched.key_count(), single.key_count(), "seed {seed}");
 
             // Release everything through the batch path: the table drains.
-            batched.unlock_batch(me, batch.iter().map(|key| (key, LockMode::SiRead)));
-            for owner in 1..=5 {
-                let held = layout.iter().filter(|(o, _, _)| *o == t(owner));
-                batched.unlock_batch(t(owner), held.map(|(_, key, mode)| (key, *mode)));
+            batched.unlock_batch(me, &batch, LockMode::SiRead);
+            for (owner, mode, held) in holdings(&layout) {
+                batched.unlock_batch(owner, &held, mode);
             }
             assert_eq!(batched.key_count(), 0, "seed {seed}");
             assert_eq!(batched.grant_count(), 0, "seed {seed}");
@@ -1007,6 +1048,72 @@ mod tests {
         let w = lm.lock(t(4), &key(4), LockMode::Exclusive).unwrap();
         assert_eq!(w.rw_conflicts, vec![t(1)]);
         assert_eq!(lm.stats().snapshot().1, 0, "nothing waited");
+    }
+
+    #[test]
+    fn unlock_batch_equals_the_same_releases_issued_one_by_one() {
+        // Few shards, so batches of every size put several keys in one
+        // shard; record and gap locks of one row always share theirs.
+        let universe: Vec<LockKey> = (0..10u8)
+            .flat_map(|k| {
+                [
+                    LockKey::record(TableId(1), vec![k]),
+                    LockKey::gap(TableId(1), vec![k]),
+                ]
+            })
+            .collect();
+        let me = t(1);
+        for seed in 0..300 {
+            let mut rng = WorkloadRng::new(seed);
+            let layout = random_layout(&mut rng, &universe);
+            let config = LockConfig {
+                shards: 1 + rng.index(6),
+                ..LockConfig::default()
+            };
+            let batched = LockManager::new(config.clone());
+            let single = LockManager::new(config);
+            // Sizes 0..=12 straddle the inline threshold. Keys may repeat,
+            // and `me` holds only some of them.
+            let len = seed as usize % 13;
+            let batch: Vec<LockKey> = (0..len)
+                .map(|_| universe[rng.index(universe.len())].clone())
+                .collect();
+            let mine: Vec<&LockKey> = batch.iter().filter(|_| rng.chance(0.7)).collect();
+            for lm in [&batched, &single] {
+                for (owner, key, mode) in &layout {
+                    assert!(!lm.lock(*owner, key, *mode).unwrap().waited);
+                }
+                for key in &mine {
+                    lm.lock(me, key, LockMode::SiRead).unwrap();
+                }
+            }
+
+            batched.unlock_batch(me, &batch, LockMode::SiRead);
+            for key in &batch {
+                single.unlock(me, key, LockMode::SiRead);
+            }
+            for key in &universe {
+                for owner in 1..=5 {
+                    assert_eq!(
+                        batched.holds(t(owner), key),
+                        single.holds(t(owner), key),
+                        "seed {seed} {key:?} owner {owner}"
+                    );
+                }
+            }
+            assert_eq!(batched.grant_count(), single.grant_count(), "seed {seed}");
+            assert_eq!(batched.key_count(), single.key_count(), "seed {seed}");
+
+            // Everything else goes the same two ways: both tables drain.
+            for (owner, mode, held) in holdings(&layout) {
+                batched.unlock_batch(owner, &held, mode);
+                for key in &held {
+                    single.unlock(owner, key, mode);
+                }
+            }
+            assert_eq!(batched.key_count(), 0, "seed {seed}");
+            assert_eq!(single.key_count(), 0, "seed {seed}");
+        }
     }
 
     #[test]

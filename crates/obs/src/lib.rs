@@ -28,11 +28,16 @@
 //!   writer aborted), `gap-sweep-exhausted` (scan gap-protection sweep gave
 //!   up), `degraded-rejected` (engine in degraded mode), `user-rollback`
 //!   (explicit rollback / drop without commit).
-//! - `suspended` / `cleaned` — SIREAD-lock suspension and registry cleanup
-//!   totals.
+//! - `suspended` / `cleaned` — commits that entered the suspended list
+//!   (some active transaction was still concurrent with them) and entries
+//!   reclaimed from it; `suspended_now` is the gauge of its current length
+//!   (`ssi_txn_suspended` in the text exposition).
 //! - `publish_parks`, `read_publication_waits`, `speculative_reads`,
-//!   `commit_dependencies`, `dependency_cascade_aborts`,
-//!   `watermark_sweeps` — commit-pipeline internals (see `ssi-core`).
+//!   `commit_dependencies`, `dependency_cascade_aborts` — commit-pipeline
+//!   internals (see `ssi-core`).
+//! - `watermark_sweeps` — lock-free refreshes of the begin watermark the
+//!   commit epilogue and the GC horizon share (64 atomic loads each; about
+//!   one per commit while transactions have registry shards to themselves).
 //!
 //! **Garbage collection** ([`GcMetrics`]) — `purge_runs`,
 //! `background_purge_runs`, `purged_versions`, `purged_chains`.

@@ -53,6 +53,8 @@ pub struct TxnMetrics {
     pub aborted: u64,
     pub suspended: u64,
     pub cleaned: u64,
+    /// Gauge: committed transactions on the suspended list right now.
+    pub suspended_now: u64,
     pub publish_parks: u64,
     pub read_publication_waits: u64,
     pub speculative_reads: u64,
@@ -193,6 +195,10 @@ impl MetricsSnapshot {
         counter(&mut out, "ssi_txn_aborted_total", self.txn.aborted);
         counter(&mut out, "ssi_txn_suspended_total", self.txn.suspended);
         counter(&mut out, "ssi_txn_cleaned_total", self.txn.cleaned);
+        out.push_str(&format!(
+            "# TYPE ssi_txn_suspended gauge\nssi_txn_suspended {}\n",
+            self.txn.suspended_now
+        ));
         counter(
             &mut out,
             "ssi_txn_publish_parks_total",
@@ -385,7 +391,7 @@ impl MetricsSnapshot {
         let mut out = String::from("{");
         out.push_str(&format!(
             "\"txn\":{{\"started\":{},\"committed\":{},\"aborted\":{},\"suspended\":{},\
-             \"cleaned\":{},\"publish_parks\":{},\"read_publication_waits\":{},\
+             \"cleaned\":{},\"suspended_now\":{},\"publish_parks\":{},\"read_publication_waits\":{},\
              \"speculative_reads\":{},\"commit_dependencies\":{},\
              \"dependency_cascade_aborts\":{},\"watermark_sweeps\":{},\
              \"scan_sweeps_run\":{},\"scan_sweeps_skipped\":{},\"abort_reasons\":{{",
@@ -394,6 +400,7 @@ impl MetricsSnapshot {
             self.txn.aborted,
             self.txn.suspended,
             self.txn.cleaned,
+            self.txn.suspended_now,
             self.txn.publish_parks,
             self.txn.read_publication_waits,
             self.txn.speculative_reads,
@@ -515,6 +522,7 @@ mod tests {
         snap.txn.started = 10;
         snap.txn.committed = 7;
         snap.txn.aborted = 3;
+        snap.txn.suspended_now = 2;
         snap.txn.abort_reasons[AbortReason::PivotOut.index()] = 2;
         snap.txn.abort_reasons[AbortReason::WriteConflict.index()] = 1;
         snap.tables.push(TableMetrics {
@@ -533,6 +541,7 @@ mod tests {
     fn render_text_exposes_counters_labels_and_quantiles() {
         let text = sample_snapshot().render_text();
         assert!(text.contains("ssi_txn_started_total 10"));
+        assert!(text.contains("# TYPE ssi_txn_suspended gauge\nssi_txn_suspended 2\n"));
         assert!(text.contains("ssi_txn_aborts_by_reason_total{reason=\"pivot-out\"} 2"));
         assert!(text.contains("ssi_txn_aborts_by_reason_total{reason=\"lock-deadlock\"} 0"));
         assert!(text.contains("ssi_table_keys{table=\"accounts\"} 100"));
@@ -563,6 +572,7 @@ mod tests {
         ] {
             assert!(json.contains(key), "missing {key}");
         }
+        assert!(json.contains("\"suspended_now\":2"));
         assert!(json.contains("\"pivot-out\":2"));
         assert!(json.contains("\"name\":\"accounts\""));
     }

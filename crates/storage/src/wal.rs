@@ -19,8 +19,6 @@ use std::time::Duration;
 
 use parking_lot::{Condvar, Mutex};
 
-use ssi_common::{Timestamp, TxnId};
-
 /// Configuration of the write-ahead log.
 #[derive(Clone, Debug, Default)]
 pub struct WalConfig {
@@ -46,8 +44,6 @@ pub struct WriteAheadLog {
     flushed: Condvar,
     /// Total commit records appended.
     records: AtomicU64,
-    /// Total bytes accounted to appended records.
-    bytes: AtomicU64,
     /// Number of physical (simulated) flushes performed.
     flushes: AtomicU64,
 }
@@ -60,7 +56,6 @@ impl WriteAheadLog {
             state: Mutex::new(WalState::default()),
             flushed: Condvar::new(),
             records: AtomicU64::new(0),
-            bytes: AtomicU64::new(0),
             flushes: AtomicU64::new(0),
         }
     }
@@ -70,23 +65,20 @@ impl WriteAheadLog {
         self.config.flush_latency.is_some()
     }
 
-    /// Appends a commit record for `txn` covering `payload_bytes` bytes of
-    /// redo information and, if the log is configured with a flush latency,
-    /// blocks until the record is durable. Returns the record's LSN.
-    pub fn commit_record(&self, txn: TxnId, commit_ts: Timestamp, payload_bytes: usize) -> u64 {
-        let _ = (txn, commit_ts);
+    /// Appends a commit record and, if the log is configured with a flush
+    /// latency, blocks until the record is durable. Returns the record's
+    /// LSN.
+    pub fn commit_record(&self) -> u64 {
+        let Some(latency) = self.config.flush_latency else {
+            // No flush to wait for and so nothing to order: the record
+            // count is the LSN, and the group-commit state stays untouched.
+            return self.records.fetch_add(1, Ordering::Relaxed) + 1;
+        };
         self.records.fetch_add(1, Ordering::Relaxed);
-        self.bytes
-            .fetch_add(payload_bytes as u64 + 32, Ordering::Relaxed);
 
         let mut state = self.state.lock();
         state.appended_lsn += 1;
         let my_lsn = state.appended_lsn;
-
-        let Some(latency) = self.config.flush_latency else {
-            state.durable_lsn = my_lsn;
-            return my_lsn;
-        };
 
         loop {
             if state.durable_lsn >= my_lsn {
@@ -121,11 +113,6 @@ impl WriteAheadLog {
     pub fn flush_count(&self) -> u64 {
         self.flushes.load(Ordering::Relaxed)
     }
-
-    /// Total bytes accounted to the log.
-    pub fn byte_count(&self) -> u64 {
-        self.bytes.load(Ordering::Relaxed)
-    }
 }
 
 impl Default for WriteAheadLog {
@@ -140,18 +127,14 @@ mod tests {
     use std::sync::Arc;
     use std::time::Instant;
 
-    fn t(id: u64) -> TxnId {
-        TxnId(id)
-    }
-
     #[test]
     fn no_flush_mode_is_immediate() {
         let wal = WriteAheadLog::new(WalConfig {
             flush_latency: None,
         });
         let start = Instant::now();
-        for i in 0..100 {
-            wal.commit_record(t(i), i + 1, 64);
+        for _ in 0..100 {
+            wal.commit_record();
         }
         assert!(start.elapsed() < Duration::from_millis(50));
         assert_eq!(wal.record_count(), 100);
@@ -162,9 +145,9 @@ mod tests {
     #[test]
     fn lsns_are_monotonic() {
         let wal = WriteAheadLog::default();
-        let a = wal.commit_record(t(1), 1, 10);
-        let b = wal.commit_record(t(2), 2, 10);
-        let c = wal.commit_record(t(3), 3, 10);
+        let a = wal.commit_record();
+        let b = wal.commit_record();
+        let c = wal.commit_record();
         assert!(a < b && b < c);
     }
 
@@ -175,7 +158,7 @@ mod tests {
             flush_latency: Some(latency),
         });
         let start = Instant::now();
-        wal.commit_record(t(1), 1, 64);
+        wal.commit_record();
         assert!(start.elapsed() >= latency);
         assert_eq!(wal.flush_count(), 1);
         assert!(wal.flushes_on_commit());
@@ -191,11 +174,11 @@ mod tests {
             flush_latency: Some(Duration::from_millis(10)),
         }));
         std::thread::scope(|s| {
-            for i in 0..8u64 {
+            for _ in 0..8 {
                 let wal = wal.clone();
                 s.spawn(move || {
-                    for j in 0..5u64 {
-                        wal.commit_record(t(i * 10 + j), j + 1, 128);
+                    for _ in 0..5 {
+                        wal.commit_record();
                     }
                 });
             }
@@ -206,6 +189,5 @@ mod tests {
             "expected group commit to batch flushes, got {}",
             wal.flush_count()
         );
-        assert!(wal.byte_count() >= 40 * 128);
     }
 }

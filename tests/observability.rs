@@ -214,6 +214,8 @@ fn render_text_golden() {
         format!("ssi_txn_started_total {}", snap.txn.started).as_str(),
         format!("ssi_txn_committed_total {}", snap.txn.committed).as_str(),
         "ssi_txn_aborted_total 0",
+        "# TYPE ssi_txn_suspended gauge",
+        "ssi_txn_suspended 0",
         "ssi_txn_aborts_by_reason_total{reason=\"write-conflict\"} 0",
         "ssi_txn_aborts_by_reason_total{reason=\"pivot-out\"} 0",
         "ssi_txn_aborts_by_reason_total{reason=\"user-rollback\"} 0",
