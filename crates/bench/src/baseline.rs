@@ -92,7 +92,7 @@ impl BaselineTable {
         creator: TxnId,
         value: Option<Vec<u8>>,
     ) -> Arc<Version> {
-        let version = Arc::new(Version::new(creator, value));
+        let version = Arc::new(Version::new(creator, value.map(Into::into)));
         let mut rows = self.rows.write();
         rows.entry(key.to_vec())
             .or_default()

@@ -4,9 +4,9 @@
 //! key set (so version chains grow without GC) while reader threads hammer
 //! point reads of the same keys. Two configurations of the same engine:
 //!
-//! * **no_purge** — version GC never runs: chains grow for the whole
-//!   window, so every read walks an ever-longer chain and memory grows
-//!   linearly with commits;
+//! * **no_purge** — no purge pass ever runs: the only reclamation is the
+//!   pruning a writer does when it finds a long chain (always on), so this
+//!   case shows what writers alone keep the hot chains at;
 //! * **auto_purge** — `Options::purge_every_commits` keeps GC running on
 //!   the commit cadence at the pinned safe horizon — inline, on whichever
 //!   committer trips the threshold;
@@ -15,11 +15,13 @@
 //!   committers do zero purge work (`purge_runs` fully attributed to
 //!   `background_purge_runs`).
 //!
-//! The headline numbers: reader throughput with purge on must stay within
-//! noise of (or beat) the no-purge baseline, while the final version
-//! count — the memory-growth proxy — stops tracking the commit count and
-//! stays near the live-key floor; the background mode must hold the same
-//! bound with its purge passes attributed entirely to the GC thread.
+//! The headline numbers: reader throughput and the final version count —
+//! the memory-growth proxy — in the three configurations. Since writers
+//! prune the chains they lengthen and a read stops at the first version its
+//! snapshot sees, neither depends on a pass any more on this workload: what
+//! is left to compare is the cost of running passes (a committer's time
+//! inline, a third busy thread in the background) and, in the background
+//! mode, that every pass is attributed to the GC thread.
 //!
 //! ```text
 //! cargo run --release -p ssi-bench --bin gc_bench [--smoke] [output.json]
@@ -61,8 +63,8 @@ impl CaseResult {
 }
 
 fn run_case(case: &Case, duration: Duration) -> CaseResult {
-    // Plain SI: reads take no locks, so chain length is the dominant read
-    // cost — exactly what GC is supposed to bound. Writers overwrite
+    // Plain SI: reads take no locks, so the versions newer than a reader's
+    // snapshot are all a read pays for on a hot chain. Writers overwrite
     // disjoint per-thread key slices, so no genuine write-write conflict
     // exists and the configurations perform identical logical work.
     let mut options = Options::default().with_isolation(IsolationLevel::SnapshotIsolation);
@@ -233,13 +235,14 @@ fn main() {
     json.push_str(
         "  \"comment\": \"Hot-key churn: 2 writer threads overwrite 16 keys (disjoint \
          slices, no aborts) while 4 reader threads point-read them at SI. 'no_purge' \
-         lets version chains grow for the whole window; 'auto_purge' runs GC every 64 \
+         runs no purge pass: writers alone prune the chains they find long (always \
+         on, in every case); 'auto_purge' adds a pass every 64 \
          write commits at the pinned safe horizon, inline on the tripping committer; \
          'background_gc' runs the maintenance hub's thread purging incrementally per \
          storage shard every 2ms (commit path does zero purge work; \
          background_purge_runs == purge_runs). final_versions is the memory-growth \
-         proxy: without purge it tracks the commit count, with purge it stays near the \
-         16-key live floor. read_throughput_ratio is auto_purge/no_purge reads per \
+         proxy: what the oldest snapshot open when the run stopped still held back, \
+         over the 16-key live floor. read_throughput_ratio is auto_purge/no_purge reads per \
          second; background_read_throughput_ratio is background_gc/no_purge.\",\n",
     );
     json.push_str("  \"cases\": [\n");

@@ -97,10 +97,8 @@ impl Transaction {
     /// handle to the stored version's payload — the snapshot read path
     /// performs no byte copy.
     pub fn get(&mut self, table: &TableRef, key: &[u8]) -> Result<Option<Bytes>> {
-        let table = table.clone();
-        let key = key.to_vec();
         let t0 = self.db.metrics.read.start();
-        let result = self.run_op(move |txn| txn.do_get(&table, &key));
+        let result = self.run_op(|txn| txn.do_get(table, key));
         self.db.metrics.read.finish(t0);
         result
     }
@@ -111,24 +109,19 @@ impl Transaction {
     /// prototype, Sec. 4.5). Under SI/SSI the first-committer-wins check is
     /// applied exactly as for a write.
     pub fn get_for_update(&mut self, table: &TableRef, key: &[u8]) -> Result<Option<Bytes>> {
-        let table = table.clone();
-        let key = key.to_vec();
-        self.run_op(move |txn| txn.do_get_for_update(&table, &key))
+        self.run_op(|txn| txn.do_get_for_update(table, key))
     }
 
     /// Writes `value` for `key` (insert or update).
     pub fn put(&mut self, table: &TableRef, key: &[u8], value: &[u8]) -> Result<()> {
-        let table = table.clone();
-        let key = key.to_vec();
-        let value = value.to_vec();
-        self.run_op(move |txn| txn.do_write(&table, &key, Some(value)))
+        // The one copy of the payload: the version stores this handle.
+        let value = Bytes::from(value);
+        self.run_op(|txn| txn.do_write(table, key, Some(value)))
     }
 
     /// Deletes `key` (installs a tombstone version).
     pub fn delete(&mut self, table: &TableRef, key: &[u8]) -> Result<()> {
-        let table = table.clone();
-        let key = key.to_vec();
-        self.run_op(move |txn| txn.do_write(&table, &key, None))
+        self.run_op(|txn| txn.do_write(table, key, None))
     }
 
     /// Range scan over `[lower, upper]` bounds, returning visible rows in
@@ -693,18 +686,19 @@ impl Transaction {
                 // granted (Sec. 4.5), so a transaction whose first statement
                 // is a locking read never hits first-committer-wins.
                 let snapshot = self.db.txns.ensure_snapshot(&self.shared);
-                if let Some(newest) = table.table.newest_committed_ts(key) {
-                    if newest > snapshot {
-                        return Err(Error::update_conflict(id));
-                    }
+                // Under the EXCLUSIVE lock nobody else can commit a version
+                // of the key, so the timestamp probed for first-committer-
+                // wins is also that of the value read below.
+                let newest = table.table.write_probe(key).newest_committed_ts;
+                if newest.is_some_and(|newest| newest > snapshot) {
+                    return Err(Error::update_conflict(id));
                 }
                 if self.shared.isolation() == IsolationLevel::SerializableSnapshotIsolation {
                     self.mark_write_conflicts(&outcome.rw_conflicts)?;
                     self.maybe_upgrade_siread(&lock);
                 }
                 let value = table.table.read_latest_committed(key, id);
-                let ts = table.table.newest_committed_ts(key);
-                self.record_read(table, key, ts, false);
+                self.record_read(table, key, newest, false);
                 Ok(value)
             }
         }
@@ -735,7 +729,7 @@ impl Transaction {
         }
     }
 
-    fn do_write(&mut self, table: &TableRef, key: &[u8], value: Option<Vec<u8>>) -> Result<()> {
+    fn do_write(&mut self, table: &TableRef, key: &[u8], value: Option<Bytes>) -> Result<()> {
         // Degraded (read-only) or closed: fail fast with the typed error
         // before taking any lock, instead of letting the commit discover a
         // poisoned log later. Reads stay untouched — the in-memory version
@@ -752,14 +746,19 @@ impl Transaction {
         let lock = self.lock_target(table, key);
         let outcome = self.acquire(lock.clone(), LockMode::Exclusive)?;
 
+        // One visit of the chain answers both pre-install questions:
+        // first-committer-wins here, insert-or-update below. The lock is
+        // held, so neither answer can change before the install.
+        let probe = table.table.write_probe(key);
         if isolation.uses_snapshot() {
             // Snapshot chosen only after the first lock is granted
             // (Sec. 4.5).
             let snapshot = self.db.txns.ensure_snapshot(&self.shared);
-            if let Some(newest) = table.table.newest_committed_ts(key) {
-                if newest > snapshot {
-                    return Err(Error::update_conflict(id));
-                }
+            if probe
+                .newest_committed_ts
+                .is_some_and(|newest| newest > snapshot)
+            {
+                return Err(Error::update_conflict(id));
             }
         }
         if isolation == IsolationLevel::SerializableSnapshotIsolation {
@@ -772,7 +771,7 @@ impl Transaction {
         // (Fig. 3.7) so concurrent predicate reads notice them. Updates of
         // existing keys do not change predicate results and need no gap
         // lock. Page-level locking subsumes this (Sec. 3.5).
-        let is_insert = !table.table.contains_key(key);
+        let is_insert = !probe.has_live_version;
         let needs_gap = self.gap_locking_enabled()
             && (is_insert || is_delete)
             && matches!(
@@ -795,7 +794,16 @@ impl Transaction {
         // the version is installed so the shadowed state is still readable.
         self.index_maintenance(table, key, value.as_deref())?;
 
-        let version = table.table.install_version(key, id, value);
+        // A long chain is pruned on the way in, at the horizon the purge
+        // pass would use; the horizon is only read if the chain is long.
+        let txns = &self.db.txns;
+        let installed = table.table.install(key, id, value, || txns.gc_horizon());
+        if installed.pruned > 0 {
+            txns.stats()
+                .pruned_inline_versions
+                .fetch_add(installed.pruned as u64, Ordering::Relaxed);
+        }
+        let version = installed.version;
         self.writes.push(WriteRecord {
             table: Arc::clone(&table.table),
             key: key.to_vec(),

@@ -799,6 +799,7 @@ impl Database {
             background_purge_runs: load(&s.background_purge_runs),
             purged_versions: load(&s.purged_versions),
             purged_chains: load(&s.purged_chains),
+            pruned_inline_versions: load(&s.pruned_inline_versions),
         };
         let wal = match self.durability_stats() {
             None => WalMetrics::default(),
@@ -901,14 +902,16 @@ impl Database {
     /// [`TransactionManager::gc_horizon`]). Safe to call concurrently with
     /// readers, writers and checkpoints; also runs automatically when
     /// [`crate::Options::purge_every_commits`] is set. Returns what was
-    /// reclaimed.
+    /// reclaimed. Writers already prune, at the same horizon, the chains
+    /// they find long (`gc.pruned_inline_versions`); a pass is for what no
+    /// writer comes back to — cold rows, tombstoned keys, aborted leftovers.
     pub fn purge(&self) -> PurgeStats {
         self.inner.purge()
     }
 
     /// Pins the version-GC horizon at the current published clock for the
-    /// lifetime of the returned guard: no purge (manual or automatic)
-    /// reclaims a version that a snapshot at or after the pinned timestamp
+    /// lifetime of the returned guard: no purge (manual or automatic) and
+    /// no pruning writer reclaims a version that a snapshot at or after the pinned timestamp
     /// can read. Intended for long out-of-band scans over versions an
     /// ordinary transaction snapshot would protect anyway — checkpoints
     /// take the same pin internally around their fuzzy table snapshot.

@@ -202,6 +202,42 @@
 //! pins are created at the current clock, which is `>=` every horizon
 //! handed out so far) and never exceeds the oldest live pin — the two
 //! invariants the GC stress net's proptest checks.
+//!
+//! ## The horizon read takes no mutex
+//!
+//! Version GC has two callers: the purge pass (`Database::purge`, the
+//! background GC thread), and every writer that finds a long version chain
+//! and prunes it on the spot (`ssi_storage::Table::install`, counted in
+//! [`ManagerStats::pruned_inline_versions`]). The writer asks for the
+//! horizon while it holds the chain's mutex, so
+//! [`TransactionManager::gc_horizon`] must not block: the watermark is the
+//! lock-free sweep above, and the oldest pin is mirrored in an atomic
+//! (`GcHorizon::oldest_pin`, stored only under the pins mutex) that the read
+//! loads instead of taking that mutex.
+//!
+//! * **Why the pin is still honoured.** [`TransactionManager::pin_gc_horizon`]
+//!   uses the publish-then-read-clock order of `ensure_snapshot`: under the
+//!   pins mutex a first pin stores the current clock into the mirror as a
+//!   reservation, *then* reads the clock for the pin's own timestamp `p`,
+//!   inserts it and tightens the mirror (all `SeqCst`). A horizon read takes
+//!   its watermark — bounded by a clock value `c` loaded in that read or,
+//!   for a cached watermark, in the sweep that produced it, which
+//!   happens-before this read — and then loads the mirror. If `c` was
+//!   loaded after the pin's clock read, the mirror load comes later still
+//!   and finds the reservation or the pin, so the result is capped at or
+//!   below `p`. Otherwise `c <= p` because the clock is monotone, and the
+//!   watermark is `<= c`. A later pin finds the mirror already at or below
+//!   the clock and needs no reservation.
+//! * **Why watermark first, pin second.** Loading the mirror first would
+//!   let a pin be taken and the clock move on between the two loads: the
+//!   read would then pair "no pin" with a watermark above the pin.
+//! * **Why a stale horizon is safe.** Every horizon ever computed is `<=`
+//!   the clock at its computation, hence `<=` every begin timestamp and
+//!   every pin taken later, and `<=` every begin and pin that was live
+//!   then. A writer that prunes at a horizon read a while ago — or at the
+//!   cached watermark of a sweep another thread made — reclaims less than
+//!   it could, never more. Nothing is owed to a version at or below a
+//!   horizon except by readers that horizon already accounted for.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -293,6 +329,14 @@ pub struct GcHorizon {
     /// Active pins: pinned timestamp → number of live [`GcPin`] guards at
     /// it. `first_key_value` is the binding floor.
     pins: Mutex<BTreeMap<Timestamp, u64>>,
+    /// The binding floor again, for readers that must not take the mutex
+    /// (a writer pruning a chain holds the chain's): the smallest key of
+    /// `pins`, `Timestamp::MAX` when there is none. Stored only under the
+    /// `pins` mutex and equal to the map's minimum whenever that mutex is
+    /// free — except while a first pin is being taken, when it already
+    /// holds a reservation at or below the pin to come (see
+    /// [`TransactionManager::pin_gc_horizon`]).
+    oldest_pin: AtomicU64,
     /// Highest horizon ever returned by
     /// [`TransactionManager::gc_horizon`], for observability (the stress
     /// net's monotonicity proptest reads the returned values directly; this
@@ -304,13 +348,15 @@ impl GcHorizon {
     fn new() -> Self {
         GcHorizon {
             pins: Mutex::new(BTreeMap::new()),
+            oldest_pin: AtomicU64::new(Timestamp::MAX),
             published: AtomicU64::new(0),
         }
     }
 
-    /// The oldest pinned timestamp, if any pin is live.
-    fn oldest_pin(&self) -> Option<Timestamp> {
-        self.pins.lock().first_key_value().map(|(&ts, _)| ts)
+    /// Republishes the oldest pin after `pins` changed (mutex held).
+    fn publish_oldest(&self, pins: &BTreeMap<Timestamp, u64>) {
+        let oldest = pins.first_key_value().map_or(Timestamp::MAX, |(&ts, _)| ts);
+        self.oldest_pin.store(oldest, Ordering::SeqCst);
     }
 }
 
@@ -337,6 +383,7 @@ impl Drop for GcPin<'_> {
             Some(n) if *n > 1 => *n -= 1,
             _ => {
                 pins.remove(&self.ts);
+                self.horizon.publish_oldest(&pins);
             }
         }
     }
@@ -406,8 +453,13 @@ pub struct ManagerStats {
     /// `purge_every_commits` off, `purge_runs == background_purge_runs`
     /// proves the commit path did zero purge work.
     pub background_purge_runs: AtomicU64,
-    /// Row versions reclaimed by version GC.
+    /// Row versions reclaimed by version-GC passes.
     pub purged_versions: AtomicU64,
+    /// Row versions reclaimed by writers: a write that finds a long chain
+    /// drops what a pass at the current horizon would (see
+    /// [`ssi_storage::Table::install`]). `purged_versions +
+    /// pruned_inline_versions` is every version reclaimed.
+    pub pruned_inline_versions: AtomicU64,
     /// Whole key chains removed by version GC (dead tombstoned keys).
     pub purged_chains: AtomicU64,
     /// WAL fsync retries taken by the background flusher's retry loop
@@ -922,12 +974,14 @@ impl TransactionManager {
     /// later, or any pinned consumer (a checkpoint streaming its fuzzy
     /// snapshot, a long scan) can still need. The returned value is
     /// monotone across calls (see the module docs, § Reclamation).
+    ///
+    /// Takes no mutex — the watermark is the lock-free sweep (or its cached
+    /// result) and the pin floor one atomic load — so a writer may call it
+    /// while holding a version chain's mutex. The watermark is read first
+    /// and the pin floor second; § Reclamation says why that order.
     pub fn gc_horizon(&self) -> Timestamp {
         let base = self.refresh_begin_watermark();
-        let horizon = match self.gc.oldest_pin() {
-            Some(pin) => base.min(pin),
-            None => base,
-        };
+        let horizon = base.min(self.gc.oldest_pin.load(Ordering::SeqCst));
         self.gc.published.fetch_max(horizon, Ordering::AcqRel);
         horizon
     }
@@ -942,17 +996,24 @@ impl TransactionManager {
     /// reclamation by an earlier read of the horizon either.
     pub fn pin_gc_horizon(&self) -> GcPin<'_> {
         let mut pins = self.gc.pins.lock();
-        // The clock is read *under* the pins mutex. A concurrent
-        // `gc_horizon` either runs its pin check after this insert (and
-        // sees the pin), or completed the check before this lock was
-        // acquired — in which case its pre-sweep clock was read even
-        // earlier, so the horizon it returns is `<=` this pin's timestamp.
-        // Reading the clock before taking the lock would open a window
-        // where a purge computes a horizon *above* the pin about to be
-        // inserted (clock advances between the read and the insert),
-        // breaking both the pin contract and horizon monotonicity.
-        let ts = self.current_ts();
+        // Publish, then read the clock: the order `ensure_snapshot` uses for
+        // a shard's first begin, for the same reason. A `gc_horizon` whose
+        // clock read precedes this pin's returns at most that clock value,
+        // hence at most the pin. One whose clock read follows it loads the
+        // floor later still, and finds the reservation stored before the
+        // pin's clock read (or the pin itself): it is capped at or below
+        // the pin. Reading the clock first and publishing afterwards would
+        // leave a window in which a horizon *above* the pin about to be
+        // published is handed out, breaking both the pin contract and
+        // horizon monotonicity. While a pin is live the floor already is at
+        // or below the clock, so only the first pin reserves.
+        if pins.is_empty() {
+            let floor = self.clock.load(Ordering::SeqCst);
+            self.gc.oldest_pin.store(floor, Ordering::SeqCst);
+        }
+        let ts = self.clock.load(Ordering::SeqCst);
         *pins.entry(ts).or_insert(0) += 1;
+        self.gc.publish_oldest(&pins);
         GcPin {
             horizon: &self.gc,
             ts,
@@ -961,7 +1022,8 @@ impl TransactionManager {
 
     /// The oldest live pinned timestamp, if any (tests and stats).
     pub fn oldest_gc_pin(&self) -> Option<Timestamp> {
-        self.gc.oldest_pin()
+        let oldest = self.gc.oldest_pin.load(Ordering::SeqCst);
+        (oldest != Timestamp::MAX).then_some(oldest)
     }
 
     /// Highest reclamation horizon handed out so far (stats; `0` before the

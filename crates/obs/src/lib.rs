@@ -40,7 +40,10 @@
 //!   one per commit while transactions have registry shards to themselves).
 //!
 //! **Garbage collection** ([`GcMetrics`]) — `purge_runs`,
-//! `background_purge_runs`, `purged_versions`, `purged_chains`.
+//! `background_purge_runs`, `purged_versions`, `purged_chains` count what
+//! purge passes did; `pruned_inline_versions` counts the versions writers
+//! dropped from long chains on their way in, outside any pass.
+//! `purged_versions + pruned_inline_versions` is every version reclaimed.
 //!
 //! **WAL** ([`WalMetrics`]) — `records`, `bytes`, `fsyncs`, `seal_batches`,
 //! `flusher_fsyncs`, `flusher_batches`, `io_failures`, `fsync_retries`,

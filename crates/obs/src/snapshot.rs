@@ -70,13 +70,18 @@ pub struct TxnMetrics {
     pub abort_reasons: [u64; AbortReason::COUNT],
 }
 
-/// Garbage-collection counters (foreground and background purges).
+/// Garbage-collection counters: purge passes (foreground and background)
+/// and the pruning writers do on long chains. `purged_versions +
+/// pruned_inline_versions` is every version reclaimed.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct GcMetrics {
     pub purge_runs: u64,
     pub background_purge_runs: u64,
+    /// Versions reclaimed by purge passes.
     pub purged_versions: u64,
     pub purged_chains: u64,
+    /// Versions reclaimed by writers, outside any pass.
+    pub pruned_inline_versions: u64,
 }
 
 /// Write-ahead-log counters. All zero when durability is disabled.
@@ -265,6 +270,11 @@ impl MetricsSnapshot {
             "ssi_gc_purged_chains_total",
             self.gc.purged_chains,
         );
+        counter(
+            &mut out,
+            "ssi_gc_pruned_inline_versions_total",
+            self.gc.pruned_inline_versions,
+        );
 
         out.push_str(&format!(
             "# TYPE ssi_wal_enabled gauge\nssi_wal_enabled {}\n",
@@ -423,11 +433,13 @@ impl MetricsSnapshot {
         out.push_str("}},");
         out.push_str(&format!(
             "\"gc\":{{\"purge_runs\":{},\"background_purge_runs\":{},\
-             \"purged_versions\":{},\"purged_chains\":{}}},",
+             \"purged_versions\":{},\"purged_chains\":{},\
+             \"pruned_inline_versions\":{}}},",
             self.gc.purge_runs,
             self.gc.background_purge_runs,
             self.gc.purged_versions,
             self.gc.purged_chains,
+            self.gc.pruned_inline_versions,
         ));
         out.push_str(&format!(
             "\"wal\":{{\"enabled\":{},\"records\":{},\"bytes\":{},\"fsyncs\":{},\
@@ -572,6 +584,7 @@ mod tests {
         ] {
             assert!(json.contains(key), "missing {key}");
         }
+        assert!(json.contains("\"pruned_inline_versions\":0"));
         assert!(json.contains("\"suspended_now\":2"));
         assert!(json.contains("\"pivot-out\":2"));
         assert!(json.contains("\"name\":\"accounts\""));

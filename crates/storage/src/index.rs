@@ -10,12 +10,13 @@
 //!
 //! Maintenance is tied to *chain membership*, not to commit state:
 //!
-//! * [`crate::Table::install_version`] adds one entry reference for the new
+//! * [`crate::Table::install`] adds one entry reference for the new
 //!   version's extracted key (tombstones extract nothing and add nothing);
 //! * [`crate::Table::unlink_version`] (abort path) releases the reference —
 //!   but only when the version was actually removed from the chain;
-//! * version GC ([`crate::Table::purge_old_versions`]) releases one
-//!   reference per version it physically drops.
+//! * version GC ([`crate::Table::purge_old_versions`], and a writer pruning
+//!   a long chain inside `install`) releases one reference per version it
+//!   physically drops.
 //!
 //! The invariant is exact: an entry's refcount equals the number of
 //! *resident* chain versions of its primary key whose payload extracts to
@@ -444,6 +445,14 @@ impl Index {
     /// Number of distinct entries currently present.
     pub fn entry_count(&self) -> usize {
         self.entries.read().len()
+    }
+
+    /// Every entry with its reference count (the chain model test compares
+    /// this with one reference per resident version).
+    #[cfg(test)]
+    pub(crate) fn ref_counts(&self) -> BTreeMap<Vec<u8>, usize> {
+        let entries = self.entries.read();
+        entries.iter().map(|(k, n)| (k.to_vec(), *n)).collect()
     }
 }
 

@@ -26,11 +26,12 @@
 //! reference per resident version whose payload extracts to the entry's
 //! index key:
 //!
-//! * [`Table::install_version`] adds a reference for the new version's
+//! * [`Table::install`] adds a reference for the new version's
 //!   extraction inside the shard-lock critical section, so a concurrent
 //!   backfill ([`Table::register_index`]) can never double- or un-count it;
-//! * [`Table::unlink_version`] (rollback) and version GC release
-//!   references; an entry disappears when its count reaches zero;
+//! * [`Table::unlink_version`] (rollback) and version GC — the purge pass
+//!   and the pruning a writer does inside `install` — release references;
+//!   an entry disappears when its count reaches zero;
 //! * entries are therefore *conservative*: a stale entry may linger until
 //!   GC reaps the versions that fed it, and readers re-extract from the
 //!   row's visible value to filter. An entry can never be *missing* for a
@@ -53,8 +54,8 @@ pub use index::{
 };
 pub use page::PageMap;
 pub use table::{
-    as_ref_bound, clone_bound, PurgeStats, ScanCursor, ScanEntries, ScanEntry, ScanPage, ScanRow,
-    Table, VisibleRead, SCAN_PAGE_SIZE, SHARD_COUNT,
+    as_ref_bound, clone_bound, Installed, PurgeStats, ScanCursor, ScanEntries, ScanEntry, ScanPage,
+    ScanRow, Table, VisibleRead, WriteProbe, SCAN_PAGE_SIZE, SHARD_COUNT,
 };
 pub use version::{Version, VersionState};
 pub use wal::{WalConfig, WriteAheadLog};

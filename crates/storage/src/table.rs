@@ -1,6 +1,6 @@
 //! Sharded ordered multi-version tables.
 //!
-//! A table maps byte-string keys to *version chains* (newest first). The
+//! A table maps byte-string keys to *version chains*. The
 //! table itself performs no concurrency control beyond keeping its own data
 //! structures consistent: deciding who may write, when a write must abort and
 //! what a reader is allowed to see is the job of `ssi-core`. The table does
@@ -43,13 +43,63 @@
 //! * a chain present in either map is the unique chain for its key; both
 //!   maps always agree (they are updated while holding the shard write
 //!   lock, which is the insert/remove serialization point for a key);
-//! * versions are only appended (at the head) while holding the shard
+//! * versions are only pushed (at the newest end) while holding the shard
 //!   **read** lock plus the chain mutex — so a shard **write** lock alone
 //!   is enough to freeze a chain's membership for removal decisions;
 //! * an empty chain is dead: it is never revived. Removal empties the
 //!   chain under the shard write lock (excluding installers) and unlinks
 //!   it from both maps; a concurrent scan that still holds the `Arc` just
 //!   observes an empty chain and skips the key.
+//!
+//! ### The order of a chain
+//!
+//! A chain is stored oldest first and read newest first. Going from the
+//! newest version, and leaving aborted versions aside, a chain holds
+//!
+//! 1. the unsettled (uncommitted or provisionally stamped) versions of
+//!    **one** transaction — the holder of the key's EXCLUSIVE lock — then
+//! 2. committed versions in non-increasing commit-timestamp order.
+//!
+//! The table does not enforce this, the engine's write protocol does: every
+//! isolation level takes the EXCLUSIVE lock before [`Table::install`] and
+//! keeps it until its versions are stamped committed (or marked aborted and
+//! unlinked), and commit timestamps come from one counter, so the next
+//! writer of the key commits later than everything already in the chain.
+//! Recovery replays commits in timestamp order on top of a checkpoint that
+//! holds one version per key, which builds the same order. `install`
+//! `debug_assert`s the invariant over the newest few versions.
+//!
+//! Everything a point operation does leans on it, which is what makes its
+//! cost depend on the versions newer than its snapshot and never on history:
+//!
+//! * a snapshot read stops at the first version that is visible to it (or
+//!   that it takes speculatively): all beneath is older committed history;
+//! * the newest commit timestamp — the first-committer-wins check — is that
+//!   of the first committed version from the newest end
+//!   ([`Table::write_probe`]);
+//! * history is a prefix of the stored order, so reclaiming it
+//!   (`reclaimable_prefix`) walks from the oldest end and stops at the
+//!   first version that has to stay.
+//!
+//! ### Who may shorten a chain
+//!
+//! Versions leave a chain in three ways, each under the key's shard lock
+//! (read is enough) plus the chain mutex, with the index entry references of
+//! what is removed released in the same critical section:
+//!
+//! * **rollback** ([`Table::unlink_version`]) removes the caller's own
+//!   aborted version;
+//! * **the purge pass** ([`Table::purge_shard`]) drops, at a safe horizon,
+//!   everything older than the newest version committed at or below it,
+//!   plus aborted leftovers, and afterwards removes keys that are down to a
+//!   dead tombstone (under the shard *write* lock);
+//! * **the writer** ([`Table::install`]): one that finds the chain longer
+//!   than a small bound asks its caller for the horizon — lazily, under the
+//!   chain mutex, so the caller's answer must not block — and drops what the
+//!   pass would (`Table::drop_reclaimable` is the one rule both use). Hot
+//!   rows are therefore kept short by the transactions that make them long,
+//!   and the pass is left with cold rows, tombstoned keys and aborted
+//!   leftovers.
 //!
 //! ## Why scans stay consistent under SSI
 //!
@@ -107,10 +157,10 @@
 //!
 //! Tables carry a (usually empty) list of registered secondary indexes
 //! ([`crate::index::Index`]). Index entries are refcounted by *chain
-//! residency*, never by commit state: [`Table::install_version`] adds one
+//! residency*, never by commit state: [`Table::install`] adds one
 //! entry reference for the new version's extracted key,
-//! [`Table::unlink_version`] and version GC release one reference per
-//! version they physically remove. Every add/release happens under the
+//! [`Table::unlink_version`] and version GC (the pass and the pruning
+//! writer alike) release one reference per version they physically remove. Every add/release happens under the
 //! version's shard lock (the same critical section that changes chain
 //! membership), and [`Table::register_index`] backfills a new index while
 //! holding **every** shard write lock — so the refcount invariant ("one
@@ -127,7 +177,7 @@ use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock};
 
-use ssi_common::{Bytes, InlineVec, TableId, Timestamp, TxnId};
+use ssi_common::{Bytes, InlineVec, TableId, Timestamp, TxnId, TS_ZERO};
 use ssi_lock::FxBuildHasher;
 
 use crate::index::Index;
@@ -162,9 +212,6 @@ pub struct VisibleRead {
     /// uncommitted ones and ones committed after the reader's snapshot).
     /// Each is a potential rw-antidependency for Serializable SI.
     pub newer_creators: NewerCreators,
-    /// Commit timestamp of the newest committed version of the key,
-    /// regardless of snapshot; used for the first-committer-wins check.
-    pub newest_committed_ts: Option<Timestamp>,
     /// True if the key has at least one (non-aborted) version at all.
     pub key_exists: bool,
     /// Commit timestamp of the version that was read (`None` when nothing
@@ -376,7 +423,39 @@ pub fn as_ref_bound(b: &Bound<Vec<u8>>) -> Bound<&[u8]> {
     }
 }
 
-/// The version chain of one key, newest first, behind its own lock.
+/// A chain longer than this is pruned by the writer that finds it (see
+/// [`Table::install`]). Small, so a hot row's chain stays a cache line or two
+/// of handles; above one, so updating a row that holds a single version
+/// never asks for the horizon.
+const PRUNE_ABOVE: usize = 4;
+
+/// What a writer needs to know about a key before it installs a version,
+/// from one chain visit (see [`Table::write_probe`]).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct WriteProbe {
+    /// Commit timestamp of the newest committed version, regardless of
+    /// snapshot: the first-committer-wins check compares it with the
+    /// writer's snapshot.
+    pub newest_committed_ts: Option<Timestamp>,
+    /// True if the key has any non-aborted version (committed or not,
+    /// tombstone or not): false means the write is an insert.
+    pub has_live_version: bool,
+}
+
+/// What [`Table::install`] did.
+#[derive(Debug)]
+pub struct Installed {
+    /// The new version, for commit stamping or rollback.
+    pub version: Arc<Version>,
+    /// Old versions the install dropped from the chain on its way (0 unless
+    /// the chain was longer than the pruning bound).
+    pub pruned: usize,
+}
+
+/// The version chain of one key behind its own lock, stored **oldest
+/// first**: installing is a push, pruning drops a prefix, and every reader
+/// walks it in reverse (newest first). See the module docs, § Locking
+/// protocol, for the order the versions are in.
 struct RowChain {
     versions: Mutex<Vec<Arc<Version>>>,
 }
@@ -387,55 +466,41 @@ impl RowChain {
             versions: Mutex::new(vec![version]),
         })
     }
-}
 
-impl RowChain {
-    /// Single traversal computing every [`VisibleRead`] field — the union
-    /// of the old `read_chain` + `newest_committed_in` + `key_exists`
-    /// walks, computed in one pass. The chain is newest-first, so the
-    /// first visible version is the snapshot answer; versions before it
-    /// are the "newer" set and the newest committed timestamp is the
-    /// maximum over all committed versions.
+    /// The snapshot read: walks from the newest version and stops at the
+    /// first one that is visible or taken speculatively. By the order
+    /// invariant everything beneath it is older committed history, so the
+    /// walk costs the versions newer than the snapshot and nothing else.
     fn read_all(&self, reader: TxnId, snapshot_ts: Timestamp) -> VisibleRead {
         let versions = self.versions.lock();
         let mut out = VisibleRead::default();
-        let mut found_visible = false;
-        for v in versions.iter() {
+        for v in versions.iter().rev() {
             let state = v.state();
             if state == VersionState::Aborted {
                 continue;
             }
             out.key_exists = true;
-            if let VersionState::Committed(ts) = state {
-                if out.newest_committed_ts.is_none_or(|best| ts > best) {
-                    out.newest_committed_ts = Some(ts);
-                }
+            if v.visible_to(reader, snapshot_ts) {
+                out.value = v.value_handle();
+                out.read_version_ts = v.commit_ts();
+                out.read_own_write = v.creator() == reader;
+                break;
             }
-            if !found_visible {
-                if v.visible_to(reader, snapshot_ts) {
-                    found_visible = true;
+            match state {
+                // Provisionally stamped at or below the snapshot: the
+                // creator allocated its timestamp and published it, but its
+                // final commit step is still pending. Take the value
+                // speculatively and report the creator so the engine can
+                // register a commit dependency (or retry if the creator
+                // aborted).
+                VersionState::Provisional(ts) if ts <= snapshot_ts => {
                     out.value = v.value_handle();
-                    out.read_version_ts = v.commit_ts();
-                    out.read_own_write = v.creator() == reader;
-                } else if let VersionState::Provisional(ts) = state {
-                    if ts <= snapshot_ts {
-                        // Provisionally stamped at or below the snapshot:
-                        // the creator allocated its timestamp and published
-                        // it, but its final commit step is still pending.
-                        // Take the value speculatively and report the
-                        // creator so the engine can register a commit
-                        // dependency (or retry if the creator aborted).
-                        found_visible = true;
-                        out.value = v.value_handle();
-                        out.read_version_ts = Some(ts);
-                        out.speculative_of = Some(v.creator());
-                    } else {
-                        out.newer_creators.push(v.creator());
-                    }
-                } else {
-                    // Not visible: newer than whatever will be read.
-                    out.newer_creators.push(v.creator());
+                    out.read_version_ts = Some(ts);
+                    out.speculative_of = Some(v.creator());
+                    break;
                 }
+                // Not visible: newer than whatever will be read.
+                _ => out.newer_creators.push(v.creator()),
             }
         }
         out
@@ -444,23 +509,71 @@ impl RowChain {
     /// Latest committed value, or the reader's own uncommitted write.
     fn read_latest_committed(&self, reader: TxnId) -> Option<Bytes> {
         let versions = self.versions.lock();
-        for v in versions.iter() {
-            if v.visible_to_read_committed(reader) {
-                return v.value_handle();
+        versions
+            .iter()
+            .rev()
+            .find(|v| v.visible_to_read_committed(reader))
+            .and_then(|v| v.value_handle())
+    }
+
+    /// Walks from the newest version to the first committed one: by the
+    /// order invariant that is the newest commit timestamp of the chain, and
+    /// every version passed on the way is the lock holder's own or aborted.
+    fn write_probe(&self) -> WriteProbe {
+        let versions = self.versions.lock();
+        let mut probe = WriteProbe::default();
+        for v in versions.iter().rev() {
+            match v.state() {
+                VersionState::Aborted => {}
+                VersionState::Committed(ts) => {
+                    probe.has_live_version = true;
+                    probe.newest_committed_ts = Some(ts);
+                    break;
+                }
+                _ => probe.has_live_version = true,
             }
         }
-        None
+        probe
     }
+}
 
-    fn newest_committed_ts(&self) -> Option<Timestamp> {
-        let versions = self.versions.lock();
-        versions.iter().filter_map(|v| v.commit_ts()).max()
+/// How many of the chain's oldest versions no snapshot at or above `horizon`
+/// can read: everything older than the newest version committed at or below
+/// the horizon. Walks from the oldest end and stops at the first version that
+/// is not reclaimable history, so it costs what it finds, not what is live.
+fn reclaimable_prefix(versions: &[Arc<Version>], horizon: Timestamp) -> usize {
+    let mut keep = 0;
+    for (i, v) in versions.iter().enumerate() {
+        match v.state() {
+            VersionState::Committed(ts) if ts <= horizon => keep = i,
+            // An aborted leftover goes with the history around it.
+            VersionState::Aborted => {}
+            _ => break,
+        }
     }
+    keep
+}
 
-    fn has_live_version(&self) -> bool {
-        let versions = self.versions.lock();
-        versions.iter().any(|v| v.state() != VersionState::Aborted)
+/// The order invariant (module docs, § Locking protocol) over the newest
+/// `depth` live versions of a chain that `writer`, holding the key's
+/// EXCLUSIVE lock, is about to extend.
+fn order_holds(versions: &[Arc<Version>], writer: TxnId, depth: usize) -> bool {
+    let mut newer_commit: Option<Timestamp> = None;
+    let live = versions
+        .iter()
+        .rev()
+        .map(|v| (v.state(), v.creator()))
+        .filter(|(state, _)| *state != VersionState::Aborted);
+    for (state, creator) in live.take(depth) {
+        match (state, newer_commit) {
+            (VersionState::Committed(ts), Some(newer)) if ts > newer => return false,
+            (VersionState::Committed(ts), _) => newer_commit = Some(ts),
+            // Unsettled versions are the lock holder's, above all history.
+            (_, None) if creator == writer => {}
+            _ => return false,
+        }
     }
+    true
 }
 
 /// The ordered side index: every key with a chain, plus the count of
@@ -561,48 +674,78 @@ impl Table {
 
     /// Commit timestamp of the newest committed version of `key`, if any.
     pub fn newest_committed_ts(&self, key: &[u8]) -> Option<Timestamp> {
-        let rows = self.shard(key).rows.read();
-        rows.get(key)?.newest_committed_ts()
+        self.write_probe(key).newest_committed_ts
     }
 
     /// True if the key has any non-aborted version (committed or not,
     /// tombstone or not). Used to distinguish inserts from updates when
     /// deciding whether gap locks are needed.
     pub fn contains_key(&self, key: &[u8]) -> bool {
+        self.write_probe(key).has_live_version
+    }
+
+    /// Both answers a writer needs before installing, from one visit of the
+    /// key's shard and chain: the newest commit timestamp (first-committer-
+    /// wins) and whether the key exists at all (insert or update).
+    pub fn write_probe(&self, key: &[u8]) -> WriteProbe {
         let rows = self.shard(key).rows.read();
-        rows.get(key).is_some_and(|c| c.has_live_version())
+        rows.get(key)
+            .map_or(WriteProbe::default(), |c| c.write_probe())
     }
 
     /// Installs a new uncommitted version of `key` (a value or, when `value`
     /// is `None`, a deletion tombstone) created by `creator`, and returns a
     /// handle the caller keeps in its write set for later commit stamping or
-    /// rollback.
-    ///
-    /// Updates of existing keys take the shard **read** lock plus the chain
-    /// mutex, so concurrent writers of different keys never contend; only
-    /// the first write of a brand-new key takes the shard and ordered-index
-    /// write locks.
+    /// rollback. [`Table::install`] with a copied payload and a horizon of
+    /// zero, at which nothing is reclaimable.
     pub fn install_version(
         &self,
         key: &[u8],
         creator: TxnId,
         value: Option<Vec<u8>>,
     ) -> Arc<Version> {
+        self.install(key, creator, value.map(Bytes::from), || TS_ZERO)
+            .version
+    }
+
+    /// Installs a new uncommitted version of `key` holding `value` (shared,
+    /// not copied; `None` is a deletion tombstone) on behalf of `creator`,
+    /// who must hold the key's EXCLUSIVE lock.
+    ///
+    /// Updates of existing keys take the shard **read** lock plus the chain
+    /// mutex, so concurrent writers of different keys never contend; only
+    /// the first write of a brand-new key takes the shard and ordered-index
+    /// write locks. Installing is a push, whatever the chain holds.
+    ///
+    /// **Writer-side pruning.** A writer that finds more than
+    /// `PRUNE_ABOVE` (four) versions calls `horizon` — once, under the chain
+    /// mutex, so it must not block — and drops what [`Table::purge_shard`]
+    /// would drop at that horizon: everything older than the newest version
+    /// committed at or below it. The same safety contract applies (see
+    /// [`Table::purge_old_versions`]); a horizon that is stale, or zero,
+    /// only reclaims less. A load, or an update of a row that holds one
+    /// version, never calls `horizon`.
+    pub fn install(
+        &self,
+        key: &[u8],
+        creator: TxnId,
+        value: Option<Bytes>,
+        horizon: impl FnOnce() -> Timestamp,
+    ) -> Installed {
         let version = Arc::new(Version::new(creator, value));
         let shard = self.shard(key);
 
-        // Fast path: the key exists; append under the shard read lock. The
+        // Fast path: the key exists; push under the shard read lock. The
         // read lock excludes removal (which needs the write lock), so the
         // chain cannot be unlinked while we push. Index references are
-        // added inside the same shard critical section, so an index
-        // backfill (all shard *write* locks) observes either the version
+        // added and released inside the same shard critical section, so an
+        // index backfill (all shard *write* locks) observes either a version
         // and its references or neither.
         {
             let rows = shard.rows.read();
             if let Some(chain) = rows.get(key) {
-                chain.versions.lock().insert(0, version.clone());
-                self.add_index_refs(key, &version);
-                return version;
+                let pruned = self.push_pruning(key, chain, &version, horizon);
+                return Installed { version, pruned };
             }
         }
 
@@ -610,9 +753,8 @@ impl Table {
         // write lock, then publish the chain in both maps.
         let mut rows = shard.rows.write();
         if let Some(chain) = rows.get(key) {
-            chain.versions.lock().insert(0, version.clone());
-            self.add_index_refs(key, &version);
-            return version;
+            let pruned = self.push_pruning(key, chain, &version, horizon);
+            return Installed { version, pruned };
         }
         let key_arc: Arc<[u8]> = Arc::from(key);
         let chain = RowChain::with_version(version.clone());
@@ -623,7 +765,53 @@ impl Table {
             ordered.epoch += 1;
         }
         self.add_index_refs(key, &version);
-        version
+        Installed { version, pruned: 0 }
+    }
+
+    /// Pushes `version` onto an existing chain, first pruning the chain if
+    /// it is over the bound. The caller holds the key's shard lock (read or
+    /// write). Returns how many versions were dropped.
+    fn push_pruning(
+        &self,
+        key: &[u8],
+        chain: &RowChain,
+        version: &Arc<Version>,
+        horizon: impl FnOnce() -> Timestamp,
+    ) -> usize {
+        let mut versions = chain.versions.lock();
+        debug_assert!(
+            order_holds(&versions, version.creator(), 2 * PRUNE_ABOVE),
+            "chain order broken under {:?}: {:?}",
+            version.creator(),
+            &versions[..]
+        );
+        let pruned = if versions.len() > PRUNE_ABOVE {
+            self.drop_reclaimable(key, &mut versions, horizon())
+        } else {
+            0
+        };
+        versions.push(version.clone());
+        drop(versions);
+        self.add_index_refs(key, version);
+        pruned
+    }
+
+    /// Drops the versions of a chain that no snapshot at or above `horizon`
+    /// can read (see [`reclaimable_prefix`]), releasing their index entry
+    /// references. The one rule by which history leaves a chain, shared by
+    /// the purge pass and by writers; the caller holds the key's shard lock
+    /// and the chain mutex.
+    fn drop_reclaimable(
+        &self,
+        key: &[u8],
+        versions: &mut Vec<Arc<Version>>,
+        horizon: Timestamp,
+    ) -> usize {
+        let reclaimable = reclaimable_prefix(versions, horizon);
+        for v in versions.drain(..reclaimable) {
+            self.release_index_refs(key, &v);
+        }
+        reclaimable
     }
 
     /// Adds one entry reference per registered index for a freshly
@@ -680,7 +868,7 @@ impl Table {
         self.indexes.read().clone()
     }
 
-    /// Unlinks a version previously installed with [`Table::install_version`]
+    /// Unlinks a version previously installed with [`Table::install`]
     /// (rollback path). The version should already be marked aborted.
     /// Releases the version's index entry references iff the version was
     /// actually removed here (a purge may have raced and released them
@@ -692,10 +880,13 @@ impl Table {
             let rows = shard.rows.read();
             let Some(chain) = rows.get(key) else { return };
             let (removed, empty) = {
+                // An unsettled version sits at the newest end of its chain.
                 let mut versions = chain.versions.lock();
-                let before = versions.len();
-                versions.retain(|v| !Arc::ptr_eq(v, version));
-                (versions.len() != before, versions.is_empty())
+                let found = versions.iter().rposition(|v| Arc::ptr_eq(v, version));
+                if let Some(at) = found {
+                    versions.remove(at);
+                }
+                (found.is_some(), versions.is_empty())
             };
             if removed {
                 self.release_index_refs(key, version);
@@ -884,34 +1075,15 @@ impl Table {
             let rows = shard.rows.read();
             for (key, chain) in rows.iter() {
                 let mut versions = chain.versions.lock();
-                // Position of the newest version committed at or before
-                // the horizon; everything after it (older) is
-                // unreachable.
-                let mut keep_upto = None;
-                for (i, v) in versions.iter().enumerate() {
-                    match v.state() {
-                        VersionState::Committed(ts) if ts <= horizon => {
-                            keep_upto = Some(i);
-                            break;
-                        }
-                        _ => {}
-                    }
-                }
-                if let Some(idx) = keep_upto {
-                    stats.versions += (versions.len() - (idx + 1)) as u64;
-                    for v in versions.drain(idx + 1..) {
-                        self.release_index_refs(key, &v);
-                    }
-                    // If the only remaining reachable version is a
-                    // tombstone and nothing newer exists, the key is
-                    // gone for good.
-                    if versions.len() == 1 && versions[0].is_tombstone() {
-                        if let VersionState::Committed(ts) = versions[0].state() {
-                            if ts <= horizon {
-                                dead_keys.push(key.clone());
-                            }
-                        }
-                    }
+                stats.versions += self.drop_reclaimable(key, &mut versions, horizon) as u64;
+                // If the only remaining reachable version is a tombstone
+                // and nothing newer exists, the key is gone for good.
+                if versions.len() == 1
+                    && versions[0].is_tombstone()
+                    && matches!(versions[0].state(),
+                                VersionState::Committed(ts) if ts <= horizon)
+                {
+                    dead_keys.push(key.clone());
                 }
                 // Also drop aborted leftovers (releasing their index
                 // references: the purge got to them before the creator's
@@ -995,6 +1167,10 @@ impl std::fmt::Debug for Table {
 }
 
 #[cfg(test)]
+#[path = "table_model_tests.rs"]
+mod model_tests;
+
+#[cfg(test)]
 mod tests {
     use super::*;
 
@@ -1017,7 +1193,7 @@ mod tests {
         assert!(r.value.is_none());
         assert!(!r.key_exists);
         assert!(r.newer_creators.is_empty());
-        assert_eq!(r.newest_committed_ts, None);
+        assert_eq!(tbl.write_probe(b"a"), WriteProbe::default());
     }
 
     #[test]
@@ -1062,13 +1238,13 @@ mod tests {
         assert_eq!(val(&r), Some(vec![2]));
         assert_eq!(r.speculative_of, Some(t(2)));
         assert_eq!(r.read_version_ts, Some(20));
-        assert_eq!(r.newest_committed_ts, Some(10));
+        assert_eq!(tbl.newest_committed_ts(b"a"), Some(10));
         // Once finalized the same read settles with no speculation.
         v2.mark_committed(20);
         let r = tbl.read(b"a", t(3), 25);
         assert_eq!(val(&r), Some(vec![2]));
         assert_eq!(r.speculative_of, None);
-        assert_eq!(r.newest_committed_ts, Some(20));
+        assert_eq!(tbl.newest_committed_ts(b"a"), Some(20));
     }
 
     #[test]
@@ -1083,7 +1259,6 @@ mod tests {
         let r = tbl.read(b"a", t(3), 15);
         assert_eq!(val(&r), Some(vec![1]));
         assert_eq!(r.newer_creators, vec![t(2)]);
-        assert_eq!(r.newest_committed_ts, Some(20));
         // A reader with snapshot 25 sees version 2 with no newer versions.
         let r2 = tbl.read(b"a", t(3), 25);
         assert_eq!(val(&r2), Some(vec![2]));
@@ -1230,6 +1405,30 @@ mod tests {
     }
 
     #[test]
+    fn install_prunes_a_long_chain_at_the_callers_horizon() {
+        let tbl = table();
+        let value = || Some(Bytes::from(vec![7]));
+        // Up to the bound nobody asks for the horizon.
+        for ts in 1..=PRUNE_ABOVE as u64 {
+            let installed = tbl.install(b"a", t(ts), value(), || unreachable!("short chain"));
+            assert_eq!(installed.pruned, 0);
+            installed.version.mark_committed(10 * ts);
+        }
+        let installed = tbl.install(b"a", t(5), value(), || unreachable!("at the bound"));
+        installed.version.mark_committed(50);
+        // Over it: a horizon of 35 keeps the version committed at 30 (what a
+        // snapshot at 35 reads) and everything newer, and drops 10 and 20.
+        let installed = tbl.install(b"a", t(6), value(), || 35);
+        assert_eq!(installed.pruned, 2);
+        assert_eq!(tbl.version_count(), 4);
+        assert_eq!(tbl.read(b"a", t(9), 35).read_version_ts, Some(30));
+        assert_eq!(tbl.read(b"a", t(9), 45).read_version_ts, Some(40));
+        // Below the horizon the history is gone, as after a purge pass.
+        assert!(tbl.read(b"a", t(9), 25).value.is_none());
+        assert_eq!(tbl.newest_committed_ts(b"a"), Some(50));
+    }
+
+    #[test]
     fn per_shard_purge_reclaims_exactly_what_whole_table_purge_would() {
         // Two identical tables: purge one in a single whole-table pass and
         // the other shard by shard (in a scrambled order) at the same
@@ -1298,7 +1497,7 @@ mod tests {
         let tbl = table();
         assert_eq!(tbl.version_count(), 0);
         tbl.install_version(b"a", t(1), Some(vec![1]));
-        tbl.install_version(b"a", t(2), Some(vec![2]));
+        tbl.install_version(b"a", t(1), Some(vec![2]));
         tbl.install_version(b"b", t(1), Some(vec![3]));
         assert_eq!(tbl.version_count(), 3);
         assert_eq!(tbl.key_count(), 2);
@@ -1521,31 +1720,39 @@ mod tests {
         // key set while readers hammer reads and scans. Every read must see
         // either nothing or a fully installed, committed value of the
         // expected shape; rollback races must never surface as panics or
-        // torn state.
+        // torn state. Writers follow the engine's protocol: a per-key mutex
+        // stands in for the EXCLUSIVE lock, held until the version is
+        // settled, and commit timestamps come from one clock.
         let tbl = Arc::new(table());
         let stop = Arc::new(AtomicBool::new(false));
         let keys: Vec<Vec<u8>> = (0..8u64).map(|i| i.to_be_bytes().to_vec()).collect();
+        let exclusive: Arc<Vec<Mutex<()>>> = Arc::new((0..8).map(|_| Mutex::new(())).collect());
+        let clock = Arc::new(std::sync::atomic::AtomicU64::new(1000));
 
         std::thread::scope(|s| {
             for w in 0..4u64 {
                 let tbl = tbl.clone();
                 let stop = stop.clone();
                 let keys = keys.clone();
+                let exclusive = exclusive.clone();
+                let clock = clock.clone();
                 s.spawn(move || {
-                    let mut ts = 1000 + w;
                     let mut n = 0u64;
                     while !stop.load(Ordering::Relaxed) {
-                        let key = &keys[(n % 8) as usize];
+                        let slot = ((n + w) % 8) as usize;
+                        let key = &keys[slot];
                         let txn = t(w * 1_000_000 + n + 1);
                         let payload = vec![w as u8; 64];
-                        let v = tbl.install_version(key, txn, Some(payload));
+                        let _held = exclusive[slot].lock();
+                        // Prunes at the newest commit once the chain is long.
+                        let horizon = || clock.load(Ordering::SeqCst);
+                        let v = tbl.install(key, txn, Some(payload.into()), horizon).version;
                         if n.is_multiple_of(3) {
                             // Rollback path: abort and unlink.
                             v.mark_aborted();
                             tbl.unlink_version(key, &v);
                         } else {
-                            ts += 4;
-                            v.mark_committed(ts);
+                            v.mark_committed(clock.fetch_add(1, Ordering::SeqCst) + 1);
                         }
                         n += 1;
                     }

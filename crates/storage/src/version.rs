@@ -61,12 +61,12 @@ pub struct Version {
 }
 
 impl Version {
-    /// Creates an uncommitted version holding `value`.
-    pub fn new(creator: TxnId, value: Option<Vec<u8>>) -> Self {
+    /// Creates an uncommitted version holding `value` (shared, not copied).
+    pub fn new(creator: TxnId, value: Option<Bytes>) -> Self {
         Version {
             creator,
             commit_ts: AtomicU64::new(TS_ZERO),
-            value: value.map(Bytes::from),
+            value,
         }
     }
 
@@ -185,7 +185,7 @@ mod tests {
 
     #[test]
     fn lifecycle_states() {
-        let v = Version::new(t(1), Some(vec![1]));
+        let v = Version::new(t(1), Some(vec![1].into()));
         assert_eq!(v.state(), VersionState::Uncommitted);
         assert_eq!(v.commit_ts(), None);
         v.mark_committed(10);
@@ -198,7 +198,7 @@ mod tests {
 
     #[test]
     fn uncommitted_visible_only_to_creator() {
-        let v = Version::new(t(1), Some(vec![1]));
+        let v = Version::new(t(1), Some(vec![1].into()));
         assert!(v.visible_to(t(1), 100));
         assert!(!v.visible_to(t(2), 100));
         assert!(v.visible_to_read_committed(t(1)));
@@ -207,7 +207,7 @@ mod tests {
 
     #[test]
     fn committed_visibility_respects_snapshot() {
-        let v = Version::new(t(1), Some(vec![1]));
+        let v = Version::new(t(1), Some(vec![1].into()));
         v.mark_committed(50);
         assert!(v.visible_to(t(2), 50));
         assert!(v.visible_to(t(2), 99));
@@ -220,7 +220,7 @@ mod tests {
 
     #[test]
     fn aborted_versions_are_invisible() {
-        let v = Version::new(t(1), Some(vec![1]));
+        let v = Version::new(t(1), Some(vec![1].into()));
         v.mark_aborted();
         assert!(!v.visible_to(t(1), 100));
         assert!(!v.visible_to(t(2), 100));
@@ -229,7 +229,7 @@ mod tests {
 
     #[test]
     fn provisional_stamp_is_not_settled_visible() {
-        let v = Version::new(t(1), Some(vec![1]));
+        let v = Version::new(t(1), Some(vec![1].into()));
         v.mark_provisional(10);
         assert_eq!(v.state(), VersionState::Provisional(10));
         assert_eq!(v.commit_ts(), None);
@@ -243,7 +243,7 @@ mod tests {
         assert_eq!(v.state(), VersionState::Committed(10));
         assert!(v.visible_to(t(2), 10));
         // An aborting creator overwrites the provisional stamp.
-        let v2 = Version::new(t(2), Some(vec![2]));
+        let v2 = Version::new(t(2), Some(vec![2].into()));
         v2.mark_provisional(11);
         v2.mark_aborted();
         assert_eq!(v2.state(), VersionState::Aborted);

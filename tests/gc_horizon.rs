@@ -191,3 +191,176 @@ fn long_scan_pin_protects_versions_until_dropped() {
     assert_eq!(stats.versions, 20);
     assert_eq!(table.version_count(), 1);
 }
+
+// ---------------------------------------------------------------------------
+// Writer-side pruning: a writer that finds a long chain drops, at the same
+// horizon, what a purge pass would.
+// ---------------------------------------------------------------------------
+
+/// The longest a chain gets when nobody holds anything back: the pruning
+/// bound (four versions found) plus the one being installed.
+const UNHELD_CHAIN_BOUND: usize = 5;
+
+fn overwrite(db: &Database, table: &serializable_si::TableRef, value: u64) {
+    let mut txn = db.begin();
+    txn.put(table, b"k", &value.to_be_bytes()).unwrap();
+    txn.commit().unwrap();
+}
+
+/// A transaction's snapshot and a `pin_purge_horizon` guard each keep their
+/// version while another writer overwrites the row a thousand times; the
+/// chain holds what the older of the two needs and no more; and once both
+/// are gone the next write shortens the chain. `Database::purge` is never
+/// called.
+fn writers_prune_behind_the_oldest_holder(isolation: IsolationLevel) {
+    let db = Database::open(Options::default().with_isolation(isolation));
+    let table = db.create_table("t").unwrap();
+    let mut next = 0u64;
+    let mut write = |n: usize| {
+        for _ in 0..n {
+            overwrite(&db, &table, next);
+            next += 1;
+        }
+        next - 1
+    };
+
+    // Nobody holds anything: the chain never outgrows the bound.
+    for _ in 0..50 {
+        write(1);
+        assert!(table.version_count() <= UNHELD_CHAIN_BOUND);
+    }
+
+    // The older holder is a transaction's snapshot, the younger a pin.
+    let seen_by_reader = write(1);
+    let mut reader = db.begin();
+    let read = |reader: &mut serializable_si::Transaction| {
+        let value = reader.get(&table, b"k").unwrap().expect("row exists");
+        u64::from_be_bytes(value[..].try_into().unwrap())
+    };
+    assert_eq!(read(&mut reader), seen_by_reader);
+    write(10);
+    let pin = db.pin_purge_horizon();
+    for round in 1..=10 {
+        write(100);
+        assert_eq!(
+            read(&mut reader),
+            seen_by_reader,
+            "snapshot lost its version"
+        );
+        let since_reader = 10 + 100 * round;
+        assert!(
+            table.version_count() <= UNHELD_CHAIN_BOUND + since_reader,
+            "{} versions, {since_reader} written since the oldest snapshot",
+            table.version_count()
+        );
+    }
+    assert_eq!(db.transaction_manager().oldest_gc_pin(), Some(pin.ts()));
+
+    // The reader ends: one write prunes down to exactly what the pin holds —
+    // the version visible at the pin, the thousand committed after it — plus
+    // the write itself.
+    reader.commit().unwrap();
+    write(1);
+    assert_eq!(table.version_count(), 1 + 1000 + 1);
+
+    // The pin ends: the next write leaves the newest committed version and
+    // its own.
+    drop(pin);
+    write(1);
+    assert_eq!(table.version_count(), 2);
+
+    let gc = db.metrics().gc;
+    assert_eq!(gc.purge_runs, 0, "no pass ran: writers did all of it");
+    assert_eq!(gc.purged_versions, 0);
+    assert_eq!(
+        gc.pruned_inline_versions,
+        next - table.version_count() as u64,
+        "every version installed is either resident or counted as pruned"
+    );
+}
+
+#[test]
+fn writers_prune_behind_the_oldest_holder_at_si() {
+    writers_prune_behind_the_oldest_holder(IsolationLevel::SnapshotIsolation);
+}
+
+#[test]
+fn writers_prune_behind_the_oldest_holder_at_ssi() {
+    writers_prune_behind_the_oldest_holder(IsolationLevel::SerializableSnapshotIsolation);
+}
+
+/// Loading rows and updating rows that hold one version never asks for the
+/// horizon: `last_gc_horizon` is the highest horizon ever handed out and
+/// stays at its initial zero.
+#[test]
+fn a_load_and_cold_row_updates_never_read_the_horizon() {
+    let db = Database::open_default();
+    let table = db.create_table("t").unwrap();
+    for batch in 0..10u64 {
+        let mut txn = db.begin();
+        for i in 0..100u64 {
+            let key = (batch * 100 + i).to_be_bytes();
+            txn.put(&table, &key, b"loaded").unwrap();
+        }
+        txn.commit().unwrap();
+    }
+    for i in 0..1000u64 {
+        let mut txn = db.begin();
+        txn.put(&table, &i.to_be_bytes(), b"updated").unwrap();
+        txn.commit().unwrap();
+    }
+    assert_eq!(table.version_count(), 2000);
+    assert_eq!(db.transaction_manager().last_gc_horizon(), 0);
+    assert_eq!(db.metrics().gc.pruned_inline_versions, 0);
+}
+
+/// A pin is honoured by horizon reads made on other threads: two writers
+/// keep four hot chains over the pruning bound, so nearly every install reads
+/// the horizon, while this thread takes and drops pins. `last_gc_horizon` is
+/// the highest horizon any thread was ever handed; while a pin is held it
+/// cannot have passed the pin. (The window the reservation in
+/// `pin_gc_horizon` closes is a few instructions wide and not reachable
+/// from here; this checks the contract, the module docs argue the order.)
+#[test]
+fn pins_hold_against_horizon_reads_made_by_pruning_writers() {
+    const COMMITS: u64 = 30_000;
+    let db = Database::open_default();
+    let table = db.create_table("t").unwrap();
+    let commits = std::sync::atomic::AtomicU64::new(0);
+    let failed = AtomicBool::new(false);
+    std::thread::scope(|scope| {
+        for w in 0..2u64 {
+            let (db, table, commits, failed) = (&db, &table, &commits, &failed);
+            scope.spawn(move || {
+                let mut n = w;
+                while commits.load(Ordering::Relaxed) < COMMITS && !failed.load(Ordering::Relaxed) {
+                    n += 2;
+                    let mut txn = db.begin();
+                    let done = txn
+                        .put(table, &(n % 4).to_be_bytes(), &n.to_be_bytes())
+                        .and_then(|()| txn.commit());
+                    match done {
+                        Ok(()) => drop(commits.fetch_add(1, Ordering::Relaxed)),
+                        Err(e) => assert!(e.is_retryable(), "unexpected error: {e}"),
+                    }
+                }
+            });
+        }
+        let mgr = db.transaction_manager();
+        while commits.load(Ordering::Relaxed) < COMMITS {
+            let pin = db.pin_purge_horizon();
+            for _ in 0..64 {
+                let highest = mgr.last_gc_horizon();
+                if highest > pin.ts() {
+                    failed.store(true, Ordering::Relaxed);
+                    panic!(
+                        "a horizon of {highest} was handed out under a pin at {}",
+                        pin.ts()
+                    );
+                }
+                std::hint::spin_loop();
+            }
+        }
+    });
+    assert!(db.metrics().gc.pruned_inline_versions > 0);
+}

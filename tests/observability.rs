@@ -130,6 +130,7 @@ fn clean_path_preserves_zeros() {
     assert_eq!(snap.locks.timeouts, 0);
     assert_eq!(snap.gc.purge_runs, 0);
     assert_eq!(snap.gc.purged_versions, 0);
+    assert_eq!(snap.gc.pruned_inline_versions, 0);
     assert!(!snap.wal.enabled);
     assert_eq!(snap.wal.records, 0);
     assert_eq!(snap.wal.fsyncs, 0);
@@ -220,6 +221,7 @@ fn render_text_golden() {
         "ssi_txn_aborts_by_reason_total{reason=\"pivot-out\"} 0",
         "ssi_txn_aborts_by_reason_total{reason=\"user-rollback\"} 0",
         "ssi_gc_purge_runs_total 0",
+        "ssi_gc_pruned_inline_versions_total 0",
         "ssi_wal_enabled 0",
         "ssi_wal_fsyncs_total 0",
         "ssi_lock_deadlocks_total 0",
