@@ -4,21 +4,54 @@
 //!
 //! The Serializable SI paths follow Figs. 3.4–3.7 of the thesis:
 //!
-//! * `get` takes a non-blocking SIREAD lock, registers a conflict with any
-//!   EXCLUSIVE holder, performs the ordinary snapshot read, and registers a
-//!   conflict with the creator of every newer version it skipped;
+//! * `get` takes the row's SIREAD, performs the ordinary snapshot read, and
+//!   registers a conflict with every writer either reveals: the creator of
+//!   every newer version it skipped and, where the SIREAD is a lock, any
+//!   EXCLUSIVE holder;
 //! * `put`/`delete` take the EXCLUSIVE lock, apply first-committer-wins,
-//!   register conflicts with SIREAD holders that overlap the writer, and —
-//!   for inserts and deletes at row granularity — do the same on the gap
+//!   register conflicts with the SIREAD holders that overlap the writer, and
+//!   — for inserts and deletes at row granularity — do the same on the gap
 //!   lock protecting the key range (phantom handling, Sec. 3.5);
 //! * `scan` is `get` applied to every row the predicate examines, plus
 //!   SIREAD gap locks so later inserts into the scanned range are detected.
 //!   It works a page at a time: the storage cursor lists the page's keys
 //!   without reading them, one `lock_siread_batch` call takes every row's
-//!   record and gap SIREAD, each row is then read exactly once under its
-//!   lock, and the phantom sweep of the page's key range runs only if the
-//!   table's membership epoch moved since the page was listed (see "Why
-//!   scans stay consistent under SSI" in `ssi_storage::table`).
+//!   gap SIREAD, each row is then read exactly once, and the phantom sweep
+//!   of the page's key range runs only if the table's membership epoch moved
+//!   since the page was listed (see "Why scans stay consistent under SSI" in
+//!   `ssi_storage::table`).
+//!
+//! ## Where an SIREAD lives
+//!
+//! An SIREAD never blocks and is never waited for; it only has to be found
+//! by the next writer of what it covers. So it is kept wherever that writer
+//! already looks:
+//!
+//! * **a row, at row granularity: on the row's version chain.** The read
+//!   registers the transaction there in the critical section that reads the
+//!   version, and the install of the row's next version is handed everyone
+//!   registered (`ssi_storage::table`, § SIREAD on the row). Such a read
+//!   builds no lock name, visits no lock table and adds nothing to
+//!   `Transaction::locks`; the transaction keeps one storage handle per new
+//!   registration (`Transaction::siread_rows`) — a scan moves the one its
+//!   page already holds — and the handles travel with the suspended
+//!   transaction until `TransactionManager` releases them. A writer still
+//!   takes the row's EXCLUSIVE lock in the lock table (it is what blocks
+//!   the next writer), and passes both the chain's readers and whatever the
+//!   lock table reported to `mark_write_conflicts`;
+//! * **everything without a chain: in the lock table**, by today's
+//!   lock-then-read protocol. That is a gap, an index entry's gap, a page
+//!   (page granularity has many rows under one name, so a chain cannot
+//!   stand for it), and a row whose key has no chain yet — a `get` of a
+//!   missing key, which the key's first insert meets through its EXCLUSIVE
+//!   request.
+//!
+//! One narrowing against the lock table: a chain shows a reader the writers
+//! that have *installed*, not a transaction that merely holds the EXCLUSIVE
+//! lock (`get_for_update`, or a `put` between its lock grant and its
+//! install). No conflict is lost by that. If the holder goes on to write
+//! the row, its install finds the reader and records the same edge; if it
+//! never does, the row did not change and the reader missed nothing.
 //!
 //! ## Secondary-index protocol
 //!
@@ -57,8 +90,8 @@ use std::sync::Arc;
 use ssi_common::{AbortReason, Bytes, Error, IsolationLevel, Result, TableId, Timestamp, TxnId};
 use ssi_lock::{LockKey, LockMode, ModeSet};
 use ssi_storage::{
-    as_ref_bound, clone_bound, decode_entry, encode_entry, entry_range, Index, ScanPage, ScanRow,
-    VisibleRead,
+    as_ref_bound, clone_bound, decode_entry, encode_entry, entry_range, Index, Installed, ScanPage,
+    ScanRow, Siread, VisibleRead,
 };
 
 use crate::db::{IndexRef, TableRef};
@@ -382,10 +415,10 @@ impl Transaction {
     }
 
     /// SSI handling of keys [`Transaction::sweep_gap_region`] discovered:
-    /// treat each exactly like a row of the page — row SIREAD first
-    /// (without it a later *update* of the phantom key, which takes no gap
-    /// lock, would escape both detection channels), then conflict with the
-    /// creators of its (invisible) versions under that lock and record the
+    /// treat each exactly like a row of the page — the row read with its
+    /// SIREAD (without it a later *update* of the phantom key, which takes
+    /// no gap lock, would escape both detection channels) and its conflicts
+    /// with the creators of the key's (invisible) versions — and record the
     /// predicate read for the verifier. Such keys are never visible to the
     /// scan's snapshot — a version committed before the snapshot would have
     /// been in the ordered index when the page was read.
@@ -396,11 +429,7 @@ impl Transaction {
         snapshot: Timestamp,
     ) -> Result<()> {
         for key in missed {
-            let lock = self.lock_target(table, key.clone());
-            let outcome = self.acquire(lock, LockMode::SiRead)?;
-            self.mark_read_conflicts(&outcome.rw_conflicts)?;
-            let probe = self.snapshot_read(table, &key, snapshot);
-            self.mark_read_conflicts(&probe.newer_creators)?;
+            let probe = self.ssi_read(table, &key, snapshot)?;
             self.record_read(
                 table,
                 &key,
@@ -454,7 +483,7 @@ impl Transaction {
     /// (this transaction is the writer). Only readers that overlap this
     /// transaction count (Fig. 3.5: "has not committed or committed after
     /// this transaction began").
-    fn mark_write_conflicts(&self, readers: &[TxnId]) -> Result<()> {
+    fn mark_write_conflicts<'r>(&self, readers: impl IntoIterator<Item = &'r TxnId>) -> Result<()> {
         let my_begin = self.shared.begin_ts().unwrap_or(Timestamp::MAX);
         for r in readers {
             if *r == self.shared.id() {
@@ -479,8 +508,9 @@ impl Transaction {
         Ok(())
     }
 
-    /// Takes SIREAD on every key of a predicate read's page in one
-    /// lock-table pass (never blocks; see
+    /// Takes SIREAD on every lock-table key of a predicate read's page
+    /// (gaps, or pages at page granularity) in one lock-table pass (never
+    /// blocks; see
     /// [`ssi_lock::LockManager::lock_siread_batch`]), moves the newly
     /// acquired keys into the lock set and registers the conflicts with the
     /// EXCLUSIVE holders found (Fig. 3.4's lock step, applied to a batch).
@@ -560,8 +590,14 @@ impl Transaction {
     /// Repeats `read` until it returns a value that is settled or safely
     /// speculative (see [`Transaction::snapshot_read`]).
     fn settled_read(&mut self, read: impl Fn() -> VisibleRead) -> VisibleRead {
+        let first = read();
+        self.settle(first, read)
+    }
+
+    /// [`Transaction::settled_read`] when the first read is already made —
+    /// by a call that must not be repeated, such as a registering read.
+    fn settle(&mut self, mut read: VisibleRead, again: impl Fn() -> VisibleRead) -> VisibleRead {
         loop {
-            let mut read = read();
             let Some(creator) = read.speculative_of else {
                 return read;
             };
@@ -578,7 +614,10 @@ impl Transaction {
                         .fetch_add(1, Ordering::Relaxed);
                     return read;
                 }
-                Speculation::Retry => std::hint::spin_loop(),
+                Speculation::Retry => {
+                    std::hint::spin_loop();
+                    read = again();
+                }
             }
         }
     }
@@ -613,6 +652,109 @@ impl Transaction {
     }
 
     // ------------------------------------------------------------------
+    // The Serializable-SI row read
+    // ------------------------------------------------------------------
+
+    /// The Serializable-SI read of one row (Fig. 3.4): an SIREAD on the row,
+    /// the snapshot read, and a conflict with every writer either reveals.
+    ///
+    /// At row granularity the SIREAD is a registration on the row's version
+    /// chain, made in the critical section that reads it, so the one visit
+    /// sees every version installed before it and is seen by every install
+    /// after it. A writer that holds the EXCLUSIVE lock but has installed
+    /// nothing yet is not visible there, and need not be: its install will
+    /// find the registration. Only a key with no chain, or page granularity,
+    /// takes the lock table's two steps ([`Transaction::ssi_read_locked`]).
+    fn ssi_read(
+        &mut self,
+        table: &TableRef,
+        key: &[u8],
+        snapshot: Timestamp,
+    ) -> Result<VisibleRead> {
+        if self.row_granularity() {
+            let (read, siread) = table
+                .table
+                .read_registering(key, self.shared.id(), snapshot);
+            if self.keep_row_siread(siread) {
+                return self.finish_ssi_read(table, key, snapshot, read);
+            }
+        }
+        self.ssi_read_locked(table, key, snapshot)
+    }
+
+    /// [`Transaction::ssi_read`] of a scanned row at row granularity, through
+    /// the chain handle its page carries. A new registration keeps that
+    /// handle. Hands the row's key back with the read.
+    fn ssi_read_row(
+        &mut self,
+        table: &TableRef,
+        row: ScanRow,
+        snapshot: Timestamp,
+    ) -> Result<(Arc<[u8]>, VisibleRead)> {
+        let ScanRow { key, handle } = row;
+        let (read, siread) =
+            table
+                .table
+                .read_row_registering(&key, handle, self.shared.id(), snapshot);
+        let read = if self.keep_row_siread(siread) {
+            self.finish_ssi_read(table, &key, snapshot, read)?
+        } else {
+            self.ssi_read_locked(table, &key, snapshot)?
+        };
+        Ok((key, read))
+    }
+
+    /// Files what a registering read reports. False if the key had no chain
+    /// to register on, so the read has yet to be made under a lock-table
+    /// SIREAD.
+    fn keep_row_siread(&mut self, siread: Siread) -> bool {
+        match siread {
+            Siread::New(row) => {
+                self.siread_rows.push(row);
+                true
+            }
+            Siread::Held => true,
+            Siread::NoChain => false,
+        }
+    }
+
+    /// The lock-table form of the row read, in the paper's order: the SIREAD
+    /// lock (never blocks) and a conflict with any EXCLUSIVE holder, then the
+    /// read. A writer either requests its EXCLUSIVE lock after the SIREAD is
+    /// in the lock table (and finds it), still holds it now (and is found),
+    /// or released it before — and then its version is in the chain the read
+    /// is about to visit.
+    fn ssi_read_locked(
+        &mut self,
+        table: &TableRef,
+        key: &[u8],
+        snapshot: Timestamp,
+    ) -> Result<VisibleRead> {
+        let lock = self.lock_target(table, key);
+        let outcome = self.acquire(lock, LockMode::SiRead)?;
+        self.mark_read_conflicts(&outcome.rw_conflicts)?;
+        let read = table.table.read(key, self.shared.id(), snapshot);
+        self.finish_ssi_read(table, key, snapshot, read)
+    }
+
+    /// Settles a row read made under its SIREAD — resolving a creator caught
+    /// in its commit window instead of waiting for its timestamp to be
+    /// published; the SIREAD stands, so a retry reads without registering —
+    /// and marks the conflict with the creator of every newer version.
+    fn finish_ssi_read(
+        &mut self,
+        table: &TableRef,
+        key: &[u8],
+        snapshot: Timestamp,
+        read: VisibleRead,
+    ) -> Result<VisibleRead> {
+        let id = self.shared.id();
+        let read = self.settle(read, || table.table.read(key, id, snapshot));
+        self.mark_read_conflicts(&read.newer_creators)?;
+        Ok(read)
+    }
+
+    // ------------------------------------------------------------------
     // Point reads
     // ------------------------------------------------------------------
 
@@ -644,17 +786,7 @@ impl Transaction {
             }
             IsolationLevel::SerializableSnapshotIsolation => {
                 let snapshot = self.db.txns.ensure_snapshot(&self.shared);
-                let lock = self.lock_target(table, key);
-                // Fig. 3.4: SIREAD lock (never blocks), conflict with any
-                // EXCLUSIVE holder…
-                let outcome = self.acquire(lock, LockMode::SiRead)?;
-                self.mark_read_conflicts(&outcome.rw_conflicts)?;
-                // …then the ordinary snapshot read — resolving a creator
-                // caught in its commit window instead of waiting for its
-                // timestamp to be published — and a conflict with the
-                // creator of every newer version.
-                let read = self.snapshot_read(table, key, snapshot);
-                self.mark_read_conflicts(&read.newer_creators)?;
+                let read = self.ssi_read(table, key, snapshot)?;
                 if !read.read_own_write {
                     self.record_read(
                         table,
@@ -681,21 +813,28 @@ impl Transaction {
             }
             IsolationLevel::SnapshotIsolation | IsolationLevel::SerializableSnapshotIsolation => {
                 let lock = self.lock_target(table, key);
-                let outcome = self.acquire(lock.clone(), LockMode::Exclusive)?;
+                let outcome = self.acquire(lock, LockMode::Exclusive)?;
                 // Snapshot selection is deferred until after the lock is
                 // granted (Sec. 4.5), so a transaction whose first statement
                 // is a locking read never hits first-committer-wins.
                 let snapshot = self.db.txns.ensure_snapshot(&self.shared);
                 // Under the EXCLUSIVE lock nobody else can commit a version
                 // of the key, so the timestamp probed for first-committer-
-                // wins is also that of the value read below.
-                let newest = table.table.write_probe(key).newest_committed_ts;
+                // wins is also that of the value read below. The same chain
+                // visit collects the row's registered readers (and drops
+                // this transaction's own registration, Sec. 3.7.3). A reader
+                // that registers later is found by the install if this
+                // transaction goes on to write the row; if it never does,
+                // the row did not change and the reader missed nothing.
+                let upgrade = self.db.options.ssi.upgrade_siread;
+                let found = table.table.probe_for_update(key, id, upgrade);
+                let newest = found.probe.newest_committed_ts;
                 if newest.is_some_and(|newest| newest > snapshot) {
                     return Err(Error::update_conflict(id));
                 }
                 if self.shared.isolation() == IsolationLevel::SerializableSnapshotIsolation {
-                    self.mark_write_conflicts(&outcome.rw_conflicts)?;
-                    self.maybe_upgrade_siread(&lock);
+                    self.siread_rows_upgraded += usize::from(found.upgraded);
+                    self.mark_write_conflicts(outcome.rw_conflicts.iter().chain(&found.readers))?;
                 }
                 let value = table.table.read_latest_committed(key, id);
                 self.record_read(table, key, newest, false);
@@ -707,27 +846,6 @@ impl Transaction {
     // ------------------------------------------------------------------
     // Writes
     // ------------------------------------------------------------------
-
-    /// Drops this transaction's SIREAD lock on an item once it holds the
-    /// EXCLUSIVE lock on it (Sec. 3.7.3), if the optimization is enabled.
-    ///
-    /// The optimization is sound only when the locking granularity matches
-    /// the versioning granularity: it relies on first-committer-wins
-    /// covering any later writer of the same item. With page-level locks but
-    /// row-level versions a different row on the same page would not trip
-    /// FCW, so the upgrade is suppressed at page granularity.
-    fn maybe_upgrade_siread(&mut self, lock: &LockKey) {
-        if !self.db.options.ssi.upgrade_siread || !self.row_granularity() {
-            return;
-        }
-        if let Some(modes) = self.locks.get_mut(lock) {
-            if modes.remove(LockMode::SiRead) {
-                self.db
-                    .locks
-                    .unlock(self.shared.id(), lock, LockMode::SiRead);
-            }
-        }
-    }
 
     fn do_write(&mut self, table: &TableRef, key: &[u8], value: Option<Bytes>) -> Result<()> {
         // Degraded (read-only) or closed: fail fast with the typed error
@@ -744,7 +862,7 @@ impl Transaction {
         // Every isolation level locks writes exclusively; under SI/SSI this
         // is what implements first-updater-wins (Sec. 2.5).
         let lock = self.lock_target(table, key);
-        let outcome = self.acquire(lock.clone(), LockMode::Exclusive)?;
+        let outcome = self.acquire(lock, LockMode::Exclusive)?;
 
         // One visit of the chain answers both pre-install questions:
         // first-committer-wins here, insert-or-update below. The lock is
@@ -760,11 +878,6 @@ impl Transaction {
             {
                 return Err(Error::update_conflict(id));
             }
-        }
-        if isolation == IsolationLevel::SerializableSnapshotIsolation {
-            // Fig. 3.5: conflict with every overlapping SIREAD holder.
-            self.mark_write_conflicts(&outcome.rw_conflicts)?;
-            self.maybe_upgrade_siread(&lock);
         }
 
         // Phantom handling: inserts and deletes lock the gap after the key
@@ -795,20 +908,40 @@ impl Transaction {
         self.index_maintenance(table, key, value.as_deref())?;
 
         // A long chain is pruned on the way in, at the horizon the purge
-        // pass would use; the horizon is only read if the chain is long.
+        // pass would use; the horizon is only read if the chain is long. The
+        // critical section that pushes the version also hands over the
+        // row's registered readers and drops this transaction's own
+        // registration (the Sec. 3.7.3 upgrade: sound because locking and
+        // versioning granularity match on a chain, so first-committer-wins
+        // covers any later writer of the row).
         let txns = &self.db.txns;
-        let installed = table.table.install(key, id, value, || txns.gc_horizon());
-        if installed.pruned > 0 {
+        let upgrade = self.db.options.ssi.upgrade_siread;
+        let Installed {
+            version,
+            pruned,
+            readers,
+            upgraded,
+        } = table
+            .table
+            .install(key, id, value, upgrade, || txns.gc_horizon());
+        if pruned > 0 {
             txns.stats()
                 .pruned_inline_versions
-                .fetch_add(installed.pruned as u64, Ordering::Relaxed);
+                .fetch_add(pruned as u64, Ordering::Relaxed);
         }
-        let version = installed.version;
         self.writes.push(WriteRecord {
             table: Arc::clone(&table.table),
             key: key.to_vec(),
             version,
         });
+        if isolation == IsolationLevel::SerializableSnapshotIsolation {
+            // Fig. 3.5: conflict with every overlapping SIREAD holder —
+            // those the lock table reported with the EXCLUSIVE grant (pages;
+            // readers that found no chain for the key) and those registered
+            // on the chain.
+            self.siread_rows_upgraded += usize::from(upgraded);
+            self.mark_write_conflicts(outcome.rw_conflicts.iter().chain(&readers))?;
+        }
         Ok(())
     }
 
@@ -973,6 +1106,7 @@ impl Transaction {
         // unit of the phantom sweep) starts.
         let mut prev_last: Option<Arc<[u8]>> = None;
         while let Some(page) = cursor.next_page() {
+            let last_key = page.rows.last().map(|row| row.key.clone());
             let region_start = match &prev_last {
                 Some(key) => Bound::Excluded(&key[..]),
                 None => lower,
@@ -1007,66 +1141,82 @@ impl Transaction {
                 }
             } else {
                 let ssi = isolation == IsolationLevel::SerializableSnapshotIsolation;
+                let row_sireads = ssi && self.row_granularity();
+                let mut missed = Vec::new();
                 if ssi {
-                    // Fig. 3.6: every examined row is read under an SIREAD
-                    // lock, plus an SIREAD gap lock so that inserts into the
-                    // scanned range are detected. The whole page is locked
-                    // first (SIREAD never waits, so one lock-table pass
-                    // does it)…
-                    let mut keys = Vec::with_capacity(2 * page.rows.len() + 1);
+                    // Fig. 3.6: every examined row is read under an SIREAD,
+                    // plus an SIREAD gap lock so that inserts into the
+                    // scanned range are detected. What lives in the lock
+                    // table — the gaps, or at page granularity the rows'
+                    // pages — is locked for the whole page first (SIREAD
+                    // never waits, so one lock-table pass does it)…
+                    let mut keys = Vec::with_capacity(page.rows.len() + 1);
                     for row in &page.rows {
-                        keys.push(self.lock_target(table, row.key.clone()));
-                        if gap_on {
+                        if let Some(pages) = &self.db.pages {
+                            keys.push(LockKey::page(table.id(), pages.page_of(&row.key)));
+                        } else if gap_on {
                             keys.push(LockKey::gap(table.id(), row.key.clone()));
                         }
                     }
                     if gap_on && page.last {
                         keys.push(self.end_gap_target(table, &upper));
                     }
-                    self.acquire_sireads(keys)?;
-                }
-                // …and each row is read once — under SSI, *under* its lock:
-                // the paper's lock-then-read order (Fig. 3.4), which is what
-                // makes the read see every writer the lock table could not
-                // show (one that installed, committed and released its
-                // EXCLUSIVE lock before the SIREAD was granted is in the
-                // chain by now). The read resolves provisional rows at every
-                // level, registering a commit dependency on a mid-window
-                // creator: even read-committed must not return data that can
-                // still roll back.
-                for row in &page.rows {
-                    let read = self.snapshot_read_row(table, row, snapshot);
-                    if ssi {
-                        self.mark_read_conflicts(&read.newer_creators)?;
+                    if !keys.is_empty() {
+                        self.acquire_sireads(keys)?;
                     }
+                    if gap_on {
+                        // …and with the gaps held, keys committed into them
+                        // before the grant (phantoms the listing missed) are
+                        // in the ordered index by now: gap-lock those too.
+                        missed = self.sweep_gap_region(
+                            table,
+                            &page,
+                            region_start,
+                            upper,
+                            LockMode::SiRead,
+                        )?;
+                    }
+                }
+                // Each row is then read once. Under SSI at row granularity
+                // the read registers the row's SIREAD in the same chain
+                // critical section, moving the page's handle into the
+                // transaction; at page granularity it runs under the page
+                // lock taken above. Either way it sees every writer that
+                // cannot see the SIREAD. The read resolves provisional rows
+                // at every level, registering a commit dependency on a
+                // mid-window creator: even read-committed must not return
+                // data that can still roll back.
+                for row in page.rows {
+                    let (key, read) = if row_sireads {
+                        self.ssi_read_row(table, row, snapshot)?
+                    } else {
+                        let read = self.snapshot_read_row(table, &row, snapshot);
+                        if ssi {
+                            self.mark_read_conflicts(&read.newer_creators)?;
+                        }
+                        (row.key, read)
+                    };
                     if !read.key_exists {
                         continue;
                     }
                     if isolation != IsolationLevel::ReadCommitted && !read.read_own_write {
                         self.record_read(
                             table,
-                            &row.key,
+                            &key,
                             read.read_version_ts,
                             read.speculative_of.is_some(),
                         );
                     }
                     if let Some(value) = read.value {
-                        result.push((row.key.to_vec(), value));
+                        result.push((key.to_vec(), value));
                     }
                 }
-                if ssi && gap_on {
-                    // Keys committed into the page's gaps before the gap
-                    // SIREADs were granted (phantoms the listing missed) are
-                    // in the ordered index by now: gap-lock each of them too
-                    // and conflict with their creators exactly as for a
-                    // newer version.
-                    let missed =
-                        self.sweep_gap_region(table, &page, region_start, upper, LockMode::SiRead)?;
-                    self.absorb_missed_keys_ssi(table, missed, snapshot)?;
-                }
+                // The swept keys are read like rows of the page: conflict
+                // with their creators exactly as for a newer version.
+                self.absorb_missed_keys_ssi(table, missed, snapshot)?;
             }
-            if let Some(row) = page.rows.last() {
-                prev_last = Some(row.key.clone());
+            if last_key.is_some() {
+                prev_last = last_key;
             }
         }
         Ok(result)
@@ -1169,9 +1319,8 @@ impl Transaction {
         Ok(())
     }
 
-    /// SSI examination of one index entry whose row SIREAD this transaction
-    /// already holds: snapshot read under the lock, conflicts with the
-    /// creators of newer versions, and the row kept (spliced in entry order)
+    /// SSI examination of one index entry: the row read with its SIREAD
+    /// ([`Transaction::ssi_read`]), and the row kept (spliced in entry order)
     /// only if its snapshot-visible value still extracts to the entry's
     /// index key.
     fn read_index_entry_ssi(
@@ -1185,8 +1334,7 @@ impl Transaction {
         let Some((ik, pk)) = decode_entry(&entry) else {
             return Ok(());
         };
-        let probe = self.snapshot_read(table, &pk, snapshot);
-        self.mark_read_conflicts(&probe.newer_creators)?;
+        let probe = self.ssi_read(table, &pk, snapshot)?;
         if !probe.read_own_write {
             self.record_read(
                 table,
@@ -1328,25 +1476,20 @@ impl Transaction {
                 let gap_on = self.gap_locking_enabled();
                 let mut result = IndexHits::new();
                 let entries = idx.entries_in_range(as_ref_bound(&lo), as_ref_bound(&hi), None);
-                // One lock-table pass for the whole predicate: an SIREAD on
-                // the gap before every entry (so inserts into the scanned
-                // entry range are detected), on every entry's row, and on
-                // the gap that closes the range…
-                let mut keys = Vec::with_capacity(2 * entries.len() + 1);
-                for entry in &entries {
-                    if gap_on {
+                if gap_on {
+                    // One lock-table pass for the whole predicate: an SIREAD
+                    // on the gap before every entry (so inserts into the
+                    // scanned entry range are detected) and on the gap that
+                    // closes the range…
+                    let mut keys = Vec::with_capacity(entries.len() + 1);
+                    for entry in &entries {
                         keys.push(LockKey::gap(idx.id(), entry.clone()));
                     }
-                    if let Some((_, pk)) = decode_entry(entry) {
-                        keys.push(self.lock_target(&table, pk));
-                    }
-                }
-                if gap_on {
                     keys.push(self.index_end_gap(&idx, &hi));
+                    self.acquire_sireads(keys)?;
                 }
-                self.acquire_sireads(keys)?;
                 // …then each entry's row under the ordinary Fig. 3.4/3.6
-                // protocol: read under the lock, conflict with newer
+                // protocol: read with its SIREAD, conflict with newer
                 // creators.
                 for entry in &entries {
                     self.read_index_entry_ssi(&table, &idx, entry.clone(), snapshot, &mut result)?;
@@ -1360,11 +1503,6 @@ impl Transaction {
                         LockMode::SiRead,
                     )?;
                     for entry in missed {
-                        if let Some((_, pk)) = decode_entry(&entry) {
-                            let lock = self.lock_target(&table, pk);
-                            let outcome = self.acquire(lock, LockMode::SiRead)?;
-                            self.mark_read_conflicts(&outcome.rw_conflicts)?;
-                        }
                         self.read_index_entry_ssi(&table, &idx, entry, snapshot, &mut result)?;
                     }
                 }

@@ -749,6 +749,15 @@ impl Database {
         &self.inner.txns
     }
 
+    /// Row SIREAD registrations on the version chains of every table (see
+    /// [`ssi_storage::Table::siread_holder_count`]): the chain-side
+    /// counterpart of the lock manager's `grant_count`, for leak checks.
+    /// Walks every chain.
+    pub fn siread_holder_count(&self) -> usize {
+        let tables = self.inner.catalog.tables();
+        tables.iter().map(|t| t.siread_holder_count()).sum()
+    }
+
     /// The write-ahead log (exposed for statistics and tests).
     pub fn wal(&self) -> &WriteAheadLog {
         &self.inner.wal
@@ -792,6 +801,8 @@ impl Database {
             watermark_sweeps: load(&s.watermark_sweeps),
             scan_sweeps_run: load(&s.scan_sweeps_run),
             scan_sweeps_skipped: load(&s.scan_sweeps_skipped),
+            siread_row_registrations: load(&s.siread_row_registrations),
+            siread_rows_now: load(&s.siread_rows_now),
             abort_reasons: s.abort_reason_counts(),
         };
         let gc = GcMetrics {

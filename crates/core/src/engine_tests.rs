@@ -435,6 +435,7 @@ fn ssi_suspended_transactions_are_cleaned_up() {
     txn.commit().unwrap();
     assert_eq!(db.transaction_manager().suspended_len(), 0);
     assert_eq!(db.lock_manager().grant_count(), 0);
+    assert_eq!(db.siread_holder_count(), 0);
 }
 
 #[test]

@@ -9,8 +9,9 @@
 //!   be found by id when a conflict is discovered through a newer row
 //!   version (Fig. 3.4 line 8);
 //! * keep committed Serializable-SI transactions *suspended* — their record
-//!   and their SIREAD locks stay alive until no concurrent transaction
-//!   remains (Sec. 3.3), and clean them up eagerly in commit order
+//!   and their SIREADs (lock-table keys and row registrations,
+//!   [`HeldSireads`]) stay alive until no concurrent transaction remains
+//!   (Sec. 3.3), and clean them up eagerly in commit order
 //!   (Sec. 4.6.1, the InnoDB strategy).
 //!
 //! # The commit pipeline
@@ -116,15 +117,18 @@
 //!   the committer is itself reclaimable, in which case it never enters
 //!   the list. A finish that suspends nothing (every SI and S2PL finish,
 //!   every abort) looks at the atomic length first and touches the mutex
-//!   only when the list is non-empty. Reclaimed SIREAD locks are dropped
-//!   outside the mutex with one batched lock-manager call per transaction
-//!   (one shard-lock acquisition per lock-table shard touched, not one per
-//!   key; no heap allocation for sets of up to eight keys).
+//!   only when the list is non-empty. Reclaimed SIREADs are dropped
+//!   outside the mutex: the row registrations one chain-mutex visit each,
+//!   through the handle the transaction kept, and the lock-table keys (gaps,
+//!   pages, rows that had no chain) with one batched lock-manager call per
+//!   transaction (one shard-lock acquisition per lock-table shard touched,
+//!   not one per key; no heap allocation for sets of up to eight keys).
 //!
 //! What a Serializable-SI commit pays after its outcome is decided is
 //! therefore: one registry-shard mutex to leave the active set, one horizon
-//! read, one `suspended` mutex, one lock-table visit per SIREAD key, and
-//! one more registry-shard mutex when a record is retired. The horizon
+//! read, one `suspended` mutex, one chain visit per row read (one lock-table
+//! visit per SIREAD key that is a lock), and one more registry-shard mutex
+//! when a record is retired. The horizon
 //! read is two atomic loads while no snapshot-holding transaction has
 //! finished since the last read; otherwise it is the 64-load sweep. Every
 //! finish invalidates the cached horizon, so under load the sweep is the
@@ -249,6 +253,7 @@ use parking_lot::{Condvar, Mutex, MutexGuard};
 use ssi_common::{AbortReason, IsolationLevel, Timestamp, TxnId, TS_ZERO};
 use ssi_lock::{FxBuildHasher, LockKey, LockManager, LockMode};
 use ssi_obs::{EventKind, TraceHandle};
+use ssi_storage::RowHandle;
 
 use crate::txn_shared::TxnShared;
 
@@ -302,12 +307,33 @@ pub enum CommitPhase {
     PreFinalize,
 }
 
+/// The SIREADs a committed Serializable-SI transaction leaves behind, to be
+/// released when nothing concurrent with it remains (Sec. 3.3).
+#[derive(Default)]
+pub struct HeldSireads {
+    /// Keys still granted to it in the lock table: gaps, pages, index
+    /// entries, and rows that had no version chain when it read them.
+    pub locks: Vec<LockKey>,
+    /// Rows whose chains it registered on. May include rows whose
+    /// registration its own write upgraded away since; releasing those is a
+    /// no-op.
+    pub rows: Vec<RowHandle>,
+    /// How many of `rows` are still registered.
+    pub live_rows: usize,
+}
+
+impl HeldSireads {
+    /// True if there is nothing to release.
+    pub fn is_empty(&self) -> bool {
+        self.locks.is_empty() && self.live_rows == 0
+    }
+}
+
 /// A committed Serializable-SI transaction kept around because transactions
 /// concurrent with it may still discover conflicts against it.
 struct SuspendedTxn {
     shared: Arc<TxnShared>,
-    /// SIREAD locks still registered in the lock table on its behalf.
-    siread_locks: Vec<LockKey>,
+    sireads: HeldSireads,
 }
 
 /// One registry shard: the id → record map plus the ordered index of
@@ -433,6 +459,15 @@ pub struct ManagerStats {
     /// Transactions doomed because a creator they speculatively read from
     /// aborted out of its commit window (dependency-abort cascades).
     pub dependency_cascade_aborts: AtomicU64,
+    /// SIREADs registered on version chains (one per row a Serializable-SI
+    /// transaction newly read; see `ssi_storage::table`, § SIREAD on the
+    /// row). Each transaction counts its own in a plain field and adds them
+    /// here once, when it finishes.
+    pub siread_row_registrations: AtomicU64,
+    /// Gauge: row SIREAD registrations held by committed transactions that
+    /// have not been cleaned up yet. Moved by the same per-transaction
+    /// flush, and back when the registrations are released.
+    pub siread_rows_now: AtomicU64,
     /// Lock-free refreshes of the cached `oldest_active_begin` watermark:
     /// one per horizon read that found `finish_gen` moved, each 64 atomic
     /// loads and no mutex. Every finish of a snapshot-holding transaction
@@ -1083,10 +1118,11 @@ impl TransactionManager {
     /// the suspended treatment of Sec. 3.3 — its record and SIREAD locks
     /// must outlive it while any transaction concurrent with it is active;
     /// otherwise the record is retired immediately and its conflict edges
-    /// cleared. A transaction must be suspended when it still holds SIREAD
-    /// locks, and also — with the SIREAD-upgrade optimization of
-    /// Sec. 3.7.3 — when it has recorded an outgoing conflict, even if its
-    /// SIREAD locks were all upgraded away.
+    /// cleared. A transaction must be suspended when it still holds SIREADs
+    /// (`sireads`: lock-table keys and chain registrations alike), and also
+    /// — with the SIREAD-upgrade optimization of Sec. 3.7.3 — when it has
+    /// recorded an outgoing conflict, even if its SIREADs were all upgraded
+    /// away.
     ///
     /// A suspending commit reads the horizon once and makes one pass over
     /// the suspended list (`reclaim_pass`);
@@ -1096,7 +1132,7 @@ impl TransactionManager {
     pub fn finish_commit(
         &self,
         txn: &Arc<TxnShared>,
-        siread_locks: Vec<LockKey>,
+        sireads: HeldSireads,
         suspend: bool,
         locks: &LockManager,
     ) {
@@ -1108,7 +1144,7 @@ impl TransactionManager {
             0,
         );
         if !suspend {
-            debug_assert!(siread_locks.is_empty());
+            debug_assert!(sireads.is_empty());
             self.retire(txn);
             txn.clear_conflicts();
             self.suspend_and_reclaim(None, locks);
@@ -1116,9 +1152,12 @@ impl TransactionManager {
             // Leave the active set first: the horizon read below must not
             // count the committer as concurrent with itself.
             self.deactivate(txn);
+            self.stats
+                .siread_rows_now
+                .fetch_add(sireads.live_rows as u64, Ordering::Relaxed);
             let entry = SuspendedTxn {
                 shared: txn.clone(),
-                siread_locks,
+                sireads,
             };
             self.suspend_and_reclaim(Some(entry), locks);
         }
@@ -1139,11 +1178,11 @@ impl TransactionManager {
     }
 
     /// Reclaims suspended transactions that are no longer concurrent with
-    /// any active transaction: their SIREAD locks are dropped from the lock
-    /// table, their conflict edges cleared and their records removed from
-    /// the registry (Sec. 4.6.1). Every finish does this itself; the public
-    /// entry point is for tests and tools that want the list drained after
-    /// a quiesce. Returns how many were reclaimed.
+    /// any active transaction: their SIREADs are released (row registrations
+    /// and lock-table keys), their conflict edges cleared and their records
+    /// removed from the registry (Sec. 4.6.1). Every finish does this
+    /// itself; the public entry point is for tests and tools that want the
+    /// list drained after a quiesce. Returns how many were reclaimed.
     pub fn cleanup_suspended(&self, locks: &LockManager) -> usize {
         self.suspend_and_reclaim(None, locks)
     }
@@ -1191,8 +1230,9 @@ impl TransactionManager {
     /// transaction began before it committed: the two are concurrent and
     /// may still discover conflicts against each other.
     ///
-    /// The reclaimed transactions' SIREAD locks are released after the
-    /// mutex is dropped, one batched lock-manager call each. Returns how
+    /// The reclaimed transactions' SIREADs are released after the mutex is
+    /// dropped: one batched lock-manager call each for the lock-table keys,
+    /// one chain visit per registered row. Returns how
     /// many entries left the list and whether `committer` entered it (a
     /// committer reclaimed on the spot was never in it and is counted in
     /// neither `suspended` nor `cleaned`).
@@ -1225,7 +1265,14 @@ impl TransactionManager {
         }
         let count = reclaimed.len();
         for entry in reclaimed.into_iter().chain(on_the_spot) {
-            locks.unlock_batch(entry.shared.id(), &entry.siread_locks, LockMode::SiRead);
+            let id = entry.shared.id();
+            locks.unlock_batch(id, &entry.sireads.locks, LockMode::SiRead);
+            let rows = &entry.sireads.rows;
+            let released = rows.iter().filter(|row| row.release_siread(id)).count();
+            debug_assert_eq!(released, entry.sireads.live_rows);
+            self.stats
+                .siread_rows_now
+                .fetch_sub(released as u64, Ordering::Relaxed);
             entry.shared.clear_conflicts();
             self.retire(&entry.shared);
         }
@@ -1377,7 +1424,7 @@ mod tests {
         let t = m.begin(IsolationLevel::SerializableSnapshotIsolation);
         m.ensure_snapshot(&t);
         t.mark_committed(5);
-        m.finish_commit(&t, Vec::new(), false, &locks);
+        m.finish_commit(&t, HeldSireads::default(), false, &locks);
         assert_eq!(m.registry_len(), 0);
         assert_eq!(m.suspended_len(), 0);
         assert_eq!(m.oldest_active_begin(), Timestamp::MAX);
@@ -1398,7 +1445,11 @@ mod tests {
         locks.lock(r.id(), &key, LockMode::SiRead).unwrap();
 
         r.mark_committed(tick(&m));
-        m.finish_commit(&r, vec![key.clone()], true, &locks);
+        let held = HeldSireads {
+            locks: vec![key.clone()],
+            ..HeldSireads::default()
+        };
+        m.finish_commit(&r, held, true, &locks);
         assert_eq!(m.suspended_len(), 1);
         assert!(m.find(r.id()).is_some(), "suspended txns stay findable");
 
@@ -1408,7 +1459,7 @@ mod tests {
 
         // C's own finish reclaims R: the record and the SIREAD lock go.
         c.mark_committed(tick(&m));
-        m.finish_commit(&c, Vec::new(), false, &locks);
+        m.finish_commit(&c, HeldSireads::default(), false, &locks);
         assert_eq!(m.suspended_len(), 0);
         assert!(m.find(r.id()).is_none());
         assert!(locks.holds(r.id(), &key).is_empty());
@@ -1433,7 +1484,11 @@ mod tests {
             locks.lock(r.id(), key, LockMode::SiRead).unwrap();
         }
         r.mark_committed(tick(&m));
-        m.finish_commit(&r, keys.clone(), true, &locks);
+        let held = HeldSireads {
+            locks: keys.clone(),
+            ..HeldSireads::default()
+        };
+        m.finish_commit(&r, held, true, &locks);
         assert_eq!(m.suspended_len(), 0);
         assert_eq!(m.registry_len(), 0);
         assert_eq!(locks.grant_count(), 0, "all SIREAD locks must be dropped");
@@ -1453,7 +1508,7 @@ mod tests {
         m.ensure_snapshot(&b);
         assert_eq!(m.oldest_active_begin(), a.begin_ts().unwrap());
         a.mark_committed(tick(&m));
-        m.finish_commit(&a, Vec::new(), false, &locks);
+        m.finish_commit(&a, HeldSireads::default(), false, &locks);
         assert_eq!(m.oldest_active_begin(), b.begin_ts().unwrap());
         b.mark_aborted();
         m.finish_abort(&b, AbortReason::UserRollback, &locks);
@@ -1504,14 +1559,14 @@ mod tests {
             let r = m.begin(IsolationLevel::SerializableSnapshotIsolation);
             m.ensure_snapshot(&r);
             r.mark_committed(tick(&m));
-            m.finish_commit(&r, Vec::new(), true, &locks);
+            m.finish_commit(&r, HeldSireads::default(), true, &locks);
         }
         let active = m.begin(IsolationLevel::SerializableSnapshotIsolation);
         m.ensure_snapshot(&active);
         let r3 = m.begin(IsolationLevel::SerializableSnapshotIsolation);
         m.ensure_snapshot(&r3);
         r3.mark_committed(tick(&m));
-        m.finish_commit(&r3, Vec::new(), true, &locks);
+        m.finish_commit(&r3, HeldSireads::default(), true, &locks);
         assert_eq!(m.suspended_len(), 3);
 
         old.mark_aborted();
@@ -1534,7 +1589,7 @@ mod tests {
         let r = m.begin(IsolationLevel::SerializableSnapshotIsolation);
         m.ensure_snapshot(&r);
         r.mark_committed(tick(&m));
-        m.finish_commit(&r, Vec::new(), true, &locks);
+        m.finish_commit(&r, HeldSireads::default(), true, &locks);
         assert_eq!(m.suspended_len(), 1);
         let after_first = sweeps(&m);
         assert_eq!(after_first, 1, "one finish: one refresh");
@@ -1568,7 +1623,7 @@ mod tests {
         let r0 = m.begin(IsolationLevel::SerializableSnapshotIsolation);
         m.ensure_snapshot(&r0);
         r0.mark_committed(tick(&m));
-        m.finish_commit(&r0, Vec::new(), true, &locks);
+        m.finish_commit(&r0, HeldSireads::default(), true, &locks);
         assert_eq!(m.suspended_len(), 0);
 
         // New active transaction A, then reader R commits suspended at a
@@ -1578,7 +1633,7 @@ mod tests {
         let r = m.begin(IsolationLevel::SerializableSnapshotIsolation);
         m.ensure_snapshot(&r);
         r.mark_committed(tick(&m));
-        m.finish_commit(&r, Vec::new(), true, &locks);
+        m.finish_commit(&r, HeldSireads::default(), true, &locks);
         assert_eq!(m.suspended_len(), 1, "R is concurrent with A");
         assert_eq!(m.cleanup_suspended(&locks), 0);
         assert!(m.find(r.id()).is_some());
@@ -1620,7 +1675,7 @@ mod tests {
                         // snapshot (SIREAD locks come from reads).
                         let suspend = t.begin_ts().is_some() && rng.chance(0.5);
                         t.mark_committed(tick(&m));
-                        m.finish_commit(&t, Vec::new(), suspend, &locks);
+                        m.finish_commit(&t, HeldSireads::default(), suspend, &locks);
                     }
                     4 if !live.is_empty() => {
                         let t = live.swap_remove(rng.index(live.len()));
@@ -1663,7 +1718,7 @@ mod tests {
         // below it: the sweep reruns only once a snapshot holder finishes.)
         assert!(m.gc_horizon() <= a.begin_ts().unwrap());
         a.mark_committed(tick(&m));
-        m.finish_commit(&a, Vec::new(), false, &locks);
+        m.finish_commit(&a, HeldSireads::default(), false, &locks);
         assert_eq!(m.gc_horizon(), m.current_ts());
     }
 
@@ -1767,7 +1822,7 @@ mod tests {
         let a = m.begin(IsolationLevel::SerializableSnapshotIsolation);
         let b = m.begin(IsolationLevel::SerializableSnapshotIsolation);
         a.mark_committed(2);
-        m.finish_commit(&a, Vec::new(), false, &locks);
+        m.finish_commit(&a, HeldSireads::default(), false, &locks);
         b.mark_aborted();
         m.finish_abort(&b, AbortReason::UserRollback, &locks);
         m.cleanup_suspended(&locks);

@@ -10,10 +10,10 @@ use std::sync::Arc;
 
 use ssi_common::{AbortReason, Error, IsolationLevel, Result, Timestamp, TxnId};
 use ssi_lock::{FxBuildHasher, LockKey, LockMode, LockOutcome, ModeSet};
-use ssi_storage::{Table, Version};
+use ssi_storage::{RowHandle, Table, Version};
 
 use crate::db::DbInner;
-use crate::manager::CommitPhase;
+use crate::manager::{CommitPhase, HeldSireads};
 use crate::ssi;
 use crate::txn_shared::{TxnShared, TxnStatus};
 use crate::verify::{CommittedTxn, ReadRecord, WriteRecordEntry};
@@ -48,6 +48,15 @@ pub struct Transaction {
     /// bytes with the lock table (and, for scanned rows, with the storage
     /// index), so the set is Fx-hashed like the lock table itself.
     pub(crate) locks: HashMap<LockKey, ModeSet, FxBuildHasher>,
+    /// Rows this transaction registered an SIREAD on, one handle per new
+    /// registration (row granularity; see `ssi_storage::table`, § SIREAD on
+    /// the row). Its length is also the count flushed into
+    /// `ManagerStats::siread_row_registrations` at finish.
+    pub(crate) siread_rows: Vec<RowHandle>,
+    /// How many of those registrations this transaction's own writes have
+    /// dropped since (Sec. 3.7.3). The handles stay in `siread_rows`;
+    /// releasing through them is a no-op.
+    pub(crate) siread_rows_upgraded: usize,
     /// Versions installed by this transaction.
     pub(crate) writes: Vec<WriteRecord>,
     /// Reads recorded for the serializability verifier (only when the
@@ -75,6 +84,8 @@ impl Transaction {
             shared,
             state: LocalState::Active,
             locks: HashMap::default(),
+            siread_rows: Vec::new(),
+            siread_rows_upgraded: 0,
             writes: Vec::new(),
             reads: Vec::new(),
             index_writes: Vec::new(),
@@ -155,8 +166,9 @@ impl Transaction {
     /// an [`Error::Aborted`] of kind `Unsafe` is returned. After a
     /// successful check, all versions written become visible atomically, the
     /// commit record is appended to the WAL (waiting for the simulated flush
-    /// if one is configured), locks are released — except SIREAD locks,
-    /// which stay registered while the transaction is suspended (Sec. 3.3) —
+    /// if one is configured), locks are released — except SIREADs, in the
+    /// lock table or on the rows' chains, which stay in place while the
+    /// transaction is suspended (Sec. 3.3) —
     /// and eligible suspended transactions are cleaned up (Sec. 4.6.1).
     ///
     /// The commit pipeline (see [`crate::manager`]) is wait-free on the
@@ -405,29 +417,35 @@ impl Transaction {
         }
 
         // --- lock release / suspension --------------------------------------
-        // SIREAD locks outlive the commit while the transaction is suspended
-        // (Sec. 3.3): their keys move out of the lock set into the suspended
-        // record, bytes still shared with the lock table. Every other mode
-        // is released now.
+        // SIREADs outlive the commit while the transaction is suspended
+        // (Sec. 3.3): the lock-table keys move out of the lock set into the
+        // suspended record, bytes still shared with the lock table, and the
+        // row handles go with them. Every other mode is released now.
         let id = self.shared.id();
-        let mut siread_keys = Vec::new();
+        let mut sireads = HeldSireads::default();
         for (key, modes) in std::mem::take(&mut self.locks) {
             for mode in modes.iter().filter(|mode| *mode != LockMode::SiRead) {
                 self.db.locks.unlock(id, &key, mode);
             }
             if modes.contains(LockMode::SiRead) {
-                siread_keys.push(key);
+                sireads.locks.push(key);
             }
         }
-        debug_assert!(is_ssi || siread_keys.is_empty());
+        self.flush_siread_row_count();
+        sireads.live_rows = self.siread_rows.len() - self.siread_rows_upgraded;
+        let rows = std::mem::take(&mut self.siread_rows);
+        if sireads.live_rows > 0 {
+            sireads.rows = rows;
+        }
+        debug_assert!(is_ssi || sireads.is_empty());
         let (_, out_conflict) = self.shared.conflict_flags();
-        let suspend = is_ssi && (!siread_keys.is_empty() || out_conflict);
+        let suspend = is_ssi && (!sireads.is_empty() || out_conflict);
 
         // The epilogue (Sec. 4.6.1, eager cleanup): suspend or reclaim this
         // transaction and reclaim whatever its departure made reclaimable.
         self.db
             .txns
-            .finish_commit(&self.shared, siread_keys, suspend, &self.db.locks);
+            .finish_commit(&self.shared, sireads, suspend, &self.db.locks);
 
         self.writes.clear();
         self.state = LocalState::Committed;
@@ -505,6 +523,17 @@ impl Transaction {
         Ok(())
     }
 
+    /// Adds this transaction's row SIREAD registrations to the engine-wide
+    /// counter: once, at finish, so the read path shares no atomic.
+    fn flush_siread_row_count(&self) {
+        if !self.siread_rows.is_empty() {
+            self.db.txns.stats().siread_row_registrations.fetch_add(
+                self.siread_rows.len() as u64,
+                std::sync::atomic::Ordering::Relaxed,
+            );
+        }
+    }
+
     /// Rolls the transaction back, undoing all of its writes.
     pub fn rollback(mut self) {
         self.abort_internal(AbortReason::UserRollback);
@@ -516,6 +545,12 @@ impl Transaction {
     pub(crate) fn abort_internal(&mut self, reason: AbortReason) {
         if self.state != LocalState::Active {
             return;
+        }
+        // Row SIREADs first: a chain this transaction's rolled-back insert
+        // leaves empty can then be unmapped on the spot.
+        self.flush_siread_row_count();
+        for row in std::mem::take(&mut self.siread_rows) {
+            row.release_siread(self.shared.id());
         }
         for w in &self.writes {
             w.version.mark_aborted();
@@ -570,6 +605,7 @@ impl std::fmt::Debug for Transaction {
             .field("isolation", &self.shared.isolation())
             .field("state", &self.state)
             .field("locks", &self.locks.len())
+            .field("siread_rows", &self.siread_rows.len())
             .field("writes", &self.writes.len())
             .finish()
     }

@@ -19,6 +19,27 @@
 //! Blocking requests participate in deadlock detection via a wait-for graph;
 //! the transaction that closes a cycle is chosen as the victim, mirroring the
 //! inline detection used by InnoDB.
+//!
+//! ## What the engine keeps here, and what it does not
+//!
+//! Every `SHARED` and `EXCLUSIVE` lock of every isolation level lives in this
+//! table: those are the modes that block, and the wait queue and the
+//! deadlock detector are here. Of the `SIREAD` locks, the ones on *rows at
+//! row granularity* do not. A row's readers are kept on the row's version
+//! chain in `ssi-storage`, where its next writer pushes its version and
+//! collects them in the same critical section; a second table keyed by the
+//! same row would only add a visit. What remains here is every `SIREAD`
+//! whose object has no version chain to carry it:
+//!
+//! * **gaps**, of table keys and of secondary-index entries (a gap is
+//!   between rows, not on one);
+//! * **pages**, at page granularity (one name covers many rows);
+//! * **rows with no chain yet**: a read of a key that does not exist leaves
+//!   its `SIREAD` on the record name, and the key's first insert finds it
+//!   when it takes the `EXCLUSIVE` lock on that name.
+//!
+//! Writers meet all of these through the `rw_conflicts` of their own
+//! `EXCLUSIVE` grants, as they always have.
 
 pub mod key;
 pub mod manager;

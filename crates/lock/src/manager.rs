@@ -27,21 +27,22 @@
 //!
 //! ## Batched SIREAD for predicate reads
 //!
-//! A Serializable-SI range scan takes an SIREAD lock on every row it
-//! examines and on the gap before it (next-key locking, Sec. 3.5). Because
-//! SIREAD never waits, a whole page of such requests needs none of the
-//! blocking protocol: [`LockManager::lock_siread_batch`] groups the page's
-//! keys by shard, takes each shard mutex once, and for every key does what
+//! A Serializable-SI range scan takes an SIREAD lock on the gap before every
+//! row it examines (next-key locking, Sec. 3.5), and at page granularity on
+//! every row's page; a row's own SIREAD lives on its version chain (see the
+//! crate docs). Because SIREAD never waits, a whole page of such requests
+//! needs none of the blocking protocol: [`LockManager::lock_siread_batch`]
+//! groups the page's keys by shard, takes each shard mutex once, and for every key does what
 //! [`LockManager::lock`] would do for a lone SIREAD request — grant unless
 //! already covered, and report the EXCLUSIVE holders. Keys of one shard are
 //! processed in batch order, so the outcome (grants, reported conflicts,
-//! `stats.requests`) equals that of the same requests issued one by one; the
-//! tests below check that equivalence over random holder layouts. The scan
-//! reads the rows only after the batch returns, which keeps the paper's
-//! lock-then-read order: a writer either finds the scan's SIREAD when it
-//! takes its EXCLUSIVE lock, is found holding that lock by the batch, or has
-//! released it — and then its version is already in the chain the scan is
-//! about to read.
+//! requests counted) equals that of the same requests issued one by one; the
+//! tests below check that equivalence over random holder layouts. Whatever
+//! the scan reads under these locks it reads only after the batch returns,
+//! which keeps the paper's lock-then-read order: a writer either finds the
+//! scan's SIREAD when it takes its EXCLUSIVE lock, is found holding that lock
+//! by the batch, or has released it — and then what it wrote is already in
+//! place for the scan to find.
 //! [`LockManager::unlock_batch`] is the release-side counterpart, used when
 //! a suspended transaction's SIREAD locks are reclaimed.
 
@@ -81,28 +82,38 @@ impl Default for LockConfig {
     }
 }
 
-/// Counters exposed for benchmarks and tests.
+/// Counters of the slow paths. Requests themselves are counted in the shard
+/// that serves them ([`Shard::requests`]): one counter shared by every
+/// request would move its cache line between cores on each of them.
 #[derive(Default, Debug)]
-pub struct LockStats {
-    /// Total lock requests (including re-acquisitions).
-    pub requests: AtomicU64,
+struct SlowPathStats {
     /// Requests that blocked at least once.
-    pub waits: AtomicU64,
+    waits: AtomicU64,
     /// Requests aborted because they closed a wait-for cycle.
-    pub deadlocks: AtomicU64,
+    deadlocks: AtomicU64,
     /// Requests that exhausted the wait timeout.
-    pub timeouts: AtomicU64,
+    timeouts: AtomicU64,
 }
 
-impl LockStats {
+/// Counters exposed for benchmarks and tests (see [`LockManager::stats`]).
+pub struct LockStats<'a> {
+    manager: &'a LockManager,
+}
+
+impl LockStats<'_> {
     /// Snapshot of the counters as plain integers
-    /// `(requests, waits, deadlocks, timeouts)`.
+    /// `(requests, waits, deadlocks, timeouts)`: total lock requests
+    /// (including re-acquisitions; one per key of a batch), requests that
+    /// blocked at least once, requests aborted because they closed a
+    /// wait-for cycle, and requests that exhausted the wait timeout.
     pub fn snapshot(&self) -> (u64, u64, u64, u64) {
+        let shards = &self.manager.shards;
+        let slow = &self.manager.stats;
         (
-            self.requests.load(Ordering::Relaxed),
-            self.waits.load(Ordering::Relaxed),
-            self.deadlocks.load(Ordering::Relaxed),
-            self.timeouts.load(Ordering::Relaxed),
+            shards.iter().map(|shard| shard.lock().requests).sum(),
+            slow.waits.load(Ordering::Relaxed),
+            slow.deadlocks.load(Ordering::Relaxed),
+            slow.timeouts.load(Ordering::Relaxed),
         )
     }
 }
@@ -188,7 +199,12 @@ struct LockEntry {
 }
 
 /// One shard of the lock table.
-type ShardMap = HashMap<LockKey, LockEntry, FxBuildHasher>;
+#[derive(Default)]
+struct Shard {
+    table: HashMap<LockKey, LockEntry, FxBuildHasher>,
+    /// Lock requests this shard has served, counted under its mutex.
+    requests: u64,
+}
 
 impl LockEntry {
     /// Entry for an item nobody held or waited for, granted to `txn`.
@@ -275,23 +291,23 @@ impl LockEntry {
 /// The lock manager. Shared by reference (usually `Arc`) between all
 /// transactions of a database.
 pub struct LockManager {
-    shards: Vec<Mutex<ShardMap>>,
+    shards: Vec<Mutex<Shard>>,
     waits_for: Mutex<WaitForGraph>,
     config: LockConfig,
-    stats: LockStats,
+    stats: SlowPathStats,
 }
 
 impl LockManager {
     /// Creates a lock manager with the given configuration.
     pub fn new(config: LockConfig) -> Self {
         let shards = (0..config.shards.max(1))
-            .map(|_| Mutex::new(HashMap::default()))
+            .map(|_| Mutex::new(Shard::default()))
             .collect();
         LockManager {
             shards,
             waits_for: Mutex::new(WaitForGraph::new()),
             config,
-            stats: LockStats::default(),
+            stats: SlowPathStats::default(),
         }
     }
 
@@ -301,8 +317,8 @@ impl LockManager {
     }
 
     /// Access to the counters.
-    pub fn stats(&self) -> &LockStats {
-        &self.stats
+    pub fn stats(&self) -> LockStats<'_> {
+        LockStats { manager: self }
     }
 
     fn shard_index(&self, key: &LockKey) -> usize {
@@ -311,7 +327,7 @@ impl LockManager {
         (hasher.finish() as usize) % self.shards.len()
     }
 
-    /// Visits `count` keys grouped by lock-table shard: `visit(map, i)` runs
+    /// Visits `count` keys grouped by lock-table shard: `visit(shard, i)` runs
     /// for every position `i < count` (`key_at(i)` names the key), with each
     /// shard's mutex taken once for all of that shard's keys. Within a
     /// shard, keys are visited in position order, so repeated keys and a
@@ -325,7 +341,7 @@ impl LockManager {
         &self,
         count: usize,
         key_at: impl Fn(usize) -> &'k LockKey,
-        mut visit: impl FnMut(&mut ShardMap, usize),
+        mut visit: impl FnMut(&mut Shard, usize),
     ) {
         if count <= SMALL_BATCH {
             let shard_of: InlineVec<usize, SMALL_BATCH> =
@@ -335,10 +351,10 @@ impl LockManager {
                 if visited & (1 << first) != 0 {
                     continue;
                 }
-                let mut map = self.shards[shard_of[first]].lock();
+                let mut shard = self.shards[shard_of[first]].lock();
                 for i in first..count {
                     if shard_of[i] == shard_of[first] {
-                        visit(&mut map, i);
+                        visit(&mut shard, i);
                         visited |= 1 << i;
                     }
                 }
@@ -361,9 +377,9 @@ impl LockManager {
         let mut at = 0;
         while at < order.len() {
             let shard = shard_of[order[at]];
-            let mut map = self.shards[shard].lock();
+            let mut guard = self.shards[shard].lock();
             while at < order.len() && shard_of[order[at]] == shard {
-                visit(&mut map, order[at]);
+                visit(&mut guard, order[at]);
                 at += 1;
             }
         }
@@ -376,7 +392,6 @@ impl LockManager {
     /// failure the transaction was chosen as a deadlock victim or timed out;
     /// the caller is expected to abort it.
     pub fn lock(&self, txn: TxnId, key: &LockKey, mode: LockMode) -> Result<LockOutcome> {
-        self.stats.requests.fetch_add(1, Ordering::Relaxed);
         let shard = &self.shards[self.shard_index(key)];
         // Taken when the request first has to wait: a request granted at
         // once reads no clock.
@@ -385,7 +400,12 @@ impl LockManager {
         let mut wait_node: Option<Arc<WaitNode>> = None;
 
         loop {
-            let mut map = shard.lock();
+            let mut guard = shard.lock();
+            if wait_node.is_none() {
+                // The request's first pass: a later one has queued.
+                guard.requests += 1;
+            }
+            let map = &mut guard.table;
             let Some(entry) = map.get_mut(key) else {
                 // Nobody holds or waits for the item: grant at once. (A
                 // queued waiter keeps its entry alive, so this is always
@@ -406,7 +426,7 @@ impl LockManager {
                     entry.remove_waiter(node);
                     entry.notify_waiters();
                 }
-                drop(map);
+                drop(guard);
                 if waited {
                     self.waits_for.lock().clear_waiter(txn);
                 }
@@ -435,7 +455,7 @@ impl LockManager {
                     entry.remove_waiter(node);
                     entry.notify_waiters();
                 }
-                drop(map);
+                drop(guard);
                 if waited {
                     self.waits_for.lock().clear_waiter(txn);
                 }
@@ -459,7 +479,7 @@ impl LockManager {
                     entry.remove_waiter(node);
                     entry.notify_waiters();
                 }
-                drop(map);
+                drop(guard);
                 self.waits_for.lock().clear_waiter(txn);
                 return Err(Error::deadlock(txn));
             }
@@ -470,7 +490,7 @@ impl LockManager {
             if !entry.waiters.iter().any(|w| Arc::ptr_eq(w, &node)) {
                 entry.waiters.push(node.clone());
             }
-            drop(map);
+            drop(guard);
 
             if !waited {
                 self.stats.waits.fetch_add(1, Ordering::Relaxed);
@@ -487,7 +507,7 @@ impl LockManager {
 
             if Instant::now() >= deadline {
                 self.stats.timeouts.fetch_add(1, Ordering::Relaxed);
-                let mut map = shard.lock();
+                let map = &mut shard.lock().table;
                 if let Some(entry) = map.get_mut(key) {
                     entry.remove_waiter(&node);
                     entry.notify_waiters();
@@ -495,7 +515,6 @@ impl LockManager {
                         map.remove(key);
                     }
                 }
-                drop(map);
                 self.waits_for.lock().clear_waiter(txn);
                 return Err(Error::LockTimeout);
             }
@@ -510,9 +529,6 @@ impl LockManager {
     /// key.
     pub fn lock_siread_batch(&self, txn: TxnId, keys: &[LockKey]) -> SireadBatch {
         const MODE: LockMode = LockMode::SiRead;
-        self.stats
-            .requests
-            .fetch_add(keys.len() as u64, Ordering::Relaxed);
         let mut out = SireadBatch {
             newly_acquired: vec![false; keys.len()],
             rw_conflicts: Vec::new(),
@@ -520,10 +536,13 @@ impl LockManager {
         self.visit_by_shard(
             keys.len(),
             |i| &keys[i],
-            |map, i| {
+            |shard, i| {
+                shard.requests += 1;
                 let key = &keys[i];
-                let Some(entry) = map.get_mut(key) else {
-                    map.insert(key.clone(), LockEntry::granted_to(txn, MODE));
+                let Some(entry) = shard.table.get_mut(key) else {
+                    shard
+                        .table
+                        .insert(key.clone(), LockEntry::granted_to(txn, MODE));
                     out.newly_acquired[i] = true;
                     return;
                 };
@@ -545,13 +564,13 @@ impl LockManager {
     /// not held is a no-op.
     pub fn unlock(&self, txn: TxnId, key: &LockKey, mode: LockMode) {
         let shard = &self.shards[self.shard_index(key)];
-        let mut map = shard.lock();
-        Self::unlock_locked(&mut map, txn, key, mode);
+        Self::unlock_locked(&mut shard.lock(), txn, key, mode);
     }
 
     /// Single-key release against an already-locked shard map; shared by
     /// [`LockManager::unlock`] and [`LockManager::unlock_batch`].
-    fn unlock_locked(map: &mut ShardMap, txn: TxnId, key: &LockKey, mode: LockMode) {
+    fn unlock_locked(shard: &mut Shard, txn: TxnId, key: &LockKey, mode: LockMode) {
+        let map = &mut shard.table;
         if let Some(entry) = map.get_mut(key) {
             if let Some(pos) = entry.granted.iter().position(|(t, _)| *t == txn) {
                 let modes = &mut entry.granted.as_mut_slice()[pos].1;
@@ -570,7 +589,7 @@ impl LockManager {
     /// Releases every mode held by `txn` on `key`.
     pub fn unlock_all_modes(&self, txn: TxnId, key: &LockKey) {
         let shard = &self.shards[self.shard_index(key)];
-        let mut map = shard.lock();
+        let map = &mut shard.lock().table;
         if let Some(entry) = map.get_mut(key) {
             if let Some(pos) = entry.granted.iter().position(|(t, _)| *t == txn) {
                 entry.granted.swap_remove(pos);
@@ -592,15 +611,16 @@ impl LockManager {
         self.visit_by_shard(
             keys.len(),
             |i| &keys[i],
-            |map, i| Self::unlock_locked(map, txn, &keys[i], mode),
+            |shard, i| Self::unlock_locked(shard, txn, &keys[i], mode),
         );
     }
 
     /// Returns the set of modes `txn` currently holds on `key`.
     pub fn holds(&self, txn: TxnId, key: &LockKey) -> ModeSet {
-        let shard = &self.shards[self.shard_index(key)];
-        let map = shard.lock();
-        map.get(key)
+        let shard = self.shards[self.shard_index(key)].lock();
+        shard
+            .table
+            .get(key)
             .map(|e| e.holder_modes(txn))
             .unwrap_or(ModeSet::EMPTY)
     }
@@ -610,9 +630,10 @@ impl LockManager {
     /// by the engine when it discovers conflicts through version visibility
     /// rather than through a lock request.
     pub fn peek_rw_conflicts(&self, txn: TxnId, key: &LockKey, mode: LockMode) -> Vec<TxnId> {
-        let shard = &self.shards[self.shard_index(key)];
-        let map = shard.lock();
-        map.get(key)
+        let shard = self.shards[self.shard_index(key)].lock();
+        shard
+            .table
+            .get(key)
             .map(|e| e.rw_conflict_holders(txn, mode))
             .unwrap_or_default()
     }
@@ -622,13 +643,16 @@ impl LockManager {
     pub fn grant_count(&self) -> usize {
         self.shards
             .iter()
-            .map(|s| s.lock().values().map(|e| e.granted.len()).sum::<usize>())
+            .map(|s| {
+                let shard = s.lock();
+                shard.table.values().map(|e| e.granted.len()).sum::<usize>()
+            })
             .sum()
     }
 
     /// Number of distinct keys present in the lock table.
     pub fn key_count(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().len()).sum()
+        self.shards.iter().map(|s| s.lock().table.len()).sum()
     }
 }
 

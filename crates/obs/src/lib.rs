@@ -38,6 +38,11 @@
 //! - `watermark_sweeps` — lock-free refreshes of the begin watermark the
 //!   commit epilogue and the GC horizon share (64 atomic loads each; about
 //!   one per commit while transactions have registry shards to themselves).
+//! - `siread_row_registrations` — SIREADs a Serializable-SI read registered
+//!   on the row's version chain (row granularity; everything else is a
+//!   lock request, see **Locks**), counted per transaction and added when it
+//!   finishes; `siread_rows_now` is the gauge of registrations committed
+//!   transactions still hold while suspended (`ssi_txn_siread_rows`).
 //!
 //! **Garbage collection** ([`GcMetrics`]) — `purge_runs`,
 //! `background_purge_runs`, `purged_versions`, `purged_chains` count what
@@ -49,8 +54,11 @@
 //! `flusher_fsyncs`, `flusher_batches`, `io_failures`, `fsync_retries`,
 //! `reclaim_attempts`; plus an `enabled` gauge (durability may be off).
 //!
-//! **Locks** ([`LockMetrics`]) — `requests`, `waits`, `deadlocks`,
-//! `timeouts` (meaningful for the S2PL baseline and `get_for_update`).
+//! **Locks** ([`LockMetrics`]) — `requests` (lock-table requests, one per
+//! key of a batch: every EXCLUSIVE and SHARED lock, and the SIREADs on gaps,
+//! pages, index entries and rows that have no version chain yet), `waits`,
+//! `deadlocks`, `timeouts` (meaningful for the S2PL baseline and
+//! `get_for_update`).
 //!
 //! **Storage** ([`TableMetrics`], gauges) — per-table live `keys` and total
 //! `versions` (dead versions awaiting GC included).

@@ -65,6 +65,12 @@ pub struct TxnMetrics {
     pub scan_sweeps_run: u64,
     /// Scan pages whose phantom sweep was skipped (epoch unchanged).
     pub scan_sweeps_skipped: u64,
+    /// Row SIREADs registered on version chains, flushed per transaction
+    /// at finish.
+    pub siread_row_registrations: u64,
+    /// Gauge: row SIREAD registrations held by committed transactions
+    /// awaiting cleanup.
+    pub siread_rows_now: u64,
     /// Aborts by [`AbortReason`], indexed by `AbortReason::index()`.
     /// Sums to `aborted`.
     pub abort_reasons: [u64; AbortReason::COUNT],
@@ -244,6 +250,15 @@ impl MetricsSnapshot {
             "ssi_txn_scan_sweeps_skipped_total",
             self.txn.scan_sweeps_skipped,
         );
+        counter(
+            &mut out,
+            "ssi_txn_siread_row_registrations_total",
+            self.txn.siread_row_registrations,
+        );
+        out.push_str(&format!(
+            "# TYPE ssi_txn_siread_rows gauge\nssi_txn_siread_rows {}\n",
+            self.txn.siread_rows_now
+        ));
 
         out.push_str("# TYPE ssi_txn_aborts_by_reason_total counter\n");
         for reason in AbortReason::ALL {
@@ -404,7 +419,8 @@ impl MetricsSnapshot {
              \"cleaned\":{},\"suspended_now\":{},\"publish_parks\":{},\"read_publication_waits\":{},\
              \"speculative_reads\":{},\"commit_dependencies\":{},\
              \"dependency_cascade_aborts\":{},\"watermark_sweeps\":{},\
-             \"scan_sweeps_run\":{},\"scan_sweeps_skipped\":{},\"abort_reasons\":{{",
+             \"scan_sweeps_run\":{},\"scan_sweeps_skipped\":{},\
+             \"siread_row_registrations\":{},\"siread_rows_now\":{},\"abort_reasons\":{{",
             self.txn.started,
             self.txn.committed,
             self.txn.aborted,
@@ -419,6 +435,8 @@ impl MetricsSnapshot {
             self.txn.watermark_sweeps,
             self.txn.scan_sweeps_run,
             self.txn.scan_sweeps_skipped,
+            self.txn.siread_row_registrations,
+            self.txn.siread_rows_now,
         ));
         for (i, reason) in AbortReason::ALL.iter().enumerate() {
             if i > 0 {
@@ -535,6 +553,7 @@ mod tests {
         snap.txn.committed = 7;
         snap.txn.aborted = 3;
         snap.txn.suspended_now = 2;
+        snap.txn.siread_rows_now = 5;
         snap.txn.abort_reasons[AbortReason::PivotOut.index()] = 2;
         snap.txn.abort_reasons[AbortReason::WriteConflict.index()] = 1;
         snap.tables.push(TableMetrics {
@@ -554,6 +573,8 @@ mod tests {
         let text = sample_snapshot().render_text();
         assert!(text.contains("ssi_txn_started_total 10"));
         assert!(text.contains("# TYPE ssi_txn_suspended gauge\nssi_txn_suspended 2\n"));
+        assert!(text.contains("# TYPE ssi_txn_siread_rows gauge\nssi_txn_siread_rows 5\n"));
+        assert!(text.contains("ssi_txn_siread_row_registrations_total 0"));
         assert!(text.contains("ssi_txn_aborts_by_reason_total{reason=\"pivot-out\"} 2"));
         assert!(text.contains("ssi_txn_aborts_by_reason_total{reason=\"lock-deadlock\"} 0"));
         assert!(text.contains("ssi_table_keys{table=\"accounts\"} 100"));
@@ -586,6 +607,7 @@ mod tests {
         }
         assert!(json.contains("\"pruned_inline_versions\":0"));
         assert!(json.contains("\"suspended_now\":2"));
+        assert!(json.contains("\"siread_row_registrations\":0,\"siread_rows_now\":5"));
         assert!(json.contains("\"pivot-out\":2"));
         assert!(json.contains("\"name\":\"accounts\""));
     }

@@ -12,7 +12,10 @@
 //! * the newest committed timestamp of a key, which implements the
 //!   first-committer-wins check;
 //! * ordered key access (`next_key_at_or_after`) used for next-key / gap
-//!   locking against phantoms (Sec. 3.5).
+//!   locking against phantoms (Sec. 3.5);
+//! * the row-granularity SIREAD itself: a Serializable-SI read registers its
+//!   transaction on the chain it reads, and the install of the row's next
+//!   version reports who is registered (§ SIREAD on the row).
 //!
 //! # Architecture: two-level sharded layout
 //!
@@ -28,8 +31,9 @@
 //!   holding the same `Arc<RowChain>` entries, used only by range scans and
 //!   the next-key queries that gap locking needs.
 //!
-//! Each [`RowChain`] owns its version list behind its own `parking_lot`
-//! mutex, so two operations contend only when they touch the *same key*.
+//! Each [`RowChain`] owns its version list and its set of SIREAD holders
+//! behind one `parking_lot` mutex of its own, so two operations contend only
+//! when they touch the *same key*.
 //! Commit stamping ([`Version::mark_committed`]) is an atomic store on the
 //! version itself and takes no table lock at all.
 //!
@@ -44,12 +48,21 @@
 //!   maps always agree (they are updated while holding the shard write
 //!   lock, which is the insert/remove serialization point for a key);
 //! * versions are only pushed (at the newest end) while holding the shard
-//!   **read** lock plus the chain mutex — so a shard **write** lock alone
-//!   is enough to freeze a chain's membership for removal decisions;
-//! * an empty chain is dead: it is never revived. Removal empties the
-//!   chain under the shard write lock (excluding installers) and unlinks
-//!   it from both maps; a concurrent scan that still holds the `Arc` just
-//!   observes an empty chain and skips the key.
+//!   **read** lock plus the chain mutex, and a read that reaches a chain by
+//!   key registers on it under the same two — so a shard **write** lock
+//!   alone is enough to freeze a chain's versions and readers for removal
+//!   decisions;
+//! * a chain is dead when it is unmapped, and only a chain with no reader is
+//!   ever unmapped. Removal happens under the shard write lock (excluding
+//!   installers and registering reads by key) plus the chain mutex: it
+//!   checks that no reader is registered, empties the chain and unlinks it
+//!   from both maps. From then on the chain has no version, for good — no
+//!   installer can find it — so a scan that still holds its `Arc` observes
+//!   an empty chain, skips the key, and knows not to register there. A
+//!   *mapped* chain may be without versions too: a rolled-back insert leaves
+//!   it behind when somebody read the key meanwhile, and the key's next
+//!   insert pushes onto it like an update. [`Table::purge_shard`] unmaps
+//!   such a chain once its readers are gone.
 //!
 //! ### The order of a chain
 //!
@@ -101,6 +114,52 @@
 //!   and the pass is left with cold rows, tombstoned keys and aborted
 //!   leftovers.
 //!
+//! ## SIREAD on the row
+//!
+//! The paper's SIREAD lock never blocks and is never waited for; it exists so
+//! that the writer of a row can find the row's readers. At row granularity
+//! it is therefore kept as row metadata: `readers`, a small set of
+//! transaction ids beside the versions, under the chain mutex every read and
+//! every install takes anyway.
+//!
+//! * **Read** ([`Table::read_registering`], [`Table::read_row_registering`]).
+//!   One critical section reads the visible version, collects the creators
+//!   of newer ones and adds the reader to `readers`.
+//! * **Write** ([`Table::install`]). The critical section that pushes the
+//!   version reports `readers` to the writer, and drops the writer's own id
+//!   (the Sec. 3.7.3 upgrade). [`Table::probe_for_update`] does the same for
+//!   a locking read.
+//! * **Why nothing is missed.** The chain mutex orders the two. A read that
+//!   comes first is in `readers` when the version goes in and is reported to
+//!   the writer; a read that comes second finds the version in the chain and
+//!   reports its creator (or sees it as its snapshot, if it committed
+//!   first). The lock table needed a lock-then-read order and an argument
+//!   over three cases for the same guarantee, because its SIREAD and the
+//!   chain were two places; here they are one. What a read no longer sees is
+//!   a transaction that holds the key's EXCLUSIVE lock and has installed
+//!   nothing yet. It has no need to: when that transaction installs, the
+//!   read is reported to it, and if it never does the row did not change.
+//! * **Release** ([`RowHandle::release_siread`]) is eager and exact, as in
+//!   the lock table: a holder is in `readers` exactly while its transaction
+//!   is active or committed-and-suspended. The transaction keeps one
+//!   [`RowHandle`] per registration and the engine releases through them
+//!   when it aborts or is cleaned up.
+//! * **A registration must land where the next writer looks**, which is the
+//!   chain the key maps to. By key that is guaranteed by the shard read lock
+//!   held across lookup and registration. Through a scan's handle it is
+//!   guaranteed by registering only if the read there found a live version:
+//!   an unmapped chain has none. And it stays true because a chain with a
+//!   reader is not unmapped (§ Locking protocol). The price is paid by
+//!   deleted keys: a dead tombstone leaves the table at the first purge pass
+//!   that finds no reader on it, which a key that is read without pause can
+//!   put off for as long as the reading lasts.
+//! * **A key with no chain** has nothing to register on. The caller is told
+//!   ([`Siread::NoChain`]) and leaves an ordinary SIREAD lock on the key in
+//!   the lock table, where the key's first writer — who takes its EXCLUSIVE
+//!   lock there at every isolation level — finds it. Gap, page and index
+//!   entry SIREADs stay in the lock table as well; this module knows nothing
+//!   of them.
+//!
 //! ## Why scans stay consistent under SSI
 //!
 //! A scan never holds the ordered-index lock while it looks at rows, so a
@@ -114,22 +173,20 @@
 //!    [`ScanRow`]s — the key (`Arc<[u8]>`, shared with the index) and a
 //!    handle to its version chain — together with the table's *membership
 //!    epoch* at that instant. No chain is read yet.
-//! 2. **Lock, then read once.** The engine takes the page's SIREAD locks
-//!    (every row's record and next-key gap, in one
-//!    `LockManager::lock_siread_batch` call) and only then reads each chain,
-//!    exactly once, through [`Table::read_row`]. This is the paper's
-//!    lock-then-read order (Fig. 3.4) per row: a concurrent writer of the
-//!    row either requests its EXCLUSIVE lock after the SIREAD is in the lock
-//!    table (and finds it), still holds it when the batch runs (and is
-//!    found), or released it before — in which case its version was
-//!    installed before the release and the chain read, which comes after
-//!    the grant, sees it and reports its creator in `newer_creators`. A
-//!    read taken *before* the lock could miss the third case, which is why
-//!    there is no pre-lock read to re-check. Per-key visibility is atomic
-//!    (the chain mutex). A handle whose chain died since the page was taken
-//!    (rollback of an insert, purge of an old tombstone) reads as empty;
-//!    `read_row` then re-resolves the key through its hash shard, so a chain
-//!    re-created for the same key is not missed either.
+//! 2. **One critical section per row.** The engine takes the page's gap
+//!    SIREAD locks (every row's next-key gap, in one
+//!    `LockManager::lock_siread_batch` call) and reads each chain exactly
+//!    once through [`Table::read_row_registering`], which reads the row and
+//!    registers the scan's SIREAD on it under one hold of the chain mutex
+//!    (§ SIREAD on the row). A concurrent writer of the row either installs
+//!    after that — and is handed the scan as a reader — or installed before
+//!    it, and then its version is in the chain and the read reports its
+//!    creator in `newer_creators`. There is no window between "lock" and
+//!    "read" for a third case to hide in. A handle whose chain died since the
+//!    page was taken (rollback of an insert, purge of an old tombstone) reads
+//!    as empty and takes no registration; the key is then re-resolved
+//!    through its hash shard, so a chain re-created for the same key is
+//!    neither missed nor left without the reader.
 //! 3. **Epoch-gated phantom sweep.** Keys *inserted* into the page's range
 //!    are phantoms, which gap locks catch: the writer of a new key takes the
 //!    EXCLUSIVE gap lock on the next key and meets the scan's gap SIREAD
@@ -151,7 +208,8 @@
 //!
 //! SI, read-committed and S2PL scans and [`Table::scan`] run over the same
 //! cursor; they differ only in what they do between fetching a page and
-//! reading its rows.
+//! reading its rows, and in reading through [`Table::read_row`], which
+//! registers nothing.
 //!
 //! ## Secondary index maintenance
 //!
@@ -201,6 +259,10 @@ const NEWER_INLINE: usize = 4;
 
 /// Creators of versions newer than the one a read observed, stored inline.
 pub type NewerCreators = InlineVec<TxnId, NEWER_INLINE>;
+
+/// The transactions registered as SIREAD holders of a row, as reported to a
+/// writer (see [`Installed::readers`]).
+pub type RowReaders = InlineVec<TxnId, NEWER_INLINE>;
 
 /// Result of a snapshot read of one key.
 #[derive(Clone, Debug, Default)]
@@ -286,13 +348,49 @@ impl PurgeStats {
     }
 }
 
+/// An opaque handle to the version chain of one row. A [`ScanPage`] carries
+/// one per listed row, so the row is read without a lookup by key; a
+/// Serializable-SI transaction keeps one per row it registered an SIREAD on
+/// ([`Siread::New`]) and releases the registration through it, with no lookup
+/// either.
+#[derive(Clone)]
+pub struct RowHandle {
+    chain: Arc<RowChain>,
+}
+
+impl RowHandle {
+    /// Removes `reader` from the row's SIREAD holders. Returns whether it was
+    /// registered (false after the reader's own write upgraded the
+    /// registration away, see [`Table::install`]).
+    pub fn release_siread(&self, reader: TxnId) -> bool {
+        self.chain.state.lock().readers.remove(reader)
+    }
+}
+
+/// Where a registering read ([`Table::read_registering`]) left the reader's
+/// SIREAD.
+pub enum Siread {
+    /// Newly registered on the row's chain. The caller keeps the handle
+    /// until the reader's SIREADs are released (abort, or the cleanup of the
+    /// suspended transaction).
+    New(RowHandle),
+    /// Nothing new to keep: the reader was registered on this chain already,
+    /// or read its own uncommitted write (whose EXCLUSIVE lock covers it).
+    Held,
+    /// The key has no chain to register on. The caller falls back to an
+    /// SIREAD on the key in the lock table, where the key's first writer
+    /// will look for it.
+    NoChain,
+}
+
 /// One row of a [`ScanPage`]: the key plus a handle to its version chain.
 /// Nothing has been read yet; pass the row to [`Table::read_row`].
 #[derive(Clone)]
 pub struct ScanRow {
     /// The row key, shared with the table's ordered index.
     pub key: Arc<[u8]>,
-    chain: Arc<RowChain>,
+    /// The row's chain as the page found it.
+    pub handle: RowHandle,
 }
 
 impl std::fmt::Debug for ScanRow {
@@ -442,7 +540,7 @@ pub struct WriteProbe {
     pub has_live_version: bool,
 }
 
-/// What [`Table::install`] did.
+/// What [`Table::install`] did and found.
 #[derive(Debug)]
 pub struct Installed {
     /// The new version, for commit stamping or rollback.
@@ -450,91 +548,229 @@ pub struct Installed {
     /// Old versions the install dropped from the chain on its way (0 unless
     /// the chain was longer than the pruning bound).
     pub pruned: usize,
+    /// The other transactions registered as SIREAD holders of the row when
+    /// the version went in: each has an rw-antidependency on the creator.
+    pub readers: RowReaders,
+    /// True if the creator's own registration was dropped (the Sec. 3.7.3
+    /// upgrade: its EXCLUSIVE lock and first-committer-wins now cover it).
+    pub upgraded: bool,
 }
 
-/// The version chain of one key behind its own lock, stored **oldest
-/// first**: installing is a push, pruning drops a prefix, and every reader
-/// walks it in reverse (newest first). See the module docs, § Locking
-/// protocol, for the order the versions are in.
+/// What a locking read needs from one chain visit (see
+/// [`Table::probe_for_update`]).
+#[derive(Debug, Default)]
+pub struct ForUpdateProbe {
+    /// The first-committer-wins probe.
+    pub probe: WriteProbe,
+    /// The other transactions registered as SIREAD holders of the row.
+    pub readers: RowReaders,
+    /// True if the caller's own registration was dropped.
+    pub upgraded: bool,
+}
+
+/// The row-granularity SIREAD holders of one key: the transactions, active
+/// or committed and suspended, that read the row under Serializable SI. A
+/// row is read by few transactions at a time, so the first two live in the
+/// chain itself and only a third allocates. 24 bytes, which is what a chain
+/// may grow by: the table keeps one per key.
+#[derive(Default)]
+struct ReaderSet {
+    /// [`TxnId::INVALID`] marks a free slot.
+    inline: [TxnId; 2],
+    /// Holders beyond the first two, unordered; dropped when it empties.
+    /// Boxed so that an unused spill costs a chain 8 bytes, not a `Vec`'s 24.
+    #[allow(clippy::box_collection)]
+    spill: Option<Box<Vec<TxnId>>>,
+}
+
+impl ReaderSet {
+    fn spilled(&self) -> &[TxnId] {
+        self.spill.as_deref().map_or(&[], Vec::as_slice)
+    }
+
+    fn iter(&self) -> impl Iterator<Item = TxnId> + '_ {
+        let inline = self.inline.iter().filter(|id| id.is_valid());
+        inline.chain(self.spilled()).copied()
+    }
+
+    fn is_empty(&self) -> bool {
+        self.iter().next().is_none()
+    }
+
+    /// Adds `reader`; false if it was a holder already.
+    fn insert(&mut self, reader: TxnId) -> bool {
+        debug_assert!(reader.is_valid());
+        if self.iter().any(|id| id == reader) {
+            return false;
+        }
+        match self.inline.iter_mut().find(|id| !id.is_valid()) {
+            Some(slot) => *slot = reader,
+            None => self.spill.get_or_insert_default().push(reader),
+        }
+        true
+    }
+
+    /// Removes `reader`; false if it was not a holder.
+    fn remove(&mut self, reader: TxnId) -> bool {
+        if let Some(slot) = self.inline.iter_mut().find(|id| **id == reader) {
+            *slot = TxnId::INVALID;
+            return true;
+        }
+        let Some(spill) = &mut self.spill else {
+            return false;
+        };
+        let Some(at) = spill.iter().position(|id| *id == reader) else {
+            return false;
+        };
+        spill.swap_remove(at);
+        if spill.is_empty() {
+            self.spill = None;
+        }
+        true
+    }
+
+    /// Every holder but `writer`, for the writer's conflict marking; drops
+    /// `writer`'s own registration too when `upgrade` (reported second).
+    fn report_to(&mut self, writer: TxnId, upgrade: bool) -> (RowReaders, bool) {
+        if self.is_empty() {
+            // Every write below Serializable SI, and most above it.
+            return (RowReaders::new(), false);
+        }
+        let readers = self.iter().filter(|id| *id != writer).collect();
+        (readers, upgrade && self.remove(writer))
+    }
+}
+
+/// What a chain's mutex guards: the versions, **oldest first** — installing
+/// is a push, pruning drops a prefix, and every reader walks them in reverse
+/// (newest first); see the module docs, § Locking protocol, for the order
+/// they are in — and the row's SIREAD holders.
+struct ChainState {
+    versions: Vec<Arc<Version>>,
+    readers: ReaderSet,
+}
+
+impl ChainState {
+    /// No version and no reader: nothing would be lost by unmapping.
+    fn is_unused(&self) -> bool {
+        self.versions.is_empty() && self.readers.is_empty()
+    }
+}
+
+/// The version chain of one key, and the key's SIREAD holders, behind one
+/// lock.
 struct RowChain {
-    versions: Mutex<Vec<Arc<Version>>>,
+    state: Mutex<ChainState>,
 }
 
 impl RowChain {
     fn with_version(version: Arc<Version>) -> Arc<Self> {
         Arc::new(RowChain {
-            versions: Mutex::new(vec![version]),
+            state: Mutex::new(ChainState {
+                versions: vec![version],
+                readers: ReaderSet::default(),
+            }),
         })
     }
 
-    /// The snapshot read: walks from the newest version and stops at the
-    /// first one that is visible or taken speculatively. By the order
-    /// invariant everything beneath it is older committed history, so the
-    /// walk costs the versions newer than the snapshot and nothing else.
     fn read_all(&self, reader: TxnId, snapshot_ts: Timestamp) -> VisibleRead {
-        let versions = self.versions.lock();
-        let mut out = VisibleRead::default();
-        for v in versions.iter().rev() {
-            let state = v.state();
-            if state == VersionState::Aborted {
-                continue;
-            }
-            out.key_exists = true;
-            if v.visible_to(reader, snapshot_ts) {
-                out.value = v.value_handle();
-                out.read_version_ts = v.commit_ts();
-                out.read_own_write = v.creator() == reader;
-                break;
-            }
-            match state {
-                // Provisionally stamped at or below the snapshot: the
-                // creator allocated its timestamp and published it, but its
-                // final commit step is still pending. Take the value
-                // speculatively and report the creator so the engine can
-                // register a commit dependency (or retry if the creator
-                // aborted).
-                VersionState::Provisional(ts) if ts <= snapshot_ts => {
-                    out.value = v.value_handle();
-                    out.read_version_ts = Some(ts);
-                    out.speculative_of = Some(v.creator());
-                    break;
-                }
-                // Not visible: newer than whatever will be read.
-                _ => out.newer_creators.push(v.creator()),
-            }
-        }
-        out
+        snapshot_read(&self.state.lock().versions, reader, snapshot_ts)
+    }
+
+    /// The Serializable-SI read: the snapshot read and the reader's SIREAD
+    /// registration in one critical section, so every version pushed before
+    /// it is in the read and every version pushed after it finds the reader.
+    /// Returns whether the reader was newly registered. A reader that sees
+    /// its own uncommitted write is not registered, and with `only_if_live`
+    /// neither is one that finds no live version — a chain reached through a
+    /// stale handle may be unmapped, and a registration there would be lost.
+    fn read_registering(
+        &self,
+        reader: TxnId,
+        snapshot_ts: Timestamp,
+        only_if_live: bool,
+    ) -> (VisibleRead, bool) {
+        let mut state = self.state.lock();
+        let read = snapshot_read(&state.versions, reader, snapshot_ts);
+        let register = !read.read_own_write && (read.key_exists || !only_if_live);
+        let fresh = register && state.readers.insert(reader);
+        (read, fresh)
     }
 
     /// Latest committed value, or the reader's own uncommitted write.
     fn read_latest_committed(&self, reader: TxnId) -> Option<Bytes> {
-        let versions = self.versions.lock();
-        versions
+        let state = self.state.lock();
+        state
+            .versions
             .iter()
             .rev()
             .find(|v| v.visible_to_read_committed(reader))
             .and_then(|v| v.value_handle())
     }
+}
 
-    /// Walks from the newest version to the first committed one: by the
-    /// order invariant that is the newest commit timestamp of the chain, and
-    /// every version passed on the way is the lock holder's own or aborted.
-    fn write_probe(&self) -> WriteProbe {
-        let versions = self.versions.lock();
-        let mut probe = WriteProbe::default();
-        for v in versions.iter().rev() {
-            match v.state() {
-                VersionState::Aborted => {}
-                VersionState::Committed(ts) => {
-                    probe.has_live_version = true;
-                    probe.newest_committed_ts = Some(ts);
-                    break;
-                }
-                _ => probe.has_live_version = true,
-            }
+/// The snapshot read: walks from the newest version and stops at the first
+/// one that is visible or taken speculatively. By the order invariant
+/// everything beneath it is older committed history, so the walk costs the
+/// versions newer than the snapshot and nothing else.
+fn snapshot_read(versions: &[Arc<Version>], reader: TxnId, snapshot_ts: Timestamp) -> VisibleRead {
+    let mut out = VisibleRead::default();
+    for v in versions.iter().rev() {
+        let state = v.state();
+        if state == VersionState::Aborted {
+            continue;
         }
-        probe
+        out.key_exists = true;
+        if v.visible_to(reader, snapshot_ts) {
+            out.value = v.value_handle();
+            out.read_version_ts = v.commit_ts();
+            out.read_own_write = v.creator() == reader;
+            break;
+        }
+        match state {
+            // Provisionally stamped at or below the snapshot: the
+            // creator allocated its timestamp and published it, but its
+            // final commit step is still pending. Take the value
+            // speculatively and report the creator so the engine can
+            // register a commit dependency (or retry if the creator
+            // aborted).
+            VersionState::Provisional(ts) if ts <= snapshot_ts => {
+                out.value = v.value_handle();
+                out.read_version_ts = Some(ts);
+                out.speculative_of = Some(v.creator());
+                break;
+            }
+            // Not visible: newer than whatever will be read.
+            _ => out.newer_creators.push(v.creator()),
+        }
     }
+    out
+}
+
+/// Walks from the newest version to the first committed one: by the order
+/// invariant that is the newest commit timestamp of the chain, and every
+/// version passed on the way is the lock holder's own or aborted.
+fn write_probe(versions: &[Arc<Version>]) -> WriteProbe {
+    let mut probe = WriteProbe::default();
+    for v in versions.iter().rev() {
+        match v.state() {
+            VersionState::Aborted => {}
+            VersionState::Committed(ts) => {
+                probe.has_live_version = true;
+                probe.newest_committed_ts = Some(ts);
+                break;
+            }
+            _ => probe.has_live_version = true,
+        }
+    }
+    probe
+}
+
+/// True if all a chain holds is one tombstone committed at or below
+/// `horizon`: the key is gone for every snapshot that can still ask.
+fn is_dead_tombstone(versions: &[Arc<Version>], horizon: Timestamp) -> bool {
+    matches!(versions, [only] if only.is_tombstone()
+        && matches!(only.state(), VersionState::Committed(ts) if ts <= horizon))
 }
 
 /// How many of the chain's oldest versions no snapshot at or above `horizon`
@@ -665,6 +901,34 @@ impl Table {
         }
     }
 
+    /// The Serializable-SI point read: [`Table::read`] that also registers
+    /// `reader` as an SIREAD holder of the row, in the same chain critical
+    /// section (see the module docs, § SIREAD on the row). The lookup, the
+    /// read and the registration run under the shard read lock, which
+    /// excludes the chain's removal, so the registration lands on the chain
+    /// the key's next writer will find. A key without a chain has nothing to
+    /// register on ([`Siread::NoChain`]).
+    pub fn read_registering(
+        &self,
+        key: &[u8],
+        reader: TxnId,
+        snapshot_ts: Timestamp,
+    ) -> (VisibleRead, Siread) {
+        let rows = self.shard(key).rows.read();
+        let Some(chain) = rows.get(key) else {
+            return (VisibleRead::default(), Siread::NoChain);
+        };
+        let (read, fresh) = chain.read_registering(reader, snapshot_ts, false);
+        let siread = if fresh {
+            Siread::New(RowHandle {
+                chain: chain.clone(),
+            })
+        } else {
+            Siread::Held
+        };
+        (read, siread)
+    }
+
     /// Read-committed read: latest committed value (or the reader's own
     /// uncommitted write).
     pub fn read_latest_committed(&self, key: &[u8], reader: TxnId) -> Option<Bytes> {
@@ -689,22 +953,43 @@ impl Table {
     /// wins) and whether the key exists at all (insert or update).
     pub fn write_probe(&self, key: &[u8]) -> WriteProbe {
         let rows = self.shard(key).rows.read();
-        rows.get(key)
-            .map_or(WriteProbe::default(), |c| c.write_probe())
+        rows.get(key).map_or(WriteProbe::default(), |chain| {
+            write_probe(&chain.state.lock().versions)
+        })
+    }
+
+    /// [`Table::write_probe`] for a locking read (`get_for_update`): the
+    /// same chain visit also reports the row's SIREAD holders other than
+    /// `writer`, who holds the key's EXCLUSIVE lock, and with `upgrade` drops
+    /// `writer`'s own registration.
+    pub fn probe_for_update(&self, key: &[u8], writer: TxnId, upgrade: bool) -> ForUpdateProbe {
+        let rows = self.shard(key).rows.read();
+        let Some(chain) = rows.get(key) else {
+            return ForUpdateProbe::default();
+        };
+        let mut state = chain.state.lock();
+        let probe = write_probe(&state.versions);
+        let (readers, upgraded) = state.readers.report_to(writer, upgrade);
+        ForUpdateProbe {
+            probe,
+            readers,
+            upgraded,
+        }
     }
 
     /// Installs a new uncommitted version of `key` (a value or, when `value`
     /// is `None`, a deletion tombstone) created by `creator`, and returns a
     /// handle the caller keeps in its write set for later commit stamping or
-    /// rollback. [`Table::install`] with a copied payload and a horizon of
-    /// zero, at which nothing is reclaimable.
+    /// rollback. [`Table::install`] with a copied payload, the creator's
+    /// SIREAD upgraded away and a horizon of zero, at which nothing is
+    /// reclaimable.
     pub fn install_version(
         &self,
         key: &[u8],
         creator: TxnId,
         value: Option<Vec<u8>>,
     ) -> Arc<Version> {
-        self.install(key, creator, value.map(Bytes::from), || TS_ZERO)
+        self.install(key, creator, value.map(Bytes::from), true, || TS_ZERO)
             .version
     }
 
@@ -716,6 +1001,12 @@ impl Table {
     /// mutex, so concurrent writers of different keys never contend; only
     /// the first write of a brand-new key takes the shard and ordered-index
     /// write locks. Installing is a push, whatever the chain holds.
+    ///
+    /// **The row's readers.** The critical section that pushes the version
+    /// also reports the row's SIREAD holders ([`Installed::readers`]): a
+    /// Serializable-SI reader either registered before it and is reported,
+    /// or reads after it and finds the version. With `upgrade` the creator's
+    /// own registration is dropped there too ([`Installed::upgraded`]).
     ///
     /// **Writer-side pruning.** A writer that finds more than
     /// `PRUNE_ABOVE` (four) versions calls `horizon` — once, under the chain
@@ -730,6 +1021,7 @@ impl Table {
         key: &[u8],
         creator: TxnId,
         value: Option<Bytes>,
+        upgrade: bool,
         horizon: impl FnOnce() -> Timestamp,
     ) -> Installed {
         let version = Arc::new(Version::new(creator, value));
@@ -744,8 +1036,7 @@ impl Table {
         {
             let rows = shard.rows.read();
             if let Some(chain) = rows.get(key) {
-                let pruned = self.push_pruning(key, chain, &version, horizon);
-                return Installed { version, pruned };
+                return self.push_pruning(key, chain, version, upgrade, horizon);
             }
         }
 
@@ -753,8 +1044,7 @@ impl Table {
         // write lock, then publish the chain in both maps.
         let mut rows = shard.rows.write();
         if let Some(chain) = rows.get(key) {
-            let pruned = self.push_pruning(key, chain, &version, horizon);
-            return Installed { version, pruned };
+            return self.push_pruning(key, chain, version, upgrade, horizon);
         }
         let key_arc: Arc<[u8]> = Arc::from(key);
         let chain = RowChain::with_version(version.clone());
@@ -765,35 +1055,47 @@ impl Table {
             ordered.epoch += 1;
         }
         self.add_index_refs(key, &version);
-        Installed { version, pruned: 0 }
+        Installed {
+            version,
+            pruned: 0,
+            readers: RowReaders::new(),
+            upgraded: false,
+        }
     }
 
     /// Pushes `version` onto an existing chain, first pruning the chain if
-    /// it is over the bound. The caller holds the key's shard lock (read or
-    /// write). Returns how many versions were dropped.
+    /// it is over the bound, and collects the row's readers. The caller holds
+    /// the key's shard lock (read or write).
     fn push_pruning(
         &self,
         key: &[u8],
         chain: &RowChain,
-        version: &Arc<Version>,
+        version: Arc<Version>,
+        upgrade: bool,
         horizon: impl FnOnce() -> Timestamp,
-    ) -> usize {
-        let mut versions = chain.versions.lock();
+    ) -> Installed {
+        let mut state = chain.state.lock();
         debug_assert!(
-            order_holds(&versions, version.creator(), 2 * PRUNE_ABOVE),
+            order_holds(&state.versions, version.creator(), 2 * PRUNE_ABOVE),
             "chain order broken under {:?}: {:?}",
             version.creator(),
-            &versions[..]
+            &state.versions[..]
         );
-        let pruned = if versions.len() > PRUNE_ABOVE {
-            self.drop_reclaimable(key, &mut versions, horizon())
+        let pruned = if state.versions.len() > PRUNE_ABOVE {
+            self.drop_reclaimable(key, &mut state.versions, horizon())
         } else {
             0
         };
-        versions.push(version.clone());
-        drop(versions);
-        self.add_index_refs(key, version);
-        pruned
+        state.versions.push(version.clone());
+        let (readers, upgraded) = state.readers.report_to(version.creator(), upgrade);
+        drop(state);
+        self.add_index_refs(key, &version);
+        Installed {
+            version,
+            pruned,
+            readers,
+            upgraded,
+        }
     }
 
     /// Drops the versions of a chain that no snapshot at or above `horizon`
@@ -850,7 +1152,7 @@ impl Table {
         let guards: Vec<_> = self.shards.iter().map(|s| s.rows.write()).collect();
         for rows in &guards {
             for (key, chain) in rows.iter() {
-                for v in chain.versions.lock().iter() {
+                for v in chain.state.lock().versions.iter() {
                     if let Some(value) = v.value() {
                         if let Some(entry) = index.entry_of(key, value) {
                             index.add_ref(&entry);
@@ -881,12 +1183,12 @@ impl Table {
             let Some(chain) = rows.get(key) else { return };
             let (removed, empty) = {
                 // An unsettled version sits at the newest end of its chain.
-                let mut versions = chain.versions.lock();
-                let found = versions.iter().rposition(|v| Arc::ptr_eq(v, version));
+                let mut state = chain.state.lock();
+                let found = state.versions.iter().rposition(|v| Arc::ptr_eq(v, version));
                 if let Some(at) = found {
-                    versions.remove(at);
+                    state.versions.remove(at);
                 }
-                (found.is_some(), versions.is_empty())
+                (found.is_some(), state.is_unused())
             };
             if removed {
                 self.release_index_refs(key, version);
@@ -894,19 +1196,21 @@ impl Table {
             empty
         };
         if now_empty {
-            self.remove_if_empty(key);
+            self.remove_if_unused(key);
         }
     }
 
-    /// Removes `key`'s chain from both maps if it is (still) empty. Takes
-    /// the shard write lock first, which excludes concurrent installs, so
-    /// the emptiness check is stable.
-    fn remove_if_empty(&self, key: &[u8]) {
+    /// Removes `key`'s chain from both maps if it (still) holds no version
+    /// and no reader; a chain some transaction is registered on stays mapped,
+    /// so that the key's next writer finds the registration. Takes the shard
+    /// write lock first, which excludes concurrent installs and registering
+    /// reads by key, so the check is stable.
+    fn remove_if_unused(&self, key: &[u8]) {
         let shard = self.shard(key);
         let removed = {
             let mut rows = shard.rows.write();
             match rows.get(key) {
-                Some(chain) if chain.versions.lock().is_empty() => {
+                Some(chain) if chain.state.lock().is_unused() => {
                     let chain = chain.clone();
                     rows.remove(key);
                     Some(chain)
@@ -965,7 +1269,9 @@ impl Table {
             .take(limit)
             .map(|(key, chain)| ScanRow {
                 key: key.clone(),
-                chain: chain.clone(),
+                handle: RowHandle {
+                    chain: chain.clone(),
+                },
             })
             .collect();
         ScanPage {
@@ -1000,11 +1306,34 @@ impl Table {
     /// and may have been replaced by a new chain for the same key, so that
     /// (rare) case re-resolves the key through its hash shard.
     pub fn read_row(&self, row: &ScanRow, reader: TxnId, snapshot_ts: Timestamp) -> VisibleRead {
-        let read = row.chain.read_all(reader, snapshot_ts);
+        let read = row.handle.chain.read_all(reader, snapshot_ts);
         if read.key_exists {
             read
         } else {
             self.read(&row.key, reader, snapshot_ts)
+        }
+    }
+
+    /// The Serializable-SI read of one scanned row: [`Table::read_row`] that
+    /// also registers `reader` as an SIREAD holder of the row, and on a new
+    /// registration hands the page's handle back as the one to release it
+    /// through. The registration goes through the handle only if the read
+    /// there found a live version, which proves the chain is still mapped
+    /// (an unmapped chain is empty for good); otherwise the key is
+    /// re-resolved and registered under its shard lock
+    /// ([`Table::read_registering`]).
+    pub fn read_row_registering(
+        &self,
+        key: &[u8],
+        handle: RowHandle,
+        reader: TxnId,
+        snapshot_ts: Timestamp,
+    ) -> (VisibleRead, Siread) {
+        let (read, fresh) = handle.chain.read_registering(reader, snapshot_ts, true);
+        match (read.key_exists, fresh) {
+            (true, true) => (read, Siread::New(handle)),
+            (true, false) => (read, Siread::Held),
+            (false, _) => self.read_registering(key, reader, snapshot_ts),
         }
     }
 
@@ -1071,18 +1400,17 @@ impl Table {
         let shard = &self.shards[idx & (SHARD_COUNT - 1)];
         let mut stats = PurgeStats::at(horizon);
         let mut dead_keys: Vec<Arc<[u8]>> = Vec::new();
+        let mut unused_keys: Vec<Arc<[u8]>> = Vec::new();
         {
             let rows = shard.rows.read();
             for (key, chain) in rows.iter() {
-                let mut versions = chain.versions.lock();
-                stats.versions += self.drop_reclaimable(key, &mut versions, horizon) as u64;
+                let mut state = chain.state.lock();
+                let ChainState { versions, readers } = &mut *state;
+                stats.versions += self.drop_reclaimable(key, versions, horizon) as u64;
                 // If the only remaining reachable version is a tombstone
-                // and nothing newer exists, the key is gone for good.
-                if versions.len() == 1
-                    && versions[0].is_tombstone()
-                    && matches!(versions[0].state(),
-                                VersionState::Committed(ts) if ts <= horizon)
-                {
+                // and nothing newer exists, the key is gone for good — once
+                // no reader is registered on it any more.
+                if is_dead_tombstone(versions, horizon) && readers.is_empty() {
                     dead_keys.push(key.clone());
                 }
                 // Also drop aborted leftovers (releasing their index
@@ -1099,6 +1427,11 @@ impl Table {
                     }
                 });
                 stats.versions += (before - versions.len()) as u64;
+                // A chain a rollback emptied while a reader was registered
+                // on it, and the reader has gone since.
+                if state.is_unused() {
+                    unused_keys.push(key.clone());
+                }
             }
         }
         for key in dead_keys {
@@ -1107,26 +1440,29 @@ impl Table {
                 stats.chains += 1;
             }
         }
+        // Not counted: `chains` is keys reclaimed with their last version.
+        for key in unused_keys {
+            self.remove_if_unused(&key);
+        }
         stats
     }
 
     /// Removes a key whose chain consists solely of one committed tombstone
-    /// at or before the horizon. Re-verified under the shard write lock, so
-    /// a version installed since the purge scan keeps the key alive.
+    /// at or before the horizon and has no registered reader. Re-verified
+    /// under the shard write lock, so a version installed or a reader
+    /// registered since the purge scan keeps the key mapped.
     fn remove_dead_key(&self, key: &[u8], horizon: Timestamp) -> usize {
         let shard = self.shard(key);
         let removed = {
             let mut rows = shard.rows.write();
             let Some(chain) = rows.get(key) else { return 0 };
             let dead = {
-                let mut versions = chain.versions.lock();
-                let is_dead = versions.len() == 1
-                    && versions[0].is_tombstone()
-                    && matches!(versions[0].state(),
-                                VersionState::Committed(ts) if ts <= horizon);
+                let mut state = chain.state.lock();
+                let is_dead =
+                    is_dead_tombstone(&state.versions, horizon) && state.readers.is_empty();
                 if is_dead {
                     // Empty the chain so scans holding the Arc skip it.
-                    versions.clear();
+                    state.versions.clear();
                 }
                 is_dead
             };
@@ -1149,7 +1485,23 @@ impl Table {
                 s.rows
                     .read()
                     .values()
-                    .map(|c| c.versions.lock().len())
+                    .map(|c| c.state.lock().versions.len())
+                    .sum::<usize>()
+            })
+            .sum()
+    }
+
+    /// Total number of row SIREAD registrations (reader, key) on the
+    /// table's chains, for tests and leak checks: 0 once every Serializable
+    /// SI transaction has finished and been cleaned up.
+    pub fn siread_holder_count(&self) -> usize {
+        self.shards
+            .iter()
+            .map(|s| {
+                s.rows
+                    .read()
+                    .values()
+                    .map(|c| c.state.lock().readers.iter().count())
                     .sum::<usize>()
             })
             .sum()
@@ -1169,6 +1521,10 @@ impl std::fmt::Debug for Table {
 #[cfg(test)]
 #[path = "table_model_tests.rs"]
 mod model_tests;
+
+#[cfg(test)]
+#[path = "siread_model_tests.rs"]
+mod siread_model_tests;
 
 #[cfg(test)]
 mod tests {
@@ -1410,15 +1766,15 @@ mod tests {
         let value = || Some(Bytes::from(vec![7]));
         // Up to the bound nobody asks for the horizon.
         for ts in 1..=PRUNE_ABOVE as u64 {
-            let installed = tbl.install(b"a", t(ts), value(), || unreachable!("short chain"));
+            let installed = tbl.install(b"a", t(ts), value(), true, || unreachable!("short chain"));
             assert_eq!(installed.pruned, 0);
             installed.version.mark_committed(10 * ts);
         }
-        let installed = tbl.install(b"a", t(5), value(), || unreachable!("at the bound"));
+        let installed = tbl.install(b"a", t(5), value(), true, || unreachable!("at the bound"));
         installed.version.mark_committed(50);
         // Over it: a horizon of 35 keeps the version committed at 30 (what a
         // snapshot at 35 reads) and everything newer, and drops 10 and 20.
-        let installed = tbl.install(b"a", t(6), value(), || 35);
+        let installed = tbl.install(b"a", t(6), value(), true, || 35);
         assert_eq!(installed.pruned, 2);
         assert_eq!(tbl.version_count(), 4);
         assert_eq!(tbl.read(b"a", t(9), 35).read_version_ts, Some(30));
@@ -1699,6 +2055,180 @@ mod tests {
     }
 
     #[test]
+    fn reader_set_keeps_two_inline_and_spills_the_rest() {
+        assert!(std::mem::size_of::<ReaderSet>() <= 24);
+        let mut set = ReaderSet::default();
+        assert!(set.is_empty());
+        for id in 1..=5 {
+            assert!(set.insert(t(id)));
+            assert!(!set.insert(t(id)), "already a holder");
+        }
+        assert!(set.spill.as_ref().is_some_and(|spill| spill.len() == 3));
+        let mut held: Vec<TxnId> = set.iter().collect();
+        held.sort();
+        assert_eq!(held, (1..=5).map(t).collect::<Vec<_>>());
+        // A freed inline slot is reused before the spill grows.
+        assert!(set.remove(t(1)));
+        assert!(!set.remove(t(1)));
+        assert!(set.insert(t(6)));
+        assert_eq!(set.inline, [t(6), t(2)]);
+        // The writer is left out of its own report, and dropped on upgrade.
+        let (readers, upgraded) = set.report_to(t(2), false);
+        assert_eq!((readers.len(), upgraded), (4, false));
+        let (readers, upgraded) = set.report_to(t(2), true);
+        assert_eq!((readers.len(), upgraded), (4, true));
+        assert!(!set.report_to(t(2), true).1);
+        // The spill goes when its last holder does.
+        for id in 3..=5 {
+            assert!(set.remove(t(id)));
+        }
+        assert!(set.spill.is_none());
+        assert!(set.remove(t(6)));
+        assert!(set.is_empty());
+    }
+
+    #[test]
+    fn registering_read_and_install_find_each_other() {
+        let tbl = table();
+        assert!(matches!(
+            tbl.read_registering(b"a", t(9), 20).1,
+            Siread::NoChain
+        ));
+        tbl.install_version(b"a", t(1), Some(vec![1]))
+            .mark_committed(10);
+        // The reader registers, once; a second read holds what it has.
+        let (read, first) = tbl.read_registering(b"a", t(2), 20);
+        assert_eq!(val(&read), Some(vec![1]));
+        let Siread::New(handle) = first else {
+            panic!("first read of the row registers");
+        };
+        assert!(matches!(
+            tbl.read_registering(b"a", t(2), 20).1,
+            Siread::Held
+        ));
+        assert_eq!(tbl.siread_holder_count(), 1);
+        // A writer is handed the reader with its install, and a read after
+        // the install sees the writer's version.
+        let installed = tbl.install(b"a", t(3), Some(vec![3].into()), true, || TS_ZERO);
+        assert_eq!(installed.readers, vec![t(2)]);
+        assert!(!installed.upgraded, "the writer had not read the row");
+        let (read, _) = tbl.read_registering(b"a", t(4), 20);
+        assert_eq!(read.newer_creators, vec![t(3)]);
+        // The writer's own read of its write registers nothing.
+        let (own, siread) = tbl.read_registering(b"a", t(3), 20);
+        assert!(own.read_own_write && matches!(siread, Siread::Held));
+        // A reader that writes is upgraded away, unless told to stay.
+        installed.version.mark_committed(30);
+        let kept = tbl.install(b"a", t(4), Some(vec![4].into()), false, || TS_ZERO);
+        assert_eq!((kept.readers.to_vec(), kept.upgraded), (vec![t(2)], false));
+        assert_eq!(tbl.siread_holder_count(), 2);
+        let again = tbl.install(b"a", t(4), Some(vec![5].into()), true, || TS_ZERO);
+        assert!(again.upgraded);
+        // The locking read reports and upgrades like the install.
+        let probe = tbl.probe_for_update(b"a", t(2), true);
+        assert_eq!(probe.probe.newest_committed_ts, Some(30));
+        assert!(probe.readers.is_empty() && probe.upgraded);
+        assert!(!handle.release_siread(t(2)), "upgraded away already");
+        assert_eq!(tbl.siread_holder_count(), 0);
+    }
+
+    #[test]
+    fn a_chain_with_readers_stays_mapped_through_rollback_and_purge() {
+        let tbl = table();
+        // A reader registers under an uncommitted insert, which rolls back:
+        // the chain holds no version but stays where the next insert of the
+        // key will find the reader.
+        let ins = tbl.install_version(b"k", t(1), Some(vec![1]));
+        let (read, siread) = tbl.read_registering(b"k", t(2), 5);
+        assert_eq!(read.newer_creators, vec![t(1)]);
+        let Siread::New(handle) = siread else {
+            panic!("registers under the insert");
+        };
+        ins.mark_aborted();
+        tbl.unlink_version(b"k", &ins);
+        assert_eq!((tbl.key_count(), tbl.version_count()), (1, 0));
+        tbl.purge_old_versions(100);
+        assert_eq!(tbl.key_count(), 1, "a pass leaves it too");
+        let again = tbl.install(b"k", t(3), Some(vec![3].into()), true, || TS_ZERO);
+        assert_eq!(again.readers, vec![t(2)]);
+        // Same for a tombstone a pass would otherwise take the key with.
+        again.version.mark_committed(10);
+        tbl.install_version(b"k", t(4), None).mark_committed(20);
+        let stats = tbl.purge_old_versions(30);
+        assert_eq!((stats.versions, stats.chains), (1, 0));
+        assert_eq!(tbl.key_count(), 1);
+        let reinsert = tbl.install(b"k", t(5), Some(vec![5].into()), true, || TS_ZERO);
+        assert_eq!(reinsert.readers, vec![t(2)]);
+        // Once the reader is gone the next pass unmaps a chain left unused…
+        reinsert.version.mark_aborted();
+        tbl.unlink_version(b"k", &reinsert.version);
+        assert!(handle.release_siread(t(2)));
+        assert_eq!(tbl.purge_old_versions(30).chains, 1, "the dead tombstone");
+        assert_eq!(tbl.key_count(), 0);
+        // …including one a rollback had to leave behind.
+        let ins = tbl.install_version(b"j", t(6), Some(vec![6]));
+        let Siread::New(handle) = tbl.read_registering(b"j", t(7), 5).1 else {
+            panic!("registers under the insert");
+        };
+        ins.mark_aborted();
+        tbl.unlink_version(b"j", &ins);
+        assert!(handle.release_siread(t(7)));
+        assert_eq!(tbl.key_count(), 1);
+        let epoch = tbl.membership_epoch();
+        assert_eq!(tbl.purge_old_versions(30), PurgeStats::at(30));
+        assert_eq!(tbl.key_count(), 0);
+        assert!(tbl.membership_epoch() > epoch);
+    }
+
+    #[test]
+    fn a_scan_handle_registers_only_on_a_mapped_chain() {
+        let tbl = table();
+        let gone = tbl.install_version(b"k", t(1), Some(vec![1]));
+        let mut page = tbl
+            .cursor(Bound::Unbounded, Bound::Unbounded)
+            .next_page()
+            .unwrap();
+        let ScanRow { key, handle } = page.rows.remove(0);
+        // The handle's chain dies and the key is created again: the
+        // registration must land on the new chain.
+        gone.mark_aborted();
+        tbl.unlink_version(b"k", &gone);
+        tbl.install_version(b"k", t(2), Some(vec![2]))
+            .mark_committed(10);
+        let stale = handle.clone();
+        let (read, siread) = tbl.read_row_registering(&key, handle, t(3), 5);
+        assert_eq!(read.newer_creators, vec![t(2)]);
+        assert!(matches!(siread, Siread::New(_)));
+        assert!(stale.chain.state.lock().readers.is_empty());
+        let update = tbl.install(b"k", t(4), Some(vec![4].into()), true, || TS_ZERO);
+        assert_eq!(update.readers, vec![t(3)]);
+        // Through a live handle the page's own handle comes back.
+        let row = tbl
+            .cursor(Bound::Unbounded, Bound::Unbounded)
+            .next_page()
+            .unwrap()
+            .rows
+            .remove(0);
+        let (_, siread) = tbl.read_row_registering(&row.key, row.handle.clone(), t(5), 5);
+        let Siread::New(kept) = siread else {
+            panic!("registers through the handle");
+        };
+        assert!(Arc::ptr_eq(&kept.chain, &row.handle.chain));
+        // A key that is gone altogether has nothing to register on.
+        let dead = tbl.install_version(b"z", t(6), Some(vec![6]));
+        let row = tbl
+            .cursor(Bound::Included(b"z"), Bound::Unbounded)
+            .next_page()
+            .unwrap()
+            .rows
+            .remove(0);
+        dead.mark_aborted();
+        tbl.unlink_version(b"z", &dead);
+        let (read, siread) = tbl.read_row_registering(&row.key, row.handle, t(7), 5);
+        assert!(!read.key_exists && matches!(siread, Siread::NoChain));
+    }
+
+    #[test]
     fn keys_spread_across_shards() {
         let tbl = table();
         for i in 0..1000u64 {
@@ -1746,7 +2276,9 @@ mod tests {
                         let _held = exclusive[slot].lock();
                         // Prunes at the newest commit once the chain is long.
                         let horizon = || clock.load(Ordering::SeqCst);
-                        let v = tbl.install(key, txn, Some(payload.into()), horizon).version;
+                        let v = tbl
+                            .install(key, txn, Some(payload.into()), true, horizon)
+                            .version;
                         if n.is_multiple_of(3) {
                             // Rollback path: abort and unlink.
                             v.mark_aborted();

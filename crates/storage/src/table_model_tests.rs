@@ -245,7 +245,7 @@ impl Model {
     /// The chain of key `k`, newest first (empty when the key is gone).
     fn chain(&self, k: usize) -> Chain {
         self.table.chain(&key(k)).map_or(Vec::new(), |c| {
-            c.versions.lock().iter().rev().cloned().collect()
+            c.state.lock().versions.iter().rev().cloned().collect()
         })
     }
 
@@ -298,10 +298,12 @@ impl Model {
         let horizon = self.horizon();
         let before = self.chain(k);
         let mut horizon_reads = 0;
-        let installed = self.table.install(&key(k), txn, value.map(Into::into), || {
-            horizon_reads += 1;
-            horizon
-        });
+        let installed = self
+            .table
+            .install(&key(k), txn, value.map(Into::into), true, || {
+                horizon_reads += 1;
+                horizon
+            });
         let after = self.chain(k);
         let context = format!("seed {} install on key {k} at horizon {horizon}", self.seed);
 

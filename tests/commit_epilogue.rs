@@ -12,13 +12,12 @@
 //! runs the lock-free begin watermark under real interleavings: the horizon
 //! never passes a snapshot that is held open, versions that snapshot reads
 //! survive purges at that horizon, and a quiesced system is left with no
-//! suspended transaction, registry record or lock-table key.
+//! suspended transaction, registry record, lock-table key or row SIREAD.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
 
 use serializable_si::core::manager::REGISTRY_SHARDS;
-use serializable_si::lock::{LockKey, LockMode};
 use serializable_si::{Database, Options, SsiOptions, SsiVariant, TableRef};
 
 fn open(variant: SsiVariant) -> (Database, TableRef) {
@@ -47,6 +46,7 @@ fn epilogue_protocol(variant: SsiVariant) {
     // The loader had nothing concurrent with it: it was never listed.
     assert_eq!(mgr.suspended_len(), 0);
     assert_eq!(locks.key_count(), 0);
+    assert_eq!(db.siread_holder_count(), 0);
     let listed = |db: &Database| {
         let txn = db.metrics().txn;
         assert_eq!(txn.suspended - txn.cleaned, txn.suspended_now);
@@ -59,7 +59,8 @@ fn epilogue_protocol(variant: SsiVariant) {
     reader.get(&table, &63u64.to_be_bytes()).unwrap();
 
     // N read-write commits after it, one at a time: each stays suspended,
-    // SIREAD grant in place, because the reader is concurrent with it.
+    // its SIREAD registered on the row it read, because the reader is
+    // concurrent with it. (The reader holds one registration of its own.)
     let mut suspended = Vec::new();
     for i in 0..N {
         let mut txn = db.begin();
@@ -68,12 +69,16 @@ fn epilogue_protocol(variant: SsiVariant) {
         txn.put(&table, &(32 + i).to_be_bytes(), &1u64.to_be_bytes())
             .unwrap();
         txn.commit().unwrap();
-        suspended.push((id, LockKey::record(table.id(), i.to_be_bytes())));
+        suspended.push(id);
         assert_eq!(mgr.suspended_len() as u64, i + 1);
         assert_eq!(listed(&db), (i + 1, 0));
+        assert_eq!(db.siread_holder_count() as u64, i + 2);
+        assert_eq!(db.metrics().txn.siread_rows_now, i + 1);
     }
-    for (id, key) in &suspended {
-        assert!(locks.holds(*id, key).contains(LockMode::SiRead));
+    // A row read is no lock request: only the EXCLUSIVE locks were, and they
+    // went at commit.
+    assert_eq!(locks.key_count(), 0);
+    for id in &suspended {
         assert!(mgr.find(*id).is_some(), "suspended records stay findable");
     }
 
@@ -84,10 +89,15 @@ fn epilogue_protocol(variant: SsiVariant) {
     reader.commit().unwrap();
     assert_eq!(mgr.suspended_len(), 0);
     assert_eq!(listed(&db), (N, N));
-    for (id, key) in &suspended {
-        assert!(locks.holds(*id, key).is_empty());
+    for id in &suspended {
         assert!(mgr.find(*id).is_none());
     }
+    assert_eq!(db.siread_holder_count(), 0);
+    let txn = db.metrics().txn;
+    assert_eq!(
+        (txn.siread_row_registrations, txn.siread_rows_now),
+        (N + 1, 0)
+    );
     assert_eq!(locks.key_count(), 0);
     assert_eq!(mgr.registry_len(), 0);
 
@@ -107,6 +117,7 @@ fn epilogue_protocol(variant: SsiVariant) {
     assert_eq!(mgr.suspended_len(), 0);
     assert_eq!(listed(&db), (2 * N, 2 * N));
     assert_eq!(locks.key_count(), 0);
+    assert_eq!(db.siread_holder_count(), 0);
 
     // With nothing concurrent, a commit holding SIREAD locks is reclaimed on
     // the spot: the counters that track the list do not move.
@@ -121,6 +132,8 @@ fn epilogue_protocol(variant: SsiVariant) {
     assert_eq!(listed(&db), (2 * N, 2 * N));
     assert!(mgr.find(id).is_none());
     assert_eq!(locks.key_count(), 0);
+    assert_eq!(db.siread_holder_count(), 0);
+    assert_eq!(db.metrics().txn.siread_rows_now, 0);
 }
 
 #[test]
@@ -191,6 +204,7 @@ fn committer_reclaims_itself_when_the_last_finisher_saw_an_empty_list() {
     assert!(mgr.find(id).is_none());
     assert_eq!(mgr.registry_len(), 0);
     assert_eq!(db.lock_manager().key_count(), 0);
+    assert_eq!(db.siread_holder_count(), 0);
 }
 
 /// Four threads of read-write SSI transactions against a checker that keeps
@@ -286,7 +300,9 @@ fn watermark_hammer_horizon_never_passes_an_open_snapshot() {
     assert_eq!(mgr.registry_len(), 0, "registry records leaked");
     assert_eq!(db.lock_manager().grant_count(), 0);
     assert_eq!(db.lock_manager().key_count(), 0);
+    assert_eq!(db.siread_holder_count(), 0);
     let txn = db.metrics().txn;
     assert_eq!(txn.suspended, txn.cleaned);
     assert_eq!(txn.suspended_now, 0);
+    assert_eq!(txn.siread_rows_now, 0);
 }

@@ -177,6 +177,7 @@ fn stress(variant: SsiVariant, threads: usize, iters: u64, keys: u64, seed: u64)
         0,
         "lock grants leaked after cleanup"
     );
+    assert_eq!(db.siread_holder_count(), 0, "row SIREADs leaked");
 }
 
 #[test]

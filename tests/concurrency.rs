@@ -264,6 +264,7 @@ fn no_resource_leaks_after_heavy_churn() {
     }
     assert_eq!(db.transaction_manager().suspended_len(), 0);
     assert_eq!(db.lock_manager().grant_count(), 0);
+    assert_eq!(db.siread_holder_count(), 0);
     // Old versions can be reclaimed once nothing is running.
     let stats = db.purge();
     assert!(

@@ -240,6 +240,7 @@ fn gc_stress(variant: SsiVariant, threads: usize, iters: u64, keys: u64, seed: u
     assert_eq!(mgr.suspended_len(), 0, "suspended transactions leaked");
     assert_eq!(mgr.registry_len(), 0, "registry entries leaked");
     assert_eq!(db.lock_manager().grant_count(), 0, "lock grants leaked");
+    assert_eq!(db.siread_holder_count(), 0, "row SIREADs leaked");
     db.purge();
     let versions = table.version_count();
     let key_floor = keys as usize; // hot keys survive; churn keys may too
@@ -510,6 +511,7 @@ fn indexed_gc_stress(variant: SsiVariant, threads: usize, iters: u64, keys: u64,
     assert_eq!(mgr.suspended_len(), 0, "suspended transactions leaked");
     assert_eq!(mgr.registry_len(), 0, "registry entries leaked");
     assert_eq!(db.lock_manager().grant_count(), 0, "lock grants leaked");
+    assert_eq!(db.siread_holder_count(), 0, "row SIREADs leaked");
     db.purge();
     let live_rows = table.key_count() as u64;
     let entries = index.entry_count() as u64;

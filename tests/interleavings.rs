@@ -216,3 +216,239 @@ fn s2pl_never_commits_a_nonserializable_interleaving() {
         assert!(report.is_serializable(), "schedule {schedule:?}");
     }
 }
+
+// ---------------------------------------------------------------------------
+// Row-SIREAD choreography
+// ---------------------------------------------------------------------------
+//
+// Under Serializable SI a row's SIREAD is a registration on the row's version
+// chain, made by the read and found by the install of the row's next version
+// (`ssi_storage::table`, § SIREAD on the row). The lock table no longer sits
+// between the two, so each interleaving in which it used to be the one to
+// notice gets a test of its own. Every case is the same write skew around a
+// contested row `m` and a plain row `a`,
+//
+//   R: r(m) w(a)        W: r(a) w(m)
+//
+// run once per SSI variant. The edge R → W on `m` is the choreographed one: it
+// must be found (W's incoming-conflict flag, checked while R → W is still the
+// only edge W can have), and with W → R on `a` closing the cycle one of the
+// two must abort. The committed history is verified besides.
+
+mod row_siread {
+    use std::ops::Bound;
+    use std::sync::Barrier;
+
+    use serializable_si::{
+        Database, IsolationLevel, Options, SsiOptions, SsiVariant, TableRef, Transaction, TxnId,
+    };
+
+    const VARIANTS: [SsiVariant; 2] = [SsiVariant::Basic, SsiVariant::Enhanced];
+
+    /// A table holding `a`, `z` and whatever `rows` adds.
+    fn open(variant: SsiVariant, rows: &[&[u8]]) -> (Database, TableRef) {
+        let db = Database::open(Options {
+            ssi: SsiOptions {
+                variant,
+                ..SsiOptions::default()
+            },
+            ..Options::default().with_history()
+        });
+        let table = db.create_table("t").unwrap();
+        let mut load = db.begin();
+        for key in [b"a" as &[u8], b"z"].iter().chain(rows) {
+            load.put(&table, key, b"0").unwrap();
+        }
+        load.commit().unwrap();
+        (db, table)
+    }
+
+    fn has_incoming_conflict(db: &Database, id: TxnId) -> bool {
+        let txn = db.transaction_manager().find(id).expect("still active");
+        txn.conflict_flags().0
+    }
+
+    /// W → R on `a` (W has read it), both commits, and the verdict.
+    fn close_the_cycle(db: &Database, table: &TableRef, mut r: Transaction, w: Transaction) {
+        let r_done = r.put(table, b"a", b"r").and_then(|()| r.commit());
+        let w_done = w.commit();
+        assert!(
+            r_done.is_err() || w_done.is_err(),
+            "write skew committed: the cycle R -> W -> R went unnoticed"
+        );
+        let report = db.history().unwrap().analyze();
+        assert!(report.is_serializable(), "cycle {:?}", report.cycle);
+        // Nothing is left behind once both are gone.
+        db.transaction_manager()
+            .cleanup_suspended(db.lock_manager());
+        assert_eq!(db.lock_manager().grant_count(), 0);
+        assert_eq!(db.siread_holder_count(), 0);
+    }
+
+    /// (a) The reader registers between the writer's EXCLUSIVE grant and its
+    /// install. The writer is held there on the gap lock its delete needs: a
+    /// 2PL scan owns that gap SHARED until the reader is done.
+    #[test]
+    fn reader_between_the_writers_lock_and_its_install() {
+        for variant in VARIANTS {
+            let (db, table) = open(variant, &[b"m"]);
+            let mut blocker = db.begin_with(IsolationLevel::StrictTwoPhaseLocking);
+            blocker
+                .scan(&table, Bound::Included(b"y"), Bound::Unbounded)
+                .unwrap();
+
+            let mut r = db.begin();
+            let mut w = db.begin();
+            w.get(&table, b"a").unwrap();
+            let w_id = w.id();
+            let waits = db.metrics().locks.waits;
+            let w = std::thread::scope(|scope| {
+                let deleting = scope.spawn(|| {
+                    w.delete(&table, b"m").unwrap();
+                    w
+                });
+                // The delete holds EXCLUSIVE on `m` and waits for gap(z).
+                while db.metrics().locks.waits == waits {
+                    std::thread::yield_now();
+                }
+                assert_eq!(r.get(&table, b"m").unwrap().as_deref(), Some(&b"0"[..]));
+                assert!(!has_incoming_conflict(&db, w_id), "nothing installed yet");
+                blocker.commit().unwrap();
+                deleting.join().unwrap()
+            });
+            assert!(
+                has_incoming_conflict(&db, w_id),
+                "{variant:?}: install missed R"
+            );
+            close_the_cycle(&db, &table, r, w);
+        }
+    }
+
+    /// (b) The reader arrives after a `get_for_update` that later writes: the
+    /// locking read's probe cannot know it, the install must.
+    #[test]
+    fn reader_after_a_locking_read_that_later_writes() {
+        for variant in VARIANTS {
+            let (db, table) = open(variant, &[b"m"]);
+            let mut r = db.begin();
+            let mut w = db.begin();
+            w.get_for_update(&table, b"m").unwrap();
+            r.get(&table, b"m").unwrap();
+            assert!(!has_incoming_conflict(&db, w.id()));
+            w.get(&table, b"a").unwrap();
+            w.put(&table, b"m", b"w").unwrap();
+            assert!(has_incoming_conflict(&db, w.id()), "{variant:?}");
+            close_the_cycle(&db, &table, r, w);
+        }
+    }
+
+    /// (c) The reader sees nothing under an uncommitted insert, the insert
+    /// rolls back, and a second transaction inserts the key: the chain the
+    /// reader registered on must still be the key's chain.
+    #[test]
+    fn reader_under_an_insert_that_rolls_back_before_another() {
+        for variant in VARIANTS {
+            let (db, table) = open(variant, &[]);
+            let mut first = db.begin();
+            first.put(&table, b"m", b"first").unwrap();
+            let mut r = db.begin();
+            assert_eq!(r.get(&table, b"m").unwrap(), None);
+            first.rollback();
+            assert_eq!(table.version_count(), 2, "only `a` and `z` hold a version");
+            assert_eq!(table.key_count(), 3, "`m` stays mapped for its reader");
+
+            let mut w = db.begin();
+            w.get(&table, b"a").unwrap();
+            w.put(&table, b"m", b"second").unwrap();
+            assert!(has_incoming_conflict(&db, w.id()), "{variant:?}");
+            close_the_cycle(&db, &table, r, w);
+        }
+    }
+
+    /// (d) The reader sees a tombstone, a purge pass runs at a horizon above
+    /// it, and the key is inserted again.
+    #[test]
+    fn reader_of_a_tombstone_that_a_purge_pass_would_take() {
+        for variant in VARIANTS {
+            let (db, table) = open(variant, &[b"m"]);
+            let mut gone = db.begin();
+            gone.delete(&table, b"m").unwrap();
+            gone.commit().unwrap();
+
+            let mut r = db.begin();
+            assert_eq!(r.get(&table, b"m").unwrap(), None);
+            let pass = db.purge();
+            assert!(pass.horizon >= r.snapshot_ts().unwrap());
+            assert_eq!(pass.chains, 0, "the key has a reader");
+            assert_eq!(table.key_count(), 3);
+
+            let mut w = db.begin();
+            w.get(&table, b"a").unwrap();
+            w.put(&table, b"m", b"again").unwrap();
+            assert!(has_incoming_conflict(&db, w.id()), "{variant:?}");
+            close_the_cycle(&db, &table, r, w);
+        }
+    }
+
+    /// (e) A `get` of a missing key against the key's first insert. A key
+    /// with no chain has nothing to register on, so the read leaves its
+    /// SIREAD in the lock table, where the insert's EXCLUSIVE request finds
+    /// it; then the two are raced for real and the history verified.
+    #[test]
+    fn reader_of_a_missing_key_and_the_keys_first_insert() {
+        for variant in VARIANTS {
+            let (db, table) = open(variant, &[]);
+            let mut r = db.begin();
+            assert_eq!(r.get(&table, b"m").unwrap(), None);
+            assert_eq!(db.siread_holder_count(), 0);
+            assert_eq!(db.lock_manager().grant_count(), 1, "the fallback SIREAD");
+            let mut w = db.begin();
+            w.get(&table, b"a").unwrap();
+            w.put(&table, b"m", b"w").unwrap();
+            assert!(has_incoming_conflict(&db, w.id()), "{variant:?}");
+            close_the_cycle(&db, &table, r, w);
+
+            const ROUNDS: u64 = 300;
+            let mut load = db.begin();
+            for i in 0..ROUNDS {
+                load.put(&table, &plain(i), b"0").unwrap();
+            }
+            load.commit().unwrap();
+            let start = Barrier::new(2);
+            std::thread::scope(|scope| {
+                scope.spawn(|| {
+                    for i in 0..ROUNDS {
+                        start.wait();
+                        let mut r = db.begin();
+                        let _ = r
+                            .get(&table, &missing(i))
+                            .and_then(|_| r.put(&table, &plain(i), b"r"))
+                            .and_then(|()| r.commit());
+                    }
+                });
+                for i in 0..ROUNDS {
+                    start.wait();
+                    let mut w = db.begin();
+                    let _ = w
+                        .get(&table, &plain(i))
+                        .and_then(|_| w.put(&table, &missing(i), b"w"))
+                        .and_then(|()| w.commit());
+                }
+            });
+            let report = db.history().unwrap().analyze();
+            assert!(report.is_serializable(), "cycle {:?}", report.cycle);
+            db.transaction_manager()
+                .cleanup_suspended(db.lock_manager());
+            assert_eq!(db.lock_manager().grant_count(), 0);
+            assert_eq!(db.siread_holder_count(), 0);
+        }
+    }
+
+    fn plain(i: u64) -> Vec<u8> {
+        [b"p", &i.to_be_bytes()[..]].concat()
+    }
+
+    fn missing(i: u64) -> Vec<u8> {
+        [b"q", &i.to_be_bytes()[..]].concat()
+    }
+}

@@ -217,6 +217,9 @@ fn render_text_golden() {
         "ssi_txn_aborted_total 0",
         "# TYPE ssi_txn_suspended gauge",
         "ssi_txn_suspended 0",
+        "ssi_txn_siread_row_registrations_total 0",
+        "# TYPE ssi_txn_siread_rows gauge",
+        "ssi_txn_siread_rows 0",
         "ssi_txn_aborts_by_reason_total{reason=\"write-conflict\"} 0",
         "ssi_txn_aborts_by_reason_total{reason=\"pivot-out\"} 0",
         "ssi_txn_aborts_by_reason_total{reason=\"user-rollback\"} 0",

@@ -1,8 +1,9 @@
 //! The Serializable-SI range-scan protocol, seen from outside the engine:
 //! what a scan costs in lock requests, and that paging scans stay
 //! serializable while other transactions insert into and delete from the
-//! range they are reading (batched next-key SIREAD, one read under the lock,
-//! epoch-gated phantom sweep — see `ssi_storage::table`).
+//! range they are reading (batched next-key gap SIREADs, one read per row
+//! that registers the row's SIREAD on its chain, epoch-gated phantom sweep —
+//! see `ssi_storage::table`).
 
 use std::ops::Bound;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -24,12 +25,13 @@ fn key(i: u64) -> [u8; 8] {
     i.to_be_bytes()
 }
 
-/// One counted lock request per examined row, one per next-key gap and one
-/// for the gap that closes the range — no more (nothing is requested twice)
-/// and no fewer (the batch path counts like the single path). All of them
-/// stay granted while the reader is suspended and are gone after cleanup.
+/// One counted lock request per next-key gap and one for the gap that closes
+/// the range — no more (nothing is requested twice) and no fewer (the batch
+/// path counts like the single path) — plus one registration on the chain of
+/// every examined row, which is no lock request. All of them stay in place
+/// while the reader is suspended and are gone after cleanup.
 #[test]
-fn ssi_scan_of_500_rows_costs_1001_lock_requests_held_until_cleanup() {
+fn ssi_scan_of_500_rows_costs_501_lock_requests_and_500_registrations_held_until_cleanup() {
     let db = Database::open(Options::default());
     let table = db.create_table("items").unwrap();
     let mut load = db.begin();
@@ -40,6 +42,7 @@ fn ssi_scan_of_500_rows_costs_1001_lock_requests_held_until_cleanup() {
     db.transaction_manager()
         .cleanup_suspended(db.lock_manager());
     assert_eq!(db.lock_manager().grant_count(), 0, "quiescent");
+    assert_eq!(db.siread_holder_count(), 0, "quiescent");
 
     // A snapshot that is older than the scanner's commit keeps the scanner
     // suspended. It runs at plain SI, so it requests no locks itself.
@@ -49,6 +52,7 @@ fn ssi_scan_of_500_rows_costs_1001_lock_requests_held_until_cleanup() {
     bump.put(&table, &key(1000), b"0").unwrap();
     bump.commit().unwrap();
     assert_eq!(db.lock_manager().grant_count(), 0);
+    assert_eq!(db.siread_holder_count(), 0);
 
     let before = db.metrics();
     let mut scanner = db.begin();
@@ -59,10 +63,16 @@ fn ssi_scan_of_500_rows_costs_1001_lock_requests_held_until_cleanup() {
     scanner.commit().unwrap();
     let after = db.metrics();
 
-    assert_eq!(after.locks.requests - before.locks.requests, 1001);
+    assert_eq!(after.locks.requests - before.locks.requests, 501);
+    assert_eq!(
+        after.txn.siread_row_registrations - before.txn.siread_row_registrations,
+        500
+    );
     assert_eq!(after.locks.waits, before.locks.waits);
     assert_eq!(db.transaction_manager().suspended_len(), 1);
-    assert_eq!(db.lock_manager().grant_count(), 1001);
+    assert_eq!(db.lock_manager().grant_count(), 501);
+    assert_eq!(db.siread_holder_count(), 500);
+    assert_eq!(after.txn.siread_rows_now, 500);
     // Nothing entered or left the table while it ran: no page swept.
     assert_eq!(after.txn.scan_sweeps_run, before.txn.scan_sweeps_run);
     assert!(after.txn.scan_sweeps_skipped > before.txn.scan_sweeps_skipped);
@@ -74,13 +84,17 @@ fn ssi_scan_of_500_rows_costs_1001_lock_requests_held_until_cleanup() {
     assert_eq!(db.metrics().txn.cleaned, after.txn.cleaned + 1);
     assert_eq!(db.lock_manager().grant_count(), 0);
     assert_eq!(db.lock_manager().key_count(), 0);
+    assert_eq!(db.siread_holder_count(), 0);
+    assert_eq!(db.metrics().txn.siread_rows_now, 0);
 }
 
 /// Paging SSI scans against concurrent inserters and deleters of the scanned
 /// range. Brand-new keys enter the table's ordered index, deleted keys leave
-/// it once version GC purges their tombstones, so pages are closed through
-/// both branches of the epoch gate; the committed history must stay free of
-/// MVSG cycles and no scan may be starved out of its phantom sweep.
+/// it once version GC purges their tombstones — which it does at the first
+/// pass that finds no scan registered on the row any more — so pages are
+/// closed through both branches of the epoch gate; the committed history must
+/// stay free of MVSG cycles and no scan may be starved out of its phantom
+/// sweep.
 #[test]
 fn paging_ssi_scans_stay_serializable_against_inserters_and_deleters() {
     const SCANNERS: u64 = 2;
@@ -177,10 +191,13 @@ fn paging_ssi_scans_stay_serializable_against_inserters_and_deleters() {
                 scope.spawn(move || {
                     let mut scans = 0;
                     // Until the insert race has demonstrably been hit (a
-                    // page found its epoch moved), within a generous bound.
-                    while scans < MIN_SCANS
-                        || (db.metrics().txn.scan_sweeps_run == 0 && scans < MAX_SCANS)
-                    {
+                    // page found its epoch moved) and a key has left the
+                    // table under the scans, within a generous bound.
+                    let raced = || {
+                        let metrics = db.metrics();
+                        metrics.txn.scan_sweeps_run > 0 && metrics.gc.purged_chains > 0
+                    };
+                    while scans < MIN_SCANS || (!raced() && scans < MAX_SCANS) {
                         scan_and_publish(id, scans % 2 == 1);
                         scans += 1;
                     }
@@ -219,4 +236,5 @@ fn paging_ssi_scans_stay_serializable_against_inserters_and_deleters() {
     db.transaction_manager()
         .cleanup_suspended(db.lock_manager());
     assert_eq!(db.lock_manager().grant_count(), 0);
+    assert_eq!(db.siread_holder_count(), 0);
 }

@@ -233,4 +233,5 @@ fn no_locks_or_suspended_transactions_leak_after_a_run() {
         0,
         "all locks must be released after cleanup"
     );
+    assert_eq!(db.siread_holder_count(), 0, "row SIREADs leaked");
 }
