@@ -10,16 +10,17 @@
 //!   EXCLUSIVE holder;
 //! * `put`/`delete` take the EXCLUSIVE lock, apply first-committer-wins,
 //!   register conflicts with the SIREAD holders that overlap the writer, and
-//!   — for inserts and deletes at row granularity — do the same on the gap
-//!   lock protecting the key range (phantom handling, Sec. 3.5);
-//! * `scan` is `get` applied to every row the predicate examines, plus
-//!   SIREAD gap locks so later inserts into the scanned range are detected.
-//!   It works a page at a time: the storage cursor lists the page's keys
-//!   without reading them, one `lock_siread_batch` call takes every row's
-//!   gap SIREAD, each row is then read exactly once, and the phantom sweep
-//!   of the page's key range runs only if the table's membership epoch moved
-//!   since the page was listed (see "Why scans stay consistent under SSI" in
-//!   `ssi_storage::table`).
+//!   — for inserts and deletes at row granularity — do the same for the
+//!   holders of the gap the key lies in (phantom handling, Sec. 3.5);
+//! * `scan` is `get` applied to every row the predicate examines, with the
+//!   SIREAD covering the gap in front of each row as well — the next-key lock
+//!   — so that later inserts into the scanned range are detected. It works a
+//!   page at a time: the storage cursor lists the page's keys without reading
+//!   them, each row is then read exactly once in a chain visit that also
+//!   registers the scan on row and gap, the last page adds the gap that
+//!   closes the range, and the phantom sweep of the page's key range runs
+//!   only if the table's membership epoch moved since the page was listed
+//!   (see "Why scans stay consistent under SSI" in `ssi_storage::table`).
 //!
 //! ## Where an SIREAD lives
 //!
@@ -27,31 +28,46 @@
 //! by the next writer of what it covers. So it is kept wherever that writer
 //! already looks:
 //!
-//! * **a row, at row granularity: on the row's version chain.** The read
-//!   registers the transaction there in the critical section that reads the
-//!   version, and the install of the row's next version is handed everyone
-//!   registered (`ssi_storage::table`, § SIREAD on the row). Such a read
-//!   builds no lock name, visits no lock table and adds nothing to
-//!   `Transaction::locks`; the transaction keeps one storage handle per new
-//!   registration (`Transaction::siread_rows`) — a scan moves the one its
-//!   page already holds — and the handles travel with the suspended
-//!   transaction until `TransactionManager` releases them. A writer still
-//!   takes the row's EXCLUSIVE lock in the lock table (it is what blocks
-//!   the next writer), and passes both the chain's readers and whatever the
-//!   lock table reported to `mark_write_conflicts`;
-//! * **everything without a chain: in the lock table**, by today's
-//!   lock-then-read protocol. That is a gap, an index entry's gap, a page
-//!   (page granularity has many rows under one name, so a chain cannot
-//!   stand for it), and a row whose key has no chain yet — a `get` of a
-//!   missing key, which the key's first insert meets through its EXCLUSIVE
-//!   request.
+//! * **a row, and the gap in front of it, at row granularity: on the row's
+//!   version chain.** The read registers the transaction there in the
+//!   critical section that reads the version — a point read for the row, a
+//!   scan for row and gap in one registration — and the install of the row's
+//!   next version is handed everyone registered on the row, the first
+//!   version of a new key everyone registered on the gap it goes into, which
+//!   it finds on its successor's chain while it links itself into the index
+//!   (`ssi_storage::table`, § SIREAD on the row). The gap that closes a
+//!   scan's range sits on the first key beyond it, or on the table's supremum
+//!   chain. Such a read builds no lock name, visits no lock table and adds
+//!   nothing to `Transaction::locks`; the transaction keeps one storage
+//!   handle per new registration (`Transaction::siread_rows`) — a scan moves
+//!   the one its page already holds — and the handles travel with the
+//!   suspended transaction until `TransactionManager` releases them. A new
+//!   key starts out with a copy of the holders of the gap it split, so that
+//!   the next insert in front of it finds them; `do_write` hands each holder
+//!   the new chain's handle (`TransactionManager::adopt`) at every isolation level,
+//!   and the holder releases it with its own. A writer still takes the row's
+//!   EXCLUSIVE lock in the lock table (it is what blocks the next writer),
+//!   and an inserter or deleter the EXCLUSIVE lock of the gap above its key
+//!   (it is what waits for an S2PL scanner, whose SHARED gap locks live
+//!   there), and passes the chain's holders and whatever the lock table
+//!   reported to `mark_write_conflicts`;
+//! * **everything without a chain: in the lock table**, by the
+//!   lock-then-read protocol. That is an index entry's gap, a page (page
+//!   granularity has many rows under one name, so a chain cannot stand for
+//!   it), and a row whose key has no chain yet — a `get` of a missing key,
+//!   which the key's first insert meets through its EXCLUSIVE request. A
+//!   *scan* that finds no chain for a key it listed needs no lock either: it
+//!   registers on the gap above the key, where the key's next insert will
+//!   look (`Transaction::ssi_read_absent`).
 //!
 //! One narrowing against the lock table: a chain shows a reader the writers
 //! that have *installed*, not a transaction that merely holds the EXCLUSIVE
 //! lock (`get_for_update`, or a `put` between its lock grant and its
 //! install). No conflict is lost by that. If the holder goes on to write
 //! the row, its install finds the reader and records the same edge; if it
-//! never does, the row did not change and the reader missed nothing.
+//! never does, the row did not change and the reader missed nothing. The
+//! same goes for the EXCLUSIVE holder of a gap: a scan meets an inserter by
+//! reading the key it inserted.
 //!
 //! ## Secondary-index protocol
 //!
@@ -90,8 +106,8 @@ use std::sync::Arc;
 use ssi_common::{AbortReason, Bytes, Error, IsolationLevel, Result, TableId, Timestamp, TxnId};
 use ssi_lock::{LockKey, LockMode, ModeSet};
 use ssi_storage::{
-    as_ref_bound, clone_bound, decode_entry, encode_entry, entry_range, Index, Installed, ScanPage,
-    ScanRow, Siread, VisibleRead,
+    as_ref_bound, clone_bound, decode_entry, encode_entry, entry_range, Index, Inherited,
+    Installed, ScanRow, Siread, SireadCover, VisibleRead,
 };
 
 use crate::db::{IndexRef, TableRef};
@@ -104,6 +120,10 @@ use crate::verify::{ReadRecord, WriteRecordEntry};
 /// Lists the keys of an ordered structure (a table's key index, a secondary
 /// index's entry map) that lie between two bounds, ascending.
 type KeyLister<'a> = &'a dyn Fn(Bound<&[u8]>, Bound<&[u8]>) -> Vec<Arc<[u8]>>;
+
+/// Covers the gap in front of a key the phantom sweep found, the way the
+/// scan covered the gaps of the keys it listed.
+type GapCover<'a> = &'a mut dyn FnMut(&mut Transaction, &Arc<[u8]>) -> Result<()>;
 
 /// Rows an index scan keeps, in entry order: `(entry, primary key, value)`.
 type IndexHits = Vec<(Arc<[u8]>, Vec<u8>, Bytes)>;
@@ -271,63 +291,59 @@ impl Transaction {
         matches!(self.db.options.granularity, LockGranularity::Row)
     }
 
-    /// Closes one page of a gap-locking scan against phantoms. The page's
+    /// Closes one page of a gap-covering scan against phantoms. The page's
     /// key region runs from `from` (exclusive end of the previous page, or
-    /// the scan's lower bound) to the page's last key — or, for the last
-    /// page, to the scan's `upper` bound. The caller must already hold, in
-    /// `mode`, the gap locks of every key of the page *and*, on the last
-    /// page, of the region's upper boundary.
+    /// the scan's lower bound) to `to`: the page's last key or, for the last
+    /// page, the end of the range. The caller must already cover — with a
+    /// gap lock, or at Serializable SI a registration on the key's chain —
+    /// the gap of every key the page listed *and*, on the last page, the gap
+    /// that closes the range.
     ///
     /// Any key present in the region that the page did not list was
-    /// inserted into one of its gaps after the page was taken. Inserts that
-    /// request their gap lock once ours is granted collide with it in the
-    /// lock table; the sweep ([`Transaction::sweep_region`]) is for the ones
-    /// that were entirely done by then. It runs only if the table's
-    /// membership epoch moved since the page was listed: an unchanged epoch,
-    /// read under the ordered-index lock now that the locks are held, proves
+    /// inserted into one of its gaps after the page was taken. An insert
+    /// that looks for the holders of its gap once ours is in place finds us
+    /// there; the sweep ([`Transaction::sweep_region`]) is for the ones that
+    /// were entirely done by then. It runs only if the table's membership
+    /// epoch moved since the page was listed: an unchanged `epoch`, read
+    /// under the ordered-index lock now that the gaps are covered, proves
     /// the index still holds exactly the page's keys, so the sweep's listing
-    /// would find nothing. Returns the newly discovered keys in ascending
-    /// order for the caller to read/conflict on.
+    /// would find nothing. `seen` is asked for the page's keys only if the
+    /// sweep runs. Returns the newly discovered keys in ascending order.
     fn sweep_gap_region(
         &mut self,
         table: &TableRef,
-        page: &ScanPage,
+        epoch: u64,
+        seen: impl FnOnce() -> Vec<Arc<[u8]>>,
         from: Bound<&[u8]>,
-        upper: Bound<&[u8]>,
-        mode: LockMode,
+        to: Bound<&[u8]>,
+        cover: GapCover<'_>,
     ) -> Result<Vec<Arc<[u8]>>> {
         let stats = self.db.txns.stats();
-        if table.table.membership_epoch() == page.epoch {
+        if table.table.membership_epoch() == epoch {
             stats.scan_sweeps_skipped.fetch_add(1, Ordering::Relaxed);
             return Ok(Vec::new());
         }
         stats.scan_sweeps_run.fetch_add(1, Ordering::Relaxed);
-        let to = match page.rows.last() {
-            Some(row) if !page.last => Bound::Included(&row.key[..]),
-            _ => upper,
-        };
-        let seen = page.rows.iter().map(|row| row.key.clone()).collect();
         let list = &|from: Bound<&[u8]>, to: Bound<&[u8]>| table.table.keys_in_range(from, to);
-        self.sweep_region(table.id(), list, seen, from, to, mode)
+        self.sweep_region(list, seen(), from, to, cover)
     }
 
     /// The phantom sweep shared by row scans and index scans: finds the
-    /// keys of `space` (a table's keys or an index's entries, as `list`
-    /// reports them) that lie in `(from, to)` and are not in `seen` — the
-    /// ascending keys whose gap lock this transaction already holds in
-    /// `mode`, along with the gap lock of the region's upper boundary.
+    /// keys of a table or the entries of an index (as `list` reports them)
+    /// that lie in `(from, to)` and are not in `seen` — the ascending keys
+    /// whose gap this transaction already covers, along with the gap of the
+    /// region's upper boundary.
     ///
-    /// Each key found is gap-locked in `mode` as well — an insert splits a
-    /// gap, and without a lock on the new key's gap a *second* insert in
-    /// front of it would escape detection — which opens the same race for
-    /// the new lock: an insert in front of the found key may have come and
-    /// gone before that lock was granted. So the part of the region below
-    /// the highest key just locked is listed again, until a pass finds
-    /// nothing new. Keys that appear *above* the keys a pass locked need no
-    /// further pass: their inserts aimed at a gap lock this transaction
-    /// already held, and met it in the lock table. After that fixpoint,
-    /// every key listed in the region carries our gap lock. Returns the
-    /// discovered keys in ascending order.
+    /// Each key found has its gap covered as well (`cover`) — an insert
+    /// splits a gap, and the new key's gap has to be ours from then on too —
+    /// which opens the same race for the new cover: an insert in front of
+    /// the found key may have come and gone before it was in place. So the
+    /// part of the region below the highest key just covered is listed
+    /// again, until a pass finds nothing new. Keys that appear *above* the
+    /// keys a pass covered need no further pass: their inserts went into a
+    /// gap this transaction already covered, and found it there. After that
+    /// fixpoint, every key listed in the region has its gap covered. Returns
+    /// the discovered keys in ascending order.
     ///
     /// Every pass lists a strictly lower range than the one before, so an
     /// append storm ends the sweep after two passes, and a pass is one
@@ -340,20 +356,19 @@ impl Transaction {
     /// scan imposes no ordering constraints.
     fn sweep_region(
         &mut self,
-        space: TableId,
         list: KeyLister<'_>,
         mut seen: Vec<Arc<[u8]>>,
         from: Bound<&[u8]>,
         to: Bound<&[u8]>,
-        mode: LockMode,
+        cover: GapCover<'_>,
     ) -> Result<Vec<Arc<[u8]>>> {
         const MAX_PASSES: usize = 16;
         debug_assert!(seen.windows(2).all(|w| w[0] < w[1]));
         let mut missed: Vec<Arc<[u8]>> = Vec::new();
         for _ in 0..MAX_PASSES {
-            // Highest key the previous pass locked (a pass finds its keys in
-            // ascending order): only inserts in front of it can have raced
-            // that pass's locks.
+            // Highest key the previous pass covered (a pass finds its keys
+            // in ascending order): only inserts in front of it can have
+            // raced that pass.
             let to = match missed.last() {
                 Some(key) => Bound::Excluded(&key[..]),
                 None => to,
@@ -378,16 +393,25 @@ impl Transaction {
                 return Ok(missed);
             }
             for key in &missed[found..] {
-                let outcome = self.acquire(LockKey::gap(space, key.clone()), mode)?;
-                if mode == LockMode::SiRead {
-                    self.mark_read_conflicts(&outcome.rw_conflicts)?;
-                }
+                cover(self, key)?;
             }
         }
         Err(Error::abort_with_reason(
             AbortReason::GapSweepExhausted,
             self.shared.id(),
         ))
+    }
+
+    /// The lock-table way to cover the gap in front of `key` in `space` (a
+    /// table's keys at S2PL, an index's entries at S2PL and Serializable
+    /// SI): the gap lock in `mode`, and for an SIREAD the conflicts with the
+    /// EXCLUSIVE holders it meets.
+    fn lock_gap(&mut self, space: TableId, key: &Arc<[u8]>, mode: LockMode) -> Result<()> {
+        let outcome = self.acquire(LockKey::gap(space, key.clone()), mode)?;
+        if mode == LockMode::SiRead {
+            self.mark_read_conflicts(&outcome.rw_conflicts)?;
+        }
+        Ok(())
     }
 
     /// 2PL handling of keys [`Transaction::sweep_gap_region`] discovered:
@@ -414,29 +438,28 @@ impl Transaction {
         Ok(())
     }
 
-    /// SSI handling of keys [`Transaction::sweep_gap_region`] discovered:
-    /// treat each exactly like a row of the page — the row read with its
-    /// SIREAD (without it a later *update* of the phantom key, which takes
-    /// no gap lock, would escape both detection channels) and its conflicts
-    /// with the creators of the key's (invisible) versions — and record the
-    /// predicate read for the verifier. Such keys are never visible to the
-    /// scan's snapshot — a version committed before the snapshot would have
-    /// been in the ordered index when the page was read.
-    fn absorb_missed_keys_ssi(
+    /// SSI handling of a key [`Transaction::sweep_gap_region`] discovered:
+    /// treat it exactly like a row of the page — the row read, by key, with
+    /// its registration on the key's chain covering row and gap (without the
+    /// row an *update* of the phantom key would go unnoticed, without the
+    /// gap an insert in front of it) and its conflicts with the creators of
+    /// the key's (invisible) versions — and record the predicate read for
+    /// the verifier. Such a key is never visible to the scan's snapshot — a
+    /// version committed before the snapshot would have been in the ordered
+    /// index when the page was read.
+    fn absorb_missed_key_ssi(
         &mut self,
         table: &TableRef,
-        missed: Vec<Arc<[u8]>>,
+        key: &[u8],
         snapshot: Timestamp,
     ) -> Result<()> {
-        for key in missed {
-            let probe = self.ssi_read(table, &key, snapshot)?;
-            self.record_read(
-                table,
-                &key,
-                probe.read_version_ts,
-                probe.speculative_of.is_some(),
-            );
-        }
+        let probe = self.ssi_read(table, key, snapshot, SireadCover::ROW_AND_GAP)?;
+        self.record_read(
+            table,
+            key,
+            probe.read_version_ts,
+            probe.speculative_of.is_some(),
+        );
         Ok(())
     }
 
@@ -509,8 +532,8 @@ impl Transaction {
     }
 
     /// Takes SIREAD on every lock-table key of a predicate read's page
-    /// (gaps, or pages at page granularity) in one lock-table pass (never
-    /// blocks; see
+    /// (an index scan's entry gaps, or pages at page granularity) in one
+    /// lock-table pass (never blocks; see
     /// [`ssi_lock::LockManager::lock_siread_batch`]), moves the newly
     /// acquired keys into the lock set and registers the conflicts with the
     /// EXCLUSIVE holders found (Fig. 3.4's lock step, applied to a batch).
@@ -663,23 +686,26 @@ impl Transaction {
     /// sees every version installed before it and is seen by every install
     /// after it. A writer that holds the EXCLUSIVE lock but has installed
     /// nothing yet is not visible there, and need not be: its install will
-    /// find the registration. Only a key with no chain, or page granularity,
-    /// takes the lock table's two steps ([`Transaction::ssi_read_locked`]).
+    /// find the registration. `cover` is [`SireadCover::ROW`] for a point
+    /// read and adds the gap in front of the key for a predicate read.
+    ///
+    /// A key with no chain has nothing to register on. A point read, and
+    /// every read at page granularity, then takes the lock table's two steps
+    /// ([`Transaction::ssi_read_locked`]). A predicate read covers the place
+    /// where the key would be instead ([`Transaction::ssi_read_absent`]).
     fn ssi_read(
         &mut self,
         table: &TableRef,
         key: &[u8],
         snapshot: Timestamp,
+        cover: SireadCover,
     ) -> Result<VisibleRead> {
-        if self.row_granularity() {
-            let (read, siread) = table
-                .table
-                .read_registering(key, self.shared.id(), snapshot);
-            if self.keep_row_siread(siread) {
-                return self.finish_ssi_read(table, key, snapshot, read);
-            }
+        if !self.row_granularity() {
+            return self.ssi_read_locked(table, key, snapshot);
         }
-        self.ssi_read_locked(table, key, snapshot)
+        let id = self.shared.id();
+        let (read, siread) = table.table.read_registering(key, id, snapshot, cover);
+        self.finish_registering_read(table, key, snapshot, cover, read, siread)
     }
 
     /// [`Transaction::ssi_read`] of a scanned row at row granularity, through
@@ -690,23 +716,40 @@ impl Transaction {
         table: &TableRef,
         row: ScanRow,
         snapshot: Timestamp,
+        cover: SireadCover,
     ) -> Result<(Arc<[u8]>, VisibleRead)> {
         let ScanRow { key, handle } = row;
-        let (read, siread) =
-            table
-                .table
-                .read_row_registering(&key, handle, self.shared.id(), snapshot);
-        let read = if self.keep_row_siread(siread) {
-            self.finish_ssi_read(table, &key, snapshot, read)?
-        } else {
-            self.ssi_read_locked(table, &key, snapshot)?
-        };
+        let id = self.shared.id();
+        let (read, siread) = table
+            .table
+            .read_row_registering(&key, handle, id, snapshot, cover);
+        let read = self.finish_registering_read(table, &key, snapshot, cover, read, siread)?;
         Ok((key, read))
     }
 
+    /// Files what a registering read reports and completes the read: the
+    /// conflicts if it registered, the fallback for its `cover` if the key
+    /// had no chain.
+    fn finish_registering_read(
+        &mut self,
+        table: &TableRef,
+        key: &[u8],
+        snapshot: Timestamp,
+        cover: SireadCover,
+        read: VisibleRead,
+        siread: Siread,
+    ) -> Result<VisibleRead> {
+        if self.keep_row_siread(siread) {
+            self.finish_ssi_read(table, key, snapshot, read)
+        } else if cover == SireadCover::ROW {
+            self.ssi_read_locked(table, key, snapshot)
+        } else {
+            self.ssi_read_absent(table, key, snapshot, cover)
+        }
+    }
+
     /// Files what a registering read reports. False if the key had no chain
-    /// to register on, so the read has yet to be made under a lock-table
-    /// SIREAD.
+    /// to register on.
     fn keep_row_siread(&mut self, siread: Siread) -> bool {
         match siread {
             Siread::New(row) => {
@@ -715,6 +758,33 @@ impl Transaction {
             }
             Siread::Held => true,
             Siread::NoChain => false,
+        }
+    }
+
+    /// The predicate read of a key that was listed and has no chain (any
+    /// more): a rolled-back insert, a purged tombstone. What the scan has to
+    /// cover is the place where the key would be, which is part of the gap
+    /// in front of the next key up; so it registers there, and looks for the
+    /// key once more. If the key is back, this is an ordinary registering
+    /// read. If not, it was absent at a moment when the gap it would go into
+    /// was covered: whoever inserts it from now on finds the scan on that
+    /// gap, is told, and hands the new key its gap (`ssi_storage::table`,
+    /// § SIREAD on the row). No lock-table entry is involved.
+    fn ssi_read_absent(
+        &mut self,
+        table: &TableRef,
+        key: &[u8],
+        snapshot: Timestamp,
+        cover: SireadCover,
+    ) -> Result<VisibleRead> {
+        let id = self.shared.id();
+        let (above, _) = table.table.register_gap_above(Bound::Included(key), id);
+        self.keep_row_siread(above);
+        let (read, siread) = table.table.read_registering(key, id, snapshot, cover);
+        if self.keep_row_siread(siread) {
+            self.finish_ssi_read(table, key, snapshot, read)
+        } else {
+            Ok(VisibleRead::default())
         }
     }
 
@@ -786,7 +856,7 @@ impl Transaction {
             }
             IsolationLevel::SerializableSnapshotIsolation => {
                 let snapshot = self.db.txns.ensure_snapshot(&self.shared);
-                let read = self.ssi_read(table, key, snapshot)?;
+                let read = self.ssi_read(table, key, snapshot, SireadCover::ROW)?;
                 if !read.read_own_write {
                     self.record_read(
                         table,
@@ -883,7 +953,10 @@ impl Transaction {
         // Phantom handling: inserts and deletes lock the gap after the key
         // (Fig. 3.7) so concurrent predicate reads notice them. Updates of
         // existing keys do not change predicate results and need no gap
-        // lock. Page-level locking subsumes this (Sec. 3.5).
+        // lock. Page-level locking subsumes this (Sec. 3.5). The lock is
+        // what makes the write wait for an S2PL scanner; a Serializable-SI
+        // scanner is not in the lock table and is found with the install,
+        // below.
         let is_insert = !probe.has_live_version;
         let needs_gap = self.gap_locking_enabled()
             && (is_insert || is_delete)
@@ -909,11 +982,12 @@ impl Transaction {
 
         // A long chain is pruned on the way in, at the horizon the purge
         // pass would use; the horizon is only read if the chain is long. The
-        // critical section that pushes the version also hands over the
-        // row's registered readers and drops this transaction's own
-        // registration (the Sec. 3.7.3 upgrade: sound because locking and
-        // versioning granularity match on a chain, so first-committer-wins
-        // covers any later writer of the row).
+        // critical section that makes the version visible also hands over
+        // the SIREAD holders it concerns — the row's for an update, the
+        // gap's for the first version of a new key — and drops this
+        // transaction's own registration on the row (the Sec. 3.7.3 upgrade:
+        // sound because locking and versioning granularity match on a chain,
+        // so first-committer-wins covers any later writer of the row).
         let txns = &self.db.txns;
         let upgrade = self.db.options.ssi.upgrade_siread;
         let Installed {
@@ -921,6 +995,7 @@ impl Transaction {
             pruned,
             readers,
             upgraded,
+            inherited,
         } = table
             .table
             .install(key, id, value, upgrade, || txns.gc_horizon());
@@ -934,15 +1009,46 @@ impl Transaction {
             key: key.to_vec(),
             version,
         });
+        // A new key that split a scanned gap carries a copy of the gap's
+        // holders. That is storage's doing at every isolation level, and so
+        // is handing the copies to their holders; only the conflicts are
+        // Serializable SI's.
+        if let Some(inherited) = inherited {
+            self.adopt_inherited(inherited);
+        }
         if isolation == IsolationLevel::SerializableSnapshotIsolation {
             // Fig. 3.5: conflict with every overlapping SIREAD holder —
             // those the lock table reported with the EXCLUSIVE grant (pages;
             // readers that found no chain for the key) and those registered
-            // on the chain.
+            // on the chain. A delete reports to the holders of the gap above
+            // the key besides, as Fig. 3.7 has it.
             self.siread_rows_upgraded += usize::from(upgraded);
             self.mark_write_conflicts(outcome.rw_conflicts.iter().chain(&readers))?;
+            if is_delete && needs_gap {
+                self.mark_write_conflicts(&table.table.gap_holders_above(key, id))?;
+            }
         }
         Ok(())
+    }
+
+    /// Hands each holder of a gap this transaction's insert split the copy
+    /// of its SIREAD that the new key's chain was created with, to release
+    /// with the rest of its SIREADs. A holder that is past releasing them —
+    /// gone from the registry — cannot take it, and the copy is released
+    /// here; either way a holder is on the chain exactly while its
+    /// transaction is active or suspended.
+    fn adopt_inherited(&mut self, inherited: Inherited) {
+        let Inherited { chain, holders } = inherited;
+        self.siread_gaps_inherited += holders.len();
+        // Counted in the gauge before the holder can release them.
+        let held_now = &self.db.txns.stats().siread_rows_now;
+        held_now.fetch_add(holders.len() as u64, Ordering::Relaxed);
+        for holder in &holders {
+            if let Err(chain) = self.db.txns.adopt(*holder, chain.clone()) {
+                chain.release_siread(*holder);
+                held_now.fetch_sub(1, Ordering::Relaxed);
+            }
+        }
     }
 
     // ------------------------------------------------------------------
@@ -1083,9 +1189,12 @@ impl Transaction {
     /// handles without reading them, only one page is materialized at a
     /// time, and the table's ordered-index lock is released between pages,
     /// so a large scan never blocks writers of new keys for its duration.
-    /// The levels differ in what happens between listing a page and reading
-    /// its rows: nothing (read committed, SI), one batch of SIREAD locks
-    /// (Serializable SI), or a blocking SHARED lock per row and gap (S2PL).
+    /// The levels differ in what goes with reading a page's rows: nothing
+    /// (read committed, SI); at Serializable SI the registration of each
+    /// row and its gap in the chain visit that reads it, and the phantom
+    /// sweep behind the page if keys entered or left the table meanwhile
+    /// (at page granularity, one batch of page SIREAD locks in front of the
+    /// reads instead); a blocking SHARED lock per row and gap (S2PL).
     fn do_scan(
         &mut self,
         table: &TableRef,
@@ -1135,60 +1244,63 @@ impl Transaction {
                     // Rows committed into the page's gaps before their gap
                     // locks were granted were not listed; lock and include
                     // them.
-                    let missed =
-                        self.sweep_gap_region(table, &page, region_start, upper, LockMode::Shared)?;
+                    let region_end = match &last_key {
+                        Some(key) if !page.last => Bound::Included(&key[..]),
+                        _ => upper,
+                    };
+                    let seen = || page.rows.iter().map(|row| row.key.clone()).collect();
+                    let space = table.id();
+                    let missed = self.sweep_gap_region(
+                        table,
+                        page.epoch,
+                        seen,
+                        region_start,
+                        region_end,
+                        &mut |txn, key| txn.lock_gap(space, key, LockMode::Shared),
+                    )?;
                     self.absorb_missed_rows_2pl(table, missed, &mut result)?;
                 }
             } else {
                 let ssi = isolation == IsolationLevel::SerializableSnapshotIsolation;
                 let row_sireads = ssi && self.row_granularity();
-                let mut missed = Vec::new();
-                if ssi {
-                    // Fig. 3.6: every examined row is read under an SIREAD,
-                    // plus an SIREAD gap lock so that inserts into the
-                    // scanned range are detected. What lives in the lock
-                    // table — the gaps, or at page granularity the rows'
-                    // pages — is locked for the whole page first (SIREAD
-                    // never waits, so one lock-table pass does it)…
-                    let mut keys = Vec::with_capacity(page.rows.len() + 1);
-                    for row in &page.rows {
-                        if let Some(pages) = &self.db.pages {
-                            keys.push(LockKey::page(table.id(), pages.page_of(&row.key)));
-                        } else if gap_on {
-                            keys.push(LockKey::gap(table.id(), row.key.clone()));
-                        }
-                    }
-                    if gap_on && page.last {
-                        keys.push(self.end_gap_target(table, &upper));
-                    }
+                // Fig. 3.6: every examined row is read under an SIREAD, and
+                // so that inserts into the scanned range are detected, the
+                // gap in front of it is covered too. At row granularity both
+                // are one registration on the row's chain.
+                let cover = if gap_on {
+                    SireadCover::ROW_AND_GAP
+                } else {
+                    SireadCover::ROW
+                };
+                if let (true, Some(pages)) = (ssi, &self.db.pages) {
+                    // At page granularity the rows' pages stand for rows and
+                    // gaps alike. They live in the lock table and are locked
+                    // for the whole page first (SIREAD never waits, so one
+                    // lock-table pass does it).
+                    let keys = page.rows.iter().map(|row| &row.key);
+                    let keys: Vec<LockKey> = keys
+                        .map(|key| LockKey::page(table.id(), pages.page_of(key)))
+                        .collect();
                     if !keys.is_empty() {
                         self.acquire_sireads(keys)?;
                     }
-                    if gap_on {
-                        // …and with the gaps held, keys committed into them
-                        // before the grant (phantoms the listing missed) are
-                        // in the ordered index by now: gap-lock those too.
-                        missed = self.sweep_gap_region(
-                            table,
-                            &page,
-                            region_start,
-                            upper,
-                            LockMode::SiRead,
-                        )?;
-                    }
                 }
-                // Each row is then read once. Under SSI at row granularity
-                // the read registers the row's SIREAD in the same chain
-                // critical section, moving the page's handle into the
-                // transaction; at page granularity it runs under the page
-                // lock taken above. Either way it sees every writer that
-                // cannot see the SIREAD. The read resolves provisional rows
-                // at every level, registering a commit dependency on a
-                // mid-window creator: even read-committed must not return
-                // data that can still roll back.
+                // The keys whose gap this page's reads covered: what the
+                // phantom sweep compares the table against.
+                let sweeps = ssi && gap_on;
+                let mut covered = Vec::with_capacity(if sweeps { page.rows.len() + 1 } else { 0 });
+                // Each row is read once. Under SSI at row granularity the
+                // read registers the SIREAD in the same chain critical
+                // section, moving the page's handle into the transaction;
+                // at page granularity it runs under the page lock taken
+                // above. Either way it sees every writer that cannot see
+                // the SIREAD. The read resolves provisional rows at every
+                // level, registering a commit dependency on a mid-window
+                // creator: even read-committed must not return data that
+                // can still roll back.
                 for row in page.rows {
                     let (key, read) = if row_sireads {
-                        self.ssi_read_row(table, row, snapshot)?
+                        self.ssi_read_row(table, row, snapshot, cover)?
                     } else {
                         let read = self.snapshot_read_row(table, &row, snapshot);
                         if ssi {
@@ -1196,24 +1308,52 @@ impl Transaction {
                         }
                         (row.key, read)
                     };
-                    if !read.key_exists {
-                        continue;
+                    if read.key_exists {
+                        if isolation != IsolationLevel::ReadCommitted && !read.read_own_write {
+                            self.record_read(
+                                table,
+                                &key,
+                                read.read_version_ts,
+                                read.speculative_of.is_some(),
+                            );
+                        }
+                        if let Some(value) = read.value {
+                            result.push((key.to_vec(), value));
+                        }
                     }
-                    if isolation != IsolationLevel::ReadCommitted && !read.read_own_write {
-                        self.record_read(
-                            table,
-                            &key,
-                            read.read_version_ts,
-                            read.speculative_of.is_some(),
-                        );
-                    }
-                    if let Some(value) = read.value {
-                        result.push((key.to_vec(), value));
+                    if sweeps {
+                        covered.push(key);
                     }
                 }
-                // The swept keys are read like rows of the page: conflict
-                // with their creators exactly as for a newer version.
-                self.absorb_missed_keys_ssi(table, missed, snapshot)?;
+                if sweeps {
+                    // The gap that closes the range rides on the first key
+                    // beyond it (or on the table's supremum), which the last
+                    // page found together with its rows.
+                    let end_key = match page.end_gap {
+                        Some(end) => {
+                            let (siread, on) = table.table.register_end_gap(end, upper, id);
+                            self.keep_row_siread(siread);
+                            covered.extend(on.clone());
+                            on
+                        }
+                        None => last_key.clone(),
+                    };
+                    // Registered first, epoch checked second: an insert that
+                    // found none of the registrations has moved the epoch by
+                    // now, and the sweep takes its key for a row of the
+                    // page. On the last page the region reaches up to the
+                    // key that carries the end gap, so a key that got in
+                    // front of that one is found too.
+                    let region_end = end_key.as_deref().map_or(Bound::Unbounded, Bound::Included);
+                    self.sweep_gap_region(
+                        table,
+                        page.epoch,
+                        || covered,
+                        region_start,
+                        region_end,
+                        &mut |txn, key| txn.absorb_missed_key_ssi(table, key, snapshot),
+                    )?;
+                }
             }
             if last_key.is_some() {
                 prev_last = last_key;
@@ -1282,7 +1422,9 @@ impl Transaction {
         mode: LockMode,
     ) -> Result<Vec<Arc<[u8]>>> {
         let list = &|from: Bound<&[u8]>, to: Bound<&[u8]>| index.entries_in_range(from, to, None);
-        self.sweep_region(index.id(), list, visited.to_vec(), from, to, mode)
+        let space = index.id();
+        let cover: GapCover<'_> = &mut |txn, entry| txn.lock_gap(space, entry, mode);
+        self.sweep_region(list, visited.to_vec(), from, to, cover)
     }
 
     /// 2PL handling of entries [`Transaction::sweep_index_region`]
@@ -1334,7 +1476,7 @@ impl Transaction {
         let Some((ik, pk)) = decode_entry(&entry) else {
             return Ok(());
         };
-        let probe = self.ssi_read(table, &pk, snapshot)?;
+        let probe = self.ssi_read(table, &pk, snapshot, SireadCover::ROW)?;
         if !probe.read_own_write {
             self.record_read(
                 table,

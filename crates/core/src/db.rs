@@ -802,6 +802,7 @@ impl Database {
             scan_sweeps_run: load(&s.scan_sweeps_run),
             scan_sweeps_skipped: load(&s.scan_sweeps_skipped),
             siread_row_registrations: load(&s.siread_row_registrations),
+            siread_gaps_inherited: load(&s.siread_gaps_inherited),
             siread_rows_now: load(&s.siread_rows_now),
             abort_reasons: s.abort_reason_counts(),
         };

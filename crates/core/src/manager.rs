@@ -118,17 +118,19 @@
 //!   the list. A finish that suspends nothing (every SI and S2PL finish,
 //!   every abort) looks at the atomic length first and touches the mutex
 //!   only when the list is non-empty. Reclaimed SIREADs are dropped
-//!   outside the mutex: the row registrations one chain-mutex visit each,
-//!   through the handle the transaction kept, and the lock-table keys (gaps,
-//!   pages, rows that had no chain) with one batched lock-manager call per
-//!   transaction (one shard-lock acquisition per lock-table shard touched,
-//!   not one per key; no heap allocation for sets of up to eight keys).
+//!   outside the mutex: the chain registrations (rows, gaps, and the gaps
+//!   inherited from inserts into them) one chain-mutex visit each, through
+//!   the handle the transaction kept or was given, and the lock-table keys
+//!   (index-entry gaps, pages, rows that had no chain) with one batched
+//!   lock-manager call per transaction (one shard-lock acquisition per
+//!   lock-table shard touched, not one per key; no heap allocation for sets
+//!   of up to eight keys).
 //!
 //! What a Serializable-SI commit pays after its outcome is decided is
 //! therefore: one registry-shard mutex to leave the active set, one horizon
-//! read, one `suspended` mutex, one chain visit per row read (one lock-table
-//! visit per SIREAD key that is a lock), and one more registry-shard mutex
-//! when a record is retired. The horizon
+//! read, one `suspended` mutex, one chain visit per row read or scanned (one
+//! lock-table visit per SIREAD key that is a lock), and one more
+//! registry-shard mutex when a record is retired. The horizon
 //! read is two atomic loads while no snapshot-holding transaction has
 //! finished since the last read; otherwise it is the 64-load sweep. Every
 //! finish invalidates the cached horizon, so under load the sweep is the
@@ -308,15 +310,18 @@ pub enum CommitPhase {
 }
 
 /// The SIREADs a committed Serializable-SI transaction leaves behind, to be
-/// released when nothing concurrent with it remains (Sec. 3.3).
+/// released when nothing concurrent with it remains (Sec. 3.3). The gap
+/// SIREADs it holds by inheritance are not in here: inserts may add to them
+/// while it is suspended, so they are kept beside its record in the registry
+/// (`TransactionManager::adopt`) and go when the record does.
 #[derive(Default)]
 pub struct HeldSireads {
-    /// Keys still granted to it in the lock table: gaps, pages, index
-    /// entries, and rows that had no version chain when it read them.
+    /// Keys still granted to it in the lock table: index-entry gaps, pages,
+    /// and rows that had no version chain when it read them.
     pub locks: Vec<LockKey>,
-    /// Rows whose chains it registered on. May include rows whose
-    /// registration its own write upgraded away since; releasing those is a
-    /// no-op.
+    /// Chains it registered on, for a row, the gap in front of it, or both.
+    /// May include rows whose registration its own write upgraded away
+    /// since; releasing those is a no-op.
     pub rows: Vec<RowHandle>,
     /// How many of `rows` are still registered.
     pub live_rows: usize,
@@ -337,10 +342,19 @@ struct SuspendedTxn {
 }
 
 /// One registry shard: the id → record map plus the ordered index of
-/// active transactions that already hold a snapshot.
+/// active transactions that already hold a snapshot. Aligned to a cache
+/// line, so that neighbouring shards — consecutive transaction ids, which are
+/// concurrent transactions — never share one.
 #[derive(Default)]
+#[repr(align(64))]
 struct RegistryShard {
     records: HashMap<TxnId, Arc<TxnShared>, FxBuildHasher>,
+    /// Gap SIREADs that transactions of this shard hold by inheritance: the
+    /// chains of keys inserted into gaps they scanned (see
+    /// [`TransactionManager::adopt`]). Kept here and not in the record, which
+    /// every transaction pays for: an entry exists only for a transaction
+    /// whose gap was split, and only while its record does.
+    adopted: HashMap<TxnId, Vec<RowHandle>, FxBuildHasher>,
     /// `(begin_ts, id)` for every registered transaction that received a
     /// snapshot and has not finished yet. `first()` is this shard's oldest
     /// active begin timestamp.
@@ -464,9 +478,10 @@ pub struct ManagerStats {
     /// row). Each transaction counts its own in a plain field and adds them
     /// here once, when it finishes.
     pub siread_row_registrations: AtomicU64,
-    /// Gauge: row SIREAD registrations held by committed transactions that
-    /// have not been cleaned up yet. Moved by the same per-transaction
-    /// flush, and back when the registrations are released.
+    /// Gauge: chain SIREADs held by committed transactions that have not
+    /// been cleaned up yet — moved by the per-transaction flush, and back
+    /// when the registrations are released — plus the inherited ones, from
+    /// their adoption to their holder's release.
     pub siread_rows_now: AtomicU64,
     /// Lock-free refreshes of the cached `oldest_active_begin` watermark:
     /// one per horizon read that found `finish_gen` moved, each 64 atomic
@@ -514,6 +529,13 @@ pub struct ManagerStats {
     /// ([`TransactionManager::finish_abort`] is the only incrementer of
     /// either), so the per-reason counts always sum to `aborted`.
     pub abort_reasons: [AtomicU64; AbortReason::COUNT],
+    /// Last, so that the counters in front of it stay where they were
+    /// (the manager's hot words are layout-sensitive, see ROADMAP). Gap
+    /// SIREADs that the first version of a new key inherited from its
+    /// successor (one per holder copied; `ssi_storage::table`, § SIREAD on
+    /// the row). Counted by the inserting transaction and added here once,
+    /// when it finishes.
+    pub siread_gaps_inherited: AtomicU64,
 }
 
 impl ManagerStats {
@@ -1078,12 +1100,71 @@ impl TransactionManager {
         self.suspended_now.load(Ordering::SeqCst)
     }
 
-    /// Removes a finished transaction's record and active-begin entry.
+    /// Removes a finished transaction's record and active-begin entry, and
+    /// with the record the gap SIREADs it holds by inheritance: the same
+    /// critical section takes the list, so that an inserter finds the record
+    /// and adds to the list or finds neither.
     fn retire(&self, txn: &Arc<TxnShared>) {
         let index = Self::shard_index(txn.id());
-        let mut shard = self.registry[index].lock();
-        shard.records.remove(&txn.id());
-        self.remove_active_begin(index, &mut shard, txn);
+        let adopted = {
+            let mut shard = self.registry[index].lock();
+            shard.records.remove(&txn.id());
+            self.remove_active_begin(index, &mut shard, txn);
+            Self::take_adopted(&mut shard, txn.id())
+        };
+        self.release_chains(txn.id(), adopted);
+    }
+
+    fn take_adopted(shard: &mut RegistryShard, id: TxnId) -> Vec<RowHandle> {
+        if shard.adopted.is_empty() {
+            // Every finish but those of a scanner whose gap was split.
+            return Vec::new();
+        }
+        shard.adopted.remove(&id).unwrap_or_default()
+    }
+
+    /// Takes over, for `holder`, the release of the copy of its gap SIREAD
+    /// that the chain of a newly inserted key was created with
+    /// (`ssi_storage::table`, § SIREAD on the row: inheritance): `holder`
+    /// releases it with the rest of its SIREADs when it aborts or is cleaned
+    /// up. Hands the chain back if `holder` is past that — its record is
+    /// gone from the registry — and the caller must release the copy itself.
+    /// Either way a holder is on a chain exactly while its transaction is
+    /// active or suspended.
+    pub(crate) fn adopt(&self, holder: TxnId, chain: RowHandle) -> Result<(), RowHandle> {
+        let mut shard = self.shard(holder).lock();
+        if !shard.records.contains_key(&holder) {
+            return Err(chain);
+        }
+        shard.adopted.entry(holder).or_default().push(chain);
+        Ok(())
+    }
+
+    /// Releases the gap SIREADs `txn` holds by inheritance so far. An abort
+    /// does this ahead of its rollback, so that a chain the rollback empties
+    /// can be unmapped on the spot; what is adopted for it after that goes
+    /// when its record does.
+    pub(crate) fn release_adopted(&self, txn: &TxnShared) {
+        if txn.isolation() != IsolationLevel::SerializableSnapshotIsolation {
+            // Holds no SIREAD and is never adopted for.
+            return;
+        }
+        let adopted = Self::take_adopted(&mut self.shard(txn.id()).lock(), txn.id());
+        self.release_chains(txn.id(), adopted);
+    }
+
+    fn release_chains(&self, holder: TxnId, adopted: Vec<RowHandle>) {
+        if adopted.is_empty() {
+            return;
+        }
+        let released = adopted
+            .iter()
+            .filter(|chain| chain.release_siread(holder))
+            .count();
+        debug_assert_eq!(released, adopted.len());
+        self.stats
+            .siread_rows_now
+            .fetch_sub(adopted.len() as u64, Ordering::Relaxed);
     }
 
     /// Removes only the active-begin entry (the record stays, e.g. while

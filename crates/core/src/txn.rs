@@ -48,15 +48,22 @@ pub struct Transaction {
     /// bytes with the lock table (and, for scanned rows, with the storage
     /// index), so the set is Fx-hashed like the lock table itself.
     pub(crate) locks: HashMap<LockKey, ModeSet, FxBuildHasher>,
-    /// Rows this transaction registered an SIREAD on, one handle per new
-    /// registration (row granularity; see `ssi_storage::table`, § SIREAD on
-    /// the row). Its length is also the count flushed into
-    /// `ManagerStats::siread_row_registrations` at finish.
+    /// Chains this transaction registered an SIREAD on — a row, the gap in
+    /// front of it, or both — one handle per new registration (row
+    /// granularity; see `ssi_storage::table`, § SIREAD on the row). Its
+    /// length is also the count flushed into
+    /// `ManagerStats::siread_row_registrations` at finish. The chains it
+    /// holds by inheritance are not here but in the registry, where the
+    /// inserters can reach them (`TransactionManager::adopt`).
     pub(crate) siread_rows: Vec<RowHandle>,
     /// How many of those registrations this transaction's own writes have
     /// dropped since (Sec. 3.7.3). The handles stay in `siread_rows`;
     /// releasing through them is a no-op.
     pub(crate) siread_rows_upgraded: usize,
+    /// Gap SIREADs this transaction's inserts copied onto the chains of the
+    /// keys they created, flushed into `ManagerStats::siread_gaps_inherited`
+    /// at finish.
+    pub(crate) siread_gaps_inherited: usize,
     /// Versions installed by this transaction.
     pub(crate) writes: Vec<WriteRecord>,
     /// Reads recorded for the serializability verifier (only when the
@@ -86,6 +93,7 @@ impl Transaction {
             locks: HashMap::default(),
             siread_rows: Vec::new(),
             siread_rows_upgraded: 0,
+            siread_gaps_inherited: 0,
             writes: Vec::new(),
             reads: Vec::new(),
             index_writes: Vec::new(),
@@ -431,7 +439,7 @@ impl Transaction {
                 sireads.locks.push(key);
             }
         }
-        self.flush_siread_row_count();
+        self.flush_siread_counts();
         sireads.live_rows = self.siread_rows.len() - self.siread_rows_upgraded;
         let rows = std::mem::take(&mut self.siread_rows);
         if sireads.live_rows > 0 {
@@ -523,14 +531,21 @@ impl Transaction {
         Ok(())
     }
 
-    /// Adds this transaction's row SIREAD registrations to the engine-wide
-    /// counter: once, at finish, so the read path shares no atomic.
-    fn flush_siread_row_count(&self) {
+    /// Adds this transaction's chain SIREAD registrations, and the gap
+    /// SIREADs its inserts handed on, to the engine-wide counters: once, at
+    /// finish, so the read and write paths share no atomic.
+    fn flush_siread_counts(&self) {
+        use std::sync::atomic::Ordering::Relaxed;
+        let stats = self.db.txns.stats();
         if !self.siread_rows.is_empty() {
-            self.db.txns.stats().siread_row_registrations.fetch_add(
-                self.siread_rows.len() as u64,
-                std::sync::atomic::Ordering::Relaxed,
-            );
+            let registered = self.siread_rows.len() as u64;
+            stats
+                .siread_row_registrations
+                .fetch_add(registered, Relaxed);
+        }
+        if self.siread_gaps_inherited > 0 {
+            let inherited = self.siread_gaps_inherited as u64;
+            stats.siread_gaps_inherited.fetch_add(inherited, Relaxed);
         }
     }
 
@@ -546,12 +561,14 @@ impl Transaction {
         if self.state != LocalState::Active {
             return;
         }
-        // Row SIREADs first: a chain this transaction's rolled-back insert
-        // leaves empty can then be unmapped on the spot.
-        self.flush_siread_row_count();
+        // Chain SIREADs first, its own and the inherited: a chain this
+        // transaction's rolled-back insert leaves empty can then be unmapped
+        // on the spot.
+        self.flush_siread_counts();
         for row in std::mem::take(&mut self.siread_rows) {
             row.release_siread(self.shared.id());
         }
+        self.db.txns.release_adopted(&self.shared);
         for w in &self.writes {
             w.version.mark_aborted();
             w.table.unlink_version(&w.key, &w.version);

@@ -24,19 +24,29 @@
 //!
 //! Every `SHARED` and `EXCLUSIVE` lock of every isolation level lives in this
 //! table: those are the modes that block, and the wait queue and the
-//! deadlock detector are here. Of the `SIREAD` locks, the ones on *rows at
-//! row granularity* do not. A row's readers are kept on the row's version
-//! chain in `ssi-storage`, where its next writer pushes its version and
-//! collects them in the same critical section; a second table keyed by the
-//! same row would only add a visit. What remains here is every `SIREAD`
-//! whose object has no version chain to carry it:
+//! deadlock detector are here. Of the `SIREAD` locks, the ones a
+//! Serializable-SI transaction takes on *rows, and on the gaps between them,
+//! at row granularity* do not. A row's readers, and the scans that cover the
+//! gap in front of it, are kept on the row's version chain in `ssi-storage`,
+//! where the row's next writer pushes its version — and the writer of a new
+//! key looks at its successor — and collects them in the same critical
+//! section; a second table keyed by the same row would only add a visit, and
+//! a gap SIREAD kept under a lock *name* is not handed on to a key inserted
+//! into the gap, which the paper's phantom protection needs (InnoDB's
+//! `lock_rec_inherit_to_gap`). What remains here is:
 //!
-//! * **gaps**, of table keys and of secondary-index entries (a gap is
-//!   between rows, not on one);
+//! * **S2PL's gap locks**: a `SHARED` gap lock has to make an inserter
+//!   *wait*, and waiting is done here. That is also why a Serializable-SI
+//!   inserter or deleter still requests `EXCLUSIVE` on the gap above its key:
+//!   the request is what queues it behind an S2PL scanner. It finds no
+//!   Serializable-SI row scan there any more (it is told of those by the
+//!   install), but still every `SIREAD` holder that is here;
+//! * **gaps of secondary-index entries** (the index's entry tier has no
+//!   chain per entry to carry them);
 //! * **pages**, at page granularity (one name covers many rows);
-//! * **rows with no chain yet**: a read of a key that does not exist leaves
-//!   its `SIREAD` on the record name, and the key's first insert finds it
-//!   when it takes the `EXCLUSIVE` lock on that name.
+//! * **rows with no chain yet**: a point read of a key that does not exist
+//!   leaves its `SIREAD` on the record name, and the key's first insert finds
+//!   it when it takes the `EXCLUSIVE` lock on that name.
 //!
 //! Writers meet all of these through the `rw_conflicts` of their own
 //! `EXCLUSIVE` grants, as they always have.

@@ -27,10 +27,11 @@
 //!
 //! ## Batched SIREAD for predicate reads
 //!
-//! A Serializable-SI range scan takes an SIREAD lock on the gap before every
-//! row it examines (next-key locking, Sec. 3.5), and at page granularity on
-//! every row's page; a row's own SIREAD lives on its version chain (see the
-//! crate docs). Because SIREAD never waits, a whole page of such requests
+//! A Serializable-SI index scan takes an SIREAD lock on the gap before every
+//! entry it examines (next-key locking, Sec. 3.5, in entry space), and a
+//! table scan at page granularity on every row's page; at row granularity a
+//! row's SIREAD and that of the gap in front of it live on the row's version
+//! chain (see the crate docs). Because SIREAD never waits, a whole page of such requests
 //! needs none of the blocking protocol: [`LockManager::lock_siread_batch`]
 //! groups the page's keys by shard, takes each shard mutex once, and for every key does what
 //! [`LockManager::lock`] would do for a lone SIREAD request — grant unless

@@ -41,8 +41,12 @@
 //! - `siread_row_registrations` — SIREADs a Serializable-SI read registered
 //!   on the row's version chain (row granularity; everything else is a
 //!   lock request, see **Locks**), counted per transaction and added when it
-//!   finishes; `siread_rows_now` is the gauge of registrations committed
-//!   transactions still hold while suspended (`ssi_txn_siread_rows`).
+//!   finishes; `siread_gaps_inherited` — gap SIREADs the first version of a
+//!   new key copied from its successor's chain onto its own (an insert into
+//!   a gap some scan holds), counted the same way by the inserter;
+//!   `siread_rows_now` is the gauge of registrations committed transactions
+//!   still hold while suspended, plus the inherited ones from the insert
+//!   that made them to their holder's release (`ssi_txn_siread_rows`).
 //!
 //! **Garbage collection** ([`GcMetrics`]) — `purge_runs`,
 //! `background_purge_runs`, `purged_versions`, `purged_chains` count what

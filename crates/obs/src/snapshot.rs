@@ -68,8 +68,11 @@ pub struct TxnMetrics {
     /// Row SIREADs registered on version chains, flushed per transaction
     /// at finish.
     pub siread_row_registrations: u64,
-    /// Gauge: row SIREAD registrations held by committed transactions
-    /// awaiting cleanup.
+    /// Gap SIREADs copied onto the chains of newly inserted keys, flushed
+    /// per inserting transaction at finish.
+    pub siread_gaps_inherited: u64,
+    /// Gauge: chain SIREADs held by committed transactions awaiting
+    /// cleanup, plus inherited ones whoever holds them.
     pub siread_rows_now: u64,
     /// Aborts by [`AbortReason`], indexed by `AbortReason::index()`.
     /// Sums to `aborted`.
@@ -255,6 +258,11 @@ impl MetricsSnapshot {
             "ssi_txn_siread_row_registrations_total",
             self.txn.siread_row_registrations,
         );
+        counter(
+            &mut out,
+            "ssi_txn_siread_gaps_inherited_total",
+            self.txn.siread_gaps_inherited,
+        );
         out.push_str(&format!(
             "# TYPE ssi_txn_siread_rows gauge\nssi_txn_siread_rows {}\n",
             self.txn.siread_rows_now
@@ -420,7 +428,8 @@ impl MetricsSnapshot {
              \"speculative_reads\":{},\"commit_dependencies\":{},\
              \"dependency_cascade_aborts\":{},\"watermark_sweeps\":{},\
              \"scan_sweeps_run\":{},\"scan_sweeps_skipped\":{},\
-             \"siread_row_registrations\":{},\"siread_rows_now\":{},\"abort_reasons\":{{",
+             \"siread_row_registrations\":{},\"siread_gaps_inherited\":{},\
+             \"siread_rows_now\":{},\"abort_reasons\":{{",
             self.txn.started,
             self.txn.committed,
             self.txn.aborted,
@@ -436,6 +445,7 @@ impl MetricsSnapshot {
             self.txn.scan_sweeps_run,
             self.txn.scan_sweeps_skipped,
             self.txn.siread_row_registrations,
+            self.txn.siread_gaps_inherited,
             self.txn.siread_rows_now,
         ));
         for (i, reason) in AbortReason::ALL.iter().enumerate() {
@@ -575,6 +585,7 @@ mod tests {
         assert!(text.contains("# TYPE ssi_txn_suspended gauge\nssi_txn_suspended 2\n"));
         assert!(text.contains("# TYPE ssi_txn_siread_rows gauge\nssi_txn_siread_rows 5\n"));
         assert!(text.contains("ssi_txn_siread_row_registrations_total 0"));
+        assert!(text.contains("ssi_txn_siread_gaps_inherited_total 0"));
         assert!(text.contains("ssi_txn_aborts_by_reason_total{reason=\"pivot-out\"} 2"));
         assert!(text.contains("ssi_txn_aborts_by_reason_total{reason=\"lock-deadlock\"} 0"));
         assert!(text.contains("ssi_table_keys{table=\"accounts\"} 100"));
@@ -607,7 +618,9 @@ mod tests {
         }
         assert!(json.contains("\"pruned_inline_versions\":0"));
         assert!(json.contains("\"suspended_now\":2"));
-        assert!(json.contains("\"siread_row_registrations\":0,\"siread_rows_now\":5"));
+        assert!(json.contains(
+            "\"siread_row_registrations\":0,\"siread_gaps_inherited\":0,\"siread_rows_now\":5"
+        ));
         assert!(json.contains("\"pivot-out\":2"));
         assert!(json.contains("\"name\":\"accounts\""));
     }

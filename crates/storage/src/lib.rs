@@ -54,9 +54,9 @@ pub use index::{
 };
 pub use page::PageMap;
 pub use table::{
-    as_ref_bound, clone_bound, ForUpdateProbe, Installed, PurgeStats, RowHandle, RowReaders,
-    ScanCursor, ScanEntries, ScanEntry, ScanPage, ScanRow, Siread, Table, VisibleRead, WriteProbe,
-    SCAN_PAGE_SIZE, SHARD_COUNT,
+    as_ref_bound, clone_bound, ForUpdateProbe, Inherited, Installed, PurgeStats, RowHandle,
+    RowReaders, ScanCursor, ScanEnd, ScanEntries, ScanEntry, ScanPage, ScanRow, Siread,
+    SireadCover, Table, VisibleRead, WriteProbe, SCAN_PAGE_SIZE, SHARD_COUNT,
 };
 pub use version::{Version, VersionState};
 pub use wal::{WalConfig, WriteAheadLog};

@@ -1,19 +1,22 @@
-//! Row-SIREAD model test.
+//! Chain-SIREAD model test.
 //!
 //! Random schedules of register / install / release / rollback-unlink /
 //! purge over a few keys and transactions drive the system under test — a
-//! table whose chains carry the row SIREADs, next to a lock manager for what
-//! the engine still keeps there: EXCLUSIVE locks, and the SIREAD of a read
-//! that found no chain — side by side with the oracle: a second lock manager
-//! that is asked for every SIREAD and EXCLUSIVE lock the way the engine asked
-//! before row SIREADs moved onto the chain.
+//! table whose chains carry the SIREADs of rows and of the gaps in front of
+//! them, next to a lock manager for what the engine still keeps there:
+//! EXCLUSIVE locks, and the SIREAD of a point read that found no chain — side
+//! by side with the oracle: a second lock manager that is asked for every
+//! SIREAD and EXCLUSIVE lock, on records and on next-key gaps, the way the
+//! engine asked before SIREADs moved onto the chain.
 //!
 //! What each read and write is told must agree: the readers handed to a
-//! writer are the oracle's SIREAD holders, the writers handed to a reader are
-//! its EXCLUSIVE holders. So must, after every step, who holds an SIREAD on
-//! each key. The differences the move makes on purpose are spelled out where
-//! they are checked (`Model::table_only`, `Model::expected_writers`).
-//! After every quiesce nothing is held anywhere.
+//! writer are the oracle's SIREAD holders — of the record for an update, of
+//! `gap(next)` as well for the first version of a new key and for a delete —
+//! and the writers handed to a reader are its EXCLUSIVE holders. So must,
+//! after every step, who holds an SIREAD on each key and on the gap in front
+//! of it. The differences the move makes on purpose are spelled out where
+//! they are checked (`Model::table_only`, `Model::gap_table_only`,
+//! `Model::expected_writers`). After every quiesce nothing is held anywhere.
 
 use std::collections::BTreeSet;
 use std::ops::Bound;
@@ -23,10 +26,10 @@ use ssi_common::rng::WorkloadRng;
 use ssi_common::{TableId, Timestamp, TxnId, TS_ZERO};
 use ssi_lock::{LockKey, LockManager, LockMode};
 
-use super::{RowHandle, ScanPage, Siread, Table};
+use super::{RowChain, RowHandle, ScanEnd, ScanPage, Siread, SireadCover, Table};
 use crate::version::Version;
 
-const KEYS: usize = 3;
+const KEYS: usize = 4;
 const MAX_TXNS: usize = 5;
 const SEEDS: u64 = 300;
 const STEPS: usize = 200;
@@ -35,8 +38,20 @@ fn key(k: usize) -> [u8; 2] {
     [b'k', k as u8]
 }
 
+fn index_of(key: &[u8]) -> usize {
+    key[1] as usize
+}
+
 fn lock_key(k: usize) -> LockKey {
     LockKey::record(TableId(1), key(k).to_vec())
+}
+
+/// The lock name of the gap in front of key `k`, or above the last key.
+fn gap_key(k: Option<usize>) -> LockKey {
+    match k {
+        Some(k) => LockKey::gap(TableId(1), key(k).to_vec()),
+        None => LockKey::supremum(TableId(1)),
+    }
 }
 
 type Ids = BTreeSet<TxnId>;
@@ -52,19 +67,42 @@ struct Txn {
     committed: bool,
     /// Chain registrations (one handle per new one, upgraded or not).
     rows: Vec<RowHandle>,
-    /// Keys SIREAD-locked in the table's own lock manager: reads that found
-    /// no chain.
+    /// Gap SIREADs it holds by inheritance: the key whose chain was created
+    /// with a copy, and the handle it was given to release it through.
+    adopted: Vec<(usize, RowHandle)>,
+    /// Keys SIREAD-locked in the table's own lock manager: point reads that
+    /// found no chain.
     fallback: Vec<usize>,
     /// Keys SIREAD-locked in the oracle.
     oracle_sireads: Vec<usize>,
+    /// Gaps SIREAD-locked in the oracle.
+    oracle_gap_sireads: Vec<Option<usize>>,
     /// Keys it holds EXCLUSIVE (in both lock managers).
     exclusive: Vec<usize>,
+    /// Gaps it holds EXCLUSIVE in the oracle: it inserted or deleted the key
+    /// in front.
+    gap_exclusive: Vec<Option<usize>>,
     /// Keys on which taking the EXCLUSIVE lock cost it its SIREAD.
     upgraded: Vec<usize>,
     /// Keys it registered on while it held their EXCLUSIVE lock and had not
     /// written them.
     covered: Vec<usize>,
+    /// Gaps it registered on while it held their EXCLUSIVE lock.
+    covered_gaps: Vec<Option<usize>>,
     writes: Vec<(usize, Arc<Version>)>,
+}
+
+/// How often the schedules reached what they are there to reach.
+#[derive(Default)]
+struct Reached {
+    fallback_reads: usize,
+    kept_mapped: usize,
+    /// Holders an insert or delete was told of by the gap above its key.
+    told_by_the_gap: usize,
+    /// Gap SIREADs copied onto new keys.
+    inherited: usize,
+    /// Holders an insert was told of that only a copy could tell of.
+    told_by_a_copy: usize,
 }
 
 struct Model {
@@ -81,8 +119,9 @@ struct Model {
     txns: Vec<Txn>,
     /// A page of chain handles taken some steps ago.
     stale_page: Option<ScanPage>,
-    fallback_reads: usize,
-    kept_mapped: usize,
+    /// The end of a scan up to the given key, found some steps ago.
+    stale_end: Option<(usize, ScanEnd)>,
+    reached: Reached,
 }
 
 impl Model {
@@ -98,8 +137,8 @@ impl Model {
             next_txn: 10,
             txns: Vec::new(),
             stale_page: None,
-            fallback_reads: 0,
-            kept_mapped: 0,
+            stale_end: None,
+            reached: Reached::default(),
         }
     }
 
@@ -108,11 +147,34 @@ impl Model {
         holder.map(|t| t.id)
     }
 
-    /// **Difference 1: SIREAD holders the table side has and the oracle has
-    /// not.** Both are its own SIREAD on a row a transaction also holds
-    /// EXCLUSIVE, so all either can add is a conflict with a later writer
-    /// that overlaps the holder — which first-committer-wins aborts anyway if
-    /// the holder wrote the row.
+    fn gap_exclusive_holder(&self, gap: Option<usize>) -> Option<TxnId> {
+        let holder = self.txns.iter().find(|t| t.gap_exclusive.contains(&gap));
+        holder.map(|t| t.id)
+    }
+
+    /// The chain that carries the gap a key at `k` lies in, as the table
+    /// finds it: the first key above that is mapped and in use, or `None` for
+    /// the supremum chain.
+    fn successor(&self, k: usize) -> Option<usize> {
+        let in_use = |j: &usize| {
+            let chain = self.table.chain(&key(*j));
+            chain.is_some_and(|c| !c.state.lock().is_unused())
+        };
+        (k + 1..KEYS).find(in_use)
+    }
+
+    /// Whether `id` is registered on the row of key `k`'s chain.
+    fn holds_row(&self, k: usize, id: TxnId) -> bool {
+        let chain = self.table.chain(&key(k));
+        let holders = chain.map(|c| c.state.lock().readers.holders(SireadCover::ROW));
+        holders.is_some_and(|holders| holders.contains(&id))
+    }
+
+    /// **Difference 1: holders of a row's SIREAD the table side has and the
+    /// oracle has not.** Both are its own SIREAD on a row a transaction also
+    /// holds EXCLUSIVE, so all either can add is a conflict with a later
+    /// writer that overlaps the holder — which first-committer-wins aborts
+    /// anyway if the holder wrote the row.
     ///
     /// * A writer's own SIREAD goes when it takes the row's EXCLUSIVE lock
     ///   (Sec. 3.7.3). The oracle releases it whatever it was; the engine
@@ -129,11 +191,40 @@ impl Model {
         self.txns.iter().filter(only).map(|t| t.id).collect()
     }
 
+    /// **Difference 3: holders of a gap's SIREAD the table side has and the
+    /// oracle has not.** The intended one is inheritance: a key inserted into
+    /// a gap starts out with the gap's holders on the gap in front of it,
+    /// where the oracle — the lock table as it was — has nobody, because
+    /// nobody ever asked for a lock of that name. The other is the lock table
+    /// granting no SIREAD to the holder of the gap's EXCLUSIVE lock, as for
+    /// rows.
+    fn gap_table_only(&self, gap: Option<usize>) -> Ids {
+        let only = |t: &&Txn| {
+            let adopted = gap.is_some_and(|k| t.adopted.iter().any(|(on, _)| *on == k));
+            adopted || t.covered_gaps.contains(&gap)
+        };
+        self.txns.iter().filter(only).map(|t| t.id).collect()
+    }
+
+    /// The oracle's SIREAD holders of a gap, plus difference 3.
+    fn expected_gap_holders(&self, gap: Option<usize>) -> Ids {
+        let name = gap_key(gap);
+        let held = self
+            .oracle
+            .peek_rw_conflicts(TxnId::INVALID, &name, LockMode::Exclusive);
+        let mut expected = ids(&held);
+        expected.extend(self.gap_table_only(gap));
+        expected
+    }
+
     /// **Difference 2.** A read that registers on the chain is told of the
     /// key's EXCLUSIVE holder only through the version it installed. One
     /// that holds the lock and has installed nothing (a locking read so far)
     /// is not reported: its install, if it comes, reports the reader
     /// instead. A read that goes through the lock table sees it as before.
+    /// Likewise the EXCLUSIVE holder of a gap, which the oracle's gap SIREAD
+    /// reports and no registration does: a scan meets it by reading the key
+    /// it inserted.
     fn expected_writers(&self, oracle_says: Ids, k: usize, on_chain: bool) -> Ids {
         let has_version = |id: &TxnId| {
             let t = self.txns.iter().find(|t| t.id == *id).expect("live holder");
@@ -149,11 +240,15 @@ impl Model {
                 id: TxnId(self.next_txn),
                 committed: false,
                 rows: Vec::new(),
+                adopted: Vec::new(),
                 fallback: Vec::new(),
                 oracle_sireads: Vec::new(),
+                oracle_gap_sireads: Vec::new(),
                 exclusive: Vec::new(),
+                gap_exclusive: Vec::new(),
                 upgraded: Vec::new(),
                 covered: Vec::new(),
+                covered_gaps: Vec::new(),
                 writes: Vec::new(),
             });
             self.next_txn += 1;
@@ -167,36 +262,62 @@ impl Model {
         (!matching.is_empty()).then(|| matching[self.rng.index(matching.len())])
     }
 
+    /// Files a registration the table made for `at` on the gap in front of
+    /// `gap`, and asks the oracle for the SIREAD lock of that name.
+    fn keep_gap(&mut self, at: usize, gap: Option<usize>, siread: Siread) {
+        if let Siread::New(handle) = siread {
+            self.txns[at].rows.push(handle);
+        }
+        let txn = &mut self.txns[at];
+        let outcome = self.oracle.lock(txn.id, &gap_key(gap), LockMode::SiRead);
+        if outcome.expect("SIREAD never fails").newly_acquired {
+            txn.oracle_gap_sireads.push(gap);
+        } else if !txn.oracle_gap_sireads.contains(&gap) && !txn.covered_gaps.contains(&gap) {
+            assert!(txn.gap_exclusive.contains(&gap), "refused without a reason");
+            txn.covered_gaps.push(gap);
+        }
+    }
+
     /// The Serializable-SI read of key `k`, by key or through a stale scan
-    /// handle, as `ssi-core` does it.
-    fn read(&mut self, at: usize, k: usize, through_stale_handle: bool) {
+    /// handle, as `ssi-core` does it: a point read registers on the row, a
+    /// predicate read (`scan`) on the row and on the gap in front of it.
+    fn read(&mut self, at: usize, k: usize, through_stale_handle: bool, scan: bool) {
         let id = self.txns[at].id;
         let context = format!("seed {} read of key {k} by {id:?}", self.seed);
+        let cover = if scan {
+            SireadCover::ROW_AND_GAP
+        } else {
+            SireadCover::ROW
+        };
         let stale = self.stale_page.as_ref().and_then(|page| {
             let row = page.rows.iter().find(|row| row.key[..] == key(k)[..]);
             row.map(|row| row.handle.clone())
         });
+        let held_row = self.holds_row(k, id);
         let (read, siread) = match stale {
             Some(handle) if through_stale_handle => {
                 self.table
-                    .read_row_registering(&key(k), handle, id, self.clock)
+                    .read_row_registering(&key(k), handle, id, self.clock, cover)
             }
-            _ => self.table.read_registering(&key(k), id, self.clock),
+            _ => self.table.read_registering(&key(k), id, self.clock, cover),
         };
         let mut writers = ids(&read.newer_creators);
         let on_chain = !matches!(siread, Siread::NoChain);
         match siread {
-            Siread::New(handle) => {
-                let txn = &mut self.txns[at];
-                txn.rows.push(handle);
-                if txn.exclusive.contains(&k) {
-                    debug_assert!(txn.writes.iter().all(|(w, _)| *w != k));
-                    txn.covered.push(k);
-                }
-            }
+            Siread::New(handle) => self.txns[at].rows.push(handle),
             Siread::Held => {}
+            Siread::NoChain if scan => {
+                // The key is not there: the scan covers the place where it
+                // would be, on the gap above, and finds it still missing.
+                let upper = Bound::Included(&key(k)[..]);
+                let (above, on) = self.table.register_gap_above(upper, id);
+                self.keep_gap(at, on.map(|key| index_of(&key)), above);
+                let again = self.table.read_registering(&key(k), id, self.clock, cover);
+                assert!(matches!(again.1, Siread::NoChain), "{context}");
+                return;
+            }
             Siread::NoChain => {
-                self.fallback_reads += 1;
+                self.reached.fallback_reads += 1;
                 let outcome = self.locks.lock(id, &lock_key(k), LockMode::SiRead);
                 let outcome = outcome.expect("SIREAD never fails");
                 if outcome.newly_acquired {
@@ -208,6 +329,10 @@ impl Model {
             }
         }
         writers.remove(&id);
+        if !held_row && self.holds_row(k, id) && self.txns[at].exclusive.contains(&k) {
+            debug_assert!(self.txns[at].writes.iter().all(|(w, _)| *w != k));
+            self.txns[at].covered.push(k);
+        }
 
         let outcome = self.oracle.lock(id, &lock_key(k), LockMode::SiRead);
         let outcome = outcome.expect("SIREAD never fails");
@@ -216,6 +341,28 @@ impl Model {
         }
         let expected = self.expected_writers(ids(&outcome.rw_conflicts), k, on_chain);
         assert_eq!(writers, expected, "{context}: writers reported");
+        if scan {
+            // The registration that read the row took the gap with it.
+            self.keep_gap(at, Some(k), Siread::Held);
+        }
+    }
+
+    /// The gap that closes a scan up to key `k`, through the handle a page
+    /// found for it now or some steps ago.
+    fn end_gap(&mut self, at: usize, k: usize, through_stale_handle: bool) {
+        let id = self.txns[at].id;
+        let upper = Bound::Included(&key(k)[..]);
+        let stale = self
+            .stale_end
+            .take_if(|(of, _)| through_stale_handle && *of == k);
+        let end = stale.map(|(_, end)| end).unwrap_or_else(|| {
+            let page = self.table.cursor(Bound::Unbounded, upper).next_page();
+            page.and_then(|page| page.end_gap).expect("one short page")
+        });
+        let (siread, on) = self.table.register_end_gap(end, upper, id);
+        let on = on.map(|key| index_of(&key));
+        assert!(on.is_none_or(|on| on > k), "seed {}", self.seed);
+        self.keep_gap(at, on, siread);
     }
 
     /// EXCLUSIVE lock, then either the locking read's probe or an install.
@@ -225,15 +372,41 @@ impl Model {
             return; // would block
         }
         let context = format!("seed {} write of key {k} by {id:?}", self.seed);
+        let delete = install && self.rng.index(4) == 0;
+        // What the engine looks at under the EXCLUSIVE lock. A key without a
+        // live version is inserted, not updated: its first version ever
+        // (`fresh`: the key has no chain) goes into the gap above it, which
+        // is what a delete reports to as well; one onto a chain that a
+        // rolled-back insert left mapped goes where the chain is.
+        let live = self.table.contains_key(&key(k));
+        let fresh = self.table.chain(&key(k)).is_none();
+        let above = (install && (fresh || (live && delete))).then(|| self.successor(k));
+        if above.is_some_and(|gap| self.gap_exclusive_holder(gap).is_some_and(|h| h != id)) {
+            return; // would block
+        }
         let granted = self.locks.lock(id, &lock_key(k), LockMode::Exclusive);
         let mut readers = ids(&granted.expect("no other holder").rw_conflicts);
         let upgraded = if install {
-            let value = (self.rng.index(4) != 0).then(|| vec![k as u8].into());
+            let value = (!delete).then(|| vec![k as u8].into());
             let done = self
                 .table
                 .install(&key(k), id, value, self.upgrade, || TS_ZERO);
             readers.extend(done.readers.iter());
             self.txns[at].writes.push((k, done.version));
+            assert!(done.inherited.is_none() || fresh, "{context}");
+            if let Some(inherited) = done.inherited {
+                // The engine's adoption. Everyone here is active or
+                // suspended, so nobody is past taking the handle.
+                self.reached.inherited += inherited.holders.len();
+                for holder in &inherited.holders {
+                    let heir = self.txns.iter_mut().find(|t| t.id == *holder);
+                    let heir = heir.expect("a holder has not been released");
+                    heir.adopted.push((k, inherited.chain.clone()));
+                }
+            }
+            if live && delete {
+                readers.extend(self.table.gap_holders_above(&key(k), id).iter());
+            }
             done.upgraded
         } else {
             let found = self.table.probe_for_update(&key(k), id, self.upgrade);
@@ -241,7 +414,7 @@ impl Model {
             found.upgraded
         };
         assert!(!upgraded || self.upgrade, "{context}");
-        if upgraded {
+        if !self.holds_row(k, id) {
             self.txns[at].covered.retain(|held| *held != k);
         }
         if !self.txns[at].exclusive.contains(&k) {
@@ -256,6 +429,25 @@ impl Model {
             self.txns[at].upgraded.push(k);
         }
         expected.extend(self.table_only(k));
+        if !live && !fresh {
+            // Whoever covers the place of a key whose chain is mapped holds
+            // the key's own gap: it scanned the key, or was copied there
+            // when the key split the gap it was holding.
+            expected.extend(self.expected_gap_holders(Some(k)));
+        }
+        if let Some(gap) = above {
+            let granted = self.oracle.lock(id, &gap_key(gap), LockMode::Exclusive);
+            let told = ids(&granted.expect("no other holder").rw_conflicts);
+            let copies = self.gap_table_only(gap);
+            let others = |set: &Ids| set.iter().filter(|t| **t != id).count();
+            self.reached.told_by_the_gap += others(&told);
+            self.reached.told_by_a_copy += others(&copies.difference(&told).copied().collect());
+            expected.extend(told);
+            expected.extend(copies);
+            if !self.txns[at].gap_exclusive.contains(&gap) {
+                self.txns[at].gap_exclusive.push(gap);
+            }
+        }
         expected.remove(&id);
         assert_eq!(readers, expected, "{context}: readers reported");
     }
@@ -265,6 +457,9 @@ impl Model {
         for k in std::mem::take(&mut self.txns[at].exclusive) {
             self.locks.unlock(id, &lock_key(k), LockMode::Exclusive);
             self.oracle.unlock(id, &lock_key(k), LockMode::Exclusive);
+        }
+        for gap in std::mem::take(&mut self.txns[at].gap_exclusive) {
+            self.oracle.unlock(id, &gap_key(gap), LockMode::Exclusive);
         }
     }
 
@@ -285,11 +480,17 @@ impl Model {
         for row in &txn.rows {
             row.release_siread(txn.id);
         }
+        for (k, chain) in &txn.adopted {
+            let released = chain.release_siread(txn.id);
+            assert!(released, "seed {}: copy on key {k} gone early", self.seed);
+        }
         let keys = |held: &[usize]| held.iter().map(|k| lock_key(*k)).collect::<Vec<_>>();
         self.locks
             .unlock_batch(txn.id, &keys(&txn.fallback), LockMode::SiRead);
         self.oracle
             .unlock_batch(txn.id, &keys(&txn.oracle_sireads), LockMode::SiRead);
+        let gaps: Vec<_> = txn.oracle_gap_sireads.iter().map(|g| gap_key(*g)).collect();
+        self.oracle.unlock_batch(txn.id, &gaps, LockMode::SiRead);
     }
 
     fn abort(&mut self, at: usize) {
@@ -310,14 +511,17 @@ impl Model {
         }
     }
 
-    /// Who holds an SIREAD on each key, on both sides; and that a chain
-    /// someone is registered on is still the one the key maps to.
+    /// Who holds an SIREAD on each key and on each gap, on both sides; and
+    /// that a chain someone is registered on is still the one the key maps
+    /// to.
     fn check(&mut self) {
         let mapped: Vec<_> = (0..KEYS).map(|k| self.table.chain(&key(k))).collect();
         for txn in &self.txns {
-            for row in &txn.rows {
+            let adopted = txn.adopted.iter().map(|(_, chain)| chain);
+            for row in txn.rows.iter().chain(adopted) {
                 let registered = row.chain.state.lock().readers.iter().any(|id| id == txn.id);
-                let is_mapped = mapped.iter().flatten().any(|c| Arc::ptr_eq(c, &row.chain));
+                let is_mapped = mapped.iter().flatten().any(|c| Arc::ptr_eq(c, &row.chain))
+                    || Arc::ptr_eq(&self.table.supremum, &row.chain);
                 assert!(
                     !registered || is_mapped,
                     "seed {}: {:?} is registered on an unmapped chain",
@@ -326,16 +530,20 @@ impl Model {
                 );
             }
         }
+        let holders = |chain: &Arc<RowChain>, cover: SireadCover| {
+            let held = chain.state.lock().readers.holders(cover);
+            ids(&held)
+        };
         for (k, chain) in mapped.iter().enumerate() {
             let context = format!("seed {} key {k}", self.seed);
-            let mut held: Ids = chain.as_ref().map_or(Ids::new(), |chain| {
-                chain.state.lock().readers.iter().collect()
-            });
-            let no_versions = |c: &Arc<super::RowChain>| c.state.lock().versions.is_empty();
-            if chain.as_ref().is_some_and(no_versions) && !held.is_empty() {
-                self.kept_mapped += 1;
+            let on_chain = |cover| chain.as_ref().map_or(Ids::new(), |c| holders(c, cover));
+            let no_versions = |c: &Arc<RowChain>| c.state.lock().versions.is_empty();
+            let anyone = !on_chain(SireadCover::ROW_AND_GAP).is_empty();
+            if chain.as_ref().is_some_and(no_versions) && anyone {
+                self.reached.kept_mapped += 1;
             }
             let invalid = TxnId::INVALID;
+            let mut held = on_chain(SireadCover::ROW);
             held.extend(
                 self.locks
                     .peek_rw_conflicts(invalid, &lock_key(k), LockMode::Exclusive),
@@ -345,8 +553,19 @@ impl Model {
                     .oracle
                     .peek_rw_conflicts(invalid, &lock_key(k), LockMode::Exclusive));
             expected.extend(self.table_only(k));
-            assert_eq!(held, expected, "{context}: SIREAD holders");
+            assert_eq!(held, expected, "{context}: SIREAD holders of the row");
+            assert_eq!(
+                on_chain(SireadCover::GAP),
+                self.expected_gap_holders(Some(k)),
+                "{context}: SIREAD holders of the gap"
+            );
         }
+        assert_eq!(
+            holders(&self.table.supremum, SireadCover::ROW_AND_GAP),
+            self.expected_gap_holders(None),
+            "seed {}: SIREAD holders of the gap above the last key",
+            self.seed
+        );
     }
 
     fn quiesce(&mut self) {
@@ -376,45 +595,60 @@ impl Model {
 
     fn step(&mut self) {
         let k = self.rng.index(KEYS);
-        match self.rng.index(20) {
+        match self.rng.index(25) {
             0..=2 => self.begin(),
-            3..=7 => {
+            3..=6 => {
                 if let Some(at) = self.pick(false) {
                     let through_stale_handle = self.rng.index(3) == 0;
-                    self.read(at, k, through_stale_handle);
+                    self.read(at, k, through_stale_handle, false);
                 }
             }
-            8..=11 => {
+            7..=10 => {
                 if let Some(at) = self.pick(false) {
                     self.write(at, k, true);
                 }
             }
-            12 => {
+            11 => {
                 if let Some(at) = self.pick(false) {
                     self.write(at, k, false);
                 }
             }
-            13 | 14 => {
+            12 | 13 => {
                 if let Some(at) = self.pick(false) {
                     self.commit(at);
                 }
             }
-            15 => {
+            14 => {
                 if let Some(at) = self.pick(false) {
                     self.abort(at);
                 }
             }
-            16 => {
+            15 => {
                 if let Some(at) = self.pick(true) {
                     self.release(at);
                 }
             }
-            17 => {
+            16 => {
                 self.table.purge_old_versions(self.clock);
             }
-            18 => {
+            17 | 18 => {
                 let mut cursor = self.table.cursor(Bound::Unbounded, Bound::Unbounded);
                 self.stale_page = cursor.next_page();
+                let upper = Bound::Included(&key(k)[..]);
+                let page = self.table.cursor(Bound::Unbounded, upper).next_page();
+                self.stale_end = page.and_then(|page| page.end_gap).map(|end| (k, end));
+            }
+            19..=21 => {
+                if let Some(at) = self.pick(false) {
+                    let through_stale_handle = self.rng.index(3) == 0;
+                    self.read(at, k, through_stale_handle, true);
+                }
+            }
+            22 | 23 => {
+                if let Some(at) = self.pick(false) {
+                    let through_stale_handle = self.rng.index(2) == 0;
+                    self.end_gap(at, k, through_stale_handle);
+                }
             }
             _ => self.quiesce(),
         }
@@ -424,21 +658,37 @@ impl Model {
 
 #[test]
 fn chain_resident_sireads_report_what_the_lock_table_would() {
-    let (mut fallback_reads, mut kept_mapped) = (0, 0);
+    let mut reached = [0; 5];
     for seed in 1..=SEEDS {
         let mut model = Model::new(seed);
         for _ in 0..STEPS {
             model.step();
         }
         model.quiesce();
-        fallback_reads += model.fallback_reads;
-        kept_mapped += model.kept_mapped;
+        let r = model.reached;
+        let of_this_seed = [
+            r.fallback_reads,
+            r.kept_mapped,
+            r.told_by_the_gap,
+            r.inherited,
+            r.told_by_a_copy,
+        ];
+        for (total, n) in reached.iter_mut().zip(of_this_seed) {
+            *total += n;
+        }
     }
-    // The schedules must actually reach the lock-table fallback and the
-    // chains that only their readers keep mapped.
+    // The schedules must actually reach the lock-table fallback, the chains
+    // that only their holders keep mapped, the inserts and deletes that a
+    // gap's holders are told of, the copies new keys start out with, and the
+    // inserts that only a copy can tell of.
+    let often = SEEDS as usize;
+    let [fallback_reads, kept_mapped, told_by_the_gap, inherited, told_by_a_copy] = reached;
+    assert!(fallback_reads > often, "{fallback_reads} fallbacks");
+    assert!(kept_mapped > often, "{kept_mapped} kept mapped");
+    assert!(told_by_the_gap > often, "{told_by_the_gap} told by the gap");
+    assert!(inherited > often, "{inherited} inherited");
     assert!(
-        fallback_reads > SEEDS as usize,
-        "{fallback_reads} fallbacks"
+        told_by_a_copy > often / 2,
+        "{told_by_a_copy} told by a copy"
     );
-    assert!(kept_mapped > SEEDS as usize, "{kept_mapped} kept mapped");
 }

@@ -312,10 +312,14 @@ fn delete_phantom_write_skew() {
 
 /// ROADMAP item 1's schedule. `t = {b, y}`, `u = {q}`; W2 reads `q`; W3
 /// writes `q` and commits; S reads `q` and scans `t`; W1 (if `split_first`)
-/// inserts `m`; W2 inserts `f`. S → W2 (the phantom), W2 → W3 (on `q`) and W3
-/// before S make a read-only anomaly. Returns whether S, W2 and W3 all
-/// committed.
-fn scanned_gap_anomaly_commits(variant: serializable_si::SsiVariant, split_first: bool) -> bool {
+/// inserts `first`; W2 inserts `second`. S → W2 (the phantom), W2 → W3 (on
+/// `q`) and W3 before S make a read-only anomaly. Returns whether S, W2 and W3
+/// all committed.
+fn scanned_gap_anomaly_commits(
+    variant: serializable_si::SsiVariant,
+    split_first: bool,
+    [first, second]: [&[u8]; 2],
+) -> bool {
     let db = Database::open(Options {
         ssi: serializable_si::SsiOptions {
             variant,
@@ -340,43 +344,59 @@ fn scanned_gap_anomaly_commits(variant: serializable_si::SsiVariant, split_first
     assert_eq!(get_i64(&mut s, &u, b"q"), 1);
     assert_eq!(s.scan_prefix(&t, b"").unwrap().len(), 2);
     if split_first {
-        w1.put(&t, b"m", b"0").and_then(|()| w1.commit()).unwrap();
+        w1.put(&t, first, b"0").and_then(|()| w1.commit()).unwrap();
     }
-    let w2_ok = w2.put(&t, b"f", b"0").and_then(|()| w2.commit()).is_ok();
+    let w2_ok = w2.put(&t, second, b"0").and_then(|()| w2.commit()).is_ok();
     let s_ok = s.commit().is_ok();
     w3_ok && w2_ok && s_ok
 }
 
-/// An insert into a scanned gap takes EXCLUSIVE on the gap lock of its next
-/// key, which the scan holds SIREAD: the phantom is detected.
+const VARIANTS: [serializable_si::SsiVariant; 2] = [
+    serializable_si::SsiVariant::Basic,
+    serializable_si::SsiVariant::Enhanced,
+];
+
+/// An insert into a scanned gap finds the scan registered on the gap of its
+/// next key (or on the table's supremum, above the last key): the phantom is
+/// detected.
 #[test]
 fn insert_into_a_scanned_gap_is_detected() {
-    for variant in [
-        serializable_si::SsiVariant::Basic,
-        serializable_si::SsiVariant::Enhanced,
-    ] {
-        assert!(!scanned_gap_anomaly_commits(variant, false), "{variant:?}");
+    for variant in VARIANTS {
+        for second in [b"f", b"z"] {
+            let commits = scanned_gap_anomaly_commits(variant, false, [b"-", second]);
+            assert!(!commits, "{variant:?}, {second:?}");
+        }
     }
 }
 
-/// The known hole, written down before the fix. The first insert into a gap
-/// (`m`, next key `y`) splits it; the second (`f`, next key now `m`) aims at
-/// `gap(m)`, which the scan never held, so the scanner's rw-antidependency on
-/// it is lost and the anomaly commits whole. InnoDB closes the case by
-/// letting a new record inherit its successor's gap locks.
+/// The hole PR 13 found, closed by inheritance. The first insert into a gap
+/// (`m`, next key `y`) splits it; the second (`f`, next key now `m`) looks for
+/// the gap's holders on `m`, a key the scan never saw. It finds the scan there
+/// because `m`'s chain was created with a copy of the holders of the gap it
+/// went into, as InnoDB's `lock_rec_inherit_to_gap` does for a new record.
+/// Without the copy the scanner's rw-antidependency on `f` is lost and the
+/// anomaly commits whole.
 ///
-/// Row SIREADs live on the version chain; gaps are still lock-table entries
-/// and this schedule runs entirely through them — the boundary this test
-/// pins.
+/// Row and gap SIREADs both live on the version chain; this schedule runs
+/// through the gap half, where the lock table used to be.
 #[test]
-#[ignore = "ROADMAP item 1: gap-lock inheritance"]
 fn second_insert_into_a_scanned_gap_is_a_phantom_too() {
-    for variant in [
-        serializable_si::SsiVariant::Basic,
-        serializable_si::SsiVariant::Enhanced,
-    ] {
+    for variant in VARIANTS {
         assert!(
-            !scanned_gap_anomaly_commits(variant, true),
+            !scanned_gap_anomaly_commits(variant, true, [b"m", b"f"]),
+            "{variant:?}: S -> W2 -> W3 -> S committed whole"
+        );
+    }
+}
+
+/// The same above the last key, where the gap sits on the table's supremum
+/// chain: W1 appends `z1`, W2 inserts `z0` between the last key the scan saw
+/// and `z1`.
+#[test]
+fn second_insert_above_the_last_scanned_key_is_a_phantom_too() {
+    for variant in VARIANTS {
+        assert!(
+            !scanned_gap_anomaly_commits(variant, true, [b"z1", b"z0"]),
             "{variant:?}: S -> W2 -> W3 -> S committed whole"
         );
     }

@@ -235,18 +235,14 @@ fn s2pl_never_commits_a_nonserializable_interleaving() {
 // only edge W can have), and with W → R on `a` closing the cycle one of the
 // two must abort. The committed history is verified besides.
 
-mod row_siread {
-    use std::ops::Bound;
-    use std::sync::Barrier;
+/// What the SIREAD choreographies below share.
+mod choreography {
+    use serializable_si::{Database, Options, SsiOptions, SsiVariant, TableRef, TxnId};
 
-    use serializable_si::{
-        Database, IsolationLevel, Options, SsiOptions, SsiVariant, TableRef, Transaction, TxnId,
-    };
-
-    const VARIANTS: [SsiVariant; 2] = [SsiVariant::Basic, SsiVariant::Enhanced];
+    pub const VARIANTS: [SsiVariant; 2] = [SsiVariant::Basic, SsiVariant::Enhanced];
 
     /// A table holding `a`, `z` and whatever `rows` adds.
-    fn open(variant: SsiVariant, rows: &[&[u8]]) -> (Database, TableRef) {
+    pub fn open(variant: SsiVariant, rows: &[&[u8]]) -> (Database, TableRef) {
         let db = Database::open(Options {
             ssi: SsiOptions {
                 variant,
@@ -263,10 +259,19 @@ mod row_siread {
         (db, table)
     }
 
-    fn has_incoming_conflict(db: &Database, id: TxnId) -> bool {
+    pub fn has_incoming_conflict(db: &Database, id: TxnId) -> bool {
         let txn = db.transaction_manager().find(id).expect("still active");
         txn.conflict_flags().0
     }
+}
+
+mod row_siread {
+    use std::ops::Bound;
+    use std::sync::Barrier;
+
+    use serializable_si::{Database, IsolationLevel, TableRef, Transaction};
+
+    use super::choreography::{has_incoming_conflict, open, VARIANTS};
 
     /// W → R on `a` (W has read it), both commits, and the verdict.
     fn close_the_cycle(db: &Database, table: &TableRef, mut r: Transaction, w: Transaction) {
@@ -450,5 +455,370 @@ mod row_siread {
 
     fn missing(i: u64) -> Vec<u8> {
         [b"q", &i.to_be_bytes()[..]].concat()
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Gap-SIREAD choreography
+// ---------------------------------------------------------------------------
+//
+// The other half of the next-key lock lives on the chain too: a scan registers
+// on every row it lists *and* on the gap in front of it, the first version of
+// a new key collects the holders of the gap it goes into from its successor's
+// chain — in the critical section that links the key — and starts out with a
+// copy of them (`ssi_storage::table`, § SIREAD on the row). Each interleaving
+// in which the lock table used to be the one to notice gets a test of its own.
+// Every case is a phantom write skew around a key `m` that is not there and a
+// plain row `a`,
+//
+//   S: scan(t) w(a)        W: r(a) insert(m)
+//
+// run once per SSI variant. The edge S → W through the gap is the
+// choreographed one; with W → S on `a` closing the cycle one of the two must
+// abort. The committed history is verified besides.
+
+mod gap_siread {
+    use std::ops::Bound;
+    use std::sync::atomic::{AtomicBool, AtomicI64, AtomicUsize, Ordering};
+
+    use serializable_si::{Database, IsolationLevel, TableRef, Transaction};
+
+    use super::choreography::{has_incoming_conflict, open, VARIANTS};
+
+    fn scan_all(txn: &mut Transaction, table: &TableRef) -> usize {
+        let rows = txn.scan(table, Bound::Unbounded, Bound::Unbounded);
+        rows.unwrap().len()
+    }
+
+    fn assert_nothing_left(db: &Database) {
+        let report = db.history().unwrap().analyze();
+        assert!(report.is_serializable(), "cycle {:?}", report.cycle);
+        db.transaction_manager()
+            .cleanup_suspended(db.lock_manager());
+        assert_eq!(db.lock_manager().grant_count(), 0);
+        assert_eq!(db.siread_holder_count(), 0);
+        assert_eq!(db.metrics().txn.siread_rows_now, 0);
+    }
+
+    /// Two threads meeting without going to sleep — whoever arrives second
+    /// must not get a head start the length of a wake-up — and a handicap for
+    /// one of them that each round corrects towards the instant the race is
+    /// about, so that the operations behind the meeting point collide there
+    /// instead of passing each other by the width of a scheduling quantum.
+    #[derive(Default)]
+    struct Race {
+        arrived: AtomicUsize,
+        /// Spins the writer is held back by; negative, the other side is.
+        handicap: AtomicI64,
+    }
+
+    impl Race {
+        /// The `nth` meeting (from 1) of the two. The first to arrive stays
+        /// on its core for a while before it starts yielding: on a busy
+        /// machine a thread that yields is gone for a quantum, and the other
+        /// would be through its operation before it is back.
+        fn meet(&self, nth: usize) {
+            self.arrived.fetch_add(1, Ordering::SeqCst);
+            let mut spins = 0u32;
+            while self.arrived.load(Ordering::SeqCst) < 2 * nth {
+                if spins < 100_000 {
+                    spins += 1;
+                    std::hint::spin_loop();
+                } else {
+                    std::thread::yield_now();
+                }
+            }
+        }
+
+        fn hold_back(&self, writer: bool) {
+            let handicap = self.handicap.load(Ordering::SeqCst);
+            let spins = if writer { handicap } else { -handicap };
+            for _ in 0..spins.max(0) {
+                std::hint::spin_loop();
+            }
+        }
+
+        /// Called between rounds by one side: the writer came too late (or
+        /// too early) for what the round wanted to see.
+        fn writer_was(&self, late: bool) {
+            let step = if late { -150 } else { 150 };
+            self.handicap.fetch_add(step, Ordering::SeqCst);
+        }
+    }
+
+    /// (a) The insert links its key and collects the gap's holders while the
+    /// scan is between listing a page and registering on it: the inserter
+    /// cannot know the scan, so the scan has to find the key — its epoch check
+    /// comes after its registrations, sees the link, and the sweep reads the
+    /// key like a row of the page. The window is inside one `scan` call, so
+    /// the two are raced for real over a three-page table, the insert steered
+    /// into the scan by what the round before saw: 300 rounds, and on until a
+    /// scan has met a moved epoch. The insert commits after the scan is over,
+    /// so the scan never sees the key and the edge S → W must be there,
+    /// whoever notices; W → S is on the row next to the new key.
+    #[test]
+    fn insert_that_links_before_the_scan_registers() {
+        for variant in VARIANTS {
+            const KEYS: usize = 300;
+            const MAX_ROUNDS: usize = 3000;
+            let (db, table) = open(variant, &[]);
+            let mut load = db.begin();
+            for i in 0..KEYS {
+                load.put(&table, &plain(i), b"0").unwrap();
+            }
+            load.commit().unwrap();
+            let (race, enough) = (Race::default(), AtomicBool::new(false));
+            let (db, table, race, enough) = (&db, &table, &race, &enough);
+            std::thread::scope(|scope| {
+                scope.spawn(move || {
+                    for i in 0..MAX_ROUNDS {
+                        let mut w = db.begin();
+                        w.get(table, &plain(i % KEYS)).unwrap();
+                        race.meet(3 * i + 1);
+                        race.hold_back(true);
+                        let inserted = w.put(table, &fresh(i % KEYS, i / KEYS), b"w");
+                        race.meet(3 * i + 2);
+                        let _ = inserted.and_then(|()| w.commit());
+                        race.meet(3 * i + 3);
+                        if enough.load(Ordering::SeqCst) {
+                            break;
+                        }
+                    }
+                });
+                for i in 0..MAX_ROUNDS {
+                    let mut s = db.begin();
+                    let before = db.metrics().txn;
+                    race.meet(3 * i + 1);
+                    race.hold_back(false);
+                    let seen = scan_all(&mut s, table);
+                    race.meet(3 * i + 2);
+                    // Told by its own install: after the scan had registered.
+                    let after = db.metrics().txn;
+                    if after.scan_sweeps_run == before.scan_sweeps_run {
+                        race.writer_was(after.siread_gaps_inherited > before.siread_gaps_inherited);
+                    }
+                    let done = i + 1 >= KEYS && after.scan_sweeps_run > 0;
+                    enough.store(done, Ordering::SeqCst);
+                    race.meet(3 * i + 3);
+                    let key = plain(i % KEYS);
+                    let s_done = s.put(table, &key, b"s").and_then(|()| s.commit());
+                    let w_committed = table_has(db, table, &fresh(i % KEYS, i / KEYS));
+                    assert!(
+                        s_done.is_err() || !w_committed,
+                        "{variant:?} round {i}: S scanned {seen} rows without W's key, \
+                         and both committed"
+                    );
+                    if done {
+                        break;
+                    }
+                }
+            });
+            let swept = db.metrics().txn.scan_sweeps_run;
+            assert!(swept > 0, "{variant:?}: no scan ever met a moved epoch");
+            assert_nothing_left(db);
+        }
+    }
+
+    /// W → S on `a` (W has read it), both commits, and the verdict.
+    fn close_the_cycle(db: &Database, table: &TableRef, mut s: Transaction, w: Transaction) {
+        let s_done = s.put(table, b"a", b"s").and_then(|()| s.commit());
+        let w_done = w.commit();
+        assert!(
+            s_done.is_err() || w_done.is_err(),
+            "phantom write skew committed: the cycle S -> W -> S went unnoticed"
+        );
+        assert_nothing_left(db);
+    }
+
+    /// (b) The scan registers first: the install of the new key's first
+    /// version is handed the scan, by the chain of the key's successor.
+    #[test]
+    fn insert_after_the_scan_registered() {
+        for variant in VARIANTS {
+            let (db, table) = open(variant, &[]);
+            let mut s = db.begin();
+            let mut w = db.begin();
+            w.get(&table, b"a").unwrap();
+            assert_eq!(scan_all(&mut s, &table), 2);
+            let before = db.metrics();
+            w.put(&table, b"m", b"w").unwrap();
+            assert!(has_incoming_conflict(&db, w.id()), "{variant:?}");
+            let after = db.metrics();
+            // The scan was found on a chain, not in the lock table, and `m`
+            // starts out with its gap.
+            assert_eq!(after.locks.requests - before.locks.requests, 2);
+            assert_eq!(after.txn.siread_rows_now, before.txn.siread_rows_now + 1);
+            close_the_cycle(&db, &table, s, w);
+            assert_eq!(db.metrics().txn.siread_gaps_inherited, 1);
+        }
+    }
+
+    /// (c) The scanner updates a row it scanned. The Sec. 3.7.3 upgrade takes
+    /// its registration on the row — first-committer-wins covers the row's
+    /// next writer — and must leave the one on the gap in front of the row,
+    /// which nothing else covers: an insert there still finds the scanner,
+    /// which still suspends at commit for the sake of it.
+    ///
+    /// Guards `*word &= !SireadCover::ROW.0` in `ReaderSet::report_to`:
+    /// dropping the holder whole, as before the gap rode on it, lets W commit.
+    #[test]
+    fn scanner_that_updates_a_row_it_scanned_keeps_the_gap() {
+        for variant in VARIANTS {
+            let (db, table) = open(variant, &[b"m"]);
+            let mut s = db.begin();
+            let mut w = db.begin();
+            assert_eq!(scan_all(&mut s, &table), 3);
+            w.get(&table, b"m").unwrap();
+            // a, m, z and the supremum for S; m for W.
+            assert_eq!(db.siread_holder_count(), 5);
+            s.put(&table, b"m", b"s").unwrap();
+            assert_eq!(db.siread_holder_count(), 5, "S still holds the gap of m");
+            s.commit().unwrap();
+            assert_eq!(db.transaction_manager().suspended_len(), 1);
+            assert_eq!(db.metrics().txn.siread_rows_now, 4);
+
+            // W -> S on `m` is there; S -> W through the gap of `m` makes W
+            // a pivot whose way out committed first.
+            let w_id = w.id();
+            let inserted = w.put(&table, b"f", b"w");
+            assert!(
+                inserted.is_err() || has_incoming_conflict(&db, w_id),
+                "{variant:?}: the insert in front of `m` missed the scanner"
+            );
+            let done = inserted.and_then(|()| w.commit());
+            assert!(done.is_err(), "{variant:?}: S -> W -> S committed whole");
+            assert_nothing_left(&db);
+        }
+    }
+
+    /// (d) An inheriting insert rolls back. The chain it leaves empty stays
+    /// mapped for the scanner it carries a copy of, later inserts of the key
+    /// and in front of it find the scanner there, and once the scanner is
+    /// reclaimed a purge pass unmaps it.
+    ///
+    /// Guards `Self::take_adopted(&mut shard, txn.id())` in `retire`: without
+    /// it the scanner's copies outlive it and the chains are never unmapped.
+    #[test]
+    fn inheriting_insert_that_rolls_back() {
+        for variant in VARIANTS {
+            let (db, table) = open(variant, &[]);
+            let mut s = db.begin();
+            assert_eq!(scan_all(&mut s, &table), 2);
+            let mut first = db.begin();
+            first.put(&table, b"m", b"first").unwrap();
+            first.rollback();
+            assert_eq!(table.version_count(), 2, "only `a` and `z` hold a version");
+            assert_eq!(table.key_count(), 3, "`m` stays mapped for the scanner");
+            // a, z, the supremum, and the copy on `m`.
+            assert_eq!(db.siread_holder_count(), 4);
+
+            // In front of the empty chain, and onto it.
+            for key in [b"f", b"m"] {
+                let mut w = db.begin();
+                w.put(&table, key, b"w").unwrap();
+                assert!(has_incoming_conflict(&db, w.id()), "{variant:?} {key:?}");
+                w.rollback();
+            }
+            assert_eq!(table.key_count(), 4, "`f` inherited a copy as well");
+            assert_eq!(db.purge().chains, 0);
+            assert_eq!(table.key_count(), 4, "a pass leaves what the scanner holds");
+
+            // S is to commit and be cleaned up with its copies on it, so the
+            // cycle is closed around W: W -> X on `a`, X commits first, and
+            // S -> W through `m` makes W a pivot that has to go.
+            let mut w = db.begin();
+            w.get(&table, b"a").unwrap();
+            let mut x = db.begin();
+            x.put(&table, b"a", b"x").unwrap();
+            x.commit().unwrap();
+            let w_id = w.id();
+            let inserted = w.put(&table, b"m", b"second");
+            assert!(
+                inserted.is_err() || has_incoming_conflict(&db, w_id),
+                "{variant:?}"
+            );
+            let done = inserted.and_then(|()| w.commit());
+            assert!(done.is_err(), "{variant:?}: S -> W -> X committed whole");
+            s.commit().unwrap();
+            assert_nothing_left(&db);
+            db.purge();
+            assert_eq!(table.key_count(), 2, "every empty chain is gone");
+        }
+    }
+
+    /// (e) The holder is reclaimed while an inserter is adopting for it. The
+    /// copy on the new chain is released by whoever closes the race: the
+    /// holder's cleanup if the handle reached its list before its record left
+    /// the registry, the inserter if not. 300 rounds, each steered
+    /// towards the instant the holder lets go of the gap.
+    ///
+    /// Guards `chain.release_siread(*holder)` in `adopt_inherited`: without it
+    /// a copy made for a holder that is past its cleanup stays on the chain.
+    #[test]
+    fn holder_reclaimed_while_an_inserter_adopts() {
+        for variant in VARIANTS {
+            const ROUNDS: usize = 300;
+            let (db, table) = open(variant, &[]);
+            let race = Race::default();
+            let mut found = 0;
+            for i in 0..ROUNDS {
+                // S commits and stays suspended for as long as `overlap`,
+                // which began before S committed, is active.
+                let mut overlap = db.begin_with(IsolationLevel::SnapshotIsolation);
+                overlap.get(&table, b"a").unwrap();
+                let mut s = db.begin();
+                assert!(scan_all(&mut s, &table) >= 2);
+                s.put(&table, b"a", b"s").unwrap();
+                s.commit().unwrap();
+                assert_eq!(db.transaction_manager().suspended_len(), 1);
+                // Began after S committed: not what keeps S suspended. The
+                // new key goes above every other, into the gap S holds on
+                // the supremum, the last thing its cleanup lets go of.
+                let mut w = db.begin();
+                let inherited = db.metrics().txn.siread_gaps_inherited;
+                std::thread::scope(|scope| {
+                    scope.spawn(|| {
+                        race.meet(i + 1);
+                        race.hold_back(false);
+                        // Its finish reclaims S.
+                        overlap.commit().unwrap();
+                    });
+                    race.meet(i + 1);
+                    race.hold_back(true);
+                    w.put(&table, &above(i), b"w").unwrap();
+                });
+                w.commit().unwrap();
+                let metrics = db.metrics().txn;
+                let late = metrics.siread_gaps_inherited == inherited;
+                found += usize::from(!late);
+                race.writer_was(late);
+                assert_eq!(db.transaction_manager().suspended_len(), 0);
+                assert_eq!(db.siread_holder_count(), 0, "{variant:?} round {i}");
+                assert_eq!(metrics.siread_rows_now, 0, "{variant:?} round {i}");
+            }
+            // Both orders happened: S gone before the insert looked, and S
+            // still holding the gap when it did.
+            assert!(found > 0 && found < ROUNDS, "{variant:?}: {found}");
+            assert_nothing_left(&db);
+        }
+    }
+
+    fn table_has(db: &Database, table: &TableRef, key: &[u8]) -> bool {
+        let mut check = db.begin_with(IsolationLevel::SnapshotIsolation);
+        check.get(table, key).unwrap().is_some()
+    }
+
+    fn plain(i: usize) -> Vec<u8> {
+        [b"p", &i.to_be_bytes()[..]].concat()
+    }
+
+    /// Right behind `plain(i)` and every `fresh(i, _)` before it.
+    fn fresh(i: usize, lap: usize) -> Vec<u8> {
+        [b"p", &i.to_be_bytes()[..], b"+", &lap.to_be_bytes()[..]].concat()
+    }
+
+    /// Above `z` and every `above` before it.
+    fn above(i: usize) -> Vec<u8> {
+        [b"zz", &i.to_be_bytes()[..]].concat()
     }
 }

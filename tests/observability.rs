@@ -218,6 +218,7 @@ fn render_text_golden() {
         "# TYPE ssi_txn_suspended gauge",
         "ssi_txn_suspended 0",
         "ssi_txn_siread_row_registrations_total 0",
+        "ssi_txn_siread_gaps_inherited_total 0",
         "# TYPE ssi_txn_siread_rows gauge",
         "ssi_txn_siread_rows 0",
         "ssi_txn_aborts_by_reason_total{reason=\"write-conflict\"} 0",

@@ -1,9 +1,9 @@
 //! The Serializable-SI range-scan protocol, seen from outside the engine:
-//! what a scan costs in lock requests, and that paging scans stay
-//! serializable while other transactions insert into and delete from the
-//! range they are reading (batched next-key gap SIREADs, one read per row
-//! that registers the row's SIREAD on its chain, epoch-gated phantom sweep —
-//! see `ssi_storage::table`).
+//! what a scan costs in lock requests and chain registrations, and that paging
+//! scans stay serializable while other transactions insert into and delete
+//! from the range they are reading (one read per row that registers the scan
+//! on the row and on the gap in front of it, the end gap on the first key
+//! beyond the range, epoch-gated phantom sweep — see `ssi_storage::table`).
 
 use std::ops::Bound;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -25,13 +25,16 @@ fn key(i: u64) -> [u8; 8] {
     i.to_be_bytes()
 }
 
-/// One counted lock request per next-key gap and one for the gap that closes
-/// the range — no more (nothing is requested twice) and no fewer (the batch
-/// path counts like the single path) — plus one registration on the chain of
-/// every examined row, which is no lock request. All of them stay in place
-/// while the reader is suspended and are gone after cleanup.
-#[test]
-fn ssi_scan_of_500_rows_costs_501_lock_requests_and_500_registrations_held_until_cleanup() {
+/// 500 rows, one overlapping snapshot that keeps the scanner suspended, and
+/// the scan itself at `level`. Returns the database, the overlapping
+/// transaction and the metrics around the scan.
+fn scan_500_rows(
+    level: IsolationLevel,
+) -> (
+    Database,
+    serializable_si::Transaction,
+    [serializable_si::MetricsSnapshot; 2],
+) {
     let db = Database::open(Options::default());
     let table = db.create_table("items").unwrap();
     let mut load = db.begin();
@@ -55,30 +58,41 @@ fn ssi_scan_of_500_rows_costs_501_lock_requests_and_500_registrations_held_until
     assert_eq!(db.siread_holder_count(), 0);
 
     let before = db.metrics();
-    let mut scanner = db.begin();
+    let mut scanner = db.begin_with(level);
     let rows = scanner
         .scan(&table, Bound::Unbounded, Bound::Excluded(&key(500)))
         .unwrap();
     assert_eq!(rows.len(), 500);
     scanner.commit().unwrap();
     let after = db.metrics();
-
-    assert_eq!(after.locks.requests - before.locks.requests, 501);
-    assert_eq!(
-        after.txn.siread_row_registrations - before.txn.siread_row_registrations,
-        500
-    );
     assert_eq!(after.locks.waits, before.locks.waits);
-    assert_eq!(db.transaction_manager().suspended_len(), 1);
-    assert_eq!(db.lock_manager().grant_count(), 501);
-    assert_eq!(db.siread_holder_count(), 500);
-    assert_eq!(after.txn.siread_rows_now, 500);
     // Nothing entered or left the table while it ran: no page swept.
     assert_eq!(after.txn.scan_sweeps_run, before.txn.scan_sweeps_run);
     assert!(after.txn.scan_sweeps_skipped > before.txn.scan_sweeps_skipped);
+    (db, overlap, [before, after])
+}
+
+/// A Serializable-SI row scan asks the lock table for nothing. Its next-key
+/// lock is one registration on the chain of every examined row, covering the
+/// row and the gap in front of it, plus one on the first key beyond the range
+/// for the gap that closes it. All of them stay in place while the scanner is
+/// suspended and are gone after cleanup.
+#[test]
+fn ssi_scan_of_500_rows_costs_no_lock_request_and_501_registrations_held_until_cleanup() {
+    let (db, overlap, [before, after]) =
+        scan_500_rows(IsolationLevel::SerializableSnapshotIsolation);
+    assert_eq!(after.locks.requests - before.locks.requests, 0);
+    assert_eq!(
+        after.txn.siread_row_registrations - before.txn.siread_row_registrations,
+        501
+    );
+    assert_eq!(db.transaction_manager().suspended_len(), 1);
+    assert_eq!(db.lock_manager().grant_count(), 0);
+    assert_eq!(db.siread_holder_count(), 501);
+    assert_eq!(after.txn.siread_rows_now, 501);
 
     // The last transaction concurrent with the scanner finishes: its commit
-    // runs `cleanup_suspended`, which reclaims the scanner and its locks.
+    // runs `cleanup_suspended`, which reclaims the scanner and what it held.
     overlap.commit().unwrap();
     assert_eq!(db.transaction_manager().suspended_len(), 0);
     assert_eq!(db.metrics().txn.cleaned, after.txn.cleaned + 1);
@@ -86,6 +100,24 @@ fn ssi_scan_of_500_rows_costs_501_lock_requests_and_500_registrations_held_until
     assert_eq!(db.lock_manager().key_count(), 0);
     assert_eq!(db.siread_holder_count(), 0);
     assert_eq!(db.metrics().txn.siread_rows_now, 0);
+}
+
+/// The other side of the boundary: at S2PL the same scan is 1001 blocking
+/// SHARED requests — a record and a next-key gap per row and the gap that
+/// closes the range — all in the lock table, none on a chain, all released at
+/// commit.
+#[test]
+fn s2pl_scan_of_500_rows_still_costs_1001_lock_requests_and_no_registration() {
+    let (db, overlap, [before, after]) = scan_500_rows(IsolationLevel::StrictTwoPhaseLocking);
+    assert_eq!(after.locks.requests - before.locks.requests, 1001);
+    assert_eq!(
+        after.txn.siread_row_registrations,
+        before.txn.siread_row_registrations
+    );
+    assert_eq!(db.transaction_manager().suspended_len(), 0);
+    assert_eq!(db.lock_manager().grant_count(), 0);
+    assert_eq!(db.siread_holder_count(), 0);
+    drop(overlap);
 }
 
 /// Paging SSI scans against concurrent inserters and deleters of the scanned
