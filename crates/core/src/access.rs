@@ -12,15 +12,15 @@
 //!   register conflicts with the SIREAD holders that overlap the writer, and
 //!   — for inserts and deletes at row granularity — do the same for the
 //!   holders of the gap the key lies in (phantom handling, Sec. 3.5);
-//! * `scan` is `get` applied to every row the predicate examines, with the
-//!   SIREAD covering the gap in front of each row as well — the next-key lock
-//!   — so that later inserts into the scanned range are detected. It works a
-//!   page at a time: the storage cursor lists the page's keys without reading
-//!   them, each row is then read exactly once in a chain visit that also
-//!   registers the scan on row and gap, the last page adds the gap that
-//!   closes the range, and the phantom sweep of the page's key range runs
-//!   only if the table's membership epoch moved since the page was listed
-//!   (see "Why scans stay consistent under SSI" in `ssi_storage::table`).
+//! * `scan` is a predicate read. At row granularity its SIREAD is the
+//!   predicate itself: the scan registers its bounds with the table before it
+//!   lists the first page, and then reads every row exactly as a
+//!   snapshot-isolation scan does, marking a conflict with the creator of
+//!   every newer version it skipped. A later insert into, update of or delete
+//!   from the range finds the registration when it installs its version (see
+//!   "Why scans stay consistent under SSI" in `ssi_storage::table`). It works
+//!   a page at a time: the storage cursor lists the page's keys without
+//!   reading them, and each row is then read exactly once.
 //!
 //! ## Where an SIREAD lives
 //!
@@ -28,72 +28,73 @@
 //! by the next writer of what it covers. So it is kept wherever that writer
 //! already looks:
 //!
-//! * **a row, and the gap in front of it, at row granularity: on the row's
-//!   version chain.** The read registers the transaction there in the
-//!   critical section that reads the version — a point read for the row, a
-//!   scan for row and gap in one registration — and the install of the row's
-//!   next version is handed everyone registered on the row, the first
-//!   version of a new key everyone registered on the gap it goes into, which
-//!   it finds on its successor's chain while it links itself into the index
-//!   (`ssi_storage::table`, § SIREAD on the row). The gap that closes a
-//!   scan's range sits on the first key beyond it, or on the table's supremum
-//!   chain. Such a read builds no lock name, visits no lock table and adds
-//!   nothing to `Transaction::locks`; the transaction keeps one storage
-//!   handle per new registration (`Transaction::siread_rows`) — a scan moves
-//!   the one its page already holds — and the handles travel with the
-//!   suspended transaction until `TransactionManager` releases them. A new
-//!   key starts out with a copy of the holders of the gap it split, so that
-//!   the next insert in front of it finds them; `do_write` hands each holder
-//!   the new chain's handle (`TransactionManager::adopt`) at every isolation level,
-//!   and the holder releases it with its own. A writer still takes the row's
-//!   EXCLUSIVE lock in the lock table (it is what blocks the next writer),
-//!   and an inserter or deleter the EXCLUSIVE lock of the gap above its key
-//!   (it is what waits for an S2PL scanner, whose SHARED gap locks live
-//!   there), and passes the chain's holders and whatever the lock table
-//!   reported to `mark_write_conflicts`;
-//! * **everything without a chain: in the lock table**, by the
-//!   lock-then-read protocol. That is an index entry's gap, a page (page
-//!   granularity has many rows under one name, so a chain cannot stand for
-//!   it), and a row whose key has no chain yet — a `get` of a missing key,
-//!   which the key's first insert meets through its EXCLUSIVE request. A
-//!   *scan* that finds no chain for a key it listed needs no lock either: it
-//!   registers on the gap above the key, where the key's next insert will
-//!   look (`Transaction::ssi_read_absent`).
+//! * **a row, at row granularity: on the row's version chain.** A point read
+//!   registers the transaction there in the critical section that reads the
+//!   version, and the install of the row's next version is handed everyone
+//!   registered (`ssi_storage::table`, § SIREAD on the row). Such a read
+//!   builds no lock name, visits no lock table and adds nothing to
+//!   `Transaction::locks`; the transaction keeps one storage handle per new
+//!   registration (`Transaction::siread_rows`), and the handles travel with
+//!   the suspended transaction until `TransactionManager` releases them;
+//! * **a range, at row granularity: on the table, or on the secondary
+//!   index, that was scanned.** One registration per scan — bounds and
+//!   holder — made before the scan lists anything, whatever it then lists;
+//!   every install of a version compares its key with the live ranges of its
+//!   table, and every entry it adds to an index with the live ranges of that
+//!   index, in the critical section that makes the version or the entry
+//!   reachable (`ssi_storage::range`). A key or an entry that appears later
+//!   is covered by lying in the range, so there is nothing to hand on when a
+//!   gap is split and nothing to sweep for after the scan. The transaction
+//!   keeps one handle per registration (`Transaction::siread_ranges`),
+//!   released with the row handles. A writer still takes the row's EXCLUSIVE
+//!   lock in the lock table (it is what blocks the next writer), and an
+//!   inserter or deleter the EXCLUSIVE lock of the gap above its key (it is
+//!   what waits for an S2PL scanner, whose SHARED gap locks live there), and
+//!   passes the chain's holders, the range holders and whatever the lock
+//!   table reported to `mark_write_conflicts`;
+//! * **the rest: in the lock table**, by the lock-then-read protocol. That
+//!   is a page (page granularity has many rows under one name, so neither a
+//!   chain nor a range of keys can stand for it), and a row whose key has no
+//!   chain yet — a `get` of a missing key, which the key's first insert meets
+//!   through its EXCLUSIVE request.
 //!
-//! One narrowing against the lock table: a chain shows a reader the writers
-//! that have *installed*, not a transaction that merely holds the EXCLUSIVE
-//! lock (`get_for_update`, or a `put` between its lock grant and its
-//! install). No conflict is lost by that. If the holder goes on to write
-//! the row, its install finds the reader and records the same edge; if it
-//! never does, the row did not change and the reader missed nothing. The
-//! same goes for the EXCLUSIVE holder of a gap: a scan meets an inserter by
-//! reading the key it inserted.
+//! One narrowing against the lock table: a chain or a range list shows a
+//! reader the writers that have *installed*, not a transaction that merely
+//! holds the EXCLUSIVE lock (`get_for_update`, or a `put` between its lock
+//! grant and its install). No conflict is lost by that. If the holder goes on
+//! to write the row, its install finds the reader and records the same edge;
+//! if it never does, the row did not change and the reader missed nothing.
+//! The same goes for the EXCLUSIVE holder of a gap: a scan meets an inserter
+//! by reading the key it inserted.
 //!
 //! ## Secondary-index protocol
 //!
 //! Index predicates move the Sec. 3.5 phantom machinery into *entry
-//! space*: lock names are `(index id, encoded entry)` instead of
-//! `(table id, row key)`, but the protocol shape is identical.
+//! space*: `(index id, encoded entry)` instead of `(table id, row key)`,
+//! but the protocol shape is identical.
 //!
 //! * **Writes** (`index_maintenance`, run before the version is
 //!   installed): for every index whose extracted key *changes* (a fresh
 //!   claim — insert or rename, never a same-key overwrite), the writer
 //!   takes an EXCLUSIVE gap lock on the next entry after its new entry
-//!   (supremum if none) and registers rw-conflicts with SIREAD holders, so
-//!   concurrent index predicates see the phantom. Unique indexes
-//!   additionally serialize claims of one index key under an EXCLUSIVE
-//!   *marker* lock on `(index id, index key)` and check the latest
-//!   committed state under it — a duplicate claim aborts with the typed
-//!   [`AbortReason::UniqueViolation`] at every isolation level, because a
-//!   constraint, unlike serializability, cannot be traded away.
-//! * **Reads** (`do_index_scan`): entries are probed in order; each visited
-//!   entry gets a SIREAD (SSI) or SHARED (S2PL) gap lock, the claiming
-//!   row is then read with the ordinary row protocol, and the row's
-//!   *current* value is re-extracted to filter entries staled by renames
-//!   and deletes (stale entries linger until GC). After the pass the
-//!   locked region is swept to a fixpoint — entries installed concurrently
-//!   between probe and lock are absorbed, exactly like the row scan's gap
-//!   sweep.
+//!   (supremum if none), which is what makes it wait for an S2PL index
+//!   scan. Unique indexes additionally serialize claims of one index key
+//!   under an EXCLUSIVE *marker* lock on `(index id, index key)` and check
+//!   the latest committed state under it — a duplicate claim aborts with the
+//!   typed [`AbortReason::UniqueViolation`] at every isolation level, because
+//!   a constraint, unlike serializability, cannot be traded away. A
+//!   Serializable-SI index scan is found later, by the install: adding the
+//!   entry reports the holders of the index ranges that contain it
+//!   (`ssi_storage::index`, § Range SIREADs in entry space).
+//! * **Reads** (`do_index_scan`): at Serializable SI the scan registers its
+//!   entry range with the index first, then lists the entries and reads each
+//!   claiming row with the ordinary row protocol — a point SIREAD on the
+//!   row's chain, so a rename away or a delete is found there — and
+//!   re-extracts from the row's *current* value to filter entries staled by
+//!   renames and deletes (stale entries linger until GC). At S2PL each
+//!   visited entry gets a SHARED gap lock, and after the pass the locked
+//!   region is swept to a fixpoint — entries installed concurrently between
+//!   probe and lock are absorbed, exactly like the S2PL row scan's gap sweep.
 //! * **History**: index reads and writes are recorded under the index's id
 //!   (reads only for entries that pass the filter; absences as gap
 //!   records), so the MVSG verifier checks index predicates like any other
@@ -106,8 +107,8 @@ use std::sync::Arc;
 use ssi_common::{AbortReason, Bytes, Error, IsolationLevel, Result, TableId, Timestamp, TxnId};
 use ssi_lock::{LockKey, LockMode, ModeSet};
 use ssi_storage::{
-    as_ref_bound, clone_bound, decode_entry, encode_entry, entry_range, Index, Inherited,
-    Installed, ScanRow, Siread, SireadCover, VisibleRead,
+    as_ref_bound, clone_bound, decode_entry, encode_entry, entry_range, Index, Installed, ScanRow,
+    Siread, VisibleRead,
 };
 
 use crate::db::{IndexRef, TableRef};
@@ -120,10 +121,6 @@ use crate::verify::{ReadRecord, WriteRecordEntry};
 /// Lists the keys of an ordered structure (a table's key index, a secondary
 /// index's entry map) that lie between two bounds, ascending.
 type KeyLister<'a> = &'a dyn Fn(Bound<&[u8]>, Bound<&[u8]>) -> Vec<Arc<[u8]>>;
-
-/// Covers the gap in front of a key the phantom sweep found, the way the
-/// scan covered the gaps of the keys it listed.
-type GapCover<'a> = &'a mut dyn FnMut(&mut Transaction, &Arc<[u8]>) -> Result<()>;
 
 /// Rows an index scan keeps, in entry order: `(entry, primary key, value)`.
 type IndexHits = Vec<(Arc<[u8]>, Vec<u8>, Bytes)>;
@@ -291,24 +288,27 @@ impl Transaction {
         matches!(self.db.options.granularity, LockGranularity::Row)
     }
 
-    /// Closes one page of a gap-covering scan against phantoms. The page's
-    /// key region runs from `from` (exclusive end of the previous page, or
-    /// the scan's lower bound) to `to`: the page's last key or, for the last
-    /// page, the end of the range. The caller must already cover — with a
-    /// gap lock, or at Serializable SI a registration on the key's chain —
-    /// the gap of every key the page listed *and*, on the last page, the gap
-    /// that closes the range.
+    /// Closes one page of an S2PL scan against phantoms. The page's key
+    /// region runs from `from` (exclusive end of the previous page, or the
+    /// scan's lower bound) to `to`: the page's last key or, for the last
+    /// page, the end of the range. The caller must already hold the gap lock
+    /// of every key the page listed *and*, on the last page, of the gap that
+    /// closes the range.
     ///
     /// Any key present in the region that the page did not list was
     /// inserted into one of its gaps after the page was taken. An insert
-    /// that looks for the holders of its gap once ours is in place finds us
-    /// there; the sweep ([`Transaction::sweep_region`]) is for the ones that
-    /// were entirely done by then. It runs only if the table's membership
-    /// epoch moved since the page was listed: an unchanged `epoch`, read
-    /// under the ordered-index lock now that the gaps are covered, proves
-    /// the index still holds exactly the page's keys, so the sweep's listing
-    /// would find nothing. `seen` is asked for the page's keys only if the
-    /// sweep runs. Returns the newly discovered keys in ascending order.
+    /// that asks for its gap lock once ours is granted waits for us; the
+    /// sweep ([`Transaction::sweep_region`]) is for the ones that were
+    /// entirely done by then. It runs only if the table's membership epoch
+    /// moved since the page was listed: an unchanged `epoch`, read under the
+    /// ordered-index lock now that the gaps are locked, proves the index
+    /// still holds exactly the page's keys, so the sweep's listing would
+    /// find nothing. `seen` is asked for the page's keys only if the sweep
+    /// runs. Returns the newly discovered keys in ascending order.
+    ///
+    /// S2PL is the sweep's only row-scan caller: a Serializable-SI scan
+    /// registers its range before it lists anything, so an insert is either
+    /// listed or finds the range, and there is no window to sweep.
     fn sweep_gap_region(
         &mut self,
         table: &TableRef,
@@ -316,7 +316,6 @@ impl Transaction {
         seen: impl FnOnce() -> Vec<Arc<[u8]>>,
         from: Bound<&[u8]>,
         to: Bound<&[u8]>,
-        cover: GapCover<'_>,
     ) -> Result<Vec<Arc<[u8]>>> {
         let stats = self.db.txns.stats();
         if table.table.membership_epoch() == epoch {
@@ -325,25 +324,25 @@ impl Transaction {
         }
         stats.scan_sweeps_run.fetch_add(1, Ordering::Relaxed);
         let list = &|from: Bound<&[u8]>, to: Bound<&[u8]>| table.table.keys_in_range(from, to);
-        self.sweep_region(list, seen(), from, to, cover)
+        self.sweep_region(list, table.id(), seen(), from, to)
     }
 
-    /// The phantom sweep shared by row scans and index scans: finds the
-    /// keys of a table or the entries of an index (as `list` reports them)
-    /// that lie in `(from, to)` and are not in `seen` — the ascending keys
-    /// whose gap this transaction already covers, along with the gap of the
-    /// region's upper boundary.
+    /// The phantom sweep shared by S2PL row scans and index scans: finds
+    /// the keys of a table or the entries of an index (as `list` reports
+    /// them) that lie in `(from, to)` and are not in `seen` — the ascending
+    /// keys whose SHARED gap lock in `space` this transaction already holds,
+    /// along with the gap lock of the region's upper boundary.
     ///
-    /// Each key found has its gap covered as well (`cover`) — an insert
-    /// splits a gap, and the new key's gap has to be ours from then on too —
-    /// which opens the same race for the new cover: an insert in front of
-    /// the found key may have come and gone before it was in place. So the
-    /// part of the region below the highest key just covered is listed
-    /// again, until a pass finds nothing new. Keys that appear *above* the
-    /// keys a pass covered need no further pass: their inserts went into a
-    /// gap this transaction already covered, and found it there. After that
-    /// fixpoint, every key listed in the region has its gap covered. Returns
-    /// the discovered keys in ascending order.
+    /// Each key found has its gap locked as well — an insert splits a gap,
+    /// and the new key's gap has to be ours from then on too — which opens
+    /// the same race for the new lock: an insert in front of the found key
+    /// may have come and gone before it was granted. So the part of the
+    /// region below the highest key just locked is listed again, until a
+    /// pass finds nothing new. Keys that appear *above* the keys a pass
+    /// locked need no further pass: their inserts went into a gap this
+    /// transaction already held, and waited for it. After that fixpoint,
+    /// every key listed in the region has its gap locked. Returns the
+    /// discovered keys in ascending order.
     ///
     /// Every pass lists a strictly lower range than the one before, so an
     /// append storm ends the sweep after two passes, and a pass is one
@@ -357,16 +356,16 @@ impl Transaction {
     fn sweep_region(
         &mut self,
         list: KeyLister<'_>,
+        space: TableId,
         mut seen: Vec<Arc<[u8]>>,
         from: Bound<&[u8]>,
         to: Bound<&[u8]>,
-        cover: GapCover<'_>,
     ) -> Result<Vec<Arc<[u8]>>> {
         const MAX_PASSES: usize = 16;
         debug_assert!(seen.windows(2).all(|w| w[0] < w[1]));
         let mut missed: Vec<Arc<[u8]>> = Vec::new();
         for _ in 0..MAX_PASSES {
-            // Highest key the previous pass covered (a pass finds its keys
+            // Highest key the previous pass locked (a pass finds its keys
             // in ascending order): only inserts in front of it can have
             // raced that pass.
             let to = match missed.last() {
@@ -393,25 +392,13 @@ impl Transaction {
                 return Ok(missed);
             }
             for key in &missed[found..] {
-                cover(self, key)?;
+                self.acquire(LockKey::gap(space, key.clone()), LockMode::Shared)?;
             }
         }
         Err(Error::abort_with_reason(
             AbortReason::GapSweepExhausted,
             self.shared.id(),
         ))
-    }
-
-    /// The lock-table way to cover the gap in front of `key` in `space` (a
-    /// table's keys at S2PL, an index's entries at S2PL and Serializable
-    /// SI): the gap lock in `mode`, and for an SIREAD the conflicts with the
-    /// EXCLUSIVE holders it meets.
-    fn lock_gap(&mut self, space: TableId, key: &Arc<[u8]>, mode: LockMode) -> Result<()> {
-        let outcome = self.acquire(LockKey::gap(space, key.clone()), mode)?;
-        if mode == LockMode::SiRead {
-            self.mark_read_conflicts(&outcome.rw_conflicts)?;
-        }
-        Ok(())
     }
 
     /// 2PL handling of keys [`Transaction::sweep_gap_region`] discovered:
@@ -435,31 +422,6 @@ impl Transaction {
             let ts = table.table.newest_committed_ts(&key);
             self.record_read(table, &key, ts, false);
         }
-        Ok(())
-    }
-
-    /// SSI handling of a key [`Transaction::sweep_gap_region`] discovered:
-    /// treat it exactly like a row of the page — the row read, by key, with
-    /// its registration on the key's chain covering row and gap (without the
-    /// row an *update* of the phantom key would go unnoticed, without the
-    /// gap an insert in front of it) and its conflicts with the creators of
-    /// the key's (invisible) versions — and record the predicate read for
-    /// the verifier. Such a key is never visible to the scan's snapshot — a
-    /// version committed before the snapshot would have been in the ordered
-    /// index when the page was read.
-    fn absorb_missed_key_ssi(
-        &mut self,
-        table: &TableRef,
-        key: &[u8],
-        snapshot: Timestamp,
-    ) -> Result<()> {
-        let probe = self.ssi_read(table, key, snapshot, SireadCover::ROW_AND_GAP)?;
-        self.record_read(
-            table,
-            key,
-            probe.read_version_ts,
-            probe.speculative_of.is_some(),
-        );
         Ok(())
     }
 
@@ -531,9 +493,8 @@ impl Transaction {
         Ok(())
     }
 
-    /// Takes SIREAD on every lock-table key of a predicate read's page
-    /// (an index scan's entry gaps, or pages at page granularity) in one
-    /// lock-table pass (never blocks; see
+    /// Takes SIREAD on the pages of a predicate read's rows (page
+    /// granularity) in one lock-table pass (never blocks; see
     /// [`ssi_lock::LockManager::lock_siread_batch`]), moves the newly
     /// acquired keys into the lock set and registers the conflicts with the
     /// EXCLUSIVE holders found (Fig. 3.4's lock step, applied to a batch).
@@ -686,106 +647,28 @@ impl Transaction {
     /// sees every version installed before it and is seen by every install
     /// after it. A writer that holds the EXCLUSIVE lock but has installed
     /// nothing yet is not visible there, and need not be: its install will
-    /// find the registration. `cover` is [`SireadCover::ROW`] for a point
-    /// read and adds the gap in front of the key for a predicate read.
+    /// find the registration.
     ///
-    /// A key with no chain has nothing to register on. A point read, and
-    /// every read at page granularity, then takes the lock table's two steps
-    /// ([`Transaction::ssi_read_locked`]). A predicate read covers the place
-    /// where the key would be instead ([`Transaction::ssi_read_absent`]).
+    /// A key with no chain has nothing to register on; that read, and every
+    /// read at page granularity, takes the lock table's two steps
+    /// ([`Transaction::ssi_read_locked`]).
     fn ssi_read(
         &mut self,
         table: &TableRef,
         key: &[u8],
         snapshot: Timestamp,
-        cover: SireadCover,
     ) -> Result<VisibleRead> {
         if !self.row_granularity() {
             return self.ssi_read_locked(table, key, snapshot);
         }
         let id = self.shared.id();
-        let (read, siread) = table.table.read_registering(key, id, snapshot, cover);
-        self.finish_registering_read(table, key, snapshot, cover, read, siread)
-    }
-
-    /// [`Transaction::ssi_read`] of a scanned row at row granularity, through
-    /// the chain handle its page carries. A new registration keeps that
-    /// handle. Hands the row's key back with the read.
-    fn ssi_read_row(
-        &mut self,
-        table: &TableRef,
-        row: ScanRow,
-        snapshot: Timestamp,
-        cover: SireadCover,
-    ) -> Result<(Arc<[u8]>, VisibleRead)> {
-        let ScanRow { key, handle } = row;
-        let id = self.shared.id();
-        let (read, siread) = table
-            .table
-            .read_row_registering(&key, handle, id, snapshot, cover);
-        let read = self.finish_registering_read(table, &key, snapshot, cover, read, siread)?;
-        Ok((key, read))
-    }
-
-    /// Files what a registering read reports and completes the read: the
-    /// conflicts if it registered, the fallback for its `cover` if the key
-    /// had no chain.
-    fn finish_registering_read(
-        &mut self,
-        table: &TableRef,
-        key: &[u8],
-        snapshot: Timestamp,
-        cover: SireadCover,
-        read: VisibleRead,
-        siread: Siread,
-    ) -> Result<VisibleRead> {
-        if self.keep_row_siread(siread) {
-            self.finish_ssi_read(table, key, snapshot, read)
-        } else if cover == SireadCover::ROW {
-            self.ssi_read_locked(table, key, snapshot)
-        } else {
-            self.ssi_read_absent(table, key, snapshot, cover)
-        }
-    }
-
-    /// Files what a registering read reports. False if the key had no chain
-    /// to register on.
-    fn keep_row_siread(&mut self, siread: Siread) -> bool {
+        let (read, siread) = table.table.read_registering(key, id, snapshot);
         match siread {
-            Siread::New(row) => {
-                self.siread_rows.push(row);
-                true
-            }
-            Siread::Held => true,
-            Siread::NoChain => false,
+            Siread::New(row) => self.siread_rows.push(row),
+            Siread::Held => {}
+            Siread::NoChain => return self.ssi_read_locked(table, key, snapshot),
         }
-    }
-
-    /// The predicate read of a key that was listed and has no chain (any
-    /// more): a rolled-back insert, a purged tombstone. What the scan has to
-    /// cover is the place where the key would be, which is part of the gap
-    /// in front of the next key up; so it registers there, and looks for the
-    /// key once more. If the key is back, this is an ordinary registering
-    /// read. If not, it was absent at a moment when the gap it would go into
-    /// was covered: whoever inserts it from now on finds the scan on that
-    /// gap, is told, and hands the new key its gap (`ssi_storage::table`,
-    /// § SIREAD on the row). No lock-table entry is involved.
-    fn ssi_read_absent(
-        &mut self,
-        table: &TableRef,
-        key: &[u8],
-        snapshot: Timestamp,
-        cover: SireadCover,
-    ) -> Result<VisibleRead> {
-        let id = self.shared.id();
-        let (above, _) = table.table.register_gap_above(Bound::Included(key), id);
-        self.keep_row_siread(above);
-        let (read, siread) = table.table.read_registering(key, id, snapshot, cover);
-        if self.keep_row_siread(siread) {
-            self.finish_ssi_read(table, key, snapshot, read)
-        } else {
-            Ok(VisibleRead::default())
-        }
+        self.finish_ssi_read(table, key, snapshot, read)
     }
 
     /// The lock-table form of the row read, in the paper's order: the SIREAD
@@ -856,7 +739,7 @@ impl Transaction {
             }
             IsolationLevel::SerializableSnapshotIsolation => {
                 let snapshot = self.db.txns.ensure_snapshot(&self.shared);
-                let read = self.ssi_read(table, key, snapshot, SireadCover::ROW)?;
+                let read = self.ssi_read(table, key, snapshot)?;
                 if !read.read_own_write {
                     self.record_read(
                         table,
@@ -955,8 +838,8 @@ impl Transaction {
         // existing keys do not change predicate results and need no gap
         // lock. Page-level locking subsumes this (Sec. 3.5). The lock is
         // what makes the write wait for an S2PL scanner; a Serializable-SI
-        // scanner is not in the lock table and is found with the install,
-        // below.
+        // scanner is not in the lock table and is found by the install,
+        // below, whatever the write does to the key.
         let is_insert = !probe.has_live_version;
         let needs_gap = self.gap_locking_enabled()
             && (is_insert || is_delete)
@@ -982,20 +865,21 @@ impl Transaction {
 
         // A long chain is pruned on the way in, at the horizon the purge
         // pass would use; the horizon is only read if the chain is long. The
-        // critical section that makes the version visible also hands over
-        // the SIREAD holders it concerns — the row's for an update, the
-        // gap's for the first version of a new key — and drops this
-        // transaction's own registration on the row (the Sec. 3.7.3 upgrade:
-        // sound because locking and versioning granularity match on a chain,
-        // so first-committer-wins covers any later writer of the row).
+        // critical section that makes the version reachable also hands over
+        // the SIREAD holders it concerns — the row's point readers, and the
+        // holders of the ranges that contain the key or an index entry the
+        // version adds — and drops this transaction's own registration on the
+        // row (the Sec. 3.7.3 upgrade: sound because locking and versioning
+        // granularity match on a chain, so first-committer-wins covers any
+        // later writer of the row).
         let txns = &self.db.txns;
         let upgrade = self.db.options.ssi.upgrade_siread;
         let Installed {
             version,
             pruned,
             readers,
+            range_readers,
             upgraded,
-            inherited,
         } = table
             .table
             .install(key, id, value, upgrade, || txns.gc_horizon());
@@ -1009,46 +893,21 @@ impl Transaction {
             key: key.to_vec(),
             version,
         });
-        // A new key that split a scanned gap carries a copy of the gap's
-        // holders. That is storage's doing at every isolation level, and so
-        // is handing the copies to their holders; only the conflicts are
-        // Serializable SI's.
-        if let Some(inherited) = inherited {
-            self.adopt_inherited(inherited);
-        }
         if isolation == IsolationLevel::SerializableSnapshotIsolation {
             // Fig. 3.5: conflict with every overlapping SIREAD holder —
             // those the lock table reported with the EXCLUSIVE grant (pages;
-            // readers that found no chain for the key) and those registered
-            // on the chain. A delete reports to the holders of the gap above
-            // the key besides, as Fig. 3.7 has it.
+            // readers that found no chain for the key), those registered on
+            // the chain, and those whose scan covers the key. To a scan the
+            // first live version of a key is a phantom, which the engine can
+            // be told not to detect (`detect_phantoms`); a new version of a
+            // row it read, tombstone or not, always counts.
             self.siread_rows_upgraded += usize::from(upgraded);
             self.mark_write_conflicts(outcome.rw_conflicts.iter().chain(&readers))?;
-            if is_delete && needs_gap {
-                self.mark_write_conflicts(&table.table.gap_holders_above(key, id))?;
+            if !is_insert || self.db.options.detect_phantoms {
+                self.mark_write_conflicts(&range_readers)?;
             }
         }
         Ok(())
-    }
-
-    /// Hands each holder of a gap this transaction's insert split the copy
-    /// of its SIREAD that the new key's chain was created with, to release
-    /// with the rest of its SIREADs. A holder that is past releasing them —
-    /// gone from the registry — cannot take it, and the copy is released
-    /// here; either way a holder is on the chain exactly while its
-    /// transaction is active or suspended.
-    fn adopt_inherited(&mut self, inherited: Inherited) {
-        let Inherited { chain, holders } = inherited;
-        self.siread_gaps_inherited += holders.len();
-        // Counted in the gauge before the holder can release them.
-        let held_now = &self.db.txns.stats().siread_rows_now;
-        held_now.fetch_add(holders.len() as u64, Ordering::Relaxed);
-        for holder in &holders {
-            if let Err(chain) = self.db.txns.adopt(*holder, chain.clone()) {
-                chain.release_siread(*holder);
-                held_now.fetch_sub(1, Ordering::Relaxed);
-            }
-        }
     }
 
     // ------------------------------------------------------------------
@@ -1190,11 +1049,12 @@ impl Transaction {
     /// time, and the table's ordered-index lock is released between pages,
     /// so a large scan never blocks writers of new keys for its duration.
     /// The levels differ in what goes with reading a page's rows: nothing
-    /// (read committed, SI); at Serializable SI the registration of each
-    /// row and its gap in the chain visit that reads it, and the phantom
-    /// sweep behind the page if keys entered or left the table meanwhile
-    /// (at page granularity, one batch of page SIREAD locks in front of the
-    /// reads instead); a blocking SHARED lock per row and gap (S2PL).
+    /// (read committed, SI); at Serializable SI nothing per row either — the
+    /// scan registers its range with the table once, before the first page
+    /// (at page granularity, one batch of page SIREAD locks in front of each
+    /// page's reads instead) — and a conflict with the creator of every
+    /// newer version a read skipped; a blocking SHARED lock per row and gap,
+    /// and the phantom sweep behind the page (S2PL).
     fn do_scan(
         &mut self,
         table: &TableRef,
@@ -1203,11 +1063,79 @@ impl Transaction {
     ) -> Result<Vec<(Vec<u8>, Bytes)>> {
         let id = self.shared.id();
         let isolation = self.shared.isolation();
+        if isolation == IsolationLevel::StrictTwoPhaseLocking {
+            return self.do_scan_2pl(table, lower, upper);
+        }
         let snapshot = if isolation.uses_snapshot() {
             self.db.txns.ensure_snapshot(&self.shared)
         } else {
             self.db.txns.current_ts()
         };
+        let ssi = isolation == IsolationLevel::SerializableSnapshotIsolation;
+        if ssi && self.row_granularity() {
+            // Fig. 3.6's SIREADs, all of them: the range covers every row
+            // and every gap between the bounds. Registered before anything
+            // is listed, so a writer that the listing or a read below does
+            // not see has seen the range.
+            self.siread_ranges
+                .extend(table.table.register_range(lower, upper, id));
+        }
+        let mut result = Vec::new();
+        let mut cursor = table.table.cursor(lower, upper);
+        while let Some(page) = cursor.next_page() {
+            if let (true, Some(pages)) = (ssi, &self.db.pages) {
+                // At page granularity the rows' pages stand for rows and
+                // gaps alike. They live in the lock table and are locked for
+                // the whole page first (SIREAD never waits, so one
+                // lock-table pass does it).
+                let keys = page.rows.iter().map(|row| &row.key);
+                let keys: Vec<LockKey> = keys
+                    .map(|key| LockKey::page(table.id(), pages.page_of(key)))
+                    .collect();
+                if !keys.is_empty() {
+                    self.acquire_sireads(keys)?;
+                }
+            }
+            // Each row is read once, under the range or the page lock taken
+            // above: the read sees every writer that cannot see those. It
+            // resolves provisional rows at every level, registering a commit
+            // dependency on a mid-window creator: even read-committed must
+            // not return data that can still roll back.
+            for row in page.rows {
+                let read = self.snapshot_read_row(table, &row, snapshot);
+                if ssi {
+                    self.mark_read_conflicts(&read.newer_creators)?;
+                }
+                if !read.key_exists {
+                    continue;
+                }
+                if isolation != IsolationLevel::ReadCommitted && !read.read_own_write {
+                    self.record_read(
+                        table,
+                        &row.key,
+                        read.read_version_ts,
+                        read.speculative_of.is_some(),
+                    );
+                }
+                if let Some(value) = read.value {
+                    result.push((row.key.to_vec(), value));
+                }
+            }
+        }
+        Ok(result)
+    }
+
+    /// [`Transaction::do_scan`] at S2PL: per page, a blocking SHARED lock on every row and on
+    /// the gap in front of it — read under the lock, no writer can change
+    /// the row once it is granted — the gap that closes the range on the
+    /// last page, and the phantom sweep of the page's key region.
+    fn do_scan_2pl(
+        &mut self,
+        table: &TableRef,
+        lower: Bound<&[u8]>,
+        upper: Bound<&[u8]>,
+    ) -> Result<Vec<(Vec<u8>, Bytes)>> {
+        let id = self.shared.id();
         let gap_on = self.gap_locking_enabled();
         let mut result = Vec::new();
         let mut cursor = table.table.cursor(lower, upper);
@@ -1216,144 +1144,39 @@ impl Transaction {
         let mut prev_last: Option<Arc<[u8]>> = None;
         while let Some(page) = cursor.next_page() {
             let last_key = page.rows.last().map(|row| row.key.clone());
-            let region_start = match &prev_last {
-                Some(key) => Bound::Excluded(&key[..]),
-                None => lower,
-            };
-            if isolation == IsolationLevel::StrictTwoPhaseLocking {
-                for row in &page.rows {
-                    if gap_on {
-                        let gap = LockKey::gap(table.id(), row.key.clone());
-                        self.acquire(gap, LockMode::Shared)?;
-                    }
-                    let lock = self.lock_target(table, row.key.clone());
-                    self.acquire(lock, LockMode::Shared)?;
-                    // Read under the lock: no writer can change the row once
-                    // it is granted.
-                    if let Some(value) = table.table.read_latest_committed(&row.key, id) {
-                        result.push((row.key.to_vec(), value));
-                    }
-                    let ts = table.table.newest_committed_ts(&row.key);
-                    self.record_read(table, &row.key, ts, false);
-                }
+            for row in &page.rows {
                 if gap_on {
-                    if page.last {
-                        let end_gap = self.end_gap_target(table, &upper);
-                        self.acquire(end_gap, LockMode::Shared)?;
-                    }
-                    // Rows committed into the page's gaps before their gap
-                    // locks were granted were not listed; lock and include
-                    // them.
-                    let region_end = match &last_key {
-                        Some(key) if !page.last => Bound::Included(&key[..]),
-                        _ => upper,
-                    };
-                    let seen = || page.rows.iter().map(|row| row.key.clone()).collect();
-                    let space = table.id();
-                    let missed = self.sweep_gap_region(
-                        table,
-                        page.epoch,
-                        seen,
-                        region_start,
-                        region_end,
-                        &mut |txn, key| txn.lock_gap(space, key, LockMode::Shared),
-                    )?;
-                    self.absorb_missed_rows_2pl(table, missed, &mut result)?;
+                    let gap = LockKey::gap(table.id(), row.key.clone());
+                    self.acquire(gap, LockMode::Shared)?;
                 }
-            } else {
-                let ssi = isolation == IsolationLevel::SerializableSnapshotIsolation;
-                let row_sireads = ssi && self.row_granularity();
-                // Fig. 3.6: every examined row is read under an SIREAD, and
-                // so that inserts into the scanned range are detected, the
-                // gap in front of it is covered too. At row granularity both
-                // are one registration on the row's chain.
-                let cover = if gap_on {
-                    SireadCover::ROW_AND_GAP
-                } else {
-                    SireadCover::ROW
+                let lock = self.lock_target(table, row.key.clone());
+                self.acquire(lock, LockMode::Shared)?;
+                if let Some(value) = table.table.read_latest_committed(&row.key, id) {
+                    result.push((row.key.to_vec(), value));
+                }
+                let ts = table.table.newest_committed_ts(&row.key);
+                self.record_read(table, &row.key, ts, false);
+            }
+            if gap_on {
+                if page.last {
+                    let end_gap = self.end_gap_target(table, &upper);
+                    self.acquire(end_gap, LockMode::Shared)?;
+                }
+                // Rows committed into the page's gaps before their gap
+                // locks were granted were not listed; lock and include
+                // them.
+                let region_start = match &prev_last {
+                    Some(key) => Bound::Excluded(&key[..]),
+                    None => lower,
                 };
-                if let (true, Some(pages)) = (ssi, &self.db.pages) {
-                    // At page granularity the rows' pages stand for rows and
-                    // gaps alike. They live in the lock table and are locked
-                    // for the whole page first (SIREAD never waits, so one
-                    // lock-table pass does it).
-                    let keys = page.rows.iter().map(|row| &row.key);
-                    let keys: Vec<LockKey> = keys
-                        .map(|key| LockKey::page(table.id(), pages.page_of(key)))
-                        .collect();
-                    if !keys.is_empty() {
-                        self.acquire_sireads(keys)?;
-                    }
-                }
-                // The keys whose gap this page's reads covered: what the
-                // phantom sweep compares the table against.
-                let sweeps = ssi && gap_on;
-                let mut covered = Vec::with_capacity(if sweeps { page.rows.len() + 1 } else { 0 });
-                // Each row is read once. Under SSI at row granularity the
-                // read registers the SIREAD in the same chain critical
-                // section, moving the page's handle into the transaction;
-                // at page granularity it runs under the page lock taken
-                // above. Either way it sees every writer that cannot see
-                // the SIREAD. The read resolves provisional rows at every
-                // level, registering a commit dependency on a mid-window
-                // creator: even read-committed must not return data that
-                // can still roll back.
-                for row in page.rows {
-                    let (key, read) = if row_sireads {
-                        self.ssi_read_row(table, row, snapshot, cover)?
-                    } else {
-                        let read = self.snapshot_read_row(table, &row, snapshot);
-                        if ssi {
-                            self.mark_read_conflicts(&read.newer_creators)?;
-                        }
-                        (row.key, read)
-                    };
-                    if read.key_exists {
-                        if isolation != IsolationLevel::ReadCommitted && !read.read_own_write {
-                            self.record_read(
-                                table,
-                                &key,
-                                read.read_version_ts,
-                                read.speculative_of.is_some(),
-                            );
-                        }
-                        if let Some(value) = read.value {
-                            result.push((key.to_vec(), value));
-                        }
-                    }
-                    if sweeps {
-                        covered.push(key);
-                    }
-                }
-                if sweeps {
-                    // The gap that closes the range rides on the first key
-                    // beyond it (or on the table's supremum), which the last
-                    // page found together with its rows.
-                    let end_key = match page.end_gap {
-                        Some(end) => {
-                            let (siread, on) = table.table.register_end_gap(end, upper, id);
-                            self.keep_row_siread(siread);
-                            covered.extend(on.clone());
-                            on
-                        }
-                        None => last_key.clone(),
-                    };
-                    // Registered first, epoch checked second: an insert that
-                    // found none of the registrations has moved the epoch by
-                    // now, and the sweep takes its key for a row of the
-                    // page. On the last page the region reaches up to the
-                    // key that carries the end gap, so a key that got in
-                    // front of that one is found too.
-                    let region_end = end_key.as_deref().map_or(Bound::Unbounded, Bound::Included);
-                    self.sweep_gap_region(
-                        table,
-                        page.epoch,
-                        || covered,
-                        region_start,
-                        region_end,
-                        &mut |txn, key| txn.absorb_missed_key_ssi(table, key, snapshot),
-                    )?;
-                }
+                let region_end = match &last_key {
+                    Some(key) if !page.last => Bound::Included(&key[..]),
+                    _ => upper,
+                };
+                let seen = || page.rows.iter().map(|row| row.key.clone()).collect();
+                let missed =
+                    self.sweep_gap_region(table, page.epoch, seen, region_start, region_end)?;
+                self.absorb_missed_rows_2pl(table, missed, &mut result)?;
             }
             if last_key.is_some() {
                 prev_last = last_key;
@@ -1389,7 +1212,8 @@ impl Transaction {
     }
 
     /// Entry-space analogue of [`Transaction::end_gap_target`]: the gap
-    /// that closes an index scan's upper end against inserts just past it.
+    /// that closes an S2PL index scan's upper end against inserts just past
+    /// it.
     fn index_end_gap(&self, index: &Arc<Index>, upper: &Bound<Vec<u8>>) -> LockKey {
         let next = match upper {
             Bound::Unbounded => None,
@@ -1408,23 +1232,20 @@ impl Transaction {
         }
     }
 
-    /// [`Transaction::sweep_region`] in entry space: the ordered structure
-    /// listed is the index's entry map instead of the table's key index,
-    /// and the gap locks taken live in the index's lock namespace. `visited`
-    /// holds the entries the scan gap-locked, ascending; the caller must
-    /// also hold the region's end gap.
+    /// [`Transaction::sweep_region`] in entry space, for the S2PL index
+    /// scan: the ordered structure listed is the index's entry map instead
+    /// of the table's key index, and the gap locks taken live in the index's
+    /// lock namespace. `visited` holds the entries the scan gap-locked,
+    /// ascending; the caller must also hold the region's end gap.
     fn sweep_index_region(
         &mut self,
         index: &Arc<Index>,
         from: Bound<&[u8]>,
         to: Bound<&[u8]>,
         visited: &[Arc<[u8]>],
-        mode: LockMode,
     ) -> Result<Vec<Arc<[u8]>>> {
         let list = &|from: Bound<&[u8]>, to: Bound<&[u8]>| index.entries_in_range(from, to, None);
-        let space = index.id();
-        let cover: GapCover<'_> = &mut |txn, entry| txn.lock_gap(space, entry, mode);
-        self.sweep_region(list, visited.to_vec(), from, to, cover)
+        self.sweep_region(list, index.id(), visited.to_vec(), from, to)
     }
 
     /// 2PL handling of entries [`Transaction::sweep_index_region`]
@@ -1461,62 +1282,20 @@ impl Transaction {
         Ok(())
     }
 
-    /// SSI examination of one index entry: the row read with its SIREAD
-    /// ([`Transaction::ssi_read`]), and the row kept (spliced in entry order)
-    /// only if its snapshot-visible value still extracts to the entry's
-    /// index key.
-    fn read_index_entry_ssi(
-        &mut self,
-        table: &TableRef,
-        index: &Arc<Index>,
-        entry: Arc<[u8]>,
-        snapshot: Timestamp,
-        result: &mut IndexHits,
-    ) -> Result<()> {
-        let Some((ik, pk)) = decode_entry(&entry) else {
-            return Ok(());
-        };
-        let probe = self.ssi_read(table, &pk, snapshot, SireadCover::ROW)?;
-        if !probe.read_own_write {
-            self.record_read(
-                table,
-                &pk,
-                probe.read_version_ts,
-                probe.speculative_of.is_some(),
-            );
-        }
-        let live = probe
-            .value
-            .as_ref()
-            .is_some_and(|v| index.spec().extract(&pk, v).as_deref() == Some(ik.as_slice()));
-        if live {
-            if !probe.read_own_write {
-                self.record_index_read(
-                    index,
-                    &entry,
-                    probe.read_version_ts,
-                    probe.speculative_of.is_some(),
-                );
-            }
-            let pos = result
-                .binary_search_by(|(e, _, _)| e.cmp(&entry))
-                .unwrap_or_else(|p| p);
-            result.insert(pos, (entry, pk, probe.value.expect("live implies Some")));
-        }
-        Ok(())
-    }
-
     /// Index-space analogue of [`Transaction::do_scan`]. The raw
     /// index-key bounds are first mapped to entry-space bounds
     /// ([`entry_range`]); each resident entry in that range names a
     /// `(index key, primary key)` pair whose row is then read under the
     /// level's ordinary row protocol, and kept only if the value the read
     /// actually returned still extracts to the entry's index key — stale
-    /// entries awaiting GC filter out here. Gap locks (2PL Shared, SSI
-    /// SIREAD) live in the *index's* lock namespace, one per visited entry
-    /// plus the region's end gap, closed by the same missed-entry sweep as
-    /// row scans; a writer inserting a fresh index key takes the EXCLUSIVE
-    /// gap on its successor entry and collides with them.
+    /// entries awaiting GC filter out here. Against entries that appear in the
+    /// range later, S2PL takes SHARED gap locks in the *index's* lock
+    /// namespace, one per visited entry plus the region's end gap, closed by
+    /// the same missed-entry sweep as its row scans — a writer inserting a
+    /// fresh index key takes the EXCLUSIVE gap on its successor entry and
+    /// waits for them — and Serializable SI registers the entry range with
+    /// the index before it lists, where the install that adds such an entry
+    /// finds it.
     fn do_index_scan(
         &mut self,
         index: &IndexRef,
@@ -1574,20 +1353,36 @@ impl Transaction {
                         as_ref_bound(&lo),
                         as_ref_bound(&hi),
                         &entries,
-                        LockMode::Shared,
                     )?;
                     self.absorb_missed_entries_2pl(&table, &idx, missed, &mut result)?;
                 }
                 Ok(result.into_iter().map(|(_, pk, v)| (pk, v)).collect())
             }
-            IsolationLevel::SnapshotIsolation => {
+            IsolationLevel::SnapshotIsolation | IsolationLevel::SerializableSnapshotIsolation => {
+                let ssi = self.shared.isolation() != IsolationLevel::SnapshotIsolation;
                 let snapshot = self.db.txns.ensure_snapshot(&self.shared);
+                if ssi && self.gap_locking_enabled() {
+                    // The predicate's SIREAD, in entry space: registered
+                    // before the entries are listed, so an install that adds
+                    // an entry to the range either precedes the listing — the
+                    // entry is listed and its row's read meets the version —
+                    // or finds the registration.
+                    let range = idx.register_range(as_ref_bound(&lo), as_ref_bound(&hi), id);
+                    self.siread_ranges.extend(range);
+                }
                 let mut result = Vec::new();
                 for entry in idx.entries_in_range(as_ref_bound(&lo), as_ref_bound(&hi), None) {
                     let Some((ik, pk)) = decode_entry(&entry) else {
                         continue;
                     };
-                    let read = self.snapshot_read(&table, &pk, snapshot);
+                    // The entry's row under the level's ordinary protocol:
+                    // at Serializable SI, Fig. 3.4's read with its SIREAD on
+                    // the row, which is what finds a rename away or a delete.
+                    let read = if ssi {
+                        self.ssi_read(&table, &pk, snapshot)?
+                    } else {
+                        self.snapshot_read(&table, &pk, snapshot)
+                    };
                     if !read.read_own_write {
                         self.record_read(
                             &table,
@@ -1612,43 +1407,6 @@ impl Transaction {
                     }
                 }
                 Ok(result)
-            }
-            IsolationLevel::SerializableSnapshotIsolation => {
-                let snapshot = self.db.txns.ensure_snapshot(&self.shared);
-                let gap_on = self.gap_locking_enabled();
-                let mut result = IndexHits::new();
-                let entries = idx.entries_in_range(as_ref_bound(&lo), as_ref_bound(&hi), None);
-                if gap_on {
-                    // One lock-table pass for the whole predicate: an SIREAD
-                    // on the gap before every entry (so inserts into the
-                    // scanned entry range are detected) and on the gap that
-                    // closes the range…
-                    let mut keys = Vec::with_capacity(entries.len() + 1);
-                    for entry in &entries {
-                        keys.push(LockKey::gap(idx.id(), entry.clone()));
-                    }
-                    keys.push(self.index_end_gap(&idx, &hi));
-                    self.acquire_sireads(keys)?;
-                }
-                // …then each entry's row under the ordinary Fig. 3.4/3.6
-                // protocol: read with its SIREAD, conflict with newer
-                // creators.
-                for entry in &entries {
-                    self.read_index_entry_ssi(&table, &idx, entry.clone(), snapshot, &mut result)?;
-                }
-                if gap_on {
-                    let missed = self.sweep_index_region(
-                        &idx,
-                        as_ref_bound(&lo),
-                        as_ref_bound(&hi),
-                        &entries,
-                        LockMode::SiRead,
-                    )?;
-                    for entry in missed {
-                        self.read_index_entry_ssi(&table, &idx, entry, snapshot, &mut result)?;
-                    }
-                }
-                Ok(result.into_iter().map(|(_, pk, v)| (pk, v)).collect())
             }
         }
     }

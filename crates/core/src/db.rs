@@ -749,8 +749,9 @@ impl Database {
         &self.inner.txns
     }
 
-    /// Row SIREAD registrations on the version chains of every table (see
-    /// [`ssi_storage::Table::siread_holder_count`]): the chain-side
+    /// SIREAD registrations kept in storage — on the version chains of every
+    /// table, and on the range lists of every table and secondary index (see
+    /// [`ssi_storage::Table::siread_holder_count`]): the storage-side
     /// counterpart of the lock manager's `grant_count`, for leak checks.
     /// Walks every chain.
     pub fn siread_holder_count(&self) -> usize {
@@ -802,8 +803,9 @@ impl Database {
             scan_sweeps_run: load(&s.scan_sweeps_run),
             scan_sweeps_skipped: load(&s.scan_sweeps_skipped),
             siread_row_registrations: load(&s.siread_row_registrations),
-            siread_gaps_inherited: load(&s.siread_gaps_inherited),
+            siread_range_registrations: load(&s.siread_range_registrations),
             siread_rows_now: load(&s.siread_rows_now),
+            siread_ranges_now: load(&s.siread_ranges_now),
             abort_reasons: s.abort_reason_counts(),
         };
         let gc = GcMetrics {

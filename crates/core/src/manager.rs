@@ -118,19 +118,19 @@
 //!   the list. A finish that suspends nothing (every SI and S2PL finish,
 //!   every abort) looks at the atomic length first and touches the mutex
 //!   only when the list is non-empty. Reclaimed SIREADs are dropped
-//!   outside the mutex: the chain registrations (rows, gaps, and the gaps
-//!   inherited from inserts into them) one chain-mutex visit each, through
-//!   the handle the transaction kept or was given, and the lock-table keys
-//!   (index-entry gaps, pages, rows that had no chain) with one batched
-//!   lock-manager call per transaction (one shard-lock acquisition per
-//!   lock-table shard touched, not one per key; no heap allocation for sets
-//!   of up to eight keys).
+//!   outside the mutex: the row registrations one chain-mutex visit each,
+//!   through the handle the transaction kept, the range registrations (one
+//!   per scan, whatever it listed) one visit of their table's or index's
+//!   range list each, and the lock-table keys (pages, rows that had no
+//!   chain) with one batched lock-manager call per transaction (one
+//!   shard-lock acquisition per lock-table shard touched, not one per key;
+//!   no heap allocation for sets of up to eight keys).
 //!
 //! What a Serializable-SI commit pays after its outcome is decided is
 //! therefore: one registry-shard mutex to leave the active set, one horizon
-//! read, one `suspended` mutex, one chain visit per row read or scanned (one
-//! lock-table visit per SIREAD key that is a lock), and one more
-//! registry-shard mutex when a record is retired. The horizon
+//! read, one `suspended` mutex, one chain visit per row point-read and one
+//! range-list visit per scan (one lock-table visit per SIREAD key that is a
+//! lock), and one more registry-shard mutex when a record is retired. The horizon
 //! read is two atomic loads while no snapshot-holding transaction has
 //! finished since the last read; otherwise it is the 64-load sweep. Every
 //! finish invalidates the cached horizon, so under load the sweep is the
@@ -255,7 +255,7 @@ use parking_lot::{Condvar, Mutex, MutexGuard};
 use ssi_common::{AbortReason, IsolationLevel, Timestamp, TxnId, TS_ZERO};
 use ssi_lock::{FxBuildHasher, LockKey, LockManager, LockMode};
 use ssi_obs::{EventKind, TraceHandle};
-use ssi_storage::RowHandle;
+use ssi_storage::{RangeHandle, RowHandle};
 
 use crate::txn_shared::TxnShared;
 
@@ -310,27 +310,27 @@ pub enum CommitPhase {
 }
 
 /// The SIREADs a committed Serializable-SI transaction leaves behind, to be
-/// released when nothing concurrent with it remains (Sec. 3.3). The gap
-/// SIREADs it holds by inheritance are not in here: inserts may add to them
-/// while it is suspended, so they are kept beside its record in the registry
-/// (`TransactionManager::adopt`) and go when the record does.
+/// released when nothing concurrent with it remains (Sec. 3.3).
 #[derive(Default)]
 pub struct HeldSireads {
-    /// Keys still granted to it in the lock table: index-entry gaps, pages,
-    /// and rows that had no version chain when it read them.
+    /// Keys still granted to it in the lock table: pages, and rows that had
+    /// no version chain when it read them.
     pub locks: Vec<LockKey>,
-    /// Chains it registered on, for a row, the gap in front of it, or both.
-    /// May include rows whose registration its own write upgraded away
-    /// since; releasing those is a no-op.
+    /// Rows whose chains it registered on. May include rows whose
+    /// registration its own write upgraded away since; releasing those is a
+    /// no-op.
     pub rows: Vec<RowHandle>,
     /// How many of `rows` are still registered.
     pub live_rows: usize,
+    /// The ranges it scanned, on tables and on secondary indexes: one
+    /// registration per scan.
+    pub ranges: Vec<RangeHandle>,
 }
 
 impl HeldSireads {
     /// True if there is nothing to release.
     pub fn is_empty(&self) -> bool {
-        self.locks.is_empty() && self.live_rows == 0
+        self.locks.is_empty() && self.live_rows == 0 && self.ranges.is_empty()
     }
 }
 
@@ -349,12 +349,6 @@ struct SuspendedTxn {
 #[repr(align(64))]
 struct RegistryShard {
     records: HashMap<TxnId, Arc<TxnShared>, FxBuildHasher>,
-    /// Gap SIREADs that transactions of this shard hold by inheritance: the
-    /// chains of keys inserted into gaps they scanned (see
-    /// [`TransactionManager::adopt`]). Kept here and not in the record, which
-    /// every transaction pays for: an entry exists only for a transaction
-    /// whose gap was split, and only while its record does.
-    adopted: HashMap<TxnId, Vec<RowHandle>, FxBuildHasher>,
     /// `(begin_ts, id)` for every registered transaction that received a
     /// snapshot and has not finished yet. `first()` is this shard's oldest
     /// active begin timestamp.
@@ -478,10 +472,9 @@ pub struct ManagerStats {
     /// row). Each transaction counts its own in a plain field and adds them
     /// here once, when it finishes.
     pub siread_row_registrations: AtomicU64,
-    /// Gauge: chain SIREADs held by committed transactions that have not
-    /// been cleaned up yet — moved by the per-transaction flush, and back
-    /// when the registrations are released — plus the inherited ones, from
-    /// their adoption to their holder's release.
+    /// Gauge: row SIREAD registrations held by committed transactions that
+    /// have not been cleaned up yet. Moved by the same per-transaction
+    /// flush, and back when the registrations are released.
     pub siread_rows_now: AtomicU64,
     /// Lock-free refreshes of the cached `oldest_active_begin` watermark:
     /// one per horizon read that found `finish_gen` moved, each 64 atomic
@@ -489,10 +482,12 @@ pub struct ManagerStats {
     /// moves the generation, so under load this runs close to one per
     /// commit.
     pub watermark_sweeps: AtomicU64,
-    /// Pages of gap-locking scans whose phantom sweep ran because the
-    /// table's membership epoch had moved since the page was listed.
+    /// Pages of S2PL scans whose phantom sweep ran because the table's
+    /// membership epoch had moved since the page was listed. (A
+    /// Serializable-SI scan registers its range before it lists and has
+    /// nothing to sweep for.)
     pub scan_sweeps_run: AtomicU64,
-    /// Pages of gap-locking scans whose phantom sweep was skipped because
+    /// Pages of S2PL scans whose phantom sweep was skipped because
     /// the epoch was unchanged (nothing entered or left the key range's
     /// table, so the sweep could not have found anything).
     pub scan_sweeps_skipped: AtomicU64,
@@ -529,13 +524,16 @@ pub struct ManagerStats {
     /// ([`TransactionManager::finish_abort`] is the only incrementer of
     /// either), so the per-reason counts always sum to `aborted`.
     pub abort_reasons: [AtomicU64; AbortReason::COUNT],
-    /// Last, so that the counters in front of it stay where they were
-    /// (the manager's hot words are layout-sensitive, see ROADMAP). Gap
-    /// SIREADs that the first version of a new key inherited from its
-    /// successor (one per holder copied; `ssi_storage::table`, § SIREAD on
-    /// the row). Counted by the inserting transaction and added here once,
-    /// when it finishes.
-    pub siread_gaps_inherited: AtomicU64,
+    /// Last, so that the counters in front of them stay where they were
+    /// (the manager's hot words are layout-sensitive, see ROADMAP). Range
+    /// SIREADs registered: one per Serializable-SI range scan of a table or
+    /// of a secondary index that no range the transaction already held
+    /// covered (`ssi_storage::range`). Each transaction counts its own and
+    /// adds them here once, when it finishes.
+    pub siread_range_registrations: AtomicU64,
+    /// Gauge: range registrations held by committed transactions that have
+    /// not been cleaned up yet; the sibling of `siread_rows_now`.
+    pub siread_ranges_now: AtomicU64,
 }
 
 impl ManagerStats {
@@ -1100,71 +1098,12 @@ impl TransactionManager {
         self.suspended_now.load(Ordering::SeqCst)
     }
 
-    /// Removes a finished transaction's record and active-begin entry, and
-    /// with the record the gap SIREADs it holds by inheritance: the same
-    /// critical section takes the list, so that an inserter finds the record
-    /// and adds to the list or finds neither.
+    /// Removes a finished transaction's record and active-begin entry.
     fn retire(&self, txn: &Arc<TxnShared>) {
         let index = Self::shard_index(txn.id());
-        let adopted = {
-            let mut shard = self.registry[index].lock();
-            shard.records.remove(&txn.id());
-            self.remove_active_begin(index, &mut shard, txn);
-            Self::take_adopted(&mut shard, txn.id())
-        };
-        self.release_chains(txn.id(), adopted);
-    }
-
-    fn take_adopted(shard: &mut RegistryShard, id: TxnId) -> Vec<RowHandle> {
-        if shard.adopted.is_empty() {
-            // Every finish but those of a scanner whose gap was split.
-            return Vec::new();
-        }
-        shard.adopted.remove(&id).unwrap_or_default()
-    }
-
-    /// Takes over, for `holder`, the release of the copy of its gap SIREAD
-    /// that the chain of a newly inserted key was created with
-    /// (`ssi_storage::table`, § SIREAD on the row: inheritance): `holder`
-    /// releases it with the rest of its SIREADs when it aborts or is cleaned
-    /// up. Hands the chain back if `holder` is past that — its record is
-    /// gone from the registry — and the caller must release the copy itself.
-    /// Either way a holder is on a chain exactly while its transaction is
-    /// active or suspended.
-    pub(crate) fn adopt(&self, holder: TxnId, chain: RowHandle) -> Result<(), RowHandle> {
-        let mut shard = self.shard(holder).lock();
-        if !shard.records.contains_key(&holder) {
-            return Err(chain);
-        }
-        shard.adopted.entry(holder).or_default().push(chain);
-        Ok(())
-    }
-
-    /// Releases the gap SIREADs `txn` holds by inheritance so far. An abort
-    /// does this ahead of its rollback, so that a chain the rollback empties
-    /// can be unmapped on the spot; what is adopted for it after that goes
-    /// when its record does.
-    pub(crate) fn release_adopted(&self, txn: &TxnShared) {
-        if txn.isolation() != IsolationLevel::SerializableSnapshotIsolation {
-            // Holds no SIREAD and is never adopted for.
-            return;
-        }
-        let adopted = Self::take_adopted(&mut self.shard(txn.id()).lock(), txn.id());
-        self.release_chains(txn.id(), adopted);
-    }
-
-    fn release_chains(&self, holder: TxnId, adopted: Vec<RowHandle>) {
-        if adopted.is_empty() {
-            return;
-        }
-        let released = adopted
-            .iter()
-            .filter(|chain| chain.release_siread(holder))
-            .count();
-        debug_assert_eq!(released, adopted.len());
-        self.stats
-            .siread_rows_now
-            .fetch_sub(adopted.len() as u64, Ordering::Relaxed);
+        let mut shard = self.registry[index].lock();
+        shard.records.remove(&txn.id());
+        self.remove_active_begin(index, &mut shard, txn);
     }
 
     /// Removes only the active-begin entry (the record stays, e.g. while
@@ -1236,6 +1175,11 @@ impl TransactionManager {
             self.stats
                 .siread_rows_now
                 .fetch_add(sireads.live_rows as u64, Ordering::Relaxed);
+            if !sireads.ranges.is_empty() {
+                self.stats
+                    .siread_ranges_now
+                    .fetch_add(sireads.ranges.len() as u64, Ordering::Relaxed);
+            }
             let entry = SuspendedTxn {
                 shared: txn.clone(),
                 sireads,
@@ -1354,6 +1298,14 @@ impl TransactionManager {
             self.stats
                 .siread_rows_now
                 .fetch_sub(released as u64, Ordering::Relaxed);
+            let ranges = &entry.sireads.ranges;
+            if !ranges.is_empty() {
+                let released = ranges.iter().filter(|range| range.release()).count();
+                debug_assert_eq!(released, ranges.len());
+                self.stats
+                    .siread_ranges_now
+                    .fetch_sub(released as u64, Ordering::Relaxed);
+            }
             entry.shared.clear_conflicts();
             self.retire(&entry.shared);
         }

@@ -225,8 +225,10 @@ pub struct Options {
     pub durability: DurabilityOptions,
     /// Serializable-SI-specific options.
     pub ssi: SsiOptions,
-    /// Take gap locks on scans/inserts/deletes to detect phantoms
-    /// (row-granularity only; page locks subsume this, Sec. 3.5).
+    /// Detect phantoms (row-granularity only; page locks subsume this,
+    /// Sec. 3.5): S2PL takes gap locks on scans, inserts and deletes;
+    /// Serializable SI reports the first live version of a key to the scans
+    /// whose range contains it, and registers index scans' entry ranges.
     pub detect_phantoms: bool,
     /// Run transactions declared read-only at plain SI even when the
     /// database default is Serializable SI (Sec. 3.8).

@@ -10,7 +10,7 @@ use std::sync::Arc;
 
 use ssi_common::{AbortReason, Error, IsolationLevel, Result, Timestamp, TxnId};
 use ssi_lock::{FxBuildHasher, LockKey, LockMode, LockOutcome, ModeSet};
-use ssi_storage::{RowHandle, Table, Version};
+use ssi_storage::{RangeHandle, RowHandle, Table, Version};
 
 use crate::db::DbInner;
 use crate::manager::{CommitPhase, HeldSireads};
@@ -48,22 +48,21 @@ pub struct Transaction {
     /// bytes with the lock table (and, for scanned rows, with the storage
     /// index), so the set is Fx-hashed like the lock table itself.
     pub(crate) locks: HashMap<LockKey, ModeSet, FxBuildHasher>,
-    /// Chains this transaction registered an SIREAD on — a row, the gap in
-    /// front of it, or both — one handle per new registration (row
-    /// granularity; see `ssi_storage::table`, § SIREAD on the row). Its
-    /// length is also the count flushed into
-    /// `ManagerStats::siread_row_registrations` at finish. The chains it
-    /// holds by inheritance are not here but in the registry, where the
-    /// inserters can reach them (`TransactionManager::adopt`).
+    /// Rows this transaction registered an SIREAD on, one handle per new
+    /// registration (row granularity; see `ssi_storage::table`, § SIREAD on
+    /// the row). Its length is also the count flushed into
+    /// `ManagerStats::siread_row_registrations` at finish.
     pub(crate) siread_rows: Vec<RowHandle>,
     /// How many of those registrations this transaction's own writes have
     /// dropped since (Sec. 3.7.3). The handles stay in `siread_rows`;
     /// releasing through them is a no-op.
     pub(crate) siread_rows_upgraded: usize,
-    /// Gap SIREADs this transaction's inserts copied onto the chains of the
-    /// keys they created, flushed into `ManagerStats::siread_gaps_inherited`
-    /// at finish.
-    pub(crate) siread_gaps_inherited: usize,
+    /// Ranges this transaction scanned, of a table's keys or of a secondary
+    /// index's entries: one handle per scan that registered (row
+    /// granularity; see `ssi_storage::range`). Released with `siread_rows`;
+    /// its length is the count flushed into
+    /// `ManagerStats::siread_range_registrations` at finish.
+    pub(crate) siread_ranges: Vec<RangeHandle>,
     /// Versions installed by this transaction.
     pub(crate) writes: Vec<WriteRecord>,
     /// Reads recorded for the serializability verifier (only when the
@@ -93,7 +92,7 @@ impl Transaction {
             locks: HashMap::default(),
             siread_rows: Vec::new(),
             siread_rows_upgraded: 0,
-            siread_gaps_inherited: 0,
+            siread_ranges: Vec::new(),
             writes: Vec::new(),
             reads: Vec::new(),
             index_writes: Vec::new(),
@@ -175,8 +174,8 @@ impl Transaction {
     /// successful check, all versions written become visible atomically, the
     /// commit record is appended to the WAL (waiting for the simulated flush
     /// if one is configured), locks are released — except SIREADs, in the
-    /// lock table or on the rows' chains, which stay in place while the
-    /// transaction is suspended (Sec. 3.3) —
+    /// lock table, on the rows' chains or on a range list, which stay in place
+    /// while the transaction is suspended (Sec. 3.3) —
     /// and eligible suspended transactions are cleaned up (Sec. 4.6.1).
     ///
     /// The commit pipeline (see [`crate::manager`]) is wait-free on the
@@ -428,7 +427,8 @@ impl Transaction {
         // SIREADs outlive the commit while the transaction is suspended
         // (Sec. 3.3): the lock-table keys move out of the lock set into the
         // suspended record, bytes still shared with the lock table, and the
-        // row handles go with them. Every other mode is released now.
+        // row and range handles go with them. Every other mode is released
+        // now.
         let id = self.shared.id();
         let mut sireads = HeldSireads::default();
         for (key, modes) in std::mem::take(&mut self.locks) {
@@ -445,6 +445,7 @@ impl Transaction {
         if sireads.live_rows > 0 {
             sireads.rows = rows;
         }
+        sireads.ranges = std::mem::take(&mut self.siread_ranges);
         debug_assert!(is_ssi || sireads.is_empty());
         let (_, out_conflict) = self.shared.conflict_flags();
         let suspend = is_ssi && (!sireads.is_empty() || out_conflict);
@@ -531,9 +532,9 @@ impl Transaction {
         Ok(())
     }
 
-    /// Adds this transaction's chain SIREAD registrations, and the gap
-    /// SIREADs its inserts handed on, to the engine-wide counters: once, at
-    /// finish, so the read and write paths share no atomic.
+    /// Adds this transaction's row and range SIREAD registrations to the
+    /// engine-wide counters: once, at finish, so the read path shares no
+    /// atomic.
     fn flush_siread_counts(&self) {
         use std::sync::atomic::Ordering::Relaxed;
         let stats = self.db.txns.stats();
@@ -543,9 +544,11 @@ impl Transaction {
                 .siread_row_registrations
                 .fetch_add(registered, Relaxed);
         }
-        if self.siread_gaps_inherited > 0 {
-            let inherited = self.siread_gaps_inherited as u64;
-            stats.siread_gaps_inherited.fetch_add(inherited, Relaxed);
+        if !self.siread_ranges.is_empty() {
+            let registered = self.siread_ranges.len() as u64;
+            stats
+                .siread_range_registrations
+                .fetch_add(registered, Relaxed);
         }
     }
 
@@ -561,14 +564,15 @@ impl Transaction {
         if self.state != LocalState::Active {
             return;
         }
-        // Chain SIREADs first, its own and the inherited: a chain this
-        // transaction's rolled-back insert leaves empty can then be unmapped
-        // on the spot.
+        // Row SIREADs first: a chain this transaction's rolled-back insert
+        // leaves empty can then be unmapped on the spot.
         self.flush_siread_counts();
         for row in std::mem::take(&mut self.siread_rows) {
             row.release_siread(self.shared.id());
         }
-        self.db.txns.release_adopted(&self.shared);
+        for range in std::mem::take(&mut self.siread_ranges) {
+            range.release();
+        }
         for w in &self.writes {
             w.version.mark_aborted();
             w.table.unlink_version(&w.key, &w.version);
@@ -623,6 +627,7 @@ impl std::fmt::Debug for Transaction {
             .field("state", &self.state)
             .field("locks", &self.locks.len())
             .field("siread_rows", &self.siread_rows.len())
+            .field("siread_ranges", &self.siread_ranges.len())
             .field("writes", &self.writes.len())
             .finish()
     }

@@ -25,24 +25,24 @@
 //! Every `SHARED` and `EXCLUSIVE` lock of every isolation level lives in this
 //! table: those are the modes that block, and the wait queue and the
 //! deadlock detector are here. Of the `SIREAD` locks, the ones a
-//! Serializable-SI transaction takes on *rows, and on the gaps between them,
-//! at row granularity* do not. A row's readers, and the scans that cover the
-//! gap in front of it, are kept on the row's version chain in `ssi-storage`,
-//! where the row's next writer pushes its version — and the writer of a new
-//! key looks at its successor — and collects them in the same critical
-//! section; a second table keyed by the same row would only add a visit, and
-//! a gap SIREAD kept under a lock *name* is not handed on to a key inserted
-//! into the gap, which the paper's phantom protection needs (InnoDB's
-//! `lock_rec_inherit_to_gap`). What remains here is:
+//! Serializable-SI transaction takes *at row granularity on rows and on
+//! ranges* — of a table's keys or of a secondary index's entries — do not.
+//! A row's point readers are kept on the row's version chain in
+//! `ssi-storage`, where the row's next writer pushes its version and collects
+//! them in the same critical section; a second table keyed by the same row
+//! would only add a visit. A scan is kept as what it is, `(lower, upper,
+//! holder)` in the range list of the table or index it scanned, where every
+//! install compares its key with the live ranges: a predicate covers a key
+//! inserted later by containment, whereas a gap SIREAD kept under a lock
+//! *name* has to be handed on to every key inserted into the gap (InnoDB's
+//! `lock_rec_inherit_to_gap`) to stay sound. What remains here is:
 //!
-//! * **S2PL's gap locks**: a `SHARED` gap lock has to make an inserter
-//!   *wait*, and waiting is done here. That is also why a Serializable-SI
-//!   inserter or deleter still requests `EXCLUSIVE` on the gap above its key:
-//!   the request is what queues it behind an S2PL scanner. It finds no
-//!   Serializable-SI row scan there any more (it is told of those by the
-//!   install), but still every `SIREAD` holder that is here;
-//! * **gaps of secondary-index entries** (the index's entry tier has no
-//!   chain per entry to carry them);
+//! * **S2PL's gap locks**, of table keys and of index entries: a `SHARED`
+//!   gap lock has to make an inserter *wait*, and waiting is done here. That
+//!   is also why a Serializable-SI inserter or deleter still requests
+//!   `EXCLUSIVE` on the gap above its key or entry: the request is what
+//!   queues it behind an S2PL scanner. It finds no Serializable-SI scan
+//!   there any more (it is told of those by the install);
 //! * **pages**, at page granularity (one name covers many rows);
 //! * **rows with no chain yet**: a point read of a key that does not exist
 //!   leaves its `SIREAD` on the record name, and the key's first insert finds

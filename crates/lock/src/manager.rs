@@ -27,11 +27,9 @@
 //!
 //! ## Batched SIREAD for predicate reads
 //!
-//! A Serializable-SI index scan takes an SIREAD lock on the gap before every
-//! entry it examines (next-key locking, Sec. 3.5, in entry space), and a
-//! table scan at page granularity on every row's page; at row granularity a
-//! row's SIREAD and that of the gap in front of it live on the row's version
-//! chain (see the crate docs). Because SIREAD never waits, a whole page of such requests
+//! A Serializable-SI table scan at page granularity takes an SIREAD lock on
+//! every row's page; at row granularity neither a row's SIREAD nor a scan's
+//! is a lock (see the crate docs). Because SIREAD never waits, a whole page of such requests
 //! needs none of the blocking protocol: [`LockManager::lock_siread_batch`]
 //! groups the page's keys by shard, takes each shard mutex once, and for every key does what
 //! [`LockManager::lock`] would do for a lone SIREAD request — grant unless

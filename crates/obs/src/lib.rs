@@ -38,15 +38,15 @@
 //! - `watermark_sweeps` — lock-free refreshes of the begin watermark the
 //!   commit epilogue and the GC horizon share (64 atomic loads each; about
 //!   one per commit while transactions have registry shards to themselves).
-//! - `siread_row_registrations` — SIREADs a Serializable-SI read registered
-//!   on the row's version chain (row granularity; everything else is a
-//!   lock request, see **Locks**), counted per transaction and added when it
-//!   finishes; `siread_gaps_inherited` — gap SIREADs the first version of a
-//!   new key copied from its successor's chain onto its own (an insert into
-//!   a gap some scan holds), counted the same way by the inserter;
-//!   `siread_rows_now` is the gauge of registrations committed transactions
-//!   still hold while suspended, plus the inherited ones from the insert
-//!   that made them to their holder's release (`ssi_txn_siread_rows`).
+//! - `siread_row_registrations` — SIREADs a Serializable-SI point read
+//!   registered on the row's version chain (row granularity), counted per
+//!   transaction and added when it finishes; `siread_range_registrations` —
+//!   range SIREADs, one per Serializable-SI scan of a table's keys or of a
+//!   secondary index's entries, whatever the scan listed, counted the same
+//!   way (everything else is a lock request, see **Locks**).
+//!   `siread_rows_now` and `siread_ranges_now` are the gauges of what
+//!   committed transactions still hold of each while suspended
+//!   (`ssi_txn_siread_rows`, `ssi_txn_siread_ranges`).
 //!
 //! **Garbage collection** ([`GcMetrics`]) — `purge_runs`,
 //! `background_purge_runs`, `purged_versions`, `purged_chains` count what

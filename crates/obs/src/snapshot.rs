@@ -61,19 +61,23 @@ pub struct TxnMetrics {
     pub commit_dependencies: u64,
     pub dependency_cascade_aborts: u64,
     pub watermark_sweeps: u64,
-    /// Scan pages whose phantom sweep ran (table membership epoch moved).
+    /// S2PL scan pages whose phantom sweep ran (table membership epoch
+    /// moved).
     pub scan_sweeps_run: u64,
-    /// Scan pages whose phantom sweep was skipped (epoch unchanged).
+    /// S2PL scan pages whose phantom sweep was skipped (epoch unchanged).
     pub scan_sweeps_skipped: u64,
     /// Row SIREADs registered on version chains, flushed per transaction
     /// at finish.
     pub siread_row_registrations: u64,
-    /// Gap SIREADs copied onto the chains of newly inserted keys, flushed
-    /// per inserting transaction at finish.
-    pub siread_gaps_inherited: u64,
-    /// Gauge: chain SIREADs held by committed transactions awaiting
-    /// cleanup, plus inherited ones whoever holds them.
+    /// Range SIREADs registered (one per scan of a table or of a secondary
+    /// index), flushed per transaction at finish.
+    pub siread_range_registrations: u64,
+    /// Gauge: row SIREAD registrations held by committed transactions
+    /// awaiting cleanup.
     pub siread_rows_now: u64,
+    /// Gauge: range SIREAD registrations held by committed transactions
+    /// awaiting cleanup.
+    pub siread_ranges_now: u64,
     /// Aborts by [`AbortReason`], indexed by `AbortReason::index()`.
     /// Sums to `aborted`.
     pub abort_reasons: [u64; AbortReason::COUNT],
@@ -260,12 +264,16 @@ impl MetricsSnapshot {
         );
         counter(
             &mut out,
-            "ssi_txn_siread_gaps_inherited_total",
-            self.txn.siread_gaps_inherited,
+            "ssi_txn_siread_range_registrations_total",
+            self.txn.siread_range_registrations,
         );
         out.push_str(&format!(
             "# TYPE ssi_txn_siread_rows gauge\nssi_txn_siread_rows {}\n",
             self.txn.siread_rows_now
+        ));
+        out.push_str(&format!(
+            "# TYPE ssi_txn_siread_ranges gauge\nssi_txn_siread_ranges {}\n",
+            self.txn.siread_ranges_now
         ));
 
         out.push_str("# TYPE ssi_txn_aborts_by_reason_total counter\n");
@@ -428,8 +436,8 @@ impl MetricsSnapshot {
              \"speculative_reads\":{},\"commit_dependencies\":{},\
              \"dependency_cascade_aborts\":{},\"watermark_sweeps\":{},\
              \"scan_sweeps_run\":{},\"scan_sweeps_skipped\":{},\
-             \"siread_row_registrations\":{},\"siread_gaps_inherited\":{},\
-             \"siread_rows_now\":{},\"abort_reasons\":{{",
+             \"siread_row_registrations\":{},\"siread_range_registrations\":{},\
+             \"siread_rows_now\":{},\"siread_ranges_now\":{},\"abort_reasons\":{{",
             self.txn.started,
             self.txn.committed,
             self.txn.aborted,
@@ -445,8 +453,9 @@ impl MetricsSnapshot {
             self.txn.scan_sweeps_run,
             self.txn.scan_sweeps_skipped,
             self.txn.siread_row_registrations,
-            self.txn.siread_gaps_inherited,
+            self.txn.siread_range_registrations,
             self.txn.siread_rows_now,
+            self.txn.siread_ranges_now,
         ));
         for (i, reason) in AbortReason::ALL.iter().enumerate() {
             if i > 0 {
@@ -564,6 +573,7 @@ mod tests {
         snap.txn.aborted = 3;
         snap.txn.suspended_now = 2;
         snap.txn.siread_rows_now = 5;
+        snap.txn.siread_ranges_now = 1;
         snap.txn.abort_reasons[AbortReason::PivotOut.index()] = 2;
         snap.txn.abort_reasons[AbortReason::WriteConflict.index()] = 1;
         snap.tables.push(TableMetrics {
@@ -585,7 +595,8 @@ mod tests {
         assert!(text.contains("# TYPE ssi_txn_suspended gauge\nssi_txn_suspended 2\n"));
         assert!(text.contains("# TYPE ssi_txn_siread_rows gauge\nssi_txn_siread_rows 5\n"));
         assert!(text.contains("ssi_txn_siread_row_registrations_total 0"));
-        assert!(text.contains("ssi_txn_siread_gaps_inherited_total 0"));
+        assert!(text.contains("# TYPE ssi_txn_siread_ranges gauge\nssi_txn_siread_ranges 1\n"));
+        assert!(text.contains("ssi_txn_siread_range_registrations_total 0"));
         assert!(text.contains("ssi_txn_aborts_by_reason_total{reason=\"pivot-out\"} 2"));
         assert!(text.contains("ssi_txn_aborts_by_reason_total{reason=\"lock-deadlock\"} 0"));
         assert!(text.contains("ssi_table_keys{table=\"accounts\"} 100"));
@@ -619,7 +630,8 @@ mod tests {
         assert!(json.contains("\"pruned_inline_versions\":0"));
         assert!(json.contains("\"suspended_now\":2"));
         assert!(json.contains(
-            "\"siread_row_registrations\":0,\"siread_gaps_inherited\":0,\"siread_rows_now\":5"
+            "\"siread_row_registrations\":0,\"siread_range_registrations\":0,\
+             \"siread_rows_now\":5,\"siread_ranges_now\":1"
         ));
         assert!(json.contains("\"pivot-out\":2"));
         assert!(json.contains("\"name\":\"accounts\""));

@@ -33,6 +33,25 @@
 //! recovery needs no separate index log: replaying version installs (and
 //! create-index backfill over already-loaded chains) rebuilds exactly the
 //! refcounts the invariant demands.
+//!
+//! # Range SIREADs in entry space
+//!
+//! A Serializable-SI index scan is a predicate over *entries*, and its
+//! phantoms are entries that appear between its bounds. The index therefore
+//! owns a range list of its own ([`crate::range`]), in entry space: the scan
+//! registers [`entry_range`] of its bounds there *before* it lists entries
+//! ([`Index::register_range`]), and every install that adds an entry
+//! reference — there is one way in, [`Index::add_ref_reporting`], called from
+//! the install's shard critical section — looks, after the entry is in the
+//! map, for the ranges that contain it. Scan and install meet on the entry
+//! map's lock: a listing that follows the add has the entry (and the scan
+//! then reads the row, whose chain already holds the version), one that
+//! precedes it belongs to a scan that had registered before. Rows the scan
+//! does list are covered the ordinary way, by the point SIREAD its read
+//! leaves on the row's chain, so a rename away or a delete is found there.
+//! The backfill of a new index ([`Index::add_ref`]) adds references for
+//! versions that were installed before the index existed and has nobody to
+//! report to.
 
 use std::collections::BTreeMap;
 use std::ops::Bound;
@@ -40,7 +59,10 @@ use std::sync::Arc;
 
 use parking_lot::RwLock;
 
-use ssi_common::TableId;
+use ssi_common::{TableId, TxnId};
+
+use crate::range::{RangeHandle, RangeReaders};
+use crate::table::RowReaders;
 
 /// Typed field of a row-value layout, in [`ssi_common::encoding::ValueWriter`]
 /// order. The index only needs enough type information to *skip* fields and
@@ -343,6 +365,8 @@ pub struct IndexDef {
 pub struct Index {
     def: IndexDef,
     entries: RwLock<BTreeMap<Arc<[u8]>, usize>>,
+    /// The live Serializable-SI scans of this index, in entry space.
+    ranges: Arc<RangeReaders>,
 }
 
 impl Index {
@@ -351,6 +375,7 @@ impl Index {
         Index {
             def,
             entries: RwLock::new(BTreeMap::new()),
+            ranges: Arc::default(),
         }
     }
 
@@ -397,6 +422,34 @@ impl Index {
         } else {
             entries.insert(Arc::from(entry), 1);
         }
+    }
+
+    /// [`Index::add_ref`] for a version `writer` has just installed: once the
+    /// entry is in the map, appends to `readers` the holders of every live
+    /// range of this index that contains it (module docs, § Range SIREADs in
+    /// entry space).
+    pub(crate) fn add_ref_reporting(&self, entry: &[u8], writer: TxnId, readers: &mut RowReaders) {
+        self.add_ref(entry);
+        self.ranges.report_to(entry, writer, readers);
+    }
+
+    /// Registers `reader` as the holder of the *entry-space* range `(lower,
+    /// upper)` (callers map index-key bounds through [`entry_range`] first):
+    /// the phantom protection of a Serializable-SI index scan, to be made
+    /// before the scan lists its entries. `None` if `reader` already holds a
+    /// range on this index that covers this one.
+    pub fn register_range(
+        &self,
+        lower: Bound<&[u8]>,
+        upper: Bound<&[u8]>,
+        reader: TxnId,
+    ) -> Option<RangeHandle> {
+        self.ranges.register(lower, upper, reader)
+    }
+
+    /// Number of live range registrations, for leak checks.
+    pub(crate) fn range_count(&self) -> usize {
+        self.ranges.len()
     }
 
     /// Releases one resident-version reference, removing the entry when the

@@ -38,12 +38,15 @@
 //!   resident version — that is the invariant scans rely on.
 //!
 //! The substrate is deliberately free of concurrency-control policy: it knows
-//! nothing about SI, S2PL or SSI. All policy (entry-space SIREAD/gap locks,
-//! unique-marker locks, rw-conflict flagging) lives in `ssi-core`.
+//! nothing about SI, S2PL or SSI: it keeps the SIREAD registrations a reader
+//! asks for (a row's on its chain, a range scan's in [`range`]) and reports
+//! them to the writer they concern. All policy (who registers what, blocking
+//! gap and unique-marker locks, rw-conflict flagging) lives in `ssi-core`.
 
 pub mod catalog;
 pub mod index;
 pub mod page;
+pub mod range;
 pub mod table;
 pub mod version;
 pub mod wal;
@@ -53,10 +56,11 @@ pub use index::{
     decode_entry, encode_entry, entry_range, FieldKind, Index, IndexDef, IndexKeyPart, IndexKeySpec,
 };
 pub use page::PageMap;
+pub use range::RangeHandle;
 pub use table::{
-    as_ref_bound, clone_bound, ForUpdateProbe, Inherited, Installed, PurgeStats, RowHandle,
-    RowReaders, ScanCursor, ScanEnd, ScanEntries, ScanEntry, ScanPage, ScanRow, Siread,
-    SireadCover, Table, VisibleRead, WriteProbe, SCAN_PAGE_SIZE, SHARD_COUNT,
+    as_ref_bound, clone_bound, ForUpdateProbe, Installed, PurgeStats, RowHandle, RowReaders,
+    ScanCursor, ScanEntries, ScanEntry, ScanPage, ScanRow, Siread, Table, VisibleRead, WriteProbe,
+    SCAN_PAGE_SIZE, SHARD_COUNT,
 };
 pub use version::{Version, VersionState};
 pub use wal::{WalConfig, WriteAheadLog};

@@ -1,32 +1,44 @@
-//! Chain-SIREAD model test.
+//! SIREAD model test: point readers on the chain, range scans on the table.
 //!
-//! Random schedules of register / install / release / rollback-unlink /
-//! purge over a few keys and transactions drive the system under test — a
-//! table whose chains carry the SIREADs of rows and of the gaps in front of
-//! them, next to a lock manager for what the engine still keeps there:
-//! EXCLUSIVE locks, and the SIREAD of a point read that found no chain — side
-//! by side with the oracle: a second lock manager that is asked for every
-//! SIREAD and EXCLUSIVE lock, on records and on next-key gaps, the way the
-//! engine asked before SIREADs moved onto the chain.
+//! Random schedules of point read / register range / insert / update /
+//! delete / release / rollback-unlink / purge over a few keys and
+//! transactions drive the system under test — a table whose chains carry the
+//! SIREADs of point reads and whose range list carries the scans, next to a
+//! lock manager for what the engine still keeps there: EXCLUSIVE locks, and
+//! the SIREAD of a point read that found no chain — side by side with the
+//! oracle: a second lock manager that is asked the way the engine asked
+//! before SIREADs left the lock table. It has two lock spaces:
 //!
-//! What each read and write is told must agree: the readers handed to a
-//! writer are the oracle's SIREAD holders — of the record for an update, of
-//! `gap(next)` as well for the first version of a new key and for a delete —
-//! and the writers handed to a reader are its EXCLUSIVE holders. So must,
-//! after every step, who holds an SIREAD on each key and on the gap in front
-//! of it. The differences the move makes on purpose are spelled out where
-//! they are checked (`Model::table_only`, `Model::gap_table_only`,
-//! `Model::expected_writers`). After every quiesce nothing is held anywhere.
+//! * the **point space** ([`lock_key`]): an SIREAD per point read and the
+//!   writer's EXCLUSIVE lock on the record, as today;
+//! * the **scan space** ([`scanned`], [`gap_key`]): a scan's next-key locks —
+//!   an SIREAD on every key it listed and on the gap in front of it, plus the
+//!   gap that closes its range — which a writer consults under the record's
+//!   name and, for a key without a live version and for a delete, under
+//!   `gap(next)`. Next-key locks under *names* are only sound with InnoDB's
+//!   `lock_rec_inherit_to_gap`, so the model performs it on the oracle: a key
+//!   that enters the index inherits the next-key locks of its successor, and
+//!   the gap locks of a key that leaves the index go to its successor.
+//!
+//! What each write is told must agree. The row's point readers are the point
+//! space's SIREAD holders, exactly (`Model::table_only` has the two
+//! differences PR 16 made on purpose). The range holders an install reports
+//! are holders in the scan space too — a range is never wider than the
+//! next-key locks of the scan that registered it — and they are all of them
+//! but `oracle_only`: the oracle's next-key lock also covers the keys between
+//! a scan's bound and the neighbouring key, which the range, stopping at the
+//! bound, does not. After every quiesce nothing is held anywhere.
 
 use std::collections::BTreeSet;
-use std::ops::Bound;
+use std::ops::{Bound, RangeBounds};
 use std::sync::Arc;
 
 use ssi_common::rng::WorkloadRng;
 use ssi_common::{TableId, Timestamp, TxnId, TS_ZERO};
 use ssi_lock::{LockKey, LockManager, LockMode};
 
-use super::{RowChain, RowHandle, ScanEnd, ScanPage, Siread, SireadCover, Table};
+use super::{RowChain, RowHandle, Siread, Table};
+use crate::range::RangeHandle;
 use crate::version::Version;
 
 const KEYS: usize = 4;
@@ -42,15 +54,21 @@ fn index_of(key: &[u8]) -> usize {
     key[1] as usize
 }
 
+/// Point space: the record.
 fn lock_key(k: usize) -> LockKey {
     LockKey::record(TableId(1), key(k).to_vec())
 }
 
-/// The lock name of the gap in front of key `k`, or above the last key.
+/// Scan space: the record half of the next-key lock on key `k`.
+fn scanned(k: usize) -> LockKey {
+    LockKey::record(TableId(2), key(k).to_vec())
+}
+
+/// Scan space: the gap in front of key `k`, or above the last key.
 fn gap_key(k: Option<usize>) -> LockKey {
     match k {
-        Some(k) => LockKey::gap(TableId(1), key(k).to_vec()),
-        None => LockKey::supremum(TableId(1)),
+        Some(k) => LockKey::gap(TableId(2), key(k).to_vec()),
+        None => LockKey::supremum(TableId(2)),
     }
 }
 
@@ -60,6 +78,17 @@ fn ids<'a>(list: impl IntoIterator<Item = &'a TxnId>) -> Ids {
     list.into_iter().copied().collect()
 }
 
+/// The bounds of a scan, over key numbers.
+type Bounds = (Bound<usize>, Bound<usize>);
+
+fn key_bound(bound: Bound<usize>) -> Bound<Vec<u8>> {
+    match bound {
+        Bound::Included(k) => Bound::Included(key(k).to_vec()),
+        Bound::Excluded(k) => Bound::Excluded(key(k).to_vec()),
+        Bound::Unbounded => Bound::Unbounded,
+    }
+}
+
 struct Txn {
     id: TxnId,
     /// Committed and suspended: its EXCLUSIVE locks are gone, its SIREADs
@@ -67,29 +96,32 @@ struct Txn {
     committed: bool,
     /// Chain registrations (one handle per new one, upgraded or not).
     rows: Vec<RowHandle>,
-    /// Gap SIREADs it holds by inheritance: the key whose chain was created
-    /// with a copy, and the handle it was given to release it through.
-    adopted: Vec<(usize, RowHandle)>,
+    /// Range registrations, with the bounds they were made for.
+    ranges: Vec<(Bounds, RangeHandle)>,
     /// Keys SIREAD-locked in the table's own lock manager: point reads that
     /// found no chain.
     fallback: Vec<usize>,
-    /// Keys SIREAD-locked in the oracle.
+    /// Keys SIREAD-locked in the oracle's point space.
     oracle_sireads: Vec<usize>,
-    /// Gaps SIREAD-locked in the oracle.
-    oracle_gap_sireads: Vec<Option<usize>>,
+    /// What it holds in the oracle's scan space, asked for or inherited.
+    oracle_scan_locks: Vec<LockKey>,
     /// Keys it holds EXCLUSIVE (in both lock managers).
     exclusive: Vec<usize>,
-    /// Gaps it holds EXCLUSIVE in the oracle: it inserted or deleted the key
-    /// in front.
+    /// Gaps whose EXCLUSIVE lock the engine would have it hold: it wrote a
+    /// key without a live version, or deleted one, in front of them.
     gap_exclusive: Vec<Option<usize>>,
     /// Keys on which taking the EXCLUSIVE lock cost it its SIREAD.
     upgraded: Vec<usize>,
     /// Keys it registered on while it held their EXCLUSIVE lock and had not
     /// written them.
     covered: Vec<usize>,
-    /// Gaps it registered on while it held their EXCLUSIVE lock.
-    covered_gaps: Vec<Option<usize>>,
     writes: Vec<(usize, Arc<Version>)>,
+}
+
+impl Txn {
+    fn has_range_with(&self, k: usize) -> bool {
+        self.ranges.iter().any(|(bounds, _)| bounds.contains(&k))
+    }
 }
 
 /// How often the schedules reached what they are there to reach.
@@ -97,12 +129,18 @@ struct Txn {
 struct Reached {
     fallback_reads: usize,
     kept_mapped: usize,
-    /// Holders an insert or delete was told of by the gap above its key.
-    told_by_the_gap: usize,
-    /// Gap SIREADs copied onto new keys.
+    /// Range holders an install was told of.
+    told_by_a_range: usize,
+    /// Of those, for the first version of a key that entered the index.
+    told_of_a_phantom: usize,
+    /// Holders the oracle's next-key locks reported and no range contained.
+    oracle_only: usize,
+    /// Next-key locks a key inherited when it entered the index.
     inherited: usize,
-    /// Holders an insert was told of that only a copy could tell of.
-    told_by_a_copy: usize,
+    /// Gap locks that went to the successor of a key that left the index.
+    merged: usize,
+    /// Scans that registered nothing: a range of the holder's covered them.
+    repeated_scans: usize,
 }
 
 struct Model {
@@ -117,10 +155,9 @@ struct Model {
     clock: Timestamp,
     next_txn: u64,
     txns: Vec<Txn>,
-    /// A page of chain handles taken some steps ago.
-    stale_page: Option<ScanPage>,
-    /// The end of a scan up to the given key, found some steps ago.
-    stale_end: Option<(usize, ScanEnd)>,
+    /// Which keys the table had a chain for when the oracle's scan space was
+    /// last brought up to date.
+    mapped: [bool; KEYS],
     reached: Reached,
 }
 
@@ -136,8 +173,7 @@ impl Model {
             clock: 1,
             next_txn: 10,
             txns: Vec::new(),
-            stale_page: None,
-            stale_end: None,
+            mapped: [false; KEYS],
             reached: Reached::default(),
         }
     }
@@ -152,29 +188,68 @@ impl Model {
         holder.map(|t| t.id)
     }
 
-    /// The chain that carries the gap a key at `k` lies in, as the table
-    /// finds it: the first key above that is mapped and in use, or `None` for
-    /// the supremum chain.
+    /// The first mapped key above `k`: whose gap a key at `k` lies in.
     fn successor(&self, k: usize) -> Option<usize> {
-        let in_use = |j: &usize| {
-            let chain = self.table.chain(&key(*j));
-            chain.is_some_and(|c| !c.state.lock().is_unused())
-        };
-        (k + 1..KEYS).find(in_use)
+        let next = self.table.next_key_after(&key(k));
+        next.map(|key| index_of(&key))
     }
 
-    /// Whether `id` is registered on the row of key `k`'s chain.
-    fn holds_row(&self, k: usize, id: TxnId) -> bool {
-        let chain = self.table.chain(&key(k));
-        let holders = chain.map(|c| c.state.lock().readers.holders(SireadCover::ROW));
-        holders.is_some_and(|holders| holders.contains(&id))
+    /// The SIREAD holders of a name in the oracle's scan space: what an
+    /// EXCLUSIVE request there would be told. (Writers only ask: whom a gap's
+    /// EXCLUSIVE lock would make wait is decided by `gap_exclusive`, and an
+    /// EXCLUSIVE grant in this space would make the oracle refuse its holder
+    /// the SIREADs it is due by inheritance.)
+    fn scan_holders(&self, name: &LockKey) -> Ids {
+        let held = self
+            .oracle
+            .peek_rw_conflicts(TxnId::INVALID, name, LockMode::Exclusive);
+        ids(&held)
+    }
+
+    /// Grants `holder` an SIREAD in the oracle's scan space.
+    fn grant_scan_lock(&mut self, holder: TxnId, name: LockKey) -> bool {
+        let outcome = self.oracle.lock(holder, &name, LockMode::SiRead);
+        let fresh = outcome.expect("SIREAD never fails").newly_acquired;
+        let txn = self.txns.iter_mut().find(|t| t.id == holder);
+        let txn = txn.expect("a holder has not been released");
+        assert!(fresh || txn.oracle_scan_locks.contains(&name), "refused");
+        if fresh {
+            txn.oracle_scan_locks.push(name);
+        }
+        fresh
+    }
+
+    /// `lock_rec_inherit_to_gap` for a key that just entered the index: the
+    /// holders of the gap it went into hold its next-key lock from now on.
+    fn inherit(&mut self, k: usize) {
+        assert!(!self.mapped[k], "seed {}: key {k} entered twice", self.seed);
+        self.mapped[k] = true;
+        for holder in self.scan_holders(&gap_key(self.successor(k))) {
+            let record = self.grant_scan_lock(holder, scanned(k));
+            let gap = self.grant_scan_lock(holder, gap_key(Some(k)));
+            self.reached.inherited += usize::from(record || gap);
+        }
+    }
+
+    /// The same for the keys that left the index since the scan space was
+    /// last looked at: their gap locks go to the key that is next now.
+    fn merge_unmapped(&mut self) {
+        for k in 0..KEYS {
+            if self.mapped[k] && self.table.chain(&key(k)).is_none() {
+                self.mapped[k] = false;
+                for holder in self.scan_holders(&gap_key(Some(k))) {
+                    let moved = self.grant_scan_lock(holder, gap_key(self.successor(k)));
+                    self.reached.merged += usize::from(moved);
+                }
+            }
+        }
     }
 
     /// **Difference 1: holders of a row's SIREAD the table side has and the
-    /// oracle has not.** Both are its own SIREAD on a row a transaction also
-    /// holds EXCLUSIVE, so all either can add is a conflict with a later
-    /// writer that overlaps the holder — which first-committer-wins aborts
-    /// anyway if the holder wrote the row.
+    /// oracle's point space has not.** Both are its own SIREAD on a row a
+    /// transaction also holds EXCLUSIVE, so all either can add is a conflict
+    /// with a later writer that overlaps the holder — which
+    /// first-committer-wins aborts anyway if the holder wrote the row.
     ///
     /// * A writer's own SIREAD goes when it takes the row's EXCLUSIVE lock
     ///   (Sec. 3.7.3). The oracle releases it whatever it was; the engine
@@ -191,40 +266,11 @@ impl Model {
         self.txns.iter().filter(only).map(|t| t.id).collect()
     }
 
-    /// **Difference 3: holders of a gap's SIREAD the table side has and the
-    /// oracle has not.** The intended one is inheritance: a key inserted into
-    /// a gap starts out with the gap's holders on the gap in front of it,
-    /// where the oracle — the lock table as it was — has nobody, because
-    /// nobody ever asked for a lock of that name. The other is the lock table
-    /// granting no SIREAD to the holder of the gap's EXCLUSIVE lock, as for
-    /// rows.
-    fn gap_table_only(&self, gap: Option<usize>) -> Ids {
-        let only = |t: &&Txn| {
-            let adopted = gap.is_some_and(|k| t.adopted.iter().any(|(on, _)| *on == k));
-            adopted || t.covered_gaps.contains(&gap)
-        };
-        self.txns.iter().filter(only).map(|t| t.id).collect()
-    }
-
-    /// The oracle's SIREAD holders of a gap, plus difference 3.
-    fn expected_gap_holders(&self, gap: Option<usize>) -> Ids {
-        let name = gap_key(gap);
-        let held = self
-            .oracle
-            .peek_rw_conflicts(TxnId::INVALID, &name, LockMode::Exclusive);
-        let mut expected = ids(&held);
-        expected.extend(self.gap_table_only(gap));
-        expected
-    }
-
     /// **Difference 2.** A read that registers on the chain is told of the
     /// key's EXCLUSIVE holder only through the version it installed. One
     /// that holds the lock and has installed nothing (a locking read so far)
     /// is not reported: its install, if it comes, reports the reader
     /// instead. A read that goes through the lock table sees it as before.
-    /// Likewise the EXCLUSIVE holder of a gap, which the oracle's gap SIREAD
-    /// reports and no registration does: a scan meets it by reading the key
-    /// it inserted.
     fn expected_writers(&self, oracle_says: Ids, k: usize, on_chain: bool) -> Ids {
         let has_version = |id: &TxnId| {
             let t = self.txns.iter().find(|t| t.id == *id).expect("live holder");
@@ -240,15 +286,14 @@ impl Model {
                 id: TxnId(self.next_txn),
                 committed: false,
                 rows: Vec::new(),
-                adopted: Vec::new(),
+                ranges: Vec::new(),
                 fallback: Vec::new(),
                 oracle_sireads: Vec::new(),
-                oracle_gap_sireads: Vec::new(),
+                oracle_scan_locks: Vec::new(),
                 exclusive: Vec::new(),
                 gap_exclusive: Vec::new(),
                 upgraded: Vec::new(),
                 covered: Vec::new(),
-                covered_gaps: Vec::new(),
                 writes: Vec::new(),
             });
             self.next_txn += 1;
@@ -262,60 +307,23 @@ impl Model {
         (!matching.is_empty()).then(|| matching[self.rng.index(matching.len())])
     }
 
-    /// Files a registration the table made for `at` on the gap in front of
-    /// `gap`, and asks the oracle for the SIREAD lock of that name.
-    fn keep_gap(&mut self, at: usize, gap: Option<usize>, siread: Siread) {
-        if let Siread::New(handle) = siread {
-            self.txns[at].rows.push(handle);
-        }
-        let txn = &mut self.txns[at];
-        let outcome = self.oracle.lock(txn.id, &gap_key(gap), LockMode::SiRead);
-        if outcome.expect("SIREAD never fails").newly_acquired {
-            txn.oracle_gap_sireads.push(gap);
-        } else if !txn.oracle_gap_sireads.contains(&gap) && !txn.covered_gaps.contains(&gap) {
-            assert!(txn.gap_exclusive.contains(&gap), "refused without a reason");
-            txn.covered_gaps.push(gap);
-        }
-    }
-
-    /// The Serializable-SI read of key `k`, by key or through a stale scan
-    /// handle, as `ssi-core` does it: a point read registers on the row, a
-    /// predicate read (`scan`) on the row and on the gap in front of it.
-    fn read(&mut self, at: usize, k: usize, through_stale_handle: bool, scan: bool) {
+    /// The Serializable-SI point read of key `k`, as `ssi-core` does it.
+    fn read(&mut self, at: usize, k: usize) {
         let id = self.txns[at].id;
         let context = format!("seed {} read of key {k} by {id:?}", self.seed);
-        let cover = if scan {
-            SireadCover::ROW_AND_GAP
-        } else {
-            SireadCover::ROW
-        };
-        let stale = self.stale_page.as_ref().and_then(|page| {
-            let row = page.rows.iter().find(|row| row.key[..] == key(k)[..]);
-            row.map(|row| row.handle.clone())
-        });
-        let held_row = self.holds_row(k, id);
-        let (read, siread) = match stale {
-            Some(handle) if through_stale_handle => {
-                self.table
-                    .read_row_registering(&key(k), handle, id, self.clock, cover)
-            }
-            _ => self.table.read_registering(&key(k), id, self.clock, cover),
-        };
+        let (read, siread) = self.table.read_registering(&key(k), id, self.clock);
         let mut writers = ids(&read.newer_creators);
         let on_chain = !matches!(siread, Siread::NoChain);
         match siread {
-            Siread::New(handle) => self.txns[at].rows.push(handle),
-            Siread::Held => {}
-            Siread::NoChain if scan => {
-                // The key is not there: the scan covers the place where it
-                // would be, on the gap above, and finds it still missing.
-                let upper = Bound::Included(&key(k)[..]);
-                let (above, on) = self.table.register_gap_above(upper, id);
-                self.keep_gap(at, on.map(|key| index_of(&key)), above);
-                let again = self.table.read_registering(&key(k), id, self.clock, cover);
-                assert!(matches!(again.1, Siread::NoChain), "{context}");
-                return;
+            Siread::New(handle) => {
+                let txn = &mut self.txns[at];
+                txn.rows.push(handle);
+                if txn.exclusive.contains(&k) {
+                    debug_assert!(txn.writes.iter().all(|(w, _)| *w != k));
+                    txn.covered.push(k);
+                }
             }
+            Siread::Held => {}
             Siread::NoChain => {
                 self.reached.fallback_reads += 1;
                 let outcome = self.locks.lock(id, &lock_key(k), LockMode::SiRead);
@@ -329,10 +337,6 @@ impl Model {
             }
         }
         writers.remove(&id);
-        if !held_row && self.holds_row(k, id) && self.txns[at].exclusive.contains(&k) {
-            debug_assert!(self.txns[at].writes.iter().all(|(w, _)| *w != k));
-            self.txns[at].covered.push(k);
-        }
 
         let outcome = self.oracle.lock(id, &lock_key(k), LockMode::SiRead);
         let outcome = outcome.expect("SIREAD never fails");
@@ -341,28 +345,44 @@ impl Model {
         }
         let expected = self.expected_writers(ids(&outcome.rw_conflicts), k, on_chain);
         assert_eq!(writers, expected, "{context}: writers reported");
-        if scan {
-            // The registration that read the row took the gap with it.
-            self.keep_gap(at, Some(k), Siread::Held);
-        }
     }
 
-    /// The gap that closes a scan up to key `k`, through the handle a page
-    /// found for it now or some steps ago.
-    fn end_gap(&mut self, at: usize, k: usize, through_stale_handle: bool) {
+    /// The Serializable-SI range scan, as `ssi-core` does it: register the
+    /// bounds, then list, then read each listed row like a snapshot scan
+    /// does. The oracle takes the scan's next-key locks.
+    fn scan(&mut self, at: usize, bounds: Bounds) {
         let id = self.txns[at].id;
-        let upper = Bound::Included(&key(k)[..]);
-        let stale = self
-            .stale_end
-            .take_if(|(of, _)| through_stale_handle && *of == k);
-        let end = stale.map(|(_, end)| end).unwrap_or_else(|| {
-            let page = self.table.cursor(Bound::Unbounded, upper).next_page();
-            page.and_then(|page| page.end_gap).expect("one short page")
-        });
-        let (siread, on) = self.table.register_end_gap(end, upper, id);
-        let on = on.map(|key| index_of(&key));
-        assert!(on.is_none_or(|on| on > k), "seed {}", self.seed);
-        self.keep_gap(at, on, siread);
+        let context = format!("seed {} scan of {bounds:?} by {id:?}", self.seed);
+        let (lower, upper) = (key_bound(bounds.0), key_bound(bounds.1));
+        let (lower, upper) = (super::as_ref_bound(&lower), super::as_ref_bound(&upper));
+        let covered = (0..KEYS).all(|k| !bounds.contains(&k) || self.txns[at].has_range_with(k));
+        match self.table.register_range(lower, upper, id) {
+            Some(handle) => self.txns[at].ranges.push((bounds, handle)),
+            None => {
+                assert!(covered, "{context}: refused a range nothing covers");
+                self.reached.repeated_scans += 1;
+            }
+        }
+        for listed in self.table.keys_in_range(lower, upper) {
+            let k = index_of(&listed);
+            let read = self.table.read(&listed, id, self.clock);
+            // Everything committed is visible at the model's clock: what is
+            // left over is the unsettled versions of others.
+            let unsettled =
+                |t: &&Txn| t.id != id && !t.committed && t.writes.iter().any(|(w, _)| *w == k);
+            let expected: Ids = self.txns.iter().filter(unsettled).map(|t| t.id).collect();
+            let mut writers = ids(&read.newer_creators);
+            writers.remove(&id);
+            assert_eq!(writers, expected, "{context}: writers of key {k}");
+            self.grant_scan_lock(id, scanned(k));
+            self.grant_scan_lock(id, gap_key(Some(k)));
+        }
+        let beyond = match upper {
+            Bound::Included(last) => self.table.next_key_after(last),
+            Bound::Excluded(end) => self.table.next_key_at_or_after(end),
+            Bound::Unbounded => None,
+        };
+        self.grant_scan_lock(id, gap_key(beyond.map(|key| index_of(&key))));
     }
 
     /// EXCLUSIVE lock, then either the locking read's probe or an install.
@@ -373,40 +393,27 @@ impl Model {
         }
         let context = format!("seed {} write of key {k} by {id:?}", self.seed);
         let delete = install && self.rng.index(4) == 0;
-        // What the engine looks at under the EXCLUSIVE lock. A key without a
-        // live version is inserted, not updated: its first version ever
-        // (`fresh`: the key has no chain) goes into the gap above it, which
-        // is what a delete reports to as well; one onto a chain that a
-        // rolled-back insert left mapped goes where the chain is.
+        // What the engine looks at under the EXCLUSIVE lock: a key without a
+        // live version is inserted, not updated, and an insert and a delete
+        // take the EXCLUSIVE lock of the gap above the key. The key's first
+        // version ever (`fresh`: it has no chain) brings it into the index.
         let live = self.table.contains_key(&key(k));
         let fresh = self.table.chain(&key(k)).is_none();
-        let above = (install && (fresh || (live && delete))).then(|| self.successor(k));
+        let above = (install && (!live || delete)).then(|| self.successor(k));
         if above.is_some_and(|gap| self.gap_exclusive_holder(gap).is_some_and(|h| h != id)) {
             return; // would block
         }
         let granted = self.locks.lock(id, &lock_key(k), LockMode::Exclusive);
         let mut readers = ids(&granted.expect("no other holder").rw_conflicts);
+        let mut range_readers = Ids::new();
         let upgraded = if install {
             let value = (!delete).then(|| vec![k as u8].into());
             let done = self
                 .table
                 .install(&key(k), id, value, self.upgrade, || TS_ZERO);
             readers.extend(done.readers.iter());
+            range_readers.extend(done.range_readers.iter());
             self.txns[at].writes.push((k, done.version));
-            assert!(done.inherited.is_none() || fresh, "{context}");
-            if let Some(inherited) = done.inherited {
-                // The engine's adoption. Everyone here is active or
-                // suspended, so nobody is past taking the handle.
-                self.reached.inherited += inherited.holders.len();
-                for holder in &inherited.holders {
-                    let heir = self.txns.iter_mut().find(|t| t.id == *holder);
-                    let heir = heir.expect("a holder has not been released");
-                    heir.adopted.push((k, inherited.chain.clone()));
-                }
-            }
-            if live && delete {
-                readers.extend(self.table.gap_holders_above(&key(k), id).iter());
-            }
             done.upgraded
         } else {
             let found = self.table.probe_for_update(&key(k), id, self.upgrade);
@@ -414,13 +421,14 @@ impl Model {
             found.upgraded
         };
         assert!(!upgraded || self.upgrade, "{context}");
-        if !self.holds_row(k, id) {
+        if upgraded {
             self.txns[at].covered.retain(|held| *held != k);
         }
         if !self.txns[at].exclusive.contains(&k) {
             self.txns[at].exclusive.push(k);
         }
 
+        // The point space: the row's readers.
         let granted = self.oracle.lock(id, &lock_key(k), LockMode::Exclusive);
         let mut expected = ids(&granted.expect("no other holder").rw_conflicts);
         if self.upgrade {
@@ -429,27 +437,42 @@ impl Model {
             self.txns[at].upgraded.push(k);
         }
         expected.extend(self.table_only(k));
-        if !live && !fresh {
-            // Whoever covers the place of a key whose chain is mapped holds
-            // the key's own gap: it scanned the key, or was copied there
-            // when the key split the gap it was holding.
-            expected.extend(self.expected_gap_holders(Some(k)));
+        expected.remove(&id);
+        assert_eq!(readers, expected, "{context}: readers reported");
+        if !install {
+            // A locking read changes nothing a scan could have missed: the
+            // scans are for the install that may follow to find.
+            return;
         }
+
+        // The scan space: whoever holds the next-key lock on the key, and
+        // for an insert or a delete the gap above it.
+        let mut told = self.scan_holders(&scanned(k));
         if let Some(gap) = above {
-            let granted = self.oracle.lock(id, &gap_key(gap), LockMode::Exclusive);
-            let told = ids(&granted.expect("no other holder").rw_conflicts);
-            let copies = self.gap_table_only(gap);
-            let others = |set: &Ids| set.iter().filter(|t| **t != id).count();
-            self.reached.told_by_the_gap += others(&told);
-            self.reached.told_by_a_copy += others(&copies.difference(&told).copied().collect());
-            expected.extend(told);
-            expected.extend(copies);
+            told.extend(self.scan_holders(&gap_key(gap)));
             if !self.txns[at].gap_exclusive.contains(&gap) {
                 self.txns[at].gap_exclusive.push(gap);
             }
         }
-        expected.remove(&id);
-        assert_eq!(readers, expected, "{context}: readers reported");
+        told.remove(&id);
+        assert!(
+            range_readers.is_subset(&told),
+            "{context}: a range told of {range_readers:?}, next-key locks of {told:?}"
+        );
+        // **Difference 3**, the intended one: next-key locks reach from the
+        // scan's bound to the neighbouring key, the range stops at the bound.
+        let in_range = |t: &TxnId| {
+            let holder = self.txns.iter().find(|txn| txn.id == *t);
+            holder.expect("live holder").has_range_with(k)
+        };
+        let (expected, oracle_only): (Ids, Ids) = told.into_iter().partition(in_range);
+        assert_eq!(range_readers, expected, "{context}: range holders reported");
+        self.reached.told_by_a_range += expected.len();
+        self.reached.oracle_only += oracle_only.len();
+        if fresh {
+            self.reached.told_of_a_phantom += expected.len();
+            self.inherit(k);
+        }
     }
 
     fn release_exclusive(&mut self, at: usize) {
@@ -458,9 +481,7 @@ impl Model {
             self.locks.unlock(id, &lock_key(k), LockMode::Exclusive);
             self.oracle.unlock(id, &lock_key(k), LockMode::Exclusive);
         }
-        for gap in std::mem::take(&mut self.txns[at].gap_exclusive) {
-            self.oracle.unlock(id, &gap_key(gap), LockMode::Exclusive);
-        }
+        self.txns[at].gap_exclusive.clear();
     }
 
     fn commit(&mut self, at: usize) {
@@ -480,19 +501,20 @@ impl Model {
         for row in &txn.rows {
             row.release_siread(txn.id);
         }
-        for (k, chain) in &txn.adopted {
-            let released = chain.release_siread(txn.id);
-            assert!(released, "seed {}: copy on key {k} gone early", self.seed);
+        for (bounds, range) in &txn.ranges {
+            assert!(range.release(), "seed {}: {bounds:?} gone early", self.seed);
         }
         let keys = |held: &[usize]| held.iter().map(|k| lock_key(*k)).collect::<Vec<_>>();
         self.locks
             .unlock_batch(txn.id, &keys(&txn.fallback), LockMode::SiRead);
         self.oracle
             .unlock_batch(txn.id, &keys(&txn.oracle_sireads), LockMode::SiRead);
-        let gaps: Vec<_> = txn.oracle_gap_sireads.iter().map(|g| gap_key(*g)).collect();
-        self.oracle.unlock_batch(txn.id, &gaps, LockMode::SiRead);
+        self.oracle
+            .unlock_batch(txn.id, &txn.oracle_scan_locks, LockMode::SiRead);
     }
 
+    /// Rollback: of an update, a delete, or a fresh insert, whose key leaves
+    /// the index again unless a point reader holds its chain.
     fn abort(&mut self, at: usize) {
         for (_, version) in &self.txns[at].writes {
             version.mark_aborted();
@@ -509,19 +531,24 @@ impl Model {
         for (k, version) in &writes {
             self.table.unlink_version(&key(*k), version);
         }
+        self.merge_unmapped();
     }
 
-    /// Who holds an SIREAD on each key and on each gap, on both sides; and
-    /// that a chain someone is registered on is still the one the key maps
-    /// to.
+    fn purge(&mut self) {
+        self.table.purge_old_versions(self.clock);
+        self.merge_unmapped();
+    }
+
+    /// Who holds an SIREAD on each key, on both sides; that a chain someone
+    /// is registered on is still the one the key maps to; and that the
+    /// oracle's scan space covers, with its next-key locks, every key of
+    /// every range — the invariant inheritance is there to keep.
     fn check(&mut self) {
         let mapped: Vec<_> = (0..KEYS).map(|k| self.table.chain(&key(k))).collect();
         for txn in &self.txns {
-            let adopted = txn.adopted.iter().map(|(_, chain)| chain);
-            for row in txn.rows.iter().chain(adopted) {
+            for row in &txn.rows {
                 let registered = row.chain.state.lock().readers.iter().any(|id| id == txn.id);
-                let is_mapped = mapped.iter().flatten().any(|c| Arc::ptr_eq(c, &row.chain))
-                    || Arc::ptr_eq(&self.table.supremum, &row.chain);
+                let is_mapped = mapped.iter().flatten().any(|c| Arc::ptr_eq(c, &row.chain));
                 assert!(
                     !registered || is_mapped,
                     "seed {}: {:?} is registered on an unmapped chain",
@@ -530,20 +557,21 @@ impl Model {
                 );
             }
         }
-        let holders = |chain: &Arc<RowChain>, cover: SireadCover| {
-            let held = chain.state.lock().readers.holders(cover);
-            ids(&held)
-        };
         for (k, chain) in mapped.iter().enumerate() {
             let context = format!("seed {} key {k}", self.seed);
-            let on_chain = |cover| chain.as_ref().map_or(Ids::new(), |c| holders(c, cover));
+            assert_eq!(
+                chain.is_some(),
+                self.mapped[k],
+                "{context}: scan space stale"
+            );
+            let mut held: Ids = chain.as_ref().map_or(Ids::new(), |chain| {
+                chain.state.lock().readers.iter().collect()
+            });
             let no_versions = |c: &Arc<RowChain>| c.state.lock().versions.is_empty();
-            let anyone = !on_chain(SireadCover::ROW_AND_GAP).is_empty();
-            if chain.as_ref().is_some_and(no_versions) && anyone {
+            if chain.as_ref().is_some_and(no_versions) && !held.is_empty() {
                 self.reached.kept_mapped += 1;
             }
             let invalid = TxnId::INVALID;
-            let mut held = on_chain(SireadCover::ROW);
             held.extend(
                 self.locks
                     .peek_rw_conflicts(invalid, &lock_key(k), LockMode::Exclusive),
@@ -554,18 +582,23 @@ impl Model {
                     .peek_rw_conflicts(invalid, &lock_key(k), LockMode::Exclusive));
             expected.extend(self.table_only(k));
             assert_eq!(held, expected, "{context}: SIREAD holders of the row");
-            assert_eq!(
-                on_chain(SireadCover::GAP),
-                self.expected_gap_holders(Some(k)),
-                "{context}: SIREAD holders of the gap"
-            );
+
+            let covering = if chain.is_some() {
+                self.scan_holders(&scanned(k))
+            } else {
+                self.scan_holders(&gap_key(self.successor(k)))
+            };
+            for txn in self.txns.iter().filter(|t| t.has_range_with(k)) {
+                assert!(covering.contains(&txn.id), "{context}: {:?} lost", txn.id);
+            }
         }
-        assert_eq!(
-            holders(&self.table.supremum, SireadCover::ROW_AND_GAP),
-            self.expected_gap_holders(None),
-            "seed {}: SIREAD holders of the gap above the last key",
-            self.seed
-        );
+        let ranges: usize = self.txns.iter().map(|t| t.ranges.len()).sum();
+        let rows: usize = mapped
+            .iter()
+            .flatten()
+            .map(|chain| chain.state.lock().readers.iter().count())
+            .sum();
+        assert_eq!(self.table.siread_holder_count(), rows + ranges);
     }
 
     fn quiesce(&mut self) {
@@ -583,7 +616,7 @@ impl Model {
         assert_eq!(self.locks.grant_count(), 0, "{context}");
         assert_eq!(self.oracle.grant_count(), 0, "{context}");
         // With nobody registered, a pass takes every chain left unused.
-        self.table.purge_old_versions(self.clock);
+        self.purge();
         for k in 0..KEYS {
             let unused = self
                 .table
@@ -593,14 +626,32 @@ impl Model {
         }
     }
 
+    /// Bounds over the key numbers that the ordered index accepts: not
+    /// inverted, and not empty by excluding the same key twice.
+    fn bounds(&mut self) -> Bounds {
+        let (a, b) = (self.rng.index(KEYS), self.rng.index(KEYS));
+        let (low, high) = (a.min(b), a.max(b));
+        let lower = match self.rng.index(3) {
+            0 => Bound::Unbounded,
+            1 => Bound::Included(low),
+            _ => Bound::Excluded(low),
+        };
+        let upper = match self.rng.index(3) {
+            0 => Bound::Unbounded,
+            1 => Bound::Included(high),
+            _ if low == high && matches!(lower, Bound::Excluded(_)) => Bound::Included(high),
+            _ => Bound::Excluded(high),
+        };
+        (lower, upper)
+    }
+
     fn step(&mut self) {
         let k = self.rng.index(KEYS);
-        match self.rng.index(25) {
+        match self.rng.index(23) {
             0..=2 => self.begin(),
             3..=6 => {
                 if let Some(at) = self.pick(false) {
-                    let through_stale_handle = self.rng.index(3) == 0;
-                    self.read(at, k, through_stale_handle, false);
+                    self.read(at, k);
                 }
             }
             7..=10 => {
@@ -628,26 +679,11 @@ impl Model {
                     self.release(at);
                 }
             }
-            16 => {
-                self.table.purge_old_versions(self.clock);
-            }
-            17 | 18 => {
-                let mut cursor = self.table.cursor(Bound::Unbounded, Bound::Unbounded);
-                self.stale_page = cursor.next_page();
-                let upper = Bound::Included(&key(k)[..]);
-                let page = self.table.cursor(Bound::Unbounded, upper).next_page();
-                self.stale_end = page.and_then(|page| page.end_gap).map(|end| (k, end));
-            }
-            19..=21 => {
+            16 => self.purge(),
+            17..=21 => {
                 if let Some(at) = self.pick(false) {
-                    let through_stale_handle = self.rng.index(3) == 0;
-                    self.read(at, k, through_stale_handle, true);
-                }
-            }
-            22 | 23 => {
-                if let Some(at) = self.pick(false) {
-                    let through_stale_handle = self.rng.index(2) == 0;
-                    self.end_gap(at, k, through_stale_handle);
+                    let bounds = self.bounds();
+                    self.scan(at, bounds);
                 }
             }
             _ => self.quiesce(),
@@ -657,8 +693,8 @@ impl Model {
 }
 
 #[test]
-fn chain_resident_sireads_report_what_the_lock_table_would() {
-    let mut reached = [0; 5];
+fn chain_and_range_sireads_report_what_the_lock_table_would() {
+    let mut reached = [0; 8];
     for seed in 1..=SEEDS {
         let mut model = Model::new(seed);
         for _ in 0..STEPS {
@@ -669,26 +705,37 @@ fn chain_resident_sireads_report_what_the_lock_table_would() {
         let of_this_seed = [
             r.fallback_reads,
             r.kept_mapped,
-            r.told_by_the_gap,
+            r.told_by_a_range,
+            r.told_of_a_phantom,
+            r.oracle_only,
             r.inherited,
-            r.told_by_a_copy,
+            r.merged,
+            r.repeated_scans,
         ];
         for (total, n) in reached.iter_mut().zip(of_this_seed) {
             *total += n;
         }
     }
     // The schedules must actually reach the lock-table fallback, the chains
-    // that only their holders keep mapped, the inserts and deletes that a
-    // gap's holders are told of, the copies new keys start out with, and the
-    // inserts that only a copy can tell of.
+    // that only their point readers keep mapped, the installs that a range
+    // tells of (phantoms among them), the holders that only next-key locking
+    // would tell of, both directions of inheritance in the oracle, and the
+    // scans that a held range covers.
     let often = SEEDS as usize;
-    let [fallback_reads, kept_mapped, told_by_the_gap, inherited, told_by_a_copy] = reached;
+    let [fallback_reads, kept_mapped, told_by_a_range, told_of_a_phantom, oracle_only, inherited, merged, repeated_scans] =
+        reached;
     assert!(fallback_reads > often, "{fallback_reads} fallbacks");
     assert!(kept_mapped > often, "{kept_mapped} kept mapped");
-    assert!(told_by_the_gap > often, "{told_by_the_gap} told by the gap");
-    assert!(inherited > often, "{inherited} inherited");
     assert!(
-        told_by_a_copy > often / 2,
-        "{told_by_a_copy} told by a copy"
+        told_by_a_range > 4 * often,
+        "{told_by_a_range} told by a range"
     );
+    assert!(told_of_a_phantom > often, "{told_of_a_phantom} phantoms");
+    assert!(
+        oracle_only > often / 2,
+        "{oracle_only} by next-key locks only"
+    );
+    assert!(inherited > often, "{inherited} inherited");
+    assert!(merged > often / 10, "{merged} merged");
+    assert!(repeated_scans > often, "{repeated_scans} repeated scans");
 }

@@ -13,11 +13,11 @@
 //!   first-committer-wins check;
 //! * ordered key access (`next_key_at_or_after`) used for next-key / gap
 //!   locking against phantoms (Sec. 3.5);
-//! * the row-granularity SIREAD itself, row and gap: a Serializable-SI read
-//!   registers its transaction on the chain it reads — a scan for the gap in
-//!   front of the key as well — and the install of the row's next version,
-//!   or of the first version of a new key in that gap, reports who is
-//!   registered (§ SIREAD on the row).
+//! * the row-granularity SIREAD itself: a Serializable-SI point read
+//!   registers its transaction on the chain it reads, a range scan registers
+//!   its bounds with the table ([`crate::range`]), and the install of a
+//!   version reports who is registered on the row and whose range contains
+//!   the key (§ SIREAD on the row, § Why scans stay consistent under SSI).
 //!
 //! # Architecture: two-level sharded layout
 //!
@@ -41,15 +41,16 @@
 //!
 //! ## Locking protocol
 //!
-//! Lock order is **shard → chain**, **shard → ordered index** and **ordered
-//! index → chain**, and a chain mutex is never held while acquiring any other
-//! lock (scans take *index → chain*, so holding a chain while waiting on the
-//! index could deadlock). The one place that holds the index lock *while* it
-//! takes a chain mutex is the insert of a new key, which — with its own
-//! shard's write lock and the index write lock held, and no chain mutex —
-//! visits its successor's chain for the holders of the gap it splits
-//! (`Table::gap_holders_of_successor`; a delete asks the same under the read
-//! lock). The invariants:
+//! Lock order is **shard → chain** and **shard → ordered index**, and the
+//! chain mutex is never held while acquiring the ordered-index lock (scans
+//! take *index → chain*, so holding a chain while waiting on the index
+//! could deadlock). Below all of them sits the mutex of a range list
+//! ([`crate::range`]), a leaf: **chain → ranges** (the install of a version
+//! onto a mapped chain), **ordered index → ranges** (the first version of a
+//! new key, under the index write lock) and **shard → ranges** (the ranges
+//! of a secondary index, after the entry is added); registering and
+//! releasing a range take it alone, and nothing is ever acquired under it.
+//! The invariants:
 //!
 //! * a chain present in either map is the unique chain for its key; both
 //!   maps always agree (they are updated while holding the shard write
@@ -65,10 +66,9 @@
 //!   checks that no reader is registered, empties the chain and unlinks it
 //!   from both maps. From then on the chain has no version, for good — no
 //!   installer can find it — so a scan that still holds its `Arc` observes
-//!   an empty chain, skips the key, and knows not to register there. A
+//!   an empty chain and skips the key. A
 //!   *mapped* chain may be without versions too: a rolled-back insert leaves
-//!   it behind when somebody read the key meanwhile — or scanned the gap it
-//!   went into, and so holds the gap in front of it now — and the key's next
+//!   it behind when somebody read the key meanwhile, and the key's next
 //!   insert pushes onto it like an update. [`Table::purge_shard`] unmaps
 //!   such a chain once its readers are gone. Between its shard and the
 //!   ordered index a chain is unmapped in two steps, so the index can list a
@@ -127,157 +127,111 @@
 //! ## SIREAD on the row
 //!
 //! The paper's SIREAD lock never blocks and is never waited for; it exists so
-//! that the writer of what it covers can find the readers. At row granularity
+//! that the writer of a row can find the row's readers. At row granularity
 //! it is therefore kept as row metadata: `readers`, a small set of
 //! transaction ids beside the versions, under the chain mutex every read and
-//! every install takes anyway.
+//! every install takes anyway. They are the row's *point* readers; a range
+//! scan registers nothing on a chain (§ Why scans stay consistent under SSI).
 //!
-//! * **Two bits per holder.** The paper's phantom protection is InnoDB's
-//!   next-key lock: one lock on a record *and* the gap in front of it
-//!   (Sec. 3.5). A holder here is one word — the transaction id with two tag
-//!   bits in the top, *row* and *gap* ([`SireadCover`]) — so the next-key
-//!   SIREAD is one registration, made in the chain visit that reads the row.
-//!   The gap is the open interval between the key and whatever key precedes
-//!   it in the ordered index at the moment somebody asks; the gap above the
-//!   last key belongs to a sentinel, the table's **supremum chain**, which
-//!   holds no version and is in neither map. A point read registers *row*, a
-//!   range scan *row|gap* on every key it lists and *gap* on the first key
-//!   beyond its upper bound (or on the supremum chain), which its last page
-//!   finds under the same index lock that lists the rows
-//!   ([`Table::register_end_gap`]).
-//! * **Read** ([`Table::read_registering`], [`Table::read_row_registering`]).
-//!   One critical section reads the visible version, collects the creators
-//!   of newer ones and makes the reader a holder, or adds what it asks for to
-//!   what it holds.
-//! * **Write** ([`Table::install`]). The critical section that makes a
-//!   version visible reports the holders it concerns, and drops the writer's
-//!   own *row* bit (the Sec. 3.7.3 upgrade: first-committer-wins covers the
-//!   next writer of the row — not the next insert in front of it, so the
-//!   *gap* bit stays, and a holder is only gone when it covered nothing
-//!   else). An update concerns the row's holders and no gap's.
-//!   [`Table::probe_for_update`] does the same for a locking read.
-//! * **Insert** of a new key concerns the gap it goes into. The critical
-//!   section that links the key into the ordered index — the index write lock
-//!   — looks at the key's successor (the supremum chain if there is none) and
-//!   takes that chain's *gap* holders: they are reported to the writer, and
-//!   the new chain is created with a copy of them, *gap* only — InnoDB's
-//!   `lock_rec_inherit_to_gap`. A key that splits a scanned gap thereby keeps
-//!   both halves covered, and a second insert in front of the first finds
-//!   the scan on a key the scan never saw. (Until the first registration on
-//!   any gap of the table there is nobody to find, and the insert does not
-//!   look: a load costs what it did without gaps.) An insert onto a chain that is
-//!   mapped already is no split: one that holds a tombstone is an update; one
-//!   that holds no live version — what a rolled-back insert leaves behind —
-//!   lands in the gaps on either side, and every scan covering that place is
-//!   a holder of the chain itself (it listed the key, or was copied there), so
-//!   the chain's own holders, *row* or *gap*, are the answer.
-//! * **Adoption.** A copy is a holder nobody registered, so somebody has to
-//!   release it. [`Installed::inherited`] hands the inserter the new chain;
-//!   the engine passes it to each holder to release with the rest of its
-//!   SIREADs, or releases the copy itself when the holder is past that.
-//!   Inheritance does not depend on who inserts: a write at any isolation
-//!   level splits a Serializable-SI scan's gap.
-//! * **Why nothing is missed.** The chain mutex orders a read and a write of
-//!   one row. A read that comes first is in `readers` when the version goes
-//!   in and is reported to the writer; a read that comes second finds the
-//!   version in the chain and reports its creator (or sees it as its
-//!   snapshot, if it committed first). The lock table needed a
-//!   lock-then-read order and an argument over three cases for the same
-//!   guarantee, because its SIREAD and the chain were two places; here they
-//!   are one. What a read no longer sees is a transaction that holds the
-//!   key's EXCLUSIVE lock and has installed nothing yet. It has no need to:
-//!   when that transaction installs, the read is reported to it, and if it
-//!   never does the row did not change. For a scan and an insert, see § Why
-//!   scans stay consistent under SSI.
+//! * **Read** ([`Table::read_registering`]). One critical section reads the
+//!   visible version, collects the creators of newer ones and adds the
+//!   reader to `readers`.
+//! * **Write** ([`Table::install`]). The critical section that pushes the
+//!   version reports `readers` to the writer, and drops the writer's own id
+//!   (the Sec. 3.7.3 upgrade). [`Table::probe_for_update`] does the same for
+//!   a locking read.
+//! * **Why nothing is missed.** The chain mutex orders the two. A read that
+//!   comes first is in `readers` when the version goes in and is reported to
+//!   the writer; a read that comes second finds the version in the chain and
+//!   reports its creator (or sees it as its snapshot, if it committed
+//!   first). The lock table needed a lock-then-read order and an argument
+//!   over three cases for the same guarantee, because its SIREAD and the
+//!   chain were two places; here they are one. What a read no longer sees is
+//!   a transaction that holds the key's EXCLUSIVE lock and has installed
+//!   nothing yet. It has no need to: when that transaction installs, the
+//!   read is reported to it, and if it never does the row did not change.
 //! * **Release** ([`RowHandle::release_siread`]) is eager and exact, as in
 //!   the lock table: a holder is in `readers` exactly while its transaction
 //!   is active or committed-and-suspended. The transaction keeps one
-//!   [`RowHandle`] per registration, is given one per copy, and the engine
-//!   releases through them when it aborts or is cleaned up.
+//!   [`RowHandle`] per registration and the engine releases through them
+//!   when it aborts or is cleaned up.
 //! * **A registration must land where the next writer looks**, which is the
-//!   chain the key maps to. By key that is guaranteed by the shard read lock
-//!   held across lookup and registration. Through a scan's handle it is
-//!   guaranteed by registering only on proof that the chain is mapped: the
-//!   read there found a live version, or for the end gap something is using
-//!   the chain — an unmapped chain has no version and no holder. And it
-//!   stays true because a chain with a holder is not unmapped (§ Locking
-//!   protocol), which is also why removing a key needs no merging of gaps: a
-//!   tombstone leaves the index only when no scan's gap sits on it. The
-//!   price is paid by deleted keys: a dead tombstone leaves the table at the
-//!   first purge pass that finds no holder on it, which a key that is read
-//!   without pause can put off for as long as the reading lasts.
-//! * **A key with no chain** has nothing to register on. A point read is
-//!   told ([`Siread::NoChain`]) and leaves an ordinary SIREAD lock on the key
-//!   in the lock table, where the key's first writer — who takes its
-//!   EXCLUSIVE lock there at every isolation level — finds it. A scan that
-//!   finds no chain for a key it listed registers on the gap above the key
-//!   ([`Table::register_gap_above`]) and looks again: a key still missing
-//!   then was missing while its place was covered. Page and index-entry
-//!   SIREADs, and every blocking lock, stay in the lock table; this module
-//!   knows nothing of them.
+//!   chain the key maps to: the shard read lock is held across lookup and
+//!   registration, and a chain with a reader is not unmapped (§ Locking
+//!   protocol). The price is paid by deleted keys: a dead tombstone leaves
+//!   the table at the first purge pass that finds no reader on it, which a
+//!   key that is point-read without pause can put off for as long as the
+//!   reading lasts.
+//! * **A key with no chain** has nothing to register on. The caller is told
+//!   ([`Siread::NoChain`]) and leaves an ordinary SIREAD lock on the key in
+//!   the lock table, where the key's first writer — who takes its EXCLUSIVE
+//!   lock there at every isolation level — finds it. Page SIREADs, and every
+//!   blocking lock, stay in the lock table as well; this module knows nothing
+//!   of them.
 //!
 //! ## Why scans stay consistent under SSI
 //!
 //! A scan never holds the ordered-index lock while it looks at rows, so a
 //! writer may install a version — even the first version of a brand-new key
 //! — while a scan is in flight. The scan protocol is built so that this
-//! never hides a read-write conflict from Serializable SI. It has three
-//! steps per page, split between this module and `ssi-core`'s `do_scan`:
+//! never hides a read-write conflict from Serializable SI. The scanner
+//! **registers, then lists, then reads**; the writer **makes its version
+//! reachable, then looks for ranges**, both inside one critical section.
 //!
-//! 1. **Handles, not values.** [`ScanCursor::next_page`] takes the
+//! 1. **Register.** Before it lists its first page the engine registers the
+//!    scan's bounds and its transaction with the table
+//!    ([`Table::register_range`]): one entry in the table's range list
+//!    ([`crate::range`]), whatever the number of rows. That is the whole
+//!    SIREAD of the scan. It covers every row and every gap between the
+//!    bounds, and a key that enters the range later is covered by lying in
+//!    it: nothing is copied to it, nothing is looked up on its neighbours.
+//! 2. **List handles, not values.** [`ScanCursor::next_page`] takes the
 //!    ordered-index read lock once and copies out up to a page of
 //!    [`ScanRow`]s — the key (`Arc<[u8]>`, shared with the index) and a
 //!    handle to its version chain — together with the table's *membership
-//!    epoch* at that instant and, on the last page, the chain that carries
-//!    the range's end gap. No chain is read yet.
-//! 2. **One critical section per row.** The engine reads each chain exactly
-//!    once through [`Table::read_row_registering`], which reads the row and
-//!    registers the scan on the row and on the gap in front of it under one
-//!    hold of the chain mutex (§ SIREAD on the row), and after the last row
-//!    registers on the end gap. A concurrent writer of the row either
-//!    installs after that — and is handed the scan as a reader — or
-//!    installed before it, and then its version is in the chain and the read
-//!    reports its creator in `newer_creators`. There is no window between
-//!    "lock" and "read" for a third case to hide in. A handle whose chain
-//!    died since the page was taken (rollback of an insert, purge of an old
-//!    tombstone) reads as empty and takes no registration; the key is then
-//!    re-resolved through its hash shard, so a chain re-created for the same
-//!    key is neither missed nor left without the reader.
-//! 3. **Epoch-gated phantom sweep, after the registrations.** Keys
-//!    *inserted* into the page's range are phantoms. The inserter **links,
-//!    then collects**: one hold of the index write lock puts the key into
-//!    the index, bumps the membership epoch and takes the gap holders of the
-//!    key's successor. The scan **registers, then checks the epoch**:
-//!    [`Table::membership_epoch`] reads it under the index read lock once
-//!    the page's rows and end gap are registered. Either the scan's
-//!    registration on the successor precedes the collection — the two meet
-//!    on that chain's mutex — and the writer is told; or it follows it, and
-//!    then the link, made in the same critical section as the collection,
-//!    precedes the epoch check, which has to wait for that critical section
-//!    to end: the scan finds the epoch moved, re-queries the page's key
-//!    range and treats every key it had not seen as a scanned row
-//!    (`sweep_gap_region`), whose read then reports its creator. That is the
-//!    argument the lock table needed, with the chain mutex in the place of
-//!    the lock-table shard. It needs the epoch check *after* the
-//!    registrations; and it needs the key found by the sweep to be covered
-//!    like any other (an insert in front of *it* may have raced the sweep),
-//!    which is why the sweep repeats until it finds nothing new. The query
-//!    is skipped when it cannot find anything: the epoch lives *inside* the
-//!    ordered-index lock and is bumped in the same write critical section as
-//!    every insert into or removal from the index, so a value equal to the
-//!    one recorded with the page proves that no such section ran in between,
-//!    the index holds exactly the keys the page listed, and the sweep —
-//!    which would read the index at that same instant — would return
-//!    nothing. The check is thus a pure shortcut for the sweep, O(1) per
-//!    page, and workloads that never insert or delete never sweep. On the
-//!    last page the swept region reaches up to the key that carries the end
-//!    gap, so that a key which got in front of *that* one is found as well.
+//!    epoch* at that instant. No chain is read yet.
+//! 3. **Read**, each chain once, through [`Table::read_row`]: exactly what a
+//!    snapshot-isolation scan does. The read reports the creators of the
+//!    versions it skipped, and those are the scan's conflicts. A handle whose
+//!    chain died since the page was taken (rollback of an insert, purge of an
+//!    old tombstone) reads as empty; the key is then re-resolved through its
+//!    hash shard, so a chain re-created for the same key is not missed.
+//!
+//! The writer's side is [`Table::install`]: in the critical section that
+//! makes the version reachable — the chain mutex for a mapped chain, the
+//! ordered-index write lock for the first version of a new key — and after
+//! the push or the link, it asks the range list for the holders of every
+//! range that contains its key ([`Installed::range_readers`]).
+//!
+//! **Why nothing is missed.** For a row that exists the two meet on its chain
+//! mutex. A read that comes first belongs to a scan that registered before
+//! it took that mutex, so the install that follows finds the range; a read
+//! that comes second finds the version in the chain and reports its creator.
+//! For a new key they meet on the ordered-index lock: a listing either
+//! follows the link — the key is listed, and its read reports the creator —
+//! or precedes it, and the range was registered before the listing. (A key
+//! whose listed chain was unmapped and re-created meets its new writer on the
+//! shard lock in the same way.) Lock hand-over orders the accesses; there is
+//! no fence, no epoch check and no second pass. A range is removed only when
+//! its holder aborts or is reclaimed, that is, when no transaction that
+//! could still conflict with it is left. An update and a delete are found
+//! like an insert: the tombstone's install looks for ranges as any other.
+//!
+//! **What the writer pays.** A write to a table with live ranges compares
+//! its key with each of them: O(live Serializable-SI scans of that table)
+//! instead of O(rows) work on the scanner and on whoever reclaims it; a table
+//! that is never scanned at Serializable SI pays one relaxed load per
+//! install.
 //!
 //! SI, read-committed and S2PL scans and [`Table::scan`] run over the same
-//! cursor; they differ only in what they do between fetching a page and
-//! reading its rows (S2PL takes blocking SHARED locks on rows and gaps in the
-//! lock table, and sweeps after they are granted), and in reading through
-//! [`Table::read_row`], which registers nothing.
+//! cursor and the same [`Table::read_row`]; S2PL takes blocking SHARED locks
+//! on rows and gaps in the lock table between fetching a page and reading its
+//! rows, and closes the race between the two with a phantom sweep gated on
+//! the membership epoch ([`Table::membership_epoch`]): the epoch lives
+//! *inside* the ordered-index lock and is bumped in the same write critical
+//! section as every insert into or removal from the index, so a value equal
+//! to the one recorded with the page proves that the index still holds
+//! exactly the keys the page listed and the sweep would find nothing.
 //!
 //! ## Secondary index maintenance
 //!
@@ -299,7 +253,6 @@
 use std::collections::{BTreeMap, HashMap};
 use std::hash::BuildHasher;
 use std::ops::Bound;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock};
@@ -308,6 +261,7 @@ use ssi_common::{Bytes, InlineVec, TableId, Timestamp, TxnId, TS_ZERO};
 use ssi_lock::FxBuildHasher;
 
 use crate::index::Index;
+use crate::range::{RangeHandle, RangeReaders};
 use crate::version::{Version, VersionState};
 
 /// Number of hash shards per table. Power of two so the shard selector is a
@@ -417,22 +371,20 @@ impl PurgeStats {
     }
 }
 
-/// An opaque handle to the version chain of one row (or to the table's
-/// supremum chain, which stands for the gap above the last key). A
-/// [`ScanPage`] carries one per listed row, so the row is read without a
-/// lookup by key; a Serializable-SI transaction keeps one per chain it became
-/// an SIREAD holder of ([`Siread::New`], or an adoption, see
-/// [`Installed::inherited`]) and releases the registration through it, with
-/// no lookup either.
+/// An opaque handle to the version chain of one row. A [`ScanPage`] carries
+/// one per listed row, so the row is read without a lookup by key; a
+/// Serializable-SI transaction keeps one per row it registered an SIREAD on
+/// ([`Siread::New`]) and releases the registration through it, with no lookup
+/// either.
 #[derive(Clone)]
 pub struct RowHandle {
     chain: Arc<RowChain>,
 }
 
 impl RowHandle {
-    /// Removes `reader` from the chain's SIREAD holders, whatever it covered
-    /// there. Returns whether it was registered (false after the reader's own
-    /// write upgraded the registration away, see [`Table::install`]).
+    /// Removes `reader` from the row's SIREAD holders. Returns whether it was
+    /// registered (false after the reader's own write upgraded the
+    /// registration away, see [`Table::install`]).
     pub fn release_siread(&self, reader: TxnId) -> bool {
         self.chain.state.lock().readers.remove(reader)
     }
@@ -444,59 +396,20 @@ impl std::fmt::Debug for RowHandle {
     }
 }
 
-/// What a holder's registration on a chain covers: the row, the gap in front
-/// of the row's key (down to whatever key precedes it in the ordered index),
-/// or both — the next-key lock of Sec. 3.5 as one registration. Kept as two
-/// tag bits in the top of the holder's stored id (see `ReaderSet`).
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct SireadCover(u64);
-
-impl SireadCover {
-    /// The row itself: reported to the next writer of the row.
-    pub const ROW: SireadCover = SireadCover(1 << 63);
-    /// The gap in front of the row's key: reported to the next insert of a
-    /// new key into it, and inherited by that key.
-    pub const GAP: SireadCover = SireadCover(1 << 62);
-    /// What a range scan registers on every row it lists.
-    pub const ROW_AND_GAP: SireadCover = SireadCover(Self::ROW.0 | Self::GAP.0);
-
-    const NONE: SireadCover = SireadCover(0);
-
-    fn without(self, other: SireadCover) -> SireadCover {
-        SireadCover(self.0 & !other.0)
-    }
-}
-
 /// Where a registering read ([`Table::read_registering`]) left the reader's
 /// SIREAD.
 pub enum Siread {
-    /// Newly a holder on the chain. The caller keeps the handle until the
-    /// reader's SIREADs are released (abort, or the cleanup of the suspended
-    /// transaction).
+    /// Newly registered on the row's chain. The caller keeps the handle
+    /// until the reader's SIREADs are released (abort, or the cleanup of the
+    /// suspended transaction).
     New(RowHandle),
-    /// Nothing new to keep: the reader was a holder on this chain already
-    /// (what it asked for was added to what it held), or read its own
-    /// uncommitted write (whose EXCLUSIVE lock covers the row) and asked for
-    /// nothing else.
+    /// Nothing new to keep: the reader was registered on this chain already,
+    /// or read its own uncommitted write (whose EXCLUSIVE lock covers it).
     Held,
     /// The key has no chain to register on. The caller falls back to an
     /// SIREAD on the key in the lock table, where the key's first writer
     /// will look for it.
     NoChain,
-}
-
-impl Siread {
-    /// What a registration on `chain` amounts to: a handle to keep if it
-    /// made the reader a holder there.
-    fn registered(fresh: bool, chain: &Arc<RowChain>) -> Siread {
-        if fresh {
-            Siread::New(RowHandle {
-                chain: chain.clone(),
-            })
-        } else {
-            Siread::Held
-        }
-    }
 }
 
 /// One row of a [`ScanPage`]: the key plus a handle to its version chain.
@@ -526,20 +439,6 @@ pub struct ScanPage {
     /// True if the page reached the end of the scanned range. A page can be
     /// empty and last (the previous page ended exactly at the range's end).
     pub last: bool,
-    /// On the last page: what carries the gap above the last listed key,
-    /// found under the same index lock that listed the rows (see
-    /// [`Table::register_end_gap`]).
-    pub end_gap: Option<ScanEnd>,
-}
-
-/// The first key beyond a scan's upper bound, whose chain carries the gap
-/// that closes the scanned range; without a key, the table's supremum chain.
-#[derive(Debug)]
-pub struct ScanEnd {
-    /// The key, or `None` for the supremum chain.
-    pub key: Option<Arc<[u8]>>,
-    /// Its chain.
-    pub handle: RowHandle,
 }
 
 /// Paging handle over a key range (see [`Table::cursor`]). Each page costs
@@ -678,33 +577,21 @@ pub struct Installed {
     /// Old versions the install dropped from the chain on its way (0 unless
     /// the chain was longer than the pruning bound).
     pub pruned: usize,
-    /// The other transactions whose SIREAD covers what the version changes,
-    /// as of the critical section that made it visible: each has an
-    /// rw-antidependency on the creator. For an update, the holders of the
-    /// row; for the first version of a new key, the holders of the gap it
-    /// went into; for an insert onto a mapped chain that holds no live
-    /// version, every holder of the chain.
+    /// The other transactions registered as SIREAD holders of the row when
+    /// the version went in: each has an rw-antidependency on the creator.
     pub readers: RowReaders,
+    /// The other transactions whose range scan covers the version (one may
+    /// be among `readers` as well): the holders of every live range of the table that
+    /// contains the key, and of every live range of a secondary index that
+    /// contains the entry the version added there — as of the critical
+    /// section that made it reachable. Each has an rw-antidependency on the
+    /// creator too; they are kept apart because for the first live version
+    /// of a key that dependency is a phantom, which the engine can be
+    /// configured not to detect.
+    pub range_readers: RowReaders,
     /// True if the creator's own registration was dropped (the Sec. 3.7.3
     /// upgrade: its EXCLUSIVE lock and first-committer-wins now cover it).
-    /// Only the row is upgraded; a creator that also holds the gap stays a
-    /// holder and this stays false.
     pub upgraded: bool,
-    /// Set when the version created the key's chain and the chain inherited
-    /// gap holders from its successor.
-    pub inherited: Option<Inherited>,
-}
-
-/// The gap holders a new key's chain was created with (§ SIREAD on the row,
-/// inheritance). The caller owes each of them an adoption: hand
-/// [`Inherited::chain`] to the holder so that it releases the copy with the
-/// rest of its SIREADs, or release the copy on the spot if the holder is gone.
-#[derive(Debug)]
-pub struct Inherited {
-    /// The new key's chain.
-    pub chain: RowHandle,
-    /// Everyone copied onto it, the creator included if it held the gap.
-    pub holders: RowReaders,
 }
 
 /// What a locking read needs from one chain visit (see
@@ -719,86 +606,59 @@ pub struct ForUpdateProbe {
     pub upgraded: bool,
 }
 
-/// The SIREAD holders of one chain: the transactions, active or committed
-/// and suspended, that read the row or scanned the gap in front of it under
-/// Serializable SI. Each holder is one word: the transaction id with what it
-/// covers ([`SireadCover`]) in the two top bits, 0 for a free slot. A row is
-/// read by few transactions at a time, so the first two live in the chain
-/// itself and only a third allocates. 24 bytes, which is what a chain may
-/// grow by: the table keeps one per key.
+/// The row-granularity SIREAD holders of one key: the transactions, active
+/// or committed and suspended, that read the row under Serializable SI. A
+/// row is read by few transactions at a time, so the first two live in the
+/// chain itself and only a third allocates. 24 bytes, which is what a chain
+/// may grow by: the table keeps one per key.
 #[derive(Default)]
 struct ReaderSet {
-    inline: [u64; 2],
+    /// [`TxnId::INVALID`] marks a free slot.
+    inline: [TxnId; 2],
     /// Holders beyond the first two, unordered; dropped when it empties.
     /// Boxed so that an unused spill costs a chain 8 bytes, not a `Vec`'s 24.
     #[allow(clippy::box_collection)]
-    spill: Option<Box<Vec<u64>>>,
+    spill: Option<Box<Vec<TxnId>>>,
 }
 
 impl ReaderSet {
-    const COVER: u64 = SireadCover::ROW_AND_GAP.0;
-
-    fn id_of(word: u64) -> TxnId {
-        TxnId(word & !Self::COVER)
-    }
-
-    /// The holders in `holders`, each covering `cover`.
-    fn covering(cover: SireadCover, holders: &[TxnId]) -> Self {
-        let mut set = ReaderSet::default();
-        for holder in holders {
-            set.insert(*holder, cover);
-        }
-        set
-    }
-
-    fn words(&self) -> impl Iterator<Item = u64> + '_ {
-        let spilled = self.spill.as_deref().map_or(&[][..], Vec::as_slice);
-        let inline = self.inline.iter().filter(|word| **word != 0);
-        inline.chain(spilled).copied()
+    fn spilled(&self) -> &[TxnId] {
+        self.spill.as_deref().map_or(&[], Vec::as_slice)
     }
 
     fn iter(&self) -> impl Iterator<Item = TxnId> + '_ {
-        self.words().map(Self::id_of)
+        let inline = self.inline.iter().filter(|id| id.is_valid());
+        inline.chain(self.spilled()).copied()
     }
 
     fn is_empty(&self) -> bool {
         // The spill is dropped with its last holder.
-        self.inline == [0, 0] && self.spill.is_none()
+        self.inline == [TxnId::INVALID; 2] && self.spill.is_none()
     }
 
-    fn word_mut(&mut self, reader: TxnId) -> Option<&mut u64> {
-        let spilled = self.spill.as_deref_mut().into_iter().flatten();
-        let mut words = self.inline.iter_mut().chain(spilled);
-        words.find(|word| Self::id_of(**word) == reader)
-    }
-
-    /// Makes `reader` a holder covering (at least) `cover`; false if it was
-    /// a holder already, whatever it covered.
-    fn insert(&mut self, reader: TxnId, cover: SireadCover) -> bool {
-        debug_assert!(reader.is_valid() && reader.0 & Self::COVER == 0 && cover.0 != 0);
-        if let Some(word) = self.word_mut(reader) {
-            *word |= cover.0;
+    /// Adds `reader`; false if it was a holder already.
+    fn insert(&mut self, reader: TxnId) -> bool {
+        debug_assert!(reader.is_valid());
+        if self.iter().any(|id| id == reader) {
             return false;
         }
-        let word = reader.0 | cover.0;
-        match self.inline.iter_mut().find(|slot| **slot == 0) {
-            Some(slot) => *slot = word,
-            None => self.spill.get_or_insert_default().push(word),
+        match self.inline.iter_mut().find(|id| !id.is_valid()) {
+            Some(slot) => *slot = reader,
+            None => self.spill.get_or_insert_default().push(reader),
         }
         true
     }
 
-    /// Removes `reader`, whatever it covers; false if it was not a holder.
+    /// Removes `reader`; false if it was not a holder.
     fn remove(&mut self, reader: TxnId) -> bool {
-        debug_assert!(reader.is_valid());
-        if let Some(slot) = self.inline.iter_mut().find(|w| Self::id_of(**w) == reader) {
-            *slot = 0;
+        if let Some(slot) = self.inline.iter_mut().find(|id| **id == reader) {
+            *slot = TxnId::INVALID;
             return true;
         }
         let Some(spill) = &mut self.spill else {
             return false;
         };
-        let Some(at) = spill.iter().position(|w| Self::id_of(*w) == reader) else {
+        let Some(at) = spill.iter().position(|id| *id == reader) else {
             return false;
         };
         spill.swap_remove(at);
@@ -808,45 +668,22 @@ impl ReaderSet {
         true
     }
 
-    /// The holders whose registration covers any of `cover`.
-    fn holders(&self, cover: SireadCover) -> RowReaders {
-        let covering = self.words().filter(|word| word & cover.0 != 0);
-        covering.map(Self::id_of).collect()
-    }
-
-    /// Every holder covering any of `cover` but `writer`, for the writer's
-    /// conflict marking; with `upgrade`, `writer` stops covering the row
-    /// too, and is dropped if that was all it covered (reported second).
-    fn report_to(
-        &mut self,
-        writer: TxnId,
-        cover: SireadCover,
-        upgrade: bool,
-    ) -> (RowReaders, bool) {
-        let readers = holders_but(&self.holders(cover), writer);
-        let mut upgraded = false;
-        if upgrade {
-            if let Some(word) = self.word_mut(writer) {
-                *word &= !SireadCover::ROW.0;
-                upgraded = *word & Self::COVER == 0;
-            }
-            if upgraded {
-                self.remove(writer);
-            }
+    /// Every holder but `writer`, for the writer's conflict marking; drops
+    /// `writer`'s own registration too when `upgrade` (reported second).
+    fn report_to(&mut self, writer: TxnId, upgrade: bool) -> (RowReaders, bool) {
+        if self.is_empty() {
+            // Every write below Serializable SI, and most above it.
+            return (RowReaders::new(), false);
         }
-        (readers, upgraded)
+        let readers = self.iter().filter(|id| *id != writer).collect();
+        (readers, upgrade && self.remove(writer))
     }
-}
-
-/// `holders` without `writer`: whom a writer's conflict marking concerns.
-fn holders_but(holders: &RowReaders, writer: TxnId) -> RowReaders {
-    holders.iter().copied().filter(|h| *h != writer).collect()
 }
 
 /// What a chain's mutex guards: the versions, **oldest first** — installing
 /// is a push, pruning drops a prefix, and every reader walks them in reverse
 /// (newest first); see the module docs, § Locking protocol, for the order
-/// they are in — and the chain's SIREAD holders.
+/// they are in — and the row's SIREAD holders.
 struct ChainState {
     versions: Vec<Arc<Version>>,
     readers: ReaderSet,
@@ -857,38 +694,21 @@ impl ChainState {
     fn is_unused(&self) -> bool {
         self.versions.is_empty() && self.readers.is_empty()
     }
-
-    /// The SIREAD holders an install is told about, and the Sec. 3.7.3
-    /// upgrade of the writer's own. Called before the version is pushed: an
-    /// update concerns the holders of the row; an insert onto a chain that
-    /// holds no live version (what a rolled-back insert leaves mapped) lands
-    /// in the gap as well, and every scanner that covers the key's place is
-    /// a holder here — it listed the key, or was copied here when the key
-    /// split its gap. Costs one compare when nobody is registered: every
-    /// write below Serializable SI, and most above it.
-    fn report_to(&mut self, writer: TxnId, upgrade: bool) -> (RowReaders, bool) {
-        if self.readers.is_empty() {
-            return (RowReaders::new(), false);
-        }
-        let cover = if write_probe(&self.versions).has_live_version {
-            SireadCover::ROW
-        } else {
-            SireadCover::ROW_AND_GAP
-        };
-        self.readers.report_to(writer, cover, upgrade)
-    }
 }
 
-/// The version chain of one key, and the SIREAD holders of the key and of
-/// the gap in front of it, behind one lock.
+/// The version chain of one key, and the key's SIREAD holders, behind one
+/// lock.
 struct RowChain {
     state: Mutex<ChainState>,
 }
 
 impl RowChain {
-    fn new(versions: Vec<Arc<Version>>, readers: ReaderSet) -> Arc<Self> {
+    fn with_version(version: Arc<Version>) -> Arc<Self> {
         Arc::new(RowChain {
-            state: Mutex::new(ChainState { versions, readers }),
+            state: Mutex::new(ChainState {
+                versions: vec![version],
+                readers: ReaderSet::default(),
+            }),
         })
     }
 
@@ -899,27 +719,12 @@ impl RowChain {
     /// The Serializable-SI read: the snapshot read and the reader's SIREAD
     /// registration in one critical section, so every version pushed before
     /// it is in the read and every version pushed after it finds the reader.
-    /// Returns whether the reader is newly a holder. A reader that sees its
-    /// own uncommitted write does not register on the row (the gap, if asked
-    /// for, it does), and with `only_if_live` nothing is registered by one
-    /// that finds no live version — a chain reached through a stale handle
-    /// may be unmapped, and a registration there would be lost.
-    fn read_registering(
-        &self,
-        reader: TxnId,
-        snapshot_ts: Timestamp,
-        cover: SireadCover,
-        only_if_live: bool,
-    ) -> (VisibleRead, bool) {
+    /// Returns whether the reader was newly registered; one that sees its
+    /// own uncommitted write is not registered.
+    fn read_registering(&self, reader: TxnId, snapshot_ts: Timestamp) -> (VisibleRead, bool) {
         let mut state = self.state.lock();
         let read = snapshot_read(&state.versions, reader, snapshot_ts);
-        let cover = if read.read_own_write {
-            cover.without(SireadCover::ROW)
-        } else {
-            cover
-        };
-        let register = cover != SireadCover::NONE && (read.key_exists || !only_if_live);
-        let fresh = register && state.readers.insert(reader, cover);
+        let fresh = !read.read_own_write && state.readers.insert(reader);
         (read, fresh)
     }
 
@@ -1063,16 +868,9 @@ pub struct Table {
     /// Ordered side index over the same chains, for scans and next-key
     /// queries only. Point operations on existing keys never touch it.
     ordered: RwLock<OrderedIndex>,
-    /// Stands for the key above every key: holds no version and is in
-    /// neither map, and carries the SIREAD holders of the gap above the last
-    /// key (InnoDB's supremum record).
-    supremum: Arc<RowChain>,
-    /// Set, for good, by the first SIREAD registration on a gap of this
-    /// table, before it is made. Until then the insert of a new key has no
-    /// holders to look for and does not visit its successor: a table that is
-    /// loaded, or never scanned under Serializable SI, inserts as if gaps did
-    /// not exist (see [`Table::gap_holders_of_successor`]).
-    gaps_scanned: AtomicBool,
+    /// The live Serializable-SI range scans of this table's keys (module
+    /// docs, § Why scans stay consistent under SSI).
+    ranges: Arc<RangeReaders>,
     /// Registered secondary indexes, maintained by the membership hooks
     /// (see the module docs). Lock order is always shard → this list.
     indexes: RwLock<Vec<Arc<Index>>>,
@@ -1087,8 +885,7 @@ impl Table {
             name: name.into(),
             shards,
             ordered: RwLock::new(OrderedIndex::default()),
-            supremum: RowChain::new(Vec::new(), ReaderSet::default()),
-            gaps_scanned: AtomicBool::new(false),
+            ranges: Arc::default(),
             indexes: RwLock::new(Vec::new()),
         }
     }
@@ -1139,27 +936,48 @@ impl Table {
         }
     }
 
-    /// The Serializable-SI point read: [`Table::read`] that also makes
-    /// `reader` an SIREAD holder of the key's chain covering `cover`, in the
-    /// same chain critical section (see the module docs, § SIREAD on the
-    /// row). The lookup, the read and the registration run under the shard
-    /// read lock, which excludes the chain's removal, so the registration
-    /// lands on the chain the key's next writer will find. A key without a
-    /// chain has nothing to register on ([`Siread::NoChain`]).
+    /// The Serializable-SI point read: [`Table::read`] that also registers
+    /// `reader` as an SIREAD holder of the row, in the same chain critical
+    /// section (see the module docs, § SIREAD on the row). The lookup, the
+    /// read and the registration run under the shard read lock, which
+    /// excludes the chain's removal, so the registration lands on the chain
+    /// the key's next writer will find. A key without a chain has nothing to
+    /// register on ([`Siread::NoChain`]).
     pub fn read_registering(
         &self,
         key: &[u8],
         reader: TxnId,
         snapshot_ts: Timestamp,
-        cover: SireadCover,
     ) -> (VisibleRead, Siread) {
-        self.note_gap_registration(cover);
         let rows = self.shard(key).rows.read();
         let Some(chain) = rows.get(key) else {
             return (VisibleRead::default(), Siread::NoChain);
         };
-        let (read, fresh) = chain.read_registering(reader, snapshot_ts, cover, false);
-        (read, Siread::registered(fresh, chain))
+        let (read, fresh) = chain.read_registering(reader, snapshot_ts);
+        let siread = if fresh {
+            Siread::New(RowHandle {
+                chain: chain.clone(),
+            })
+        } else {
+            Siread::Held
+        };
+        (read, siread)
+    }
+
+    /// Registers `reader` as the holder of the key range `(lower, upper)`:
+    /// the whole SIREAD of a Serializable-SI range scan, to be made before
+    /// the scan lists its first page (module docs, § Why scans stay
+    /// consistent under SSI). From then until the handle is released, every
+    /// [`Table::install`] of a version of a key in the range reports `reader`
+    /// in [`Installed::range_readers`]. `None` if `reader` already holds a
+    /// range on this table that covers this one.
+    pub fn register_range(
+        &self,
+        lower: Bound<&[u8]>,
+        upper: Bound<&[u8]>,
+        reader: TxnId,
+    ) -> Option<RangeHandle> {
+        self.ranges.register(lower, upper, reader)
     }
 
     /// Read-committed read: latest committed value (or the reader's own
@@ -1202,7 +1020,7 @@ impl Table {
         };
         let mut state = chain.state.lock();
         let probe = write_probe(&state.versions);
-        let (readers, upgraded) = state.report_to(writer, upgrade);
+        let (readers, upgraded) = state.readers.report_to(writer, upgrade);
         ForUpdateProbe {
             probe,
             readers,
@@ -1215,22 +1033,15 @@ impl Table {
     /// handle the caller keeps in its write set for later commit stamping or
     /// rollback. [`Table::install`] with a copied payload, the creator's
     /// SIREAD upgraded away and a horizon of zero, at which nothing is
-    /// reclaimable — for loads, recovery and tests, which run with no
-    /// Serializable-SI scanner to adopt for: gap holders a new key inherits
-    /// are released again on the spot.
+    /// reclaimable — for loads, recovery and tests.
     pub fn install_version(
         &self,
         key: &[u8],
         creator: TxnId,
         value: Option<Vec<u8>>,
     ) -> Arc<Version> {
-        let installed = self.install(key, creator, value.map(Bytes::from), true, || TS_ZERO);
-        if let Some(inherited) = installed.inherited {
-            for holder in &inherited.holders {
-                inherited.chain.release_siread(*holder);
-            }
-        }
-        installed.version
+        self.install(key, creator, value.map(Bytes::from), true, || TS_ZERO)
+            .version
     }
 
     /// Installs a new uncommitted version of `key` holding `value` (shared,
@@ -1242,16 +1053,14 @@ impl Table {
     /// the first write of a brand-new key takes the shard and ordered-index
     /// write locks. Installing is a push, whatever the chain holds.
     ///
-    /// **The readers.** The critical section that makes the version visible
-    /// also reports the SIREAD holders it concerns ([`Installed::readers`]):
-    /// a Serializable-SI reader either registered before it and is reported,
-    /// or reads after it and finds the version. For an update those are the
-    /// holders of the row, and with `upgrade` the creator's own row
-    /// registration is dropped there too ([`Installed::upgraded`]). For the
-    /// first version of a new key they are the holders of the gap the key
-    /// goes into — found on its successor under the ordered-index write lock
-    /// that links the key — and the new chain starts out with a copy of them
-    /// ([`Installed::inherited`]), which the caller must have adopted.
+    /// **The readers.** The critical section that makes the version
+    /// reachable also reports whose SIREAD covers it: the row's registered
+    /// readers ([`Installed::readers`]; with `upgrade` the creator's own
+    /// registration is dropped there too, [`Installed::upgraded`]) and the
+    /// holders of every live range that contains the key
+    /// ([`Installed::range_readers`]). A Serializable-SI reader either
+    /// registered before that critical section and is reported, or reads
+    /// after it and finds the version.
     ///
     /// **Writer-side pruning.** A writer that finds more than
     /// `PRUNE_ABOVE` (four) versions calls `horizon` — once, under the chain
@@ -1292,93 +1101,33 @@ impl Table {
             return self.push_pruning(key, chain, version, upgrade, horizon);
         }
         let key_arc: Arc<[u8]> = Arc::from(key);
-        let (chain, holders) = {
-            // One critical section links the key and splits the gap it goes
-            // into: whoever holds that gap now is told of the insert and
-            // holds the new key's gap from the start; whoever registers
-            // there later finds the epoch moved (module docs, § Why scans
-            // stay consistent under SSI).
+        let chain = RowChain::with_version(version.clone());
+        let mut range_readers = RowReaders::new();
+        {
+            // One critical section links the key and looks for the scans it
+            // is a phantom of: a scan that lists the index after this has
+            // the key on its page, one that listed it before had registered
+            // before that (module docs, § Why scans stay consistent under
+            // SSI).
             let mut ordered = self.ordered.write();
-            let holders = self.gap_holders_of_successor(&ordered, key);
-            let inherited = ReaderSet::covering(SireadCover::GAP, &holders);
-            let chain = RowChain::new(vec![version.clone()], inherited);
             ordered.chains.insert(key_arc.clone(), chain.clone());
             ordered.epoch += 1;
-            (chain, holders)
-        };
-        // Nearly always nobody: a load must not pay for the handle.
-        let inherited = (!holders.is_empty()).then(|| Inherited {
-            chain: RowHandle {
-                chain: chain.clone(),
-            },
-            holders,
-        });
+            self.ranges.report_to(key, creator, &mut range_readers);
+        }
         rows.insert(key_arc, chain);
-        self.add_index_refs(key, &version);
-        let readers = match &inherited {
-            Some(inherited) => holders_but(&inherited.holders, creator),
-            None => RowReaders::new(),
-        };
+        self.add_index_refs(key, &version, &mut range_readers);
         Installed {
             version,
             pruned: 0,
-            readers,
+            readers: RowReaders::new(),
+            range_readers,
             upgraded: false,
-            inherited,
         }
-    }
-
-    /// Records that a registration covering `cover` is about to be made:
-    /// the first one on a gap turns the successor visit of inserts on. The
-    /// flag is set before the registration and read by the inserter inside
-    /// the critical section that links its key, so an inserter that misses
-    /// the flag has linked before the registering scan checks the epoch, and
-    /// is found by the scan's sweep instead (module docs, § Why scans stay
-    /// consistent under SSI). Sequentially consistent on both sides; the
-    /// load that guards the store keeps a scan from writing to a line every
-    /// scan and every insert reads.
-    #[inline]
-    fn note_gap_registration(&self, cover: SireadCover) {
-        let gap = cover.0 & SireadCover::GAP.0 != 0;
-        if gap && !self.gaps_scanned.load(Ordering::SeqCst) {
-            self.gaps_scanned.store(true, Ordering::SeqCst);
-        }
-    }
-
-    /// The holders of the gap a key at `key` lies in: the gap holders of the
-    /// first key above it, or of the supremum chain; nobody, without looking,
-    /// while no gap of the table has ever been registered on. The caller
-    /// holds the ordered-index lock; this takes the successor's chain mutex
-    /// under it (lock order *ordered index → chain*). A successor nothing is
-    /// using is passed over: it may be a chain already unmapped from its
-    /// shard and waiting to leave the index, and whoever relies on the gap is
-    /// then registered further up. When nobody is registered there this costs
-    /// a second descent of the index, one mutex and one compare.
-    fn gap_holders_of_successor(&self, ordered: &OrderedIndex, key: &[u8]) -> RowReaders {
-        if !self.gaps_scanned.load(Ordering::SeqCst) {
-            return RowReaders::new();
-        }
-        let above = (Bound::Excluded(key), Bound::Unbounded);
-        for (_, chain) in ordered.chains.range::<[u8], _>(above) {
-            let state = chain.state.lock();
-            if !state.is_unused() {
-                return state.readers.holders(SireadCover::GAP);
-            }
-        }
-        self.supremum.state.lock().readers.holders(SireadCover::GAP)
-    }
-
-    /// The other holders of the gap above `key` (see
-    /// `Table::gap_holders_of_successor`), for a delete, which reports to
-    /// them as the lock-table protocol of Fig. 3.7 did.
-    pub fn gap_holders_above(&self, key: &[u8], writer: TxnId) -> RowReaders {
-        let ordered = self.ordered.read();
-        holders_but(&self.gap_holders_of_successor(&ordered, key), writer)
     }
 
     /// Pushes `version` onto an existing chain, first pruning the chain if
-    /// it is over the bound, and collects the readers it concerns. The
-    /// caller holds the key's shard lock (read or write).
+    /// it is over the bound, and collects its readers. The caller holds the
+    /// key's shard lock (read or write).
     fn push_pruning(
         &self,
         key: &[u8],
@@ -1399,16 +1148,21 @@ impl Table {
         } else {
             0
         };
-        let (readers, upgraded) = state.report_to(version.creator(), upgrade);
+        let creator = version.creator();
+        let (readers, upgraded) = state.readers.report_to(creator, upgrade);
         state.versions.push(version.clone());
+        // Pushed first, ranges second, under the one hold of the chain
+        // mutex that every reader of the row takes too.
+        let mut range_readers = RowReaders::new();
+        self.ranges.report_to(key, creator, &mut range_readers);
         drop(state);
-        self.add_index_refs(key, &version);
+        self.add_index_refs(key, &version, &mut range_readers);
         Installed {
             version,
             pruned,
             readers,
+            range_readers,
             upgraded,
-            inherited: None,
         }
     }
 
@@ -1431,13 +1185,15 @@ impl Table {
     }
 
     /// Adds one entry reference per registered index for a freshly
-    /// installed version. Must be called while the caller still holds the
-    /// version's shard lock (read or write) — see the module docs.
-    fn add_index_refs(&self, key: &[u8], version: &Version) {
+    /// installed version, and appends to `range_readers` the holders of the
+    /// index ranges that contain an entry it added (see
+    /// [`Index::add_ref_reporting`]). Must be called while the caller still
+    /// holds the version's shard lock (read or write) — see the module docs.
+    fn add_index_refs(&self, key: &[u8], version: &Version, range_readers: &mut RowReaders) {
         let Some(value) = version.value() else { return };
         for index in self.indexes.read().iter() {
             if let Some(entry) = index.entry_of(key, value) {
-                index.add_ref(&entry);
+                index.add_ref_reporting(&entry, version.creator(), range_readers);
             }
         }
     }
@@ -1574,8 +1330,7 @@ impl Table {
     }
 
     /// Copies out up to `limit` rows of the range under one ordered-index
-    /// read lock, with the membership epoch of that instant and, if the
-    /// range ends in this page, the chain that carries its end gap.
+    /// read lock, with the membership epoch of that instant.
     fn page(&self, lower: Bound<&[u8]>, upper: Bound<&[u8]>, limit: usize) -> ScanPage {
         let ordered = self.ordered.read();
         let rows: Vec<ScanRow> = ordered
@@ -1591,44 +1346,18 @@ impl Table {
             .collect();
         // A short page proves the range was exhausted; a full one may be
         // followed by more keys.
-        let last = rows.len() < limit;
-        let end_gap = last.then(|| self.first_chain_beyond(&ordered, upper));
         ScanPage {
-            last,
-            end_gap,
+            last: rows.len() < limit,
             epoch: ordered.epoch,
             rows,
-        }
-    }
-
-    /// The first key above a scan's `upper` bound and its chain, or the
-    /// supremum chain (and no key) when the range is open or nothing lies
-    /// above it.
-    fn first_chain_beyond(&self, ordered: &OrderedIndex, upper: Bound<&[u8]>) -> ScanEnd {
-        let from = match upper {
-            Bound::Included(h) => Some(Bound::Excluded(h)),
-            Bound::Excluded(h) => Some(Bound::Included(h)),
-            Bound::Unbounded => None,
-        };
-        let first = from.and_then(|from| {
-            let mut beyond = ordered.chains.range::<[u8], _>((from, Bound::Unbounded));
-            beyond.next()
-        });
-        let (key, chain) = match first {
-            Some((key, chain)) => (Some(key.clone()), chain.clone()),
-            None => (None, self.supremum.clone()),
-        };
-        ScanEnd {
-            key,
-            handle: RowHandle { chain },
         }
     }
 
     /// Paging cursor over a key range: [`ScanCursor::next_page`] hands out
     /// [`SCAN_PAGE_SIZE`] keys and chain handles at a time without reading
     /// them, so the caller decides what happens between seeing a key and
-    /// reading it (Serializable SI takes the page's SIREAD locks there; see
-    /// the module docs). Only one page of handles is ever materialized, and
+    /// reading it (S2PL takes the page's SHARED locks there; see the module
+    /// docs). Only one page of handles is ever materialized, and
     /// concurrent inserts of new keys proceed between pages.
     pub fn cursor<'a>(&'a self, lower: Bound<&'a [u8]>, upper: Bound<&'a [u8]>) -> ScanCursor<'a> {
         ScanCursor {
@@ -1652,90 +1381,6 @@ impl Table {
             read
         } else {
             self.read(&row.key, reader, snapshot_ts)
-        }
-    }
-
-    /// The Serializable-SI read of one scanned row: [`Table::read_row`] that
-    /// also makes `reader` an SIREAD holder of the row's chain covering
-    /// `cover`, and when it is newly one hands the page's handle back as the
-    /// one to release through. The registration goes through the handle only
-    /// if the read there found a live version, which proves the chain is
-    /// still mapped (an unmapped chain is empty for good); otherwise the key
-    /// is re-resolved and registered under its shard lock
-    /// ([`Table::read_registering`]).
-    pub fn read_row_registering(
-        &self,
-        key: &[u8],
-        handle: RowHandle,
-        reader: TxnId,
-        snapshot_ts: Timestamp,
-        cover: SireadCover,
-    ) -> (VisibleRead, Siread) {
-        self.note_gap_registration(cover);
-        let (read, fresh) = handle
-            .chain
-            .read_registering(reader, snapshot_ts, cover, true);
-        match (read.key_exists, fresh) {
-            (true, true) => (read, Siread::New(handle)),
-            (true, false) => (read, Siread::Held),
-            (false, _) => self.read_registering(key, reader, snapshot_ts, cover),
-        }
-    }
-
-    /// Makes `reader` a holder of the gap that closes a scan's range: the
-    /// gap in front of the first key above `upper`, or the one above the
-    /// last key of the table. `end` is what the scan's last page found for
-    /// it ([`ScanPage::end_gap`]). As for a row, the registration goes
-    /// through the handle only on proof that the chain is still mapped — it
-    /// is the supremum chain, or something is using it, and a chain in use
-    /// is never unmapped; otherwise the bound is resolved again
-    /// ([`Table::register_gap_above`]). Returns the key it registered on as
-    /// well (`None`: the supremum chain). Never [`Siread::NoChain`].
-    pub fn register_end_gap(
-        &self,
-        end: ScanEnd,
-        upper: Bound<&[u8]>,
-        reader: TxnId,
-    ) -> (Siread, Option<Arc<[u8]>>) {
-        self.note_gap_registration(SireadCover::GAP);
-        let ScanEnd { key, handle } = end;
-        let mut state = handle.chain.state.lock();
-        if key.is_some() && state.is_unused() {
-            drop(state);
-            return self.register_gap_above(upper, reader);
-        }
-        let fresh = state.readers.insert(reader, SireadCover::GAP);
-        drop(state);
-        (Siread::registered(fresh, &handle.chain), key)
-    }
-
-    /// [`Table::register_end_gap`] without a handle to try first: finds the
-    /// first key above `upper` and registers under its shard lock. Also what
-    /// covers the place of a key that is not there: a scan that finds no
-    /// chain for a key it listed registers on the gap above it, and if the
-    /// key is still missing after that, its next insert will find the scan
-    /// there.
-    pub fn register_gap_above(
-        &self,
-        upper: Bound<&[u8]>,
-        reader: TxnId,
-    ) -> (Siread, Option<Arc<[u8]>>) {
-        self.note_gap_registration(SireadCover::GAP);
-        let register = |chain: &Arc<RowChain>| {
-            let fresh = chain.state.lock().readers.insert(reader, SireadCover::GAP);
-            Siread::registered(fresh, chain)
-        };
-        loop {
-            let ScanEnd { key, handle } = self.first_chain_beyond(&self.ordered.read(), upper);
-            let Some(key) = key else {
-                return (register(&handle.chain), None);
-            };
-            // Still in the index but gone from its shard: its removal is
-            // under way, look again.
-            if let Some(chain) = self.shard(&key).rows.read().get(&key[..]) {
-                return (register(chain), Some(key));
-            }
-            std::thread::yield_now();
         }
     }
 
@@ -1893,17 +1538,19 @@ impl Table {
             .sum()
     }
 
-    /// Total number of SIREAD holders (reader, chain) on the table's
-    /// chains, the supremum chain included, for tests and leak checks: 0
-    /// once every Serializable SI transaction has finished and been cleaned
-    /// up.
+    /// Total number of SIREAD holders on the table — (reader, chain) pairs,
+    /// plus the range registrations on the table and on its secondary
+    /// indexes — for tests and leak checks: 0 once every Serializable SI
+    /// transaction has finished and been cleaned up.
     pub fn siread_holder_count(&self) -> usize {
         let holders = |chain: &Arc<RowChain>| chain.state.lock().readers.iter().count();
         let mapped = self.shards.iter().map(|s| {
             let rows = s.rows.read();
             rows.values().map(holders).sum::<usize>()
         });
-        mapped.sum::<usize>() + holders(&self.supremum)
+        let indexes = self.indexes.read();
+        let index_ranges = indexes.iter().map(|index| index.range_count());
+        mapped.sum::<usize>() + self.ranges.len() + index_ranges.sum::<usize>()
     }
 }
 
@@ -1928,10 +1575,6 @@ mod siread_model_tests;
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    const ROW: SireadCover = SireadCover::ROW;
-    const GAP: SireadCover = SireadCover::GAP;
-    const ROW_AND_GAP: SireadCover = SireadCover::ROW_AND_GAP;
 
     fn t(id: u64) -> TxnId {
         TxnId(id)
@@ -2461,13 +2104,14 @@ mod tests {
     fn reader_set_keeps_two_inline_and_spills_the_rest() {
         assert!(std::mem::size_of::<ReaderSet>() <= 24);
         // What the table pays per key, counting the two words of its `Arc`:
-        // the 72-byte chain `rss_peak_mb` rides on.
+        // the 72-byte chain `rss_peak_mb` rides on. A range scan adds nothing
+        // to it.
         assert_eq!(std::mem::size_of::<RowChain>() + 16, 72);
         let mut set = ReaderSet::default();
         assert!(set.is_empty());
         for id in 1..=5 {
-            assert!(set.insert(t(id), ROW));
-            assert!(!set.insert(t(id), ROW), "already a holder");
+            assert!(set.insert(t(id)));
+            assert!(!set.insert(t(id)), "already a holder");
         }
         assert!(set.spill.as_ref().is_some_and(|spill| spill.len() == 3));
         let mut held: Vec<TxnId> = set.iter().collect();
@@ -2476,14 +2120,14 @@ mod tests {
         // A freed inline slot is reused before the spill grows.
         assert!(set.remove(t(1)));
         assert!(!set.remove(t(1)));
-        assert!(set.insert(t(6), ROW));
-        assert_eq!(set.inline.map(ReaderSet::id_of), [t(6), t(2)]);
+        assert!(set.insert(t(6)));
+        assert_eq!(set.inline, [t(6), t(2)]);
         // The writer is left out of its own report, and dropped on upgrade.
-        let (readers, upgraded) = set.report_to(t(2), ROW, false);
+        let (readers, upgraded) = set.report_to(t(2), false);
         assert_eq!((readers.len(), upgraded), (4, false));
-        let (readers, upgraded) = set.report_to(t(2), ROW, true);
+        let (readers, upgraded) = set.report_to(t(2), true);
         assert_eq!((readers.len(), upgraded), (4, true));
-        assert!(!set.report_to(t(2), ROW, true).1);
+        assert!(!set.report_to(t(2), true).1);
         // The spill goes when its last holder does.
         for id in 3..=5 {
             assert!(set.remove(t(id)));
@@ -2494,52 +2138,22 @@ mod tests {
     }
 
     #[test]
-    fn a_holder_covers_row_gap_or_both_and_only_the_row_is_upgraded() {
-        let mut set = ReaderSet::default();
-        assert!(set.insert(t(1), ROW));
-        assert!(set.insert(t(2), GAP));
-        assert!(set.insert(t(3), ROW_AND_GAP));
-        // In the spill as inline.
-        assert!(set.insert(t(4), GAP));
-        assert!(!set.insert(t(4), ROW), "one holder, covering more");
-        assert_eq!(set.holders(ROW), vec![t(1), t(3), t(4)]);
-        assert_eq!(set.holders(GAP), vec![t(2), t(3), t(4)]);
-        assert_eq!(set.holders(ROW_AND_GAP).len(), 4);
-        // An update is told of the row's holders, an insert of everyone's.
-        assert_eq!(set.report_to(t(9), ROW, true), (set.holders(ROW), false));
-        assert_eq!(set.report_to(t(9), ROW_AND_GAP, true).0.len(), 4);
-        // The upgrade takes the row and leaves the gap: only a holder that
-        // covered nothing else is gone.
-        assert!(!set.report_to(t(3), ROW, true).1);
-        assert_eq!(set.holders(ROW), vec![t(1), t(4)]);
-        assert_eq!(set.holders(GAP), vec![t(2), t(3), t(4)]);
-        assert!(!set.report_to(t(2), ROW, true).1, "held the gap alone");
-        assert!(set.report_to(t(1), ROW, true).1);
-        assert_eq!(set.iter().count(), 3);
-        // Releasing takes whatever the holder covered.
-        for id in 2..=4 {
-            assert!(set.remove(t(id)));
-        }
-        assert!(set.is_empty());
-    }
-
-    #[test]
     fn registering_read_and_install_find_each_other() {
         let tbl = table();
         assert!(matches!(
-            tbl.read_registering(b"a", t(9), 20, ROW).1,
+            tbl.read_registering(b"a", t(9), 20).1,
             Siread::NoChain
         ));
         tbl.install_version(b"a", t(1), Some(vec![1]))
             .mark_committed(10);
         // The reader registers, once; a second read holds what it has.
-        let (read, first) = tbl.read_registering(b"a", t(2), 20, ROW);
+        let (read, first) = tbl.read_registering(b"a", t(2), 20);
         assert_eq!(val(&read), Some(vec![1]));
         let Siread::New(handle) = first else {
             panic!("first read of the row registers");
         };
         assert!(matches!(
-            tbl.read_registering(b"a", t(2), 20, ROW).1,
+            tbl.read_registering(b"a", t(2), 20).1,
             Siread::Held
         ));
         assert_eq!(tbl.siread_holder_count(), 1);
@@ -2548,10 +2162,10 @@ mod tests {
         let installed = tbl.install(b"a", t(3), Some(vec![3].into()), true, || TS_ZERO);
         assert_eq!(installed.readers, vec![t(2)]);
         assert!(!installed.upgraded, "the writer had not read the row");
-        let (read, _) = tbl.read_registering(b"a", t(4), 20, ROW);
+        let (read, _) = tbl.read_registering(b"a", t(4), 20);
         assert_eq!(read.newer_creators, vec![t(3)]);
         // The writer's own read of its write registers nothing.
-        let (own, siread) = tbl.read_registering(b"a", t(3), 20, ROW);
+        let (own, siread) = tbl.read_registering(b"a", t(3), 20);
         assert!(own.read_own_write && matches!(siread, Siread::Held));
         // A reader that writes is upgraded away, unless told to stay.
         installed.version.mark_committed(30);
@@ -2575,7 +2189,7 @@ mod tests {
         // the chain holds no version but stays where the next insert of the
         // key will find the reader.
         let ins = tbl.install_version(b"k", t(1), Some(vec![1]));
-        let (read, siread) = tbl.read_registering(b"k", t(2), 5, ROW);
+        let (read, siread) = tbl.read_registering(b"k", t(2), 5);
         assert_eq!(read.newer_creators, vec![t(1)]);
         let Siread::New(handle) = siread else {
             panic!("registers under the insert");
@@ -2603,7 +2217,7 @@ mod tests {
         assert_eq!(tbl.key_count(), 0);
         // …including one a rollback had to leave behind.
         let ins = tbl.install_version(b"j", t(6), Some(vec![6]));
-        let Siread::New(handle) = tbl.read_registering(b"j", t(7), 5, ROW).1 else {
+        let Siread::New(handle) = tbl.read_registering(b"j", t(7), 5).1 else {
             panic!("registers under the insert");
         };
         ins.mark_aborted();
@@ -2617,172 +2231,105 @@ mod tests {
     }
 
     #[test]
-    fn a_scan_handle_registers_only_on_a_mapped_chain() {
+    fn a_range_is_reported_to_every_install_of_a_key_it_contains() {
         let tbl = table();
-        let gone = tbl.install_version(b"k", t(1), Some(vec![1]));
-        let mut page = tbl
-            .cursor(Bound::Unbounded, Bound::Unbounded)
-            .next_page()
-            .unwrap();
-        let ScanRow { key, handle } = page.rows.remove(0);
-        // The handle's chain dies and the key is created again: the
-        // registration must land on the new chain.
-        gone.mark_aborted();
-        tbl.unlink_version(b"k", &gone);
-        tbl.install_version(b"k", t(2), Some(vec![2]))
-            .mark_committed(10);
-        let stale = handle.clone();
-        let (read, siread) = tbl.read_row_registering(&key, handle, t(3), 5, ROW);
-        assert_eq!(read.newer_creators, vec![t(2)]);
-        assert!(matches!(siread, Siread::New(_)));
-        assert!(stale.chain.state.lock().readers.is_empty());
-        let update = tbl.install(b"k", t(4), Some(vec![4].into()), true, || TS_ZERO);
-        assert_eq!(update.readers, vec![t(3)]);
-        // Through a live handle the page's own handle comes back.
-        let row = tbl
-            .cursor(Bound::Unbounded, Bound::Unbounded)
-            .next_page()
-            .unwrap()
-            .rows
-            .remove(0);
-        let (_, siread) = tbl.read_row_registering(&row.key, row.handle.clone(), t(5), 5, ROW);
-        let Siread::New(kept) = siread else {
-            panic!("registers through the handle");
-        };
-        assert!(Arc::ptr_eq(&kept.chain, &row.handle.chain));
-        // A key that is gone altogether has nothing to register on.
-        let dead = tbl.install_version(b"z", t(6), Some(vec![6]));
-        let row = tbl
-            .cursor(Bound::Included(b"z"), Bound::Unbounded)
-            .next_page()
-            .unwrap()
-            .rows
-            .remove(0);
-        dead.mark_aborted();
-        tbl.unlink_version(b"z", &dead);
-        let (read, siread) = tbl.read_row_registering(&row.key, row.handle, t(7), 5, ROW);
-        assert!(!read.key_exists && matches!(siread, Siread::NoChain));
-    }
-
-    #[test]
-    fn a_scan_registers_on_rows_gaps_and_the_end_of_its_range() {
-        let tbl = table();
-        for k in [b"b", b"d", b"f"] {
+        for k in [b"b", b"d", b"h"] {
             tbl.install_version(k, t(1), Some(vec![1]))
                 .mark_committed(10);
         }
-        // A scan of [b, d]: both rows with the gaps in front of them, and the
-        // gap that closes the range on the first key beyond it.
-        let mut page = tbl
-            .cursor(Bound::Included(b"b"), Bound::Included(b"d"))
-            .next_page()
-            .unwrap();
-        assert_eq!(page.rows.len(), 2);
-        for row in page.rows.drain(..) {
-            let (_, siread) = tbl.read_row_registering(&row.key, row.handle, t(2), 20, ROW_AND_GAP);
-            assert!(matches!(siread, Siread::New(_)));
-        }
-        let end = page.end_gap.take().expect("the range ends in this page");
-        assert_eq!(end.key.as_deref(), Some(&b"f"[..]));
-        let (siread, on) = tbl.register_end_gap(end, Bound::Included(b"d"), t(2));
-        assert!(matches!(siread, Siread::New(_)));
-        assert_eq!(on.as_deref(), Some(&b"f"[..]));
-        assert_eq!(tbl.siread_holder_count(), 3);
-        // An update of `f` is no business of the scan's, a new key in front
-        // of it is; so is one between the rows, and none above `f`.
-        let update = tbl.install(b"f", t(3), Some(vec![3].into()), true, || TS_ZERO);
-        assert!(update.readers.is_empty() && update.inherited.is_none());
-        let e = tbl.install(b"e", t(3), Some(vec![3].into()), true, || TS_ZERO);
-        assert_eq!(e.readers, vec![t(2)]);
-        let c = tbl.install(b"c", t(3), Some(vec![3].into()), true, || TS_ZERO);
-        assert_eq!(c.readers, vec![t(2)]);
-        let g = tbl.install(b"g", t(3), Some(vec![3].into()), true, || TS_ZERO);
-        assert!(g.readers.is_empty() && g.inherited.is_none());
-        // The new keys start out with the scan on their gap: a second key in
-        // front of one finds it there.
-        let inherited = c.inherited.expect("a copy for the scan");
-        assert_eq!(inherited.holders, vec![t(2)]);
-        assert_eq!(tbl.siread_holder_count(), 5);
-        let again = tbl.install(b"bb", t(4), Some(vec![4].into()), true, || TS_ZERO);
-        assert_eq!(again.readers, vec![t(2)]);
-        // An unbounded scan ends on the supremum chain, which is in no map.
-        let page = tbl
-            .cursor(Bound::Included(b"g"), Bound::Unbounded)
-            .next_page();
-        let end = page.unwrap().end_gap.expect("last page");
-        assert!(end.key.is_none());
-        let (siread, on) = tbl.register_end_gap(end, Bound::Unbounded, t(5));
-        let Siread::New(supremum) = siread else {
-            panic!("registers above the last key");
+        // Installs and commits, one writer after the other.
+        let clock = std::cell::Cell::new(10);
+        let write = |key: &[u8], creator: u64, value: Option<Vec<u8>>| {
+            let value = value.map(Bytes::from);
+            let installed = tbl.install(key, t(creator), value, true, || TS_ZERO);
+            clock.set(clock.get() + 1);
+            installed.version.mark_committed(clock.get());
+            installed.range_readers
         };
-        assert!(on.is_none() && Arc::ptr_eq(&supremum.chain, &tbl.supremum));
-        let last = tbl.install(b"h", t(6), Some(vec![6].into()), true, || TS_ZERO);
-        assert_eq!(last.readers, vec![t(5)]);
-        assert!(supremum.release_siread(t(5)));
-    }
-
-    #[test]
-    fn the_end_gap_registers_only_on_a_mapped_chain() {
-        let tbl = table();
-        tbl.install_version(b"b", t(1), Some(vec![1]))
-            .mark_committed(10);
-        let gone = tbl.install_version(b"d", t(2), Some(vec![2]));
-        tbl.install_version(b"f", t(1), Some(vec![1]))
-            .mark_committed(10);
-        let end_of = |upper| {
-            let page = tbl.cursor(Bound::Unbounded, upper).next_page();
-            page.unwrap().end_gap.expect("one short page")
-        };
-        let upper = Bound::Included(&b"b"[..]);
-        let stale = end_of(upper);
-        assert_eq!(stale.key.as_deref(), Some(&b"d"[..]));
-        // The chain dies under the handle: the registration goes to the key
-        // that is first beyond the range now.
-        gone.mark_aborted();
-        tbl.unlink_version(b"d", &gone);
-        let dead = stale.handle.clone();
-        let (siread, on) = tbl.register_end_gap(stale, upper, t(3));
-        assert!(matches!(siread, Siread::New(_)));
-        assert_eq!(on.as_deref(), Some(&b"f"[..]));
-        assert!(dead.chain.state.lock().readers.is_empty());
-        // Asked again it holds what it has; so does a scan that finds no
-        // chain for a key it listed and covers the place where it would be.
-        let (siread, _) = tbl.register_end_gap(end_of(upper), upper, t(3));
-        assert!(matches!(siread, Siread::Held));
-        let (siread, on) = tbl.register_gap_above(Bound::Included(b"d"), t(3));
-        assert!(matches!(siread, Siread::Held) && on.as_deref() == Some(&b"f"[..]));
-        let back = tbl.install(b"d", t(4), Some(vec![4].into()), true, || TS_ZERO);
-        assert_eq!(back.readers, vec![t(3)]);
-    }
-
-    #[test]
-    fn an_insert_onto_a_mapped_chain_without_a_live_version_lands_in_its_gap() {
-        let tbl = table();
-        tbl.install_version(b"f", t(1), Some(vec![1]))
-            .mark_committed(10);
-        // The scan holds the gap of `f`; `d` splits it and rolls back, and
-        // its chain stays mapped for the copy it carries.
-        let Siread::New(on_f) = tbl.read_registering(b"f", t(2), 20, ROW_AND_GAP).1 else {
-            panic!("registers");
-        };
-        let first = tbl.install(b"d", t(3), Some(vec![3].into()), true, || TS_ZERO);
-        let on_d = first.inherited.expect("a copy for the scan").chain;
+        assert!(write(b"d", 9, Some(vec![9])).is_empty());
+        // [b, f): one registration, whatever lies between the bounds.
+        let (lower, upper) = (Bound::Included(&b"b"[..]), Bound::Excluded(&b"f"[..]));
+        let scan = tbl.register_range(lower, upper, t(2)).expect("registers");
+        assert!(tbl.register_range(lower, upper, t(2)).is_none(), "held");
+        assert_eq!(tbl.siread_holder_count(), 1);
+        // An update and a delete of a row in the range, the first version of
+        // a new key in it, and a second new key in front of that one: all by
+        // containment.
+        assert_eq!(write(b"d", 3, Some(vec![3])), vec![t(2)]);
+        assert_eq!(write(b"b", 3, None), vec![t(2)]);
+        assert_eq!(write(b"e", 3, Some(vec![3])), vec![t(2)]);
+        assert_eq!(write(b"c", 4, Some(vec![4])), vec![t(2)]);
+        // So is an insert onto a chain that a rollback left mapped for a
+        // point reader, who is reported beside the scan.
+        let first = tbl.install(b"ee", t(5), Some(vec![5].into()), true, || TS_ZERO);
+        assert_eq!(first.range_readers, vec![t(2)]);
+        assert!(matches!(
+            tbl.read_registering(b"ee", t(6), 20).1,
+            Siread::New(_)
+        ));
         first.version.mark_aborted();
-        tbl.unlink_version(b"d", &first.version);
-        assert_eq!((tbl.key_count(), tbl.version_count()), (2, 1));
-        // The copy covers the gap in front of `d`, and nothing else covers
-        // the place of `d` itself: an insert there must be told of it. An
-        // update of `d`, once it is there, must not.
-        assert!(tbl.probe_for_update(b"d", t(4), true).readers == vec![t(2)]);
-        let second = tbl.install(b"d", t(4), Some(vec![4].into()), true, || TS_ZERO);
-        assert_eq!(second.readers, vec![t(2)]);
-        assert!(second.inherited.is_none(), "the chain was there");
-        let update = tbl.install(b"d", t(4), Some(vec![5].into()), true, || TS_ZERO);
-        assert!(update.readers.is_empty());
-        // A delete asks the gap above besides.
-        assert_eq!(tbl.gap_holders_above(b"d", t(4)), vec![t(2)]);
-        assert!(tbl.gap_holders_above(b"d", t(2)).is_empty());
-        assert!(on_d.release_siread(t(2)) && on_f.release_siread(t(2)));
+        tbl.unlink_version(b"ee", &first.version);
+        assert_eq!((tbl.key_count(), tbl.siread_holder_count()), (6, 2));
+        let again = tbl.install(b"ee", t(7), Some(vec![7].into()), true, || TS_ZERO);
+        assert_eq!(again.readers, vec![t(6)]);
+        assert_eq!(again.range_readers, vec![t(2)]);
+        // Outside the bounds nobody is told, however close the neighbours.
+        assert!(write(b"f", 3, Some(vec![3])).is_empty());
+        assert!(write(b"a", 3, Some(vec![3])).is_empty());
+        assert!(write(b"h", 3, Some(vec![3])).is_empty());
+        // The scanner's own writes are not its conflicts, and cost it nothing.
+        assert!(write(b"d", 2, Some(vec![2])).is_empty());
+        assert!(write(b"bb", 2, Some(vec![2])).is_empty());
+        // Released, it is gone from every key at once.
+        assert!(scan.release());
+        assert!(write(b"cc", 8, Some(vec![8])).is_empty());
+        assert_eq!(tbl.siread_holder_count(), 1, "the point reader of `ee`");
+    }
+
+    #[test]
+    fn a_secondary_index_reports_the_ranges_that_contain_a_new_entry() {
+        use crate::index::{
+            encode_entry, entry_range, Index, IndexDef, IndexKeyPart, IndexKeySpec,
+        };
+        let tbl = table();
+        let idx = Arc::new(Index::new(IndexDef {
+            id: TableId(9),
+            name: "by_first_byte_of_value".into(),
+            table: tbl.id(),
+            unique: false,
+            spec: IndexKeySpec {
+                layout: vec![crate::index::FieldKind::U32],
+                parts: vec![IndexKeyPart::ValueField(0)],
+            },
+        }));
+        tbl.register_index(idx.clone());
+        let value = |n: u32| Some(Bytes::from(n.to_le_bytes().to_vec()));
+        let clock = std::cell::Cell::new(10);
+        let write = |key: &[u8], creator: u64, n: u32| {
+            let installed = tbl.install(key, t(creator), value(n), true, || TS_ZERO);
+            clock.set(clock.get() + 1);
+            installed.version.mark_committed(clock.get());
+            installed.range_readers
+        };
+        // Index keys 10..=20, in entry space.
+        let (lo, hi) = (10u32.to_be_bytes(), 20u32.to_be_bytes());
+        let (lower, upper) = entry_range(Bound::Included(&lo), Bound::Included(&hi));
+        let scan = idx
+            .register_range(as_ref_bound(&lower), as_ref_bound(&upper), t(2))
+            .expect("registers");
+        assert_eq!(tbl.siread_holder_count(), 1);
+        // A new row, and a row renamed into the range, claim an entry in it;
+        // rows that stay outside, or leave, add none there.
+        assert_eq!(write(b"r1", 3, 15), vec![t(2)]);
+        assert!(write(b"r2", 3, 25).is_empty());
+        assert_eq!(write(b"r2", 3, 20), vec![t(2)]);
+        assert!(write(b"r1", 3, 9).is_empty());
+        assert!(write(b"r3", 2, 12).is_empty(), "its own");
+        assert!(idx
+            .entries_in_range(Bound::Unbounded, Bound::Unbounded, None)
+            .contains(&Arc::from(encode_entry(&12u32.to_be_bytes(), b"r3"))));
+        assert!(scan.release());
+        assert!(write(b"r4", 3, 15).is_empty());
         assert_eq!(tbl.siread_holder_count(), 0);
     }
 

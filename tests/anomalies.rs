@@ -339,7 +339,7 @@ fn scanned_gap_anomaly_commits(
     assert_eq!(get_i64(&mut w2, &u, b"q"), 0);
     put_i64(&mut w3, &u, b"q", 1);
     let w3_ok = w3.commit().is_ok();
-    // S sees W3's q, and holds the gaps of b, y and the supremum.
+    // S sees W3's q, and its range covers all of `t`.
     let mut s = db.begin();
     assert_eq!(get_i64(&mut s, &u, b"q"), 1);
     assert_eq!(s.scan_prefix(&t, b"").unwrap().len(), 2);
@@ -356,9 +356,8 @@ const VARIANTS: [serializable_si::SsiVariant; 2] = [
     serializable_si::SsiVariant::Enhanced,
 ];
 
-/// An insert into a scanned gap finds the scan registered on the gap of its
-/// next key (or on the table's supremum, above the last key): the phantom is
-/// detected.
+/// An insert between two keys a scan listed, or above the last one, finds the
+/// scan's range registered with the table: the phantom is detected.
 #[test]
 fn insert_into_a_scanned_gap_is_detected() {
     for variant in VARIANTS {
@@ -369,16 +368,14 @@ fn insert_into_a_scanned_gap_is_detected() {
     }
 }
 
-/// The hole PR 13 found, closed by inheritance. The first insert into a gap
-/// (`m`, next key `y`) splits it; the second (`f`, next key now `m`) looks for
-/// the gap's holders on `m`, a key the scan never saw. It finds the scan there
-/// because `m`'s chain was created with a copy of the holders of the gap it
-/// went into, as InnoDB's `lock_rec_inherit_to_gap` does for a new record.
-/// Without the copy the scanner's rw-antidependency on `f` is lost and the
-/// anomaly commits whole.
-///
-/// Row and gap SIREADs both live on the version chain; this schedule runs
-/// through the gap half, where the lock table used to be.
+/// The hole PR 13 found. The first insert into a gap (`m`, next key `y`)
+/// splits it; the second (`f`, next key now `m`) has a key the scan never saw
+/// for a neighbour, and a gap SIREAD kept under the *name* of the next key —
+/// or on its chain — is only found there if `m` inherited it (InnoDB's
+/// `lock_rec_inherit_to_gap`). It passes by containment now: the scan's SIREAD
+/// is its range, `f` lies in it whatever its neighbours are, and there is
+/// nothing to inherit. Without the edge the scanner's rw-antidependency on
+/// `f` is lost and the anomaly commits whole.
 #[test]
 fn second_insert_into_a_scanned_gap_is_a_phantom_too() {
     for variant in VARIANTS {
@@ -389,9 +386,9 @@ fn second_insert_into_a_scanned_gap_is_a_phantom_too() {
     }
 }
 
-/// The same above the last key, where the gap sits on the table's supremum
-/// chain: W1 appends `z1`, W2 inserts `z0` between the last key the scan saw
-/// and `z1`.
+/// The same above the last key the scan saw, by containment too: W1 appends
+/// `z1`, W2 inserts `z0` between the last listed key and `z1`, both inside
+/// the scan's (unbounded) range.
 #[test]
 fn second_insert_above_the_last_scanned_key_is_a_phantom_too() {
     for variant in VARIANTS {

@@ -405,3 +405,67 @@ fn index_range_phantom_needs_gap_locking() {
         "without gap locking the entry-space phantom is missed"
     );
 }
+
+/// The index-scan twin of `tests/anomalies.rs`'s second-insert phantom
+/// (ROADMAP, "Known correctness gap"). `people = {baker, young}` by name,
+/// `u = {q}`; W2 reads `q`; W3 writes `q` and commits; S reads `q` and scans
+/// the whole name index; W1 claims `first` and commits; W2 claims `second`,
+/// a fresh index key in the same scanned entry gap and in front of `first`,
+/// and commits; S commits. S → W2 (the phantom), W2 → W3 (on `q`) and W3
+/// before S make a read-only anomaly. Returns whether S, W2 and W3 all
+/// committed.
+fn scanned_entry_gap_anomaly_commits(variant: SsiVariant, [first, second]: [&str; 2]) -> bool {
+    let (db, people, by_name) = open(ssi_options(variant), false);
+    let u = db.create_table("u").unwrap();
+    let mut load = db.begin();
+    load.put(&people, b"1", &person("baker")).unwrap();
+    load.put(&people, b"2", &person("young")).unwrap();
+    load.put(&u, b"q", b"0").unwrap();
+    load.commit().unwrap();
+
+    let mut w2 = db.begin();
+    let mut w3 = db.begin();
+    let mut w1 = db.begin();
+    assert_eq!(w2.get(&u, b"q").unwrap().as_deref(), Some(&b"0"[..]));
+    w3.put(&u, b"q", b"1").unwrap();
+    let w3_ok = w3.commit().is_ok();
+    // S sees W3's q, and its predicate covers every name.
+    let mut s = db.begin();
+    assert_eq!(s.get(&u, b"q").unwrap().as_deref(), Some(&b"1"[..]));
+    let everyone = s.index_scan(&by_name, Bound::Unbounded, Bound::Unbounded);
+    assert_eq!(everyone.unwrap().len(), 2);
+    w1.put(&people, b"3", &person(first))
+        .and_then(|()| w1.commit())
+        .unwrap();
+    let w2_ok = w2
+        .put(&people, b"4", &person(second))
+        .and_then(|()| w2.commit())
+        .is_ok();
+    let s_ok = s.commit().is_ok();
+    w3_ok && w2_ok && s_ok
+}
+
+/// Two fresh index keys in one scanned entry gap, the second in front of the
+/// first: a gap SIREAD kept under the *name* of the next entry is not found by
+/// the second insert, whose next entry is the first insert's. The scan's range
+/// registration on the index covers both by containment.
+#[test]
+fn second_claim_in_a_scanned_entry_gap_is_a_phantom_too() {
+    for variant in [SsiVariant::Basic, SsiVariant::Enhanced] {
+        assert!(
+            !scanned_entry_gap_anomaly_commits(variant, ["miller", "fisher"]),
+            "{variant:?}: S -> W2 -> W3 -> S committed whole"
+        );
+    }
+}
+
+/// The same above the last entry the scan saw.
+#[test]
+fn second_claim_above_the_last_scanned_entry_is_a_phantom_too() {
+    for variant in [SsiVariant::Basic, SsiVariant::Enhanced] {
+        assert!(
+            !scanned_entry_gap_anomaly_commits(variant, ["zz", "zimmer"]),
+            "{variant:?}: S -> W2 -> W3 -> S committed whole"
+        );
+    }
+}

@@ -459,29 +459,29 @@ mod row_siread {
 }
 
 // ---------------------------------------------------------------------------
-// Gap-SIREAD choreography
+// Range-SIREAD choreography
 // ---------------------------------------------------------------------------
 //
-// The other half of the next-key lock lives on the chain too: a scan registers
-// on every row it lists *and* on the gap in front of it, the first version of
-// a new key collects the holders of the gap it goes into from its successor's
-// chain — in the critical section that links the key — and starts out with a
-// copy of them (`ssi_storage::table`, § SIREAD on the row). Each interleaving
-// in which the lock table used to be the one to notice gets a test of its own.
-// Every case is a phantom write skew around a key `m` that is not there and a
-// plain row `a`,
+// A scan's SIREAD is its predicate: one registration of its bounds with the
+// table, made before it lists a key, and found by every install of a version
+// of a key between the bounds (`ssi_storage::table`, § Why scans stay
+// consistent under SSI). The scanner registers, then lists, then reads; the
+// writer makes its version reachable, then looks for ranges. Each order in
+// which the two can meet gets a test of its own. Every case is a phantom
+// write skew around a key `m` and a plain row `a`,
 //
-//   S: scan(t) w(a)        W: r(a) insert(m)
+//   S: scan(t) w(a)        W: r(a) w(m)
 //
-// run once per SSI variant. The edge S → W through the gap is the
+// run once per SSI variant. The edge S → W through the range is the
 // choreographed one; with W → S on `a` closing the cycle one of the two must
 // abort. The committed history is verified besides.
 
-mod gap_siread {
+mod range_siread {
     use std::ops::Bound;
-    use std::sync::atomic::{AtomicBool, AtomicI64, AtomicUsize, Ordering};
+    use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, AtomicUsize, Ordering};
+    use std::time::Instant;
 
-    use serializable_si::{Database, IsolationLevel, TableRef, Transaction};
+    use serializable_si::{AbortKind, Database, IsolationLevel, TableRef, Transaction};
 
     use super::choreography::{has_incoming_conflict, open, VARIANTS};
 
@@ -497,22 +497,126 @@ mod gap_siread {
             .cleanup_suspended(db.lock_manager());
         assert_eq!(db.lock_manager().grant_count(), 0);
         assert_eq!(db.siread_holder_count(), 0);
-        assert_eq!(db.metrics().txn.siread_rows_now, 0);
+        let held = db.metrics().txn;
+        assert_eq!((held.siread_rows_now, held.siread_ranges_now), (0, 0));
+    }
+
+    /// W → S on `a` (W has read it), both commits, and the verdict.
+    fn close_the_cycle(db: &Database, table: &TableRef, mut s: Transaction, w: Transaction) {
+        let s_done = s.put(table, b"a", b"s").and_then(|()| s.commit());
+        let w_done = w.commit();
+        assert!(
+            s_done.is_err() || w_done.is_err(),
+            "phantom write skew committed: the cycle S -> W -> S went unnoticed"
+        );
+        assert_nothing_left(db);
+    }
+
+    /// (a) The insert links its key before the scan lists: the inserter
+    /// cannot know the scan, which has not registered yet, so the scan has to
+    /// find the key. It does by listing it: the key is on its page, and its
+    /// read reports the creator of the version it cannot see.
+    #[test]
+    fn insert_that_links_before_the_scan_lists() {
+        for variant in VARIANTS {
+            let (db, table) = open(variant, &[]);
+            let mut s = db.begin();
+            let mut w = db.begin();
+            w.get(&table, b"a").unwrap();
+            w.put(&table, b"m", b"w").unwrap();
+            assert!(!has_incoming_conflict(&db, w.id()), "nobody has scanned");
+            assert_eq!(scan_all(&mut s, &table), 2, "`m` is not S's to see");
+            assert!(has_incoming_conflict(&db, w.id()), "{variant:?}");
+            assert_eq!(db.siread_holder_count(), 2, "S's range, W's read of `a`");
+            close_the_cycle(&db, &table, s, w);
+        }
+    }
+
+    /// (b) The scan registers first: the install is handed the scan — the
+    /// first version of a new key by the critical section that links it, an
+    /// update and a delete by the one that pushes onto the row's chain —
+    /// without a lock-table entry or a registration on any chain.
+    ///
+    /// Guards `self.ranges.report_to(key, creator, &mut range_readers)` in
+    /// `Table::install` (the insert) and in `Table::push_pruning` (the update
+    /// and the delete): without it W's incoming-conflict flag stays clear.
+    #[test]
+    fn write_after_the_scan_registered() {
+        type Write = fn(&mut Transaction, &TableRef) -> serializable_si::Result<()>;
+        let writes: [(&str, &[&[u8]], Write, u64); 3] = [
+            ("insert", &[], |w, t| w.put(t, b"m", b"w"), 2),
+            ("update", &[b"m"], |w, t| w.put(t, b"m", b"w"), 1),
+            ("delete", &[b"m"], |w, t| w.delete(t, b"m"), 2),
+        ];
+        for variant in VARIANTS {
+            for (what, rows, write, lock_requests) in writes {
+                let (db, table) = open(variant, rows);
+                let mut s = db.begin();
+                let mut w = db.begin();
+                w.get(&table, b"a").unwrap();
+                assert_eq!(scan_all(&mut s, &table), 2 + rows.len());
+                assert_eq!(db.siread_holder_count(), 2, "S's range, W's read of `a`");
+                let before = db.metrics();
+                write(&mut w, &table).unwrap();
+                assert!(has_incoming_conflict(&db, w.id()), "{variant:?} {what}");
+                // The scan was found on the table's range list: all the lock
+                // table saw is the writer's own EXCLUSIVE requests.
+                let after = db.metrics();
+                let requested = after.locks.requests - before.locks.requests;
+                assert_eq!(requested, lock_requests, "{variant:?} {what}");
+                close_the_cycle(&db, &table, s, w);
+                let registered = db.metrics().txn;
+                assert_eq!(registered.siread_range_registrations, 1, "{what}");
+            }
+        }
     }
 
     /// Two threads meeting without going to sleep — whoever arrives second
     /// must not get a head start the length of a wake-up — and a handicap for
-    /// one of them that each round corrects towards the instant the race is
-    /// about, so that the operations behind the meeting point collide there
-    /// instead of passing each other by the width of a scheduling quantum.
-    #[derive(Default)]
+    /// one of them that sweeps, round by round, back and forth across the
+    /// instant the race is about, so that the operations behind the meeting
+    /// point collide there instead of passing each other by the width of a
+    /// scheduling quantum.
     struct Race {
         arrived: AtomicUsize,
         /// Spins the writer is held back by; negative, the other side is.
         handicap: AtomicI64,
+        /// Which way the handicap moves next round: turned around whenever
+        /// the writer came clear of the other side's operation.
+        drift: AtomicI64,
+        /// Set when a side fails (see [`Race::side`]), so that the other does
+        /// not wait at the next meeting for ever.
+        abandoned: AtomicBool,
+        started: Instant,
+        /// When the writer's operation began and ended, in nanoseconds since
+        /// `started`.
+        wrote: [AtomicU64; 2],
+    }
+
+    /// How a round's two operations fell in time.
+    #[derive(PartialEq)]
+    enum Order {
+        WriterFirst,
+        Overlapped,
+        WriterLast,
     }
 
     impl Race {
+        fn new() -> Self {
+            Race {
+                arrived: AtomicUsize::new(0),
+                handicap: AtomicI64::new(0),
+                drift: AtomicI64::new(1),
+                abandoned: AtomicBool::new(false),
+                started: Instant::now(),
+                wrote: [AtomicU64::new(0), AtomicU64::new(0)],
+            }
+        }
+
+        fn now(&self) -> u64 {
+            self.started.elapsed().as_nanos() as u64
+        }
+
         /// The `nth` meeting (from 1) of the two. The first to arrive stays
         /// on its core for a while before it starts yielding: on a busy
         /// machine a thread that yields is gone for a quantum, and the other
@@ -521,6 +625,10 @@ mod gap_siread {
             self.arrived.fetch_add(1, Ordering::SeqCst);
             let mut spins = 0u32;
             while self.arrived.load(Ordering::SeqCst) < 2 * nth {
+                assert!(
+                    !self.abandoned.load(Ordering::SeqCst),
+                    "the other side failed"
+                );
                 if spins < 100_000 {
                     spins += 1;
                     std::hint::spin_loop();
@@ -528,6 +636,20 @@ mod gap_siread {
                     std::thread::yield_now();
                 }
             }
+        }
+
+        /// To be held by each side for as long as it takes part: a side that
+        /// panics abandons the race on its way out.
+        fn side(&self) -> impl Drop + '_ {
+            struct Side<'a>(&'a Race);
+            impl Drop for Side<'_> {
+                fn drop(&mut self) {
+                    if std::thread::panicking() {
+                        self.0.abandoned.store(true, Ordering::SeqCst);
+                    }
+                }
+            }
+            Side(self)
         }
 
         fn hold_back(&self, writer: bool) {
@@ -538,26 +660,56 @@ mod gap_siread {
             }
         }
 
-        /// Called between rounds by one side: the writer came too late (or
-        /// too early) for what the round wanted to see.
-        fn writer_was(&self, late: bool) {
-            let step = if late { -150 } else { 150 };
+        /// The writer's side of a round: held back, then `write`, timed.
+        fn write<T>(&self, write: impl FnOnce() -> T) -> T {
+            self.hold_back(true);
+            self.wrote[0].store(self.now(), Ordering::SeqCst);
+            let done = write();
+            self.wrote[1].store(self.now(), Ordering::SeqCst);
+            done
+        }
+
+        /// The other side: held back, then `op`, and when it began and ended.
+        fn against<T>(&self, op: impl FnOnce() -> T) -> (T, [u64; 2]) {
+            self.hold_back(false);
+            let began = self.now();
+            let done = op();
+            (done, [began, self.now()])
+        }
+
+        /// How a round fell, given when the other side's operation `began`
+        /// and `ended`; to be asked once the writer is through as well. Moves
+        /// the handicap on for the next round.
+        fn fell(&self, [began, ended]: [u64; 2]) -> Order {
+            let [wrote_from, wrote_to] = [&self.wrote[0], &self.wrote[1]];
+            let order = if wrote_to.load(Ordering::SeqCst) < began {
+                Order::WriterFirst
+            } else if wrote_from.load(Ordering::SeqCst) > ended {
+                Order::WriterLast
+            } else {
+                Order::Overlapped
+            };
+            match order {
+                Order::WriterFirst => self.drift.store(1, Ordering::SeqCst),
+                Order::WriterLast => self.drift.store(-1, Ordering::SeqCst),
+                Order::Overlapped => {}
+            }
+            let step = 40 * self.drift.load(Ordering::SeqCst);
             self.handicap.fetch_add(step, Ordering::SeqCst);
+            order
         }
     }
 
-    /// (a) The insert links its key and collects the gap's holders while the
-    /// scan is between listing a page and registering on it: the inserter
-    /// cannot know the scan, so the scan has to find the key — its epoch check
-    /// comes after its registrations, sees the link, and the sweep reads the
-    /// key like a row of the page. The window is inside one `scan` call, so
-    /// the two are raced for real over a three-page table, the insert steered
-    /// into the scan by what the round before saw: 300 rounds, and on until a
-    /// scan has met a moved epoch. The insert commits after the scan is over,
-    /// so the scan never sees the key and the edge S → W must be there,
-    /// whoever notices; W → S is on the row next to the new key.
+    /// (c) Scan against insert, raced for real over a three-page table, the
+    /// insert swept through the scan from round to round: 300 rounds, and on
+    /// until the two have overlapped. Wherever the link lands — before
+    /// the scan registers, between its registration and the listing of the
+    /// key's page, behind that listing — there is no second pass to rescue an
+    /// order the first one missed, so no outcome may have both commit: the
+    /// insert commits after the scan is over, the scan never sees the key, and
+    /// W → S is on the row next to the new key.
     #[test]
-    fn insert_that_links_before_the_scan_registers() {
+    fn scan_raced_against_an_insert_into_its_range() {
         for variant in VARIANTS {
             const KEYS: usize = 300;
             const MAX_ROUNDS: usize = 3000;
@@ -567,38 +719,39 @@ mod gap_siread {
                 load.put(&table, &plain(i), b"0").unwrap();
             }
             load.commit().unwrap();
-            let (race, enough) = (Race::default(), AtomicBool::new(false));
-            let (db, table, race, enough) = (&db, &table, &race, &enough);
+            let race = Race::new();
+            let (db, table, race) = (&db, &table, &race);
+            let enough = AtomicUsize::new(usize::MAX);
+            let mut overlapped = 0;
             std::thread::scope(|scope| {
+                let enough = &enough;
                 scope.spawn(move || {
+                    let _side = race.side();
                     for i in 0..MAX_ROUNDS {
                         let mut w = db.begin();
                         w.get(table, &plain(i % KEYS)).unwrap();
                         race.meet(3 * i + 1);
-                        race.hold_back(true);
-                        let inserted = w.put(table, &fresh(i % KEYS, i / KEYS), b"w");
+                        let key = fresh(i % KEYS, i / KEYS);
+                        let inserted = race.write(|| w.put(table, &key, b"w"));
                         race.meet(3 * i + 2);
                         let _ = inserted.and_then(|()| w.commit());
                         race.meet(3 * i + 3);
-                        if enough.load(Ordering::SeqCst) {
+                        if enough.load(Ordering::SeqCst) == i {
                             break;
                         }
                     }
                 });
+                let _side = race.side();
                 for i in 0..MAX_ROUNDS {
                     let mut s = db.begin();
-                    let before = db.metrics().txn;
                     race.meet(3 * i + 1);
-                    race.hold_back(false);
-                    let seen = scan_all(&mut s, table);
+                    let (seen, scanned) = race.against(|| scan_all(&mut s, table));
                     race.meet(3 * i + 2);
-                    // Told by its own install: after the scan had registered.
-                    let after = db.metrics().txn;
-                    if after.scan_sweeps_run == before.scan_sweeps_run {
-                        race.writer_was(after.siread_gaps_inherited > before.siread_gaps_inherited);
+                    overlapped += usize::from(race.fell(scanned) == Order::Overlapped);
+                    let done = i + 1 >= KEYS && overlapped > 0;
+                    if done {
+                        enough.store(i, Ordering::SeqCst);
                     }
-                    let done = i + 1 >= KEYS && after.scan_sweeps_run > 0;
-                    enough.store(done, Ordering::SeqCst);
                     race.meet(3 * i + 3);
                     let key = plain(i % KEYS);
                     let s_done = s.put(table, &key, b"s").and_then(|()| s.commit());
@@ -613,77 +766,59 @@ mod gap_siread {
                     }
                 }
             });
-            let swept = db.metrics().txn.scan_sweeps_run;
-            assert!(swept > 0, "{variant:?}: no scan ever met a moved epoch");
+            assert!(overlapped > 0, "{variant:?}: scan and insert never met");
+            let metrics = db.metrics().txn;
+            assert_eq!(metrics.scan_sweeps_run + metrics.scan_sweeps_skipped, 0);
             assert_nothing_left(db);
         }
     }
 
-    /// W → S on `a` (W has read it), both commits, and the verdict.
-    fn close_the_cycle(db: &Database, table: &TableRef, mut s: Transaction, w: Transaction) {
-        let s_done = s.put(table, b"a", b"s").and_then(|()| s.commit());
-        let w_done = w.commit();
-        assert!(
-            s_done.is_err() || w_done.is_err(),
-            "phantom write skew committed: the cycle S -> W -> S went unnoticed"
-        );
-        assert_nothing_left(db);
-    }
-
-    /// (b) The scan registers first: the install of the new key's first
-    /// version is handed the scan, by the chain of the key's successor.
-    #[test]
-    fn insert_after_the_scan_registered() {
-        for variant in VARIANTS {
-            let (db, table) = open(variant, &[]);
-            let mut s = db.begin();
-            let mut w = db.begin();
-            w.get(&table, b"a").unwrap();
-            assert_eq!(scan_all(&mut s, &table), 2);
-            let before = db.metrics();
-            w.put(&table, b"m", b"w").unwrap();
-            assert!(has_incoming_conflict(&db, w.id()), "{variant:?}");
-            let after = db.metrics();
-            // The scan was found on a chain, not in the lock table, and `m`
-            // starts out with its gap.
-            assert_eq!(after.locks.requests - before.locks.requests, 2);
-            assert_eq!(after.txn.siread_rows_now, before.txn.siread_rows_now + 1);
-            close_the_cycle(&db, &table, s, w);
-            assert_eq!(db.metrics().txn.siread_gaps_inherited, 1);
-        }
-    }
-
-    /// (c) The scanner updates a row it scanned. The Sec. 3.7.3 upgrade takes
-    /// its registration on the row — first-committer-wins covers the row's
-    /// next writer — and must leave the one on the gap in front of the row,
-    /// which nothing else covers: an insert there still finds the scanner,
-    /// which still suspends at commit for the sake of it.
+    /// (d) The scanner updates a row inside its own range. Its install walks
+    /// the range list like any other and must not take the scanner for its
+    /// own reader; and nothing about the write may cost it the range — there
+    /// is no Sec. 3.7.3 upgrade for a predicate: first-committer-wins covers
+    /// the next writer of that one row, the registration the rest. So the
+    /// scanner still suspends at commit for the sake of its range, a
+    /// concurrent writer of the row is stopped by first-committer-wins, and a
+    /// concurrent insert elsewhere in the range still finds the scanner.
     ///
-    /// Guards `*word &= !SireadCover::ROW.0` in `ReaderSet::report_to`:
-    /// dropping the holder whole, as before the gap rode on it, lets W commit.
+    /// Guards `sireads.ranges = std::mem::take(&mut self.siread_ranges)` in
+    /// `Transaction::commit_inner`: without it the scanner holds nothing at
+    /// commit, is not suspended, and W commits into its range unnoticed.
     #[test]
-    fn scanner_that_updates_a_row_it_scanned_keeps_the_gap() {
+    fn scanner_that_updates_a_row_in_its_own_range_keeps_the_range() {
         for variant in VARIANTS {
             let (db, table) = open(variant, &[b"m"]);
             let mut s = db.begin();
             let mut w = db.begin();
+            let mut rival = db.begin();
             assert_eq!(scan_all(&mut s, &table), 3);
             w.get(&table, b"m").unwrap();
-            // a, m, z and the supremum for S; m for W.
-            assert_eq!(db.siread_holder_count(), 5);
+            rival.get(&table, b"a").unwrap();
+            assert_eq!(db.siread_holder_count(), 3, "a range and two point reads");
             s.put(&table, b"m", b"s").unwrap();
-            assert_eq!(db.siread_holder_count(), 5, "S still holds the gap of m");
+            let own = db.transaction_manager().find(s.id()).unwrap();
+            assert_eq!(
+                own.conflict_flags(),
+                (true, false),
+                "W -> S on `m`, no more"
+            );
+            assert_eq!(db.siread_holder_count(), 3, "S still holds its range");
             s.commit().unwrap();
             assert_eq!(db.transaction_manager().suspended_len(), 1);
-            assert_eq!(db.metrics().txn.siread_rows_now, 4);
+            assert_eq!(db.metrics().txn.siread_ranges_now, 1);
 
-            // W -> S on `m` is there; S -> W through the gap of `m` makes W
-            // a pivot whose way out committed first.
+            // The row itself: its next writer, concurrent with S, is
+            // first-committer-wins' business.
+            let err = rival.put(&table, b"m", b"rival").unwrap_err();
+            assert_eq!(err.abort_kind(), Some(AbortKind::UpdateConflict), "{err}");
+            // W -> S on `m` is there; S -> W through the range makes W a
+            // pivot whose way out committed first.
             let w_id = w.id();
             let inserted = w.put(&table, b"f", b"w");
             assert!(
                 inserted.is_err() || has_incoming_conflict(&db, w_id),
-                "{variant:?}: the insert in front of `m` missed the scanner"
+                "{variant:?}: the insert into the range missed the scanner"
             );
             let done = inserted.and_then(|()| w.commit());
             assert!(done.is_err(), "{variant:?}: S -> W -> S committed whole");
@@ -691,76 +826,24 @@ mod gap_siread {
         }
     }
 
-    /// (d) An inheriting insert rolls back. The chain it leaves empty stays
-    /// mapped for the scanner it carries a copy of, later inserts of the key
-    /// and in front of it find the scanner there, and once the scanner is
-    /// reclaimed a purge pass unmaps it.
+    /// (e) The holder is reclaimed while a writer is inside `install` on a
+    /// key in its range. The writer either finds the range on the list and
+    /// reports a holder that is gone from the registry by the time the
+    /// conflict is marked, or finds the list without it. Nothing is handed
+    /// from one to the other, so whichever way a round falls no registration
+    /// is left, nothing panics and the table's range count is back to zero.
+    /// 300 rounds, sweeping the write across the instant the holder lets go.
     ///
-    /// Guards `Self::take_adopted(&mut shard, txn.id())` in `retire`: without
-    /// it the scanner's copies outlive it and the chains are never unmapped.
+    /// Guards the `range.release()` pass over `entry.sireads.ranges` in
+    /// `TransactionManager::reclaim_pass`: without it every round leaves S's
+    /// range on the table.
     #[test]
-    fn inheriting_insert_that_rolls_back() {
-        for variant in VARIANTS {
-            let (db, table) = open(variant, &[]);
-            let mut s = db.begin();
-            assert_eq!(scan_all(&mut s, &table), 2);
-            let mut first = db.begin();
-            first.put(&table, b"m", b"first").unwrap();
-            first.rollback();
-            assert_eq!(table.version_count(), 2, "only `a` and `z` hold a version");
-            assert_eq!(table.key_count(), 3, "`m` stays mapped for the scanner");
-            // a, z, the supremum, and the copy on `m`.
-            assert_eq!(db.siread_holder_count(), 4);
-
-            // In front of the empty chain, and onto it.
-            for key in [b"f", b"m"] {
-                let mut w = db.begin();
-                w.put(&table, key, b"w").unwrap();
-                assert!(has_incoming_conflict(&db, w.id()), "{variant:?} {key:?}");
-                w.rollback();
-            }
-            assert_eq!(table.key_count(), 4, "`f` inherited a copy as well");
-            assert_eq!(db.purge().chains, 0);
-            assert_eq!(table.key_count(), 4, "a pass leaves what the scanner holds");
-
-            // S is to commit and be cleaned up with its copies on it, so the
-            // cycle is closed around W: W -> X on `a`, X commits first, and
-            // S -> W through `m` makes W a pivot that has to go.
-            let mut w = db.begin();
-            w.get(&table, b"a").unwrap();
-            let mut x = db.begin();
-            x.put(&table, b"a", b"x").unwrap();
-            x.commit().unwrap();
-            let w_id = w.id();
-            let inserted = w.put(&table, b"m", b"second");
-            assert!(
-                inserted.is_err() || has_incoming_conflict(&db, w_id),
-                "{variant:?}"
-            );
-            let done = inserted.and_then(|()| w.commit());
-            assert!(done.is_err(), "{variant:?}: S -> W -> X committed whole");
-            s.commit().unwrap();
-            assert_nothing_left(&db);
-            db.purge();
-            assert_eq!(table.key_count(), 2, "every empty chain is gone");
-        }
-    }
-
-    /// (e) The holder is reclaimed while an inserter is adopting for it. The
-    /// copy on the new chain is released by whoever closes the race: the
-    /// holder's cleanup if the handle reached its list before its record left
-    /// the registry, the inserter if not. 300 rounds, each steered
-    /// towards the instant the holder lets go of the gap.
-    ///
-    /// Guards `chain.release_siread(*holder)` in `adopt_inherited`: without it
-    /// a copy made for a holder that is past its cleanup stays on the chain.
-    #[test]
-    fn holder_reclaimed_while_an_inserter_adopts() {
+    fn holder_reclaimed_while_a_writer_installs_into_its_range() {
         for variant in VARIANTS {
             const ROUNDS: usize = 300;
             let (db, table) = open(variant, &[]);
-            let race = Race::default();
-            let mut found = 0;
+            let race = Race::new();
+            let (mut writer_first, mut writer_last) = (0, 0);
             for i in 0..ROUNDS {
                 // S commits and stays suspended for as long as `overlap`,
                 // which began before S committed, is active.
@@ -771,34 +854,38 @@ mod gap_siread {
                 s.put(&table, b"a", b"s").unwrap();
                 s.commit().unwrap();
                 assert_eq!(db.transaction_manager().suspended_len(), 1);
-                // Began after S committed: not what keeps S suspended. The
-                // new key goes above every other, into the gap S holds on
-                // the supremum, the last thing its cleanup lets go of.
+                assert_eq!(db.siread_holder_count(), 1);
+                // Began after S committed: not what keeps S suspended.
                 let mut w = db.begin();
-                let inherited = db.metrics().txn.siread_gaps_inherited;
-                std::thread::scope(|scope| {
-                    scope.spawn(|| {
+                let order = std::thread::scope(|scope| {
+                    let reclaiming = scope.spawn(|| {
+                        let _side = race.side();
                         race.meet(i + 1);
-                        race.hold_back(false);
                         // Its finish reclaims S.
-                        overlap.commit().unwrap();
+                        race.against(|| overlap.commit().unwrap()).1
                     });
+                    let _side = race.side();
                     race.meet(i + 1);
-                    race.hold_back(true);
-                    w.put(&table, &above(i), b"w").unwrap();
+                    race.write(|| w.put(&table, &above(i), b"w").unwrap());
+                    race.fell(reclaiming.join().unwrap())
                 });
                 w.commit().unwrap();
-                let metrics = db.metrics().txn;
-                let late = metrics.siread_gaps_inherited == inherited;
-                found += usize::from(!late);
-                race.writer_was(late);
+                writer_first += usize::from(order == Order::WriterFirst);
+                writer_last += usize::from(order == Order::WriterLast);
                 assert_eq!(db.transaction_manager().suspended_len(), 0);
                 assert_eq!(db.siread_holder_count(), 0, "{variant:?} round {i}");
-                assert_eq!(metrics.siread_rows_now, 0, "{variant:?} round {i}");
+                let held = db.metrics().txn;
+                assert_eq!(
+                    (held.siread_rows_now, held.siread_ranges_now),
+                    (0, 0),
+                    "{variant:?} round {i}"
+                );
             }
-            // Both orders happened: S gone before the insert looked, and S
-            // still holding the gap when it did.
-            assert!(found > 0 && found < ROUNDS, "{variant:?}: {found}");
+            // The sweep crossed the instant it aims at, both ways.
+            assert!(
+                writer_first > 0 && writer_last > 0,
+                "{variant:?}: {writer_first} before, {writer_last} after"
+            );
             assert_nothing_left(&db);
         }
     }

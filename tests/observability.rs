@@ -218,9 +218,11 @@ fn render_text_golden() {
         "# TYPE ssi_txn_suspended gauge",
         "ssi_txn_suspended 0",
         "ssi_txn_siread_row_registrations_total 0",
-        "ssi_txn_siread_gaps_inherited_total 0",
+        "ssi_txn_siread_range_registrations_total 0",
         "# TYPE ssi_txn_siread_rows gauge",
         "ssi_txn_siread_rows 0",
+        "# TYPE ssi_txn_siread_ranges gauge",
+        "ssi_txn_siread_ranges 0",
         "ssi_txn_aborts_by_reason_total{reason=\"write-conflict\"} 0",
         "ssi_txn_aborts_by_reason_total{reason=\"pivot-out\"} 0",
         "ssi_txn_aborts_by_reason_total{reason=\"user-rollback\"} 0",

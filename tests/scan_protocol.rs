@@ -1,15 +1,18 @@
 //! The Serializable-SI range-scan protocol, seen from outside the engine:
-//! what a scan costs in lock requests and chain registrations, and that paging
+//! what a scan costs in lock requests and registrations, and that paging
 //! scans stay serializable while other transactions insert into and delete
-//! from the range they are reading (one read per row that registers the scan
-//! on the row and on the gap in front of it, the end gap on the first key
-//! beyond the range, epoch-gated phantom sweep — see `ssi_storage::table`).
+//! from the range they are reading (one range registration before the first
+//! page, then one plain snapshot read per row — see `ssi_storage::table`).
 
 use std::ops::Bound;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
+use serializable_si::common::encoding::ValueWriter;
 use serializable_si::common::rng::WorkloadRng;
-use serializable_si::{AbortReason, Database, Error, IsolationLevel, Options};
+use serializable_si::{
+    AbortReason, Database, Error, FieldKind, IndexKeyPart, IndexKeySpec, IsolationLevel,
+    MetricsSnapshot, Options, Transaction,
+};
 
 fn retrying<T>(mut body: impl FnMut() -> Result<T, Error>) -> T {
     loop {
@@ -25,21 +28,28 @@ fn key(i: u64) -> [u8; 8] {
     i.to_be_bytes()
 }
 
-/// 500 rows, one overlapping snapshot that keeps the scanner suspended, and
-/// the scan itself at `level`. Returns the database, the overlapping
-/// transaction and the metrics around the scan.
+/// 500 rows (value: their number, indexed by `items_by_number`), one
+/// overlapping snapshot that keeps the scanner suspended, and the scan itself
+/// at `level`: over the table's keys, or with `through_index` over the index's
+/// entries. Returns the database, the overlapping transaction and the metrics
+/// around the scan.
 fn scan_500_rows(
     level: IsolationLevel,
-) -> (
-    Database,
-    serializable_si::Transaction,
-    [serializable_si::MetricsSnapshot; 2],
-) {
+    through_index: bool,
+) -> (Database, Transaction, [MetricsSnapshot; 2]) {
     let db = Database::open(Options::default());
     let table = db.create_table("items").unwrap();
+    let spec = IndexKeySpec {
+        layout: vec![FieldKind::U64],
+        parts: vec![IndexKeyPart::ValueField(0)],
+    };
+    let index = db
+        .create_index("items_by_number", &table, false, spec)
+        .unwrap();
+    let number = |i: u64| ValueWriter::new().u64(i).build();
     let mut load = db.begin();
     for i in 0..500 {
-        load.put(&table, &key(i), b"0").unwrap();
+        load.put(&table, &key(i), &number(i)).unwrap();
     }
     load.commit().unwrap();
     db.transaction_manager()
@@ -52,44 +62,36 @@ fn scan_500_rows(
     let mut overlap = db.begin_with(IsolationLevel::SnapshotIsolation);
     assert!(overlap.get(&table, &key(0)).unwrap().is_some());
     let mut bump = db.begin_with(IsolationLevel::SnapshotIsolation);
-    bump.put(&table, &key(1000), b"0").unwrap();
+    bump.put(&table, &key(1000), &number(1000)).unwrap();
     bump.commit().unwrap();
     assert_eq!(db.lock_manager().grant_count(), 0);
     assert_eq!(db.siread_holder_count(), 0);
 
     let before = db.metrics();
     let mut scanner = db.begin_with(level);
-    let rows = scanner
-        .scan(&table, Bound::Unbounded, Bound::Excluded(&key(500)))
-        .unwrap();
-    assert_eq!(rows.len(), 500);
+    let rows = if through_index {
+        scanner.index_scan(&index, Bound::Unbounded, Bound::Excluded(&key(500)))
+    } else {
+        scanner.scan(&table, Bound::Unbounded, Bound::Excluded(&key(500)))
+    };
+    assert_eq!(rows.unwrap().len(), 500);
     scanner.commit().unwrap();
     let after = db.metrics();
     assert_eq!(after.locks.waits, before.locks.waits);
     // Nothing entered or left the table while it ran: no page swept.
     assert_eq!(after.txn.scan_sweeps_run, before.txn.scan_sweeps_run);
-    assert!(after.txn.scan_sweeps_skipped > before.txn.scan_sweeps_skipped);
     (db, overlap, [before, after])
 }
 
-/// A Serializable-SI row scan asks the lock table for nothing. Its next-key
-/// lock is one registration on the chain of every examined row, covering the
-/// row and the gap in front of it, plus one on the first key beyond the range
-/// for the gap that closes it. All of them stay in place while the scanner is
-/// suspended and are gone after cleanup.
-#[test]
-fn ssi_scan_of_500_rows_costs_no_lock_request_and_501_registrations_held_until_cleanup() {
-    let (db, overlap, [before, after]) =
-        scan_500_rows(IsolationLevel::SerializableSnapshotIsolation);
-    assert_eq!(after.locks.requests - before.locks.requests, 0);
-    assert_eq!(
-        after.txn.siread_row_registrations - before.txn.siread_row_registrations,
-        501
-    );
+/// What a Serializable-SI scan left behind — `rows` chain registrations and
+/// one range — stays in place while the scanner is suspended and is gone
+/// after cleanup.
+fn held_until_cleanup(db: &Database, overlap: Transaction, after: &MetricsSnapshot, rows: u64) {
     assert_eq!(db.transaction_manager().suspended_len(), 1);
     assert_eq!(db.lock_manager().grant_count(), 0);
-    assert_eq!(db.siread_holder_count(), 501);
-    assert_eq!(after.txn.siread_rows_now, 501);
+    assert_eq!(db.siread_holder_count() as u64, rows + 1);
+    assert_eq!(after.txn.siread_rows_now, rows);
+    assert_eq!(after.txn.siread_ranges_now, 1);
 
     // The last transaction concurrent with the scanner finishes: its commit
     // runs `cleanup_suspended`, which reclaims the scanner and what it held.
@@ -99,20 +101,55 @@ fn ssi_scan_of_500_rows_costs_no_lock_request_and_501_registrations_held_until_c
     assert_eq!(db.lock_manager().grant_count(), 0);
     assert_eq!(db.lock_manager().key_count(), 0);
     assert_eq!(db.siread_holder_count(), 0);
-    assert_eq!(db.metrics().txn.siread_rows_now, 0);
+    let held = db.metrics().txn;
+    assert_eq!((held.siread_rows_now, held.siread_ranges_now), (0, 0));
+}
+
+/// A Serializable-SI row scan asks the lock table for nothing and registers
+/// on no chain: its SIREAD is one registration of its bounds with the table,
+/// whatever the number of rows between them.
+#[test]
+fn ssi_scan_of_500_rows_costs_no_lock_request_no_chain_registration_and_one_range() {
+    let (db, overlap, [before, after]) =
+        scan_500_rows(IsolationLevel::SerializableSnapshotIsolation, false);
+    assert_eq!(after.locks.requests - before.locks.requests, 0);
+    assert_eq!(
+        after.txn.siread_row_registrations,
+        before.txn.siread_row_registrations
+    );
+    assert_eq!(
+        after.txn.siread_range_registrations - before.txn.siread_range_registrations,
+        1
+    );
+    // Registered before it listed anything, it has nothing to sweep for.
+    assert_eq!(
+        after.txn.scan_sweeps_skipped,
+        before.txn.scan_sweeps_skipped
+    );
+    held_until_cleanup(&db, overlap, &after, 0);
 }
 
 /// The other side of the boundary: at S2PL the same scan is 1001 blocking
 /// SHARED requests — a record and a next-key gap per row and the gap that
-/// closes the range — all in the lock table, none on a chain, all released at
+/// closes the range — all in the lock table, none in storage, all released at
 /// commit.
 #[test]
 fn s2pl_scan_of_500_rows_still_costs_1001_lock_requests_and_no_registration() {
-    let (db, overlap, [before, after]) = scan_500_rows(IsolationLevel::StrictTwoPhaseLocking);
+    let (db, overlap, [before, after]) =
+        scan_500_rows(IsolationLevel::StrictTwoPhaseLocking, false);
     assert_eq!(after.locks.requests - before.locks.requests, 1001);
+    assert!(after.txn.scan_sweeps_skipped > before.txn.scan_sweeps_skipped);
+    s2pl_left_nothing(&db, overlap, [before, after]);
+}
+
+fn s2pl_left_nothing(db: &Database, overlap: Transaction, [before, after]: [MetricsSnapshot; 2]) {
     assert_eq!(
         after.txn.siread_row_registrations,
         before.txn.siread_row_registrations
+    );
+    assert_eq!(
+        after.txn.siread_range_registrations,
+        before.txn.siread_range_registrations
     );
     assert_eq!(db.transaction_manager().suspended_len(), 0);
     assert_eq!(db.lock_manager().grant_count(), 0);
@@ -120,13 +157,41 @@ fn s2pl_scan_of_500_rows_still_costs_1001_lock_requests_and_no_registration() {
     drop(overlap);
 }
 
+/// The same pair in entry space. A Serializable-SI index scan registers its
+/// entry range with the index, once, and then reads each entry's row under
+/// the ordinary row protocol: a point SIREAD on the row's chain, which is
+/// what a rename away or a delete of the row will find. No lock request.
+#[test]
+fn ssi_index_scan_of_500_entries_costs_no_lock_request_500_row_registrations_and_one_range() {
+    let (db, overlap, [before, after]) =
+        scan_500_rows(IsolationLevel::SerializableSnapshotIsolation, true);
+    assert_eq!(after.locks.requests - before.locks.requests, 0);
+    assert_eq!(
+        after.txn.siread_row_registrations - before.txn.siread_row_registrations,
+        500
+    );
+    assert_eq!(
+        after.txn.siread_range_registrations - before.txn.siread_range_registrations,
+        1
+    );
+    held_until_cleanup(&db, overlap, &after, 500);
+}
+
+/// At S2PL the index scan is 1001 blocking SHARED requests as well: an entry
+/// gap and a record per entry, and the entry gap that closes the range.
+#[test]
+fn s2pl_index_scan_of_500_entries_costs_1001_lock_requests_and_no_registration() {
+    let (db, overlap, [before, after]) = scan_500_rows(IsolationLevel::StrictTwoPhaseLocking, true);
+    assert_eq!(after.locks.requests - before.locks.requests, 1001);
+    s2pl_left_nothing(&db, overlap, [before, after]);
+}
+
 /// Paging SSI scans against concurrent inserters and deleters of the scanned
-/// range. Brand-new keys enter the table's ordered index, deleted keys leave
-/// it once version GC purges their tombstones — which it does at the first
-/// pass that finds no scan registered on the row any more — so pages are
-/// closed through both branches of the epoch gate; the committed history must
-/// stay free of MVSG cycles and no scan may be starved out of its phantom
-/// sweep.
+/// range. Brand-new keys enter the table's ordered index while scans are
+/// between pages, deleted keys leave it once version GC purges their
+/// tombstones; every one of them lands in a registered range or on a page
+/// that is yet to be listed. The committed history must stay free of MVSG
+/// cycles, and no scan sweeps: it registered before it listed.
 #[test]
 fn paging_ssi_scans_stay_serializable_against_inserters_and_deleters() {
     const SCANNERS: u64 = 2;
@@ -175,13 +240,12 @@ fn paging_ssi_scans_stay_serializable_against_inserters_and_deleters() {
         });
     };
 
-    // Quiescent scans take the epoch-unchanged branch on every page.
+    // One range registration per scan, however many pages it spans.
     scan_and_publish(0, false);
     scan_and_publish(0, true);
     tickets.store(0, Ordering::Relaxed);
     let quiet = db.metrics().txn;
-    assert!(quiet.scan_sweeps_skipped >= 6, "{quiet:?}");
-    assert_eq!(quiet.scan_sweeps_run, 0);
+    assert_eq!(quiet.siread_range_registrations, 2, "{quiet:?}");
 
     let stop = AtomicBool::new(false);
     std::thread::scope(|scope| {
@@ -222,12 +286,13 @@ fn paging_ssi_scans_stay_serializable_against_inserters_and_deleters() {
                 let (db, scan_and_publish) = (&db, &scan_and_publish);
                 scope.spawn(move || {
                     let mut scans = 0;
-                    // Until the insert race has demonstrably been hit (a
-                    // page found its epoch moved) and a key has left the
-                    // table under the scans, within a generous bound.
+                    // Until writes have demonstrably landed in registered
+                    // ranges (a scanner or a churner lost to the other) and
+                    // a key has left the table under the scans, within a
+                    // generous bound.
                     let raced = || {
                         let metrics = db.metrics();
-                        metrics.txn.scan_sweeps_run > 0 && metrics.gc.purged_chains > 0
+                        metrics.txn.aborted > 0 && metrics.gc.purged_chains > 0
                     };
                     while scans < MIN_SCANS || (!raced() && scans < MAX_SCANS) {
                         scan_and_publish(id, scans % 2 == 1);
@@ -243,12 +308,12 @@ fn paging_ssi_scans_stay_serializable_against_inserters_and_deleters() {
     });
 
     let metrics = db.metrics();
-    assert!(metrics.txn.scan_sweeps_run > 0, "{:?}", metrics.txn);
-    assert!(metrics.txn.scan_sweeps_skipped > quiet.scan_sweeps_skipped);
+    assert!(metrics.txn.aborted > 0, "{:?}", metrics.txn);
+    let swept = metrics.txn.scan_sweeps_run + metrics.txn.scan_sweeps_skipped;
+    assert_eq!(swept, 0, "a Serializable-SI scan has nothing to sweep for");
     assert_eq!(
         metrics.txn.abort_reasons[AbortReason::GapSweepExhausted.index()],
-        0,
-        "a scan was starved out of its phantom sweep"
+        0
     );
     assert!(
         metrics.gc.purged_chains > 0,
