@@ -11,7 +11,7 @@ use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
-use ssi_bench::{build_workload, find_experiment, options_for, HarnessConfig};
+use ssi_bench::{build_workload, find_experiment, options_for, HarnessConfig, LogDir};
 use ssi_common::IsolationLevel;
 use ssi_core::Database;
 use ssi_workloads::driver::{run_workload, RunConfig};
@@ -27,7 +27,8 @@ fn bench_figure_point(c: &mut Criterion, id: &str, mpl: usize) {
         .warm_up_time(Duration::from_millis(500))
         .measurement_time(Duration::from_secs(3));
     for isolation in IsolationLevel::evaluated() {
-        let db = Database::open(options_for(&def.spec, isolation));
+        let log_dir = LogDir::new(id);
+        let db = Database::open(options_for(&def.spec, isolation, log_dir.path()));
         let workload = build_workload(&def.spec, &db, &harness);
         group.throughput(Throughput::Elements(1));
         group.bench_function(BenchmarkId::from_parameter(isolation.label()), |b| {

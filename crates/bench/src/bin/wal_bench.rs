@@ -8,8 +8,6 @@
 //!   absent, so this records the "no regression" number);
 //! * **buffered** — `Durability::Buffered`: commits append to the redo log
 //!   but never wait for the device;
-//! * **per_commit_fsync** — every commit issues its own fsync (the classic
-//!   naive durable commit; `fsync_every_commit` baseline);
 //! * **group_commit** — `Durability::GroupCommit`: committers share
 //!   flushes, so concurrent commits amortize the device wait — but the
 //!   batch is bounded by natural committer pile-up (whoever finds no flush
@@ -20,8 +18,10 @@
 //!   or fills up, so the batch size is set by the knob, not by pile-up.
 //!
 //! The headline numbers are the **amortization factors**: commit records
-//! per fsync at 8 threads, vs exactly 1.0 for per-commit fsync — once for
-//! committer-elected group commit, once for the background flusher.
+//! per fsync at 8 threads (a naive durable commit, one fsync each, would be
+//! exactly 1.0) — once for committer-elected group commit, once for the
+//! background flusher. The per-commit-fsync case itself is recorded in
+//! `BENCH_wal.json` and in git history.
 //!
 //! ```text
 //! cargo run --release -p ssi-bench --bin wal_bench [--smoke] [output.json]
@@ -36,7 +36,6 @@ use ssi_core::{Database, Durability, MetricsSnapshot, Options};
 struct Case {
     name: &'static str,
     mode: Option<Durability>,
-    fsync_every_commit: bool,
     /// Dedicated flusher with this `flush_max_delay` (None: committer-elected).
     flush_max_delay: Option<Duration>,
 }
@@ -75,7 +74,6 @@ fn run_case(case: &Case, threads: usize, txns_per_thread: u64) -> CaseResult {
     let mut options = Options::default();
     if let Some(mode) = case.mode {
         options = options.with_durability(mode, &dir);
-        options.durability.fsync_every_commit = case.fsync_every_commit;
         if let Some(delay) = case.flush_max_delay {
             options = options.with_background_flusher(delay);
         }
@@ -136,31 +134,21 @@ fn main() {
         Case {
             name: "off",
             mode: None,
-            fsync_every_commit: false,
             flush_max_delay: None,
         },
         Case {
             name: "buffered",
             mode: Some(Durability::Buffered),
-            fsync_every_commit: false,
-            flush_max_delay: None,
-        },
-        Case {
-            name: "per_commit_fsync",
-            mode: Some(Durability::GroupCommit),
-            fsync_every_commit: true,
             flush_max_delay: None,
         },
         Case {
             name: "group_commit",
             mode: Some(Durability::GroupCommit),
-            fsync_every_commit: false,
             flush_max_delay: None,
         },
         Case {
             name: "background_flusher",
             mode: Some(Durability::GroupCommit),
-            fsync_every_commit: false,
             flush_max_delay: Some(Duration::from_millis(2)),
         },
     ];
@@ -185,18 +173,15 @@ fn main() {
     }
 
     let find = |name: &str| results.iter().find(|r| r.name == name).unwrap();
-    let per_commit = find("per_commit_fsync");
     let group = find("group_commit");
     let background = find("background_flusher");
-    // Amortization: records-per-fsync over the per-commit baseline's
-    // (which is 1.0 by construction).
-    let amortization = group.records_per_fsync() / per_commit.records_per_fsync().max(1.0);
-    let speedup = group.committed_per_sec() / per_commit.committed_per_sec().max(1.0);
-    let bg_amortization = background.records_per_fsync() / per_commit.records_per_fsync().max(1.0);
-    let bg_vs_group = background.records_per_fsync() / group.records_per_fsync().max(1.0);
+    // Amortization: records per fsync, against 1.0 for one fsync per commit.
+    let amortization = group.records_per_fsync();
+    let bg_amortization = background.records_per_fsync();
+    let bg_vs_group = bg_amortization / amortization.max(1.0);
     println!(
         "\ngroup commit amortizes fsyncs {amortization:.1}x over per-commit fsync \
-         ({speedup:.2}x committed throughput) at {threads} threads"
+         at {threads} threads"
     );
     println!(
         "background flusher amortizes fsyncs {bg_amortization:.1}x over per-commit fsync \
@@ -213,8 +198,7 @@ fn main() {
     json.push_str(
         "  \"comment\": \"8 writer threads, disjoint-key 2-write transactions, 100-byte \
          values. 'off' is the unchanged in-memory engine (durability code entirely off \
-         the path: parity with the pre-durability numbers). 'per_commit_fsync' issues one \
-         fsync per commit; 'group_commit' lets concurrent committers share flushes via \
+         the path: parity with the pre-durability numbers). 'group_commit' lets concurrent committers share flushes via \
          the deposit-drain-ordered log (batch bounded by committer pile-up); \
          'background_flusher' adds the dedicated flusher thread with flush_max_delay=2ms \
          (batch bounded by the knob). records_per_fsync is the amortization factor.\",\n",
@@ -238,7 +222,6 @@ fn main() {
     let _ = writeln!(
         json,
         "  \"group_commit_fsync_amortization\": {amortization:.2},\n  \
-         \"group_commit_speedup_vs_per_commit\": {speedup:.3},\n  \
          \"background_flusher_fsync_amortization\": {bg_amortization:.2},\n  \
          \"background_flusher_batch_vs_group_commit\": {bg_vs_group:.3}\n}}"
     );

@@ -2,29 +2,35 @@
 //!
 //! Every figure of the evaluation chapter is described by an
 //! [`ExperimentDef`]: which workload, which engine configuration
-//! (Berkeley-DB-like page locking vs InnoDB-like row locking, commit flush
-//! or not), which parameters, and which MPL sweep. [`run_experiment`]
+//! (Berkeley-DB-like page locking vs InnoDB-like row locking, log flush at
+//! commit or not), which parameters, and which MPL sweep. [`run_experiment`]
 //! executes the definition for the three isolation levels the thesis
 //! compares (SI, Serializable SI, S2PL) and returns one [`PointResult`] per
 //! (level, MPL) pair — exactly the series the thesis plots: committed
 //! transactions per second plus aborts per commit broken down into
 //! deadlocks, first-committer-wins conflicts and unsafe aborts.
 //!
+//! The flush figures (6.2–6.5) run on the engine's real redo log in
+//! group-commit mode, in a per-run temp directory ([`LogDir`]), on a device
+//! whose every fsync is slowed to [`COMMIT_FLUSH_LATENCY`] by an
+//! `ssi_wal::FaultVfs` delay rule.
+//!
 //! The `experiments` binary (in `src/bin`) prints these series as text
 //! tables; the Criterion benches under `benches/` reuse the same
 //! definitions for per-operation microbenchmarks and ablations.
 
 pub mod baseline;
-pub mod commit_micro;
 pub mod storage_micro;
 
-pub use ssi_obs::hist;
-
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 use ssi_common::stats::RunStats;
 use ssi_common::{AbortKind, IsolationLevel};
-use ssi_core::{Database, Options, SsiVariant};
+use ssi_core::{
+    Database, Durability, FaultMode, FaultOp, FaultRule, FaultVfs, Options, SsiVariant,
+};
 use ssi_workloads::driver::{run_workload, RunConfig, Workload};
 use ssi_workloads::sibench::SiBench;
 use ssi_workloads::smallbank::{SmallBank, SmallBankConfig};
@@ -44,7 +50,8 @@ pub enum WorkloadSpec {
         pages: u64,
         /// SmallBank operations per transaction (1 or 10).
         ops_per_txn: usize,
-        /// Simulated log-flush latency at commit (None = no flush).
+        /// Log flush at commit: group commit on the real log, every fsync
+        /// taking this long (None = no log).
         flush: Option<Duration>,
     },
     /// sibench on the InnoDB-like engine configuration, Sec. 6.3.
@@ -99,6 +106,11 @@ pub struct PointResult {
     pub unsafe_per_commit: f64,
     /// Mean latency of committed transactions.
     pub mean_latency: Duration,
+    /// Fsyncs of the redo log during the point (0 without a log).
+    pub fsyncs: u64,
+    /// Commit records per fsync during the point: the group-commit
+    /// amortization (0 without a log).
+    pub records_per_fsync: f64,
     /// Raw statistics for further processing.
     pub stats: RunStats,
 }
@@ -140,11 +152,38 @@ pub fn mpl_sweep(def: &ExperimentDef, config: &HarnessConfig) -> Vec<usize> {
     }
 }
 
-/// The flush latency used for the "log flushed at commit" SmallBank
+/// The fsync latency used for the "log flushed at commit" SmallBank
 /// experiments. The thesis' 2008 disks took ~10 ms per flush; a smaller
 /// value keeps the shape (I/O-bound commits, group-commit scaling) while
 /// letting the quick harness finish in reasonable time.
 pub const COMMIT_FLUSH_LATENCY: Duration = Duration::from_millis(2);
+
+/// The log directory of one flush-at-commit run: a fresh temp directory,
+/// removed with the log in it on drop. Declare it before the database that
+/// logs into it, so the database closes first.
+pub struct LogDir(PathBuf);
+
+impl LogDir {
+    /// A unique, not yet existing directory (the engine creates it).
+    pub fn new(tag: &str) -> Self {
+        static NEXT: AtomicU64 = AtomicU64::new(0);
+        let n = NEXT.fetch_add(1, Ordering::Relaxed);
+        let dir = std::env::temp_dir().join(format!("ssi-bench-{}-{tag}-{n}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        LogDir(dir)
+    }
+
+    /// The directory's path.
+    pub fn path(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl Drop for LogDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
 
 /// All experiments of Chapter 6, in figure order.
 pub fn all_experiments() -> Vec<ExperimentDef> {
@@ -361,15 +400,27 @@ pub fn find_experiment(id: &str) -> Option<ExperimentDef> {
     all_experiments().into_iter().find(|e| e.id == id)
 }
 
-/// Builds the engine options an experiment uses for a given isolation level.
-pub fn options_for(spec: &WorkloadSpec, isolation: IsolationLevel) -> Options {
+/// Builds the engine options an experiment uses for a given isolation level;
+/// a flush figure logs to `log_dir`.
+pub fn options_for(spec: &WorkloadSpec, isolation: IsolationLevel, log_dir: &Path) -> Options {
     match spec {
         WorkloadSpec::SmallBank { pages, flush, .. } => {
-            let mut options = Options::berkeley_like(*pages).with_isolation(isolation);
-            if let Some(latency) = flush {
-                options = options.with_commit_flush(*latency);
+            let options = Options::berkeley_like(*pages).with_isolation(isolation);
+            match flush {
+                Some(latency) => {
+                    let slow_fsync = FaultRule::new(
+                        FaultOp::Fsync,
+                        FaultMode::Delay {
+                            millis: latency.as_millis() as u64,
+                        },
+                        std::io::ErrorKind::Other,
+                    );
+                    options
+                        .with_durability(Durability::GroupCommit, log_dir)
+                        .with_vfs(FaultVfs::new(vec![slow_fsync]).handle())
+                }
+                None => options,
             }
-            options
         }
         WorkloadSpec::SiBench { .. } | WorkloadSpec::Tpcc { .. } => {
             Options::innodb_like().with_isolation(isolation)
@@ -427,11 +478,17 @@ pub fn build_workload(
 
 /// Runs one experiment, returning one point per (isolation level, MPL).
 pub fn run_experiment(def: &ExperimentDef, harness: &HarnessConfig) -> Vec<PointResult> {
+    let wal_counts = |db: &Database| {
+        let wal = db.metrics().wal;
+        (wal.records, wal.fsyncs)
+    };
     let mut results = Vec::new();
     for isolation in IsolationLevel::evaluated() {
-        let db = Database::open(options_for(&def.spec, isolation));
+        let log_dir = LogDir::new(def.id);
+        let db = Database::open(options_for(&def.spec, isolation, log_dir.path()));
         let workload = build_workload(&def.spec, &db, harness);
         for &mpl in &mpl_sweep(def, harness) {
+            let (records_before, fsyncs_before) = wal_counts(&db);
             let stats = run_workload(
                 &db,
                 workload.as_ref(),
@@ -442,6 +499,8 @@ pub fn run_experiment(def: &ExperimentDef, harness: &HarnessConfig) -> Vec<Point
                     seed: harness.seed,
                 },
             );
+            let (records, fsyncs) = wal_counts(&db);
+            let (records, fsyncs) = (records - records_before, fsyncs - fsyncs_before);
             results.push(PointResult {
                 isolation,
                 mpl,
@@ -450,6 +509,8 @@ pub fn run_experiment(def: &ExperimentDef, harness: &HarnessConfig) -> Vec<Point
                 conflicts_per_commit: stats.aborts_per_commit(AbortKind::UpdateConflict),
                 unsafe_per_commit: stats.aborts_per_commit(AbortKind::Unsafe),
                 mean_latency: stats.mean_latency,
+                fsyncs,
+                records_per_fsync: records as f64 / fsyncs.max(1) as f64,
                 stats,
             });
         }
@@ -483,12 +544,20 @@ pub fn format_table(def: &ExperimentDef, points: &[PointResult]) -> String {
     let mut out = String::new();
     out.push_str(&format!("== {} ({}): {}\n", def.id, def.figure, def.title));
     out.push_str(&format!(
-        "{:<6} {:>5} {:>12} {:>12} {:>12} {:>12} {:>12}\n",
-        "level", "mpl", "commits/s", "deadlock/c", "conflict/c", "unsafe/c", "latency_us"
+        "{:<6} {:>5} {:>12} {:>12} {:>12} {:>12} {:>12} {:>8} {:>10}\n",
+        "level",
+        "mpl",
+        "commits/s",
+        "deadlock/c",
+        "conflict/c",
+        "unsafe/c",
+        "latency_us",
+        "fsyncs",
+        "rec/fsync"
     ));
     for point in points {
         out.push_str(&format!(
-            "{:<6} {:>5} {:>12.1} {:>12.4} {:>12.4} {:>12.4} {:>12.1}\n",
+            "{:<6} {:>5} {:>12.1} {:>12.4} {:>12.4} {:>12.4} {:>12.1} {:>8} {:>10.2}\n",
             point.isolation.label(),
             point.mpl,
             point.throughput,
@@ -496,6 +565,8 @@ pub fn format_table(def: &ExperimentDef, points: &[PointResult]) -> String {
             point.conflicts_per_commit,
             point.unsafe_per_commit,
             point.mean_latency.as_secs_f64() * 1e6,
+            point.fsyncs,
+            point.records_per_fsync,
         ));
     }
     out
@@ -524,20 +595,43 @@ mod tests {
 
     #[test]
     fn options_match_the_prototype_for_each_workload() {
+        let log_dir = LogDir::new("options-test");
         let sb = find_experiment("fig6_1").unwrap();
-        let opts = options_for(&sb.spec, IsolationLevel::SerializableSnapshotIsolation);
+        let opts = options_for(
+            &sb.spec,
+            IsolationLevel::SerializableSnapshotIsolation,
+            log_dir.path(),
+        );
         assert!(
             opts.granularity.is_page(),
             "SmallBank runs on the BDB-like engine"
         );
-        assert!(opts.wal.flush_latency.is_none(), "fig6_1 does not flush");
+        assert_eq!(opts.durability.mode, Durability::Off, "fig6_1 has no log");
 
         let sb2 = find_experiment("fig6_2").unwrap();
-        let opts2 = options_for(&sb2.spec, IsolationLevel::SnapshotIsolation);
-        assert_eq!(opts2.wal.flush_latency, Some(COMMIT_FLUSH_LATENCY));
+        let opts2 = options_for(&sb2.spec, IsolationLevel::SnapshotIsolation, log_dir.path());
+        assert_eq!(opts2.durability.mode, Durability::GroupCommit);
+        assert_eq!(opts2.durability.dir.as_deref(), Some(log_dir.path()));
+        // The delay rule: a write commit waits out at least one slowed fsync.
+        let db = Database::open(opts2);
+        let t = db.create_table("t").unwrap();
+        let mut txn = db.begin();
+        txn.put(&t, b"k", b"v").unwrap();
+        let start = std::time::Instant::now();
+        txn.commit().unwrap();
+        assert!(start.elapsed() >= COMMIT_FLUSH_LATENCY);
+        assert!(db.metrics().wal.fsyncs >= 1);
+        drop(db);
+        let path = log_dir.path().to_path_buf();
+        drop(log_dir);
+        assert!(!path.exists(), "the log directory is removed on drop");
 
         let si = find_experiment("fig6_7").unwrap();
-        let opts3 = options_for(&si.spec, IsolationLevel::StrictTwoPhaseLocking);
+        let opts3 = options_for(
+            &si.spec,
+            IsolationLevel::StrictTwoPhaseLocking,
+            Path::new("unused"),
+        );
         assert!(
             !opts3.granularity.is_page(),
             "sibench runs on the InnoDB-like engine"

@@ -150,7 +150,7 @@ pub fn run_storage_workload<T: StorageUnderTest>(
             s.spawn(move || {
                 let reader = TxnId(1_000_000 + r as u64);
                 // Each thread strides through the key space from its own
-                // offset so readers do not share cache lines in lockstep.
+                // offset so readers do not touch the same cache lines in step.
                 let mut i = (r as u64) * 7919;
                 let mut local = 0u64;
                 while !stop.load(Ordering::Relaxed) {

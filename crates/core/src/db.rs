@@ -13,7 +13,7 @@ use ssi_obs::{
     EngineMetrics, EventKind, GcMetrics, HistSummary, LatencyMetrics, LockMetrics, MetricsSnapshot,
     TableMetrics, Trace, TraceBatch, TraceHandle, TxnMetrics, WalMetrics,
 };
-use ssi_storage::{Catalog, Index, IndexKeySpec, PageMap, PurgeStats, Table, WriteAheadLog};
+use ssi_storage::{Catalog, Index, IndexKeySpec, PageMap, PurgeStats, Table};
 use ssi_wal::{
     CheckpointStats, Checkpointer, PoisonCause, Recovered, StdVfs, SyncPolicy, Vfs, WalStats,
     WalWriter,
@@ -143,7 +143,6 @@ pub(crate) struct DbInner {
     pub(crate) locks: LockManager,
     /// Shared with the background GC thread (maintenance hub).
     pub(crate) txns: Arc<TransactionManager>,
-    pub(crate) wal: WriteAheadLog,
     pub(crate) pages: Option<PageMap>,
     pub(crate) history: Option<HistoryRecorder>,
     pub(crate) durable: Option<DurableState>,
@@ -464,18 +463,16 @@ impl Database {
                 let recovered = ssi_wal::recover_into_with(vfs.as_ref(), &dir, &catalog)
                     .map_err(wal_err("recovery failed"))?;
                 txns.restore_clock(recovered.max_commit_ts);
-                let policy = match (mode, options.durability.fsync_every_commit) {
-                    (Durability::Buffered, _) => SyncPolicy::Never,
-                    (Durability::GroupCommit, false) => SyncPolicy::GroupCommit,
-                    (Durability::GroupCommit, true) => SyncPolicy::EveryCommit,
-                    (Durability::Off, _) => unreachable!(),
+                let policy = match mode {
+                    Durability::Buffered => SyncPolicy::Never,
+                    Durability::GroupCommit => SyncPolicy::GroupCommit,
+                    Durability::Off => unreachable!(),
                 };
                 // The un-fsynced-frame buffer backs the flusher's
                 // retry-by-re-emission path, so it exists exactly when a
                 // dedicated flusher with a non-zero retry budget will run.
                 let buffer_unsynced = options.maintenance.flush_max_delay.is_some()
-                    && options.maintenance.flush_retry_budget > 0
-                    && policy != SyncPolicy::EveryCommit;
+                    && options.maintenance.flush_retry_budget > 0;
                 let wal = Arc::new(
                     WalWriter::open_with(
                         vfs.clone(),
@@ -488,11 +485,8 @@ impl Database {
                 );
                 // Dedicated-flusher mode must be set before the first
                 // commit can seal anything; the thread itself starts with
-                // the maintenance hub below. The per-commit-fsync baseline
-                // keeps its unshared fsyncs.
-                if options.maintenance.flush_max_delay.is_some()
-                    && policy != SyncPolicy::EveryCommit
-                {
+                // the maintenance hub below.
+                if options.maintenance.flush_max_delay.is_some() {
                     wal.attach_flusher();
                 }
                 // Fsync latency + WAL seal/fsync/rotate trace events flow
@@ -521,7 +515,6 @@ impl Database {
         );
         let inner = DbInner {
             locks: LockManager::new(options.lock.clone()),
-            wal: WriteAheadLog::new(options.wal.clone()),
             txns,
             catalog,
             pages,
@@ -553,7 +546,7 @@ impl Database {
     }
 
     /// Opens a database with default options (Serializable SI, row-level
-    /// locking, no commit flush).
+    /// locking, durability off).
     pub fn open_default() -> Self {
         Self::open(Options::default())
     }
@@ -757,11 +750,6 @@ impl Database {
     pub fn siread_holder_count(&self) -> usize {
         let tables = self.inner.catalog.tables();
         tables.iter().map(|t| t.siread_holder_count()).sum()
-    }
-
-    /// The write-ahead log (exposed for statistics and tests).
-    pub fn wal(&self) -> &WriteAheadLog {
-        &self.inner.wal
     }
 
     /// Takes a checkpoint now: snapshots every table at the published

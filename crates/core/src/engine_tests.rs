@@ -1,11 +1,16 @@
 //! End-to-end tests of the engine's isolation behaviour on a single thread
 //! (interleavings are driven explicitly by ordering operations on multiple
-//! open transactions). Multi-threaded and property-based tests live in the
+//! open transactions), plus the group-commit check of the redo log.
+//! Multi-threaded stress and property-based tests live in the
 //! workspace-level `tests/` directory.
 
-use ssi_common::{AbortKind, Error, IsolationLevel};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::{Duration, Instant};
 
-use crate::{Database, Options, SsiVariant};
+use ssi_common::{AbortKind, Error, IsolationLevel};
+use ssi_wal::{FaultMode, FaultOp, FaultRule, FaultVfs};
+
+use crate::{Database, Durability, Options, SsiVariant};
 
 fn db_with(level: IsolationLevel) -> Database {
     Database::open(Options::default().with_isolation(level))
@@ -728,9 +733,20 @@ fn recorded_history_under_si_shows_write_skew_cycle() {
 // WAL integration
 // ---------------------------------------------------------------------------
 
+/// A fresh log directory for one durable test; the test removes it.
+fn temp_dir(tag: &str) -> std::path::PathBuf {
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    let n = NEXT.fetch_add(1, Ordering::Relaxed);
+    let dir =
+        std::env::temp_dir().join(format!("ssi-engine-test-{}-{tag}-{n}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
 #[test]
 fn commit_appends_wal_records_only_for_updates() {
-    let db = ssi_db();
+    let dir = temp_dir("records");
+    let db = Database::open(Options::default().with_durability(Durability::Buffered, &dir));
     let t = db.create_table("t").unwrap();
     let mut w = db.begin();
     w.put(&t, b"k", b"v").unwrap();
@@ -738,5 +754,56 @@ fn commit_appends_wal_records_only_for_updates() {
     let mut r = db.begin();
     r.get(&t, b"k").unwrap();
     r.commit().unwrap();
-    assert_eq!(db.wal().record_count(), 1);
+    assert_eq!(db.metrics().wal.records, 1);
+    drop(db);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn group_commit_shares_delayed_fsyncs_and_every_commit_waits_for_one() {
+    // 8 threads × 5 write commits on a device whose every fsync takes 5 ms.
+    // A commit returns only after an fsync that started after its record was
+    // sealed, so none returns faster than one delay; concurrent committers
+    // share fsyncs, so there are fewer fsyncs than commits.
+    const DELAY_MS: u64 = 5;
+    let dir = temp_dir("group-commit");
+    let fault = FaultVfs::new(vec![FaultRule::new(
+        FaultOp::Fsync,
+        FaultMode::Delay { millis: DELAY_MS },
+        std::io::ErrorKind::Other,
+    )]);
+    let db = Database::open(
+        Options::default()
+            .with_durability(Durability::GroupCommit, &dir)
+            .with_vfs(fault.handle()),
+    );
+    let t = db.create_table("t").unwrap();
+    std::thread::scope(|s| {
+        for thread in 0..8u8 {
+            let (db, t) = (&db, &t);
+            s.spawn(move || {
+                for i in 0..5u8 {
+                    let mut txn = db.begin();
+                    txn.put(t, &[thread, i], b"v").unwrap();
+                    let start = Instant::now();
+                    txn.commit().unwrap();
+                    let waited = start.elapsed();
+                    assert!(
+                        waited >= Duration::from_millis(DELAY_MS),
+                        "commit returned after {waited:?}, before any delayed fsync could cover it"
+                    );
+                }
+            });
+        }
+    });
+    let wal = db.metrics().wal;
+    assert_eq!(wal.records, 40);
+    assert!(
+        wal.fsyncs < 40,
+        "expected group commit to share fsyncs, got {}",
+        wal.fsyncs
+    );
+    assert!(fault.delayed() >= wal.fsyncs);
+    drop(db);
+    std::fs::remove_dir_all(&dir).unwrap();
 }

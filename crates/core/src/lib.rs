@@ -8,7 +8,7 @@
 //! The crate exposes an embedded, in-memory multi-version database:
 //!
 //! * [`Database`] owns the catalog, lock manager, transaction manager and
-//!   write-ahead log;
+//!   (with [`Durability`] on) the redo log;
 //! * [`Transaction`] is the client handle with `get` / `get_for_update` /
 //!   `put` / `delete` / `scan` operations and `commit` / `rollback`, plus
 //!   `index_scan` / `index_lookup` over secondary indexes declared with
@@ -18,8 +18,8 @@
 //!   (protocol in the `access` module docs);
 //! * [`Options`] selects the isolation level and the experimental knobs the
 //!   paper studies: row- vs page-granularity locking, basic vs enhanced
-//!   conflict tracking, SIREAD-lock upgrades, victim selection, simulated
-//!   commit flushes and the SI-queries/SSI-updates mixed mode.
+//!   conflict tracking, SIREAD-lock upgrades, abort-early, flush at commit
+//!   ([`Durability::GroupCommit`]) and the SI-queries/SSI-updates mixed mode.
 //!
 //! Three isolation levels matter for the paper's evaluation (a fourth,
 //! read-committed, exists for completeness):
@@ -86,7 +86,7 @@ pub use maintenance::{MaintenanceEvent, MaintenanceHook};
 pub use manager::{CommitPauseHook, CommitPhase, GcPin, ManagerStats, TransactionManager};
 pub use options::{
     Durability, DurabilityOptions, LockGranularity, MaintenanceOptions, Options, SsiOptions,
-    SsiVariant, VfsHandle, VictimPolicy,
+    SsiVariant, VfsHandle,
 };
 pub use ssi::CallerRole;
 pub use txn::Transaction;

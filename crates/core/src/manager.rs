@@ -18,8 +18,9 @@
 //!
 //! The thesis prototype serializes all conflict marking and commit-time
 //! flag checks under InnoDB's kernel mutex; earlier revisions of this crate
-//! mirrored that with a global `Mutex<()>`. That mutex is gone. The commit
-//! and conflict paths are now built from three fine-grained pieces:
+//! mirrored that with a global `Mutex<()>`. That mutex is gone; its last
+//! measurement against the pipeline is `BENCH_commit.json`. The commit and
+//! conflict paths are built from three fine-grained pieces:
 //!
 //! 1. **The per-transaction state word** — commit timestamp, status, doomed
 //!    flag and both conflict flags packed into one `AtomicU64` on
@@ -85,10 +86,6 @@
 //! Every allocated timestamp **must** be published exactly once, even when
 //! the commit fails between allocation and publication (the timestamp is
 //! then published "empty"); otherwise the publication chain would stall.
-//!
-//! The old global mutex survives only as [`TransactionManager::commit_gate`]
-//! — an opt-in lock-step mode ([`crate::SsiOptions::lockstep_commit`]) kept
-//! as the in-tree baseline the `commit_bench` binary measures against.
 //!
 //! # Sharding
 //!
@@ -250,7 +247,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use parking_lot::{Condvar, Mutex, MutexGuard};
+use parking_lot::{Condvar, Mutex};
 
 use ssi_common::{AbortReason, IsolationLevel, Timestamp, TxnId, TS_ZERO};
 use ssi_lock::{FxBuildHasher, LockKey, LockManager, LockMode};
@@ -591,10 +588,6 @@ pub struct TransactionManager {
     /// change, so a finish that has nothing to reclaim (every SI and S2PL
     /// finish, and SSI ones while the list is empty) never takes the mutex.
     suspended_now: AtomicUsize,
-    /// Lock-step fallback gate reproducing the thesis prototype's
-    /// kernel-mutex commit; taken only when
-    /// [`crate::SsiOptions::lockstep_commit`] is set (benchmark baseline).
-    gate: Mutex<()>,
     /// Timestamps whose owners finished stamping but whose predecessors
     /// have not all published yet. Deposited here so *any* later publisher
     /// can advance the clock through them — the owner of a timestamp never
@@ -664,7 +657,6 @@ impl TransactionManager {
                 .collect(),
             suspended: Mutex::new(BTreeMap::new()),
             suspended_now: AtomicUsize::new(0),
-            gate: Mutex::new(()),
             pending_publish: Mutex::new(BTreeSet::new()),
             publish_waiters: AtomicU64::new(0),
             publish_mu: Mutex::new(()),
@@ -782,12 +774,6 @@ impl TransactionManager {
             slot.store(ts, Ordering::SeqCst);
         }
         ts
-    }
-
-    /// Acquires the lock-step fallback gate (the demoted global mutex; see
-    /// the module docs). Only the lock-step baseline mode takes it.
-    pub fn commit_gate(&self) -> MutexGuard<'_, ()> {
-        self.gate.lock()
     }
 
     /// Allocates the next commit timestamp. The new value is *not* visible

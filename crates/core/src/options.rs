@@ -3,9 +3,9 @@
 //! The options mirror the experimental dimensions of the thesis: lock and
 //! conflict-detection granularity (row-level like InnoDB vs page-level like
 //! Berkeley DB), the basic vs enhanced conflict representation of Secs. 3.2
-//! and 3.6, the SIREAD-upgrade optimization of Sec. 3.7.3, victim selection
-//! (Sec. 3.7.2), commit-time log flushing (Sec. 6.1), and the mixed mode that
-//! runs read-only transactions at plain SI (Sec. 3.8).
+//! and 3.6, the SIREAD-upgrade optimization of Sec. 3.7.3, abort-early
+//! (Sec. 3.7.1), and the mixed mode that runs read-only transactions at plain
+//! SI (Sec. 3.8). Sec. 6.1's "flush at commit" is [`Durability::GroupCommit`].
 
 use std::num::NonZeroU64;
 use std::path::PathBuf;
@@ -13,7 +13,6 @@ use std::time::Duration;
 
 use ssi_common::IsolationLevel;
 use ssi_lock::LockConfig;
-use ssi_storage::WalConfig;
 
 /// Granularity at which locks are taken and read-write conflicts detected.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -49,21 +48,6 @@ pub enum SsiVariant {
     Enhanced,
 }
 
-/// Which transaction to sacrifice when an unsafe structure is found and
-/// either participant could be aborted (Sec. 3.7.2).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum VictimPolicy {
-    /// Abort the pivot (the transaction with both incoming and outgoing
-    /// conflicts) unless it has already committed — the paper's default.
-    #[default]
-    PreferPivot,
-    /// Always abort the transaction that detected the conflict (the caller).
-    PreferCaller,
-    /// Abort the younger of the two transactions, analogous to common
-    /// deadlock victim policies.
-    PreferYounger,
-}
-
 /// Options specific to the Serializable SI algorithm.
 #[derive(Clone, Debug)]
 pub struct SsiOptions {
@@ -75,14 +59,6 @@ pub struct SsiOptions {
     /// Abort a pivot as soon as both conflicts are present rather than
     /// waiting for its commit (Sec. 3.7.1).
     pub abort_early: bool,
-    /// Victim selection policy.
-    pub victim: VictimPolicy,
-    /// Run conflict marking and commits in lock-step under one global mutex,
-    /// reproducing the thesis prototype's kernel-mutex serialization. The
-    /// fine-grained commit pipeline (see [`crate::manager`]) is the default;
-    /// this fallback exists as the in-tree baseline the `commit_bench`
-    /// binary measures the pipeline against.
-    pub lockstep_commit: bool,
 }
 
 impl Default for SsiOptions {
@@ -91,8 +67,6 @@ impl Default for SsiOptions {
             variant: SsiVariant::Enhanced,
             upgrade_siread: true,
             abort_early: true,
-            victim: VictimPolicy::PreferPivot,
-            lockstep_commit: false,
         }
     }
 }
@@ -132,7 +106,7 @@ pub struct MaintenanceOptions {
     /// the crash-loss window: the sealed tail reaches the device within
     /// this delay instead of at the next checkpoint or clean close.
     /// `None` (the default) keeps committer-elected group commit. Ignored
-    /// when durability is off or in the per-commit-fsync baseline.
+    /// when durability is off.
     pub flush_max_delay: Option<Duration>,
     /// Size threshold of the dedicated flusher: fsync early once this many
     /// bytes have been sealed since the last sync, regardless of age.
@@ -203,11 +177,6 @@ pub struct DurabilityOptions {
     /// appended to the log since the last one. `None` (the default) leaves
     /// checkpointing to explicit `Database::checkpoint` calls.
     pub checkpoint_every_bytes: Option<u64>,
-    /// Benchmark baseline: every commit performs its own fsync instead of
-    /// sharing group flushes. Only meaningful with
-    /// [`Durability::GroupCommit`]; `wal_bench` measures group commit
-    /// against this. Not for production use.
-    pub fsync_every_commit: bool,
 }
 
 /// Top-level engine options.
@@ -217,11 +186,7 @@ pub struct Options {
     pub default_isolation: IsolationLevel,
     /// Locking / conflict-detection granularity.
     pub granularity: LockGranularity,
-    /// Write-ahead-log behaviour (simulated flush latency, group commit).
-    pub wal: WalConfig,
-    /// Real durability: on-disk redo log, checkpoints and crash recovery.
-    /// Independent of `wal`, which only *simulates* flush latency for the
-    /// paper's figures.
+    /// Durability: on-disk redo log, group commit, checkpoints, recovery.
     pub durability: DurabilityOptions,
     /// Serializable-SI-specific options.
     pub ssi: SsiOptions,
@@ -267,7 +232,6 @@ impl Default for Options {
         Options {
             default_isolation: IsolationLevel::SerializableSnapshotIsolation,
             granularity: LockGranularity::Row,
-            wal: WalConfig::default(),
             durability: DurabilityOptions::default(),
             ssi: SsiOptions::default(),
             detect_phantoms: true,
@@ -303,14 +267,6 @@ impl Options {
         }
     }
 
-    /// Enables a simulated commit flush of the given latency.
-    pub fn with_commit_flush(mut self, latency: Duration) -> Self {
-        self.wal = WalConfig {
-            flush_latency: Some(latency),
-        };
-        self
-    }
-
     /// Sets the default isolation level.
     pub fn with_isolation(mut self, level: IsolationLevel) -> Self {
         self.default_isolation = level;
@@ -320,13 +276,6 @@ impl Options {
     /// Enables history recording for the serializability verifier.
     pub fn with_history(mut self) -> Self {
         self.record_history = true;
-        self
-    }
-
-    /// Enables the lock-step (global-mutex) commit baseline; see
-    /// [`SsiOptions::lockstep_commit`].
-    pub fn with_lockstep_commit(mut self) -> Self {
-        self.ssi.lockstep_commit = true;
         self
     }
 
@@ -441,10 +390,8 @@ mod tests {
     #[test]
     fn builder_helpers() {
         let o = Options::default()
-            .with_commit_flush(Duration::from_millis(5))
             .with_isolation(IsolationLevel::SnapshotIsolation)
             .with_history();
-        assert_eq!(o.wal.flush_latency, Some(Duration::from_millis(5)));
         assert_eq!(o.default_isolation, IsolationLevel::SnapshotIsolation);
         assert!(o.record_history);
     }

@@ -69,7 +69,7 @@ use ssi_common::{AbortReason, Error, Result, Timestamp, TxnId};
 use ssi_obs::EventKind;
 
 use crate::manager::TransactionManager;
-use crate::options::{SsiOptions, SsiVariant, VictimPolicy};
+use crate::options::{SsiOptions, SsiVariant};
 use crate::txn_shared::{
     word_status, CommitResolution, ConflictEdge, ConflictState, TxnShared, TxnStatus, WORD_DOOMED,
     WORD_IN, WORD_OUT,
@@ -194,44 +194,17 @@ fn settled_outgoing_bound(
     }
 }
 
-/// Applies the victim policy to the set of active pivots among the two
-/// participants. `pivots` holds the ids of the parties that are active,
-/// undoomed and currently unsafe.
-fn select_victim(
-    opts: &SsiOptions,
-    reader: &Arc<TxnShared>,
-    writer: &Arc<TxnShared>,
-    caller_id: TxnId,
-    pivots: &[TxnId],
-) -> Option<TxnId> {
-    if pivots.is_empty() {
-        return None;
+/// Victim selection (Sec. 3.7.2) among the active pivots of the two
+/// participants: abort a pivot, the caller when both are pivots (classic
+/// write skew with mutual edges) so no cross-thread signalling is needed.
+/// `pivots` holds the ids of the parties that are active, undoomed and
+/// currently unsafe.
+fn select_victim(caller_id: TxnId, pivots: &[TxnId]) -> Option<TxnId> {
+    if pivots.contains(&caller_id) {
+        Some(caller_id)
+    } else {
+        pivots.first().copied()
     }
-    let victim = match opts.victim {
-        VictimPolicy::PreferPivot => {
-            // Abort the pivot; when both are pivots (classic write skew with
-            // mutual edges) prefer the caller so no cross-thread signalling
-            // is needed.
-            if pivots.contains(&caller_id) {
-                caller_id
-            } else {
-                pivots[0]
-            }
-        }
-        VictimPolicy::PreferCaller => caller_id,
-        VictimPolicy::PreferYounger => {
-            // Larger id = started later = younger. Only consider the two
-            // parties, and only active ones.
-            let mut candidates: Vec<TxnId> = [reader, writer]
-                .iter()
-                .filter(|t| t.is_active())
-                .map(|t| t.id())
-                .collect();
-            candidates.sort();
-            *candidates.last().unwrap_or(&caller_id)
-        }
-    };
-    Some(victim)
 }
 
 /// The pivot-flavoured abort reason for a caller killed by victim selection
@@ -271,7 +244,6 @@ pub(crate) fn mark_conflict(
     if reader.id() == writer.id() {
         return Ok(());
     }
-    let _gate = opts.lockstep_commit.then(|| mgr.commit_gate());
     match opts.variant {
         SsiVariant::Basic => mark_conflict_basic(mgr, opts, reader, writer, caller),
         SsiVariant::Enhanced => mark_conflict_enhanced(mgr, opts, reader, writer, caller),
@@ -373,7 +345,7 @@ fn mark_conflict_basic(
             pivots.push(t.id());
         }
     }
-    if let Some(victim) = select_victim(opts, reader, writer, caller_txn.id(), &pivots) {
+    if let Some(victim) = select_victim(caller_txn.id(), &pivots) {
         let pivot = *pivots.first().unwrap_or(&victim);
         mgr.trace()
             .emit(EventKind::PivotDetected, pivot.0, victim.0, 0);
@@ -481,7 +453,7 @@ fn mark_conflict_enhanced(
     if writer.is_active() && !writer.is_doomed() && conflict_state_unsafe(opts, writer, &wc) {
         pivots.push(writer.id());
     }
-    if let Some(victim) = select_victim(opts, reader, writer, caller_txn.id(), &pivots) {
+    if let Some(victim) = select_victim(caller_txn.id(), &pivots) {
         let pivot = *pivots.first().unwrap_or(&victim);
         mgr.trace()
             .emit(EventKind::PivotDetected, pivot.0, victim.0, 0);
@@ -518,7 +490,6 @@ pub(crate) fn mark_conflict_with_retired_writer(
     opts: &SsiOptions,
     reader: &Arc<TxnShared>,
 ) -> Result<()> {
-    let _gate = opts.lockstep_commit.then(|| mgr.commit_gate());
     match opts.variant {
         SsiVariant::Basic => {
             let mut word = reader.load_word();
@@ -961,26 +932,6 @@ mod tests {
         reader.doom();
         let err = mark_conflict(&mgr, &opts, &reader, &writer, CallerRole::Reader).unwrap_err();
         assert_eq!(err.abort_kind(), Some(AbortKind::Unsafe));
-    }
-
-    #[test]
-    fn victim_policy_prefer_younger() {
-        let (mgr, _) = setup();
-        let opts = SsiOptions {
-            victim: VictimPolicy::PreferYounger,
-            ..SsiOptions::default()
-        };
-        let t_in = begin(&mgr); // oldest
-        let pivot = begin(&mgr);
-        let t_out = begin(&mgr); // youngest
-        mark_conflict(&mgr, &opts, &t_in, &pivot, CallerRole::Writer).unwrap();
-        // t_out (the youngest of the pair {pivot, t_out}) is picked even
-        // though the pivot holds both edges.
-        let err = mark_conflict(&mgr, &opts, &pivot, &t_out, CallerRole::Writer).unwrap_err();
-        match err {
-            Error::Aborted { victim, .. } => assert_eq!(victim, t_out.id()),
-            _ => unreachable!(),
-        }
     }
 
     #[test]

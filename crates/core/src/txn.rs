@@ -172,11 +172,12 @@ impl Transaction {
     /// check of Fig. 3.2 runs; on failure the transaction is rolled back and
     /// an [`Error::Aborted`] of kind `Unsafe` is returned. After a
     /// successful check, all versions written become visible atomically, the
-    /// commit record is appended to the WAL (waiting for the simulated flush
-    /// if one is configured), locks are released — except SIREADs, in the
-    /// lock table, on the rows' chains or on a range list, which stay in place
-    /// while the transaction is suspended (Sec. 3.3) —
-    /// and eligible suspended transactions are cleaned up (Sec. 4.6.1).
+    /// write set is sealed into the redo log when durability is on (waiting
+    /// for a covering fsync under [`crate::Durability::GroupCommit`]), locks
+    /// are released — except SIREADs, in the lock table, on the rows' chains
+    /// or on a range list, which stay in place while the transaction is
+    /// suspended (Sec. 3.3) — and eligible suspended transactions are cleaned
+    /// up (Sec. 4.6.1).
     ///
     /// The commit pipeline (see [`crate::manager`]) is wait-free on the
     /// read side: a writer enters the `Committing` window (running its
@@ -232,19 +233,9 @@ impl Transaction {
         };
 
         // --- commit point ---------------------------------------------------
-        // (`_gate` reproduces the old global-mutex serialization when the
-        // lock-step baseline mode is on; it is never taken otherwise. The
-        // guard borrows from a clone of the `Arc` so `self` stays free for
-        // the abort path.)
-        let db = self.db.clone();
-        let _gate = db
-            .options
-            .ssi
-            .lockstep_commit
-            .then(|| db.txns.commit_gate());
         // Commit-section latency (entry into the commit point through the
         // settled stamps; sampled, recorded for successful sections only).
-        let section_t0 = db.metrics.commit_section.start();
+        let section_t0 = self.db.metrics.commit_section.start();
         let commit_ts = if has_writes {
             // Writers open a `Committing` window: the unsafe check runs on
             // entry and the timestamp is allocated strictly *after* entry —
@@ -366,8 +357,7 @@ impl Transaction {
             // learning the outcome, and the outcome is now readable.
             drop(self.shared.take_dependents());
         }
-        db.metrics.commit_section.finish(section_t0);
-        drop(_gate);
+        self.db.metrics.commit_section.finish(section_t0);
 
         // --- durability (real log: seal + group-commit fsync) ---------------
         // Sealing appends the ordered prefix, so first make sure the clock
@@ -396,11 +386,6 @@ impl Transaction {
                     durability_error = Some(Error::Durability(format!("commit {commit_ts}: {e}")));
                 }
             }
-        }
-
-        // --- simulated flush latency (paper figure reproduction) ------------
-        if has_writes {
-            self.db.wal.commit_record();
         }
 
         // --- history recording (verifier) -----------------------------------

@@ -8,10 +8,6 @@
 //!   chains*: every write creates a new [`Version`] instead of overwriting,
 //!   and readers pick the version visible to their snapshot (Sec. 2.4/2.5);
 //! * [`Catalog`] — the set of named tables of one database;
-//! * [`WriteAheadLog`] — an in-memory commit log with group commit and a
-//!   configurable simulated flush latency, used to reproduce the
-//!   "no flush"/"flush at commit" regimes of the Berkeley DB evaluation
-//!   (Figs. 6.1 vs 6.2);
 //! * [`PageMap`] — a mapping from keys to page numbers so the engine can lock
 //!   and detect conflicts at Berkeley-DB-style page granularity (Sec. 4.2)
 //!   instead of InnoDB-style row granularity;
@@ -49,7 +45,6 @@ pub mod page;
 pub mod range;
 pub mod table;
 pub mod version;
-pub mod wal;
 
 pub use catalog::Catalog;
 pub use index::{
@@ -63,4 +58,3 @@ pub use table::{
     SCAN_PAGE_SIZE, SHARD_COUNT,
 };
 pub use version::{Version, VersionState};
-pub use wal::{WalConfig, WriteAheadLog};

@@ -28,9 +28,9 @@ pub enum SyncPolicy {
     /// Committers wait for an fsync covering their commit timestamp; one
     /// flusher syncs for every sealed commit at once (group commit).
     GroupCommit,
-    /// Every commit performs its own fsync, sharing nothing. This is the
-    /// measurement baseline `wal_bench` compares group commit against; it
-    /// has no production use.
+    /// Every commit performs its own fsync, sharing nothing: the naive
+    /// durable commit that `BENCH_wal.json` recorded group commit against.
+    /// The engine never selects it; this crate's tests do.
     EveryCommit,
 }
 

@@ -35,7 +35,7 @@ pub use ssi_core::{
     CommitPhase, Database, DbHealth, Durability, DurabilityOptions, FaultMode, FaultOp, FaultRule,
     FaultVfs, FieldKind, FlushEvent, FlushReason, GcPin, IndexKeyPart, IndexKeySpec, IndexRef,
     LockGranularity, MaintenanceEvent, MaintenanceHook, MaintenanceOptions, Options, PurgeStats,
-    SsiOptions, SsiVariant, TableRef, Transaction, VictimPolicy,
+    SsiOptions, SsiVariant, TableRef, Transaction,
 };
 pub use ssi_obs::{EventKind, MetricsSnapshot, TraceBatch, TraceEvent};
 pub use ssi_server::{Client, ClientTxn, Server, ServerOptions};
