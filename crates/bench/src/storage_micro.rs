@@ -250,7 +250,7 @@ pub fn indexed_lookup(table: &Table, index: &Index, name: &str, snapshot_ts: u64
     let ik = KeyBuilder::new().str(name).build();
     let (lo, hi) = entry_range(Bound::Included(&ik), Bound::Included(&ik));
     let mut hits = 0usize;
-    for entry in index.entries_in_range(as_ref_bound(&lo), as_ref_bound(&hi), None) {
+    for entry in index.entries_in_range(as_ref_bound(&lo), as_ref_bound(&hi)) {
         let Some((_, pk)) = decode_entry(&entry) else {
             continue;
         };

@@ -90,9 +90,6 @@ pub enum AbortReason {
     /// A speculatively read commit dependency aborted, cascading into this
     /// transaction.
     DependencyCascade,
-    /// A scan could not settle its gap region within the bounded number of
-    /// sweep passes (writer churn starvation).
-    GapSweepExhausted,
     /// The database is in degraded (read-only) mode and rejected a write.
     /// (Surfaced as [`Error::Degraded`]; counted here for the rollback.)
     DegradedRejected,
@@ -108,7 +105,7 @@ pub enum AbortReason {
 
 impl AbortReason {
     /// Number of distinct reasons (the length of [`AbortReason::ALL`]).
-    pub const COUNT: usize = 13;
+    pub const COUNT: usize = 12;
 
     /// Every reason, in `index()` order — iterate this to render the
     /// per-reason counters.
@@ -122,7 +119,6 @@ impl AbortReason {
         AbortReason::BasicFlagCheck,
         AbortReason::DoomedByPeer,
         AbortReason::DependencyCascade,
-        AbortReason::GapSweepExhausted,
         AbortReason::DegradedRejected,
         AbortReason::UserRollback,
         AbortReason::UniqueViolation,
@@ -145,7 +141,6 @@ impl AbortReason {
             AbortReason::BasicFlagCheck => "basic-flag-check",
             AbortReason::DoomedByPeer => "doomed-by-peer",
             AbortReason::DependencyCascade => "dependency-cascade",
-            AbortReason::GapSweepExhausted => "gap-sweep-exhausted",
             AbortReason::DegradedRejected => "degraded-rejected",
             AbortReason::UserRollback => "user-rollback",
             AbortReason::UniqueViolation => "unique-violation",
@@ -165,7 +160,6 @@ impl AbortReason {
             | AbortReason::BasicFlagCheck
             | AbortReason::DoomedByPeer
             | AbortReason::DependencyCascade
-            | AbortReason::GapSweepExhausted
             | AbortReason::DegradedRejected => AbortKind::Unsafe,
         }
     }

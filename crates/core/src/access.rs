@@ -8,19 +8,58 @@
 //!   registers a conflict with every writer either reveals: the creator of
 //!   every newer version it skipped and, where the SIREAD is a lock, any
 //!   EXCLUSIVE holder;
-//! * `put`/`delete` take the EXCLUSIVE lock, apply first-committer-wins,
-//!   register conflicts with the SIREAD holders that overlap the writer, and
-//!   — for inserts and deletes at row granularity — do the same for the
-//!   holders of the gap the key lies in (phantom handling, Sec. 3.5);
+//! * `put`/`delete` take the EXCLUSIVE lock, apply first-committer-wins and
+//!   register conflicts with the SIREAD holders that overlap the writer: the
+//!   row's readers and the scans whose range contains the key (phantom
+//!   handling, Sec. 3.5);
 //! * `scan` is a predicate read. At row granularity its SIREAD is the
 //!   predicate itself: the scan registers its bounds with the table before it
 //!   lists the first page, and then reads every row exactly as a
 //!   snapshot-isolation scan does, marking a conflict with the creator of
 //!   every newer version it skipped. A later insert into, update of or delete
 //!   from the range finds the registration when it installs its version (see
-//!   "Why scans stay consistent under SSI" in `ssi_storage::table`). It works
-//!   a page at a time: the storage cursor lists the page's keys without
-//!   reading them, and each row is then read exactly once.
+//!   "Why scans stay consistent" in `ssi_storage::table`). It works a page at
+//!   a time: the storage cursor lists the page's keys without reading them,
+//!   and each row is then read exactly once.
+//!
+//! ## Phantoms at every level: one range per scan
+//!
+//! S2PL protects its scans against phantoms with the same registration, in
+//! the blocking `Shared` mode (`ssi_storage::range`): the scan registers its
+//! bounds before it lists, then reads each listed row under a SHARED record
+//! lock. A key already in the table is on one of the scan's pages, so its
+//! writer and the scanner meet on the row's record lock. A key new to the
+//! table is linked into the ordered index by its first install, whose
+//! critical section reports the `Shared` ranges that contain it; the writer —
+//! at any level, RC and SI included — then undoes the install as a rollback
+//! would (the version is marked aborted and unlinked) and waits for each
+//! holder *through the lock manager*, outside every storage lock, before it
+//! installs again. It never waits with a version in the chain, so a scanner
+//! that lists its range again meanwhile cannot deadlock against it. The
+//! holder's name is a per-transaction lock target an S2PL transaction holds
+//! EXCLUSIVE from before its first range until it commits or aborts
+//! ([`LockKey::transaction`]); the writer requests it SHARED and lets go at
+//! once, so the wait is in the wait-for graph, deadlock detection and the
+//! timeout like any other. Updates and deletes of keys already in the table
+//! never wait on a range. An index scan and a fresh index entry do the same
+//! in entry space.
+//!
+//! This is a predicate lock (Eswaran et al., CACM 1976) where the InnoDB
+//! prototype had next-key locks, and it blocks differently:
+//!
+//! * it covers the whole range from the scan's start until its holder
+//!   finishes, where a next-key lock covered only what the scan had passed;
+//! * it stops at the scan's bounds, where a next-key lock reached the
+//!   neighbouring key, so an insert just past the range no longer waits;
+//! * a link racing the listing of the same key can end in a detected,
+//!   retryable `lock-deadlock` — the scanner waits for the key's EXCLUSIVE
+//!   lock, the writer for the scanner — which is the only new deadlock;
+//! * a scan that registers while an insert waits is not queued behind it:
+//!   the insert's next attempt finds it and waits again, so an unbroken
+//!   stream of overlapping scans holds the insert back for as long as it
+//!   lasts, where a gap lock request queued the insert ahead of later scans;
+//! * at page granularity nothing changes: page locks cover rows and gaps
+//!   alike, and nothing registers a range.
 //!
 //! ## Where an SIREAD lives
 //!
@@ -45,13 +84,11 @@
 //!   reachable (`ssi_storage::range`). A key or an entry that appears later
 //!   is covered by lying in the range, so there is nothing to hand on when a
 //!   gap is split and nothing to sweep for after the scan. The transaction
-//!   keeps one handle per registration (`Transaction::siread_ranges`),
-//!   released with the row handles. A writer still takes the row's EXCLUSIVE
-//!   lock in the lock table (it is what blocks the next writer), and an
-//!   inserter or deleter the EXCLUSIVE lock of the gap above its key (it is
-//!   what waits for an S2PL scanner, whose SHARED gap locks live there), and
-//!   passes the chain's holders, the range holders and whatever the lock
-//!   table reported to `mark_write_conflicts`;
+//!   keeps one handle per registration (`Transaction::ranges`), released
+//!   with the row handles. A writer still takes the row's EXCLUSIVE lock in
+//!   the lock table (it is what blocks the next writer), and passes the
+//!   chain's holders, the range holders and whatever the lock table reported
+//!   to `mark_write_conflicts`;
 //! * **the rest: in the lock table**, by the lock-then-read protocol. That
 //!   is a page (page granularity has many rows under one name, so neither a
 //!   chain nor a range of keys can stand for it), and a row whose key has no
@@ -64,8 +101,6 @@
 //! grant and its install). No conflict is lost by that. If the holder goes on
 //! to write the row, its install finds the reader and records the same edge;
 //! if it never does, the row did not change and the reader missed nothing.
-//! The same goes for the EXCLUSIVE holder of a gap: a scan meets an inserter
-//! by reading the key it inserted.
 //!
 //! ## Secondary-index protocol
 //!
@@ -74,27 +109,24 @@
 //! but the protocol shape is identical.
 //!
 //! * **Writes** (`index_maintenance`, run before the version is
-//!   installed): for every index whose extracted key *changes* (a fresh
-//!   claim — insert or rename, never a same-key overwrite), the writer
-//!   takes an EXCLUSIVE gap lock on the next entry after its new entry
-//!   (supremum if none), which is what makes it wait for an S2PL index
-//!   scan. Unique indexes additionally serialize claims of one index key
-//!   under an EXCLUSIVE *marker* lock on `(index id, index key)` and check
-//!   the latest committed state under it — a duplicate claim aborts with the
-//!   typed [`AbortReason::UniqueViolation`] at every isolation level, because
-//!   a constraint, unlike serializability, cannot be traded away. A
-//!   Serializable-SI index scan is found later, by the install: adding the
-//!   entry reports the holders of the index ranges that contain it
-//!   (`ssi_storage::index`, § Range SIREADs in entry space).
-//! * **Reads** (`do_index_scan`): at Serializable SI the scan registers its
-//!   entry range with the index first, then lists the entries and reads each
-//!   claiming row with the ordinary row protocol — a point SIREAD on the
-//!   row's chain, so a rename away or a delete is found there — and
+//!   installed): unique indexes serialize the claims of one index key — a
+//!   write whose extracted key *changes* (insert or rename, never a same-key
+//!   overwrite) — under an EXCLUSIVE *marker* lock on `(index id, index
+//!   key)` and check the latest committed state under it: a duplicate claim
+//!   aborts with the typed [`AbortReason::UniqueViolation`] at every
+//!   isolation level, because a constraint, unlike serializability, cannot
+//!   be traded away. Index scans are found later, by the install: adding the
+//!   entry reports the holders of the SIREAD ranges that contain it and,
+//!   when the entry is new to the index, of the `Shared` ones, which the
+//!   writer waits for as it does for a table's (`ssi_storage::index`,
+//!   § Range registrations in entry space).
+//! * **Reads** (`do_index_scan`): at Serializable SI and at S2PL the scan
+//!   registers its entry range with the index first, then lists the entries
+//!   and reads each claiming row with the level's row protocol — at
+//!   Serializable SI a point SIREAD on the row's chain, so a rename away or
+//!   a delete is found there, at S2PL a SHARED record lock — and
 //!   re-extracts from the row's *current* value to filter entries staled by
-//!   renames and deletes (stale entries linger until GC). At S2PL each
-//!   visited entry gets a SHARED gap lock, and after the pass the locked
-//!   region is swept to a fixpoint — entries installed concurrently between
-//!   probe and lock are absorbed, exactly like the S2PL row scan's gap sweep.
+//!   renames and deletes (stale entries linger until GC).
 //! * **History**: index reads and writes are recorded under the index's id
 //!   (reads only for entries that pass the filter; absences as gap
 //!   records), so the MVSG verifier checks index predicates like any other
@@ -104,11 +136,11 @@ use std::ops::Bound;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use ssi_common::{AbortReason, Bytes, Error, IsolationLevel, Result, TableId, Timestamp, TxnId};
+use ssi_common::{AbortReason, Bytes, Error, IsolationLevel, Result, Timestamp, TxnId};
 use ssi_lock::{LockKey, LockMode, ModeSet};
 use ssi_storage::{
-    as_ref_bound, clone_bound, decode_entry, encode_entry, entry_range, Index, Installed, ScanRow,
-    Siread, VisibleRead,
+    as_ref_bound, clone_bound, decode_entry, encode_entry, entry_range, Index, RangeHandle,
+    RangeMode, ScanRow, Siread, VisibleRead,
 };
 
 use crate::db::{IndexRef, TableRef};
@@ -117,13 +149,6 @@ use crate::ssi::{self, CallerRole};
 use crate::txn::{Transaction, WriteRecord};
 use crate::txn_shared::DependencyOutcome;
 use crate::verify::{ReadRecord, WriteRecordEntry};
-
-/// Lists the keys of an ordered structure (a table's key index, a secondary
-/// index's entry map) that lie between two bounds, ascending.
-type KeyLister<'a> = &'a dyn Fn(Bound<&[u8]>, Bound<&[u8]>) -> Vec<Arc<[u8]>>;
-
-/// Rows an index scan keeps, in entry order: `(entry, primary key, value)`.
-type IndexHits = Vec<(Arc<[u8]>, Vec<u8>, Bytes)>;
 
 /// How a speculative read (of a provisionally stamped version) resolved.
 enum Speculation {
@@ -263,170 +288,8 @@ impl Transaction {
         }
     }
 
-    fn gap_target(&self, table: &TableRef, next: Option<Arc<[u8]>>) -> LockKey {
-        match next {
-            Some(k) => LockKey::gap(table.id(), k),
-            None => LockKey::supremum(table.id()),
-        }
-    }
-
-    fn end_gap_target(&self, table: &TableRef, upper: &Bound<&[u8]>) -> LockKey {
-        match upper {
-            Bound::Unbounded => LockKey::supremum(table.id()),
-            Bound::Included(h) => {
-                let next = table.table.next_key_after(h);
-                self.gap_target(table, next)
-            }
-            Bound::Excluded(h) => {
-                let next = table.table.next_key_at_or_after(h);
-                self.gap_target(table, next)
-            }
-        }
-    }
-
     fn row_granularity(&self) -> bool {
         matches!(self.db.options.granularity, LockGranularity::Row)
-    }
-
-    /// Closes one page of an S2PL scan against phantoms. The page's key
-    /// region runs from `from` (exclusive end of the previous page, or the
-    /// scan's lower bound) to `to`: the page's last key or, for the last
-    /// page, the end of the range. The caller must already hold the gap lock
-    /// of every key the page listed *and*, on the last page, of the gap that
-    /// closes the range.
-    ///
-    /// Any key present in the region that the page did not list was
-    /// inserted into one of its gaps after the page was taken. An insert
-    /// that asks for its gap lock once ours is granted waits for us; the
-    /// sweep ([`Transaction::sweep_region`]) is for the ones that were
-    /// entirely done by then. It runs only if the table's membership epoch
-    /// moved since the page was listed: an unchanged `epoch`, read under the
-    /// ordered-index lock now that the gaps are locked, proves the index
-    /// still holds exactly the page's keys, so the sweep's listing would
-    /// find nothing. `seen` is asked for the page's keys only if the sweep
-    /// runs. Returns the newly discovered keys in ascending order.
-    ///
-    /// S2PL is the sweep's only row-scan caller: a Serializable-SI scan
-    /// registers its range before it lists anything, so an insert is either
-    /// listed or finds the range, and there is no window to sweep.
-    fn sweep_gap_region(
-        &mut self,
-        table: &TableRef,
-        epoch: u64,
-        seen: impl FnOnce() -> Vec<Arc<[u8]>>,
-        from: Bound<&[u8]>,
-        to: Bound<&[u8]>,
-    ) -> Result<Vec<Arc<[u8]>>> {
-        let stats = self.db.txns.stats();
-        if table.table.membership_epoch() == epoch {
-            stats.scan_sweeps_skipped.fetch_add(1, Ordering::Relaxed);
-            return Ok(Vec::new());
-        }
-        stats.scan_sweeps_run.fetch_add(1, Ordering::Relaxed);
-        let list = &|from: Bound<&[u8]>, to: Bound<&[u8]>| table.table.keys_in_range(from, to);
-        self.sweep_region(list, table.id(), seen(), from, to)
-    }
-
-    /// The phantom sweep shared by S2PL row scans and index scans: finds
-    /// the keys of a table or the entries of an index (as `list` reports
-    /// them) that lie in `(from, to)` and are not in `seen` — the ascending
-    /// keys whose SHARED gap lock in `space` this transaction already holds,
-    /// along with the gap lock of the region's upper boundary.
-    ///
-    /// Each key found has its gap locked as well — an insert splits a gap,
-    /// and the new key's gap has to be ours from then on too — which opens
-    /// the same race for the new lock: an insert in front of the found key
-    /// may have come and gone before it was granted. So the part of the
-    /// region below the highest key just locked is listed again, until a
-    /// pass finds nothing new. Keys that appear *above* the keys a pass
-    /// locked need no further pass: their inserts went into a gap this
-    /// transaction already held, and waited for it. After that fixpoint,
-    /// every key listed in the region has its gap locked. Returns the
-    /// discovered keys in ascending order.
-    ///
-    /// Every pass lists a strictly lower range than the one before, so an
-    /// append storm ends the sweep after two passes, and a pass is one
-    /// listing merged against `seen` (both sorted) — a walk, not a search
-    /// per key — so it stays short next to the interval between inserts.
-    /// The pass count is bounded all the same: a writer storm that lands a
-    /// fresh insert below the previous one in the race window of every
-    /// single pass would otherwise starve the scan. Exhausting the bound
-    /// aborts this transaction (retryably), which is sound — an aborted
-    /// scan imposes no ordering constraints.
-    fn sweep_region(
-        &mut self,
-        list: KeyLister<'_>,
-        space: TableId,
-        mut seen: Vec<Arc<[u8]>>,
-        from: Bound<&[u8]>,
-        to: Bound<&[u8]>,
-    ) -> Result<Vec<Arc<[u8]>>> {
-        const MAX_PASSES: usize = 16;
-        debug_assert!(seen.windows(2).all(|w| w[0] < w[1]));
-        let mut missed: Vec<Arc<[u8]>> = Vec::new();
-        for _ in 0..MAX_PASSES {
-            // Highest key the previous pass locked (a pass finds its keys
-            // in ascending order): only inserts in front of it can have
-            // raced that pass.
-            let to = match missed.last() {
-                Some(key) => Bound::Excluded(&key[..]),
-                None => to,
-            };
-            let listed = list(from, to);
-            let mut union = Vec::with_capacity(seen.len().max(listed.len()));
-            let mut old = seen.into_iter().peekable();
-            let found = missed.len();
-            for key in listed {
-                while let Some(held) = old.next_if(|held| *held < key) {
-                    union.push(held);
-                }
-                if old.next_if_eq(&key).is_none() {
-                    missed.push(key.clone());
-                }
-                union.push(key);
-            }
-            union.extend(old);
-            seen = union;
-            if missed.len() == found {
-                missed.sort_unstable();
-                return Ok(missed);
-            }
-            for key in &missed[found..] {
-                self.acquire(LockKey::gap(space, key.clone()), LockMode::Shared)?;
-            }
-        }
-        Err(Error::abort_with_reason(
-            AbortReason::GapSweepExhausted,
-            self.shared.id(),
-        ))
-    }
-
-    /// 2PL handling of keys [`Transaction::sweep_gap_region`] discovered:
-    /// lock, read and splice each one into the (key-ordered) result.
-    fn absorb_missed_rows_2pl(
-        &mut self,
-        table: &TableRef,
-        missed: Vec<Arc<[u8]>>,
-        result: &mut Vec<(Vec<u8>, Bytes)>,
-    ) -> Result<()> {
-        let id = self.shared.id();
-        for key in missed {
-            let lock = self.lock_target(table, key.clone());
-            self.acquire(lock, LockMode::Shared)?;
-            if let Some(value) = table.table.read_latest_committed(&key, id) {
-                let pos = result
-                    .binary_search_by(|(k, _)| k[..].cmp(&key))
-                    .unwrap_or_else(|p| p);
-                result.insert(pos, (key.to_vec(), value));
-            }
-            let ts = table.table.newest_committed_ts(&key);
-            self.record_read(table, &key, ts, false);
-        }
-        Ok(())
-    }
-
-    fn gap_locking_enabled(&self) -> bool {
-        self.db.options.detect_phantoms && self.row_granularity()
     }
 
     // ------------------------------------------------------------------
@@ -810,103 +673,92 @@ impl Transaction {
         }
         let id = self.shared.id();
         let isolation = self.shared.isolation();
-        let is_delete = value.is_none();
 
         // Every isolation level locks writes exclusively; under SI/SSI this
         // is what implements first-updater-wins (Sec. 2.5).
         let lock = self.lock_target(table, key);
         let outcome = self.acquire(lock, LockMode::Exclusive)?;
 
-        // One visit of the chain answers both pre-install questions:
-        // first-committer-wins here, insert-or-update below. The lock is
-        // held, so neither answer can change before the install.
-        let probe = table.table.write_probe(key);
+        // First-committer-wins, from one visit of the chain. The lock is
+        // held, so the answer cannot change before the install.
         if isolation.uses_snapshot() {
             // Snapshot chosen only after the first lock is granted
             // (Sec. 4.5).
             let snapshot = self.db.txns.ensure_snapshot(&self.shared);
-            if probe
-                .newest_committed_ts
-                .is_some_and(|newest| newest > snapshot)
-            {
+            let newest = table.table.write_probe(key).newest_committed_ts;
+            if newest.is_some_and(|newest| newest > snapshot) {
                 return Err(Error::update_conflict(id));
             }
         }
 
-        // Phantom handling: inserts and deletes lock the gap after the key
-        // (Fig. 3.7) so concurrent predicate reads notice them. Updates of
-        // existing keys do not change predicate results and need no gap
-        // lock. Page-level locking subsumes this (Sec. 3.5). The lock is
-        // what makes the write wait for an S2PL scanner; a Serializable-SI
-        // scanner is not in the lock table and is found by the install,
-        // below, whatever the write does to the key.
-        let is_insert = !probe.has_live_version;
-        let needs_gap = self.gap_locking_enabled()
-            && (is_insert || is_delete)
-            && matches!(
-                isolation,
-                IsolationLevel::StrictTwoPhaseLocking
-                    | IsolationLevel::SerializableSnapshotIsolation
-            );
-        if needs_gap {
-            let next = table.table.next_key_after(key);
-            let gap = self.gap_target(table, next);
-            let gap_outcome = self.acquire(gap, LockMode::Exclusive)?;
-            if isolation == IsolationLevel::SerializableSnapshotIsolation {
-                self.mark_write_conflicts(&gap_outcome.rw_conflicts)?;
-            }
-        }
-
         // Secondary-index side of the write: unique enforcement under the
-        // index-point marker lock, entry-space gap locks for fresh claims,
-        // and the verifier's index-space write records. Must run *before*
-        // the version is installed so the shadowed state is still readable.
+        // index-point marker lock and the verifier's index-space write
+        // records. Must run *before* the version is installed so the
+        // shadowed state is still readable.
         self.index_maintenance(table, key, value.as_deref())?;
 
         // A long chain is pruned on the way in, at the horizon the purge
         // pass would use; the horizon is only read if the chain is long. The
         // critical section that makes the version reachable also hands over
-        // the SIREAD holders it concerns — the row's point readers, and the
-        // holders of the ranges that contain the key or an index entry the
-        // version adds — and drops this transaction's own registration on the
-        // row (the Sec. 3.7.3 upgrade: sound because locking and versioning
-        // granularity match on a chain, so first-committer-wins covers any
-        // later writer of the row).
+        // the holders it concerns — the row's point readers, the holders of
+        // the SIREAD ranges that contain the key or an index entry the
+        // version adds, and those of the `Shared` ranges it links a key or
+        // an entry into — and drops this transaction's own registration on
+        // the row (the Sec. 3.7.3 upgrade: sound because locking and
+        // versioning granularity match on a chain, so first-committer-wins
+        // covers any later writer of the row).
         let txns = &self.db.txns;
         let upgrade = self.db.options.ssi.upgrade_siread;
-        let Installed {
-            version,
-            pruned,
-            readers,
-            range_readers,
-            upgraded,
-        } = table
-            .table
-            .install(key, id, value, upgrade, || txns.gc_horizon());
-        if pruned > 0 {
-            txns.stats()
-                .pruned_inline_versions
-                .fetch_add(pruned as u64, Ordering::Relaxed);
-        }
+        let mut value = value;
+        let mut upgraded = false;
+        let installed = loop {
+            let installed = table
+                .table
+                .install(key, id, value, upgrade, || txns.gc_horizon());
+            if installed.pruned > 0 {
+                txns.stats()
+                    .pruned_inline_versions
+                    .fetch_add(installed.pruned as u64, Ordering::Relaxed);
+            }
+            upgraded |= installed.upgraded;
+            if installed.blocked_by.is_empty() {
+                break installed;
+            }
+            // A phantom of an S2PL scan (module docs, § Phantoms at every
+            // level): undo the install as a rollback would, wait for every
+            // holder with nothing of this write in storage, install again.
+            value = installed.version.value_handle();
+            installed.version.mark_aborted();
+            table.table.unlink_version(key, &installed.version);
+            for holder in &installed.blocked_by {
+                self.wait_for_range_holder(*holder)?;
+            }
+        };
         self.writes.push(WriteRecord {
             table: Arc::clone(&table.table),
             key: key.to_vec(),
-            version,
+            version: installed.version,
         });
         if isolation == IsolationLevel::SerializableSnapshotIsolation {
             // Fig. 3.5: conflict with every overlapping SIREAD holder —
             // those the lock table reported with the EXCLUSIVE grant (pages;
             // readers that found no chain for the key), those registered on
-            // the chain, and those whose scan covers the key. To a scan the
-            // first live version of a key is a phantom, which the engine can
-            // be told not to detect (`detect_phantoms`); a new version of a
-            // row it read, tombstone or not, always counts.
+            // the chain, and those whose scan covers the key.
             self.siread_rows_upgraded += usize::from(upgraded);
-            self.mark_write_conflicts(outcome.rw_conflicts.iter().chain(&readers))?;
-            if !is_insert || self.db.options.detect_phantoms {
-                self.mark_write_conflicts(&range_readers)?;
-            }
+            let readers = installed.readers.iter().chain(&installed.range_readers);
+            self.mark_write_conflicts(outcome.rw_conflicts.iter().chain(readers))?;
         }
+        Ok(())
+    }
+
+    /// Waits until `holder`, whose `Shared` range this transaction's write
+    /// would have linked a key into, has finished: a SHARED request on the
+    /// holder's own lock name, which it holds EXCLUSIVE until it commits or
+    /// aborts, released as soon as it is granted.
+    fn wait_for_range_holder(&self, holder: TxnId) -> Result<()> {
+        let (id, name) = (self.shared.id(), LockKey::transaction(holder));
+        self.db.locks.lock(id, &name, LockMode::Shared)?;
+        self.db.locks.unlock(id, &name, LockMode::Shared);
         Ok(())
     }
 
@@ -926,10 +778,6 @@ impl Transaction {
     ///   with [`AbortReason::UniqueViolation`] if one exists. Blocking on
     ///   the marker is what makes two racing inserts deterministic: the
     ///   loser waits out the winner's commit and then sees its claim;
-    /// * a fresh claim is an *insert into entry space*: at the phantom-
-    ///   detecting levels it locks the gap after the new entry exactly as a
-    ///   row insert locks its key gap (Fig. 3.7 applied to the index), so
-    ///   concurrent index scans notice it;
     /// * with history recording on, the write is mirrored into index space
     ///   for the MVSG verifier: the new entry as a write, the shadowed old
     ///   entry (key changed or row deleted) as a tombstone write.
@@ -952,34 +800,14 @@ impl Transaction {
                 .as_ref()
                 .and_then(|v| index.spec().extract(key, v));
             let new_ik = value.and_then(|v| index.spec().extract(key, v));
-            let fresh_claim = new_ik.is_some() && new_ik != old_ik;
-            if fresh_claim {
-                let ik = new_ik.as_deref().expect("fresh_claim implies Some");
-                if index.unique() {
-                    let marker = LockKey::record(index.id(), ik);
-                    let outcome = self.acquire(marker, LockMode::Exclusive)?;
-                    if isolation == IsolationLevel::SerializableSnapshotIsolation {
-                        self.mark_write_conflicts(&outcome.rw_conflicts)?;
-                    }
-                    self.check_unique(table, index, key, ik)?;
+            let fresh_claim = new_ik.as_deref().filter(|_| new_ik != old_ik);
+            if let (true, Some(ik)) = (index.unique(), fresh_claim) {
+                let marker = LockKey::record(index.id(), ik);
+                let outcome = self.acquire(marker, LockMode::Exclusive)?;
+                if isolation == IsolationLevel::SerializableSnapshotIsolation {
+                    self.mark_write_conflicts(&outcome.rw_conflicts)?;
                 }
-                if self.gap_locking_enabled()
-                    && matches!(
-                        isolation,
-                        IsolationLevel::StrictTwoPhaseLocking
-                            | IsolationLevel::SerializableSnapshotIsolation
-                    )
-                {
-                    let entry = encode_entry(ik, key);
-                    let gap = match index.next_entry_after(&entry) {
-                        Some(next) => LockKey::gap(index.id(), next),
-                        None => LockKey::supremum(index.id()),
-                    };
-                    let gap_outcome = self.acquire(gap, LockMode::Exclusive)?;
-                    if isolation == IsolationLevel::SerializableSnapshotIsolation {
-                        self.mark_write_conflicts(&gap_outcome.rw_conflicts)?;
-                    }
-                }
+                self.check_unique(table, index, key, ik)?;
             }
             if self.db.history.is_some() {
                 if let Some(ik) = &new_ik {
@@ -1018,7 +846,7 @@ impl Transaction {
         ik: &[u8],
     ) -> Result<()> {
         let (lo, hi) = entry_range(Bound::Included(ik), Bound::Included(ik));
-        for entry in index.entries_in_range(as_ref_bound(&lo), as_ref_bound(&hi), None) {
+        for entry in index.entries_in_range(as_ref_bound(&lo), as_ref_bound(&hi)) {
             let Some((_, other_pk)) = decode_entry(&entry) else {
                 continue;
             };
@@ -1043,25 +871,56 @@ impl Transaction {
     // Predicate reads
     // ------------------------------------------------------------------
 
+    /// The predicate lock of a scan at row granularity, registered before
+    /// the scan lists anything (`register` makes the registration on the
+    /// table or index scanned): an SIREAD range at Serializable SI, a
+    /// `Shared` one at S2PL, nothing at the other levels. Before its first
+    /// `Shared` range an S2PL transaction takes EXCLUSIVE on its own lock
+    /// name, which a writer blocked by the range waits on (module docs,
+    /// § Phantoms at every level).
+    fn lock_range(
+        &mut self,
+        register: impl FnOnce(TxnId, RangeMode) -> Option<RangeHandle>,
+    ) -> Result<()> {
+        let mode = match self.shared.isolation() {
+            IsolationLevel::SerializableSnapshotIsolation => RangeMode::SiRead,
+            IsolationLevel::StrictTwoPhaseLocking => RangeMode::Shared,
+            IsolationLevel::ReadCommitted | IsolationLevel::SnapshotIsolation => return Ok(()),
+        };
+        if !self.row_granularity() {
+            return Ok(());
+        }
+        let id = self.shared.id();
+        if mode == RangeMode::Shared && self.ranges.is_empty() {
+            self.acquire(LockKey::transaction(id), LockMode::Exclusive)?;
+        }
+        self.ranges.extend(register(id, mode));
+        Ok(())
+    }
+
     /// Every isolation level pages through the storage layer's handle
     /// cursor ([`ssi_storage::Table::cursor`]): a page lists keys and chain
     /// handles without reading them, only one page is materialized at a
     /// time, and the table's ordered-index lock is released between pages,
     /// so a large scan never blocks writers of new keys for its duration.
-    /// The levels differ in what goes with reading a page's rows: nothing
-    /// (read committed, SI); at Serializable SI nothing per row either — the
-    /// scan registers its range with the table once, before the first page
-    /// (at page granularity, one batch of page SIREAD locks in front of each
-    /// page's reads instead) — and a conflict with the creator of every
-    /// newer version a read skipped; a blocking SHARED lock per row and gap,
-    /// and the phantom sweep behind the page (S2PL).
+    /// At Serializable SI and S2PL the scan first registers its range with
+    /// the table ([`Transaction::lock_range`]). The levels then differ in
+    /// what goes with reading a page's rows: nothing (read committed, SI);
+    /// at Serializable SI nothing per row either (at page granularity, one
+    /// batch of page SIREAD locks in front of each page's reads instead)
+    /// and a conflict with the creator of every newer version a read
+    /// skipped; a blocking SHARED lock per row (S2PL).
     fn do_scan(
         &mut self,
         table: &TableRef,
         lower: Bound<&[u8]>,
         upper: Bound<&[u8]>,
     ) -> Result<Vec<(Vec<u8>, Bytes)>> {
-        let id = self.shared.id();
+        // Fig. 3.6's SIREADs, all of them, or S2PL's protection against
+        // phantoms: the range covers every row and every gap between the
+        // bounds. Registered before anything is listed, so a writer that
+        // the listing or a read below does not see has seen the range.
+        self.lock_range(|id, mode| table.table.register_range(lower, upper, id, mode))?;
         let isolation = self.shared.isolation();
         if isolation == IsolationLevel::StrictTwoPhaseLocking {
             return self.do_scan_2pl(table, lower, upper);
@@ -1072,14 +931,6 @@ impl Transaction {
             self.db.txns.current_ts()
         };
         let ssi = isolation == IsolationLevel::SerializableSnapshotIsolation;
-        if ssi && self.row_granularity() {
-            // Fig. 3.6's SIREADs, all of them: the range covers every row
-            // and every gap between the bounds. Registered before anything
-            // is listed, so a writer that the listing or a read below does
-            // not see has seen the range.
-            self.siread_ranges
-                .extend(table.table.register_range(lower, upper, id));
-        }
         let mut result = Vec::new();
         let mut cursor = table.table.cursor(lower, upper);
         while let Some(page) = cursor.next_page() {
@@ -1125,10 +976,9 @@ impl Transaction {
         Ok(result)
     }
 
-    /// [`Transaction::do_scan`] at S2PL: per page, a blocking SHARED lock on every row and on
-    /// the gap in front of it — read under the lock, no writer can change
-    /// the row once it is granted — the gap that closes the range on the
-    /// last page, and the phantom sweep of the page's key region.
+    /// [`Transaction::do_scan`] at S2PL, once the range is registered: per
+    /// page, a blocking SHARED lock on every row, and the row read under it
+    /// — no writer can change the row once it is granted.
     fn do_scan_2pl(
         &mut self,
         table: &TableRef,
@@ -1136,19 +986,10 @@ impl Transaction {
         upper: Bound<&[u8]>,
     ) -> Result<Vec<(Vec<u8>, Bytes)>> {
         let id = self.shared.id();
-        let gap_on = self.gap_locking_enabled();
         let mut result = Vec::new();
         let mut cursor = table.table.cursor(lower, upper);
-        // Last key of the previous page: where this page's key region (the
-        // unit of the phantom sweep) starts.
-        let mut prev_last: Option<Arc<[u8]>> = None;
         while let Some(page) = cursor.next_page() {
-            let last_key = page.rows.last().map(|row| row.key.clone());
-            for row in &page.rows {
-                if gap_on {
-                    let gap = LockKey::gap(table.id(), row.key.clone());
-                    self.acquire(gap, LockMode::Shared)?;
-                }
+            for row in page.rows {
                 let lock = self.lock_target(table, row.key.clone());
                 self.acquire(lock, LockMode::Shared)?;
                 if let Some(value) = table.table.read_latest_committed(&row.key, id) {
@@ -1156,30 +997,6 @@ impl Transaction {
                 }
                 let ts = table.table.newest_committed_ts(&row.key);
                 self.record_read(table, &row.key, ts, false);
-            }
-            if gap_on {
-                if page.last {
-                    let end_gap = self.end_gap_target(table, &upper);
-                    self.acquire(end_gap, LockMode::Shared)?;
-                }
-                // Rows committed into the page's gaps before their gap
-                // locks were granted were not listed; lock and include
-                // them.
-                let region_start = match &prev_last {
-                    Some(key) => Bound::Excluded(&key[..]),
-                    None => lower,
-                };
-                let region_end = match &last_key {
-                    Some(key) if !page.last => Bound::Included(&key[..]),
-                    _ => upper,
-                };
-                let seen = || page.rows.iter().map(|row| row.key.clone()).collect();
-                let missed =
-                    self.sweep_gap_region(table, page.epoch, seen, region_start, region_end)?;
-                self.absorb_missed_rows_2pl(table, missed, &mut result)?;
-            }
-            if last_key.is_some() {
-                prev_last = last_key;
             }
         }
         Ok(result)
@@ -1211,91 +1028,16 @@ impl Transaction {
         }
     }
 
-    /// Entry-space analogue of [`Transaction::end_gap_target`]: the gap
-    /// that closes an S2PL index scan's upper end against inserts just past
-    /// it.
-    fn index_end_gap(&self, index: &Arc<Index>, upper: &Bound<Vec<u8>>) -> LockKey {
-        let next = match upper {
-            Bound::Unbounded => None,
-            Bound::Included(e) => index
-                .entries_in_range(Bound::Excluded(e.as_slice()), Bound::Unbounded, Some(1))
-                .into_iter()
-                .next(),
-            Bound::Excluded(e) => index
-                .entries_in_range(Bound::Included(e.as_slice()), Bound::Unbounded, Some(1))
-                .into_iter()
-                .next(),
-        };
-        match next {
-            Some(e) => LockKey::gap(index.id(), e),
-            None => LockKey::supremum(index.id()),
-        }
-    }
-
-    /// [`Transaction::sweep_region`] in entry space, for the S2PL index
-    /// scan: the ordered structure listed is the index's entry map instead
-    /// of the table's key index, and the gap locks taken live in the index's
-    /// lock namespace. `visited` holds the entries the scan gap-locked,
-    /// ascending; the caller must also hold the region's end gap.
-    fn sweep_index_region(
-        &mut self,
-        index: &Arc<Index>,
-        from: Bound<&[u8]>,
-        to: Bound<&[u8]>,
-        visited: &[Arc<[u8]>],
-    ) -> Result<Vec<Arc<[u8]>>> {
-        let list = &|from: Bound<&[u8]>, to: Bound<&[u8]>| index.entries_in_range(from, to, None);
-        self.sweep_region(list, index.id(), visited.to_vec(), from, to)
-    }
-
-    /// 2PL handling of entries [`Transaction::sweep_index_region`]
-    /// discovered: lock and read the entry's row, keep it if its value
-    /// still extracts to the entry's index key, splicing in entry order.
-    fn absorb_missed_entries_2pl(
-        &mut self,
-        table: &TableRef,
-        index: &Arc<Index>,
-        missed: Vec<Arc<[u8]>>,
-        result: &mut IndexHits,
-    ) -> Result<()> {
-        let id = self.shared.id();
-        for entry in missed {
-            let Some((ik, pk)) = decode_entry(&entry) else {
-                continue;
-            };
-            let lock = self.lock_target(table, pk.as_slice());
-            self.acquire(lock, LockMode::Shared)?;
-            let value = table.table.read_latest_committed(&pk, id);
-            let ts = table.table.newest_committed_ts(&pk);
-            self.record_read(table, &pk, ts, false);
-            let live = value
-                .as_ref()
-                .is_some_and(|v| index.spec().extract(&pk, v).as_deref() == Some(ik.as_slice()));
-            if live {
-                self.record_index_read(index, &entry, ts, false);
-                let pos = result
-                    .binary_search_by(|(e, _, _)| e.cmp(&entry))
-                    .unwrap_or_else(|p| p);
-                result.insert(pos, (entry, pk, value.expect("live implies Some")));
-            }
-        }
-        Ok(())
-    }
-
     /// Index-space analogue of [`Transaction::do_scan`]. The raw
     /// index-key bounds are first mapped to entry-space bounds
-    /// ([`entry_range`]); each resident entry in that range names a
+    /// ([`entry_range`]); at Serializable SI and S2PL that range is
+    /// registered with the index before anything is listed
+    /// ([`Transaction::lock_range`]), where the install that adds an entry
+    /// to it later finds it. Each resident entry in the range names a
     /// `(index key, primary key)` pair whose row is then read under the
     /// level's ordinary row protocol, and kept only if the value the read
     /// actually returned still extracts to the entry's index key — stale
-    /// entries awaiting GC filter out here. Against entries that appear in the
-    /// range later, S2PL takes SHARED gap locks in the *index's* lock
-    /// namespace, one per visited entry plus the region's end gap, closed by
-    /// the same missed-entry sweep as its row scans — a writer inserting a
-    /// fresh index key takes the EXCLUSIVE gap on its successor entry and
-    /// waits for them — and Serializable SI registers the entry range with
-    /// the index before it lists, where the install that adds such an entry
-    /// finds it.
+    /// entries awaiting GC filter out here.
     fn do_index_scan(
         &mut self,
         index: &IndexRef,
@@ -1306,109 +1048,62 @@ impl Transaction {
         let table = index.table.clone();
         let idx = Arc::clone(&index.index);
         let (lo, hi) = entry_range(lower, upper);
-        match self.shared.isolation() {
-            IsolationLevel::ReadCommitted => {
-                let mut result = Vec::new();
-                for entry in idx.entries_in_range(as_ref_bound(&lo), as_ref_bound(&hi), None) {
-                    let Some((ik, pk)) = decode_entry(&entry) else {
-                        continue;
-                    };
-                    if let Some(value) = table.table.read_latest_committed(&pk, id) {
-                        if idx.spec().extract(&pk, &value).as_deref() == Some(ik.as_slice()) {
-                            result.push((pk, value));
-                        }
-                    }
+        let (lo, hi) = (as_ref_bound(&lo), as_ref_bound(&hi));
+        // The predicate lock, in entry space: an install that adds an entry
+        // to the range either precedes the listing — the entry is listed
+        // and its row's read meets the version — or finds the registration.
+        self.lock_range(|id, mode| idx.register_range(lo, hi, id, mode))?;
+        let isolation = self.shared.isolation();
+        let snapshot = if isolation.uses_snapshot() {
+            self.db.txns.ensure_snapshot(&self.shared)
+        } else {
+            self.db.txns.current_ts()
+        };
+        let mut result = Vec::new();
+        for entry in idx.entries_in_range(lo, hi) {
+            let Some((ik, pk)) = decode_entry(&entry) else {
+                continue;
+            };
+            // The entry's row under the level's ordinary protocol: at
+            // Serializable SI, Fig. 3.4's read with its SIREAD on the row,
+            // which is what finds a rename away or a delete; at S2PL, the
+            // latest committed value under a SHARED record lock.
+            let read = match isolation {
+                IsolationLevel::SerializableSnapshotIsolation => {
+                    self.ssi_read(&table, &pk, snapshot)?
                 }
-                Ok(result)
-            }
-            IsolationLevel::StrictTwoPhaseLocking => {
-                let gap_on = self.gap_locking_enabled();
-                let mut result = IndexHits::new();
-                let entries = idx.entries_in_range(as_ref_bound(&lo), as_ref_bound(&hi), None);
-                for entry in &entries {
-                    if gap_on {
-                        self.acquire(LockKey::gap(idx.id(), entry.clone()), LockMode::Shared)?;
-                    }
-                    let Some((ik, pk)) = decode_entry(entry) else {
-                        continue;
-                    };
+                IsolationLevel::SnapshotIsolation => self.snapshot_read(&table, &pk, snapshot),
+                IsolationLevel::StrictTwoPhaseLocking => {
                     let lock = self.lock_target(&table, pk.as_slice());
                     self.acquire(lock, LockMode::Shared)?;
-                    let value = table.table.read_latest_committed(&pk, id);
-                    let ts = table.table.newest_committed_ts(&pk);
-                    self.record_read(&table, &pk, ts, false);
-                    let live = value.as_ref().is_some_and(|v| {
-                        idx.spec().extract(&pk, v).as_deref() == Some(ik.as_slice())
-                    });
-                    if live {
-                        self.record_index_read(&idx, entry, ts, false);
-                        result.push((entry.clone(), pk, value.expect("live implies Some")));
+                    VisibleRead {
+                        value: table.table.read_latest_committed(&pk, id),
+                        read_version_ts: table.table.newest_committed_ts(&pk),
+                        ..VisibleRead::default()
                     }
                 }
-                if gap_on {
-                    let end_gap = self.index_end_gap(&idx, &hi);
-                    self.acquire(end_gap, LockMode::Shared)?;
-                    let missed = self.sweep_index_region(
-                        &idx,
-                        as_ref_bound(&lo),
-                        as_ref_bound(&hi),
-                        &entries,
-                    )?;
-                    self.absorb_missed_entries_2pl(&table, &idx, missed, &mut result)?;
-                }
-                Ok(result.into_iter().map(|(_, pk, v)| (pk, v)).collect())
+                IsolationLevel::ReadCommitted => VisibleRead {
+                    value: table.table.read_latest_committed(&pk, id),
+                    ..VisibleRead::default()
+                },
+            };
+            let recorded = isolation != IsolationLevel::ReadCommitted && !read.read_own_write;
+            let speculative = read.speculative_of.is_some();
+            if recorded {
+                self.record_read(&table, &pk, read.read_version_ts, speculative);
             }
-            IsolationLevel::SnapshotIsolation | IsolationLevel::SerializableSnapshotIsolation => {
-                let ssi = self.shared.isolation() != IsolationLevel::SnapshotIsolation;
-                let snapshot = self.db.txns.ensure_snapshot(&self.shared);
-                if ssi && self.gap_locking_enabled() {
-                    // The predicate's SIREAD, in entry space: registered
-                    // before the entries are listed, so an install that adds
-                    // an entry to the range either precedes the listing — the
-                    // entry is listed and its row's read meets the version —
-                    // or finds the registration.
-                    let range = idx.register_range(as_ref_bound(&lo), as_ref_bound(&hi), id);
-                    self.siread_ranges.extend(range);
+            let live = read
+                .value
+                .as_ref()
+                .is_some_and(|v| idx.spec().extract(&pk, v).as_deref() == Some(ik.as_slice()));
+            if live {
+                if recorded {
+                    self.record_index_read(&idx, &entry, read.read_version_ts, speculative);
                 }
-                let mut result = Vec::new();
-                for entry in idx.entries_in_range(as_ref_bound(&lo), as_ref_bound(&hi), None) {
-                    let Some((ik, pk)) = decode_entry(&entry) else {
-                        continue;
-                    };
-                    // The entry's row under the level's ordinary protocol:
-                    // at Serializable SI, Fig. 3.4's read with its SIREAD on
-                    // the row, which is what finds a rename away or a delete.
-                    let read = if ssi {
-                        self.ssi_read(&table, &pk, snapshot)?
-                    } else {
-                        self.snapshot_read(&table, &pk, snapshot)
-                    };
-                    if !read.read_own_write {
-                        self.record_read(
-                            &table,
-                            &pk,
-                            read.read_version_ts,
-                            read.speculative_of.is_some(),
-                        );
-                    }
-                    let live = read.value.as_ref().is_some_and(|v| {
-                        idx.spec().extract(&pk, v).as_deref() == Some(ik.as_slice())
-                    });
-                    if live {
-                        if !read.read_own_write {
-                            self.record_index_read(
-                                &idx,
-                                &entry,
-                                read.read_version_ts,
-                                read.speculative_of.is_some(),
-                            );
-                        }
-                        result.push((pk, read.value.expect("live implies Some")));
-                    }
-                }
-                Ok(result)
+                result.push((pk, read.value.expect("live implies Some")));
             }
         }
+        Ok(result)
     }
 }
 

@@ -788,8 +788,6 @@ impl Database {
             commit_dependencies: load(&s.commit_dependencies),
             dependency_cascade_aborts: load(&s.dependency_cascade_aborts),
             watermark_sweeps: load(&s.watermark_sweeps),
-            scan_sweeps_run: load(&s.scan_sweeps_run),
-            scan_sweeps_skipped: load(&s.scan_sweeps_skipped),
             siread_row_registrations: load(&s.siread_row_registrations),
             siread_range_registrations: load(&s.siread_range_registrations),
             siread_rows_now: load(&s.siread_rows_now),

@@ -470,8 +470,8 @@ fn mixed_mode_read_only_queries_skip_siread_locks() {
 #[test]
 fn ssi_detects_phantom_write_skew() {
     // Two transactions each count rows matching a predicate and then insert
-    // a row that changes the other's count — write skew via phantoms. Row
-    // granularity + gap locks must detect it.
+    // a row that changes the other's count — write skew via phantoms. The
+    // scans' range registrations must detect it.
     let db = ssi_db();
     let t = db.create_table("oncall").unwrap();
     let mut setup = db.begin();
@@ -494,34 +494,11 @@ fn ssi_detects_phantom_write_skew() {
 }
 
 #[test]
-fn phantom_detection_requires_gap_locks() {
-    // With phantom detection disabled the same interleaving commits on both
-    // sides (demonstrating why Sec. 3.5 is needed for row-level locking).
-    let options = Options {
-        detect_phantoms: false,
-        ..Options::default()
-    };
-    let db = Database::open(options);
-    let t = db.create_table("oncall").unwrap();
-    let mut setup = db.begin();
-    setup.put(&t, b"doc:1", b"on").unwrap();
-    setup.commit().unwrap();
-
-    let mut t1 = db.begin();
-    let mut t2 = db.begin();
-    t1.scan_prefix(&t, b"doc:").unwrap();
-    t2.scan_prefix(&t, b"doc:").unwrap();
-    let r1 = t1.put(&t, b"doc:8", b"on").and_then(|_| t1.commit());
-    let r2 = t2.put(&t, b"doc:9", b"on").and_then(|_| t2.commit());
-    assert!(r1.is_ok() && r2.is_ok());
-}
-
-#[test]
 fn s2pl_blocks_phantom_inserts() {
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Arc;
-    // A scanning S2PL transaction holds gap locks; a concurrent insert into
-    // the scanned range must block until the scanner finishes.
+    // A scanning S2PL transaction holds its range; a concurrent insert into
+    // it must block until the scanner finishes.
     let db = db_with(IsolationLevel::StrictTwoPhaseLocking);
     let t = db.create_table("items").unwrap();
     let mut setup = db.begin();
@@ -546,7 +523,7 @@ fn s2pl_blocks_phantom_inserts() {
         std::thread::sleep(std::time::Duration::from_millis(50));
         assert!(
             !done.load(Ordering::SeqCst),
-            "insert must wait for the scanner's gap lock"
+            "insert must wait for the scanner's range"
         );
         scanner.commit().unwrap();
         inserter.join().unwrap();

@@ -479,15 +479,6 @@ pub struct ManagerStats {
     /// moves the generation, so under load this runs close to one per
     /// commit.
     pub watermark_sweeps: AtomicU64,
-    /// Pages of S2PL scans whose phantom sweep ran because the table's
-    /// membership epoch had moved since the page was listed. (A
-    /// Serializable-SI scan registers its range before it lists and has
-    /// nothing to sweep for.)
-    pub scan_sweeps_run: AtomicU64,
-    /// Pages of S2PL scans whose phantom sweep was skipped because
-    /// the epoch was unchanged (nothing entered or left the key range's
-    /// table, so the sweep could not have found anything).
-    pub scan_sweeps_skipped: AtomicU64,
     /// Version-GC passes run (`Database::purge`, manual or automatic).
     pub purge_runs: AtomicU64,
     /// Version-GC passes run by the background maintenance thread (a
@@ -522,8 +513,8 @@ pub struct ManagerStats {
     /// either), so the per-reason counts always sum to `aborted`.
     pub abort_reasons: [AtomicU64; AbortReason::COUNT],
     /// Last, so that the counters in front of them stay where they were
-    /// (the manager's hot words are layout-sensitive, see ROADMAP). Range
-    /// SIREADs registered: one per Serializable-SI range scan of a table or
+    /// (the manager's hot words are layout-sensitive, see ROADMAP). Ranges
+    /// registered: one per Serializable-SI or S2PL range scan of a table or
     /// of a secondary index that no range the transaction already held
     /// covered (`ssi_storage::range`). Each transaction counts its own and
     /// adds them here once, when it finishes.

@@ -6,6 +6,9 @@
 //! and 3.6, the SIREAD-upgrade optimization of Sec. 3.7.3, abort-early
 //! (Sec. 3.7.1), and the mixed mode that runs read-only transactions at plain
 //! SI (Sec. 3.8). Sec. 6.1's "flush at commit" is [`Durability::GroupCommit`].
+//! Phantom protection (Sec. 3.5) is not an option: at row granularity every
+//! Serializable-SI and S2PL scan registers its range (`ssi_storage::range`),
+//! and at page granularity the page locks cover rows and gaps alike.
 
 use std::num::NonZeroU64;
 use std::path::PathBuf;
@@ -17,7 +20,8 @@ use ssi_lock::LockConfig;
 /// Granularity at which locks are taken and read-write conflicts detected.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum LockGranularity {
-    /// InnoDB-style row-level locking with gap locks for phantom detection.
+    /// InnoDB-style row-level locking; scans register their key ranges
+    /// against phantoms.
     Row,
     /// Berkeley-DB-style page-level locking: keys are hashed onto `pages`
     /// pages and all locks name the page, so unrelated rows that share a
@@ -190,11 +194,6 @@ pub struct Options {
     pub durability: DurabilityOptions,
     /// Serializable-SI-specific options.
     pub ssi: SsiOptions,
-    /// Detect phantoms (row-granularity only; page locks subsume this,
-    /// Sec. 3.5): S2PL takes gap locks on scans, inserts and deletes;
-    /// Serializable SI reports the first live version of a key to the scans
-    /// whose range contains it, and registers index scans' entry ranges.
-    pub detect_phantoms: bool,
     /// Run transactions declared read-only at plain SI even when the
     /// database default is Serializable SI (Sec. 3.8).
     pub read_only_queries_at_si: bool,
@@ -234,7 +233,6 @@ impl Default for Options {
             granularity: LockGranularity::Row,
             durability: DurabilityOptions::default(),
             ssi: SsiOptions::default(),
-            detect_phantoms: true,
             read_only_queries_at_si: false,
             record_history: false,
             purge_every_commits: None,
@@ -247,8 +245,8 @@ impl Default for Options {
 }
 
 impl Options {
-    /// Options resembling the InnoDB prototype: row-level locks, gap locks,
-    /// enhanced conflict tracking. This is the default.
+    /// Options resembling the InnoDB prototype: row-level locks, enhanced
+    /// conflict tracking. This is the default.
     pub fn innodb_like() -> Self {
         Options::default()
     }
@@ -262,7 +260,6 @@ impl Options {
                 variant: SsiVariant::Basic,
                 ..SsiOptions::default()
             },
-            detect_phantoms: false,
             ..Options::default()
         }
     }
@@ -347,7 +344,6 @@ mod tests {
         assert_eq!(o.granularity, LockGranularity::Row);
         assert_eq!(o.ssi.variant, SsiVariant::Enhanced);
         assert!(o.ssi.upgrade_siread);
-        assert!(o.detect_phantoms);
         assert!(!o.record_history);
     }
 
@@ -357,7 +353,6 @@ mod tests {
         assert_eq!(o.granularity, LockGranularity::Page { pages: 100 });
         assert!(o.granularity.is_page());
         assert_eq!(o.ssi.variant, SsiVariant::Basic);
-        assert!(!o.detect_phantoms);
     }
 
     #[test]

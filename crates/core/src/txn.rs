@@ -59,10 +59,11 @@ pub struct Transaction {
     pub(crate) siread_rows_upgraded: usize,
     /// Ranges this transaction scanned, of a table's keys or of a secondary
     /// index's entries: one handle per scan that registered (row
-    /// granularity; see `ssi_storage::range`). Released with `siread_rows`;
-    /// its length is the count flushed into
-    /// `ManagerStats::siread_range_registrations` at finish.
-    pub(crate) siread_ranges: Vec<RangeHandle>,
+    /// granularity; see `ssi_storage::range`). SIREAD ranges at Serializable
+    /// SI, released with `siread_rows`; `Shared` ranges at S2PL, released at
+    /// commit or abort before the locks. Its length is the count flushed
+    /// into `ManagerStats::siread_range_registrations` at finish.
+    pub(crate) ranges: Vec<RangeHandle>,
     /// Versions installed by this transaction.
     pub(crate) writes: Vec<WriteRecord>,
     /// Reads recorded for the serializability verifier (only when the
@@ -92,7 +93,7 @@ impl Transaction {
             locks: HashMap::default(),
             siread_rows: Vec::new(),
             siread_rows_upgraded: 0,
-            siread_ranges: Vec::new(),
+            ranges: Vec::new(),
             writes: Vec::new(),
             reads: Vec::new(),
             index_writes: Vec::new(),
@@ -413,8 +414,13 @@ impl Transaction {
         // (Sec. 3.3): the lock-table keys move out of the lock set into the
         // suspended record, bytes still shared with the lock table, and the
         // row and range handles go with them. Every other mode is released
-        // now.
+        // now, an S2PL transaction's ranges first: a writer they blocked
+        // that is granted the holder's lock name finds them gone.
         let id = self.shared.id();
+        self.flush_siread_counts();
+        if !is_ssi {
+            self.release_ranges();
+        }
         let mut sireads = HeldSireads::default();
         for (key, modes) in std::mem::take(&mut self.locks) {
             for mode in modes.iter().filter(|mode| *mode != LockMode::SiRead) {
@@ -424,13 +430,12 @@ impl Transaction {
                 sireads.locks.push(key);
             }
         }
-        self.flush_siread_counts();
         sireads.live_rows = self.siread_rows.len() - self.siread_rows_upgraded;
         let rows = std::mem::take(&mut self.siread_rows);
         if sireads.live_rows > 0 {
             sireads.rows = rows;
         }
-        sireads.ranges = std::mem::take(&mut self.siread_ranges);
+        sireads.ranges = std::mem::take(&mut self.ranges);
         debug_assert!(is_ssi || sireads.is_empty());
         let (_, out_conflict) = self.shared.conflict_flags();
         let suspend = is_ssi && (!sireads.is_empty() || out_conflict);
@@ -529,11 +534,18 @@ impl Transaction {
                 .siread_row_registrations
                 .fetch_add(registered, Relaxed);
         }
-        if !self.siread_ranges.is_empty() {
-            let registered = self.siread_ranges.len() as u64;
+        if !self.ranges.is_empty() {
+            let registered = self.ranges.len() as u64;
             stats
                 .siread_range_registrations
                 .fetch_add(registered, Relaxed);
+        }
+    }
+
+    /// Releases every range this transaction registered.
+    fn release_ranges(&mut self) {
+        for range in self.ranges.drain(..) {
+            range.release();
         }
     }
 
@@ -550,14 +562,13 @@ impl Transaction {
             return;
         }
         // Row SIREADs first: a chain this transaction's rolled-back insert
-        // leaves empty can then be unmapped on the spot.
+        // leaves empty can then be unmapped on the spot. Ranges go before
+        // the locks, as at commit.
         self.flush_siread_counts();
         for row in std::mem::take(&mut self.siread_rows) {
             row.release_siread(self.shared.id());
         }
-        for range in std::mem::take(&mut self.siread_ranges) {
-            range.release();
-        }
+        self.release_ranges();
         for w in &self.writes {
             w.version.mark_aborted();
             w.table.unlink_version(&w.key, &w.version);
@@ -612,7 +623,7 @@ impl std::fmt::Debug for Transaction {
             .field("state", &self.state)
             .field("locks", &self.locks.len())
             .field("siread_rows", &self.siread_rows.len())
-            .field("siread_ranges", &self.siread_ranges.len())
+            .field("ranges", &self.ranges.len())
             .field("writes", &self.writes.len())
             .finish()
     }

@@ -21,7 +21,7 @@
 //! timestamp, absences with `version_ts: None`) under the *index's* id, and
 //! index maintenance records entry installs/retirements as writes under the
 //! same id. An index entry is thus just another item, and a phantom slipping
-//! past the entry-space gap locks shows up as an ordinary rw-antidependency
+//! past an index scan's entry range shows up as an ordinary rw-antidependency
 //! cycle.
 
 use std::collections::{HashMap, HashSet};
@@ -286,12 +286,14 @@ impl MvsgReport {
                 // the read is flagged as lost — a correct engine can never
                 // return absence over a visible live version, so pinning
                 // silently would launder exactly the purged-too-early bugs
-                // this verifier exists to catch.
+                // this verifier exists to catch. The reader's own version is
+                // never one it missed: a lock-based reader, whose "snapshot"
+                // is its commit, may insert the key it found absent.
                 let read_ts = r.version_ts.unwrap_or_else(|| {
                     let newest_at_snapshot = item_versions
                         .into_iter()
                         .flatten()
-                        .filter(|&&(ts, _, _)| ts <= txn.begin_ts)
+                        .filter(|&&(ts, writer, _)| ts <= txn.begin_ts && writer != txn.id)
                         .max_by_key(|&&(ts, _, _)| ts);
                     match newest_at_snapshot {
                         None => 0,
@@ -619,6 +621,11 @@ mod tests {
         let report = MvsgReport::build(&history);
         assert!(report.lost_reads.is_empty());
         assert!(report.is_serializable());
+
+        // An S2PL reader, recorded with its commit as its snapshot, finds k
+        // absent and inserts it: it did not miss its own version.
+        let history = vec![txn(5, 50, 50, vec![(b"k", None)], vec![b"k"])];
+        assert!(MvsgReport::build(&history).is_serializable());
     }
 
     #[test]

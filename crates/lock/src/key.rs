@@ -2,16 +2,24 @@
 //!
 //! Following the two prototype systems in the paper, a lock can protect a
 //! *record* (InnoDB-style row locking), the *gap* before a record (InnoDB
-//! next-key/gap locking, used to detect and prevent phantoms, Sec. 3.5), a
-//! *page* (Berkeley-DB-style page locking, Sec. 4.2), or the table *supremum*
-//! (the gap after the last record).
+//! next-key/gap locking, Sec. 3.5), a *page* (Berkeley-DB-style page
+//! locking, Sec. 4.2), or the table *supremum* (the gap after the last
+//! record).
+//!
+//! The engine names records, pages and transactions. It takes no gap or
+//! supremum lock any more — phantoms are kept out by the range a scan
+//! registers with the table or index it scans (`ssi_storage::range`) — but
+//! [`LockTarget::Gap`] and [`LockTarget::Supremum`] stay: they are the
+//! next-key oracle that storage's SIREAD model test checks the ranges
+//! against, and this crate's own tests run on them, which makes them a
+//! reference implementation.
 //!
 //! The [`TableId`] in a [`LockKey`] names a lock *namespace*, not only a
 //! table: secondary indexes reuse the same machinery with their own id, so
-//! `Record(entry)` under an index id is a unique-constraint marker lock,
-//! `Gap(entry)` protects the gap before an index entry, and `Supremum` the
-//! gap after the last entry. The lock manager is oblivious to which
-//! namespace a key lives in.
+//! `Record(entry)` under an index id is a unique-constraint marker lock. One
+//! namespace no table or index gets, `TXN_NAMESPACE`, names transactions:
+//! [`LockKey::transaction`] is what a writer waits on for an S2PL scanner. The
+//! lock manager is oblivious to which namespace a key lives in.
 //!
 //! Record and gap targets hold their key as `Arc<[u8]>`: the storage layer's
 //! ordered index already owns every row key (and index entry) in that form,
@@ -19,7 +27,7 @@
 //! transaction's lock set and a suspended transaction's SIREAD list all share
 //! the one allocation.
 
-use ssi_common::TableId;
+use ssi_common::{TableId, TxnId};
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
@@ -61,6 +69,12 @@ fn hex_prefix(k: &[u8]) -> String {
     }
     s
 }
+
+/// The lock namespace of transactions (see [`LockKey::transaction`]). A
+/// reserved namespace rather than a new target kind: a record name in it is
+/// all a transaction's name needs to be, and no match over [`LockTarget`]
+/// grows an arm for it.
+const TXN_NAMESPACE: TableId = TableId(u32::MAX);
 
 /// Fully qualified lock name: table plus target.
 #[derive(Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
@@ -104,9 +118,12 @@ impl LockKey {
         }
     }
 
-    /// True if this names a gap (including the supremum gap).
-    pub fn is_gap(&self) -> bool {
-        matches!(self.target, LockTarget::Gap(_) | LockTarget::Supremum)
+    /// Lock name for transaction `txn` itself: held EXCLUSIVE by an S2PL
+    /// transaction from before its first range registration until it
+    /// commits or aborts, and requested SHARED by a writer that has to wait
+    /// for it to finish.
+    pub fn transaction(txn: TxnId) -> Self {
+        LockKey::record(TXN_NAMESPACE, txn.as_u64().to_be_bytes())
     }
 
     /// Feeds the part of the name that picks the lock-table shard: the
@@ -133,13 +150,15 @@ mod tests {
         let r = LockKey::record(t, vec![1, 2, 3]);
         let g = LockKey::gap(t, vec![1, 2, 3]);
         assert_ne!(r, g);
-        assert!(!r.is_gap());
-        assert!(g.is_gap());
+        assert_ne!(g, LockKey::supremum(t));
     }
 
     #[test]
-    fn supremum_is_a_gap() {
-        assert!(LockKey::supremum(TableId(2)).is_gap());
+    fn transactions_have_names_of_their_own() {
+        let t7 = LockKey::transaction(TxnId(7));
+        assert_eq!(t7, LockKey::transaction(TxnId(7)));
+        assert_ne!(t7, LockKey::transaction(TxnId(8)));
+        assert_ne!(t7, LockKey::record(TableId(1), 7u64.to_be_bytes()));
     }
 
     #[test]
@@ -152,7 +171,6 @@ mod tests {
     #[test]
     fn page_locks() {
         let p = LockKey::page(TableId(3), 17);
-        assert!(!p.is_gap());
         assert_eq!(p, LockKey::page(TableId(3), 17));
         assert_ne!(p, LockKey::page(TableId(3), 18));
     }

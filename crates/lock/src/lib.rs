@@ -11,10 +11,10 @@
 //!   to make read-write conflicts discoverable when an `EXCLUSIVE` lock on the
 //!   same item is requested (or already held).
 //!
-//! Locks can name a *record*, a *gap* before a record (next-key locking for
-//! phantom prevention, Sec. 3.5), or a *page* (Berkeley-DB-style coarse
-//! granularity, Sec. 4.2). Gap locks only conflict with other gap locks;
-//! record and page locks only conflict with their own kind.
+//! Locks can name a *record*, a *gap* before a record (next-key locking,
+//! Sec. 3.5), or a *page* (Berkeley-DB-style coarse granularity, Sec. 4.2).
+//! Gap locks only conflict with other gap locks; record and page locks only
+//! conflict with their own kind.
 //!
 //! Blocking requests participate in deadlock detection via a wait-for graph;
 //! the transaction that closes a cycle is chosen as the victim, mirroring the
@@ -24,32 +24,33 @@
 //!
 //! Every `SHARED` and `EXCLUSIVE` lock of every isolation level lives in this
 //! table: those are the modes that block, and the wait queue and the
-//! deadlock detector are here. Of the `SIREAD` locks, the ones a
-//! Serializable-SI transaction takes *at row granularity on rows and on
-//! ranges* — of a table's keys or of a secondary index's entries — do not.
-//! A row's point readers are kept on the row's version chain in
-//! `ssi-storage`, where the row's next writer pushes its version and collects
-//! them in the same critical section; a second table keyed by the same row
-//! would only add a visit. A scan is kept as what it is, `(lower, upper,
-//! holder)` in the range list of the table or index it scanned, where every
-//! install compares its key with the live ranges: a predicate covers a key
-//! inserted later by containment, whereas a gap SIREAD kept under a lock
-//! *name* has to be handed on to every key inserted into the gap (InnoDB's
-//! `lock_rec_inherit_to_gap`) to stay sound. What remains here is:
+//! deadlock detector are here. No predicate does. A scan at Serializable SI
+//! or S2PL is kept as what it is, `(lower, upper, holder)` in the range list
+//! of the table or index it scanned (`ssi-storage`), where every install
+//! compares its key with the live ranges: a predicate covers a key inserted
+//! later by containment, whereas a gap lock kept under a lock *name* has to
+//! be handed on to every key inserted into the gap (InnoDB's
+//! `lock_rec_inherit_to_gap`) to stay sound. Nor does a Serializable-SI
+//! transaction's `SIREAD` on a row at row granularity: it is kept on the
+//! row's version chain, where the row's next writer pushes its version and
+//! collects it in the same critical section. What the engine keeps here is:
 //!
-//! * **S2PL's gap locks**, of table keys and of index entries: a `SHARED`
-//!   gap lock has to make an inserter *wait*, and waiting is done here. That
-//!   is also why a Serializable-SI inserter or deleter still requests
-//!   `EXCLUSIVE` on the gap above its key or entry: the request is what
-//!   queues it behind an S2PL scanner. It finds no Serializable-SI scan
-//!   there any more (it is told of those by the install);
-//! * **pages**, at page granularity (one name covers many rows);
+//! * **record locks**, `SHARED` (S2PL reads) and `EXCLUSIVE` (every write,
+//!   `get_for_update`), and the `EXCLUSIVE` **unique-marker** lock of an
+//!   index key a write claims;
+//! * **the wait target of an S2PL transaction**
+//!   ([`LockKey::transaction`]): held `EXCLUSIVE` by the transaction from
+//!   before its first range until it finishes, and requested `SHARED` by a
+//!   writer whose new key or index entry fell into that range. A writer waits
+//!   for a scanner here, so the wait is in the wait-for graph like any other;
+//! * **pages**, at page granularity (one name covers many rows), `SIREAD`
+//!   locks included;
 //! * **rows with no chain yet**: a point read of a key that does not exist
 //!   leaves its `SIREAD` on the record name, and the key's first insert finds
 //!   it when it takes the `EXCLUSIVE` lock on that name.
 //!
-//! Writers meet all of these through the `rw_conflicts` of their own
-//! `EXCLUSIVE` grants, as they always have.
+//! Writers meet the `SIREAD`s among these through the `rw_conflicts` of
+//! their own `EXCLUSIVE` grants, as they always have.
 
 pub mod key;
 pub mod manager;

@@ -11,7 +11,9 @@
 //! * the table is sharded to reduce mutex contention. The shard is picked
 //!   from the table id and the key bytes only (`LockKey::hash_placement`),
 //!   not from the target kind, so `Record(k)` and `Gap(k)` — distinct locks
-//!   that never conflict with each other — always sit in the same shard;
+//!   that never conflict with each other — always sit in the same shard.
+//!   The engine names records, pages, unique markers and S2PL transactions'
+//!   wait targets here; gap names are left to the tests (see the crate docs);
 //! * a transaction may hold several modes on one item (e.g. SIREAD and
 //!   EXCLUSIVE); re-requesting a mode that is already covered is a no-op;
 //! * requests that must wait register edges in a wait-for graph; the request

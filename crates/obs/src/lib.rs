@@ -25,9 +25,9 @@
 //!   test), `basic-flag-check` (basic-variant conflict-flag test at commit),
 //!   `doomed-by-peer` (marked for death by a concurrent transaction's
 //!   victim selection), `dependency-cascade` (speculative-read dependency's
-//!   writer aborted), `gap-sweep-exhausted` (scan gap-protection sweep gave
-//!   up), `degraded-rejected` (engine in degraded mode), `user-rollback`
-//!   (explicit rollback / drop without commit).
+//!   writer aborted), `degraded-rejected` (engine in degraded mode),
+//!   `user-rollback` (explicit rollback / drop without commit),
+//!   `unique-violation` (a second live claim of a unique index key).
 //! - `suspended` / `cleaned` — commits that entered the suspended list
 //!   (some active transaction was still concurrent with them) and entries
 //!   reclaimed from it; `suspended_now` is the gauge of its current length
@@ -41,9 +41,10 @@
 //! - `siread_row_registrations` — SIREADs a Serializable-SI point read
 //!   registered on the row's version chain (row granularity), counted per
 //!   transaction and added when it finishes; `siread_range_registrations` —
-//!   range SIREADs, one per Serializable-SI scan of a table's keys or of a
-//!   secondary index's entries, whatever the scan listed, counted the same
-//!   way (everything else is a lock request, see **Locks**).
+//!   range registrations, one per Serializable-SI or S2PL scan of a table's
+//!   keys or of a secondary index's entries, whatever the scan listed,
+//!   counted the same way (everything else is a lock request, see
+//!   **Locks**).
 //!   `siread_rows_now` and `siread_ranges_now` are the gauges of what
 //!   committed transactions still hold of each while suspended
 //!   (`ssi_txn_siread_rows`, `ssi_txn_siread_ranges`).
@@ -59,10 +60,10 @@
 //! `reclaim_attempts`; plus an `enabled` gauge (durability may be off).
 //!
 //! **Locks** ([`LockMetrics`]) — `requests` (lock-table requests, one per
-//! key of a batch: every EXCLUSIVE and SHARED lock, and the SIREADs on gaps,
-//! pages, index entries and rows that have no version chain yet), `waits`,
-//! `deadlocks`, `timeouts` (meaningful for the S2PL baseline and
-//! `get_for_update`).
+//! key of a batch: every EXCLUSIVE and SHARED lock — an S2PL transaction's
+//! own wait target and a writer's wait for one included — and the SIREADs on
+//! pages and on rows that have no version chain yet), `waits`, `deadlocks`,
+//! `timeouts` (meaningful for the S2PL baseline and `get_for_update`).
 //!
 //! **Storage** ([`TableMetrics`], gauges) — per-table live `keys` and total
 //! `versions` (dead versions awaiting GC included).

@@ -61,16 +61,11 @@ pub struct TxnMetrics {
     pub commit_dependencies: u64,
     pub dependency_cascade_aborts: u64,
     pub watermark_sweeps: u64,
-    /// S2PL scan pages whose phantom sweep ran (table membership epoch
-    /// moved).
-    pub scan_sweeps_run: u64,
-    /// S2PL scan pages whose phantom sweep was skipped (epoch unchanged).
-    pub scan_sweeps_skipped: u64,
     /// Row SIREADs registered on version chains, flushed per transaction
     /// at finish.
     pub siread_row_registrations: u64,
-    /// Range SIREADs registered (one per scan of a table or of a secondary
-    /// index), flushed per transaction at finish.
+    /// Ranges registered (one per Serializable-SI or S2PL scan of a table or
+    /// of a secondary index), flushed per transaction at finish.
     pub siread_range_registrations: u64,
     /// Gauge: row SIREAD registrations held by committed transactions
     /// awaiting cleanup.
@@ -246,16 +241,6 @@ impl MetricsSnapshot {
             &mut out,
             "ssi_txn_watermark_sweeps_total",
             self.txn.watermark_sweeps,
-        );
-        counter(
-            &mut out,
-            "ssi_txn_scan_sweeps_run_total",
-            self.txn.scan_sweeps_run,
-        );
-        counter(
-            &mut out,
-            "ssi_txn_scan_sweeps_skipped_total",
-            self.txn.scan_sweeps_skipped,
         );
         counter(
             &mut out,
@@ -435,7 +420,6 @@ impl MetricsSnapshot {
              \"cleaned\":{},\"suspended_now\":{},\"publish_parks\":{},\"read_publication_waits\":{},\
              \"speculative_reads\":{},\"commit_dependencies\":{},\
              \"dependency_cascade_aborts\":{},\"watermark_sweeps\":{},\
-             \"scan_sweeps_run\":{},\"scan_sweeps_skipped\":{},\
              \"siread_row_registrations\":{},\"siread_range_registrations\":{},\
              \"siread_rows_now\":{},\"siread_ranges_now\":{},\"abort_reasons\":{{",
             self.txn.started,
@@ -450,8 +434,6 @@ impl MetricsSnapshot {
             self.txn.commit_dependencies,
             self.txn.dependency_cascade_aborts,
             self.txn.watermark_sweeps,
-            self.txn.scan_sweeps_run,
-            self.txn.scan_sweeps_skipped,
             self.txn.siread_row_registrations,
             self.txn.siread_range_registrations,
             self.txn.siread_rows_now,

@@ -34,24 +34,27 @@
 //! create-index backfill over already-loaded chains) rebuilds exactly the
 //! refcounts the invariant demands.
 //!
-//! # Range SIREADs in entry space
+//! # Range registrations in entry space
 //!
-//! A Serializable-SI index scan is a predicate over *entries*, and its
-//! phantoms are entries that appear between its bounds. The index therefore
-//! owns a range list of its own ([`crate::range`]), in entry space: the scan
-//! registers [`entry_range`] of its bounds there *before* it lists entries
-//! ([`Index::register_range`]), and every install that adds an entry
+//! An index scan is a predicate over *entries*, and its phantoms are entries
+//! that appear between its bounds. The index therefore owns a range list of
+//! its own ([`crate::range`]), in entry space: a Serializable-SI or S2PL
+//! scan registers [`entry_range`] of its bounds there *before* it lists
+//! entries ([`Index::register_range`]), and every install that adds an entry
 //! reference — there is one way in, [`Index::add_ref_reporting`], called from
-//! the install's shard critical section — looks, after the entry is in the
-//! map, for the ranges that contain it. Scan and install meet on the entry
-//! map's lock: a listing that follows the add has the entry (and the scan
-//! then reads the row, whose chain already holds the version), one that
-//! precedes it belongs to a scan that had registered before. Rows the scan
-//! does list are covered the ordinary way, by the point SIREAD its read
-//! leaves on the row's chain, so a rename away or a delete is found there.
-//! The backfill of a new index ([`Index::add_ref`]) adds references for
-//! versions that were installed before the index existed and has nobody to
-//! report to.
+//! the install's shard critical section — looks for the ranges that contain
+//! the entry under the same write lock of the entry map that adds it: SIREAD
+//! ranges always, `Shared` ranges only when the entry is new (refcount
+//! 0 → 1). Scan and install meet on that lock: a listing that follows the add
+//! has the entry (and the scan then reads the row, whose chain already holds
+//! the version, or locks it at S2PL), one that precedes it belongs to a scan
+//! that had registered before. An entry that was already there was listed,
+//! so an S2PL scanner holds, or will take, the SHARED lock of its row; a
+//! Serializable-SI scan covers the rows it does list the ordinary way, by the
+//! point SIREAD its read leaves on the row's chain, so a rename away or a
+//! delete is found there. The backfill of a new index ([`Index::add_ref`])
+//! adds references for versions that were installed before the index existed
+//! and has nobody to report to.
 
 use std::collections::BTreeMap;
 use std::ops::Bound;
@@ -61,7 +64,7 @@ use parking_lot::RwLock;
 
 use ssi_common::{TableId, TxnId};
 
-use crate::range::{RangeHandle, RangeReaders};
+use crate::range::{RangeHandle, RangeMode, RangeReaders};
 use crate::table::RowReaders;
 
 /// Typed field of a row-value layout, in [`ssi_common::encoding::ValueWriter`]
@@ -343,6 +346,16 @@ pub fn entry_range(lower: Bound<&[u8]>, upper: Bound<&[u8]>) -> (Bound<Vec<u8>>,
     (lo, hi)
 }
 
+/// Adds one reference to `entry`; true if that created it.
+fn add_ref_to(entries: &mut BTreeMap<Arc<[u8]>, usize>, entry: &[u8]) -> bool {
+    if let Some(refs) = entries.get_mut(entry) {
+        *refs += 1;
+        return false;
+    }
+    entries.insert(Arc::from(entry), 1);
+    true
+}
+
 /// Static definition of a secondary index.
 #[derive(Clone, Debug)]
 pub struct IndexDef {
@@ -365,7 +378,7 @@ pub struct IndexDef {
 pub struct Index {
     def: IndexDef,
     entries: RwLock<BTreeMap<Arc<[u8]>, usize>>,
-    /// The live Serializable-SI scans of this index, in entry space.
+    /// The live Serializable-SI and S2PL scans of this index, in entry space.
     ranges: Arc<RangeReaders>,
 }
 
@@ -416,35 +429,40 @@ impl Index {
     /// Adds one resident-version reference to an entry, creating it at
     /// refcount 1 if absent.
     pub fn add_ref(&self, entry: &[u8]) {
-        let mut entries = self.entries.write();
-        if let Some(refs) = entries.get_mut(entry) {
-            *refs += 1;
-        } else {
-            entries.insert(Arc::from(entry), 1);
-        }
+        add_ref_to(&mut self.entries.write(), entry);
     }
 
-    /// [`Index::add_ref`] for a version `writer` has just installed: once the
-    /// entry is in the map, appends to `readers` the holders of every live
-    /// range of this index that contains it (module docs, § Range SIREADs in
-    /// entry space).
-    pub(crate) fn add_ref_reporting(&self, entry: &[u8], writer: TxnId, readers: &mut RowReaders) {
-        self.add_ref(entry);
-        self.ranges.report_to(entry, writer, readers);
+    /// [`Index::add_ref`] for a version `writer` has just installed: under
+    /// the same write lock of the entry map, appends to `readers` the holders
+    /// of every live SIREAD range of this index that contains the entry and,
+    /// if the entry is new, to `blocked_by` those of every `Shared` one
+    /// (module docs, § Range registrations in entry space).
+    pub(crate) fn add_ref_reporting(
+        &self,
+        entry: &[u8],
+        writer: TxnId,
+        readers: &mut RowReaders,
+        blocked_by: &mut RowReaders,
+    ) {
+        let mut entries = self.entries.write();
+        let blocked_by = add_ref_to(&mut entries, entry).then_some(blocked_by);
+        self.ranges.report_to(entry, writer, readers, blocked_by);
     }
 
     /// Registers `reader` as the holder of the *entry-space* range `(lower,
-    /// upper)` (callers map index-key bounds through [`entry_range`] first):
-    /// the phantom protection of a Serializable-SI index scan, to be made
-    /// before the scan lists its entries. `None` if `reader` already holds a
-    /// range on this index that covers this one.
+    /// upper)` in `mode` (callers map index-key bounds through
+    /// [`entry_range`] first): the phantom protection of a Serializable-SI or
+    /// S2PL index scan, to be made before the scan lists its entries. `None`
+    /// if `reader` already holds a range of that mode on this index that
+    /// covers this one.
     pub fn register_range(
         &self,
         lower: Bound<&[u8]>,
         upper: Bound<&[u8]>,
         reader: TxnId,
+        mode: RangeMode,
     ) -> Option<RangeHandle> {
-        self.ranges.register(lower, upper, reader)
+        self.ranges.register(lower, upper, reader, mode)
     }
 
     /// Number of live range registrations, for leak checks.
@@ -468,31 +486,11 @@ impl Index {
     }
 
     /// All entry keys in an *entry-space* range (callers map index-key
-    /// bounds through [`entry_range`] first), in order, up to `limit`.
-    pub fn entries_in_range(
-        &self,
-        lower: Bound<&[u8]>,
-        upper: Bound<&[u8]>,
-        limit: Option<usize>,
-    ) -> Vec<Arc<[u8]>> {
+    /// bounds through [`entry_range`] first), in order.
+    pub fn entries_in_range(&self, lower: Bound<&[u8]>, upper: Bound<&[u8]>) -> Vec<Arc<[u8]>> {
         let entries = self.entries.read();
-        let iter = entries
-            .range::<[u8], _>((lower, upper))
-            .map(|(k, _)| k.clone());
-        match limit {
-            Some(n) => iter.take(n).collect(),
-            None => iter.collect(),
-        }
-    }
-
-    /// The first entry strictly after `entry`, if any (the gap-lock anchor
-    /// for inserts into this index).
-    pub fn next_entry_after(&self, entry: &[u8]) -> Option<Arc<[u8]>> {
-        self.entries
-            .read()
-            .range::<[u8], _>((Bound::Excluded(entry), Bound::Unbounded))
-            .next()
-            .map(|(k, _)| k.clone())
+        let range = entries.range::<[u8], _>((lower, upper));
+        range.map(|(k, _)| k.clone()).collect()
     }
 
     /// Number of distinct entries currently present.
@@ -630,7 +628,7 @@ mod tests {
         }
         let keys_in = |lo: Bound<&[u8]>, hi: Bound<&[u8]>| -> Vec<Vec<u8>> {
             let (lo, hi) = entry_range(lo, hi);
-            idx.entries_in_range(as_bound_ref(&lo), as_bound_ref(&hi), None)
+            idx.entries_in_range(as_bound_ref(&lo), as_bound_ref(&hi))
                 .iter()
                 .map(|e| decode_entry(e).unwrap().0)
                 .collect()
@@ -676,6 +674,5 @@ mod tests {
         assert_eq!(idx.entry_count(), 1, "one resident version still claims it");
         idx.release_ref(&e);
         assert_eq!(idx.entry_count(), 0);
-        assert!(idx.next_entry_after(b"").is_none());
     }
 }

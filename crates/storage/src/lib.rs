@@ -34,10 +34,11 @@
 //!   resident version — that is the invariant scans rely on.
 //!
 //! The substrate is deliberately free of concurrency-control policy: it knows
-//! nothing about SI, S2PL or SSI: it keeps the SIREAD registrations a reader
-//! asks for (a row's on its chain, a range scan's in [`range`]) and reports
+//! nothing about SI, S2PL or SSI: it keeps the registrations a reader asks
+//! for (a row's SIREAD on its chain, a range scan's in [`range`]) and reports
 //! them to the writer they concern. All policy (who registers what, blocking
-//! gap and unique-marker locks, rw-conflict flagging) lives in `ssi-core`.
+//! record and unique-marker locks, waiting for a range's holder, rw-conflict
+//! flagging) lives in `ssi-core`.
 
 pub mod catalog;
 pub mod index;
@@ -51,7 +52,7 @@ pub use index::{
     decode_entry, encode_entry, entry_range, FieldKind, Index, IndexDef, IndexKeyPart, IndexKeySpec,
 };
 pub use page::PageMap;
-pub use range::RangeHandle;
+pub use range::{RangeHandle, RangeMode};
 pub use table::{
     as_ref_bound, clone_bound, ForUpdateProbe, Installed, PurgeStats, RowHandle, RowReaders,
     ScanCursor, ScanEntries, ScanEntry, ScanPage, ScanRow, Siread, Table, VisibleRead, WriteProbe,

@@ -20,14 +20,20 @@
 //!   that enters the index inherits the next-key locks of its successor, and
 //!   the gap locks of a key that leaves the index go to its successor.
 //!
+//! Every range registration gets a random [`RangeMode`]: an SIREAD, as a
+//! Serializable-SI scan makes, or a `Shared` range, as an S2PL scan does.
+//!
 //! What each write is told must agree. The row's point readers are the point
 //! space's SIREAD holders, exactly (`Model::table_only` has the two
-//! differences PR 16 made on purpose). The range holders an install reports
-//! are holders in the scan space too — a range is never wider than the
-//! next-key locks of the scan that registered it — and they are all of them
-//! but `oracle_only`: the oracle's next-key lock also covers the keys between
-//! a scan's bound and the neighbouring key, which the range, stopping at the
-//! bound, does not. After every quiesce nothing is held anywhere.
+//! differences the chain's SIREAD makes on purpose). The SIREAD range holders
+//! an install reports are holders in the scan space too — a range is never
+//! wider than the next-key locks of the scan that registered it — and they
+//! are all of them whose range is an SIREAD one but `oracle_only`: the
+//! oracle's next-key lock also covers the keys between a scan's bound and the
+//! neighbouring key, which the range, stopping at the bound, does not. The
+//! `Shared` holders an install reports are the `Shared` ranges that contain
+//! the key when the install links it into the index, and nobody otherwise.
+//! After every quiesce nothing is held anywhere.
 
 use std::collections::BTreeSet;
 use std::ops::{Bound, RangeBounds};
@@ -38,7 +44,7 @@ use ssi_common::{TableId, Timestamp, TxnId, TS_ZERO};
 use ssi_lock::{LockKey, LockManager, LockMode};
 
 use super::{RowChain, RowHandle, Siread, Table};
-use crate::range::RangeHandle;
+use crate::range::{RangeHandle, RangeMode};
 use crate::version::Version;
 
 const KEYS: usize = 4;
@@ -96,8 +102,8 @@ struct Txn {
     committed: bool,
     /// Chain registrations (one handle per new one, upgraded or not).
     rows: Vec<RowHandle>,
-    /// Range registrations, with the bounds they were made for.
-    ranges: Vec<(Bounds, RangeHandle)>,
+    /// Range registrations, with the bounds and mode they were made for.
+    ranges: Vec<(Bounds, RangeMode, RangeHandle)>,
     /// Keys SIREAD-locked in the table's own lock manager: point reads that
     /// found no chain.
     fallback: Vec<usize>,
@@ -120,7 +126,12 @@ struct Txn {
 
 impl Txn {
     fn has_range_with(&self, k: usize) -> bool {
-        self.ranges.iter().any(|(bounds, _)| bounds.contains(&k))
+        self.ranges.iter().any(|(bounds, _, _)| bounds.contains(&k))
+    }
+
+    fn has_range_in(&self, mode: RangeMode, k: usize) -> bool {
+        let mut ranges = self.ranges.iter();
+        ranges.any(|(bounds, held, _)| *held == mode && bounds.contains(&k))
     }
 }
 
@@ -133,6 +144,8 @@ struct Reached {
     told_by_a_range: usize,
     /// Of those, for the first version of a key that entered the index.
     told_of_a_phantom: usize,
+    /// `Shared` holders a link into their range was told of.
+    blocked_links: usize,
     /// Holders the oracle's next-key locks reported and no range contained.
     oracle_only: usize,
     /// Next-key locks a key inherited when it entered the index.
@@ -347,17 +360,18 @@ impl Model {
         assert_eq!(writers, expected, "{context}: writers reported");
     }
 
-    /// The Serializable-SI range scan, as `ssi-core` does it: register the
-    /// bounds, then list, then read each listed row like a snapshot scan
+    /// The range scan, as `ssi-core` does it: register the bounds, in
+    /// `mode`, then list, then read each listed row like a snapshot scan
     /// does. The oracle takes the scan's next-key locks.
-    fn scan(&mut self, at: usize, bounds: Bounds) {
+    fn scan(&mut self, at: usize, bounds: Bounds, mode: RangeMode) {
         let id = self.txns[at].id;
-        let context = format!("seed {} scan of {bounds:?} by {id:?}", self.seed);
+        let context = format!("seed {} {mode:?} scan of {bounds:?} by {id:?}", self.seed);
         let (lower, upper) = (key_bound(bounds.0), key_bound(bounds.1));
         let (lower, upper) = (super::as_ref_bound(&lower), super::as_ref_bound(&upper));
-        let covered = (0..KEYS).all(|k| !bounds.contains(&k) || self.txns[at].has_range_with(k));
-        match self.table.register_range(lower, upper, id) {
-            Some(handle) => self.txns[at].ranges.push((bounds, handle)),
+        let held = |k: usize| self.txns[at].has_range_in(mode, k);
+        let covered = (0..KEYS).all(|k| !bounds.contains(&k) || held(k));
+        match self.table.register_range(lower, upper, id, mode) {
+            Some(handle) => self.txns[at].ranges.push((bounds, mode, handle)),
             None => {
                 assert!(covered, "{context}: refused a range nothing covers");
                 self.reached.repeated_scans += 1;
@@ -405,7 +419,7 @@ impl Model {
         }
         let granted = self.locks.lock(id, &lock_key(k), LockMode::Exclusive);
         let mut readers = ids(&granted.expect("no other holder").rw_conflicts);
-        let mut range_readers = Ids::new();
+        let (mut range_readers, mut blocked_by) = (Ids::new(), Ids::new());
         let upgraded = if install {
             let value = (!delete).then(|| vec![k as u8].into());
             let done = self
@@ -413,6 +427,7 @@ impl Model {
                 .install(&key(k), id, value, self.upgrade, || TS_ZERO);
             readers.extend(done.readers.iter());
             range_readers.extend(done.range_readers.iter());
+            blocked_by.extend(done.blocked_by.iter());
             self.txns[at].writes.push((k, done.version));
             done.upgraded
         } else {
@@ -456,21 +471,40 @@ impl Model {
         }
         told.remove(&id);
         assert!(
-            range_readers.is_subset(&told),
-            "{context}: a range told of {range_readers:?}, next-key locks of {told:?}"
+            range_readers.is_subset(&told) && blocked_by.is_subset(&told),
+            "{context}: ranges told of {range_readers:?} and {blocked_by:?}, \
+             next-key locks of {told:?}"
         );
         // **Difference 3**, the intended one: next-key locks reach from the
         // scan's bound to the neighbouring key, the range stops at the bound.
-        let in_range = |t: &TxnId| {
-            let holder = self.txns.iter().find(|txn| txn.id == *t);
-            holder.expect("live holder").has_range_with(k)
+        let txns = &self.txns;
+        let holds = |mode, t: &TxnId| {
+            let holder = txns.iter().find(|txn| txn.id == *t);
+            holder.expect("live holder").has_range_in(mode, k)
         };
-        let (expected, oracle_only): (Ids, Ids) = told.into_iter().partition(in_range);
-        assert_eq!(range_readers, expected, "{context}: range holders reported");
-        self.reached.told_by_a_range += expected.len();
-        self.reached.oracle_only += oracle_only.len();
+        let sireads: Ids = told
+            .iter()
+            .copied()
+            .filter(|t| holds(RangeMode::SiRead, t))
+            .collect();
+        let shared: Ids = told
+            .iter()
+            .copied()
+            .filter(|t| holds(RangeMode::Shared, t))
+            .collect();
+        let oracle_only = told
+            .iter()
+            .filter(|t| !sireads.contains(t) && !shared.contains(t));
+        let oracle_only = oracle_only.count();
+        assert_eq!(range_readers, sireads, "{context}: SIREAD range holders");
+        // A `Shared` range blocks what enters it, and nothing else.
+        let linked = if fresh { shared } else { Ids::new() };
+        assert_eq!(blocked_by, linked, "{context}: Shared range holders");
+        self.reached.told_by_a_range += range_readers.len();
+        self.reached.oracle_only += oracle_only;
         if fresh {
-            self.reached.told_of_a_phantom += expected.len();
+            self.reached.told_of_a_phantom += range_readers.len();
+            self.reached.blocked_links += blocked_by.len();
             self.inherit(k);
         }
     }
@@ -501,7 +535,7 @@ impl Model {
         for row in &txn.rows {
             row.release_siread(txn.id);
         }
-        for (bounds, range) in &txn.ranges {
+        for (bounds, _, range) in &txn.ranges {
             assert!(range.release(), "seed {}: {bounds:?} gone early", self.seed);
         }
         let keys = |held: &[usize]| held.iter().map(|k| lock_key(*k)).collect::<Vec<_>>();
@@ -683,7 +717,12 @@ impl Model {
             17..=21 => {
                 if let Some(at) = self.pick(false) {
                     let bounds = self.bounds();
-                    self.scan(at, bounds);
+                    let mode = if self.rng.chance(0.5) {
+                        RangeMode::SiRead
+                    } else {
+                        RangeMode::Shared
+                    };
+                    self.scan(at, bounds, mode);
                 }
             }
             _ => self.quiesce(),
@@ -694,7 +733,7 @@ impl Model {
 
 #[test]
 fn chain_and_range_sireads_report_what_the_lock_table_would() {
-    let mut reached = [0; 8];
+    let mut reached = [0; 9];
     for seed in 1..=SEEDS {
         let mut model = Model::new(seed);
         for _ in 0..STEPS {
@@ -707,6 +746,7 @@ fn chain_and_range_sireads_report_what_the_lock_table_would() {
             r.kept_mapped,
             r.told_by_a_range,
             r.told_of_a_phantom,
+            r.blocked_links,
             r.oracle_only,
             r.inherited,
             r.merged,
@@ -718,11 +758,11 @@ fn chain_and_range_sireads_report_what_the_lock_table_would() {
     }
     // The schedules must actually reach the lock-table fallback, the chains
     // that only their point readers keep mapped, the installs that a range
-    // tells of (phantoms among them), the holders that only next-key locking
-    // would tell of, both directions of inheritance in the oracle, and the
-    // scans that a held range covers.
+    // tells of (phantoms among them, and links that a `Shared` range blocks),
+    // the holders that only next-key locking would tell of, both directions
+    // of inheritance in the oracle, and the scans that a held range covers.
     let often = SEEDS as usize;
-    let [fallback_reads, kept_mapped, told_by_a_range, told_of_a_phantom, oracle_only, inherited, merged, repeated_scans] =
+    let [fallback_reads, kept_mapped, told_by_a_range, told_of_a_phantom, blocked_links, oracle_only, inherited, merged, repeated_scans] =
         reached;
     assert!(fallback_reads > often, "{fallback_reads} fallbacks");
     assert!(kept_mapped > often, "{kept_mapped} kept mapped");
@@ -731,6 +771,7 @@ fn chain_and_range_sireads_report_what_the_lock_table_would() {
         "{told_by_a_range} told by a range"
     );
     assert!(told_of_a_phantom > often, "{told_of_a_phantom} phantoms");
+    assert!(blocked_links > often / 2, "{blocked_links} blocked links");
     assert!(
         oracle_only > often / 2,
         "{oracle_only} by next-key locks only"

@@ -11,13 +11,14 @@
 //!   recent version" signal of Fig. 3.4);
 //! * the newest committed timestamp of a key, which implements the
 //!   first-committer-wins check;
-//! * ordered key access (`next_key_at_or_after`) used for next-key / gap
-//!   locking against phantoms (Sec. 3.5);
 //! * the row-granularity SIREAD itself: a Serializable-SI point read
 //!   registers its transaction on the chain it reads, a range scan registers
 //!   its bounds with the table ([`crate::range`]), and the install of a
 //!   version reports who is registered on the row and whose range contains
-//!   the key (§ SIREAD on the row, § Why scans stay consistent under SSI).
+//!   the key (§ SIREAD on the row, § Why scans stay consistent);
+//! * phantom protection at every level (Sec. 3.5): an S2PL scan registers
+//!   its bounds too, as a blocking range, and the install that links a new
+//!   key into it reports the holder, for whom the writer must wait.
 //!
 //! # Architecture: two-level sharded layout
 //!
@@ -30,8 +31,7 @@
 //!   mapping a key to its version chain. Point operations touch exactly one
 //!   shard;
 //! * a **side ordered index** (`RwLock<BTreeMap<key, Arc<RowChain>>>`)
-//!   holding the same `Arc<RowChain>` entries, used only by range scans and
-//!   the next-key queries that gap locking needs.
+//!   holding the same `Arc<RowChain>` entries, used only by range scans.
 //!
 //! Each [`RowChain`] owns its version list and its set of SIREAD holders
 //! behind one `parking_lot` mutex of its own, so two operations contend only
@@ -47,9 +47,10 @@
 //! could deadlock). Below all of them sits the mutex of a range list
 //! ([`crate::range`]), a leaf: **chain → ranges** (the install of a version
 //! onto a mapped chain), **ordered index → ranges** (the first version of a
-//! new key, under the index write lock) and **shard → ranges** (the ranges
-//! of a secondary index, after the entry is added); registering and
-//! releasing a range take it alone, and nothing is ever acquired under it.
+//! new key, under the index write lock) and **entry map → ranges** (the
+//! ranges of a secondary index, under the write lock of its entry map that
+//! adds the entry); registering and releasing a range take it alone, and
+//! nothing is ever acquired under it.
 //! The invariants:
 //!
 //! * a chain present in either map is the unique chain for its key; both
@@ -131,7 +132,7 @@
 //! it is therefore kept as row metadata: `readers`, a small set of
 //! transaction ids beside the versions, under the chain mutex every read and
 //! every install takes anyway. They are the row's *point* readers; a range
-//! scan registers nothing on a chain (§ Why scans stay consistent under SSI).
+//! scan registers nothing on a chain (§ Why scans stay consistent).
 //!
 //! * **Read** ([`Table::read_registering`]). One critical section reads the
 //!   visible version, collects the creators of newer ones and adds the
@@ -169,39 +170,43 @@
 //!   blocking lock, stay in the lock table as well; this module knows nothing
 //!   of them.
 //!
-//! ## Why scans stay consistent under SSI
+//! ## Why scans stay consistent
 //!
 //! A scan never holds the ordered-index lock while it looks at rows, so a
 //! writer may install a version — even the first version of a brand-new key
 //! — while a scan is in flight. The scan protocol is built so that this
-//! never hides a read-write conflict from Serializable SI. The scanner
-//! **registers, then lists, then reads**; the writer **makes its version
-//! reachable, then looks for ranges**, both inside one critical section.
+//! never hides a read-write conflict from Serializable SI, and never lets a
+//! phantom into an S2PL scan. The scanner **registers, then lists, then
+//! reads**; the writer **makes its version reachable, then looks for
+//! ranges**, both inside one critical section.
 //!
 //! 1. **Register.** Before it lists its first page the engine registers the
 //!    scan's bounds and its transaction with the table
 //!    ([`Table::register_range`]): one entry in the table's range list
 //!    ([`crate::range`]), whatever the number of rows. That is the whole
-//!    SIREAD of the scan. It covers every row and every gap between the
+//!    predicate lock of the scan — an SIREAD at Serializable SI, a blocking
+//!    `Shared` range at S2PL. It covers every row and every gap between the
 //!    bounds, and a key that enters the range later is covered by lying in
 //!    it: nothing is copied to it, nothing is looked up on its neighbours.
 //! 2. **List handles, not values.** [`ScanCursor::next_page`] takes the
 //!    ordered-index read lock once and copies out up to a page of
 //!    [`ScanRow`]s — the key (`Arc<[u8]>`, shared with the index) and a
-//!    handle to its version chain — together with the table's *membership
-//!    epoch* at that instant. No chain is read yet.
+//!    handle to its version chain. No chain is read yet.
 //! 3. **Read**, each chain once, through [`Table::read_row`]: exactly what a
 //!    snapshot-isolation scan does. The read reports the creators of the
 //!    versions it skipped, and those are the scan's conflicts. A handle whose
 //!    chain died since the page was taken (rollback of an insert, purge of an
 //!    old tombstone) reads as empty; the key is then re-resolved through its
-//!    hash shard, so a chain re-created for the same key is not missed.
+//!    hash shard, so a chain re-created for the same key is not missed. At
+//!    S2PL the engine takes the row's SHARED record lock first and reads the
+//!    latest committed version under it.
 //!
 //! The writer's side is [`Table::install`]: in the critical section that
 //! makes the version reachable — the chain mutex for a mapped chain, the
 //! ordered-index write lock for the first version of a new key — and after
 //! the push or the link, it asks the range list for the holders of every
-//! range that contains its key ([`Installed::range_readers`]).
+//! SIREAD range that contains its key ([`Installed::range_readers`]) and,
+//! for a link only, of every `Shared` one ([`Installed::blocked_by`]).
 //!
 //! **Why nothing is missed.** For a row that exists the two meet on its chain
 //! mutex. A read that comes first belongs to a scan that registered before
@@ -212,26 +217,24 @@
 //! or precedes it, and the range was registered before the listing. (A key
 //! whose listed chain was unmapped and re-created meets its new writer on the
 //! shard lock in the same way.) Lock hand-over orders the accesses; there is
-//! no fence, no epoch check and no second pass. A range is removed only when
-//! its holder aborts or is reclaimed, that is, when no transaction that
-//! could still conflict with it is left. An update and a delete are found
-//! like an insert: the tombstone's install looks for ranges as any other.
+//! no fence and no second pass. An SIREAD range is removed only when its
+//! holder aborts or is reclaimed, that is, when no transaction that could
+//! still conflict with it is left. An update and a delete are found like an
+//! insert: the tombstone's install looks for ranges as any other.
+//!
+//! At S2PL the same two orders decide who waits for whom. A key the listing
+//! has is locked SHARED by the scanner, so its writer's EXCLUSIVE lock and
+//! the scanner's SHARED one order the two in the lock table. A key the
+//! listing missed was linked after the registration, and its link reports
+//! the holder: the engine undoes the install and waits for the scanner to
+//! finish (`crate::range`, the undo-then-wait rule).
 //!
 //! **What the writer pays.** A write to a table with live ranges compares
-//! its key with each of them: O(live Serializable-SI scans of that table)
-//! instead of O(rows) work on the scanner and on whoever reclaims it; a table
-//! that is never scanned at Serializable SI pays one relaxed load per
-//! install.
-//!
-//! SI, read-committed and S2PL scans and [`Table::scan`] run over the same
-//! cursor and the same [`Table::read_row`]; S2PL takes blocking SHARED locks
-//! on rows and gaps in the lock table between fetching a page and reading its
-//! rows, and closes the race between the two with a phantom sweep gated on
-//! the membership epoch ([`Table::membership_epoch`]): the epoch lives
-//! *inside* the ordered-index lock and is bumped in the same write critical
-//! section as every insert into or removal from the index, so a value equal
-//! to the one recorded with the page proves that the index still holds
-//! exactly the keys the page listed and the sweep would find nothing.
+//! its key with each of them: O(live range scans of that table) instead of
+//! O(rows) work on the scanner and on whoever reclaims it; a table that is
+//! never range-scanned at Serializable SI or S2PL pays one relaxed load per
+//! install. SI and read-committed scans and [`Table::scan`] register nothing
+//! and run over the same cursor and the same [`Table::read_row`].
 //!
 //! ## Secondary index maintenance
 //!
@@ -261,7 +264,7 @@ use ssi_common::{Bytes, InlineVec, TableId, Timestamp, TxnId, TS_ZERO};
 use ssi_lock::FxBuildHasher;
 
 use crate::index::Index;
-use crate::range::{RangeHandle, RangeReaders};
+use crate::range::{RangeHandle, RangeMode, RangeReaders};
 use crate::version::{Version, VersionState};
 
 /// Number of hash shards per table. Power of two so the shard selector is a
@@ -433,9 +436,6 @@ impl std::fmt::Debug for ScanRow {
 pub struct ScanPage {
     /// The keys the ordered index held in the page's range, in key order.
     pub rows: Vec<ScanRow>,
-    /// The table's membership epoch when the page was taken (see
-    /// [`Table::membership_epoch`]).
-    pub epoch: u64,
     /// True if the page reached the end of the scanned range. A page can be
     /// empty and last (the previous page ended exactly at the range's end).
     pub last: bool,
@@ -580,15 +580,19 @@ pub struct Installed {
     /// The other transactions registered as SIREAD holders of the row when
     /// the version went in: each has an rw-antidependency on the creator.
     pub readers: RowReaders,
-    /// The other transactions whose range scan covers the version (one may
-    /// be among `readers` as well): the holders of every live range of the table that
-    /// contains the key, and of every live range of a secondary index that
-    /// contains the entry the version added there — as of the critical
-    /// section that made it reachable. Each has an rw-antidependency on the
-    /// creator too; they are kept apart because for the first live version
-    /// of a key that dependency is a phantom, which the engine can be
-    /// configured not to detect.
+    /// The other transactions whose Serializable-SI range scan covers the
+    /// version (one may be among `readers` as well): the holders of every
+    /// live SIREAD range of the table that contains the key, and of every
+    /// live SIREAD range of a secondary index that contains the entry the
+    /// version added there — as of the critical section that made it
+    /// reachable. Each has an rw-antidependency on the creator too.
     pub range_readers: RowReaders,
+    /// The other transactions holding a `Shared` (S2PL) range that the
+    /// install linked a key into — the key, new to the table, or an entry new
+    /// to a secondary index. Non-empty means the install must be undone and
+    /// the creator must wait for each before installing again
+    /// ([`crate::range`], the undo-then-wait rule).
+    pub blocked_by: RowReaders,
     /// True if the creator's own registration was dropped (the Sec. 3.7.3
     /// upgrade: its EXCLUSIVE lock and first-committer-wins now cover it).
     pub upgraded: bool,
@@ -843,16 +847,6 @@ fn order_holds(versions: &[Arc<Version>], writer: TxnId, depth: usize) -> bool {
     true
 }
 
-/// The ordered side index: every key with a chain, plus the count of
-/// membership changes. Both live behind one lock so that the epoch can only
-/// move in the write critical section that changes the key set.
-#[derive(Default)]
-struct OrderedIndex {
-    chains: BTreeMap<Arc<[u8]>, Arc<RowChain>>,
-    /// Bumped on every insert into and removal from `chains`.
-    epoch: u64,
-}
-
 /// One hash shard of a table.
 #[derive(Default)]
 struct Shard {
@@ -865,11 +859,11 @@ pub struct Table {
     id: TableId,
     name: String,
     shards: Box<[Shard]>,
-    /// Ordered side index over the same chains, for scans and next-key
-    /// queries only. Point operations on existing keys never touch it.
-    ordered: RwLock<OrderedIndex>,
-    /// The live Serializable-SI range scans of this table's keys (module
-    /// docs, § Why scans stay consistent under SSI).
+    /// Ordered side index over the same chains, for scans only. Point
+    /// operations on existing keys never touch it.
+    ordered: RwLock<BTreeMap<Arc<[u8]>, Arc<RowChain>>>,
+    /// The live Serializable-SI and S2PL range scans of this table's keys
+    /// (module docs, § Why scans stay consistent).
     ranges: Arc<RangeReaders>,
     /// Registered secondary indexes, maintained by the membership hooks
     /// (see the module docs). Lock order is always shard → this list.
@@ -884,7 +878,7 @@ impl Table {
             id,
             name: name.into(),
             shards,
-            ordered: RwLock::new(OrderedIndex::default()),
+            ordered: RwLock::new(BTreeMap::new()),
             ranges: Arc::default(),
             indexes: RwLock::new(Vec::new()),
         }
@@ -913,15 +907,7 @@ impl Table {
 
     /// Number of keys with at least one version (including tombstoned keys).
     pub fn key_count(&self) -> usize {
-        self.ordered.read().chains.len()
-    }
-
-    /// Number of membership changes (keys entering or leaving the ordered
-    /// index) so far, read under the index lock. Two equal readings prove
-    /// the index held the same key set at both instants and in between; see
-    /// the module docs on the epoch-gated phantom sweep.
-    pub fn membership_epoch(&self) -> u64 {
-        self.ordered.read().epoch
+        self.ordered.read().len()
     }
 
     /// Snapshot read of `key` as of `snapshot_ts` on behalf of `reader`.
@@ -964,20 +950,23 @@ impl Table {
         (read, siread)
     }
 
-    /// Registers `reader` as the holder of the key range `(lower, upper)`:
-    /// the whole SIREAD of a Serializable-SI range scan, to be made before
+    /// Registers `reader` as the holder of the key range `(lower, upper)` in
+    /// `mode`: the whole predicate lock of a range scan, to be made before
     /// the scan lists its first page (module docs, § Why scans stay
-    /// consistent under SSI). From then until the handle is released, every
-    /// [`Table::install`] of a version of a key in the range reports `reader`
-    /// in [`Installed::range_readers`]. `None` if `reader` already holds a
-    /// range on this table that covers this one.
+    /// consistent). From then until the handle is released, every
+    /// [`Table::install`] of a version of a key in the range reports an
+    /// `SiRead` holder in [`Installed::range_readers`], and every install
+    /// that links a new key into it reports a `Shared` holder in
+    /// [`Installed::blocked_by`]. `None` if `reader` already holds a range
+    /// of that mode on this table that covers this one.
     pub fn register_range(
         &self,
         lower: Bound<&[u8]>,
         upper: Bound<&[u8]>,
         reader: TxnId,
+        mode: RangeMode,
     ) -> Option<RangeHandle> {
-        self.ranges.register(lower, upper, reader)
+        self.ranges.register(lower, upper, reader, mode)
     }
 
     /// Read-committed read: latest committed value (or the reader's own
@@ -993,9 +982,9 @@ impl Table {
     }
 
     /// True if the key has any non-aborted version (committed or not,
-    /// tombstone or not). Used to distinguish inserts from updates when
-    /// deciding whether gap locks are needed.
-    pub fn contains_key(&self, key: &[u8]) -> bool {
+    /// tombstone or not): whether a write of it is an insert.
+    #[cfg(test)]
+    pub(crate) fn contains_key(&self, key: &[u8]) -> bool {
         self.write_probe(key).has_live_version
     }
 
@@ -1057,10 +1046,12 @@ impl Table {
     /// reachable also reports whose SIREAD covers it: the row's registered
     /// readers ([`Installed::readers`]; with `upgrade` the creator's own
     /// registration is dropped there too, [`Installed::upgraded`]) and the
-    /// holders of every live range that contains the key
+    /// holders of every live SIREAD range that contains the key
     /// ([`Installed::range_readers`]). A Serializable-SI reader either
     /// registered before that critical section and is reported, or reads
-    /// after it and finds the version.
+    /// after it and finds the version. A link of a new key or index entry
+    /// reports the `Shared` ranges that contain it as well
+    /// ([`Installed::blocked_by`]); the caller then undoes the install.
     ///
     /// **Writer-side pruning.** A writer that finds more than
     /// `PRUNE_ABOVE` (four) versions calls `horizon` — once, under the chain
@@ -1102,25 +1093,26 @@ impl Table {
         }
         let key_arc: Arc<[u8]> = Arc::from(key);
         let chain = RowChain::with_version(version.clone());
-        let mut range_readers = RowReaders::new();
+        let (mut range_readers, mut blocked_by) = (RowReaders::new(), RowReaders::new());
         {
             // One critical section links the key and looks for the scans it
             // is a phantom of: a scan that lists the index after this has
             // the key on its page, one that listed it before had registered
-            // before that (module docs, § Why scans stay consistent under
-            // SSI).
+            // before that (module docs, § Why scans stay consistent).
             let mut ordered = self.ordered.write();
-            ordered.chains.insert(key_arc.clone(), chain.clone());
-            ordered.epoch += 1;
-            self.ranges.report_to(key, creator, &mut range_readers);
+            ordered.insert(key_arc.clone(), chain.clone());
+            let blockers = Some(&mut blocked_by);
+            self.ranges
+                .report_to(key, creator, &mut range_readers, blockers);
         }
         rows.insert(key_arc, chain);
-        self.add_index_refs(key, &version, &mut range_readers);
+        self.add_index_refs(key, &version, &mut range_readers, &mut blocked_by);
         Installed {
             version,
             pruned: 0,
             readers: RowReaders::new(),
             range_readers,
+            blocked_by,
             upgraded: false,
         }
     }
@@ -1152,16 +1144,19 @@ impl Table {
         let (readers, upgraded) = state.readers.report_to(creator, upgrade);
         state.versions.push(version.clone());
         // Pushed first, ranges second, under the one hold of the chain
-        // mutex that every reader of the row takes too.
-        let mut range_readers = RowReaders::new();
-        self.ranges.report_to(key, creator, &mut range_readers);
+        // mutex that every reader of the row takes too. The key is in the
+        // ordered index already: no `Shared` range is this push's business.
+        let (mut range_readers, mut blocked_by) = (RowReaders::new(), RowReaders::new());
+        self.ranges
+            .report_to(key, creator, &mut range_readers, None);
         drop(state);
-        self.add_index_refs(key, &version, &mut range_readers);
+        self.add_index_refs(key, &version, &mut range_readers, &mut blocked_by);
         Installed {
             version,
             pruned,
             readers,
             range_readers,
+            blocked_by,
             upgraded,
         }
     }
@@ -1185,15 +1180,21 @@ impl Table {
     }
 
     /// Adds one entry reference per registered index for a freshly
-    /// installed version, and appends to `range_readers` the holders of the
-    /// index ranges that contain an entry it added (see
+    /// installed version, and appends to `range_readers` and `blocked_by`
+    /// the holders of the index ranges that contain an entry it added (see
     /// [`Index::add_ref_reporting`]). Must be called while the caller still
     /// holds the version's shard lock (read or write) — see the module docs.
-    fn add_index_refs(&self, key: &[u8], version: &Version, range_readers: &mut RowReaders) {
+    fn add_index_refs(
+        &self,
+        key: &[u8],
+        version: &Version,
+        range_readers: &mut RowReaders,
+        blocked_by: &mut RowReaders,
+    ) {
         let Some(value) = version.value() else { return };
         for index in self.indexes.read().iter() {
             if let Some(entry) = index.entry_of(key, value) {
-                index.add_ref_reporting(&entry, version.creator(), range_readers);
+                index.add_ref_reporting(&entry, version.creator(), range_readers, blocked_by);
             }
         }
     }
@@ -1300,11 +1301,11 @@ impl Table {
     /// the same key in the meantime.
     fn unlink_from_ordered(&self, key: &[u8], chain: &Arc<RowChain>) {
         let mut ordered = self.ordered.write();
-        if let Some(current) = ordered.chains.get(key) {
-            if Arc::ptr_eq(current, chain) {
-                ordered.chains.remove(key);
-                ordered.epoch += 1;
-            }
+        if ordered
+            .get(key)
+            .is_some_and(|current| Arc::ptr_eq(current, chain))
+        {
+            ordered.remove(key);
         }
     }
 
@@ -1330,11 +1331,10 @@ impl Table {
     }
 
     /// Copies out up to `limit` rows of the range under one ordered-index
-    /// read lock, with the membership epoch of that instant.
+    /// read lock.
     fn page(&self, lower: Bound<&[u8]>, upper: Bound<&[u8]>, limit: usize) -> ScanPage {
         let ordered = self.ordered.read();
         let rows: Vec<ScanRow> = ordered
-            .chains
             .range::<[u8], _>((lower, upper))
             .take(limit)
             .map(|(key, chain)| ScanRow {
@@ -1348,7 +1348,6 @@ impl Table {
         // followed by more keys.
         ScanPage {
             last: rows.len() < limit,
-            epoch: ordered.epoch,
             rows,
         }
     }
@@ -1384,33 +1383,28 @@ impl Table {
         }
     }
 
-    /// Smallest key `>= key` present in the table (used by insert/delete gap
-    /// locking: the lock target is the key *after* the one being modified).
-    pub fn next_key_at_or_after(&self, key: &[u8]) -> Option<Arc<[u8]>> {
-        let ordered = self.ordered.read();
-        ordered
-            .chains
-            .range::<[u8], _>((Bound::Included(key), Bound::Unbounded))
+    /// Smallest key `>= key` present in the table: where the next-key oracle
+    /// of the SIREAD model test puts a gap lock.
+    #[cfg(test)]
+    fn next_key_at_or_after(&self, key: &[u8]) -> Option<Arc<[u8]>> {
+        self.keys_in_range(Bound::Included(key), Bound::Unbounded)
+            .into_iter()
             .next()
-            .map(|(k, _)| k.clone())
     }
 
     /// Smallest key strictly greater than `key`.
-    pub fn next_key_after(&self, key: &[u8]) -> Option<Arc<[u8]>> {
-        let ordered = self.ordered.read();
-        ordered
-            .chains
-            .range::<[u8], _>((Bound::Excluded(key), Bound::Unbounded))
+    #[cfg(test)]
+    fn next_key_after(&self, key: &[u8]) -> Option<Arc<[u8]>> {
+        self.keys_in_range(Bound::Excluded(key), Bound::Unbounded)
+            .into_iter()
             .next()
-            .map(|(k, _)| k.clone())
     }
 
-    /// All keys in the given range, sharing the index's key bytes (used by
-    /// the engine's phantom sweep and by tests).
-    pub fn keys_in_range(&self, lower: Bound<&[u8]>, upper: Bound<&[u8]>) -> Vec<Arc<[u8]>> {
+    /// All keys in the given range, sharing the index's key bytes.
+    #[cfg(test)]
+    fn keys_in_range(&self, lower: Bound<&[u8]>, upper: Bound<&[u8]>) -> Vec<Arc<[u8]>> {
         let ordered = self.ordered.read();
         ordered
-            .chains
             .range::<[u8], _>((lower, upper))
             .map(|(k, _)| k.clone())
             .collect()
@@ -1949,41 +1943,6 @@ mod tests {
         let p3 = cursor.next_page().unwrap();
         assert!(p3.rows.is_empty() && p3.last);
         assert!(cursor.next_page().is_none());
-        // Nothing was inserted or removed meanwhile.
-        assert_eq!(p1.epoch, p3.epoch);
-        assert_eq!(p3.epoch, tbl.membership_epoch());
-    }
-
-    #[test]
-    fn membership_epoch_moves_exactly_when_a_key_enters_or_leaves() {
-        let tbl = table();
-        let e0 = tbl.membership_epoch();
-        let v1 = tbl.install_version(b"a", t(1), Some(vec![1]));
-        v1.mark_committed(10);
-        let e1 = tbl.membership_epoch();
-        assert!(e1 > e0, "first version of a key enters the index");
-        // Updates and deletes of an existing key do not change membership.
-        let v2 = tbl.install_version(b"a", t(2), Some(vec![2]));
-        v2.mark_committed(20);
-        let del = tbl.install_version(b"a", t(3), None);
-        assert_eq!(tbl.membership_epoch(), e1);
-        // Neither does rolling back one of several versions…
-        del.mark_aborted();
-        tbl.unlink_version(b"a", &del);
-        assert_eq!(tbl.membership_epoch(), e1);
-        // …but rolling back a key's only version removes the key,
-        let ins = tbl.install_version(b"b", t(4), Some(vec![4]));
-        let e2 = tbl.membership_epoch();
-        ins.mark_aborted();
-        tbl.unlink_version(b"b", &ins);
-        let e3 = tbl.membership_epoch();
-        assert!(e2 > e1 && e3 > e2);
-        // and so does purging a dead tombstone.
-        let d = tbl.install_version(b"a", t(5), None);
-        d.mark_committed(30);
-        tbl.purge_old_versions(40);
-        assert_eq!(tbl.key_count(), 0);
-        assert!(tbl.membership_epoch() > e3);
     }
 
     #[test]
@@ -2000,7 +1959,6 @@ mod tests {
         tbl.unlink_version(b"k", &gone);
         let again = tbl.install_version(b"k", t(2), Some(vec![2]));
         again.mark_committed(10);
-        assert!(tbl.membership_epoch() > page.epoch);
         let read = tbl.read_row(&page.rows[0], t(3), 5);
         assert!(read.key_exists, "the new chain must be found");
         assert_eq!(read.newer_creators, vec![t(2)]);
@@ -2224,10 +2182,8 @@ mod tests {
         tbl.unlink_version(b"j", &ins);
         assert!(handle.release_siread(t(7)));
         assert_eq!(tbl.key_count(), 1);
-        let epoch = tbl.membership_epoch();
         assert_eq!(tbl.purge_old_versions(30), PurgeStats::at(30));
         assert_eq!(tbl.key_count(), 0);
-        assert!(tbl.membership_epoch() > epoch);
     }
 
     #[test]
@@ -2249,8 +2205,9 @@ mod tests {
         assert!(write(b"d", 9, Some(vec![9])).is_empty());
         // [b, f): one registration, whatever lies between the bounds.
         let (lower, upper) = (Bound::Included(&b"b"[..]), Bound::Excluded(&b"f"[..]));
-        let scan = tbl.register_range(lower, upper, t(2)).expect("registers");
-        assert!(tbl.register_range(lower, upper, t(2)).is_none(), "held");
+        let register = |holder, mode| tbl.register_range(lower, upper, t(holder), mode);
+        let scan = register(2, RangeMode::SiRead).expect("registers");
+        assert!(register(2, RangeMode::SiRead).is_none(), "held");
         assert_eq!(tbl.siread_holder_count(), 1);
         // An update and a delete of a row in the range, the first version of
         // a new key in it, and a second new key in front of that one: all by
@@ -2277,6 +2234,21 @@ mod tests {
         assert!(write(b"f", 3, Some(vec![3])).is_empty());
         assert!(write(b"a", 3, Some(vec![3])).is_empty());
         assert!(write(b"h", 3, Some(vec![3])).is_empty());
+        // An S2PL scan of the same range is reported to the link of a key new
+        // to the table only, which the writer then undoes as a rollback would.
+        let shared = register(8, RangeMode::Shared).expect("a mode of its own");
+        let undone = |key: &[u8]| {
+            let installed = tbl.install(key, t(3), Some(vec![3].into()), true, || TS_ZERO);
+            installed.version.mark_aborted();
+            tbl.unlink_version(key, &installed.version);
+            let told = [installed.range_readers, installed.blocked_by];
+            told.map(|ids| ids.to_vec())
+        };
+        assert_eq!(undone(b"d"), [vec![t(2)], vec![]], "an update");
+        assert_eq!(undone(b"dd"), [vec![t(2)], vec![t(8)]], "a link");
+        assert_eq!(undone(b"g"), [vec![], vec![]], "outside");
+        assert_eq!(tbl.key_count(), 8, "nothing of the links is left");
+        assert!(shared.release());
         // The scanner's own writes are not its conflicts, and cost it nothing.
         assert!(write(b"d", 2, Some(vec![2])).is_empty());
         assert!(write(b"bb", 2, Some(vec![2])).is_empty());
@@ -2314,8 +2286,9 @@ mod tests {
         // Index keys 10..=20, in entry space.
         let (lo, hi) = (10u32.to_be_bytes(), 20u32.to_be_bytes());
         let (lower, upper) = entry_range(Bound::Included(&lo), Bound::Included(&hi));
+        let (lower, upper) = (as_ref_bound(&lower), as_ref_bound(&upper));
         let scan = idx
-            .register_range(as_ref_bound(&lower), as_ref_bound(&upper), t(2))
+            .register_range(lower, upper, t(2), RangeMode::SiRead)
             .expect("registers");
         assert_eq!(tbl.siread_holder_count(), 1);
         // A new row, and a row renamed into the range, claim an entry in it;
@@ -2326,8 +2299,22 @@ mod tests {
         assert!(write(b"r1", 3, 9).is_empty());
         assert!(write(b"r3", 2, 12).is_empty(), "its own");
         assert!(idx
-            .entries_in_range(Bound::Unbounded, Bound::Unbounded, None)
+            .entries_in_range(Bound::Unbounded, Bound::Unbounded)
             .contains(&Arc::from(encode_entry(&12u32.to_be_bytes(), b"r3"))));
+        // An S2PL index scan is reported to an entry that is new to the index
+        // only: `(15, r1)` is still claimed by r1's first version.
+        let shared = idx.register_range(lower, upper, t(8), RangeMode::Shared);
+        let shared = shared.expect("a mode of its own");
+        let blocked_by = |key: &[u8], n| {
+            let installed = tbl.install(key, t(4), value(n), true, || TS_ZERO);
+            installed.version.mark_committed(clock.get() + 1);
+            clock.set(clock.get() + 1);
+            installed.blocked_by.to_vec()
+        };
+        assert_eq!(blocked_by(b"r5", 16), vec![t(8)], "a fresh entry");
+        assert!(blocked_by(b"r1", 15).is_empty(), "one more reference");
+        assert!(blocked_by(b"r6", 30).is_empty(), "outside");
+        assert!(shared.release());
         assert!(scan.release());
         assert!(write(b"r4", 3, 15).is_empty());
         assert_eq!(tbl.siread_holder_count(), 0);

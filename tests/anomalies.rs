@@ -232,12 +232,12 @@ fn mixed_mode_queries_do_not_cause_update_aborts() {
 
 /// Phantom write skew (Sec. 3.5): each transaction counts the rows matching
 /// a predicate and inserts a new row; under SI both commit and each misses
-/// the other's insert.
+/// the other's insert. The scans' range registrations stop it at SSI (one
+/// aborts) and at S2PL (an insert waits for the other scanner).
 #[test]
-fn phantom_write_skew_prevented_only_with_gap_locking() {
-    let run = |level: IsolationLevel, detect_phantoms: bool| -> bool {
+fn phantom_write_skew_prevented_at_ssi_and_s2pl() {
+    let run = |level: IsolationLevel| -> bool {
         let mut options = Options::default().with_isolation(level);
-        options.detect_phantoms = detect_phantoms;
         // Keep the S2PL variant snappy if it self-blocks.
         options.lock.wait_timeout = std::time::Duration::from_millis(300);
         let db = Database::open(options);
@@ -260,20 +260,16 @@ fn phantom_write_skew_prevented_only_with_gap_locking() {
     };
 
     assert!(
-        run(IsolationLevel::SnapshotIsolation, true),
+        run(IsolationLevel::SnapshotIsolation),
         "plain SI permits the phantom write skew"
     );
     assert!(
-        !run(IsolationLevel::SerializableSnapshotIsolation, true),
-        "SSI with gap locking must abort one transaction"
+        !run(IsolationLevel::SerializableSnapshotIsolation),
+        "SSI must abort one transaction"
     );
     assert!(
-        run(IsolationLevel::SerializableSnapshotIsolation, false),
-        "without gap locking the anomaly is missed (why Sec. 3.5 exists)"
-    );
-    assert!(
-        !run(IsolationLevel::StrictTwoPhaseLocking, true),
-        "S2PL next-key locking blocks or deadlocks one of the inserters"
+        !run(IsolationLevel::StrictTwoPhaseLocking),
+        "S2PL's ranges block one of the inserters"
     );
 }
 

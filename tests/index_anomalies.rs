@@ -8,9 +8,9 @@
 //! * **duplicate claim** (write skew on an index point): two transactions
 //!   each probe a name through the index, see it free, and insert a row
 //!   claiming it. Plain SI commits both — the committed state holds two
-//!   rows for one name. SSI's entry-space gap SIREADs turn the inserts
-//!   into rw-antidependencies and abort one; S2PL's shared gap locks make
-//!   the inserts block.
+//!   rows for one name. SSI's entry-space range SIREADs turn the inserts
+//!   into rw-antidependencies and abort one; S2PL's `Shared` entry ranges
+//!   make the inserts block.
 //! * **unique constraint**: the same race against a *unique* index must
 //!   end with exactly one committed row and a typed
 //!   [`AbortReason::UniqueViolation`] at every isolation level — the
@@ -19,7 +19,7 @@
 //! * **phantom via index range**: a transaction counts an index range and
 //!   records the count while another inserts into the range — the
 //!   delete-phantom skew of `tests/anomalies.rs`, rebuilt on entry-space
-//!   gap locks.
+//!   ranges.
 
 use std::ops::Bound;
 use std::sync::Barrier;
@@ -80,8 +80,6 @@ fn run_duplicate_claim(options: Options) -> (bool, usize) {
     let free2 = t2.index_lookup(&index, &name_key("smith")).map(|r| r.len());
     let both = match (free1, free2) {
         (Ok(0), Ok(0)) => {
-            // Ascending primary keys so both entry-space gap locks land on
-            // the index supremum, where both predicate SIREADs sit.
             let r1 = t1
                 .put(&table, b"a", &person("smith"))
                 .and_then(|_| t1.commit());
@@ -122,8 +120,8 @@ fn duplicate_claim_is_aborted_by_serializable_si_under_both_variants() {
 #[test]
 fn duplicate_claim_blocks_under_two_phase_locking() {
     let mut options = Options::default().with_isolation(IsolationLevel::StrictTwoPhaseLocking);
-    // The second insert waits on the first claimant's entry-space gap
-    // lock; keep the self-block short.
+    // The first insert waits for the other prober's entry range; keep the
+    // self-block short.
     options.lock.wait_timeout = std::time::Duration::from_millis(300);
     let (both, claims) = run_duplicate_claim(options);
     assert!(!both, "S2PL must not let both claims through");
@@ -326,7 +324,7 @@ fn unique_constraint_sees_own_uncommitted_writes() {
 /// the index and records the count in a summary row T2 has read; T2 inserts
 /// a new name into the range. Under SI both commit and the recorded count
 /// is stale the moment it lands; SSI sees the rw-antidependency cycle
-/// through the entry-space gap and aborts one.
+/// through the entry range and aborts one.
 fn run_index_range_phantom(options: Options) -> (bool, Option<usize>) {
     let db = Database::open(options);
     let table = db.create_table("people").unwrap();
@@ -390,20 +388,6 @@ fn index_range_phantom_is_aborted_by_serializable_si_under_both_variants() {
             "{variant:?}: the phantom interleaving must not commit whole"
         );
     }
-}
-
-/// Without entry-space gap locking (`detect_phantoms = false`) SSI misses
-/// the index-range phantom — the same design note as the row-space
-/// `phantom_write_skew_prevented_only_with_gap_locking` test.
-#[test]
-fn index_range_phantom_needs_gap_locking() {
-    let mut options = ssi_options(SsiVariant::Enhanced);
-    options.detect_phantoms = false;
-    let (both, _) = run_index_range_phantom(options);
-    assert!(
-        both,
-        "without gap locking the entry-space phantom is missed"
-    );
 }
 
 /// The index-scan twin of `tests/anomalies.rs`'s second-insert phantom

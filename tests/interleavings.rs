@@ -266,10 +266,9 @@ mod choreography {
 }
 
 mod row_siread {
-    use std::ops::Bound;
     use std::sync::Barrier;
 
-    use serializable_si::{Database, IsolationLevel, TableRef, Transaction};
+    use serializable_si::{Database, FieldKind, IndexKeyPart, IndexKeySpec, TableRef, Transaction};
 
     use super::choreography::{has_incoming_conflict, open, VARIANTS};
 
@@ -291,16 +290,22 @@ mod row_siread {
     }
 
     /// (a) The reader registers between the writer's EXCLUSIVE grant and its
-    /// install. The writer is held there on the gap lock its delete needs: a
-    /// 2PL scan owns that gap SHARED until the reader is done.
+    /// install. The writer is held there on a unique index's marker lock: its
+    /// update of `m` claims an index key that a blocker has claimed too,
+    /// uncommitted, and rolls back once the reader is done.
     #[test]
     fn reader_between_the_writers_lock_and_its_install() {
         for variant in VARIANTS {
             let (db, table) = open(variant, &[b"m"]);
-            let mut blocker = db.begin_with(IsolationLevel::StrictTwoPhaseLocking);
-            blocker
-                .scan(&table, Bound::Included(b"y"), Bound::Unbounded)
-                .unwrap();
+            // The loaded rows' values are too short to be indexed.
+            let spec = IndexKeySpec {
+                layout: vec![FieldKind::U32],
+                parts: vec![IndexKeyPart::ValueField(0)],
+            };
+            db.create_index("t_by_number", &table, true, spec).unwrap();
+            let claim = 7u32.to_le_bytes();
+            let mut blocker = db.begin();
+            blocker.put(&table, b"n", &claim).unwrap();
 
             let mut r = db.begin();
             let mut w = db.begin();
@@ -308,18 +313,18 @@ mod row_siread {
             let w_id = w.id();
             let waits = db.metrics().locks.waits;
             let w = std::thread::scope(|scope| {
-                let deleting = scope.spawn(|| {
-                    w.delete(&table, b"m").unwrap();
+                let updating = scope.spawn(|| {
+                    w.put(&table, b"m", &claim).unwrap();
                     w
                 });
-                // The delete holds EXCLUSIVE on `m` and waits for gap(z).
+                // The update holds EXCLUSIVE on `m` and waits for the marker.
                 while db.metrics().locks.waits == waits {
                     std::thread::yield_now();
                 }
                 assert_eq!(r.get(&table, b"m").unwrap().as_deref(), Some(&b"0"[..]));
                 assert!(!has_incoming_conflict(&db, w_id), "nothing installed yet");
-                blocker.commit().unwrap();
-                deleting.join().unwrap()
+                blocker.rollback();
+                updating.join().unwrap()
             });
             assert!(
                 has_incoming_conflict(&db, w_id),
@@ -535,7 +540,8 @@ mod range_siread {
     /// (b) The scan registers first: the install is handed the scan — the
     /// first version of a new key by the critical section that links it, an
     /// update and a delete by the one that pushes onto the row's chain —
-    /// without a lock-table entry or a registration on any chain.
+    /// without a lock-table entry or a registration on any chain. The
+    /// writer's one lock request is its EXCLUSIVE lock on `m`.
     ///
     /// Guards `self.ranges.report_to(key, creator, &mut range_readers)` in
     /// `Table::install` (the insert) and in `Table::push_pruning` (the update
@@ -543,13 +549,13 @@ mod range_siread {
     #[test]
     fn write_after_the_scan_registered() {
         type Write = fn(&mut Transaction, &TableRef) -> serializable_si::Result<()>;
-        let writes: [(&str, &[&[u8]], Write, u64); 3] = [
-            ("insert", &[], |w, t| w.put(t, b"m", b"w"), 2),
-            ("update", &[b"m"], |w, t| w.put(t, b"m", b"w"), 1),
-            ("delete", &[b"m"], |w, t| w.delete(t, b"m"), 2),
+        let writes: [(&str, &[&[u8]], Write); 3] = [
+            ("insert", &[], |w, t| w.put(t, b"m", b"w")),
+            ("update", &[b"m"], |w, t| w.put(t, b"m", b"w")),
+            ("delete", &[b"m"], |w, t| w.delete(t, b"m")),
         ];
         for variant in VARIANTS {
-            for (what, rows, write, lock_requests) in writes {
+            for (what, rows, write) in writes {
                 let (db, table) = open(variant, rows);
                 let mut s = db.begin();
                 let mut w = db.begin();
@@ -563,7 +569,7 @@ mod range_siread {
                 // table saw is the writer's own EXCLUSIVE requests.
                 let after = db.metrics();
                 let requested = after.locks.requests - before.locks.requests;
-                assert_eq!(requested, lock_requests, "{variant:?} {what}");
+                assert_eq!(requested, 1, "{variant:?} {what}");
                 close_the_cycle(&db, &table, s, w);
                 let registered = db.metrics().txn;
                 assert_eq!(registered.siread_range_registrations, 1, "{what}");
@@ -767,8 +773,6 @@ mod range_siread {
                 }
             });
             assert!(overlapped > 0, "{variant:?}: scan and insert never met");
-            let metrics = db.metrics().txn;
-            assert_eq!(metrics.scan_sweeps_run + metrics.scan_sweeps_skipped, 0);
             assert_nothing_left(db);
         }
     }
@@ -907,5 +911,198 @@ mod range_siread {
     /// Above `z` and every `above` before it.
     fn above(i: usize) -> Vec<u8> {
         [b"zz", &i.to_be_bytes()[..]].concat()
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Shared-range choreography
+// ---------------------------------------------------------------------------
+//
+// An S2PL scan registers its bounds as a blocking range (`ssi_storage::range`)
+// before it lists anything. A write that links a key new to the table, or an
+// entry new to an index, into the range undoes its install, waits for the
+// scanner through the lock manager and installs again; nothing else about a
+// write ever waits on a range. Every case runs twice: over a table's keys and
+// over an index's entries.
+
+mod shared_range {
+    use std::ops::Bound;
+
+    use serializable_si::{
+        AbortReason, Database, FieldKind, IndexKeyPart, IndexKeySpec, IndexRef, IsolationLevel,
+        Options, TableRef, Transaction,
+    };
+
+    /// Where the scans' predicate lives.
+    #[derive(Clone, Copy, Debug)]
+    enum Space {
+        Rows,
+        Entries,
+    }
+
+    const SPACES: [Space; 2] = [Space::Rows, Space::Entries];
+
+    /// Row `n` has key `row(n)` and value `n`, which the index extracts, so
+    /// `[lo, hi]` is a range of keys and of entries alike.
+    struct World {
+        db: Database,
+        table: TableRef,
+        index: IndexRef,
+    }
+
+    fn open() -> World {
+        let db = Database::open(Options::default().with_history());
+        let table = db.create_table("t").unwrap();
+        let spec = IndexKeySpec {
+            layout: vec![FieldKind::U32],
+            parts: vec![IndexKeyPart::ValueField(0)],
+        };
+        let index = db.create_index("t_by_number", &table, false, spec).unwrap();
+        let mut load = db.begin();
+        for n in [10, 20, 30] {
+            load.put(&table, &row(n), &n.to_le_bytes()).unwrap();
+        }
+        load.commit().unwrap();
+        World { db, table, index }
+    }
+
+    fn row(n: u32) -> Vec<u8> {
+        format!("r{n:03}").into_bytes()
+    }
+
+    impl World {
+        /// The keys of the rows in `[lo, hi]`.
+        fn scan(
+            &self,
+            txn: &mut Transaction,
+            space: Space,
+            [lo, hi]: [u32; 2],
+        ) -> serializable_si::Result<Vec<Vec<u8>>> {
+            let rows = match space {
+                Space::Rows => {
+                    let (lo, hi) = (row(lo), row(hi));
+                    txn.scan(&self.table, Bound::Included(&lo), Bound::Included(&hi))
+                }
+                Space::Entries => {
+                    let (lo, hi) = (lo.to_be_bytes(), hi.to_be_bytes());
+                    txn.index_scan(&self.index, Bound::Included(&lo), Bound::Included(&hi))
+                }
+            };
+            Ok(rows?.into_iter().map(|(key, _)| key).collect())
+        }
+
+        fn insert(&self, txn: &mut Transaction, n: u32) -> serializable_si::Result<()> {
+            txn.put(&self.table, &row(n), &n.to_le_bytes())
+        }
+
+        fn has(&self, n: u32) -> bool {
+            let mut check = self.db.begin_with(IsolationLevel::SnapshotIsolation);
+            check.get(&self.table, &row(n)).unwrap().is_some()
+        }
+
+        fn assert_nothing_left(&self) {
+            let report = self.db.history().unwrap().analyze();
+            assert!(report.is_serializable(), "cycle {:?}", report.cycle);
+            self.db
+                .transaction_manager()
+                .cleanup_suspended(self.db.lock_manager());
+            assert_eq!(self.db.lock_manager().grant_count(), 0);
+            assert_eq!(self.db.siread_holder_count(), 0);
+        }
+    }
+
+    /// An insert into a live `Shared` range — at any level — waits with
+    /// nothing of it in storage: the table holds neither the key nor a
+    /// version, and an SI reader sees none. The scanner lists its range again
+    /// meanwhile, finds what it found before and does not wait: a writer
+    /// that waited with its version linked would be on that listing, and the
+    /// scanner would wait for its EXCLUSIVE lock while it waits for the
+    /// scanner. The insert installs once the scanner commits.
+    #[test]
+    fn an_insert_into_a_shared_range_waits_with_nothing_installed() {
+        let levels = [
+            IsolationLevel::ReadCommitted,
+            IsolationLevel::SnapshotIsolation,
+            IsolationLevel::SerializableSnapshotIsolation,
+            IsolationLevel::StrictTwoPhaseLocking,
+        ];
+        for space in SPACES {
+            for level in levels {
+                let world = open();
+                let (db, table) = (&world.db, &world.table);
+                let mut s = db.begin_with(IsolationLevel::StrictTwoPhaseLocking);
+                let seen = world.scan(&mut s, space, [10, 29]).unwrap();
+                assert_eq!(seen, [row(10), row(20)]);
+                let mut w = db.begin_with(level);
+                let stored = (table.key_count(), table.version_count());
+                let waits = db.metrics().locks.waits;
+                std::thread::scope(|scope| {
+                    let inserting = scope.spawn(|| {
+                        world.insert(&mut w, 15).unwrap();
+                        w
+                    });
+                    while db.metrics().locks.waits == waits && !inserting.is_finished() {
+                        std::thread::yield_now();
+                    }
+                    assert!(
+                        !inserting.is_finished(),
+                        "{space:?} {level:?}: did not wait"
+                    );
+                    let now = (table.key_count(), table.version_count());
+                    assert_eq!(now, stored, "{space:?} {level:?}: installed while waiting");
+                    let mut reader = db.begin_with(IsolationLevel::SnapshotIsolation);
+                    assert_eq!(reader.get(table, &row(15)).unwrap(), None);
+                    let again = world.scan(&mut s, space, [10, 29]).unwrap();
+                    assert_eq!(again, seen, "{space:?} {level:?}: a phantom");
+                    s.commit().unwrap();
+                    inserting.join().unwrap().commit().unwrap();
+                });
+                assert!(world.has(15), "{space:?} {level:?}");
+                assert_eq!(db.metrics().locks.deadlocks, 0);
+                world.assert_nothing_left();
+            }
+        }
+    }
+
+    /// Two S2PL scans of two ranges, then each inserts into the other's: the
+    /// second insert closes the wait-for cycle and is the one `lock-deadlock`;
+    /// the first installs once its victim has let go and commits.
+    #[test]
+    fn crossed_scans_and_inserts_deadlock_once() {
+        for space in SPACES {
+            let world = open();
+            let db = &world.db;
+            let mut s1 = db.begin_with(IsolationLevel::StrictTwoPhaseLocking);
+            let mut s2 = db.begin_with(IsolationLevel::StrictTwoPhaseLocking);
+            assert_eq!(world.scan(&mut s1, space, [10, 19]).unwrap(), [row(10)]);
+            assert_eq!(world.scan(&mut s2, space, [20, 29]).unwrap(), [row(20)]);
+            let before = db.metrics().locks;
+            std::thread::scope(|scope| {
+                let first = scope.spawn(|| {
+                    world.insert(&mut s1, 25).unwrap();
+                    s1
+                });
+                while db.metrics().locks.waits == before.waits && !first.is_finished() {
+                    std::thread::yield_now();
+                }
+                assert!(
+                    !first.is_finished(),
+                    "{space:?}: the first insert did not wait"
+                );
+                let err = world.insert(&mut s2, 15).unwrap_err();
+                assert_eq!(
+                    err.abort_reason(),
+                    Some(AbortReason::LockDeadlock),
+                    "{space:?}: {err}"
+                );
+                drop(s2);
+                first.join().unwrap().commit().unwrap();
+            });
+            let after = db.metrics().locks;
+            assert_eq!(after.deadlocks - before.deadlocks, 1, "{space:?}");
+            assert_eq!(after.timeouts, 0);
+            assert!(world.has(25) && !world.has(15), "{space:?}");
+            world.assert_nothing_left();
+        }
     }
 }
