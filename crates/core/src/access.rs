@@ -27,20 +27,22 @@
 //! S2PL protects its scans against phantoms with the same registration, in
 //! the blocking `Shared` mode (`ssi_storage::range`): the scan registers its
 //! bounds before it lists, then reads each listed row under a SHARED record
-//! lock. A key already in the table is on one of the scan's pages, so its
-//! writer and the scanner meet on the row's record lock. A key new to the
-//! table is linked into the ordered index by its first install, whose
-//! critical section reports the `Shared` ranges that contain it; the writer —
-//! at any level, RC and SI included — then undoes the install as a rollback
-//! would (the version is marked aborted and unlinked) and waits for each
-//! holder *through the lock manager*, outside every storage lock, before it
-//! installs again. It never waits with a version in the chain, so a scanner
-//! that lists its range again meanwhile cannot deadlock against it. The
-//! holder's name is a per-transaction lock target an S2PL transaction holds
-//! EXCLUSIVE from before its first range until it commits or aborts
+//! lock. A key that holds a version is on one of the scan's pages, so its
+//! writer and the scanner meet on the row's record lock. A key that holds
+//! none — new to the table, or left mapped without a version by a rolled-back
+//! insert somebody read, which the scan skips without a lock — is *linked* by
+//! its next install, whose critical section reports the `Shared` ranges that
+//! contain it; the writer — at any level, RC and SI included — then undoes
+//! the install as a rollback would (the version is marked aborted and
+//! unlinked) and waits for each holder *through the lock manager*, outside
+//! every storage lock, before it installs again. It never waits with a
+//! version in the chain, so a scanner that lists its range again meanwhile
+//! skips the key and cannot deadlock against it. The holder's name is a
+//! per-transaction lock target an S2PL transaction holds EXCLUSIVE from
+//! before its first range until it commits or aborts
 //! ([`LockKey::transaction`]); the writer requests it SHARED and lets go at
 //! once, so the wait is in the wait-for graph, deadlock detection and the
-//! timeout like any other. Updates and deletes of keys already in the table
+//! timeout like any other. Updates and deletes of keys that hold a version
 //! never wait on a range. An index scan and a fresh index entry do the same
 //! in entry space.
 //!
@@ -375,9 +377,10 @@ impl Transaction {
         self.mark_read_conflicts(&batch.rw_conflicts)
     }
 
-    /// Records a read for the history verifier. Reads satisfied by the
-    /// transaction's own uncommitted write are skipped: they impose no
-    /// ordering constraints between transactions and would otherwise be
+    /// Records a read for the history verifier, and whether the transaction
+    /// had written the key before it. Callers skip reads satisfied by the
+    /// transaction's own uncommitted write: they impose no ordering
+    /// constraints between transactions and would otherwise be
     /// indistinguishable from reads of a non-existent key.
     fn record_read(
         &mut self,
@@ -387,11 +390,14 @@ impl Transaction {
         speculative: bool,
     ) {
         if self.db.history.is_some() {
+            let mut own = self.writes.iter();
+            let after_own_write = own.any(|w| w.table.id() == table.id() && w.key == key);
             self.reads.push(ReadRecord {
                 table: table.id(),
                 key: key.to_vec(),
                 version_ts,
                 speculative,
+                after_own_write,
             });
         }
     }
@@ -577,15 +583,12 @@ impl Transaction {
     fn do_get(&mut self, table: &TableRef, key: &[u8]) -> Result<Option<Bytes>> {
         match self.shared.isolation() {
             IsolationLevel::ReadCommitted => {
-                Ok(table.table.read_latest_committed(key, self.shared.id()))
+                Ok(table.table.read_latest(key, self.shared.id()).value)
             }
             IsolationLevel::StrictTwoPhaseLocking => {
                 let lock = self.lock_target(table, key);
                 self.acquire(lock, LockMode::Shared)?;
-                let value = table.table.read_latest_committed(key, self.shared.id());
-                let ts = table.table.newest_committed_ts(key);
-                self.record_read(table, key, ts, false);
-                Ok(value)
+                Ok(self.locked_read(table, key))
             }
             IsolationLevel::SnapshotIsolation => {
                 let snapshot = self.db.txns.ensure_snapshot(&self.shared);
@@ -618,45 +621,45 @@ impl Transaction {
 
     fn do_get_for_update(&mut self, table: &TableRef, key: &[u8]) -> Result<Option<Bytes>> {
         let id = self.shared.id();
-        match self.shared.isolation() {
-            IsolationLevel::ReadCommitted | IsolationLevel::StrictTwoPhaseLocking => {
-                let lock = self.lock_target(table, key);
-                self.acquire(lock, LockMode::Exclusive)?;
-                let value = table.table.read_latest_committed(key, id);
-                let ts = table.table.newest_committed_ts(key);
-                self.record_read(table, key, ts, false);
-                Ok(value)
+        let isolation = self.shared.isolation();
+        let lock = self.lock_target(table, key);
+        let outcome = self.acquire(lock, LockMode::Exclusive)?;
+        if isolation.uses_snapshot() {
+            // Snapshot selection is deferred until after the lock is granted
+            // (Sec. 4.5), so a transaction whose first statement is a
+            // locking read never hits first-committer-wins.
+            let snapshot = self.db.txns.ensure_snapshot(&self.shared);
+            // Under the EXCLUSIVE lock nobody else can commit a version of
+            // the key, so the timestamp probed for first-committer-wins is
+            // also that of the value read below. The same chain visit
+            // collects the row's registered readers (and drops this
+            // transaction's own registration, Sec. 3.7.3). A reader that
+            // registers later is found by the install if this transaction
+            // goes on to write the row; if it never does, the row did not
+            // change and the reader missed nothing.
+            let upgrade = self.db.options.ssi.upgrade_siread;
+            let found = table.table.probe_for_update(key, id, upgrade);
+            let newest = found.probe.newest_committed_ts;
+            if newest.is_some_and(|newest| newest > snapshot) {
+                return Err(Error::update_conflict(id));
             }
-            IsolationLevel::SnapshotIsolation | IsolationLevel::SerializableSnapshotIsolation => {
-                let lock = self.lock_target(table, key);
-                let outcome = self.acquire(lock, LockMode::Exclusive)?;
-                // Snapshot selection is deferred until after the lock is
-                // granted (Sec. 4.5), so a transaction whose first statement
-                // is a locking read never hits first-committer-wins.
-                let snapshot = self.db.txns.ensure_snapshot(&self.shared);
-                // Under the EXCLUSIVE lock nobody else can commit a version
-                // of the key, so the timestamp probed for first-committer-
-                // wins is also that of the value read below. The same chain
-                // visit collects the row's registered readers (and drops
-                // this transaction's own registration, Sec. 3.7.3). A reader
-                // that registers later is found by the install if this
-                // transaction goes on to write the row; if it never does,
-                // the row did not change and the reader missed nothing.
-                let upgrade = self.db.options.ssi.upgrade_siread;
-                let found = table.table.probe_for_update(key, id, upgrade);
-                let newest = found.probe.newest_committed_ts;
-                if newest.is_some_and(|newest| newest > snapshot) {
-                    return Err(Error::update_conflict(id));
-                }
-                if self.shared.isolation() == IsolationLevel::SerializableSnapshotIsolation {
-                    self.siread_rows_upgraded += usize::from(found.upgraded);
-                    self.mark_write_conflicts(outcome.rw_conflicts.iter().chain(&found.readers))?;
-                }
-                let value = table.table.read_latest_committed(key, id);
-                self.record_read(table, key, newest, false);
-                Ok(value)
+            if isolation == IsolationLevel::SerializableSnapshotIsolation {
+                self.siread_rows_upgraded += usize::from(found.upgraded);
+                self.mark_write_conflicts(outcome.rw_conflicts.iter().chain(&found.readers))?;
             }
         }
+        Ok(self.locked_read(table, key))
+    }
+
+    /// The read of a row under a lock the caller holds (S2PL, and every
+    /// level's locking read): the latest committed value or this
+    /// transaction's own write, recorded unless it is the latter.
+    fn locked_read(&mut self, table: &TableRef, key: &[u8]) -> Option<Bytes> {
+        let read = table.table.read_latest(key, self.shared.id());
+        if !read.read_own_write {
+            self.record_read(table, key, read.read_version_ts, false);
+        }
+        read.value
     }
 
     // ------------------------------------------------------------------
@@ -726,12 +729,16 @@ impl Transaction {
             }
             // A phantom of an S2PL scan (module docs, § Phantoms at every
             // level): undo the install as a rollback would, wait for every
-            // holder with nothing of this write in storage, install again.
+            // holder with nothing of this write in storage — a SHARED request
+            // on the name it holds EXCLUSIVE until it finishes, let go once
+            // granted — and install again.
             value = installed.version.value_handle();
             installed.version.mark_aborted();
             table.table.unlink_version(key, &installed.version);
             for holder in &installed.blocked_by {
-                self.wait_for_range_holder(*holder)?;
+                let name = LockKey::transaction(*holder);
+                self.db.locks.lock(id, &name, LockMode::Shared)?;
+                self.db.locks.unlock(id, &name, LockMode::Shared);
             }
         };
         self.writes.push(WriteRecord {
@@ -748,17 +755,6 @@ impl Transaction {
             let readers = installed.readers.iter().chain(&installed.range_readers);
             self.mark_write_conflicts(outcome.rw_conflicts.iter().chain(readers))?;
         }
-        Ok(())
-    }
-
-    /// Waits until `holder`, whose `Shared` range this transaction's write
-    /// would have linked a key into, has finished: a SHARED request on the
-    /// holder's own lock name, which it holds EXCLUSIVE until it commits or
-    /// aborts, released as soon as it is granted.
-    fn wait_for_range_holder(&self, holder: TxnId) -> Result<()> {
-        let (id, name) = (self.shared.id(), LockKey::transaction(holder));
-        self.db.locks.lock(id, &name, LockMode::Shared)?;
-        self.db.locks.unlock(id, &name, LockMode::Shared);
         Ok(())
     }
 
@@ -794,7 +790,7 @@ impl Transaction {
         let isolation = self.shared.isolation();
         // The state this write shadows: the latest committed value, or this
         // transaction's own latest pending write of the key.
-        let old_value = table.table.read_latest_committed(key, self.shared.id());
+        let old_value = table.table.read_latest(key, self.shared.id()).value;
         for index in &indexes {
             let old_ik = old_value
                 .as_ref()
@@ -855,7 +851,8 @@ impl Transaction {
             }
             let claimed = table
                 .table
-                .read_latest_committed(&other_pk, self.shared.id())
+                .read_latest(&other_pk, self.shared.id())
+                .value
                 .is_some_and(|v| index.spec().extract(&other_pk, &v).as_deref() == Some(ik));
             if claimed {
                 return Err(Error::abort_with_reason(
@@ -978,25 +975,28 @@ impl Transaction {
 
     /// [`Transaction::do_scan`] at S2PL, once the range is registered: per
     /// page, a blocking SHARED lock on every row, and the row read under it
-    /// — no writer can change the row once it is granted.
+    /// — no writer can change the row once it is granted. At row granularity
+    /// a listed chain that holds no version is skipped without a lock (module
+    /// docs, § Phantoms at every level).
     fn do_scan_2pl(
         &mut self,
         table: &TableRef,
         lower: Bound<&[u8]>,
         upper: Bound<&[u8]>,
     ) -> Result<Vec<(Vec<u8>, Bytes)>> {
-        let id = self.shared.id();
+        let row_granularity = self.row_granularity();
         let mut result = Vec::new();
         let mut cursor = table.table.cursor(lower, upper);
         while let Some(page) = cursor.next_page() {
             for row in page.rows {
+                if row_granularity && !row.handle.holds_version() {
+                    continue;
+                }
                 let lock = self.lock_target(table, row.key.clone());
                 self.acquire(lock, LockMode::Shared)?;
-                if let Some(value) = table.table.read_latest_committed(&row.key, id) {
+                if let Some(value) = self.locked_read(table, &row.key) {
                     result.push((row.key.to_vec(), value));
                 }
-                let ts = table.table.newest_committed_ts(&row.key);
-                self.record_read(table, &row.key, ts, false);
             }
         }
         Ok(result)
@@ -1019,11 +1019,14 @@ impl Transaction {
         speculative: bool,
     ) {
         if self.db.history.is_some() {
+            let mut own = self.index_writes.iter();
+            let after_own_write = own.any(|w| w.table == index.id() && w.key == entry);
             self.reads.push(ReadRecord {
                 table: index.id(),
                 key: entry.to_vec(),
                 version_ts,
                 speculative,
+                after_own_write,
             });
         }
     }
@@ -1076,16 +1079,9 @@ impl Transaction {
                 IsolationLevel::StrictTwoPhaseLocking => {
                     let lock = self.lock_target(&table, pk.as_slice());
                     self.acquire(lock, LockMode::Shared)?;
-                    VisibleRead {
-                        value: table.table.read_latest_committed(&pk, id),
-                        read_version_ts: table.table.newest_committed_ts(&pk),
-                        ..VisibleRead::default()
-                    }
+                    table.table.read_latest(&pk, id)
                 }
-                IsolationLevel::ReadCommitted => VisibleRead {
-                    value: table.table.read_latest_committed(&pk, id),
-                    ..VisibleRead::default()
-                },
+                IsolationLevel::ReadCommitted => table.table.read_latest(&pk, id),
             };
             let recorded = isolation != IsolationLevel::ReadCommitted && !read.read_own_write;
             let speculative = read.speculative_of.is_some();

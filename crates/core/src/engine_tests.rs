@@ -4,6 +4,7 @@
 //! Multi-threaded stress and property-based tests live in the
 //! workspace-level `tests/` directory.
 
+use std::ops::Bound;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
@@ -28,29 +29,43 @@ fn ssi_db() -> Database {
 // Basic single-transaction behaviour
 // ---------------------------------------------------------------------------
 
+/// At a snapshot level and at a lock-based one, whose recorded history must
+/// not mistake a read of the transaction's own write for a lost read.
 #[test]
 fn read_your_own_writes_and_deletes() {
-    let db = ssi_db();
-    let t = db.create_table("t").unwrap();
-    let mut txn = db.begin();
-    assert_eq!(txn.get(&t, b"k").unwrap(), None);
-    txn.put(&t, b"k", b"v1").unwrap();
-    assert_eq!(
-        txn.get(&t, b"k").unwrap().as_deref(),
-        Some(b"v1".as_slice())
-    );
-    txn.put(&t, b"k", b"v2").unwrap();
-    assert_eq!(
-        txn.get(&t, b"k").unwrap().as_deref(),
-        Some(b"v2".as_slice())
-    );
-    txn.delete(&t, b"k").unwrap();
-    assert_eq!(txn.get(&t, b"k").unwrap(), None);
-    txn.commit().unwrap();
+    for level in [
+        IsolationLevel::SerializableSnapshotIsolation,
+        IsolationLevel::StrictTwoPhaseLocking,
+    ] {
+        let db = Database::open(Options::default().with_isolation(level).with_history());
+        let t = db.create_table("t").unwrap();
+        let mut txn = db.begin();
+        assert_eq!(txn.get(&t, b"k").unwrap(), None);
+        txn.put(&t, b"k", b"v1").unwrap();
+        assert_eq!(
+            txn.get(&t, b"k").unwrap().as_deref(),
+            Some(b"v1".as_slice())
+        );
+        txn.put(&t, b"k", b"v2").unwrap();
+        assert_eq!(
+            txn.get_for_update(&t, b"k").unwrap().as_deref(),
+            Some(b"v2".as_slice())
+        );
+        let all = txn.scan(&t, Bound::Unbounded, Bound::Unbounded).unwrap();
+        assert_eq!(all, [(b"k".to_vec(), b"v2".as_slice().into())]);
+        txn.commit().unwrap();
 
-    let mut check = db.begin();
-    assert_eq!(check.get(&t, b"k").unwrap(), None);
-    check.commit().unwrap();
+        let mut txn = db.begin();
+        txn.delete(&t, b"k").unwrap();
+        assert_eq!(txn.get(&t, b"k").unwrap(), None);
+        txn.commit().unwrap();
+
+        let mut check = db.begin();
+        assert_eq!(check.get(&t, b"k").unwrap(), None);
+        check.commit().unwrap();
+        let report = db.history().unwrap().analyze();
+        assert!(report.is_serializable(), "{level:?}: {report:?}");
+    }
 }
 
 #[test]
@@ -110,9 +125,7 @@ fn scans_return_rows_in_key_order() {
     setup.commit().unwrap();
 
     let mut txn = db.begin();
-    let rows = txn
-        .scan(&t, std::ops::Bound::Unbounded, std::ops::Bound::Unbounded)
-        .unwrap();
+    let rows = txn.scan(&t, Bound::Unbounded, Bound::Unbounded).unwrap();
     let keys: Vec<&[u8]> = rows.iter().map(|(k, _)| k.as_slice()).collect();
     assert_eq!(keys, vec![b"a" as &[u8], b"b", b"c", b"d"]);
     txn.commit().unwrap();

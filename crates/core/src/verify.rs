@@ -47,6 +47,9 @@ pub struct ReadRecord {
     /// verifier checks exactly that (see
     /// [`MvsgReport::dangling_speculative_reads`]).
     pub speculative: bool,
+    /// True if the transaction had written the item before this read, whose
+    /// own version is then one a read of absence can have missed.
+    pub after_own_write: bool,
 }
 
 /// One recorded write: a version this transaction created.
@@ -286,14 +289,16 @@ impl MvsgReport {
                 // the read is flagged as lost — a correct engine can never
                 // return absence over a visible live version, so pinning
                 // silently would launder exactly the purged-too-early bugs
-                // this verifier exists to catch. The reader's own version is
-                // never one it missed: a lock-based reader, whose "snapshot"
-                // is its commit, may insert the key it found absent.
+                // this verifier exists to catch. The reader's own version
+                // counts only if it was written before the read: a
+                // lock-based reader, whose "snapshot" is its commit, may
+                // insert the key it found absent, but must see its insert.
                 let read_ts = r.version_ts.unwrap_or_else(|| {
+                    let own_later = |writer| writer == txn.id && !r.after_own_write;
                     let newest_at_snapshot = item_versions
                         .into_iter()
                         .flatten()
-                        .filter(|&&(ts, writer, _)| ts <= txn.begin_ts && writer != txn.id)
+                        .filter(|&&(ts, writer, _)| ts <= txn.begin_ts && !own_later(writer))
                         .max_by_key(|&&(ts, _, _)| ts);
                     match newest_at_snapshot {
                         None => 0,
@@ -457,6 +462,7 @@ mod tests {
                     key: k.to_vec(),
                     version_ts: ts,
                     speculative: false,
+                    after_own_write: false,
                 })
                 .collect(),
             writes: writes
@@ -624,8 +630,13 @@ mod tests {
 
         // An S2PL reader, recorded with its commit as its snapshot, finds k
         // absent and inserts it: it did not miss its own version.
-        let history = vec![txn(5, 50, 50, vec![(b"k", None)], vec![b"k"])];
-        assert!(MvsgReport::build(&history).is_serializable());
+        let mut s2pl = txn(5, 50, 50, vec![(b"k", None)], vec![b"k"]);
+        assert!(MvsgReport::build(&[s2pl.clone()]).is_serializable());
+        // Finding it absent after the insert is a read-your-own-writes bug.
+        s2pl.reads[0].after_own_write = true;
+        let report = MvsgReport::build(&[s2pl]);
+        assert_eq!(report.lost_reads.len(), 1, "{:?}", report.lost_reads);
+        assert_eq!(report.lost_reads[0].missed_ts, 50);
     }
 
     #[test]
@@ -676,6 +687,7 @@ mod tests {
             key: b"x".to_vec(),
             version_ts: Some(10),
             speculative: true,
+            after_own_write: false,
         });
         let history = vec![txn(1, 1, 10, vec![], vec![b"x"]), t2.clone()];
         let report = MvsgReport::build(&history);

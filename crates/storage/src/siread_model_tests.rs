@@ -32,7 +32,8 @@
 //! oracle's next-key lock also covers the keys between a scan's bound and the
 //! neighbouring key, which the range, stopping at the bound, does not. The
 //! `Shared` holders an install reports are the `Shared` ranges that contain
-//! the key when the install links it into the index, and nobody otherwise.
+//! the key when the install links it — its first version, or one onto a chain
+//! that holds no live version — and nobody otherwise.
 //! After every quiesce nothing is held anywhere.
 
 use std::collections::BTreeSet;
@@ -146,6 +147,8 @@ struct Reached {
     told_of_a_phantom: usize,
     /// `Shared` holders a link into their range was told of.
     blocked_links: usize,
+    /// Of those, for a push onto a chain a point reader kept without one.
+    blocked_pushes: usize,
     /// Holders the oracle's next-key locks reported and no range contained.
     oracle_only: usize,
     /// Next-key locks a key inherited when it entered the index.
@@ -497,14 +500,19 @@ impl Model {
             .filter(|t| !sireads.contains(t) && !shared.contains(t));
         let oracle_only = oracle_only.count();
         assert_eq!(range_readers, sireads, "{context}: SIREAD range holders");
-        // A `Shared` range blocks what enters it, and nothing else.
-        let linked = if fresh { shared } else { Ids::new() };
+        // A `Shared` range blocks what enters it — a key with no live
+        // version, on a new chain or on one a point reader kept — and
+        // nothing else.
+        let linked = if live { Ids::new() } else { shared };
         assert_eq!(blocked_by, linked, "{context}: Shared range holders");
         self.reached.told_by_a_range += range_readers.len();
         self.reached.oracle_only += oracle_only;
+        self.reached.blocked_links += blocked_by.len();
+        if !fresh {
+            self.reached.blocked_pushes += blocked_by.len();
+        }
         if fresh {
             self.reached.told_of_a_phantom += range_readers.len();
-            self.reached.blocked_links += blocked_by.len();
             self.inherit(k);
         }
     }
@@ -733,7 +741,7 @@ impl Model {
 
 #[test]
 fn chain_and_range_sireads_report_what_the_lock_table_would() {
-    let mut reached = [0; 9];
+    let mut reached = [0; 10];
     for seed in 1..=SEEDS {
         let mut model = Model::new(seed);
         for _ in 0..STEPS {
@@ -747,6 +755,7 @@ fn chain_and_range_sireads_report_what_the_lock_table_would() {
             r.told_by_a_range,
             r.told_of_a_phantom,
             r.blocked_links,
+            r.blocked_pushes,
             r.oracle_only,
             r.inherited,
             r.merged,
@@ -758,11 +767,12 @@ fn chain_and_range_sireads_report_what_the_lock_table_would() {
     }
     // The schedules must actually reach the lock-table fallback, the chains
     // that only their point readers keep mapped, the installs that a range
-    // tells of (phantoms among them, and links that a `Shared` range blocks),
-    // the holders that only next-key locking would tell of, both directions
-    // of inheritance in the oracle, and the scans that a held range covers.
+    // tells of (phantoms among them, and links that a `Shared` range blocks,
+    // pushes onto a kept chain among those), the holders that only next-key
+    // locking would tell of, both directions of inheritance in the oracle,
+    // and the scans that a held range covers.
     let often = SEEDS as usize;
-    let [fallback_reads, kept_mapped, told_by_a_range, told_of_a_phantom, blocked_links, oracle_only, inherited, merged, repeated_scans] =
+    let [fallback_reads, kept_mapped, told_by_a_range, told_of_a_phantom, blocked_links, blocked_pushes, oracle_only, inherited, merged, repeated_scans] =
         reached;
     assert!(fallback_reads > often, "{fallback_reads} fallbacks");
     assert!(kept_mapped > often, "{kept_mapped} kept mapped");
@@ -772,6 +782,7 @@ fn chain_and_range_sireads_report_what_the_lock_table_would() {
     );
     assert!(told_of_a_phantom > often, "{told_of_a_phantom} phantoms");
     assert!(blocked_links > often / 2, "{blocked_links} blocked links");
+    assert!(blocked_pushes > 0, "{blocked_pushes} blocked pushes");
     assert!(
         oracle_only > often / 2,
         "{oracle_only} by next-key locks only"

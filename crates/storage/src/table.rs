@@ -70,7 +70,8 @@
 //!   an empty chain and skips the key. A
 //!   *mapped* chain may be without versions too: a rolled-back insert leaves
 //!   it behind when somebody read the key meanwhile, and the key's next
-//!   insert pushes onto it like an update. [`Table::purge_shard`] unmaps
+//!   insert pushes onto it — a push that links the key all the same
+//!   (§ Why scans stay consistent). [`Table::purge_shard`] unmaps
 //!   such a chain once its readers are gone. Between its shard and the
 //!   ordered index a chain is unmapped in two steps, so the index can list a
 //!   dead chain for a moment; whoever finds one there treats it as absent.
@@ -223,11 +224,13 @@
 //! insert: the tombstone's install looks for ranges as any other.
 //!
 //! At S2PL the same two orders decide who waits for whom. A key the listing
-//! has is locked SHARED by the scanner, so its writer's EXCLUSIVE lock and
-//! the scanner's SHARED one order the two in the lock table. A key the
-//! listing missed was linked after the registration, and its link reports
-//! the holder: the engine undoes the install and waits for the scanner to
-//! finish (`crate::range`, the undo-then-wait rule).
+//! has, on a chain that holds a version ([`RowHandle::holds_version`]), is
+//! locked SHARED by the scanner, so its writer's EXCLUSIVE lock and the
+//! scanner's SHARED one order the two in the lock table. Any other key —
+//! new, or on a chain a reader keeps mapped with no version, which the
+//! scanner skips without a lock — is *linked* by its next install, which
+//! reports the holder: the engine undoes the install and waits for the
+//! scanner to finish (`crate::range`, the undo-then-wait rule).
 //!
 //! **What the writer pays.** A write to a table with live ranges compares
 //! its key with each of them: O(live range scans of that table) instead of
@@ -390,6 +393,12 @@ impl RowHandle {
     /// registration away, see [`Table::install`]).
     pub fn release_siread(&self, reader: TxnId) -> bool {
         self.chain.state.lock().readers.remove(reader)
+    }
+
+    /// True if the chain holds a version that is not aborted; if not, the
+    /// key's next install links it (module docs, § Why scans stay consistent).
+    pub fn holds_version(&self) -> bool {
+        write_probe(&self.chain.state.lock().versions).has_live_version
     }
 }
 
@@ -588,8 +597,9 @@ pub struct Installed {
     /// reachable. Each has an rw-antidependency on the creator too.
     pub range_readers: RowReaders,
     /// The other transactions holding a `Shared` (S2PL) range that the
-    /// install linked a key into — the key, new to the table, or an entry new
-    /// to a secondary index. Non-empty means the install must be undone and
+    /// install linked a key into — the key, new to the table or to a chain
+    /// that held no version, or an entry new to a secondary index. Non-empty
+    /// means the install must be undone and
     /// the creator must wait for each before installing again
     /// ([`crate::range`], the undo-then-wait rule).
     pub blocked_by: RowReaders,
@@ -732,15 +742,22 @@ impl RowChain {
         (read, fresh)
     }
 
-    /// Latest committed value, or the reader's own uncommitted write.
-    fn read_latest_committed(&self, reader: TxnId) -> Option<Bytes> {
+    /// Latest committed version, or the reader's own uncommitted write.
+    fn read_latest(&self, reader: TxnId) -> VisibleRead {
         let state = self.state.lock();
-        state
-            .versions
-            .iter()
-            .rev()
-            .find(|v| v.visible_to_read_committed(reader))
-            .and_then(|v| v.value_handle())
+        let mut latest = state.versions.iter().rev();
+        let Some(v) = latest.find(|v| v.visible_to_read_committed(reader)) else {
+            return VisibleRead::default();
+        };
+        // Visible and not committed: the reader's own.
+        let read_version_ts = v.commit_ts();
+        VisibleRead {
+            value: v.value_handle(),
+            key_exists: true,
+            read_version_ts,
+            read_own_write: read_version_ts.is_none(),
+            ..VisibleRead::default()
+        }
     }
 }
 
@@ -969,16 +986,12 @@ impl Table {
         self.ranges.register(lower, upper, reader, mode)
     }
 
-    /// Read-committed read: latest committed value (or the reader's own
-    /// uncommitted write).
-    pub fn read_latest_committed(&self, key: &[u8], reader: TxnId) -> Option<Bytes> {
+    /// Read-committed read of the latest committed version or `reader`'s own
+    /// write: the value, whether it is its own and, if not, the commit ts.
+    pub fn read_latest(&self, key: &[u8], reader: TxnId) -> VisibleRead {
         let rows = self.shard(key).rows.read();
-        rows.get(key)?.read_latest_committed(reader)
-    }
-
-    /// Commit timestamp of the newest committed version of `key`, if any.
-    pub fn newest_committed_ts(&self, key: &[u8]) -> Option<Timestamp> {
-        self.write_probe(key).newest_committed_ts
+        rows.get(key)
+            .map_or_else(VisibleRead::default, |chain| chain.read_latest(reader))
     }
 
     /// True if the key has any non-aborted version (committed or not,
@@ -1051,7 +1064,8 @@ impl Table {
     /// registered before that critical section and is reported, or reads
     /// after it and finds the version. A link of a new key or index entry
     /// reports the `Shared` ranges that contain it as well
-    /// ([`Installed::blocked_by`]); the caller then undoes the install.
+    /// ([`Installed::blocked_by`]); the caller then undoes the install. A
+    /// push onto a chain that holds no version is a link of the key.
     ///
     /// **Writer-side pruning.** A writer that finds more than
     /// `PRUNE_ABOVE` (four) versions calls `horizon` — once, under the chain
@@ -1142,13 +1156,15 @@ impl Table {
         };
         let creator = version.creator();
         let (readers, upgraded) = state.readers.report_to(creator, upgrade);
+        let links = !write_probe(&state.versions).has_live_version;
         state.versions.push(version.clone());
         // Pushed first, ranges second, under the one hold of the chain
-        // mutex that every reader of the row takes too. The key is in the
-        // ordered index already: no `Shared` range is this push's business.
+        // mutex that every reader of the row takes too. A push onto a chain
+        // that held no version links the key: no `Shared` scan locked it.
         let (mut range_readers, mut blocked_by) = (RowReaders::new(), RowReaders::new());
+        let blockers = links.then_some(&mut blocked_by);
         self.ranges
-            .report_to(key, creator, &mut range_readers, None);
+            .report_to(key, creator, &mut range_readers, blockers);
         drop(state);
         self.add_index_refs(key, &version, &mut range_readers, &mut blocked_by);
         Installed {
@@ -1612,7 +1628,7 @@ mod tests {
         assert_eq!(val(&tbl.read(b"a", t(2), 10)), Some(vec![1]));
         assert_eq!(tbl.read(b"a", t(2), 9).value, None);
         assert_eq!(tbl.read(b"a", t(2), 9).newer_creators, vec![t(1)]);
-        assert_eq!(tbl.newest_committed_ts(b"a"), Some(10));
+        assert_eq!(tbl.write_probe(b"a").newest_committed_ts, Some(10));
     }
 
     #[test]
@@ -1634,13 +1650,13 @@ mod tests {
         assert_eq!(val(&r), Some(vec![2]));
         assert_eq!(r.speculative_of, Some(t(2)));
         assert_eq!(r.read_version_ts, Some(20));
-        assert_eq!(tbl.newest_committed_ts(b"a"), Some(10));
+        assert_eq!(tbl.write_probe(b"a").newest_committed_ts, Some(10));
         // Once finalized the same read settles with no speculation.
         v2.mark_committed(20);
         let r = tbl.read(b"a", t(3), 25);
         assert_eq!(val(&r), Some(vec![2]));
         assert_eq!(r.speculative_of, None);
-        assert_eq!(tbl.newest_committed_ts(b"a"), Some(20));
+        assert_eq!(tbl.write_probe(b"a").newest_committed_ts, Some(20));
     }
 
     #[test]
@@ -1694,16 +1710,10 @@ mod tests {
         v1.mark_committed(10);
         let v2 = tbl.install_version(b"a", t(2), Some(vec![2]));
         v2.mark_committed(20);
-        assert_eq!(
-            tbl.read_latest_committed(b"a", t(9)).as_deref(),
-            Some(&[2][..])
-        );
+        assert_eq!(tbl.read_latest(b"a", t(9)).value.as_deref(), Some(&[2][..]));
         // Own uncommitted write wins.
         tbl.install_version(b"a", t(9), Some(vec![9]));
-        assert_eq!(
-            tbl.read_latest_committed(b"a", t(9)).as_deref(),
-            Some(&[9][..])
-        );
+        assert_eq!(tbl.read_latest(b"a", t(9)).value.as_deref(), Some(&[9][..]));
     }
 
     #[test]
@@ -1821,7 +1831,7 @@ mod tests {
         assert_eq!(tbl.read(b"a", t(9), 45).read_version_ts, Some(40));
         // Below the horizon the history is gone, as after a purge pass.
         assert!(tbl.read(b"a", t(9), 25).value.is_none());
-        assert_eq!(tbl.newest_committed_ts(b"a"), Some(50));
+        assert_eq!(tbl.write_probe(b"a").newest_committed_ts, Some(50));
     }
 
     #[test]
@@ -2248,6 +2258,20 @@ mod tests {
         assert_eq!(undone(b"dd"), [vec![t(2)], vec![t(8)]], "a link");
         assert_eq!(undone(b"g"), [vec![], vec![]], "outside");
         assert_eq!(tbl.key_count(), 8, "nothing of the links is left");
+        // Unless a point reader registers between a link and its undo: the
+        // chain stays mapped with no version, an S2PL listing of it skips it,
+        // and a push onto it links the key all the same.
+        let linked = tbl.install(b"de", t(3), Some(vec![3].into()), true, || TS_ZERO);
+        assert_eq!(linked.blocked_by, vec![t(8)]);
+        let (_, siread) = tbl.read_registering(b"de", t(6), 20);
+        assert!(matches!(siread, Siread::New(_)));
+        linked.version.mark_aborted();
+        tbl.unlink_version(b"de", &linked.version);
+        assert_eq!(tbl.key_count(), 9, "`de` stays mapped for its reader");
+        let de = Bound::Included(&b"de"[..]);
+        let page = tbl.cursor(de, de).next_page().unwrap();
+        assert!(!page.rows[0].handle.holds_version());
+        assert_eq!(undone(b"de"), [vec![t(2)], vec![t(8)]], "a push that links");
         assert!(shared.release());
         // The scanner's own writes are not its conflicts, and cost it nothing.
         assert!(write(b"d", 2, Some(vec![2])).is_empty());
@@ -2255,7 +2279,11 @@ mod tests {
         // Released, it is gone from every key at once.
         assert!(scan.release());
         assert!(write(b"cc", 8, Some(vec![8])).is_empty());
-        assert_eq!(tbl.siread_holder_count(), 1, "the point reader of `ee`");
+        assert_eq!(
+            tbl.siread_holder_count(),
+            2,
+            "the point reader of `ee` and `de`"
+        );
     }
 
     #[test]

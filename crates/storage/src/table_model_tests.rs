@@ -121,12 +121,19 @@ fn reference_probe(chain: &Chain) -> WriteProbe {
     }
 }
 
-fn reference_latest_committed(chain: &Chain, reader: TxnId) -> Option<Vec<u8>> {
-    chain
-        .iter()
-        .find(|v| v.visible_to_read_committed(reader))
-        .and_then(|v| v.value().map(<[u8]>::to_vec))
+fn reference_latest_committed(chain: &Chain, reader: TxnId) -> LatestAnswer {
+    let found = chain.iter().find(|v| v.visible_to_read_committed(reader));
+    let committed = found.and_then(|v| v.commit_ts());
+    (
+        found.and_then(|v| v.value().map(<[u8]>::to_vec)),
+        committed,
+        found.is_some_and(|v| v.creator() == reader && committed.is_none()),
+    )
 }
+
+/// What [`Table::read_latest`] answers: the value, the commit timestamp of
+/// the version read, and whether it was the reader's own.
+type LatestAnswer = (Option<Vec<u8>>, Option<Timestamp>, bool);
 
 /// The purge rule as it was: from the newest version, the first one
 /// committed at or below the horizon is kept and everything after it goes;
@@ -471,10 +478,6 @@ impl Model {
 
             let probe = reference_probe(&chain);
             assert_eq!(self.table.write_probe(&key), probe, "{context}");
-            assert_eq!(
-                self.table.newest_committed_ts(&key),
-                probe.newest_committed_ts
-            );
             assert_eq!(self.table.contains_key(&key), probe.has_live_version);
             let rows = fresh
                 .rows
@@ -482,10 +485,10 @@ impl Model {
                 .chain(self.stale_page.iter().flat_map(|p| &p.rows));
             let rows: Vec<_> = rows.filter(|row| row.key[..] == key[..]).collect();
             for reader in self.readers() {
+                let read = self.table.read_latest(&key, reader);
+                let value = read.value.map(|b| b.to_vec());
                 assert_eq!(
-                    self.table
-                        .read_latest_committed(&key, reader)
-                        .map(|b| b.to_vec()),
+                    (value, read.read_version_ts, read.read_own_write),
                     reference_latest_committed(&chain, reader),
                     "{context}: read committed by {reader:?}"
                 );

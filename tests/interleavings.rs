@@ -1064,6 +1064,82 @@ mod shared_range {
         }
     }
 
+    /// A key whose chain a reader keeps mapped without a version — what an
+    /// SSI point read leaves when it lands between an insert's link and its
+    /// undo, reached here through a rolled-back insert the reader saw. The
+    /// scan lists that chain and skips it without a lock, and a push onto it
+    /// links the key into the range. The first inserter waits for the scanner
+    /// while the scanner waits for it, and is the deadlock's victim; the
+    /// second still waits, with nothing installed, and the scanner lists its
+    /// range again without a phantom and without waiting.
+    #[test]
+    fn an_insert_onto_a_chain_a_reader_keeps_without_a_version_waits() {
+        for space in SPACES {
+            let world = open();
+            let (db, table) = (&world.db, &world.table);
+            let mut rolled_back = db.begin_with(IsolationLevel::SnapshotIsolation);
+            world.insert(&mut rolled_back, 15).unwrap();
+            let mut reader = db.begin_with(IsolationLevel::SerializableSnapshotIsolation);
+            assert_eq!(reader.get(table, &row(15)).unwrap(), None);
+            rolled_back.rollback();
+            let stored = (table.key_count(), table.version_count());
+            assert_eq!(stored, (4, 3), "`15` stays mapped, with no version");
+
+            let mut s = db.begin_with(IsolationLevel::StrictTwoPhaseLocking);
+            let requests = db.metrics().locks.requests;
+            let seen = world.scan(&mut s, space, [10, 29]).unwrap();
+            assert_eq!(seen, [row(10), row(20)]);
+            let requests = db.metrics().locks.requests - requests;
+            assert_eq!(requests, 3, "{space:?}: two rows and the wait target");
+
+            let mut first = db.begin_with(IsolationLevel::ReadCommitted);
+            first.put(table, &row(30), b"first").unwrap();
+            let before = db.metrics().locks;
+            std::thread::scope(|scope| {
+                let scanner = scope.spawn(|| {
+                    s.get(table, &row(30)).unwrap();
+                    s
+                });
+                while db.metrics().locks.waits == before.waits {
+                    std::thread::yield_now();
+                }
+                let err = world.insert(&mut first, 15).unwrap_err();
+                assert_eq!(
+                    err.abort_reason(),
+                    Some(AbortReason::LockDeadlock),
+                    "{space:?}: {err}"
+                );
+                drop(first);
+                let mut s = scanner.join().unwrap();
+
+                let mut second = db.begin_with(IsolationLevel::SnapshotIsolation);
+                let waits = db.metrics().locks.waits;
+                let inserting = scope.spawn(|| {
+                    world.insert(&mut second, 15).unwrap();
+                    second
+                });
+                while db.metrics().locks.waits == waits && !inserting.is_finished() {
+                    std::thread::yield_now();
+                }
+                assert!(!inserting.is_finished(), "{space:?}: did not wait");
+                let now = (table.key_count(), table.version_count());
+                assert_eq!(now, stored, "{space:?}: installed while waiting");
+                let mut si = db.begin_with(IsolationLevel::SnapshotIsolation);
+                assert_eq!(si.get(table, &row(15)).unwrap(), None);
+                let again = world.scan(&mut s, space, [10, 29]).unwrap();
+                assert_eq!(again, seen, "{space:?}: a phantom");
+                s.commit().unwrap();
+                inserting.join().unwrap().commit().unwrap();
+            });
+            assert!(world.has(15), "{space:?}");
+            let after = db.metrics().locks;
+            assert_eq!(after.deadlocks - before.deadlocks, 1, "{space:?}");
+            assert_eq!(after.timeouts, 0);
+            reader.commit().unwrap();
+            world.assert_nothing_left();
+        }
+    }
+
     /// Two S2PL scans of two ranges, then each inserts into the other's: the
     /// second insert closes the wait-for cycle and is the one `lock-deadlock`;
     /// the first installs once its victim has let go and commits.
