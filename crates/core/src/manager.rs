@@ -186,7 +186,9 @@
 //!   when computed stays valid, so the clamped value is cached as the
 //!   monotone `begin_watermark`, gated on a generation (`finish_gen`) that
 //!   moves whenever a snapshot-holding transaction finishes — the only
-//!   event that can raise the oldest active begin. A horizon read with the
+//!   event that can raise the oldest active begin — and whenever a
+//!   transaction without a snapshot commits writes, which moves the clock
+//!   the sweep falls back to when nothing is active. A horizon read with the
 //!   generation unchanged costs two atomic loads; otherwise 64 more and no
 //!   mutex;
 //!
@@ -612,7 +614,9 @@ pub struct TransactionManager {
     /// proves a fresh sweep would find nothing new.
     watermark_gen: AtomicU64,
     /// Bumped whenever a snapshot-holding transaction finishes (commit or
-    /// abort) — the only event that can raise the oldest active begin.
+    /// abort) — the only event that can raise the oldest active begin —
+    /// and when a transaction without a snapshot commits writes (see
+    /// [`TransactionManager::note_snapshotless_commit`]).
     finish_gen: AtomicU64,
     /// The pinned reclamation horizon (see the module docs, § Reclamation).
     gc: GcHorizon,
@@ -959,9 +963,9 @@ impl TransactionManager {
 
     /// Refreshes (or reuses) the cached begin-watermark: a monotone lower
     /// bound on every active — and every future — begin timestamp. The
-    /// sweep (64 atomic loads, no mutex) runs only when a snapshot-holding
-    /// transaction finished since the last sweep; otherwise a sweep could
-    /// not return a higher value and the cached bound is reused. See
+    /// sweep (64 atomic loads, no mutex) runs only when `finish_gen` moved
+    /// since the last sweep; otherwise a sweep could not return a higher
+    /// value and the cached bound is reused. See
     /// the field docs of `begin_watermark` for why every computed bound
     /// stays valid forever.
     fn refresh_begin_watermark(&self) -> Timestamp {
@@ -1108,6 +1112,17 @@ impl TransactionManager {
             // `suspend_and_reclaim`.
             self.finish_gen.fetch_add(1, Ordering::SeqCst);
         }
+    }
+
+    /// Records that a transaction without a snapshot (S2PL, read committed)
+    /// committed writes. It had no begin timestamp, so its finish moved no
+    /// generation, but its commit moved the clock — and with nothing
+    /// active the clock is what a sweep returns. Without this bump a
+    /// workload with no snapshots would keep the horizon of its first
+    /// sweep forever, and neither purges nor pruning writers would reclaim
+    /// anything. Paid only by such commits.
+    pub(crate) fn note_snapshotless_commit(&self) {
+        self.finish_gen.fetch_add(1, Ordering::SeqCst);
     }
 
     /// Records that `txn` committed and runs the commit epilogue (eager

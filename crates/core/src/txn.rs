@@ -445,6 +445,9 @@ impl Transaction {
         self.db
             .txns
             .finish_commit(&self.shared, sireads, suspend, &self.db.locks);
+        if has_writes && self.shared.begin_ts().is_none() {
+            self.db.txns.note_snapshotless_commit();
+        }
 
         self.writes.clear();
         self.state = LocalState::Committed;

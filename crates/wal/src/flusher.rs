@@ -400,9 +400,12 @@ mod tests {
     fn size_threshold_trips_before_the_window_ages_out() {
         let dir = temp_dir("flusher-size");
         let wal = Arc::new(WalWriter::open(&dir, 1, SyncPolicy::GroupCommit).unwrap());
+        // Below one frame (51 bytes here): every seal trips the threshold on
+        // its own. A larger threshold let the last record, sealed just after
+        // a pass captured its target, sit alone under it for the hour.
         let config = FlusherConfig {
             max_delay: Duration::from_secs(3600),
-            max_batch_bytes: 64,
+            max_batch_bytes: 32,
             ..FlusherConfig::default()
         };
         let (shutdown, handle, events) = spawn_flusher(&wal, config);

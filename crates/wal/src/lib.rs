@@ -19,6 +19,14 @@
 //!                             by recovery)
 //! ```
 //!
+//! A segment is always a new file, and its space is reserved ahead of the
+//! writer in zero-filled chunks of [`vfs::SEGMENT_CHUNK`] (64 KiB): frames
+//! are written in place at the segment's logical end, so the group-commit
+//! sync persists data only and changes the file length once per chunk, not
+//! once per append (on ext4 a length change costs every `fdatasync` a
+//! journal commit — a second device flush). A segment therefore ends in
+//! zeros after its last frame, at least a frame header's worth of them.
+//!
 //! All file I/O goes through the pluggable [`Vfs`] trait ([`vfs`] module):
 //! production uses [`StdVfs`] (a `std::fs` passthrough behind one pointer
 //! hop), tests use [`FaultVfs`] to execute deterministic scripted fault
@@ -42,6 +50,10 @@
 //! first frame whose length is implausible, whose payload is cut short by
 //! end-of-file, or whose CRC does not match — everything before that point
 //! is a valid prefix, everything after is a torn tail and is discarded.
+//! Two stops are clean ends, not torn tails: the end of the file, and a
+//! remainder of at least a frame header that is all zero bytes (the
+//! segment's reserved space). No frame has length 0 — a payload always has
+//! a kind byte — so a zero length followed by any non-zero byte is torn.
 //! Commit records are whole-transaction: a transaction is either replayed
 //! completely or not at all, so truncating the log at *any* byte recovers a
 //! prefix-consistent committed state.
@@ -111,7 +123,7 @@
 //! | ENOSPC | checkpoint-to-reclaim once, then retry budget | same | reclaim prunes covered segments; degrade only if still full |
 //! | failed rename (checkpoint) | checkpoint fails, `.tmp` removed, old snapshot authoritative | same | no torn snapshot ever authoritative; no `.tmp` leak |
 //! | fatal fsync / exhausted budget | log poisoned → `Degraded(ReadOnly)` | same, parked committers woken with typed error | acknowledged prefix recoverable; reads keep serving |
-//! | crash at any byte | torn tail truncated on recovery | same | prefix-consistent committed state |
+//! | crash at any byte | torn tail (a frame cut short, over the reserved zeros or at end of file) truncated on recovery; a zero tail is a clean end | same | prefix-consistent committed state |
 //!
 //! # Checkpoint / recovery invariants
 //!

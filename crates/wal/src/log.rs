@@ -148,8 +148,8 @@ struct Appender {
     /// Highest commit timestamp appended to a segment file.
     sealed_ts: Timestamp,
     /// Bytes appended since the last rotation (auto-checkpoint trigger).
-    /// Segments start empty, so this is also the current segment's length —
-    /// the rollback point when an append fails partway.
+    /// Segments start empty, so this is also the current segment's logical
+    /// length — the rollback point when an append fails partway.
     epoch_bytes: u64,
     /// Monotone id assigned to each frame written to any segment; the
     /// pruning watermark of the unsynced-frame buffer.
@@ -261,8 +261,10 @@ pub struct WalWriter {
 }
 
 impl WalWriter {
-    /// Opens the log for appending, creating segment `seq` in `dir`, on
-    /// the production VFS with frame buffering off.
+    /// Opens the log for appending, creating segment `seq` in `dir` (it
+    /// must not exist: a reopened database appends to the first free
+    /// sequence number recovery reports), on the production VFS with frame
+    /// buffering off.
     pub fn open(dir: &Path, seq: u64, policy: SyncPolicy) -> WalResult<Self> {
         Self::open_with(StdVfs::handle(), dir, seq, policy, false)
     }
@@ -279,9 +281,6 @@ impl WalWriter {
         buffer_unsynced: bool,
     ) -> WalResult<Self> {
         let (file, path) = create_segment(vfs.as_ref(), dir, seq)?;
-        // Normally 0 (fresh segment); a leftover from a crashed earlier
-        // open keeps the length-tracking invariant intact either way.
-        let epoch_bytes = ctx(file.len(), WalOp::Create, &path)?;
         Ok(WalWriter {
             vfs,
             dir: dir.to_path_buf(),
@@ -293,7 +292,7 @@ impl WalWriter {
                 seq,
                 pending: BTreeMap::new(),
                 sealed_ts: 0,
-                epoch_bytes,
+                epoch_bytes: 0,
                 append_seq: 0,
                 unsynced: VecDeque::new(),
             }),
@@ -310,7 +309,7 @@ impl WalWriter {
             requested_seal: AtomicU64::new(0),
             first_unsynced_nanos: AtomicU64::new(0),
             unsynced_bytes: AtomicU64::new(0),
-            dirty_appends: AtomicBool::new(epoch_bytes > 0),
+            dirty_appends: AtomicBool::new(false),
             epoch: Instant::now(),
             poisoned: AtomicBool::new(false),
             poison_cause: AtomicU8::new(0),
@@ -860,11 +859,10 @@ impl WalWriter {
         }
         let new_seq = appender.seq + 1;
         let (file, path) = create_segment(self.vfs.as_ref(), &self.dir, new_seq)?;
-        let epoch_bytes = ctx(file.len(), WalOp::Create, &path)?;
         appender.file = file;
         appender.path = path;
         appender.seq = new_seq;
-        appender.epoch_bytes = epoch_bytes;
+        appender.epoch_bytes = 0;
         // Re-write the buffered frames directly (not through write_frame:
         // they must keep their original buffer entries, not gain second
         // ones). Rollback on partial failure mirrors write_frame; the
@@ -1142,8 +1140,13 @@ impl WalWriter {
 
 fn create_segment(vfs: &dyn Vfs, dir: &Path, seq: u64) -> WalResult<(Arc<dyn VfsFile>, PathBuf)> {
     let path = segment_path(dir, seq);
-    let file = ctx(vfs.create_append(&path), WalOp::Create, &path)?;
-    ctx(vfs.sync_dir(dir), WalOp::DirSync, dir)?;
+    let file = ctx(vfs.create_segment(&path), WalOp::Create, &path)?;
+    if let Err(e) = vfs.sync_dir(dir) {
+        // Segments are always new: take this one back so that a retry
+        // (rotation, re-emission) can create it again.
+        let _ = vfs.remove_file(&path);
+        return Err(WalError::io(WalOp::DirSync, dir, e));
+    }
     Ok((file, path))
 }
 
@@ -1365,6 +1368,29 @@ mod tests {
         let durable = wal.flush_pass().unwrap();
         assert_eq!(durable, 2);
         assert_eq!(read_segment(&dir, 1).len(), 1);
+
+        // A short write leaves part of a frame in the segment's reserved
+        // space; the rollback cuts it off and the retry writes the frame
+        // whole where it began (`read_segment` asserts no torn tail).
+        fault.add_rule(
+            FaultRule::new(
+                FaultOp::Write,
+                FaultMode::ShortWrite { bytes: 5 },
+                std::io::ErrorKind::WriteZero,
+            )
+            .on_path("segment-"),
+        );
+        wal.submit(3, TxnId(2), vec![entry(b"b", b"2")]);
+        assert!(wal.seal_upto(3).is_err(), "the short write must surface");
+        assert_eq!(
+            wal.epoch_bytes(),
+            std::fs::metadata(segment_path(&dir, 1)).unwrap().len()
+        );
+        fault.clear_rules();
+        wal.seal_upto(3).unwrap();
+        assert_eq!(wal.flush_pass().unwrap(), 3);
+        assert_eq!(read_segment(&dir, 1).len(), 2);
+        assert!(!wal.is_poisoned());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

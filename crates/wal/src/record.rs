@@ -117,7 +117,8 @@ pub enum Record {
 /// Why decoding stopped.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FrameError {
-    /// Fewer bytes than a frame header remain (clean EOF when zero remain).
+    /// Fewer bytes than a frame header remain (a clean end in
+    /// [`decode_stream`] when zero remain).
     TruncatedHeader,
     /// The header's length field is implausible.
     BadLength,
@@ -314,8 +315,11 @@ fn decode_payload(payload: &[u8]) -> Option<Record> {
 
 /// Decodes every whole, valid frame from the front of `input`. Returns the
 /// records, the length of the valid prefix, and the error that stopped the
-/// scan (`TruncatedHeader` with zero trailing bytes is a clean end and is
-/// reported as `None`).
+/// scan. Two ends are clean and reported as `None`: no bytes left, and at
+/// least a header's worth of bytes left that are all zero — the space a
+/// segment reserved ahead of its writer ([`crate::Vfs::create_segment`]).
+/// No frame starts with a zero header (a payload always has a kind byte),
+/// so a zero length followed by any non-zero byte is still a torn tail.
 pub fn decode_stream(input: &[u8]) -> (Vec<Record>, usize, Option<FrameError>) {
     let mut records = Vec::new();
     let mut offset = 0;
@@ -325,10 +329,12 @@ pub fn decode_stream(input: &[u8]) -> (Vec<Record>, usize, Option<FrameError>) {
                 records.push(record);
                 offset += consumed;
             }
-            Err(FrameError::TruncatedHeader) if offset == input.len() => {
-                return (records, offset, None);
+            Err(e) => {
+                let rest = &input[offset..];
+                let clean =
+                    rest.is_empty() || (rest.len() >= FRAME_HEADER && rest.iter().all(|&b| b == 0));
+                return (records, offset, (!clean).then_some(e));
             }
-            Err(e) => return (records, offset, Some(e)),
         }
     }
 }
@@ -505,6 +511,32 @@ mod tests {
             assert_eq!(records.len(), whole, "cut at {cut}");
             assert_eq!(valid, boundary, "cut at {cut}");
             assert_eq!(err.is_none(), cut == boundary, "cut at {cut}");
+        }
+
+        // A segment's reserved space: zeros after the last frame are a
+        // clean end, not a torn tail.
+        let (all, _, _) = decode_stream(&log);
+        let mut reserved = log.clone();
+        reserved.resize(log.len() + 4096, 0);
+        assert_eq!(decode_stream(&reserved), (all.clone(), log.len(), None));
+        // Zeros followed by anything else are a torn tail.
+        let mut garbage = reserved.clone();
+        *garbage.last_mut().unwrap() = 0x5A;
+        assert_eq!(
+            decode_stream(&garbage),
+            (all.clone(), log.len(), Some(FrameError::Malformed))
+        );
+        // A frame cut inside the reserved space (its bytes stopped short,
+        // zeros follow) is torn at every cut.
+        let last = *frames.last().unwrap();
+        let before_last = log.len() - last;
+        for cut in 1..last {
+            let mut torn = log[..before_last + cut].to_vec();
+            torn.resize(log.len() + 4096, 0);
+            let (records, valid, err) = decode_stream(&torn);
+            assert_eq!(records, all[..frames.len() - 1], "cut at {cut}");
+            assert_eq!(valid, before_last, "cut at {cut}");
+            assert!(err.is_some(), "cut at {cut} read as a clean end");
         }
     }
 

@@ -345,16 +345,25 @@ mod tests {
         }
         let path = crate::segment_path(&dir, 1);
         let full = std::fs::read(&path).unwrap();
-        // Cut the log at every byte; recovery must always succeed and
+        let (_, written, err) = decode_stream(&full);
+        assert_eq!(err, None);
+        assert!(
+            written < full.len(),
+            "the segment reserves zeros after its frames"
+        );
+        // Cut the written frames at every byte — and once inside the
+        // reserved zeros after them; recovery must always succeed and
         // rebuild a prefix of the committed transactions.
         let mut last_count = 0;
-        for cut in 0..=full.len() {
+        for cut in (0..=written).chain([(written + full.len()) / 2]) {
             std::fs::write(&path, &full[..cut]).unwrap();
             let catalog = Catalog::new();
             let rec = recover_into(&dir, &catalog).unwrap();
-            assert!(rec.txns_replayed >= last_count || cut == full.len());
-            if cut < full.len() {
-                last_count = rec.txns_replayed.max(last_count);
+            assert!(rec.txns_replayed >= last_count);
+            last_count = rec.txns_replayed;
+            if cut >= written {
+                assert_eq!(rec.txns_replayed, 5, "cut at {cut} lost a commit");
+                assert!(!rec.torn_tail, "cut at {cut}: reserved zeros read as torn");
             }
             // Replayed prefix: exactly txns 2..2+n.
             if let Ok(t) = catalog.table("t") {
@@ -381,11 +390,12 @@ mod tests {
             put(&wal, 3, b"b", b"2");
             wal.sync().unwrap();
         }
-        // Crash: garbage half-frame at the tail of segment 1.
+        // Crash: garbage half-frame at the tail of segment 1, written over
+        // the zeros the segment reserved after its last frame.
         let seg1 = crate::segment_path(&dir, 1);
-        let valid_len = std::fs::metadata(&seg1).unwrap().len();
         let mut bytes = std::fs::read(&seg1).unwrap();
-        bytes.extend_from_slice(&[0xDE, 0xAD, 0xBE, 0xEF, 0x01]);
+        let (_, valid_len, _) = decode_stream(&bytes);
+        bytes[valid_len..valid_len + 5].copy_from_slice(&[0xDE, 0xAD, 0xBE, 0xEF, 0x01]);
         std::fs::write(&seg1, &bytes).unwrap();
 
         // Reopen-incarnation: recovery sees the tear, then new acknowledged
@@ -415,7 +425,7 @@ mod tests {
         );
         // The garbage tail was truncated off segment 1 by the first
         // recovery, so the tear does not resurface.
-        assert_eq!(std::fs::metadata(&seg1).unwrap().len(), valid_len);
+        assert_eq!(std::fs::metadata(&seg1).unwrap().len(), valid_len as u64);
         assert!(!rec.torn_tail, "truncated tear must not be reported again");
         let _ = std::fs::remove_dir_all(&dir);
     }

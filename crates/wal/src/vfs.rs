@@ -3,7 +3,8 @@
 //! Every file operation the WAL, checkpointer and recovery perform goes
 //! through the object-safe [`Vfs`] trait. Production uses [`StdVfs`]
 //! (thin `std::fs` passthrough — one pointer hop via `Arc<dyn Vfs>`, no
-//! other overhead). Tests use [`FaultVfs`], which wraps any inner `Vfs`
+//! other overhead — except that a log segment reserves its space ahead of
+//! the writer, see [`Vfs::create_segment`]). Tests use [`FaultVfs`], which wraps any inner `Vfs`
 //! and executes a deterministic, scripted schedule of injected failures:
 //! fail the Nth fsync once or persistently, short-write at byte `k`,
 //! ENOSPC after a byte budget, fail a rename, delay an op.
@@ -14,22 +15,41 @@
 
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Write};
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 
+use crate::record::FRAME_HEADER;
+
+/// Size of the zero-filled chunks a log segment reserves ahead of its
+/// writer (see [`Vfs::create_segment`]). One chunk holds about a thousand
+/// small commit records, so the sync that has to persist a new file length
+/// comes once per chunk; a larger chunk made each small append slower.
+pub const SEGMENT_CHUNK: u64 = 64 << 10;
+
+/// The zeros a segment reserves its space with, shared by every write.
+static ZEROS: [u8; SEGMENT_CHUNK as usize] = [0; SEGMENT_CHUNK as usize];
+
 /// An open writable file handle. Object-safe; all mutation goes through
 /// `&self` so handles can be shared behind `Arc` like `std::fs::File`.
 pub trait VfsFile: Send + Sync {
-    /// Appends `buf` in full at the current end of file.
+    /// Writes `buf` in full after everything written so far: at the end of
+    /// the file, or at a segment's logical end (see [`Vfs::create_segment`]).
     fn write_all(&self, buf: &[u8]) -> io::Result<()>;
-    /// Durably flushes file contents and metadata to the device.
+    /// Durably flushes the file's contents and its length to the device
+    /// (`fdatasync`) — everything a reader after a crash needs, and all any
+    /// caller asks for: segments, a snapshot `.tmp` before its rename, a
+    /// torn tail's truncation. Timestamps may lag; nothing reads them.
     fn sync_all(&self) -> io::Result<()>;
-    /// Truncates (or extends) the file to `len` bytes.
+    /// Truncates (or extends) the file to `len` bytes. For a segment this
+    /// is the rollback of a partial append: its logical end and its
+    /// reserved end both become `len`.
     fn set_len(&self, len: u64) -> io::Result<()>;
-    /// Current on-disk length in bytes.
+    /// Bytes written so far: the file length, or a segment's logical end
+    /// (its reserved zeros do not count).
     fn len(&self) -> io::Result<u64>;
     /// True when the file is empty.
     fn is_empty(&self) -> io::Result<bool> {
@@ -40,9 +60,16 @@ pub trait VfsFile: Send + Sync {
 /// The filesystem surface the durability subsystem needs. Object-safe so
 /// implementations can be layered (fault injection wraps std).
 pub trait Vfs: Send + Sync {
-    /// Creates (or opens, if a crashed earlier open left one behind) a
-    /// file in append mode.
-    fn create_append(&self, path: &Path) -> io::Result<Arc<dyn VfsFile>>;
+    /// Creates a new log segment; fails with `AlreadyExists` if the file
+    /// exists. The segment's space is reserved ahead of the writer in
+    /// zero-filled chunks of [`SEGMENT_CHUNK`] bytes, and `write_all`
+    /// writes in place at the logical end, so a sync after a write changes
+    /// the file length only when the write reserved a new chunk — on a
+    /// journaling filesystem every length change costs the sync a journal
+    /// commit. At least [`FRAME_HEADER`] zero bytes follow the last write
+    /// whenever the file is longer than what was written; a reader takes
+    /// them for the segment's clean end (see `record::decode_stream`).
+    fn create_segment(&self, path: &Path) -> io::Result<Arc<dyn VfsFile>>;
     /// Creates or truncates a file for writing.
     fn create_truncate(&self, path: &Path) -> io::Result<Arc<dyn VfsFile>>;
     /// Opens an existing file for writing (used to cut torn tails).
@@ -80,7 +107,7 @@ impl VfsFile for StdFile {
     }
 
     fn sync_all(&self) -> io::Result<()> {
-        self.0.sync_all()
+        self.0.sync_data()
     }
 
     fn set_len(&self, len: u64) -> io::Result<()> {
@@ -92,10 +119,70 @@ impl VfsFile for StdFile {
     }
 }
 
+/// A log segment on `std::fs` (see [`Vfs::create_segment`]).
+struct SegmentFile {
+    file: File,
+    ends: Mutex<SegmentEnds>,
+}
+
+struct SegmentEnds {
+    /// Bytes written: where the next write lands.
+    logical: u64,
+    /// The file length: `logical` plus the zeros reserved after it.
+    reserved: u64,
+}
+
+impl VfsFile for SegmentFile {
+    fn write_all(&self, buf: &[u8]) -> io::Result<()> {
+        let mut ends = self.ends.lock();
+        let end = ends.logical + buf.len() as u64;
+        // A header of zeros stays after the write, or the reader would take
+        // a shorter zero tail for a torn one.
+        let needed = end + FRAME_HEADER as u64;
+        if needed > ends.reserved {
+            // A write larger than a chunk reserves as many as it needs.
+            let target = needed.next_multiple_of(SEGMENT_CHUNK);
+            while ends.reserved < target {
+                let n = (target - ends.reserved).min(SEGMENT_CHUNK);
+                self.file
+                    .write_all_at(&ZEROS[..n as usize], ends.reserved)?;
+                ends.reserved += n;
+            }
+        }
+        self.file.write_all_at(buf, ends.logical)?;
+        ends.logical = end;
+        Ok(())
+    }
+
+    fn sync_all(&self) -> io::Result<()> {
+        self.file.sync_data()
+    }
+
+    fn set_len(&self, len: u64) -> io::Result<()> {
+        let mut ends = self.ends.lock();
+        self.file.set_len(len)?;
+        *ends = SegmentEnds {
+            logical: len,
+            reserved: len,
+        };
+        Ok(())
+    }
+
+    fn len(&self) -> io::Result<u64> {
+        Ok(self.ends.lock().logical)
+    }
+}
+
 impl Vfs for StdVfs {
-    fn create_append(&self, path: &Path) -> io::Result<Arc<dyn VfsFile>> {
-        let file = OpenOptions::new().create(true).append(true).open(path)?;
-        Ok(Arc::new(StdFile(file)))
+    fn create_segment(&self, path: &Path) -> io::Result<Arc<dyn VfsFile>> {
+        let file = OpenOptions::new().write(true).create_new(true).open(path)?;
+        Ok(Arc::new(SegmentFile {
+            file,
+            ends: Mutex::new(SegmentEnds {
+                logical: 0,
+                reserved: 0,
+            }),
+        }))
     }
 
     fn create_truncate(&self, path: &Path) -> io::Result<Arc<dyn VfsFile>> {
@@ -212,7 +299,9 @@ pub enum FaultMode {
     /// Global byte budget: once cumulative bytes written through this
     /// VFS exceed `bytes`, every matching write fails with the rule's
     /// error kind (typically `StorageFull`). Removing a file refunds its
-    /// length, modelling checkpoint-to-reclaim.
+    /// length (a segment's reserved zeros included, so a refund may
+    /// exceed what the budget counted; it stops at zero), modelling
+    /// checkpoint-to-reclaim.
     NoSpaceAfter {
         /// Cumulative write budget in bytes.
         bytes: u64,
@@ -548,9 +637,9 @@ impl VfsFile for FaultFile {
 }
 
 impl Vfs for FaultVfs {
-    fn create_append(&self, path: &Path) -> io::Result<Arc<dyn VfsFile>> {
+    fn create_segment(&self, path: &Path) -> io::Result<Arc<dyn VfsFile>> {
         self.shared.check(FaultOp::Create, path, 0)?;
-        let inner = self.shared.inner.create_append(path)?;
+        let inner = self.shared.inner.create_segment(path)?;
         Ok(Arc::new(FaultFile {
             shared: Arc::clone(&self.shared),
             path: path.to_path_buf(),
@@ -621,12 +710,41 @@ mod tests {
     fn std_vfs_round_trips_and_lists() {
         let dir = temp_dir("vfs-std");
         let vfs = StdVfs;
-        let file = vfs.create_append(&dir.join("a.bin")).unwrap();
+        let path = dir.join("a.bin");
+        let file = vfs.create_segment(&path).unwrap();
         file.write_all(b"hello").unwrap();
         file.sync_all().unwrap();
+        // `len` is the logical end; the file holds a zero-filled chunk.
         assert_eq!(file.len().unwrap(), 5);
-        assert_eq!(vfs.read(&dir.join("a.bin")).unwrap(), b"hello");
-        vfs.rename(&dir.join("a.bin"), &dir.join("b.bin")).unwrap();
+        let mut expect = b"hello".to_vec();
+        expect.resize(SEGMENT_CHUNK as usize, 0);
+        assert_eq!(vfs.read(&path).unwrap(), expect);
+        // A rollback moves both ends: the file is cut to the logical end,
+        // and the next write lands there and reserves a chunk again.
+        file.set_len(2).unwrap();
+        assert_eq!(file.len().unwrap(), 2);
+        assert_eq!(vfs.read(&path).unwrap(), b"he");
+        file.write_all(b"y").unwrap();
+        assert_eq!(file.len().unwrap(), 3);
+        let bytes = vfs.read(&path).unwrap();
+        assert_eq!(
+            (&bytes[..3], bytes.len() as u64),
+            (&b"hey"[..], SEGMENT_CHUNK)
+        );
+        // A write larger than a chunk reserves as many as it needs, and
+        // leaves at least a frame header of zeros behind it.
+        let big = vec![7u8; SEGMENT_CHUNK as usize * 2 - 3];
+        file.write_all(&big).unwrap();
+        assert_eq!(file.len().unwrap(), SEGMENT_CHUNK * 2);
+        let bytes = vfs.read(&path).unwrap();
+        assert_eq!(bytes.len() as u64, SEGMENT_CHUNK * 3);
+        assert!(bytes[3..SEGMENT_CHUNK as usize * 2].iter().all(|&b| b == 7));
+        assert!(bytes[SEGMENT_CHUNK as usize * 2..].iter().all(|&b| b == 0));
+        // Segments are always new.
+        let err = vfs.create_segment(&path).err().expect("segment exists");
+        assert_eq!(err.kind(), io::ErrorKind::AlreadyExists);
+        drop(file);
+        vfs.rename(&path, &dir.join("b.bin")).unwrap();
         let names = vfs.read_dir(&dir).unwrap();
         assert!(names.contains(&"b.bin".to_string()), "{names:?}");
         vfs.sync_dir(&dir).unwrap();
@@ -643,7 +761,7 @@ mod tests {
             FaultMode::FailOnce,
             io::ErrorKind::Interrupted,
         )]);
-        let file = fault.create_append(&dir.join("x.bin")).unwrap();
+        let file = fault.create_segment(&dir.join("x.bin")).unwrap();
         file.write_all(b"abc").unwrap();
         let err = file.sync_all().unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::Interrupted);
@@ -664,8 +782,8 @@ mod tests {
         )
         .on_path("target")
         .after(1)]);
-        let target = fault.create_append(&dir.join("target.bin")).unwrap();
-        let other = fault.create_append(&dir.join("other.bin")).unwrap();
+        let target = fault.create_segment(&dir.join("target.bin")).unwrap();
+        let other = fault.create_segment(&dir.join("other.bin")).unwrap();
         other.sync_all().unwrap(); // path filter: never fails
         target.sync_all().unwrap(); // after(1): first call passes
         assert!(target.sync_all().is_err());
@@ -689,7 +807,7 @@ mod tests {
             FaultMode::ShortWrite { bytes: 2 },
             io::ErrorKind::WriteZero,
         ));
-        let file = fault.create_append(&dir.join("s.bin")).unwrap();
+        let file = fault.create_segment(&dir.join("s.bin")).unwrap();
         let err = file.write_all(b"abcdef").unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::WriteZero);
         assert_eq!(file.len().unwrap(), 2, "prefix must land on disk");
@@ -704,14 +822,14 @@ mod tests {
             FaultMode::NoSpaceAfter { bytes: 8 },
             io::ErrorKind::StorageFull,
         )]);
-        let a = fault.create_append(&dir.join("a.bin")).unwrap();
+        let a = fault.create_segment(&dir.join("a.bin")).unwrap();
         a.write_all(b"12345678").unwrap(); // exactly at budget
         let err = a.write_all(b"9").unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::StorageFull);
         // Reclaim: removing the 8-byte file refunds the budget.
         drop(a);
         fault.remove_file(&dir.join("a.bin")).unwrap();
-        let b = fault.create_append(&dir.join("b.bin")).unwrap();
+        let b = fault.create_segment(&dir.join("b.bin")).unwrap();
         b.write_all(b"1234").unwrap();
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -24,6 +24,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use proptest::prelude::*;
 use serializable_si::common::encoding::{KeyBuilder, ValueReader, ValueWriter};
+use serializable_si::wal::record::decode_stream;
 use serializable_si::{Database, Durability, FieldKind, IndexKeyPart, IndexKeySpec, Options};
 
 static NEXT_DIR: AtomicU64 = AtomicU64::new(0);
@@ -70,6 +71,33 @@ fn wal_segments(dir: &Path) -> Vec<PathBuf> {
         .collect();
     segments.sort();
     segments
+}
+
+/// The crash cut that keeps every frame and half of the zeros reserved
+/// after them (see [`crash_cut`]).
+const IN_ZERO_TAIL: u64 = 1001;
+
+/// Simulates a crash that tore `segment`: keeps `permille`‰ of the frames
+/// written to it — the prefix `decode_stream` reads back from the file as
+/// it is; a segment ends in the zeros it reserved ahead of its writer, and
+/// a cut there would tear nothing — or, with [`IN_ZERO_TAIL`], every frame
+/// and half of those zeros. Returns true when the cut kept every frame.
+fn crash_cut(segment: &Path, permille: u64) -> bool {
+    let full = std::fs::read(segment).unwrap();
+    let (_, written, _) = decode_stream(&full);
+    let cut = if permille == IN_ZERO_TAIL {
+        (written + full.len()) / 2
+    } else {
+        (written as u64 * permille / 1000) as usize
+    };
+    std::fs::write(segment, &full[..cut]).unwrap();
+    cut >= written
+}
+
+/// Crash cuts for the proptests: one case in four cuts inside the zero
+/// tail, where recovery must find everything and nothing torn.
+fn crash_cuts() -> BoxedStrategy<u64> {
+    prop_oneof![0u64..=1000, 0u64..=1000, 0u64..=1000, Just(IN_ZERO_TAIL)]
 }
 
 #[test]
@@ -303,10 +331,12 @@ fn commits_after_torn_tail_reopen_survive_next_recovery() {
             txn.commit().unwrap();
         }
     }
-    // Tear the tail: chop half of the last record's frame.
+    // Tear the tail: chop the last 7 bytes of the last record's frame (and
+    // the zeros the segment reserved after it).
     let segments = wal_segments(&dir);
     let full = std::fs::read(&segments[0]).unwrap();
-    std::fs::write(&segments[0], &full[..full.len() - 7]).unwrap();
+    let (_, written, _) = decode_stream(&full);
+    std::fs::write(&segments[0], &full[..written - 7]).unwrap();
 
     {
         let db = open(&dir, Durability::GroupCommit);
@@ -399,7 +429,7 @@ fn checkpoint_racing_purge_recovers_transfer_invariant_at_any_cut() {
     const ACCOUNTS: u64 = 8;
     const INITIAL: i64 = 1000;
     let dir = temp_dir("ckpt-vs-purge");
-    {
+    let final_accounts = {
         let options = Options::default()
             .with_durability(Durability::GroupCommit, &dir)
             .with_auto_purge(4);
@@ -493,18 +523,17 @@ fn checkpoint_racing_purge_recovers_transfer_invariant_at_any_cut() {
             db.transaction_manager().oldest_gc_pin().is_none(),
             "every checkpoint must release its horizon pin"
         );
-    }
+        dump(&db).remove("accounts")
+    };
 
     // Crash-cut the tail segment at several fractions — each on a copy of
     // the directory, so one workload run covers all cuts — and recover.
-    for cut_permille in [0u64, 250, 500, 750, 1000] {
+    for cut_permille in [0u64, 250, 500, 750, 1000, IN_ZERO_TAIL] {
         let case = copy_dir(&dir, &format!("ckpt-vs-purge-cut{cut_permille}"));
         let segments = wal_segments(&case);
-        if let Some(last) = segments.last() {
-            let full = std::fs::read(last).unwrap();
-            let cut = (full.len() as u64 * cut_permille / 1000) as usize;
-            std::fs::write(last, &full[..cut]).unwrap();
-        }
+        let whole = segments
+            .last()
+            .is_none_or(|last| crash_cut(last, cut_permille));
         let db = open(&case, Durability::GroupCommit);
         let (accounts, sum) = account_sum(&db)
             .expect("a checkpoint snapshot always covers at least the setup transaction");
@@ -517,6 +546,17 @@ fn checkpoint_racing_purge_recovers_transfer_invariant_at_any_cut() {
             ACCOUNTS as i64 * INITIAL,
             "checkpoint-vs-purge race broke the transfer invariant (cut {cut_permille}‰)"
         );
+        if whole {
+            assert_eq!(
+                dump(&db).remove("accounts"),
+                final_accounts,
+                "a cut that keeps every frame lost a commit (cut {cut_permille}‰)"
+            );
+            assert!(
+                !db.recovery_info().unwrap().torn_tail,
+                "cut {cut_permille}‰"
+            );
+        }
         drop(db);
         let _ = std::fs::remove_dir_all(&case);
     }
@@ -534,7 +574,7 @@ fn background_maintenance_with_checkpoints_survives_any_cut() {
     const ACCOUNTS: u64 = 8;
     const INITIAL: i64 = 1000;
     let dir = temp_dir("bg-ckpt-cut");
-    {
+    let final_accounts = {
         let options = Options::default()
             .with_durability(Durability::GroupCommit, &dir)
             .with_background_flusher(std::time::Duration::from_millis(2))
@@ -618,16 +658,15 @@ fn background_maintenance_with_checkpoints_survives_any_cut() {
             stats.background_purge_runs.load(Ordering::Relaxed) > 0,
             "background GC never ran during the race window"
         );
-    }
+        dump(&db).remove("accounts")
+    };
 
-    for cut_permille in [0u64, 250, 500, 750, 1000] {
+    for cut_permille in [0u64, 250, 500, 750, 1000, IN_ZERO_TAIL] {
         let case = copy_dir(&dir, &format!("bg-ckpt-cut{cut_permille}"));
         let segments = wal_segments(&case);
-        if let Some(last) = segments.last() {
-            let full = std::fs::read(last).unwrap();
-            let cut = (full.len() as u64 * cut_permille / 1000) as usize;
-            std::fs::write(last, &full[..cut]).unwrap();
-        }
+        let whole = segments
+            .last()
+            .is_none_or(|last| crash_cut(last, cut_permille));
         let db = open(&case, Durability::GroupCommit);
         let (accounts, sum) = account_sum(&db)
             .expect("a checkpoint snapshot always covers at least the setup transaction");
@@ -640,6 +679,17 @@ fn background_maintenance_with_checkpoints_survives_any_cut() {
             ACCOUNTS as i64 * INITIAL,
             "background maintenance broke the transfer invariant (cut {cut_permille}‰)"
         );
+        if whole {
+            assert_eq!(
+                dump(&db).remove("accounts"),
+                final_accounts,
+                "a cut that keeps every frame lost a commit (cut {cut_permille}‰)"
+            );
+            assert!(
+                !db.recovery_info().unwrap().torn_tail,
+                "cut {cut_permille}‰"
+            );
+        }
         drop(db);
         let _ = std::fs::remove_dir_all(&case);
     }
@@ -666,7 +716,9 @@ fn model_apply(model: &mut BTreeMap<Vec<u8>, Vec<u8>>, i: u64) {
 }
 
 /// Runs the same history against a real durable database; returns the
-/// model state after every commit (index 0 = empty).
+/// model state after every logged commit (index 0 = empty). A transaction
+/// whose diff is empty (it only deletes absent keys) commits without
+/// writes and logs nothing, so it adds no state.
 fn run_history(dir: &Path, txns: u64) -> Vec<BTreeMap<Vec<u8>, Vec<u8>>> {
     let db = open(dir, Durability::GroupCommit);
     let t = db.create_table("t").unwrap();
@@ -688,7 +740,9 @@ fn run_history(dir: &Path, txns: u64) -> Vec<BTreeMap<Vec<u8>, Vec<u8>>> {
             }
         }
         txn.commit().unwrap();
-        states.push(model.clone());
+        if model != before {
+            states.push(model.clone());
+        }
     }
     states
 }
@@ -699,16 +753,14 @@ proptest! {
     /// Cut the log at an arbitrary byte: recovery must yield exactly the
     /// state after some prefix of the committed transactions, and
     /// recovering twice must agree.
-    fn torn_log_tail_recovers_a_consistent_prefix((txns, cut_permille) in (3u64..16, 0u64..=1000)) {
+    fn torn_log_tail_recovers_a_consistent_prefix((txns, cut_permille) in (3u64..16, crash_cuts())) {
         let dir = temp_dir("torn");
         let states = run_history(&dir, txns);
 
         // Simulate a crash with a torn tail: truncate the single segment.
         let segments = wal_segments(&dir);
         prop_assert_eq!(segments.len(), 1);
-        let full = std::fs::read(&segments[0]).unwrap();
-        let cut = (full.len() as u64 * cut_permille / 1000) as usize;
-        std::fs::write(&segments[0], &full[..cut]).unwrap();
+        let whole = crash_cut(&segments[0], cut_permille);
 
         let db = open(&dir, Durability::GroupCommit);
         let replayed = db.recovery_info().unwrap().txns_replayed as usize;
@@ -718,9 +770,11 @@ proptest! {
             &recovered, &states[replayed],
             "recovered state is not the prefix state after {} txns", replayed
         );
-        // Monotone coverage: cutting at the very end loses nothing.
-        if cut == full.len() {
+        // Monotone coverage: a cut that keeps every frame loses nothing
+        // and tears nothing.
+        if whole {
             prop_assert_eq!(replayed + 1, states.len());
+            prop_assert!(!db.recovery_info().unwrap().torn_tail);
         }
         drop(db);
 
@@ -736,7 +790,7 @@ proptest! {
     /// total balance constant; a crash cut at any log prefix must recover
     /// a state that still satisfies the invariant (all-or-nothing per
     /// transaction).
-    fn smallbank_invariant_survives_crash_cut((transfers, cut_permille, seed) in (1u64..24, 0u64..=1000, 0u64..1000)) {
+    fn smallbank_invariant_survives_crash_cut((transfers, cut_permille, seed) in (1u64..24, crash_cuts(), 0u64..1000)) {
         const ACCOUNTS: u64 = 8;
         const INITIAL: i64 = 100;
         let dir = temp_dir("smallbank");
@@ -772,11 +826,13 @@ proptest! {
 
         let segments = wal_segments(&dir);
         prop_assert_eq!(segments.len(), 1);
-        let full = std::fs::read(&segments[0]).unwrap();
-        let cut = (full.len() as u64 * cut_permille / 1000) as usize;
-        std::fs::write(&segments[0], &full[..cut]).unwrap();
+        let whole = crash_cut(&segments[0], cut_permille);
 
         let db = open(&dir, Durability::GroupCommit);
+        if whole {
+            prop_assert_eq!(db.recovery_info().unwrap().txns_replayed, transfers + 1);
+            prop_assert!(!db.recovery_info().unwrap().torn_tail);
+        }
         let state = dump(&db).remove("accounts").unwrap_or_default();
         // The setup transaction is atomic: either nothing or all accounts
         // exist, and then every later prefix preserves the total.
@@ -801,12 +857,12 @@ proptest! {
     /// purged-too-early chain (the snapshot would be missing rows and the
     /// sum would drift), and a second recovery must agree with the first.
     fn checkpointed_and_purged_history_survives_crash_cut(
-        (transfers, ckpt_every, cut_permille, seed) in (4u64..20, 2u64..6, 0u64..=1000, 0u64..500)
+        (transfers, ckpt_every, cut_permille, seed) in (4u64..20, 2u64..6, crash_cuts(), 0u64..500)
     ) {
         const ACCOUNTS: u64 = 8;
         const INITIAL: i64 = 100;
         let dir = temp_dir("ckpt-purge-cut");
-        {
+        let final_accounts = {
             let options = Options::default()
                 .with_durability(Durability::GroupCommit, &dir)
                 .with_auto_purge(3);
@@ -844,19 +900,20 @@ proptest! {
                 db.transaction_manager().stats().purge_runs.load(Ordering::Relaxed) > 0,
                 "the commit cadence must have purged during the history"
             );
-        }
+            dump(&db).remove("accounts")
+        };
 
         // Crash: cut the tail segment at an arbitrary byte. Pre-cut
         // segments and the newest snapshot stay intact, as after a real
         // crash (they were fsynced by the checkpoints).
         let segments = wal_segments(&dir);
-        if let Some(last) = segments.last() {
-            let full = std::fs::read(last).unwrap();
-            let cut = (full.len() as u64 * cut_permille / 1000) as usize;
-            std::fs::write(last, &full[..cut]).unwrap();
-        }
+        let whole = segments.last().is_none_or(|last| crash_cut(last, cut_permille));
 
         let db = open(&dir, Durability::GroupCommit);
+        if whole {
+            prop_assert_eq!(&dump(&db).remove("accounts"), &final_accounts);
+            prop_assert!(!db.recovery_info().unwrap().torn_tail);
+        }
         let first = account_sum(&db);
         let replayed = db.recovery_info().unwrap().txns_replayed;
         let (accounts, sum) = first.expect("the first checkpoint covers the setup transaction");
@@ -986,11 +1043,8 @@ proptest! {
         }
 
         // Crash: cut the tail segment at an arbitrary byte.
-        let segments = wal_segments(&dir);
-        if let Some(last) = segments.last() {
-            let full = std::fs::read(last).unwrap();
-            let cut = (full.len() as u64 * cut_permille / 1000) as usize;
-            std::fs::write(last, &full[..cut]).unwrap();
+        if let Some(last) = wal_segments(&dir).last() {
+            crash_cut(last, cut_permille);
         }
 
         let db = open(&dir, Durability::GroupCommit);
@@ -1128,9 +1182,7 @@ proptest! {
             // of whatever tear the copy itself caught.
             let segments = wal_segments(&image);
             prop_assert_eq!(segments.len(), 1, "no checkpoints: a single segment");
-            let full = std::fs::read(&segments[0]).unwrap();
-            let cut = (full.len() as u64 * cut_permille / 1000) as usize;
-            std::fs::write(&segments[0], &full[..cut]).unwrap();
+            crash_cut(&segments[0], cut_permille);
 
             let db = open(&image, Durability::GroupCommit);
             let replayed = db.recovery_info().unwrap().txns_replayed;

@@ -289,6 +289,40 @@ fn writers_prune_behind_the_oldest_holder_at_ssi() {
     writers_prune_behind_the_oldest_holder(IsolationLevel::SerializableSnapshotIsolation);
 }
 
+/// S2PL and read-committed transactions take no snapshot, so no begin
+/// timestamp holds the horizon back — but each of their write commits
+/// publishes a timestamp, and the horizon has to follow it: writers prune
+/// the hot row as they go, and a purge afterwards reclaims what they left.
+fn snapshotless_commits_move_the_horizon(isolation: IsolationLevel) {
+    let db = Database::open(Options::default().with_isolation(isolation));
+    let table = db.create_table("t").unwrap();
+    for value in 0..1000 {
+        overwrite(&db, &table, value);
+        assert!(
+            table.version_count() <= UNHELD_CHAIN_BOUND,
+            "{} versions after {} writes",
+            table.version_count(),
+            value + 1
+        );
+    }
+    let stats = db.purge();
+    assert!(stats.versions > 0, "the purge reclaimed nothing");
+    assert_eq!(table.version_count(), 1);
+    let gc = db.metrics().gc;
+    assert!(gc.purged_versions > 0);
+    assert!(gc.pruned_inline_versions > 0);
+}
+
+#[test]
+fn s2pl_commits_move_the_horizon() {
+    snapshotless_commits_move_the_horizon(IsolationLevel::StrictTwoPhaseLocking);
+}
+
+#[test]
+fn read_committed_commits_move_the_horizon() {
+    snapshotless_commits_move_the_horizon(IsolationLevel::ReadCommitted);
+}
+
 /// Loading rows and updating rows that hold one version never asks for the
 /// horizon: `last_gc_horizon` is the highest horizon ever handed out and
 /// stays at its initial zero.
