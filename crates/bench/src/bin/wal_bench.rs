@@ -1,6 +1,6 @@
 //! Records the durability-cost comparison in `BENCH_wal.json`.
 //!
-//! Runs the same 8-writer-thread commit workload against four durability
+//! Runs the same 8-writer-thread commit workload against three durability
 //! configurations of the same engine:
 //!
 //! * **off** — `Durability::Off`, the pure in-memory engine (the baseline
@@ -9,19 +9,14 @@
 //! * **buffered** — `Durability::Buffered`: commits append to the redo log
 //!   but never wait for the device;
 //! * **group_commit** — `Durability::GroupCommit`: committers share
-//!   flushes, so concurrent commits amortize the device wait — but the
-//!   batch is bounded by natural committer pile-up (whoever finds no flush
-//!   running syncs immediately);
-//! * **background_flusher** — `GroupCommit` plus the dedicated flusher
-//!   thread (`Options::with_background_flusher`): committers enqueue and
-//!   park, the flusher fsyncs when the batch ages out (`flush_max_delay`)
-//!   or fills up, so the batch size is set by the knob, not by pile-up.
+//!   flushes, so concurrent commits amortize the device wait — the batch
+//!   is bounded by natural committer pile-up (whoever finds no flush
+//!   running leads one immediately).
 //!
-//! The headline numbers are the **amortization factors**: commit records
-//! per fsync at 8 threads (a naive durable commit, one fsync each, would be
-//! exactly 1.0) — once for committer-elected group commit, once for the
-//! background flusher. The per-commit-fsync case itself is recorded in
-//! `BENCH_wal.json` and in git history.
+//! The headline number is the **amortization factor**: commit records per
+//! fsync at 8 threads (a naive durable commit, one fsync each, would be
+//! exactly 1.0). The per-commit-fsync and dedicated-flusher cases are
+//! recorded in `BENCH_wal.json` and in git history.
 //!
 //! ```text
 //! cargo run --release -p ssi-bench --bin wal_bench [--smoke] [output.json]
@@ -29,15 +24,13 @@
 
 use std::fmt::Write as _;
 use std::path::PathBuf;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use ssi_core::{Database, Durability, MetricsSnapshot, Options};
 
 struct Case {
     name: &'static str,
     mode: Option<Durability>,
-    /// Dedicated flusher with this `flush_max_delay` (None: committer-elected).
-    flush_max_delay: Option<Duration>,
 }
 
 #[derive(Debug)]
@@ -74,9 +67,6 @@ fn run_case(case: &Case, threads: usize, txns_per_thread: u64) -> CaseResult {
     let mut options = Options::default();
     if let Some(mode) = case.mode {
         options = options.with_durability(mode, &dir);
-        if let Some(delay) = case.flush_max_delay {
-            options = options.with_background_flusher(delay);
-        }
     }
     let db = Database::open(options);
     let table = db.create_table("bench").unwrap();
@@ -134,22 +124,14 @@ fn main() {
         Case {
             name: "off",
             mode: None,
-            flush_max_delay: None,
         },
         Case {
             name: "buffered",
             mode: Some(Durability::Buffered),
-            flush_max_delay: None,
         },
         Case {
             name: "group_commit",
             mode: Some(Durability::GroupCommit),
-            flush_max_delay: None,
-        },
-        Case {
-            name: "background_flusher",
-            mode: Some(Durability::GroupCommit),
-            flush_max_delay: Some(Duration::from_millis(2)),
         },
     ];
 
@@ -172,20 +154,12 @@ fn main() {
         results.push(result);
     }
 
-    let find = |name: &str| results.iter().find(|r| r.name == name).unwrap();
-    let group = find("group_commit");
-    let background = find("background_flusher");
+    let group = results.iter().find(|r| r.name == "group_commit").unwrap();
     // Amortization: records per fsync, against 1.0 for one fsync per commit.
     let amortization = group.records_per_fsync();
-    let bg_amortization = background.records_per_fsync();
-    let bg_vs_group = bg_amortization / amortization.max(1.0);
     println!(
         "\ngroup commit amortizes fsyncs {amortization:.1}x over per-commit fsync \
          at {threads} threads"
-    );
-    println!(
-        "background flusher amortizes fsyncs {bg_amortization:.1}x over per-commit fsync \
-         ({bg_vs_group:.2}x the committer-elected batch size) at {threads} threads"
     );
 
     let mut json = String::new();
@@ -199,9 +173,8 @@ fn main() {
         "  \"comment\": \"8 writer threads, disjoint-key 2-write transactions, 100-byte \
          values. 'off' is the unchanged in-memory engine (durability code entirely off \
          the path: parity with the pre-durability numbers). 'group_commit' lets concurrent committers share flushes via \
-         the deposit-drain-ordered log (batch bounded by committer pile-up); \
-         'background_flusher' adds the dedicated flusher thread with flush_max_delay=2ms \
-         (batch bounded by the knob). records_per_fsync is the amortization factor.\",\n",
+         the deposit-drain-ordered log (batch bounded by committer pile-up). \
+         records_per_fsync is the amortization factor.\",\n",
     );
     json.push_str("  \"cases\": [\n");
     for (i, r) in results.iter().enumerate() {
@@ -221,9 +194,7 @@ fn main() {
     json.push_str("  ],\n");
     let _ = writeln!(
         json,
-        "  \"group_commit_fsync_amortization\": {amortization:.2},\n  \
-         \"background_flusher_fsync_amortization\": {bg_amortization:.2},\n  \
-         \"background_flusher_batch_vs_group_commit\": {bg_vs_group:.3}\n}}"
+        "  \"group_commit_fsync_amortization\": {amortization:.2}\n}}"
     );
 
     std::fs::write(&out_path, &json).expect("write bench output");

@@ -190,8 +190,9 @@ pub enum DegradedReason {
     /// The log device ran out of space and a checkpoint-to-reclaim attempt
     /// did not free enough to continue.
     OutOfSpace,
-    /// The background WAL flusher thread died (panicked); nothing is left
-    /// to make sealed commits durable.
+    /// A committer leading a WAL flush panicked mid-pass (a `Vfs` or the
+    /// reclaim checkpoint unwound); nothing vouches for the tail it was
+    /// syncing.
     WalThreadPanic,
     /// The background version-GC thread died (panicked). Reads and writes
     /// still work, but old versions are no longer reclaimed; surfaced so

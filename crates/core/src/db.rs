@@ -106,9 +106,6 @@ impl std::fmt::Debug for IndexRef {
 /// bookkeeping checkpoints need. Present only when
 /// [`crate::DurabilityOptions::mode`] is not [`Durability::Off`].
 pub(crate) struct DurableState {
-    /// Shared with the dedicated flusher thread (when one is configured),
-    /// which must outlive no one: the maintenance hub is joined before
-    /// this struct — and the directory lock below — drops.
     pub(crate) wal: Arc<WalWriter>,
     pub(crate) dir: PathBuf,
     /// Storage backend all durable I/O goes through (checkpoints included);
@@ -151,12 +148,11 @@ pub(crate) struct DbInner {
     pub(crate) health: Arc<HealthCell>,
     /// Engine-wide observability: sampled latency recorders plus the
     /// (optional) event trace. Shared with the WAL and the maintenance
-    /// threads.
+    /// thread.
     pub(crate) metrics: Arc<EngineMetrics>,
-    /// Background maintenance threads (dedicated WAL flusher, incremental
-    /// GC). The threads hold `Arc`s to the shared pieces above — never to
-    /// `DbInner` itself, so dropping the last database handle still runs
-    /// `DbInner::drop`, which joins them.
+    /// The background GC thread, if configured. It holds `Arc`s to the
+    /// shared pieces above — never to `DbInner` itself, so dropping the
+    /// last database handle still runs `DbInner::drop`, which joins it.
     maintenance: Option<MaintenanceHub>,
     /// Write commits since the last automatic purge (see
     /// [`crate::Options::purge_every_commits`]).
@@ -331,7 +327,7 @@ impl DbInner {
     pub(crate) fn maybe_auto_purge(&self) {
         // The background GC thread owns reclamation when it runs: the
         // commit path does zero purge work (the whole point of the thread).
-        if self.maintenance.as_ref().is_some_and(|m| m.has_gc()) {
+        if self.maintenance.is_some() {
             return;
         }
         let Some(every) = self.options.purge_every_commits else {
@@ -351,19 +347,16 @@ impl Drop for DbInner {
     fn drop(&mut self) {
         // Close ordering — the three steps below must stay in this order:
         //
-        // 1. Join the background maintenance threads. The flusher drains
-        //    everything sealed before it exits, so no acknowledged commit
-        //    is left un-fsynced; the GC thread finishes at most one pass.
+        // 1. Join the background GC thread; it finishes at most one pass.
         // 2. Final `sync()`: in buffered mode the tail of the log may only
         //    be in the OS page cache — push it to the device so reopening
         //    loses nothing. (No transaction can be in flight: handles hold
         //    an `Arc` to this struct.)
         // 3. Only then do the fields drop, releasing the WAL directory
-        //    lock (`DurableState::_dir_lock`). Because the join in step 1
-        //    happens-before that release, a fast reopen of the same
-        //    directory can never race a still-flushing old incarnation:
-        //    by the time a second open can acquire the lock, the old
-        //    flusher has exited and its last fsync has retired.
+        //    lock (`DurableState::_dir_lock`). Because steps 1 and 2
+        //    happen-before that release, a fast reopen of the same
+        //    directory can never race the old incarnation's last fsync or
+        //    GC pass.
         if let Some(mut hub) = self.maintenance.take() {
             hub.shutdown_and_join();
         }
@@ -468,27 +461,10 @@ impl Database {
                     Durability::GroupCommit => SyncPolicy::GroupCommit,
                     Durability::Off => unreachable!(),
                 };
-                // The un-fsynced-frame buffer backs the flusher's
-                // retry-by-re-emission path, so it exists exactly when a
-                // dedicated flusher with a non-zero retry budget will run.
-                let buffer_unsynced = options.maintenance.flush_max_delay.is_some()
-                    && options.maintenance.flush_retry_budget > 0;
                 let wal = Arc::new(
-                    WalWriter::open_with(
-                        vfs.clone(),
-                        &dir,
-                        recovered.next_segment_seq,
-                        policy,
-                        buffer_unsynced,
-                    )
-                    .map_err(wal_err("open log segment"))?,
+                    WalWriter::open_with(vfs.clone(), &dir, recovered.next_segment_seq, policy)
+                        .map_err(wal_err("open log segment"))?,
                 );
-                // Dedicated-flusher mode must be set before the first
-                // commit can seal anything; the thread itself starts with
-                // the maintenance hub below.
-                if options.maintenance.flush_max_delay.is_some() {
-                    wal.attach_flusher();
-                }
                 // Fsync latency + WAL seal/fsync/rotate trace events flow
                 // through the shared recorders.
                 wal.set_obs(metrics.clone());
@@ -507,7 +483,6 @@ impl Database {
         };
         let maintenance = MaintenanceHub::start(
             &options.maintenance,
-            durable.as_ref().map(|d| d.wal.clone()),
             catalog.clone(),
             txns.clone(),
             health.clone(),
@@ -531,15 +506,22 @@ impl Database {
             inner: Arc::new(inner),
         };
         if let Some(durable) = &db.inner.durable {
-            // Checkpoint-to-reclaim: when the flusher hits ENOSPC it asks
-            // us — once per incident — to free log space by checkpointing
-            // (snapshot + truncate the covered segments). The weak handle
-            // keeps the hook from holding the database alive; once the last
-            // user handle drops, reclaim attempts simply report failure.
+            // Checkpoint-to-reclaim: when a flush leader hits ENOSPC it
+            // asks us — once per incident — to free log space by
+            // checkpointing (snapshot + truncate the covered segments). The
+            // checkpoint runs on the leader's committer thread, so it must
+            // never wait for a commit that could be waiting on that leader.
+            // It does not: it pins and cuts at the published clock, every
+            // record up to the cut is already pending or sealed, and a
+            // durable commit settles in memory before it publishes its
+            // timestamp, so the fuzzy snapshot never waits on one. The weak
+            // handle keeps the hook from holding the database alive; once
+            // the last user handle drops, reclaim attempts do nothing.
             let weak = Arc::downgrade(&db.inner);
             durable.wal.set_reclaim_hook(Box::new(move || {
-                weak.upgrade()
-                    .is_some_and(|inner| inner.checkpoint().is_ok())
+                if let Some(inner) = weak.upgrade() {
+                    let _ = inner.checkpoint();
+                }
             }));
         }
         Ok(db)
@@ -809,8 +791,6 @@ impl Database {
                 bytes: load(&w.bytes),
                 fsyncs: load(&w.fsyncs),
                 seal_batches: load(&w.seal_batches),
-                flusher_fsyncs: load(&w.flusher_fsyncs),
-                flusher_batches: load(&w.flusher_batches),
                 io_failures: load(&w.io_failures),
                 fsync_retries: load(&w.fsync_retries),
                 reclaim_attempts: load(&w.reclaim_attempts),
@@ -928,44 +908,22 @@ impl Database {
         self.inner.catalog.purge_old_versions(horizon)
     }
 
-    /// True when a dedicated WAL flusher thread serves this database (see
-    /// [`crate::MaintenanceOptions::flush_max_delay`]).
-    pub fn has_background_flusher(&self) -> bool {
-        self.inner
-            .maintenance
-            .as_ref()
-            .is_some_and(|m| m.has_flusher())
-    }
-
     /// True when a background incremental-GC thread serves this database
     /// (see [`crate::MaintenanceOptions::gc_interval`]).
     pub fn has_background_gc(&self) -> bool {
-        self.inner.maintenance.as_ref().is_some_and(|m| m.has_gc())
+        self.inner.maintenance.is_some()
     }
 
     /// Installs (or clears) the maintenance step hook: it fires at every
-    /// background-thread phase transition
+    /// GC-thread phase transition
     /// ([`crate::maintenance::MaintenanceEvent`]) and may block, so tests
-    /// can single-step the threads deterministically — the same pattern as
+    /// can single-step the thread deterministically — the same pattern as
     /// [`TransactionManager::set_sweep_pause_hook`]. Not for production
     /// use. No-op when no background thread is configured.
     #[doc(hidden)]
     pub fn set_maintenance_hook(&self, hook: Option<MaintenanceHook>) {
         if let Some(hub) = &self.inner.maintenance {
             hub.set_hook(hook);
-        }
-    }
-
-    /// Forces the dedicated flusher to run one flush pass now, regardless
-    /// of batch age or size (deterministic test stepping). Asynchronous:
-    /// observe completion through the hook or the durability stats. No-op
-    /// without a flusher thread.
-    #[doc(hidden)]
-    pub fn step_flusher(&self) {
-        if self.has_background_flusher() {
-            if let Some(durable) = &self.inner.durable {
-                durable.wal.request_flush();
-            }
         }
     }
 
@@ -981,8 +939,7 @@ impl Database {
 
     /// Test-only fault injection: poisons the write-ahead log exactly as a
     /// failed fsync would. Every parked committer wakes with an error and
-    /// every later durability wait fails; the flusher thread exits. Errors
-    /// when durability is off.
+    /// every later durability wait fails. Errors when durability is off.
     #[doc(hidden)]
     pub fn poison_wal(&self) -> Result<()> {
         let durable = self

@@ -105,6 +105,5 @@ pub use ssi_obs::{
 };
 pub use ssi_storage::{FieldKind, IndexKeyPart, IndexKeySpec, PurgeStats};
 pub use ssi_wal::{
-    CheckpointStats, FaultMode, FaultOp, FaultRule, FaultVfs, FlushEvent, FlushReason, Recovered,
-    StdVfs, Vfs, WalStats,
+    CheckpointStats, FaultMode, FaultOp, FaultRule, FaultVfs, Recovered, StdVfs, Vfs, WalStats,
 };

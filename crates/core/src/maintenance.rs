@@ -1,45 +1,34 @@
-//! Background maintenance: supervised threads that take durability and
-//! reclamation work off the commit path.
+//! Background maintenance: the supervised incremental GC thread, which
+//! takes version reclamation off the commit path.
 //!
-//! The [`MaintenanceHub`] owns up to two threads, both optional, both
-//! started by `Database::try_open` and joined before the database releases
-//! its on-disk WAL lock (see `DbInner::drop`):
-//!
-//! * **the dedicated WAL flusher** — runs `ssi-wal`'s
-//!   [`flusher loop`](ssi_wal::flusher): group-commit committers enqueue
-//!   and park, the flusher fsyncs the sealed prefix when the batch reaches
-//!   [`crate::MaintenanceOptions::flush_max_delay`] or the size threshold
-//!   trips, and checkpoint rotation hands it the old segment so the device
-//!   sync happens off the append lock;
-//! * **the incremental GC thread** — every
-//!   [`crate::MaintenanceOptions::gc_interval`] it purges the next
-//!   [`crate::MaintenanceOptions::gc_shards_per_pass`] storage shards of
-//!   every table ([`ssi_storage::Table::purge_shard`]) at the pinned safe
-//!   horizon, advancing a wrapping shard cursor — so reclamation is spread
-//!   into small slices, no lock is held for longer than one shard, and the
-//!   commit path does zero purge work (inline
-//!   [`crate::Options::purge_every_commits`] is skipped while the thread
-//!   runs). Passes are attributed to
-//!   [`crate::ManagerStats::background_purge_runs`].
+//! The [`MaintenanceHub`] owns it when
+//! [`crate::MaintenanceOptions::gc_interval`] is set: started by
+//! `Database::try_open`, joined before the database releases its on-disk
+//! WAL lock (see `DbInner::drop`). Every interval it purges the next
+//! [`crate::MaintenanceOptions::gc_shards_per_pass`] storage shards of
+//! every table ([`ssi_storage::Table::purge_shard`]) at the pinned safe
+//! horizon, advancing a wrapping shard cursor — so reclamation is spread
+//! into small slices, no lock is held for longer than one shard, and the
+//! commit path does zero purge work (inline
+//! [`crate::Options::purge_every_commits`] is skipped while the thread
+//! runs). Passes are attributed to
+//! [`crate::ManagerStats::background_purge_runs`].
 //!
 //! # Deterministic stepping
 //!
-//! Both threads report phase transitions through one injectable hook
+//! The thread reports phase transitions through an injectable hook
 //! ([`MaintenanceHook`], installed with `Database::set_maintenance_hook`) —
 //! the same pattern as the transaction manager's sweep-pause hook. The
-//! hook may block, so a test can hold a thread at a step point; combined
-//! with `Database::step_flusher` / `Database::step_gc` (which force one
-//! pass regardless of timers) and effectively-infinite intervals, tests
-//! single-step the threads with no wall-clock dependence.
+//! hook may block, so a test can hold the thread at a step point; combined
+//! with `Database::step_gc` (which forces one pass regardless of the
+//! timer) and an effectively-infinite interval, tests single-step it with
+//! no wall-clock dependence.
 //!
 //! # Shutdown
 //!
-//! `shutdown_and_join` sets the shared stop flag, kicks both threads, and
-//! joins them: the flusher drains every sealed record before exiting (no
-//! acknowledged — or even sealable — commit is left un-fsynced by a clean
-//! close), the GC thread finishes at most one pass. Only after the join
-//! does `DbInner` drop the durable state and with it the directory lock, so
-//! a fast reopen can never race a still-flushing old incarnation.
+//! `shutdown_and_join` sets the stop flag, kicks the thread, and joins it:
+//! it finishes at most one pass. Only after the join does `DbInner` drop
+//! the durable state and with it the directory lock.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -52,19 +41,15 @@ use parking_lot::{Condvar, Mutex};
 use ssi_common::DegradedReason;
 use ssi_obs::{EngineMetrics, EventKind};
 use ssi_storage::{Catalog, PurgeStats, SHARD_COUNT};
-use ssi_wal::{FlushEvent, FlusherConfig, PoisonCause, WalWriter};
 
 use crate::health::HealthCell;
 use crate::manager::TransactionManager;
 use crate::options::MaintenanceOptions;
 
-/// Phase transitions of the background threads, reported through the
+/// Phase transitions of the GC thread, reported through the
 /// [`MaintenanceHook`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum MaintenanceEvent {
-    /// The dedicated WAL flusher changed phase (batch opened, flushing,
-    /// flushed, poisoned).
-    Flusher(FlushEvent),
     /// A background GC pass is starting at this shard-cursor position.
     GcPassStart { first_shard: usize },
     /// A background GC pass finished, having reclaimed this much.
@@ -75,7 +60,7 @@ pub enum MaintenanceEvent {
 /// with no internal lock held, so it may block to single-step the thread.
 pub type MaintenanceHook = Arc<dyn Fn(&MaintenanceEvent) + Send + Sync>;
 
-/// State shared between the hub handle and its threads.
+/// State shared between the hub handle and its thread.
 struct HubShared {
     shutdown: AtomicBool,
     /// GC wakeup (interval waits park here; `step_gc` and shutdown kick it).
@@ -98,35 +83,22 @@ impl HubShared {
     }
 }
 
-/// Owner of the background maintenance threads (module docs above).
+/// Owner of the background GC thread (module docs above).
 pub(crate) struct MaintenanceHub {
     shared: Arc<HubShared>,
-    /// The log the flusher serves, kept to kick it on shutdown.
-    wal: Option<Arc<WalWriter>>,
-    flusher: Option<JoinHandle<()>>,
     gc: Option<JoinHandle<()>>,
 }
 
 impl MaintenanceHub {
-    /// Starts the configured threads; `None` when the options ask for no
-    /// background work (or none is applicable — e.g. a flusher delay with
-    /// durability off). `wal` must already have had `attach_flusher`
-    /// called when a flusher is requested.
+    /// Starts the GC thread; `None` when the options ask for none.
     pub(crate) fn start(
         options: &MaintenanceOptions,
-        wal: Option<Arc<WalWriter>>,
         catalog: Arc<Catalog>,
         txns: Arc<TransactionManager>,
         health: Arc<HealthCell>,
         metrics: Arc<EngineMetrics>,
     ) -> Option<MaintenanceHub> {
-        let flusher_wal = match (&wal, options.flush_max_delay) {
-            (Some(wal), Some(_)) if wal.has_flusher() => Some(wal.clone()),
-            _ => None,
-        };
-        if flusher_wal.is_none() && options.gc_interval.is_none() {
-            return None;
-        }
+        let interval = options.gc_interval?;
         let shared = Arc::new(HubShared {
             shutdown: AtomicBool::new(false),
             gc_mu: Mutex::new(()),
@@ -135,95 +107,37 @@ impl MaintenanceHub {
             hook: Mutex::new(None),
             hook_set: AtomicBool::new(false),
         });
-        let flusher = flusher_wal.as_ref().map(|wal| {
-            let wal = wal.clone();
-            let shared = shared.clone();
-            let health = health.clone();
-            let txns = txns.clone();
-            let config = FlusherConfig {
-                max_delay: options.flush_max_delay.expect("checked above"),
-                max_batch_bytes: options.flush_max_bytes.max(1),
-                retry_budget: options.flush_retry_budget,
-                retry_backoff: options.flush_retry_backoff,
-            };
-            std::thread::Builder::new()
-                .name("ssi-wal-flusher".into())
-                .spawn(move || {
-                    // Panic containment: the loop runs arbitrary test hooks
-                    // and must never die silently — a vanished flusher
-                    // would park the next committer forever. A panic
-                    // poisons the log (waking every parked committer with
-                    // an error) and degrades health, exactly like a fatal
-                    // I/O failure.
-                    let run = catch_unwind(AssertUnwindSafe(|| {
-                        wal.flusher_loop(&config, &shared.shutdown, &mut |event| {
-                            match event {
-                                FlushEvent::Retrying { .. } => {
-                                    let stats = txns.stats();
-                                    stats.wal_fsync_retries.fetch_add(1, Ordering::Relaxed);
-                                    stats.wal_faults_observed.fetch_add(1, Ordering::Relaxed);
-                                }
-                                FlushEvent::Poisoned => {
-                                    let stats = txns.stats();
-                                    stats.wal_faults_observed.fetch_add(1, Ordering::Relaxed);
-                                    degrade(&health, &txns, wal_degrade_reason(&wal));
-                                }
-                                _ => {}
-                            }
-                            shared.observe(MaintenanceEvent::Flusher(event));
-                        });
-                    }));
-                    if run.is_err() {
-                        wal.poison_with(PoisonCause::Panic);
-                        wal.wake_all();
-                        degrade(&health, &txns, DegradedReason::WalThreadPanic);
+        let thread_shared = shared.clone();
+        let shards_per_pass = options.gc_shards_per_pass.max(1);
+        let gc = std::thread::Builder::new()
+            .name("ssi-gc".into())
+            .spawn(move || {
+                let run = catch_unwind(AssertUnwindSafe(|| {
+                    gc_loop(
+                        &thread_shared,
+                        &catalog,
+                        &txns,
+                        &metrics,
+                        interval,
+                        shards_per_pass,
+                    )
+                }));
+                if run.is_err() {
+                    // A dead GC thread stops reclamation but not
+                    // correctness: degrade (surfacing it through the
+                    // health API) without blocking writes.
+                    if health.degrade(DegradedReason::GcThreadPanic) {
+                        txns.stats()
+                            .degraded_transitions
+                            .fetch_add(1, Ordering::Relaxed);
                     }
-                })
-                .expect("spawn wal flusher thread")
-        });
-        let gc = options.gc_interval.map(|interval| {
-            let shared = shared.clone();
-            let health = health.clone();
-            let txns = txns.clone();
-            let shards_per_pass = options.gc_shards_per_pass.max(1);
-            std::thread::Builder::new()
-                .name("ssi-gc".into())
-                .spawn(move || {
-                    let run = catch_unwind(AssertUnwindSafe(|| {
-                        gc_loop(
-                            &shared,
-                            &catalog,
-                            &txns,
-                            &metrics,
-                            interval,
-                            shards_per_pass,
-                        )
-                    }));
-                    if run.is_err() {
-                        // A dead GC thread stops reclamation but not
-                        // correctness: degrade (surfacing it through the
-                        // health API) without blocking writes.
-                        degrade(&health, &txns, DegradedReason::GcThreadPanic);
-                    }
-                })
-                .expect("spawn gc thread")
-        });
+                }
+            })
+            .expect("spawn gc thread");
         Some(MaintenanceHub {
             shared,
-            wal: flusher_wal,
-            flusher,
-            gc,
+            gc: Some(gc),
         })
-    }
-
-    /// True when the hub runs a dedicated WAL flusher.
-    pub(crate) fn has_flusher(&self) -> bool {
-        self.flusher.is_some()
-    }
-
-    /// True when the hub runs a background GC thread.
-    pub(crate) fn has_gc(&self) -> bool {
-        self.gc.is_some()
     }
 
     /// Installs (or clears) the step hook.
@@ -243,19 +157,12 @@ impl MaintenanceHub {
         self.shared.gc_cv.notify_all();
     }
 
-    /// Stops and joins every thread (see the module docs, § Shutdown).
+    /// Stops and joins the thread (see the module docs, § Shutdown).
     /// Idempotent; also run by `Drop`.
     pub(crate) fn shutdown_and_join(&mut self) {
         self.shared.shutdown.store(true, Ordering::Release);
-        if let Some(wal) = &self.wal {
-            // Prompt wakeup; the flusher drains all sealed work and exits.
-            wal.request_flush();
-        }
         drop(self.shared.gc_mu.lock());
         self.shared.gc_cv.notify_all();
-        if let Some(t) = self.flusher.take() {
-            let _ = t.join();
-        }
         if let Some(t) = self.gc.take() {
             let _ = t.join();
         }
@@ -265,25 +172,6 @@ impl MaintenanceHub {
 impl Drop for MaintenanceHub {
     fn drop(&mut self) {
         self.shutdown_and_join();
-    }
-}
-
-/// `Healthy → Degraded{reason}` with the transition counted exactly once
-/// in [`crate::ManagerStats::degraded_transitions`].
-fn degrade(health: &HealthCell, txns: &TransactionManager, reason: DegradedReason) {
-    if health.degrade(reason) {
-        txns.stats()
-            .degraded_transitions
-            .fetch_add(1, Ordering::Relaxed);
-    }
-}
-
-/// Maps a poisoned log's recorded cause onto the degradation reason.
-fn wal_degrade_reason(wal: &WalWriter) -> DegradedReason {
-    match wal.poison_cause().unwrap_or(PoisonCause::Io) {
-        PoisonCause::Io => DegradedReason::WalPoisoned,
-        PoisonCause::OutOfSpace => DegradedReason::OutOfSpace,
-        PoisonCause::Panic => DegradedReason::WalThreadPanic,
     }
 }
 

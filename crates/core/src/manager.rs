@@ -497,15 +497,6 @@ pub struct ManagerStats {
     pub pruned_inline_versions: AtomicU64,
     /// Whole key chains removed by version GC (dead tombstoned keys).
     pub purged_chains: AtomicU64,
-    /// WAL fsync retries taken by the background flusher's retry loop
-    /// (transient I/O failures absorbed without poisoning the log). Zero on
-    /// a clean run — the stress nets assert it.
-    pub wal_fsync_retries: AtomicU64,
-    /// Storage faults observed by the durability subsystem (failed appends,
-    /// fsyncs, renames — whether or not they were retried away). Under
-    /// fault injection this counts the injected faults that actually hit
-    /// the engine; zero on a clean run.
-    pub wal_faults_observed: AtomicU64,
     /// `Healthy → Degraded` health transitions (at most 1 per database:
     /// degradation is one-way and first-cause-wins).
     pub degraded_transitions: AtomicU64,

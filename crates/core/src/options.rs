@@ -90,31 +90,20 @@ pub enum Durability {
     Buffered,
     /// `commit` returns only after an `fsync` covering the transaction's
     /// commit timestamp. Concurrent committers share flushes (group
-    /// commit), so the per-commit fsync cost amortizes under load.
+    /// commit: one elected committer fsyncs for all), so the per-commit
+    /// fsync cost amortizes under load. The elected committer retries
+    /// transient failures, and ENOSPC after one checkpoint-to-reclaim,
+    /// within a fixed budget before the database degrades (`ssi-wal`
+    /// crate docs, § Failure handling).
     GroupCommit,
 }
 
 /// Configuration of the background maintenance subsystem (the
-/// [`crate::maintenance::MaintenanceHub`]): a dedicated WAL flusher thread
-/// and an incremental version-GC thread, both owned by the database, started
-/// from `Database::try_open` and joined on drop.
+/// [`crate::maintenance::MaintenanceHub`]): an incremental version-GC
+/// thread, owned by the database, started from `Database::try_open` and
+/// joined on drop.
 #[derive(Clone, Debug)]
 pub struct MaintenanceOptions {
-    /// Run a dedicated WAL flusher thread with this maximum batch delay:
-    /// in [`Durability::GroupCommit`] committers enqueue and park instead
-    /// of self-electing, and the flusher fsyncs the sealed prefix once the
-    /// batch is this old (or [`MaintenanceOptions::flush_max_bytes`] trips)
-    /// — so batch size is no longer bounded by natural committer pile-up,
-    /// at a worst-case acknowledged-commit latency of roughly this delay
-    /// plus one fsync. In [`Durability::Buffered`] the same thread bounds
-    /// the crash-loss window: the sealed tail reaches the device within
-    /// this delay instead of at the next checkpoint or clean close.
-    /// `None` (the default) keeps committer-elected group commit. Ignored
-    /// when durability is off.
-    pub flush_max_delay: Option<Duration>,
-    /// Size threshold of the dedicated flusher: fsync early once this many
-    /// bytes have been sealed since the last sync, regardless of age.
-    pub flush_max_bytes: u64,
     /// Run a background GC thread purging row versions incrementally —
     /// [`MaintenanceOptions::gc_shards_per_pass`] storage shards per table
     /// per pass — on this cadence, at the pinned safe horizon. Replaces
@@ -127,27 +116,13 @@ pub struct MaintenanceOptions {
     /// table sweep completes every `SHARD_COUNT / gc_shards_per_pass`
     /// intervals.
     pub gc_shards_per_pass: usize,
-    /// How many times the dedicated flusher retries a *transient* fsync
-    /// failure before poisoning the log (see the `ssi-wal` crate docs,
-    /// § Failure handling). While un-fsynced frames are buffered for
-    /// re-emission, a failed range is never re-fsynced as if nothing
-    /// happened — retries re-write it to a fresh segment. `0` disables
-    /// retrying (and the re-emission buffer): the first failure poisons,
-    /// as committer-elected group commit always does.
-    pub flush_retry_budget: u32,
-    /// Delay between flusher retry attempts.
-    pub flush_retry_backoff: Duration,
 }
 
 impl Default for MaintenanceOptions {
     fn default() -> Self {
         MaintenanceOptions {
-            flush_max_delay: None,
-            flush_max_bytes: 1 << 20,
             gc_interval: None,
             gc_shards_per_pass: 16,
-            flush_retry_budget: 4,
-            flush_retry_backoff: Duration::from_millis(5),
         }
     }
 }
@@ -209,8 +184,7 @@ pub struct Options {
     /// default) leaves reclamation to explicit
     /// [`crate::Database::purge`] calls.
     pub purge_every_commits: Option<NonZeroU64>,
-    /// Background maintenance threads (dedicated WAL flusher, incremental
-    /// version GC).
+    /// Background maintenance (the incremental version-GC thread).
     pub maintenance: MaintenanceOptions,
     /// Lock manager configuration.
     pub lock: LockConfig,
@@ -297,13 +271,6 @@ impl Options {
     pub fn with_auto_purge(mut self, every_commits: u64) -> Self {
         self.purge_every_commits =
             Some(NonZeroU64::new(every_commits).expect("purge_every_commits must be non-zero"));
-        self
-    }
-
-    /// Runs a dedicated WAL flusher thread with the given maximum batch
-    /// delay (see [`MaintenanceOptions::flush_max_delay`]).
-    pub fn with_background_flusher(mut self, max_delay: Duration) -> Self {
-        self.maintenance.flush_max_delay = Some(max_delay);
         self
     }
 

@@ -6,6 +6,7 @@
 //! of Figs. 3.1 and 3.2.
 
 use std::collections::HashMap;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 use ssi_common::{AbortReason, Error, IsolationLevel, Result, Timestamp, TxnId};
@@ -367,14 +368,25 @@ impl Transaction {
         // ours or a neighbour's — covers our timestamp. An I/O failure here
         // is remembered and returned after the in-memory bookkeeping
         // completes: the transaction *is* committed in memory, only its
-        // persistence is uncertain (see `Error::Durability`).
+        // persistence is uncertain (see `Error::Durability`). So is a panic
+        // of a flush this committer leads (a `Vfs` or the reclaim
+        // checkpoint unwound; the log has poisoned itself): it resumes
+        // after the epilogue, since unwinding from here would roll back a
+        // published commit.
+        let mut leader_panic = None;
         if has_writes {
             if let Some(durable) = &self.db.durable {
                 self.db.txns.wait_for_publication(commit_ts);
-                let result = durable
-                    .wal
-                    .seal_upto(commit_ts)
-                    .and_then(|()| durable.wal.wait_durable(commit_ts));
+                let result = catch_unwind(AssertUnwindSafe(|| {
+                    durable
+                        .wal
+                        .seal_upto(commit_ts)
+                        .and_then(|()| durable.wal.wait_durable(commit_ts))
+                }))
+                .unwrap_or_else(|panic| {
+                    leader_panic = Some(panic);
+                    Err(ssi_wal::WalError::poisoned())
+                });
                 if let Err(e) = result {
                     // A lost durability promise degrades the database:
                     // later writers fail fast instead of piling onto a
@@ -458,6 +470,9 @@ impl Transaction {
             // a committer either runs one pass or skips, never queues.
             self.db.maybe_auto_purge();
             self.db.maybe_auto_checkpoint();
+        }
+        if let Some(panic) = leader_panic {
+            resume_unwind(panic);
         }
         match durability_error {
             None => Ok(()),

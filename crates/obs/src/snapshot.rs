@@ -101,8 +101,6 @@ pub struct WalMetrics {
     pub bytes: u64,
     pub fsyncs: u64,
     pub seal_batches: u64,
-    pub flusher_fsyncs: u64,
-    pub flusher_batches: u64,
     pub io_failures: u64,
     pub fsync_retries: u64,
     pub reclaim_attempts: u64,
@@ -304,16 +302,6 @@ impl MetricsSnapshot {
             "ssi_wal_seal_batches_total",
             self.wal.seal_batches,
         );
-        counter(
-            &mut out,
-            "ssi_wal_flusher_fsyncs_total",
-            self.wal.flusher_fsyncs,
-        );
-        counter(
-            &mut out,
-            "ssi_wal_flusher_batches_total",
-            self.wal.flusher_batches,
-        );
         counter(&mut out, "ssi_wal_io_failures_total", self.wal.io_failures);
         counter(
             &mut out,
@@ -462,15 +450,12 @@ impl MetricsSnapshot {
         ));
         out.push_str(&format!(
             "\"wal\":{{\"enabled\":{},\"records\":{},\"bytes\":{},\"fsyncs\":{},\
-             \"seal_batches\":{},\"flusher_fsyncs\":{},\"flusher_batches\":{},\
-             \"io_failures\":{},\"fsync_retries\":{},\"reclaim_attempts\":{}}},",
+             \"seal_batches\":{},\"io_failures\":{},\"fsync_retries\":{},\"reclaim_attempts\":{}}},",
             self.wal.enabled,
             self.wal.records,
             self.wal.bytes,
             self.wal.fsyncs,
             self.wal.seal_batches,
-            self.wal.flusher_fsyncs,
-            self.wal.flusher_batches,
             self.wal.io_failures,
             self.wal.fsync_retries,
             self.wal.reclaim_attempts,

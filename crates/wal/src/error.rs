@@ -3,7 +3,7 @@
 //! Every failure the write-ahead log, checkpointer or recovery can hit is
 //! classified into a [`WalErrorKind`] — most importantly *transient* vs
 //! *fatal* — and carries the operation ([`WalOp`]), the path involved and
-//! the underlying OS error. The classification is what the flusher's
+//! the underlying OS error. The classification is what the flush leader's
 //! retry-with-backoff policy keys on: transient failures (and ENOSPC,
 //! which a checkpoint may reclaim) are retried within a budget; fatal
 //! failures poison the log immediately.
@@ -61,7 +61,7 @@ impl WalOp {
 pub enum WalErrorKind {
     /// A failure that has a real chance of succeeding on retry
     /// (interrupted syscall, timeout, resource temporarily busy). The
-    /// flusher retries these within its budget — but never by re-fsyncing
+    /// flush leader retries these within its budget — but never by re-fsyncing
     /// the same range: the kernel reports an fsync error only once, so
     /// retried durability is re-established by re-writing the unsynced
     /// frames to a fresh segment and fsyncing *that*.
@@ -69,7 +69,7 @@ pub enum WalErrorKind {
     /// The device or quota is full (`ENOSPC`/`EDQUOT`). Retryable in a
     /// stronger sense than [`WalErrorKind::Transient`]: a checkpoint can
     /// actively *reclaim* space by pruning covered segments, so the
-    /// flusher attempts checkpoint-to-reclaim once before giving up.
+    /// flush leader attempts checkpoint-to-reclaim once before giving up.
     OutOfSpace,
     /// An I/O failure with no reason to believe a retry would differ
     /// (media error, bad file descriptor, permission change). Poisons the

@@ -77,53 +77,61 @@
 //!    log its order for free, with no extra coordination.
 //! 3. **sync** — in [`SyncPolicy::GroupCommit`] the committer then waits
 //!    for a flush covering its timestamp: whichever committer finds no
-//!    flush in progress becomes the flusher for *everything sealed so far*
-//!    (one `fsync` for the whole batch — classic group commit); everyone
-//!    else parks on a condvar until a flush covers them. Under load, many
-//!    commits share one `fsync`. [`SyncPolicy::Never`] (buffered mode)
-//!    skips this step entirely; the data reaches the OS on seal and the
-//!    device on checkpoint or clean close.
-//!
-//! With a **dedicated flusher** attached ([`WalWriter::attach_flusher`] +
-//! a thread running [`flusher`]'s loop), step 3 changes: committers never
-//! self-elect — they park until the flusher's batch ages out
-//! ([`FlusherConfig::max_delay`]) or fills up, so the batch size is no
-//! longer bounded by natural committer pile-up; buffered mode gains a
-//! periodic-sync lag bound; and segment rotation hands the old segment to
-//! the flusher instead of fsyncing it under the append lock (protocol in
-//! the [`flusher`] module docs and on [`WalWriter::rotate`]).
+//!    flush in progress is elected *leader* and runs one flush pass for
+//!    *everything sealed so far* (one `fsync` for the whole batch — classic
+//!    group commit); everyone else parks on a condvar until the pass ends.
+//!    Under load, many commits share one `fsync`. A clean close's
+//!    [`WalWriter::sync`] runs the same pass as a leader.
+//!    [`SyncPolicy::Never`] (buffered mode) skips this step entirely; the
+//!    data reaches the OS on seal and the device on checkpoint or clean
+//!    close.
 //!
 //! # Failure handling
 //!
 //! Every failure is classified by the [`WalError`] taxonomy ([`error`]
 //! module) as *transient*, *out-of-space*, or *fatal*. A partial append is
 //! rolled back to the last whole-frame boundary and the record returned to
-//! the pending buffer (its committer can still seal it later). With a
-//! dedicated flusher and frame buffering enabled, transient failures are
-//! retried with backoff inside a bounded budget — honouring the "fsync
-//! reports an error only once" rule: a range whose first fsync errored is
-//! never re-fsynced in place; instead the still-buffered unsynced frames
-//! are re-emitted to a *fresh* segment and that is fsynced. ENOSPC gets
-//! one checkpoint-to-reclaim attempt (pruning covered segments frees log
-//! space) before counting against the budget. Only when the budget is
-//! exhausted — or on a fatal error, or without a flusher to retry — is the
-//! log *poisoned*: every further append and durability wait fails, so no
-//! commit is ever acknowledged that recovery might silently discard.
+//! the pending buffer (its committer can still seal it later).
+//!
+//! In `GroupCommit` the log keeps a copy of every frame written but not
+//! yet covered by an fsync, and the flush leader retries failures itself:
+//!
+//! * a retryable append failure during a committer's seal is *deferred* —
+//!   the record stays pending, and the leader's pass re-seals everything up
+//!   to the highest timestamp any committer asked to seal before it fsyncs;
+//! * a transient or out-of-space failure is retried up to 4 times, 5 ms
+//!   apart, honouring the "fsync reports an error only once" rule: a file
+//!   whose fsync errored is never fsynced again — the buffered unsynced
+//!   frames are re-emitted to a *fresh* segment and that is fsynced
+//!   instead;
+//! * ENOSPC gets one checkpoint-to-reclaim attempt per incident (pruning
+//!   covered segments frees log space; the checkpoint runs on the
+//!   leader's thread) in place of its first backoff;
+//! * only a fatal failure or an exhausted budget *poisons* the log: every
+//!   further append and durability wait fails, so no commit is ever
+//!   acknowledged that recovery might silently discard. A leader whose
+//!   pass panics poisons it too, so its waiters never park forever.
+//!
+//! `Buffered` syncs only at checkpoints and clean close, keeps no frame
+//! copies, and its first fsync failure poisons the log. A failed fsync of
+//! the old segment during a checkpoint's rotation poisons the log in
+//! either mode.
 //!
 //! ## Failure-mode matrix
 //!
-//! What each injected fault class guarantees, per durability mode
-//! (`Off` has no WAL and is unaffected by storage faults by definition):
+//! What each injected fault class guarantees in `GroupCommit` (`Off` has no
+//! WAL and is unaffected by storage faults by definition):
 //!
-//! | Fault | `Buffered` | `GroupCommit` (+ flusher) | Guarantee |
-//! |---|---|---|---|
-//! | transient append (`EINTR`…) | seal deferred, flusher re-seals | same; commit acks after retried flush covers it | no ack lost; retries visible in stats |
-//! | transient fsync | flusher re-emits unsynced frames to a fresh segment, fsyncs that | same; committers stay parked until durable | never re-fsync an errored range; no ack lost |
-//! | short write (torn append) | rolled back to frame boundary, record re-pended | same | segment stays frame-aligned; commit still seals later |
-//! | ENOSPC | checkpoint-to-reclaim once, then retry budget | same | reclaim prunes covered segments; degrade only if still full |
-//! | failed rename (checkpoint) | checkpoint fails, `.tmp` removed, old snapshot authoritative | same | no torn snapshot ever authoritative; no `.tmp` leak |
-//! | fatal fsync / exhausted budget | log poisoned → `Degraded(ReadOnly)` | same, parked committers woken with typed error | acknowledged prefix recoverable; reads keep serving |
-//! | crash at any byte | torn tail (a frame cut short, over the reserved zeros or at end of file) truncated on recovery; a zero tail is a clean end | same | prefix-consistent committed state |
+//! | Fault | `GroupCommit` | Guarantee |
+//! |---|---|---|
+//! | transient append (`EINTR`…) | seal deferred, the leader re-seals; the commit acks once a retried flush covers it | no ack lost; retries visible in stats |
+//! | transient fsync | the leader re-emits unsynced frames to a fresh segment and fsyncs that; waiters stay parked until durable | never re-fsync an errored range; no ack lost |
+//! | short write (torn append) | rolled back to frame boundary, record re-pended | segment stays frame-aligned; commit still seals later |
+//! | ENOSPC | checkpoint-to-reclaim once, then the retry budget | reclaim prunes covered segments; degrade only if still full |
+//! | failed rename (checkpoint) | checkpoint fails, `.tmp` removed, old snapshot authoritative | no torn snapshot ever authoritative; no `.tmp` leak |
+//! | fatal fsync / exhausted budget | log poisoned → `Degraded(ReadOnly)`, parked committers woken with a typed error | acknowledged prefix recoverable; reads keep serving |
+//! | leader panic (`Vfs`, reclaim hook) | log poisoned → `Degraded(WalThreadPanic)`, parked committers woken with an error | no waiter hangs |
+//! | crash at any byte | torn tail (a frame cut short, over the reserved zeros or at end of file) truncated on recovery; a zero tail is a clean end | prefix-consistent committed state |
 //!
 //! # Checkpoint / recovery invariants
 //!
@@ -156,7 +164,6 @@
 
 pub mod checkpoint;
 pub mod error;
-pub mod flusher;
 pub mod log;
 pub mod record;
 pub mod recover;
@@ -164,7 +171,6 @@ pub mod vfs;
 
 pub use checkpoint::{CheckpointStats, Checkpointer};
 pub use error::{classify, WalError, WalErrorKind, WalOp, WalResult};
-pub use flusher::{FlushEvent, FlushReason, FlusherConfig};
 pub use log::{PoisonCause, PreparedCommit, SyncPolicy, WalStats, WalWriter};
 pub use record::{crc32, CommitRecord, Record, WriteEntry};
 pub use recover::{recover_into, recover_into_with, Recovered};

@@ -31,7 +31,7 @@ pub struct Recovered {
     /// or I/O failure mid-checkpoint leaves one; they are never valid
     /// snapshots and recovery sweeps them.
     pub tmp_files_removed: u64,
-    /// Duplicate commit records dropped. The flusher's re-emission retry
+    /// Duplicate commit records dropped. The flush leader's re-emission retry
     /// path can write a commit's frame into a fresh segment while an
     /// earlier copy already reached the old one; recovery keeps one.
     pub duplicate_commits: u64,
@@ -55,7 +55,7 @@ pub fn recover_into(dir: &Path, catalog: &Catalog) -> WalResult<Recovered> {
 ///    first torn or corrupt frame;
 /// 4. apply create-table records, then replay every whole commit record
 ///    with `ts >` the snapshot timestamp, in commit-timestamp order —
-///    deduplicated by commit timestamp, since the flusher's re-emission
+///    deduplicated by commit timestamp, since the flush leader's re-emission
 ///    retry can leave the same commit framed in two segments — so each
 ///    key's version chain is rebuilt newest-first.
 ///
@@ -182,7 +182,7 @@ pub fn recover_into_with(vfs: &dyn Vfs, dir: &Path, catalog: &Catalog) -> WalRes
     // sealing protocol; sorting makes recovery robust to reordered
     // segments too). Commit timestamps are unique — the publication clock
     // hands each commit its own tick — so two records with the same
-    // timestamp are the same commit, framed twice by the flusher's
+    // timestamp are the same commit, framed twice by the flush leader's
     // re-emission retry; keep the first. Write order within a transaction
     // is preserved.
     commits.sort_by_key(|c| c.commit_ts);
@@ -604,7 +604,7 @@ mod tests {
 
     #[test]
     fn duplicate_commit_frames_replay_once() {
-        // The flusher's re-emission retry can frame the same commit into
+        // The flush leader's re-emission retry can frame the same commit into
         // two segments (the first copy's fsync failed transiently but the
         // bytes landed). Recovery must apply it once.
         let dir = temp_dir("rec-dup");

@@ -16,8 +16,8 @@
 //! * **ENOSPC reclaims before degrading** — a full log triggers one
 //!   checkpoint-to-reclaim (pruning covered segments refunds the modelled
 //!   budget) and commits continue;
-//! * **a panicking maintenance hook degrades, never hangs** — committers
-//!   parked behind the dead flusher are woken with an error.
+//! * **a panicking flush leader degrades, never hangs** — committers
+//!   parked behind it are woken with an error.
 //!
 //! The seeded net (`seeded_fault_schedules_*`) generates random fault
 //! schedules from `CHAOS_SEEDS` (comma-separated u64 list; a fixed default
@@ -26,12 +26,15 @@
 //! total. On failure it prints the seed, the injected-event log and the
 //! exact reproduction command.
 
+use std::io;
+use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use serializable_si::wal::{StdVfs, Vfs, VfsFile};
 use serializable_si::{
     Database, DbHealth, DegradedReason, Durability, Error, FaultMode, FaultOp, FaultRule, FaultVfs,
     Options,
@@ -46,12 +49,10 @@ fn temp_dir(tag: &str) -> std::path::PathBuf {
     dir
 }
 
-/// Group-commit options with the background flusher on a fast timer and the
-/// given fault-injecting VFS.
+/// Group-commit options over the given fault-injecting VFS.
 fn faulty_options(dir: &std::path::Path, fault: &FaultVfs) -> Options {
     Options::default()
         .with_durability(Durability::GroupCommit, dir)
-        .with_background_flusher(Duration::from_millis(2))
         .with_vfs(fault.handle())
 }
 
@@ -77,8 +78,6 @@ fn clean_path_keeps_every_fault_counter_at_zero() {
     }
     assert_eq!(db.health(), DbHealth::Healthy);
     let stats = db.transaction_manager().stats();
-    assert_eq!(stats.wal_fsync_retries.load(Ordering::Relaxed), 0);
-    assert_eq!(stats.wal_faults_observed.load(Ordering::Relaxed), 0);
     assert_eq!(stats.degraded_transitions.load(Ordering::Relaxed), 0);
     let wal = db.durability_stats().unwrap();
     assert_eq!(wal.io_failures.load(Ordering::Relaxed), 0);
@@ -114,12 +113,13 @@ fn transient_fsync_faults_recover_within_the_retry_budget() {
     }
     assert_eq!(db.health(), DbHealth::Healthy);
     assert!(fault.injected() >= 2, "the schedule never fired");
-    let stats = db.transaction_manager().stats();
+    let wal = db.durability_stats().unwrap();
     assert!(
-        stats.wal_fsync_retries.load(Ordering::Relaxed) >= 1,
-        "engine stats must surface the flusher's retries"
+        wal.fsync_retries.load(Ordering::Relaxed) >= 1,
+        "durability stats must surface the leader's retries"
     );
-    assert!(stats.wal_faults_observed.load(Ordering::Relaxed) >= 1);
+    assert!(wal.io_failures.load(Ordering::Relaxed) >= 1);
+    let stats = db.transaction_manager().stats();
     assert_eq!(stats.degraded_transitions.load(Ordering::Relaxed), 0);
     drop(db);
 
@@ -218,7 +218,7 @@ fn persistent_fatal_fsync_degrades_reads_serve_writes_fail_typed() {
 #[test]
 fn enospc_triggers_checkpoint_to_reclaim_and_commits_continue() {
     // A byte-budgeted log volume: once cumulative writes exceed the budget,
-    // segment appends fail with StorageFull. The flusher's reclaim hook
+    // segment appends fail with StorageFull. The flush leader's reclaim hook
     // checkpoints — pruning covered segments refunds their bytes — and the
     // deferred commits then land in the fresh segment. A hot-key workload
     // keeps the snapshot tiny, so reclaim always frees (almost) the whole
@@ -269,37 +269,150 @@ fn enospc_triggers_checkpoint_to_reclaim_and_commits_continue() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Runs on the fsync that fires it; gets the database's attention by polling.
+type FsyncGate = Arc<Mutex<Option<Box<dyn Fn() -> bool + Send>>>>;
+
+/// The production VFS, except that a segment fsync taking an armed gate
+/// waits until the gate opens and then panics: a flush leader that unwinds
+/// in the middle of its pass.
+struct PanickingFsyncVfs {
+    inner: Arc<dyn Vfs>,
+    gate: FsyncGate,
+}
+
+struct PanickingFsyncFile {
+    inner: Arc<dyn VfsFile>,
+    gate: FsyncGate,
+}
+
+impl Vfs for PanickingFsyncVfs {
+    fn create_segment(&self, path: &Path) -> io::Result<Arc<dyn VfsFile>> {
+        Ok(Arc::new(PanickingFsyncFile {
+            inner: self.inner.create_segment(path)?,
+            gate: self.gate.clone(),
+        }))
+    }
+    fn create_truncate(&self, path: &Path) -> io::Result<Arc<dyn VfsFile>> {
+        self.inner.create_truncate(path)
+    }
+    fn open_write(&self, path: &Path) -> io::Result<Arc<dyn VfsFile>> {
+        self.inner.open_write(path)
+    }
+    fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
+        self.inner.read(path)
+    }
+    fn read_dir(&self, dir: &Path) -> io::Result<Vec<String>> {
+        self.inner.read_dir(dir)
+    }
+    fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
+        self.inner.rename(from, to)
+    }
+    fn remove_file(&self, path: &Path) -> io::Result<()> {
+        self.inner.remove_file(path)
+    }
+    fn sync_dir(&self, dir: &Path) -> io::Result<()> {
+        self.inner.sync_dir(dir)
+    }
+    fn create_dir_all(&self, dir: &Path) -> io::Result<()> {
+        self.inner.create_dir_all(dir)
+    }
+}
+
+impl VfsFile for PanickingFsyncFile {
+    fn write_all(&self, buf: &[u8]) -> io::Result<()> {
+        self.inner.write_all(buf)
+    }
+    fn sync_all(&self) -> io::Result<()> {
+        let Some(open) = self.gate.lock().unwrap().take() else {
+            return self.inner.sync_all();
+        };
+        while !open() {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        drop(open);
+        panic!("injected fsync panic");
+    }
+    fn set_len(&self, len: u64) -> io::Result<()> {
+        self.inner.set_len(len)
+    }
+    fn len(&self) -> io::Result<u64> {
+        self.inner.len()
+    }
+}
+
 #[test]
-fn panicking_maintenance_hook_degrades_instead_of_hanging() {
-    // A user maintenance hook that panics kills the flusher thread. The
-    // containment net must poison the log, wake the parked committer with
-    // an error, and degrade health to WalThreadPanic — the next writer
-    // fails fast instead of parking forever behind a dead thread.
-    let dir = temp_dir("hook-panic");
+fn panicking_flush_leader_degrades_instead_of_hanging() {
+    // The committer leading a flush panics inside fsync once a second
+    // commit is sealed behind it. The leader's guard must poison the log,
+    // wake the parked committer with an error, and degrade health to
+    // WalThreadPanic — the next writer fails fast instead of parking
+    // forever behind a flush nobody ends.
+    let dir = temp_dir("leader-panic");
+    let gate: FsyncGate = Arc::default();
+    let vfs = Arc::new(PanickingFsyncVfs {
+        inner: StdVfs::handle(),
+        gate: gate.clone(),
+    });
     let db = Database::open(
         Options::default()
             .with_durability(Durability::GroupCommit, &dir)
-            .with_background_flusher(Duration::from_millis(2)),
+            .with_vfs(vfs),
     );
     let t = db.create_table("t").unwrap();
     let mut txn = db.begin();
     txn.put(&t, b"before", b"v").unwrap();
     txn.commit().unwrap();
 
-    db.set_maintenance_hook(Some(Arc::new(|_| panic!("injected hook panic"))));
-    let mut txn = db.begin();
-    txn.put(&t, b"during", b"v").unwrap();
-    let err = txn.commit().unwrap_err();
-    assert!(
-        matches!(err, Error::Durability(_)),
-        "the parked committer must be woken with an error, got {err:?}"
+    let sealed = db
+        .durability_stats()
+        .unwrap()
+        .records
+        .load(Ordering::Relaxed);
+    let watched = db.clone();
+    *gate.lock().unwrap() = Some(Box::new(move || {
+        let records = &watched.durability_stats().unwrap().records;
+        records.load(Ordering::Relaxed) >= sealed + 2
+    }));
+    // Whichever of the two commits leads the flush panics; the other one
+    // has sealed by then, and is parked behind the leader or finds the
+    // log poisoned.
+    let committers: Vec<_> = [b"during-1", b"during-2"]
+        .into_iter()
+        .map(|key| {
+            let (db, t) = (db.clone(), t.clone());
+            std::thread::spawn(move || {
+                let mut txn = db.begin();
+                txn.put(&t, key, b"v").unwrap();
+                txn.commit()
+            })
+        })
+        .collect();
+    let outcomes: Vec<_> = committers.into_iter().map(|c| c.join()).collect();
+    assert_eq!(
+        outcomes.iter().filter(|o| o.is_err()).count(),
+        1,
+        "exactly one committer led the flush and panicked"
     );
+    for outcome in outcomes.into_iter().flatten() {
+        assert!(
+            matches!(outcome, Err(Error::Durability(_))),
+            "the parked committer must be woken with an error, got {outcome:?}"
+        );
+    }
     assert_eq!(
         db.health(),
         DbHealth::Degraded {
             reason: DegradedReason::WalThreadPanic
         }
     );
+    // Both commits were published before the flush: only their
+    // persistence is uncertain, so neither is rolled back in memory — not
+    // even the one whose committer unwound.
+    let mut read = db.begin_read_only();
+    for key in [b"during-1", b"during-2"] {
+        assert!(read.get(&t, key).unwrap().is_some());
+    }
+    read.commit().unwrap();
     let mut writer = db.begin();
     let err = writer.put(&t, b"after", b"v").unwrap_err();
     assert!(matches!(
@@ -307,7 +420,7 @@ fn panicking_maintenance_hook_degrades_instead_of_hanging() {
         Error::Degraded(DegradedReason::WalThreadPanic)
     ));
     drop(writer);
-    drop(db); // must join the (dead) flusher without hanging
+    drop(db); // the final sync must not wait for the dead leader
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -368,7 +481,7 @@ fn run_seed(seed: u64) -> Result<(), String> {
     let fault = FaultVfs::new(random_schedule(&mut rng));
     let db = Database::open(faulty_options(&dir, &fault));
 
-    // DDL appends its control record directly (no flusher deferral), so a
+    // DDL appends its control record directly (no seal deferral), so a
     // transient fault can surface here — and, being transient, a retry
     // clears it. A fault that persists through the retries (a fatal rule
     // fired) makes this a degraded run: no workload, but recovery over

@@ -565,10 +565,8 @@ fn checkpoint_racing_purge_recovers_transfer_invariant_at_any_cut() {
 
 #[test]
 fn background_maintenance_with_checkpoints_survives_any_cut() {
-    // The PR-4 checkpoint-vs-purge race, now with the maintenance hub's
-    // threads in the mix: the dedicated flusher (so checkpoint rotation
-    // hands segments off instead of fsyncing under the append lock) and
-    // the incremental background GC thread, plus a checkpoint looper and
+    // The PR-4 checkpoint-vs-purge race, now with the incremental
+    // background GC thread in the mix, plus a checkpoint looper and
     // transfer writers. Crash-cut at several fractions of the tail
     // segment: the SmallBank sum must hold at every cut.
     const ACCOUNTS: u64 = 8;
@@ -577,10 +575,9 @@ fn background_maintenance_with_checkpoints_survives_any_cut() {
     let final_accounts = {
         let options = Options::default()
             .with_durability(Durability::GroupCommit, &dir)
-            .with_background_flusher(std::time::Duration::from_millis(2))
             .with_background_gc(std::time::Duration::from_millis(1));
         let db = Database::open(options);
-        assert!(db.has_background_flusher() && db.has_background_gc());
+        assert!(db.has_background_gc());
         let t = db.create_table("accounts").unwrap();
         let mut setup = db.begin();
         for a in 0..ACCOUNTS {
@@ -1084,12 +1081,12 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 8, ..ProptestConfig::default() })]
 
-    /// Crash net for the maintenance hub: transfer writers run with the
-    /// dedicated flusher and the background GC thread mid-flight while a
+    /// Crash net for the maintenance hub: transfer writers run with group
+    /// commit and the background GC thread mid-flight while a
     /// *live* copy of the durable directory is taken (the crash image),
     /// which is then cut at an arbitrary byte. The recovered state must be
     /// a whole-transaction prefix (the SmallBank sum holds), must contain
-    /// every commit the flusher had acknowledged before the copy began
+    /// every commit group commit had acknowledged before the copy began
     /// (per-writer monotone counters, written in the same transaction as
     /// the transfer, prove none was lost), and a second recovery agrees.
     fn live_crash_cut_under_background_maintenance_loses_no_acked_commit(
@@ -1104,7 +1101,6 @@ proptest! {
         {
             let options = Options::default()
                 .with_durability(Durability::GroupCommit, &dir)
-                .with_background_flusher(std::time::Duration::from_millis(1))
                 .with_background_gc(std::time::Duration::from_millis(1));
             let db = Database::open(options);
             let t = db.create_table("accounts").unwrap();
@@ -1154,7 +1150,7 @@ proptest! {
                             })();
                             match transfer {
                                 // `commit` returning Ok in group-commit mode
-                                // means the flusher's fsync covered it: only
+                                // means a leader's fsync covered it: only
                                 // then is the attempt index published as acked.
                                 Ok(()) => acked[w as usize].store(i, Ordering::Release),
                                 Err(e) if e.is_retryable() => {}
