@@ -205,10 +205,14 @@ impl DbInner {
         let _creates_quiesced = durable.create_lock.lock();
         self.metrics.trace.emit(EventKind::Checkpoint, 0, 0, 0);
         let t0 = std::time::Instant::now();
-        let (cut_ts, old_seq) = durable
-            .wal
-            .rotate(|| self.txns.current_ts())
-            .map_err(|e| Error::Durability(format!("log rotation failed: {e}")))?;
+        let (cut_ts, old_seq) = durable.wal.rotate(|| self.txns.current_ts()).map_err(|e| {
+            // A failed fsync of the old segment poisons the log: degrade
+            // now, not at the next commit that trips over it.
+            if durable.wal.is_poisoned() {
+                self.degrade_from_wal();
+            }
+            Error::Durability(format!("log rotation failed: {e}"))
+        })?;
         // The snapshot persists tables and rows but not index definitions,
         // and the truncation below prunes the segments holding their
         // original create records: re-log every definition into the fresh

@@ -9,13 +9,17 @@
 //!   schedule plus a clean reopen, every acknowledged key must be present;
 //! * **transient faults recover invisibly** — fsync hiccups inside the
 //!   retry budget never surface to committers and never degrade health,
-//!   but they are visible in the fault counters;
+//!   but they are visible in the fault counters; the budget is exactly 4
+//!   retries, after which the log is poisoned;
 //! * **fatal faults degrade, not corrupt** — the database transitions to
 //!   `Degraded`, snapshot reads keep serving, writers fail fast with the
 //!   typed [`Error::Degraded`], and the pre-fault prefix survives reopen;
 //! * **ENOSPC reclaims before degrading** — a full log triggers one
 //!   checkpoint-to-reclaim (pruning covered segments refunds the modelled
-//!   budget) and commits continue;
+//!   budget) and commits continue; when reclaim cannot free space, the
+//!   database degrades as out of space after the budget;
+//! * **buffered mode does not retry** — with no unsynced frames kept to
+//!   re-emit, its first fsync failure (at a checkpoint) poisons the log;
 //! * **a panicking flush leader degrades, never hangs** — committers
 //!   parked behind it are woken with an error.
 //!
@@ -265,6 +269,188 @@ fn enospc_triggers_checkpoint_to_reclaim_and_commits_continue() {
         );
     }
     check.commit().unwrap();
+    drop(db);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn exhausted_retry_budget_degrades_after_four_leader_retries() {
+    // A disk whose fsyncs fail transiently forever: the flush leader
+    // re-emits and retries exactly the budget (4) and then poisons, so the
+    // in-flight committer gets the durability error, health degrades, and
+    // writers fail fast — while the acknowledged prefix survives reopen.
+    let dir = temp_dir("budget");
+    let fault = FaultVfs::new(vec![]);
+    let db = Database::open(faulty_options(&dir, &fault));
+    let t = db.create_table("t").unwrap();
+    for k in 0..5u64 {
+        let mut txn = db.begin();
+        txn.put(&t, &k.to_be_bytes(), b"acked").unwrap();
+        txn.commit().unwrap();
+    }
+    fault.add_rule(
+        FaultRule::new(
+            FaultOp::Fsync,
+            FaultMode::FailAlways,
+            std::io::ErrorKind::Interrupted,
+        )
+        .on_path("segment-"),
+    );
+    let mut txn = db.begin();
+    txn.put(&t, b"doomed", b"v").unwrap();
+    let err = txn.commit().unwrap_err();
+    assert!(
+        matches!(err, Error::Durability(_)),
+        "the leader's exhausted budget must surface as a durability error, got {err:?}"
+    );
+    let wal = db.durability_stats().unwrap();
+    assert_eq!(wal.fsync_retries.load(Ordering::Relaxed), 4);
+    assert_eq!(wal.io_failures.load(Ordering::Relaxed), 5);
+    assert_eq!(
+        db.health(),
+        DbHealth::Degraded {
+            reason: DegradedReason::WalPoisoned
+        }
+    );
+    let mut writer = db.begin();
+    let err = writer.put(&t, b"rejected", b"v").unwrap_err();
+    assert!(
+        matches!(err, Error::Degraded(DegradedReason::WalPoisoned)),
+        "got {err:?}"
+    );
+    drop(writer);
+    drop(db);
+
+    let db = reopen_clean(&dir);
+    let t = db.table("t").unwrap();
+    let mut check = db.begin_read_only();
+    for k in 0..5u64 {
+        assert!(
+            check.get(&t, &k.to_be_bytes()).unwrap().is_some(),
+            "acknowledged key {k} lost after the retry budget ran out"
+        );
+    }
+    check.commit().unwrap();
+    drop(db);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn enospc_that_reclaim_cannot_relieve_degrades_out_of_space() {
+    // Every segment write fails with ENOSPC. The flush leader runs one
+    // checkpoint-to-reclaim on its own thread (it must complete, not wait
+    // on the commit the leader is flushing), backs off for the rest of the
+    // budget, and then degrades the database as out of space.
+    let dir = temp_dir("enospc-stuck");
+    let fault = FaultVfs::new(vec![]);
+    let db = Database::open(faulty_options(&dir, &fault));
+    let t = db.create_table("t").unwrap();
+    for k in 0..3u64 {
+        let mut txn = db.begin();
+        txn.put(&t, &k.to_be_bytes(), b"acked").unwrap();
+        txn.commit().unwrap();
+    }
+    fault.add_rule(
+        FaultRule::new(
+            FaultOp::Write,
+            FaultMode::FailAlways,
+            std::io::ErrorKind::StorageFull,
+        )
+        .on_path("segment-"),
+    );
+    let mut txn = db.begin();
+    txn.put(&t, b"stuck", b"v").unwrap();
+    let err = txn.commit().unwrap_err();
+    assert!(matches!(err, Error::Durability(_)), "got {err:?}");
+    let wal = db.durability_stats().unwrap();
+    assert_eq!(
+        wal.reclaim_attempts.load(Ordering::Relaxed),
+        1,
+        "one checkpoint-to-reclaim per ENOSPC incident"
+    );
+    assert_eq!(wal.fsync_retries.load(Ordering::Relaxed), 4);
+    assert_eq!(
+        db.health(),
+        DbHealth::Degraded {
+            reason: DegradedReason::OutOfSpace
+        }
+    );
+    let snapshots = std::fs::read_dir(&dir)
+        .unwrap()
+        .filter(|e| {
+            let name = e.as_ref().unwrap().file_name();
+            let name = name.to_string_lossy();
+            name.starts_with("snapshot-") && name.ends_with(".ckpt")
+        })
+        .count();
+    assert_eq!(snapshots, 1, "the reclaim checkpoint did not complete");
+    drop(db);
+
+    let db = reopen_clean(&dir);
+    let t = db.table("t").unwrap();
+    let mut check = db.begin_read_only();
+    for k in 0..3u64 {
+        assert!(
+            check.get(&t, &k.to_be_bytes()).unwrap().is_some(),
+            "acknowledged key {k} lost after the out-of-space run"
+        );
+    }
+    check.commit().unwrap();
+    drop(db);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn buffered_checkpoint_poisons_on_its_first_fsync_failure() {
+    // Buffered durability never fsyncs at commit and keeps no unsynced
+    // frames to re-emit, so the checkpoint's fsync of the old segment is
+    // its only chance — and the first failure there, transient or not,
+    // poisons the log without a retry.
+    let dir = temp_dir("buffered");
+    let fault = FaultVfs::new(vec![]);
+    let db = Database::open(
+        Options::default()
+            .with_durability(Durability::Buffered, &dir)
+            .with_vfs(fault.handle()),
+    );
+    let t = db.create_table("t").unwrap();
+    for k in 0..5u64 {
+        let mut txn = db.begin();
+        txn.put(&t, &k.to_be_bytes(), b"buffered").unwrap();
+        txn.commit().unwrap();
+    }
+    let wal = db.durability_stats().unwrap();
+    assert_eq!(wal.fsyncs.load(Ordering::Relaxed), 0);
+    fault.add_rule(
+        FaultRule::new(
+            FaultOp::Fsync,
+            FaultMode::FailOnce,
+            std::io::ErrorKind::Interrupted,
+        )
+        .on_path("segment-"),
+    );
+    let err = db.checkpoint().unwrap_err();
+    assert!(matches!(err, Error::Durability(_)), "got {err:?}");
+    assert_eq!(wal.fsync_retries.load(Ordering::Relaxed), 0);
+    assert_eq!(wal.io_failures.load(Ordering::Relaxed), 1);
+    assert_eq!(
+        db.health(),
+        DbHealth::Degraded {
+            reason: DegradedReason::WalPoisoned
+        }
+    );
+    let mut read = db.begin_read_only();
+    for k in 0..5u64 {
+        assert!(read.get(&t, &k.to_be_bytes()).unwrap().is_some());
+    }
+    read.commit().unwrap();
+    let mut writer = db.begin();
+    let err = writer.put(&t, b"rejected", b"v").unwrap_err();
+    assert!(
+        matches!(err, Error::Degraded(DegradedReason::WalPoisoned)),
+        "got {err:?}"
+    );
+    drop(writer);
     drop(db);
     let _ = std::fs::remove_dir_all(&dir);
 }

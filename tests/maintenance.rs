@@ -14,7 +14,8 @@ use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 use serializable_si::{
-    Database, Durability, Error, FaultMode, FaultOp, FaultRule, FaultVfs, MaintenanceEvent, Options,
+    Database, DbHealth, Durability, Error, FaultMode, FaultOp, FaultRule, FaultVfs,
+    MaintenanceEvent, Options,
 };
 
 static NEXT_DIR: AtomicU64 = AtomicU64::new(0);
@@ -111,6 +112,80 @@ fn poisoned_log_wakes_and_errors_every_parked_committer() {
         parked >= 3,
         "only {parked} committers were woken by the poison"
     );
+    drop(db);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn parked_committers_are_acknowledged_by_the_leaders_retried_fsync() {
+    // Four committers; every segment fsync takes 300 ms and the first one
+    // fails transiently. Whoever leads that flush re-emits the unsynced
+    // frames to a fresh segment and retries once; the committers parked
+    // behind it are acknowledged by that retry (or by a later pass), none
+    // sees the failure, and every acknowledged commit survives reopen.
+    let dir = temp_dir("leader-retry");
+    let fault = FaultVfs::new(vec![]);
+    let db = Database::open(
+        Options::default()
+            .with_durability(Durability::GroupCommit, &dir)
+            .with_vfs(fault.handle()),
+    );
+    let t = db.create_table("t").unwrap();
+    let mut setup = db.begin();
+    for k in 0..4u64 {
+        setup.put(&t, &k.to_be_bytes(), b"seed").unwrap();
+    }
+    setup.commit().unwrap();
+
+    fault.add_rule(
+        FaultRule::new(
+            FaultOp::Fsync,
+            FaultMode::Delay { millis: 300 },
+            std::io::ErrorKind::Other,
+        )
+        .on_path("segment-"),
+    );
+    fault.add_rule(
+        FaultRule::new(
+            FaultOp::Fsync,
+            FaultMode::FailOnce,
+            std::io::ErrorKind::Interrupted,
+        )
+        .on_path("segment-"),
+    );
+    let committers: Vec<_> = (0..4u64)
+        .map(|k| {
+            let db = db.clone();
+            let t = t.clone();
+            std::thread::spawn(move || {
+                let mut txn = db.begin();
+                txn.put(&t, &k.to_be_bytes(), b"v").unwrap();
+                txn.commit()
+            })
+        })
+        .collect();
+    for (k, c) in committers.into_iter().enumerate() {
+        c.join()
+            .unwrap()
+            .unwrap_or_else(|e| panic!("committer {k} saw the leader's retried failure: {e}"));
+    }
+    let wal = db.durability_stats().unwrap();
+    assert_eq!(wal.fsync_retries.load(Ordering::Relaxed), 1);
+    assert_eq!(fault.injected(), 1);
+    assert_eq!(db.health(), DbHealth::Healthy);
+    drop(db);
+
+    let db = Database::open(Options::default().with_durability(Durability::GroupCommit, &dir));
+    let t = db.table("t").unwrap();
+    let mut check = db.begin_read_only();
+    for k in 0..4u64 {
+        assert_eq!(
+            check.get(&t, &k.to_be_bytes()).unwrap().as_deref(),
+            Some(b"v".as_slice()),
+            "acknowledged update of key {k} lost"
+        );
+    }
+    check.commit().unwrap();
     drop(db);
     let _ = std::fs::remove_dir_all(&dir);
 }
