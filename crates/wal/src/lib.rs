@@ -115,7 +115,11 @@
 //! `Buffered` syncs only at checkpoints and clean close, keeps no frame
 //! copies, and its first fsync failure poisons the log. A failed fsync of
 //! the old segment during a checkpoint's rotation poisons the log in
-//! either mode.
+//! either mode. Segment fsyncs run one at a time, and a leader records its
+//! failure before the next one starts: a rotation (the reclaim checkpoint
+//! on the leader's thread, or a concurrent one) that finds the old segment
+//! errored does not fsync it again, but re-emits the unsynced frames into
+//! its new segment and leaves `durable_ts` to the leader's next fsync.
 //!
 //! ## Failure-mode matrix
 //!

@@ -138,7 +138,8 @@ impl PreparedCommit {
 /// is [`WalWriter::rotate`], which holds it across the old segment's fsync
 /// so that `durable_ts` can be advanced before any committer captures the
 /// new (empty) file as its flush target — checkpoints therefore stall
-/// concurrent commits for one device sync, which is rare and bounded.
+/// concurrent commits for one device sync (two, if a leader's fsync is
+/// under way), which is rare and bounded.
 struct Appender {
     file: Arc<dyn VfsFile>,
     path: PathBuf,
@@ -165,8 +166,9 @@ struct Appender {
     /// not yet covered by a successful fsync, keyed by `append_seq`. This
     /// is what makes fsync failure retryable *without* re-fsyncing the
     /// errored file — the frames are re-emitted to a fresh segment and
-    /// that is fsynced instead. (In `Never` nobody fsyncs between
-    /// checkpoints, so the buffer would only grow.)
+    /// that is fsynced instead (see `WalWriter::fsync_failed`). (In
+    /// `Never` nobody fsyncs between checkpoints, so the buffer would only
+    /// grow.)
     unsynced: VecDeque<(u64, Vec<u8>)>,
 }
 
@@ -207,6 +209,16 @@ pub struct WalWriter {
     poisoned: AtomicBool,
     /// Why (one of the `CAUSE_*` codes; 0 while healthy). First cause wins.
     poison_cause: AtomicU8,
+    /// Held across every segment fsync; true while the current segment has
+    /// a failed fsync behind it. Such a segment is never fsynced again —
+    /// the kernel may have dropped its dirty pages and reports the error
+    /// to one caller only, so a second fsync could succeed spuriously —
+    /// and nothing in it counts as durable until its unsynced frames are
+    /// re-emitted to a fresh segment ([`WalWriter::reemit_unsynced`]) and
+    /// that is fsynced. Set before the mutex is released, so no other fsync
+    /// (a checkpoint's rotation racing the leader) runs between a failure
+    /// and its record. Lock order: append -> this.
+    fsync_failed: Mutex<bool>,
     /// Checkpoint-to-reclaim hook installed by the database: invoked by
     /// the flush leader once per ENOSPC incident in place of a backoff.
     reclaim: Mutex<Option<Box<dyn Fn() + Send + Sync>>>,
@@ -224,12 +236,11 @@ pub struct WalWriter {
 /// behind a flag nobody clears.
 struct LeaderGuard<'a> {
     wal: &'a WalWriter,
-    unwinding: bool,
 }
 
 impl Drop for LeaderGuard<'_> {
     fn drop(&mut self) {
-        if self.unwinding {
+        if std::thread::panicking() {
             self.wal.poison_with(PoisonCause::Panic);
         }
         self.wal.flush.lock().flush_in_progress = false;
@@ -276,6 +287,7 @@ impl WalWriter {
             requested_seal: AtomicU64::new(0),
             poisoned: AtomicBool::new(false),
             poison_cause: AtomicU8::new(0),
+            fsync_failed: Mutex::new(false),
             reclaim: Mutex::new(None),
             stats: WalStats::default(),
             obs: OnceLock::new(),
@@ -507,41 +519,29 @@ impl WalWriter {
     fn lead_flush(&self, mut flush: MutexGuard<'_, FlushState>) -> WalResult<()> {
         flush.flush_in_progress = true;
         drop(flush);
-        let mut guard = LeaderGuard {
-            wal: self,
-            unwinding: true,
-        };
-        let result = self.flush_with_retry();
-        guard.unwinding = false;
-        result
+        let _guard = LeaderGuard { wal: self };
+        self.flush_with_retry()
     }
 
     /// The flush pass under the retry policy (crate docs, § Failure
     /// handling): a transient or out-of-space failure is retried up to
     /// [`RETRY_BUDGET`] times, [`RETRY_BACKOFF`] apart; after an fsync
-    /// failure the buffered unsynced frames are first re-emitted to a fresh
-    /// segment, since the errored file is never fsynced again; ENOSPC gets
-    /// one checkpoint-to-reclaim attempt instead of its first backoff.
-    /// Without the unsynced-frame buffer (`Never`), or on a fatal failure,
-    /// or once the budget is spent, the log is poisoned.
+    /// failure the next pass first re-emits the buffered unsynced frames to
+    /// a fresh segment, since the errored file is never fsynced again;
+    /// ENOSPC gets one checkpoint-to-reclaim attempt instead of its first
+    /// backoff. Without the unsynced-frame buffer (`Never`), or on a fatal
+    /// failure, or once the budget is spent, the log is poisoned.
     fn flush_with_retry(&self) -> WalResult<()> {
         let mut retries = 0;
         let mut reclaimed = false;
-        let mut reemit = false;
         loop {
-            let mut result = Ok(());
-            if reemit {
-                result = self.reemit_unsynced();
-                reemit = result.is_err();
-            }
-            let error = match result.and_then(|()| self.flush_pass()) {
+            let error = match self.flush_pass() {
                 Ok(()) => return Ok(()),
                 Err(e) => e,
             };
             if self.is_poisoned() {
                 return Err(error);
             }
-            reemit |= error.op == WalOp::Fsync;
             if !self.buffers_unsynced() || !error.is_retryable() || retries == RETRY_BUDGET {
                 self.poison_for(&error);
                 return Err(error);
@@ -557,14 +557,16 @@ impl WalWriter {
         }
     }
 
-    /// One flush pass: re-seals deferred records up to the requested
-    /// watermark, fsyncs the current segment and advances `durable_ts` over
-    /// everything sealed before the capture, then prunes the frames that
-    /// fsync covered from the unsynced buffer.
+    /// One flush pass: re-emits the unsynced frames if the current
+    /// segment's fsync failed, re-seals deferred records up to the
+    /// requested watermark, fsyncs the current segment and advances
+    /// `durable_ts` over everything sealed before the capture, then prunes
+    /// the frames that fsync covered from the unsynced buffer.
     fn flush_pass(&self) -> WalResult<()> {
         self.check_poisoned()?;
         let (file, path, target, upto_seq, dirty) = {
             let mut appender = self.appender.lock();
+            self.reemit_unsynced(&mut appender)?;
             // A committer whose append failed retryably left its record
             // pending; this pass must cover it before fsyncing.
             let requested = self.requested_seal.load(Ordering::Acquire);
@@ -582,7 +584,15 @@ impl WalWriter {
         if !dirty && self.flush.lock().durable_ts >= target {
             return Ok(()); // nothing appended since the last pass is unsynced
         }
-        self.fsync_file(file.as_ref(), &path)?;
+        {
+            // Recorded before any other fsync can run. If a rotation
+            // replaced the captured segment meanwhile, the flag lands on
+            // its successor: one needless re-emission, never a lost error.
+            let mut fsync_failed = self.fsync_failed.lock();
+            let synced = self.fsync_file(file.as_ref(), &path);
+            *fsync_failed |= synced.is_err();
+            synced?;
+        }
         {
             let mut flush = self.flush.lock();
             flush.durable_ts = flush.durable_ts.max(target);
@@ -602,34 +612,25 @@ impl WalWriter {
         Ok(())
     }
 
-    /// Re-establishes a syncable log after a failed fsync, without ever
-    /// re-fsyncing the errored file (whose error the kernel reports only
-    /// once): opens a fresh segment and re-writes every buffered unsynced
-    /// frame into it, oldest first. The next flush pass fsyncs the fresh
-    /// segment; on success the buffer is pruned as usual.
+    /// After a failed fsync of the current segment (see
+    /// `WalWriter::fsync_failed`; a no-op otherwise), opens a fresh segment
+    /// and re-writes every buffered unsynced frame into it, oldest first.
+    /// The next fsync covers the fresh segment; on success the buffer is
+    /// pruned as usual. If a write fails the flag stays set, and the next
+    /// call re-emits the full set into yet another segment. Runs under the
+    /// append lock (the flush pass and [`WalWriter::rotate`]).
     ///
     /// Re-emitted frames may duplicate records that *did* reach the device
     /// before the failure — recovery deduplicates replayed commits by
     /// commit timestamp, so duplicates are harmless.
-    fn reemit_unsynced(&self) -> WalResult<()> {
-        let mut appender = self.appender.lock();
-        if appender.unsynced.is_empty() {
-            // Nothing at risk was written; the next pass can fsync the
-            // current file — it never had an fsync error (only files with
-            // unsynced frames get fsynced, and theirs are all pruned).
+    fn reemit_unsynced(&self, appender: &mut Appender) -> WalResult<()> {
+        let mut fsync_failed = self.fsync_failed.lock();
+        if !*fsync_failed {
             return Ok(());
         }
-        let new_seq = appender.seq + 1;
-        let (file, path) = create_segment(self.vfs.as_ref(), &self.dir, new_seq)?;
-        let appender = &mut *appender;
-        appender.file = file;
-        appender.path = path;
-        appender.seq = new_seq;
-        appender.epoch_bytes = 0;
+        self.open_next_segment(appender)?;
         // Not through write_frame: the frames keep their original buffer
-        // entries instead of gaining second ones. The buffer is untouched
-        // on failure, so a later retry re-emits the full set again into
-        // yet another segment.
+        // entries instead of gaining second ones.
         for (_, frame) in &appender.unsynced {
             self.write_at(&*appender.file, &appender.path, appender.epoch_bytes, frame)?;
             appender.epoch_bytes += frame.len() as u64;
@@ -638,6 +639,18 @@ impl WalWriter {
                 .fetch_add(frame.len() as u64, Ordering::Relaxed);
         }
         appender.dirty = true;
+        *fsync_failed = false;
+        Ok(())
+    }
+
+    /// Creates segment `seq + 1` and makes it the append target.
+    fn open_next_segment(&self, appender: &mut Appender) -> WalResult<()> {
+        let seq = appender.seq + 1;
+        let (file, path) = create_segment(self.vfs.as_ref(), &self.dir, seq)?;
+        appender.file = file;
+        appender.path = path;
+        appender.seq = seq;
+        appender.epoch_bytes = 0;
         Ok(())
     }
 
@@ -651,8 +664,12 @@ impl WalWriter {
     /// The old segment is fsynced *under* the append lock, so `durable_ts`
     /// advances before any committer captures the empty new segment as its
     /// flush target; checkpoints thus stall concurrent commits for one
-    /// device sync. A failure of that fsync poisons the log.
+    /// device sync. A failure of that fsync poisons the log. If instead a
+    /// flush leader's fsync of the old segment has already failed, it is
+    /// not fsynced again: its unsynced frames are re-emitted into the new
+    /// segment, and `durable_ts` stays put until a leader fsyncs that.
     pub fn rotate(&self, clock: impl FnOnce() -> Timestamp) -> WalResult<(Timestamp, u64)> {
+        self.check_poisoned()?;
         let mut appender = self.appender.lock();
         // Read the clock *after* taking the append lock: any seal that ran
         // before us covered only timestamps <= this value.
@@ -674,38 +691,38 @@ impl WalWriter {
             }
             self.requested_seal.fetch_max(cut_ts, Ordering::AcqRel);
         }
-        let file = appender.file.clone();
-        let path = appender.path.clone();
-        if let Err(e) = self.fsync_file(file.as_ref(), &path) {
-            self.poison_for(&e);
-            return Err(e);
-        }
-
         let old_seq = appender.seq;
-        let (new_file, new_path) = create_segment(self.vfs.as_ref(), &self.dir, old_seq + 1)?;
-        appender.file = new_file;
-        appender.path = new_path;
-        appender.seq = old_seq + 1;
-        appender.epoch_bytes = 0;
-        appender.dirty = false;
-
-        // The old segment is fully durable: drop its frames from the
-        // unsynced buffer and advance the durability horizon so committers
-        // covered by it never fsync the (empty) new segment.
-        let synced_upto = appender.append_seq;
-        while appender
-            .unsynced
-            .front()
-            .is_some_and(|(seq, _)| *seq < synced_upto)
-        {
-            appender.unsynced.pop_front();
+        let fsync_failed = self.fsync_failed.lock();
+        if *fsync_failed {
+            drop(fsync_failed);
+            self.reemit_unsynced(&mut appender)?;
+        } else {
+            let synced = self.fsync_file(&*appender.file, &appender.path);
+            drop(fsync_failed);
+            if let Err(e) = synced {
+                self.poison_for(&e);
+                return Err(e);
+            }
+            self.open_next_segment(&mut appender)?;
+            appender.dirty = false;
+            // The old segment is fully durable: drop its frames from the
+            // unsynced buffer and advance the durability horizon so
+            // committers covered by it never fsync the (empty) new segment.
+            let synced_upto = appender.append_seq;
+            while appender
+                .unsynced
+                .front()
+                .is_some_and(|(seq, _)| *seq < synced_upto)
+            {
+                appender.unsynced.pop_front();
+            }
+            let sealed = appender.sealed_ts;
+            drop(appender);
+            let mut flush = self.flush.lock();
+            flush.durable_ts = flush.durable_ts.max(sealed);
+            drop(flush);
+            self.flushed.notify_all();
         }
-        let sealed = appender.sealed_ts;
-        drop(appender);
-        let mut flush = self.flush.lock();
-        flush.durable_ts = flush.durable_ts.max(sealed);
-        drop(flush);
-        self.flushed.notify_all();
         if let Some(obs) = self.obs() {
             obs.trace.emit(EventKind::WalRotate, old_seq, 0, 0);
         }
@@ -1255,6 +1272,94 @@ mod tests {
         wal.wait_durable(2).unwrap();
         assert_eq!(read_segment(&dir, 2).len(), 1);
         assert!(!wal.is_poisoned());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Counts every later fsync of segment 1 (as a zero-length delay).
+    fn count_segment_one_fsyncs(fault: &FaultVfs) {
+        fault.add_rule(
+            FaultRule::new(
+                FaultOp::Fsync,
+                FaultMode::Delay { millis: 0 },
+                std::io::ErrorKind::Other,
+            )
+            .on_path("segment-0000000001"),
+        );
+    }
+
+    #[test]
+    fn reclaim_rotation_after_a_failed_fsync_reemits_instead_of_refsyncing() {
+        // ENOSPC on the leader's fsync of segment 1. The reclaim hook's
+        // rotation must neither fsync segment 1 again (a second fsync may
+        // succeed spuriously) nor move `durable_ts`: it re-emits the
+        // unsynced frame into segment 2, and the commit is acknowledged
+        // only once the leader's retry fsyncs that.
+        let dir = temp_dir("reclaim-rotate");
+        let fault = FaultVfs::new(vec![FaultRule::new(
+            FaultOp::Fsync,
+            FaultMode::FailOnce,
+            std::io::ErrorKind::StorageFull,
+        )
+        .on_path("segment-")]);
+        count_segment_one_fsyncs(&fault);
+        let wal = Arc::new(
+            WalWriter::open_with(fault.handle(), &dir, 1, SyncPolicy::GroupCommit).unwrap(),
+        );
+        let seen = Arc::new(Mutex::new(None));
+        let (log, hook_seen) = (Arc::downgrade(&wal), seen.clone());
+        wal.set_reclaim_hook(Box::new(move || {
+            let wal = log.upgrade().unwrap();
+            let rotated = wal.rotate(|| 2).map_err(|e| e.kind);
+            *hook_seen.lock() = Some((rotated, wal.durable_ts()));
+        }));
+        commit(&wal, 2).unwrap();
+        let (rotated, durable_in_hook) = seen.lock().take().expect("reclaim hook ran");
+        assert_eq!(rotated, Ok((2, 1)));
+        assert_eq!(
+            durable_in_hook, 0,
+            "rotation acknowledged an errored segment"
+        );
+        assert_eq!(fault.delayed(), 0, "segment 1 was fsynced again");
+        assert_eq!(wal.durable_ts(), 2);
+        assert_eq!(wal.current_segment(), 2);
+        assert_eq!(commit_ts(&read_segment(&dir, 2)), vec![2]);
+        assert_eq!(wal.stats().fsync_retries.load(Ordering::Relaxed), 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn rotation_racing_a_failing_leader_fsync_reemits_instead_of_refsyncing() {
+        // A checkpoint's rotation starts while the leader's fsync of
+        // segment 1 is in flight and about to fail. The rotation waits for
+        // that fsync and sees its failure: segment 1 is fsynced once only,
+        // and the leader's retry fsyncs the re-emitted segment 2.
+        let dir = temp_dir("rotate-race");
+        let (fault, wal) = slow_log(
+            &dir,
+            50,
+            vec![FaultRule::new(
+                FaultOp::Fsync,
+                FaultMode::FailOnce,
+                std::io::ErrorKind::Interrupted,
+            )],
+        );
+        std::thread::scope(|s| {
+            let leader = s.spawn(|| commit(&wal, 2));
+            while fault.delayed() == 0 {
+                std::thread::yield_now();
+            }
+            assert_eq!(wal.rotate(|| 2).unwrap(), (2, 1));
+            leader.join().unwrap().unwrap();
+        });
+        let segment_one_fsyncs = fault
+            .events()
+            .iter()
+            .filter(|e| e.starts_with("delay") && e.contains("fsync at"))
+            .filter(|e| e.contains("segment-0000000001"))
+            .count();
+        assert_eq!(segment_one_fsyncs, 1, "segment 1 was fsynced again");
+        assert_eq!(wal.durable_ts(), 2);
+        assert_eq!(commit_ts(&read_segment(&dir, 2)), vec![2]);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -16,8 +16,9 @@
 //!   typed [`Error::Degraded`], and the pre-fault prefix survives reopen;
 //! * **ENOSPC reclaims before degrading** — a full log triggers one
 //!   checkpoint-to-reclaim (pruning covered segments refunds the modelled
-//!   budget) and commits continue; when reclaim cannot free space, the
-//!   database degrades as out of space after the budget;
+//!   budget) and commits continue, and a segment whose fsync failed is
+//!   never fsynced again by the reclaim's rotation; when reclaim cannot
+//!   free space, the database degrades as out of space after the budget;
 //! * **buffered mode does not retry** — with no unsynced frames kept to
 //!   re-emit, its first fsync failure (at a checkpoint) poisons the log;
 //! * **a panicking flush leader degrades, never hangs** — committers
@@ -266,6 +267,77 @@ fn enospc_triggers_checkpoint_to_reclaim_and_commits_continue() {
             got.as_deref(),
             Some(expect.as_slice()),
             "hot key {k} must hold its last acknowledged value"
+        );
+    }
+    check.commit().unwrap();
+    drop(db);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn enospc_on_fsync_reclaims_without_refsyncing_the_errored_segment() {
+    // The leader's fsync of the log segment fails with ENOSPC. Its
+    // checkpoint-to-reclaim rotates the log on the leader's own thread; the
+    // rotation must not fsync the errored segment again (the retry could
+    // succeed spuriously and acknowledge frames the device dropped) but
+    // re-emit them into the fresh segment that the leader then fsyncs.
+    let dir = temp_dir("enospc-fsync");
+    let fault = FaultVfs::new(vec![]);
+    let db = Database::open(faulty_options(&dir, &fault));
+    let t = db.create_table("t").unwrap();
+    let commit = |k: u64| {
+        let mut txn = db.begin();
+        txn.put(&t, &k.to_be_bytes(), b"v").unwrap();
+        txn.commit()
+    };
+    for k in 0..5u64 {
+        commit(k).unwrap();
+    }
+    fault.add_rule(
+        FaultRule::new(
+            FaultOp::Fsync,
+            FaultMode::FailOnce,
+            io::ErrorKind::StorageFull,
+        )
+        .on_path("segment-"),
+    );
+    // Every later segment fsync shows up as a zero-length delay event.
+    fault.add_rule(
+        FaultRule::new(
+            FaultOp::Fsync,
+            FaultMode::Delay { millis: 0 },
+            io::ErrorKind::Other,
+        )
+        .on_path("segment-"),
+    );
+    commit(5).unwrap_or_else(|e| panic!("commit 5 must survive via reclaim, got {e}"));
+    commit(6).unwrap();
+    assert_eq!(db.health(), DbHealth::Healthy, "{:#?}", fault.events());
+    let events = fault.events();
+    let errored = events
+        .iter()
+        .find_map(|e| e.strip_prefix("inject "))
+        .and_then(|e| e.split(" at ").nth(1))
+        .and_then(|e| e.split(" (call").next())
+        .expect("the fsync fault never fired");
+    assert!(
+        !events
+            .iter()
+            .any(|e| e.starts_with("delay") && e.ends_with(errored)),
+        "the errored segment was fsynced again: {events:#?}"
+    );
+    let wal = db.durability_stats().unwrap();
+    assert_eq!(wal.reclaim_attempts.load(Ordering::Relaxed), 1);
+    assert_eq!(wal.fsync_retries.load(Ordering::Relaxed), 1);
+    drop(db);
+
+    let db = reopen_clean(&dir);
+    let t = db.table("t").unwrap();
+    let mut check = db.begin_read_only();
+    for k in 0..7u64 {
+        assert!(
+            check.get(&t, &k.to_be_bytes()).unwrap().is_some(),
+            "acknowledged key {k} lost"
         );
     }
     check.commit().unwrap();
@@ -635,10 +707,17 @@ fn random_schedule(rng: &mut SmallRng) -> Vec<FaultRule> {
             FaultOp::Write
         };
         let roll = rng.gen_range(0..10u32);
-        let (mode, kind) = if roll < 6 {
+        let (mode, kind) = if roll < 4 {
             (
                 FaultMode::FailTimes(rng.gen_range(1..3u32)),
                 std::io::ErrorKind::Interrupted,
+            )
+        } else if roll < 6 {
+            // Out of space, on a write or an fsync: the leader's one
+            // checkpoint-to-reclaim runs mid-incident.
+            (
+                FaultMode::FailTimes(rng.gen_range(1..3u32)),
+                std::io::ErrorKind::StorageFull,
             )
         } else if roll < 8 {
             (
