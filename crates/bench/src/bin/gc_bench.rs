@@ -9,19 +9,14 @@
 //!   case shows what writers alone keep the hot chains at;
 //! * **auto_purge** — `Options::purge_every_commits` keeps GC running on
 //!   the commit cadence at the pinned safe horizon — inline, on whichever
-//!   committer trips the threshold;
-//! * **background_gc** — `Options::with_background_gc`: the maintenance
-//!   hub's dedicated thread purges incrementally per storage shard, so
-//!   committers do zero purge work (`purge_runs` fully attributed to
-//!   `background_purge_runs`).
+//!   committer trips the threshold, a quarter of the storage shards per
+//!   trip.
 //!
 //! The headline numbers: reader throughput and the final version count —
-//! the memory-growth proxy — in the three configurations. Since writers
+//! the memory-growth proxy — in the two configurations. Since writers
 //! prune the chains they lengthen and a read stops at the first version its
 //! snapshot sees, neither depends on a pass any more on this workload: what
-//! is left to compare is the cost of running passes (a committer's time
-//! inline, a third busy thread in the background) and, in the background
-//! mode, that every pass is attributed to the GC thread.
+//! is left to compare is the cost of running passes on committers.
 //!
 //! ```text
 //! cargo run --release -p ssi-bench --bin gc_bench [--smoke] [output.json]
@@ -40,8 +35,6 @@ const READER_THREADS: u64 = 4;
 struct Case {
     name: &'static str,
     purge_every: Option<u64>,
-    /// Background incremental-GC thread cadence (None: no thread).
-    gc_interval: Option<Duration>,
 }
 
 #[derive(Debug)]
@@ -70,9 +63,6 @@ fn run_case(case: &Case, duration: Duration) -> CaseResult {
     let mut options = Options::default().with_isolation(IsolationLevel::SnapshotIsolation);
     if let Some(every) = case.purge_every {
         options = options.with_auto_purge(every);
-    }
-    if let Some(interval) = case.gc_interval {
-        options = options.with_background_gc(interval);
     }
     let db = Database::open(options);
     let table = db.create_table("hot").unwrap();
@@ -174,17 +164,10 @@ fn main() {
         Case {
             name: "no_purge",
             purge_every: None,
-            gc_interval: None,
         },
         Case {
             name: "auto_purge",
             purge_every: Some(64),
-            gc_interval: None,
-        },
-        Case {
-            name: "background_gc",
-            purge_every: None,
-            gc_interval: Some(Duration::from_millis(2)),
         },
     ];
 
@@ -209,20 +192,11 @@ fn main() {
 
     let baseline = results.iter().find(|r| r.name == "no_purge").unwrap();
     let purged = results.iter().find(|r| r.name == "auto_purge").unwrap();
-    let background = results.iter().find(|r| r.name == "background_gc").unwrap();
     let read_ratio = purged.reads_per_sec() / baseline.reads_per_sec().max(1.0);
-    let bg_read_ratio = background.reads_per_sec() / baseline.reads_per_sec().max(1.0);
     println!(
         "\ninline purge: {read_ratio:.2}x reader throughput vs no-purge baseline; \
          final versions {} vs {} (live-key floor {HOT_KEYS})",
         purged.final_versions, baseline.final_versions
-    );
-    println!(
-        "background GC thread: {bg_read_ratio:.2}x reader throughput vs no-purge; final \
-         versions {}; {}/{} purge passes attributed to the GC thread (commit path: zero)",
-        background.final_versions,
-        background.metrics.gc.background_purge_runs,
-        background.metrics.gc.purge_runs
     );
 
     let mut json = String::new();
@@ -237,13 +211,11 @@ fn main() {
          slices, no aborts) while 4 reader threads point-read them at SI. 'no_purge' \
          runs no purge pass: writers alone prune the chains they find long (always \
          on, in every case); 'auto_purge' adds a pass every 64 \
-         write commits at the pinned safe horizon, inline on the tripping committer; \
-         'background_gc' runs the maintenance hub's thread purging incrementally per \
-         storage shard every 2ms (commit path does zero purge work; \
-         background_purge_runs == purge_runs). final_versions is the memory-growth \
-         proxy: what the oldest snapshot open when the run stopped still held back, \
-         over the 16-key live floor. read_throughput_ratio is auto_purge/no_purge reads per \
-         second; background_read_throughput_ratio is background_gc/no_purge.\",\n",
+         write commits at the pinned safe horizon, inline on the tripping committer, \
+         over a quarter of the storage shards per trip. final_versions is the \
+         memory-growth proxy: what the oldest snapshot open when the run stopped still \
+         held back, over the 16-key live floor. read_throughput_ratio is \
+         auto_purge/no_purge reads per second.\",\n",
     );
     json.push_str("  \"cases\": [\n");
     for (i, r) in results.iter().enumerate() {
@@ -265,10 +237,8 @@ fn main() {
     let _ = writeln!(
         json,
         "  \"read_throughput_ratio\": {read_ratio:.3},\n  \
-         \"background_read_throughput_ratio\": {bg_read_ratio:.3},\n  \
-         \"final_versions_no_purge\": {},\n  \"final_versions_auto_purge\": {},\n  \
-         \"final_versions_background_gc\": {}\n}}",
-        baseline.final_versions, purged.final_versions, background.final_versions
+         \"final_versions_no_purge\": {},\n  \"final_versions_auto_purge\": {}\n}}",
+        baseline.final_versions, purged.final_versions
     );
 
     std::fs::write(&out_path, &json).expect("write bench output");

@@ -194,10 +194,6 @@ pub enum DegradedReason {
     /// reclaim checkpoint unwound); nothing vouches for the tail it was
     /// syncing.
     WalThreadPanic,
-    /// The background version-GC thread died (panicked). Reads and writes
-    /// still work, but old versions are no longer reclaimed; surfaced so
-    /// operators notice before memory does.
-    GcThreadPanic,
 }
 
 impl DegradedReason {
@@ -207,15 +203,7 @@ impl DegradedReason {
             DegradedReason::WalPoisoned => "wal-poisoned",
             DegradedReason::OutOfSpace => "out-of-space",
             DegradedReason::WalThreadPanic => "wal-thread-panic",
-            DegradedReason::GcThreadPanic => "gc-thread-panic",
         }
-    }
-
-    /// True if this condition blocks write transactions. A dead GC thread
-    /// degrades the *service* (reclamation stops) but writes stay correct
-    /// and durable, so they are allowed to continue.
-    pub fn blocks_writes(self) -> bool {
-        !matches!(self, DegradedReason::GcThreadPanic)
     }
 }
 
@@ -261,9 +249,9 @@ pub enum Error {
     /// committed in memory but its persistence is uncertain; when surfaced
     /// from open/recovery, the database could not be brought up.
     Durability(String),
-    /// The database is in degraded (read-only) mode: a durability or
-    /// maintenance failure made further writes unsafe. Snapshot reads keep
-    /// serving; write attempts fail fast with this error.
+    /// The database is in degraded (read-only) mode: a durability failure
+    /// made further writes unsafe. Snapshot reads keep serving; write
+    /// attempts fail fast with this error.
     Degraded(DegradedReason),
     /// The database was explicitly closed ([`Database::close`] or shutdown
     /// drain): new transactions and writes fail fast with this error.

@@ -402,6 +402,18 @@ impl Transaction {
         }
     }
 
+    /// Raises [`Transaction::read_upto`] to what a read returned: the
+    /// version's commit timestamp or, for an absence (and for a scan's
+    /// range, `None`), the snapshot — the clock at a level without one.
+    fn note_read(&mut self, version_ts: Option<Timestamp>) {
+        let ts = version_ts.unwrap_or_else(|| {
+            self.shared
+                .begin_ts()
+                .unwrap_or_else(|| self.db.txns.current_ts())
+        });
+        self.read_upto = self.read_upto.max(ts);
+    }
+
     // ------------------------------------------------------------------
     // Speculative-read resolution
     // ------------------------------------------------------------------
@@ -583,7 +595,9 @@ impl Transaction {
     fn do_get(&mut self, table: &TableRef, key: &[u8]) -> Result<Option<Bytes>> {
         match self.shared.isolation() {
             IsolationLevel::ReadCommitted => {
-                Ok(table.table.read_latest(key, self.shared.id()).value)
+                let read = table.table.read_latest(key, self.shared.id());
+                self.note_read(read.read_version_ts);
+                Ok(read.value)
             }
             IsolationLevel::StrictTwoPhaseLocking => {
                 let lock = self.lock_target(table, key);
@@ -593,6 +607,7 @@ impl Transaction {
             IsolationLevel::SnapshotIsolation => {
                 let snapshot = self.db.txns.ensure_snapshot(&self.shared);
                 let read = self.snapshot_read(table, key, snapshot);
+                self.note_read(read.read_version_ts);
                 if !read.read_own_write {
                     self.record_read(
                         table,
@@ -606,6 +621,7 @@ impl Transaction {
             IsolationLevel::SerializableSnapshotIsolation => {
                 let snapshot = self.db.txns.ensure_snapshot(&self.shared);
                 let read = self.ssi_read(table, key, snapshot)?;
+                self.note_read(read.read_version_ts);
                 if !read.read_own_write {
                     self.record_read(
                         table,
@@ -656,6 +672,7 @@ impl Transaction {
     /// transaction's own write, recorded unless it is the latter.
     fn locked_read(&mut self, table: &TableRef, key: &[u8]) -> Option<Bytes> {
         let read = table.table.read_latest(key, self.shared.id());
+        self.note_read(read.read_version_ts);
         if !read.read_own_write {
             self.record_read(table, key, read.read_version_ts, false);
         }
@@ -927,6 +944,10 @@ impl Transaction {
         } else {
             self.db.txns.current_ts()
         };
+        // A scan relies on its whole range: a key it leaves out may be a
+        // tombstone a purge unlinked, and every row it returns is at or
+        // below the snapshot.
+        self.note_read(None);
         let ssi = isolation == IsolationLevel::SerializableSnapshotIsolation;
         let mut result = Vec::new();
         let mut cursor = table.table.cursor(lower, upper);
@@ -985,6 +1006,7 @@ impl Transaction {
         upper: Bound<&[u8]>,
     ) -> Result<Vec<(Vec<u8>, Bytes)>> {
         let row_granularity = self.row_granularity();
+        self.note_read(None);
         let mut result = Vec::new();
         let mut cursor = table.table.cursor(lower, upper);
         while let Some(page) = cursor.next_page() {
@@ -1062,6 +1084,7 @@ impl Transaction {
         } else {
             self.db.txns.current_ts()
         };
+        self.note_read(None);
         let mut result = Vec::new();
         for entry in idx.entries_in_range(lo, hi) {
             let Some((ik, pk)) = decode_entry(&entry) else {
@@ -1083,6 +1106,7 @@ impl Transaction {
                 }
                 IsolationLevel::ReadCommitted => table.table.read_latest(&pk, id),
             };
+            self.note_read(read.read_version_ts);
             let recorded = isolation != IsolationLevel::ReadCommitted && !read.read_own_write;
             let speculative = read.speculative_of.is_some();
             if recorded {

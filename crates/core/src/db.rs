@@ -13,14 +13,13 @@ use ssi_obs::{
     EngineMetrics, EventKind, GcMetrics, HistSummary, LatencyMetrics, LockMetrics, MetricsSnapshot,
     TableMetrics, Trace, TraceBatch, TraceHandle, TxnMetrics, WalMetrics,
 };
-use ssi_storage::{Catalog, Index, IndexKeySpec, PageMap, PurgeStats, Table};
+use ssi_storage::{Catalog, Index, IndexKeySpec, PageMap, PurgeStats, Table, SHARD_COUNT};
 use ssi_wal::{
     CheckpointStats, Checkpointer, PoisonCause, Recovered, StdVfs, SyncPolicy, Vfs, WalStats,
     WalWriter,
 };
 
 use crate::health::{DbHealth, HealthCell};
-use crate::maintenance::{MaintenanceHook, MaintenanceHub};
 use crate::manager::{GcPin, TransactionManager};
 use crate::options::{Durability, LockGranularity, Options};
 use crate::txn::Transaction;
@@ -135,33 +134,30 @@ pub(crate) struct DurableState {
 /// Internal shared state of a database.
 pub(crate) struct DbInner {
     pub(crate) options: Options,
-    /// Shared with the background GC thread (maintenance hub).
-    pub(crate) catalog: Arc<Catalog>,
+    pub(crate) catalog: Catalog,
     pub(crate) locks: LockManager,
-    /// Shared with the background GC thread (maintenance hub).
-    pub(crate) txns: Arc<TransactionManager>,
+    pub(crate) txns: TransactionManager,
     pub(crate) pages: Option<PageMap>,
     pub(crate) history: Option<HistoryRecorder>,
     pub(crate) durable: Option<DurableState>,
-    /// Health state machine (`Healthy → Degraded → Closed`), shared with
-    /// the background maintenance threads.
-    pub(crate) health: Arc<HealthCell>,
+    /// Health state machine (`Healthy → Degraded → Closed`).
+    pub(crate) health: HealthCell,
     /// Engine-wide observability: sampled latency recorders plus the
-    /// (optional) event trace. Shared with the WAL and the maintenance
-    /// thread.
+    /// (optional) event trace. Shared with the WAL.
     pub(crate) metrics: Arc<EngineMetrics>,
-    /// The background GC thread, if configured. It holds `Arc`s to the
-    /// shared pieces above — never to `DbInner` itself, so dropping the
-    /// last database handle still runs `DbInner::drop`, which joins it.
-    maintenance: Option<MaintenanceHub>,
-    /// Write commits since the last automatic purge (see
+    /// Write commits since the last automatic purge slice (see
     /// [`crate::Options::purge_every_commits`]).
     commits_since_purge: AtomicU64,
-    /// Single-flight gate for automatic purges: the committer that wins the
-    /// `try_lock` runs the purge, everyone else skips instead of queueing
-    /// behind a GC pass already in progress.
-    purge_lock: Mutex<()>,
+    /// Single-flight gate for automatic purge slices, and the first storage
+    /// shard of the next one: the committer that wins the `try_lock` runs
+    /// the slice and advances the cursor, everyone else skips instead of
+    /// queueing behind a slice already in progress.
+    purge_lock: Mutex<usize>,
 }
+
+/// Storage shards of every table one automatic purge slice covers: four
+/// slices sweep the catalog once.
+const PURGE_SLICE: usize = SHARD_COUNT / 4;
 
 impl DbInner {
     /// Takes a checkpoint: rotates the log at the published clock, writes a
@@ -302,14 +298,22 @@ impl DbInner {
         });
     }
 
-    /// Runs one version-GC pass over every table at the pinned safe horizon
-    /// ([`TransactionManager::gc_horizon`]) and records the result in
-    /// [`crate::manager::ManagerStats`].
-    pub(crate) fn purge(&self) -> PurgeStats {
+    /// Runs one version-GC pass over `count` storage shards of every table,
+    /// from shard `first` on (wrapping), at the pinned safe horizon
+    /// ([`TransactionManager::gc_horizon`]), and records it once: in
+    /// [`crate::manager::ManagerStats`], the `gc_pass` histogram and a
+    /// `GcPass` trace event. Both reclamation drivers come through here —
+    /// `Database::purge` with every shard, committers with a slice.
+    fn purge_shards(&self, first: usize, count: usize) -> PurgeStats {
         let t0 = std::time::Instant::now();
         let horizon = self.txns.gc_horizon();
-        let stats = self.catalog.purge_old_versions(horizon);
-        self.txns.stats().record_purge(&stats, false);
+        let mut stats = PurgeStats::at(horizon);
+        for table in self.catalog.tables() {
+            for shard in first..first + count {
+                stats.merge(&table.purge_shard(shard, horizon));
+            }
+        }
+        self.txns.stats().record_purge(&stats);
         let elapsed = t0.elapsed();
         self.metrics.gc_pass.record(elapsed);
         self.metrics.trace.emit(
@@ -324,24 +328,21 @@ impl DbInner {
     /// Automatic purge trigger, called after write commits on the same
     /// steady-state path as suspended-cleanup: once
     /// [`crate::Options::purge_every_commits`] write commits have
-    /// accumulated, the committer that wins the `try_lock` runs one purge
-    /// pass; everyone else keeps committing. The counter resets when a
-    /// purge actually starts, so a skipped trigger (pass already running)
+    /// accumulated, the committer that wins the `try_lock` purges the next
+    /// [`PURGE_SLICE`] shards of every table and moves the cursor on;
+    /// everyone else keeps committing. The counter resets when a slice
+    /// actually starts, so a skipped trigger (slice already running)
     /// retries on the next commit instead of waiting a whole period.
     pub(crate) fn maybe_auto_purge(&self) {
-        // The background GC thread owns reclamation when it runs: the
-        // commit path does zero purge work (the whole point of the thread).
-        if self.maintenance.is_some() {
-            return;
-        }
         let Some(every) = self.options.purge_every_commits else {
             return;
         };
         let n = self.commits_since_purge.fetch_add(1, Ordering::Relaxed) + 1;
         if n >= every.get() {
-            if let Some(_guard) = self.purge_lock.try_lock() {
+            if let Some(mut cursor) = self.purge_lock.try_lock() {
                 self.commits_since_purge.store(0, Ordering::Relaxed);
-                self.purge();
+                self.purge_shards(*cursor, PURGE_SLICE);
+                *cursor = (*cursor + PURGE_SLICE) % SHARD_COUNT;
             }
         }
     }
@@ -349,21 +350,17 @@ impl DbInner {
 
 impl Drop for DbInner {
     fn drop(&mut self) {
-        // Close ordering — the three steps below must stay in this order:
+        // Close ordering — the two steps below must stay in this order:
         //
-        // 1. Join the background GC thread; it finishes at most one pass.
-        // 2. Final `sync()`: in buffered mode the tail of the log may only
+        // 1. Final `sync()`: in buffered mode the tail of the log may only
         //    be in the OS page cache — push it to the device so reopening
         //    loses nothing. (No transaction can be in flight: handles hold
-        //    an `Arc` to this struct.)
-        // 3. Only then do the fields drop, releasing the WAL directory
-        //    lock (`DurableState::_dir_lock`). Because steps 1 and 2
-        //    happen-before that release, a fast reopen of the same
-        //    directory can never race the old incarnation's last fsync or
-        //    GC pass.
-        if let Some(mut hub) = self.maintenance.take() {
-            hub.shutdown_and_join();
-        }
+        //    an `Arc` to this struct, and the engine runs no thread of its
+        //    own.)
+        // 2. Only then do the fields drop, releasing the WAL directory
+        //    lock (`DurableState::_dir_lock`). Because step 1
+        //    happens-before that release, a fast reopen of the same
+        //    directory can never race the old incarnation's last fsync.
         if let Some(durable) = &self.durable {
             let _ = durable.wal.sync();
         }
@@ -422,9 +419,8 @@ impl Database {
         } else {
             None
         };
-        let catalog = Arc::new(Catalog::new());
-        let txns = Arc::new(TransactionManager::new());
-        let health = Arc::new(HealthCell::default());
+        let catalog = Catalog::new();
+        let txns = TransactionManager::new();
         let trace = match options.trace_capacity {
             Some(capacity) => TraceHandle::enabled(Arc::new(Trace::new(capacity))),
             None => TraceHandle::disabled(),
@@ -485,13 +481,6 @@ impl Database {
                 })
             }
         };
-        let maintenance = MaintenanceHub::start(
-            &options.maintenance,
-            catalog.clone(),
-            txns.clone(),
-            health.clone(),
-            metrics.clone(),
-        );
         let inner = DbInner {
             locks: LockManager::new(options.lock.clone()),
             txns,
@@ -499,12 +488,11 @@ impl Database {
             pages,
             history,
             durable,
-            health,
+            health: HealthCell::default(),
             metrics,
-            maintenance,
             options,
             commits_since_purge: AtomicU64::new(0),
-            purge_lock: Mutex::new(()),
+            purge_lock: Mutex::new(0),
         };
         let db = Database {
             inner: Arc::new(inner),
@@ -552,8 +540,7 @@ impl Database {
     /// Closes the database: syncs the durable tail (best-effort — a
     /// poisoned log has nothing more to promise) and moves health to
     /// `Closed`, after which new write transactions fail fast. Existing
-    /// handles keep serving snapshot reads; background threads are joined
-    /// when the last handle drops, as always.
+    /// handles keep serving snapshot reads.
     pub fn close(&self) {
         if let Some(durable) = &self.inner.durable {
             let _ = durable.wal.sync();
@@ -782,7 +769,6 @@ impl Database {
         };
         let gc = GcMetrics {
             purge_runs: load(&s.purge_runs),
-            background_purge_runs: load(&s.background_purge_runs),
             purged_versions: load(&s.purged_versions),
             purged_chains: load(&s.purged_chains),
             pruned_inline_versions: load(&s.pruned_inline_versions),
@@ -884,13 +870,14 @@ impl Database {
     /// pass over every table at the pinned safe horizon (the clamped
     /// begin-watermark, capped by the oldest live pin — see
     /// [`TransactionManager::gc_horizon`]). Safe to call concurrently with
-    /// readers, writers and checkpoints; also runs automatically when
-    /// [`crate::Options::purge_every_commits`] is set. Returns what was
-    /// reclaimed. Writers already prune, at the same horizon, the chains
-    /// they find long (`gc.pruned_inline_versions`); a pass is for what no
-    /// writer comes back to — cold rows, tombstoned keys, aborted leftovers.
+    /// readers, writers, checkpoints and automatic slices; with
+    /// [`crate::Options::purge_every_commits`] set, committers run the same
+    /// pass a quarter of the shards at a time. Returns what was reclaimed.
+    /// Writers already prune, at the same horizon, the chains they find
+    /// long (`gc.pruned_inline_versions`); a pass is for what no writer
+    /// comes back to — cold rows, tombstoned keys, aborted leftovers.
     pub fn purge(&self) -> PurgeStats {
-        self.inner.purge()
+        self.inner.purge_shards(0, SHARD_COUNT)
     }
 
     /// Pins the version-GC horizon at the current published clock for the
@@ -910,35 +897,6 @@ impl Database {
     #[doc(hidden)]
     pub fn purge_at(&self, horizon: Timestamp) -> PurgeStats {
         self.inner.catalog.purge_old_versions(horizon)
-    }
-
-    /// True when a background incremental-GC thread serves this database
-    /// (see [`crate::MaintenanceOptions::gc_interval`]).
-    pub fn has_background_gc(&self) -> bool {
-        self.inner.maintenance.is_some()
-    }
-
-    /// Installs (or clears) the maintenance step hook: it fires at every
-    /// GC-thread phase transition
-    /// ([`crate::maintenance::MaintenanceEvent`]) and may block, so tests
-    /// can single-step the thread deterministically — the same pattern as
-    /// [`TransactionManager::set_sweep_pause_hook`]. Not for production
-    /// use. No-op when no background thread is configured.
-    #[doc(hidden)]
-    pub fn set_maintenance_hook(&self, hook: Option<MaintenanceHook>) {
-        if let Some(hub) = &self.inner.maintenance {
-            hub.set_hook(hook);
-        }
-    }
-
-    /// Forces the background GC thread to run one pass now, regardless of
-    /// its interval (deterministic test stepping). Asynchronous. No-op
-    /// without a GC thread.
-    #[doc(hidden)]
-    pub fn step_gc(&self) {
-        if let Some(hub) = &self.inner.maintenance {
-            hub.step_gc();
-        }
     }
 
     /// Test-only fault injection: poisons the write-ahead log exactly as a

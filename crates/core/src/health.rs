@@ -9,11 +9,6 @@
 //! concurrent failures race to a single CAS, so [`DbHealth::Degraded`]
 //! always reports the *original* fault, not whichever symptom was observed
 //! last.
-//!
-//! A dead background GC thread is the one degraded state that does *not*
-//! block writes ([`DegradedReason::blocks_writes`]): commits stay correct
-//! and durable without reclamation, the condition is surfaced so operators
-//! notice before memory growth does.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
@@ -24,9 +19,8 @@ use ssi_common::DegradedReason;
 pub enum DbHealth {
     /// Normal operation.
     Healthy,
-    /// A durability or maintenance failure made further writes unsafe (or,
-    /// for [`DegradedReason::GcThreadPanic`], degraded the service without
-    /// blocking writes). One-way; snapshot reads keep serving.
+    /// A durability failure made further writes unsafe. One-way; snapshot
+    /// reads keep serving.
     Degraded {
         /// The first fault that triggered the transition.
         reason: DegradedReason,
@@ -39,8 +33,7 @@ const HEALTHY: u8 = 0;
 const WAL_POISONED: u8 = 1;
 const OUT_OF_SPACE: u8 = 2;
 const WAL_THREAD_PANIC: u8 = 3;
-const GC_THREAD_PANIC: u8 = 4;
-const CLOSED: u8 = 5;
+const CLOSED: u8 = 4;
 
 /// Stable numeric code of a degradation reason, also used as the `state`
 /// payload of [`ssi_obs::EventKind::Health`] trace events (0 = healthy).
@@ -49,7 +42,6 @@ pub(crate) fn reason_code(reason: DegradedReason) -> u8 {
         DegradedReason::WalPoisoned => WAL_POISONED,
         DegradedReason::OutOfSpace => OUT_OF_SPACE,
         DegradedReason::WalThreadPanic => WAL_THREAD_PANIC,
-        DegradedReason::GcThreadPanic => GC_THREAD_PANIC,
     }
 }
 
@@ -58,13 +50,12 @@ fn code_reason(code: u8) -> Option<DegradedReason> {
         WAL_POISONED => Some(DegradedReason::WalPoisoned),
         OUT_OF_SPACE => Some(DegradedReason::OutOfSpace),
         WAL_THREAD_PANIC => Some(DegradedReason::WalThreadPanic),
-        GC_THREAD_PANIC => Some(DegradedReason::GcThreadPanic),
         _ => None,
     }
 }
 
-/// One-word health state machine, shared between the database handle, the
-/// commit path and the background maintenance threads.
+/// One-word health state machine, shared between the database handle and
+/// the commit path.
 #[derive(Debug, Default)]
 pub(crate) struct HealthCell(AtomicU8);
 
@@ -101,17 +92,14 @@ impl HealthCell {
     }
 
     /// The typed error write transactions must fail fast with right now, if
-    /// any. `None` while healthy — and in the one degraded state that keeps
-    /// writes flowing (a dead GC thread). A closed database yields
-    /// [`ssi_common::Error::Closed`], never a degraded error: closing is an
-    /// orderly stop, not a fault, and callers racing [`crate::Database::close`]
-    /// must be able to tell the two apart.
+    /// any: `None` while healthy, the degradation otherwise. A closed
+    /// database yields [`ssi_common::Error::Closed`], never a degraded
+    /// error: closing is an orderly stop, not a fault, and callers racing
+    /// [`crate::Database::close`] must be able to tell the two apart.
     pub(crate) fn write_block_error(&self) -> Option<ssi_common::Error> {
         match self.get() {
             DbHealth::Healthy => None,
-            DbHealth::Degraded { reason } => reason
-                .blocks_writes()
-                .then_some(ssi_common::Error::Degraded(reason)),
+            DbHealth::Degraded { reason } => Some(ssi_common::Error::Degraded(reason)),
             DbHealth::Closed => Some(ssi_common::Error::Closed),
         }
     }
@@ -137,19 +125,6 @@ mod tests {
         assert_eq!(cell.get(), DbHealth::Closed);
         assert!(!cell.degrade(DegradedReason::WalPoisoned));
         assert_eq!(cell.get(), DbHealth::Closed);
-    }
-
-    #[test]
-    fn gc_thread_death_does_not_block_writes() {
-        let cell = HealthCell::default();
-        assert!(cell.degrade(DegradedReason::GcThreadPanic));
-        assert_eq!(cell.write_block_error(), None);
-        let cell = HealthCell::default();
-        assert!(cell.degrade(DegradedReason::WalThreadPanic));
-        assert_eq!(
-            cell.write_block_error(),
-            Some(ssi_common::Error::Degraded(DegradedReason::WalThreadPanic))
-        );
     }
 
     #[test]

@@ -67,7 +67,6 @@
 
 pub mod db;
 pub mod health;
-pub mod maintenance;
 pub mod manager;
 pub mod options;
 pub mod ssi;
@@ -82,11 +81,9 @@ mod engine_tests;
 
 pub use db::{Database, IndexRef, TableRef};
 pub use health::DbHealth;
-pub use maintenance::{MaintenanceEvent, MaintenanceHook};
 pub use manager::{CommitPauseHook, CommitPhase, GcPin, ManagerStats, TransactionManager};
 pub use options::{
-    Durability, DurabilityOptions, LockGranularity, MaintenanceOptions, Options, SsiOptions,
-    SsiVariant, VfsHandle,
+    Durability, DurabilityOptions, LockGranularity, Options, SsiOptions, SsiVariant, VfsHandle,
 };
 pub use ssi::CallerRole;
 pub use txn::Transaction;

@@ -210,9 +210,12 @@
 //!
 //! ## The horizon read takes no mutex
 //!
-//! Version GC has two callers: the purge pass (`Database::purge`, the
-//! background GC thread), and every writer that finds a long version chain
-//! and prunes it on the spot (`ssi_storage::Table::install`, counted in
+//! Version GC has two callers, and no thread of its own. One is the purge
+//! pass: a full one from `Database::purge`, or a slice of a quarter of every
+//! table's storage shards that the committer tripping
+//! `Options::purge_every_commits` runs, behind a wrapping cursor. The other
+//! is every writer that finds a long version chain and prunes it on the spot
+//! (`ssi_storage::Table::install`, counted in
 //! [`ManagerStats::pruned_inline_versions`]). The writer asks for the
 //! horizon while it holds the chain's mutex, so
 //! [`TransactionManager::gc_horizon`] must not block: the watermark is the
@@ -481,13 +484,9 @@ pub struct ManagerStats {
     /// moves the generation, so under load this runs close to one per
     /// commit.
     pub watermark_sweeps: AtomicU64,
-    /// Version-GC passes run (`Database::purge`, manual or automatic).
+    /// Version-GC passes run: full ones (`Database::purge`) and the
+    /// slices committers run on `purge_every_commits`.
     pub purge_runs: AtomicU64,
-    /// Version-GC passes run by the background maintenance thread (a
-    /// subset of `purge_runs`): with background GC on and inline
-    /// `purge_every_commits` off, `purge_runs == background_purge_runs`
-    /// proves the commit path did zero purge work.
-    pub background_purge_runs: AtomicU64,
     /// Row versions reclaimed by version-GC passes.
     pub purged_versions: AtomicU64,
     /// Row versions reclaimed by writers: a write that finds a long chain
@@ -518,14 +517,9 @@ pub struct ManagerStats {
 }
 
 impl ManagerStats {
-    /// Folds one version-GC pass into the counters, attributing it to the
-    /// background GC thread when `background` (the single accounting point
-    /// shared by `Database::purge` and the maintenance hub's GC loop).
-    pub fn record_purge(&self, stats: &ssi_storage::PurgeStats, background: bool) {
+    /// Folds one version-GC pass into the counters.
+    pub fn record_purge(&self, stats: &ssi_storage::PurgeStats) {
         self.purge_runs.fetch_add(1, Ordering::Relaxed);
-        if background {
-            self.background_purge_runs.fetch_add(1, Ordering::Relaxed);
-        }
         self.purged_versions
             .fetch_add(stats.versions, Ordering::Relaxed);
         self.purged_chains

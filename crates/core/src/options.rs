@@ -9,10 +9,13 @@
 //! Phantom protection (Sec. 3.5) is not an option: at row granularity every
 //! Serializable-SI and S2PL scan registers its range (`ssi_storage::range`),
 //! and at page granularity the page locks cover rows and gaps alike.
+//! Nothing here starts a thread: version GC runs on committers
+//! ([`Options::purge_every_commits`]), in explicit `Database::purge` calls
+//! and in writers that prune long chains, and log flushes on the committer
+//! elected to lead them.
 
 use std::num::NonZeroU64;
 use std::path::PathBuf;
-use std::time::Duration;
 
 use ssi_common::IsolationLevel;
 use ssi_lock::LockConfig;
@@ -91,40 +94,14 @@ pub enum Durability {
     /// `commit` returns only after an `fsync` covering the transaction's
     /// commit timestamp. Concurrent committers share flushes (group
     /// commit: one elected committer fsyncs for all), so the per-commit
-    /// fsync cost amortizes under load. The elected committer retries
-    /// transient failures, and ENOSPC after one checkpoint-to-reclaim,
-    /// within a fixed budget before the database degrades (`ssi-wal`
-    /// crate docs, § Failure handling).
+    /// fsync cost amortizes under load. A commit without writes waits too
+    /// when what it read — the newest version a point read returned, or the
+    /// snapshot for an absence and for a scan — is not yet on the device,
+    /// so no value is acknowledged whose writer's fsync can still fail.
+    /// The elected committer retries transient failures, and ENOSPC after
+    /// one checkpoint-to-reclaim, within a fixed budget before the database
+    /// degrades (`ssi-wal` crate docs, § Failure handling).
     GroupCommit,
-}
-
-/// Configuration of the background maintenance subsystem (the
-/// [`crate::maintenance::MaintenanceHub`]): an incremental version-GC
-/// thread, owned by the database, started from `Database::try_open` and
-/// joined on drop.
-#[derive(Clone, Debug)]
-pub struct MaintenanceOptions {
-    /// Run a background GC thread purging row versions incrementally —
-    /// [`MaintenanceOptions::gc_shards_per_pass`] storage shards per table
-    /// per pass — on this cadence, at the pinned safe horizon. Replaces
-    /// the inline [`Options::purge_every_commits`] work on committers
-    /// (which is skipped while the thread runs): the commit path does zero
-    /// purge work. `None` (the default) starts no thread.
-    pub gc_interval: Option<Duration>,
-    /// Storage shards each background GC pass purges per table (clamped to
-    /// at least 1). Smaller values spread reclamation thinner; a full
-    /// table sweep completes every `SHARD_COUNT / gc_shards_per_pass`
-    /// intervals.
-    pub gc_shards_per_pass: usize,
-}
-
-impl Default for MaintenanceOptions {
-    fn default() -> Self {
-        MaintenanceOptions {
-            gc_interval: None,
-            gc_shards_per_pass: 16,
-        }
-    }
 }
 
 /// A pluggable storage backend for the durability subsystem: everything the
@@ -176,16 +153,18 @@ pub struct Options {
     /// serialization graph can be checked after a run (used by tests; adds
     /// overhead, off by default).
     pub record_history: bool,
-    /// Run one version-GC pass automatically after every this many write
-    /// commits (single-flight: the committer that trips the threshold runs
-    /// it, concurrent committers never queue behind it). The pass purges at
-    /// the pinned safe horizon, so it can never reclaim a version a live —
-    /// or concurrently starting — snapshot still needs. `None` (the
-    /// default) leaves reclamation to explicit
-    /// [`crate::Database::purge`] calls.
+    /// Run a slice of version GC automatically after every this many write
+    /// commits: the engine's only automatic reclamation driver. Each slice
+    /// purges the next quarter of every table's storage shards behind a
+    /// wrapping cursor, so four slices sweep the whole catalog and no
+    /// committer pays for a full pass. Single-flight: the committer that
+    /// trips the threshold runs the slice, concurrent committers never
+    /// queue behind it. The slice purges at the pinned safe horizon, so it
+    /// can never reclaim a version a live — or concurrently starting —
+    /// snapshot still needs. `None` (the default) leaves reclamation to
+    /// explicit [`crate::Database::purge`] calls, which are full passes,
+    /// and to writers that prune the long chains they find.
     pub purge_every_commits: Option<NonZeroU64>,
-    /// Background maintenance (the incremental version-GC thread).
-    pub maintenance: MaintenanceOptions,
     /// Lock manager configuration.
     pub lock: LockConfig,
     /// Capacity (in events) of the lock-free engine event trace, drained
@@ -210,7 +189,6 @@ impl Default for Options {
             read_only_queries_at_si: false,
             record_history: false,
             purge_every_commits: None,
-            maintenance: MaintenanceOptions::default(),
             lock: LockConfig::default(),
             trace_capacity: None,
             latency_sample_shift: 6,
@@ -265,19 +243,12 @@ impl Options {
         self
     }
 
-    /// Enables automatic version GC every `every_commits` write commits
-    /// (see [`Options::purge_every_commits`]). Panics if `every_commits`
+    /// Enables automatic version GC, one slice every `every_commits` write
+    /// commits (see [`Options::purge_every_commits`]). Panics if `every_commits`
     /// is zero.
     pub fn with_auto_purge(mut self, every_commits: u64) -> Self {
         self.purge_every_commits =
             Some(NonZeroU64::new(every_commits).expect("purge_every_commits must be non-zero"));
-        self
-    }
-
-    /// Runs a background incremental-GC thread on the given cadence (see
-    /// [`MaintenanceOptions::gc_interval`]).
-    pub fn with_background_gc(mut self, interval: Duration) -> Self {
-        self.maintenance.gc_interval = Some(interval);
         self
     }
 

@@ -5,6 +5,7 @@
 //! (held locks, write set, recorded reads) and the commit/rollback protocol
 //! of Figs. 3.1 and 3.2.
 
+use std::any::Any;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -13,8 +14,9 @@ use ssi_common::{AbortReason, Error, IsolationLevel, Result, Timestamp, TxnId};
 use ssi_lock::{FxBuildHasher, LockKey, LockMode, LockOutcome, ModeSet};
 use ssi_storage::{RangeHandle, RowHandle, Table, Version};
 
-use crate::db::DbInner;
+use crate::db::{DbInner, DurableState};
 use crate::manager::{CommitPhase, HeldSireads};
+use crate::options::Durability;
 use crate::ssi;
 use crate::txn_shared::{TxnShared, TxnStatus};
 use crate::verify::{CommittedTxn, ReadRecord, WriteRecordEntry};
@@ -80,6 +82,13 @@ pub struct Transaction {
     /// transaction may finalize its own commit; if any aborts, this
     /// transaction is doomed with it.
     pub(crate) speculative_deps: Vec<Arc<TxnShared>>,
+    /// The newest commit this transaction's reads rely on: the largest
+    /// commit timestamp among the versions and tombstones its point reads
+    /// returned, raised to the snapshot (the clock, at a level without one)
+    /// by a read that found nothing and by every scan — an absence can be
+    /// a tombstone a purge has already unlinked. Under group commit a
+    /// commit without writes waits for the log to cover it.
+    pub(crate) read_upto: Timestamp,
     /// Whether the application declared the transaction read-only.
     read_only: bool,
 }
@@ -99,6 +108,7 @@ impl Transaction {
             reads: Vec::new(),
             index_writes: Vec::new(),
             speculative_deps: Vec::new(),
+            read_upto: 0,
             read_only,
         }
     }
@@ -175,7 +185,8 @@ impl Transaction {
     /// an [`Error::Aborted`] of kind `Unsafe` is returned. After a
     /// successful check, all versions written become visible atomically, the
     /// write set is sealed into the redo log when durability is on (waiting
-    /// for a covering fsync under [`crate::Durability::GroupCommit`]), locks
+    /// for a covering fsync under [`crate::Durability::GroupCommit`], as a
+    /// commit without writes does for the newest commit it read), locks
     /// are released — except SIREADs, in the lock table, on the rows' chains
     /// or on a range list, which stay in place while the transaction is
     /// suspended (Sec. 3.3) — and eligible suspended transactions are cleaned
@@ -362,42 +373,16 @@ impl Transaction {
         self.db.metrics.commit_section.finish(section_t0);
 
         // --- durability (real log: seal + group-commit fsync) ---------------
-        // Sealing appends the ordered prefix, so first make sure the clock
-        // covers `commit_ts` (deposit alone no longer guarantees it);
-        // `wait_durable` then blocks (in GroupCommit mode) until an fsync —
-        // ours or a neighbour's — covers our timestamp. An I/O failure here
-        // is remembered and returned after the in-memory bookkeeping
-        // completes: the transaction *is* committed in memory, only its
-        // persistence is uncertain (see `Error::Durability`). So is a panic
-        // of a flush this committer leads (a `Vfs` or the reclaim
-        // checkpoint unwound; the log has poisoned itself): it resumes
-        // after the epilogue, since unwinding from here would roll back a
-        // published commit.
+        // An I/O failure here is remembered and returned after the
+        // in-memory bookkeeping completes: the transaction *is* committed in
+        // memory, only its persistence is uncertain (see
+        // `Error::Durability`). So is a panic of a flush this committer
+        // leads: it resumes after the epilogue, since unwinding from here
+        // would roll back a published commit.
         let mut leader_panic = None;
         if has_writes {
             if let Some(durable) = &self.db.durable {
-                self.db.txns.wait_for_publication(commit_ts);
-                let result = catch_unwind(AssertUnwindSafe(|| {
-                    durable
-                        .wal
-                        .seal_upto(commit_ts)
-                        .and_then(|()| durable.wal.wait_durable(commit_ts))
-                }))
-                .unwrap_or_else(|panic| {
-                    leader_panic = Some(panic);
-                    Err(ssi_wal::WalError::poisoned())
-                });
-                if let Err(e) = result {
-                    // A lost durability promise degrades the database:
-                    // later writers fail fast instead of piling onto a
-                    // poisoned log. This committer still reports the
-                    // classic durability error — its commit *is* applied
-                    // in memory, only persistence is uncertain.
-                    if durable.wal.is_poisoned() {
-                        self.db.degrade_from_wal();
-                    }
-                    durability_error = Some(Error::Durability(format!("commit {commit_ts}: {e}")));
-                }
+                durability_error = self.wait_durable(durable, commit_ts, &mut leader_panic);
             }
         }
 
@@ -464,12 +449,23 @@ impl Transaction {
         self.writes.clear();
         self.state = LocalState::Committed;
         if has_writes {
-            // Background maintenance piggybacked on write commits, after the
-            // commit is fully visible: version GC on its commit cadence and
+            // Maintenance piggybacked on write commits, after the commit is
+            // fully visible: a version-GC slice on its commit cadence and
             // checkpoints on log growth. Both are single-flight try-locks —
-            // a committer either runs one pass or skips, never queues.
+            // a committer either runs one or skips, never queues.
             self.db.maybe_auto_purge();
             self.db.maybe_auto_checkpoint();
+        } else if let Some(durable) = &self.db.durable {
+            // A commit without writes must not acknowledge what it read
+            // before the log does: a value (or an absence) whose writer's
+            // fsync can still fail. It waits — after the epilogue, holding
+            // no lock — only when the newest commit its reads relied on is
+            // not yet durable, which is rare for a reader of settled rows.
+            if self.db.options.durability.mode == Durability::GroupCommit
+                && self.read_upto > durable.wal.durable_ts()
+            {
+                durability_error = self.wait_durable(durable, self.read_upto, &mut leader_panic);
+            }
         }
         if let Some(panic) = leader_panic {
             resume_unwind(panic);
@@ -478,6 +474,39 @@ impl Transaction {
             None => Ok(()),
             Some(e) => Err(e),
         }
+    }
+
+    /// Blocks until the log covers `ts` on the device: waits for the clock
+    /// to cover it, so every record up to it is submitted, seals the
+    /// ordered prefix and waits (in group-commit mode) for an fsync — its
+    /// own, if elected to lead the flush, or a neighbour's. A failure that
+    /// poisoned the log degrades the database, so later writers fail fast
+    /// instead of piling onto it, and comes back as the error to report.
+    /// A panic of a flush this caller leads (a `Vfs` or the reclaim
+    /// checkpoint unwound; the log has poisoned itself) is kept in
+    /// `leader_panic` for the caller to resume once its bookkeeping is done.
+    fn wait_durable(
+        &self,
+        durable: &DurableState,
+        ts: Timestamp,
+        leader_panic: &mut Option<Box<dyn Any + Send>>,
+    ) -> Option<Error> {
+        self.db.txns.wait_for_publication(ts);
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            durable
+                .wal
+                .seal_upto(ts)
+                .and_then(|()| durable.wal.wait_durable(ts))
+        }))
+        .unwrap_or_else(|panic| {
+            *leader_panic = Some(panic);
+            Err(ssi_wal::WalError::poisoned())
+        });
+        let e = result.err()?;
+        if durable.wal.is_poisoned() {
+            self.db.degrade_from_wal();
+        }
+        Some(Error::Durability(format!("log up to ts {ts}: {e}")))
     }
 
     /// Settles the `Committing` window as committed, re-running the

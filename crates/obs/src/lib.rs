@@ -50,8 +50,8 @@
 //!   (`ssi_txn_siread_rows`, `ssi_txn_siread_ranges`).
 //!
 //! **Garbage collection** ([`GcMetrics`]) — `purge_runs`,
-//! `background_purge_runs`, `purged_versions`, `purged_chains` count what
-//! purge passes did; `pruned_inline_versions` counts the versions writers
+//! `purged_versions`, `purged_chains` count what purge passes did, full
+//! ones and committers' slices alike; `pruned_inline_versions` counts the versions writers
 //! dropped from long chains on their way in, outside any pass.
 //! `purged_versions + pruned_inline_versions` is every version reclaimed.
 //!

@@ -105,7 +105,7 @@ impl SampledHist {
 
 /// The engine's shared observability state: one sampled recorder per traced
 /// operation plus the (optional) event trace. `Database` owns one behind an
-/// `Arc`; the WAL and maintenance threads hold clones.
+/// `Arc`; the WAL holds a clone.
 pub struct EngineMetrics {
     /// Whole `Transaction::commit()` latency (sampled).
     pub commit: SampledHist,

@@ -78,13 +78,12 @@ pub struct TxnMetrics {
     pub abort_reasons: [u64; AbortReason::COUNT],
 }
 
-/// Garbage-collection counters: purge passes (foreground and background)
-/// and the pruning writers do on long chains. `purged_versions +
+/// Garbage-collection counters: purge passes (full ones and the slices
+/// committers run) and the pruning writers do on long chains. `purged_versions +
 /// pruned_inline_versions` is every version reclaimed.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct GcMetrics {
     pub purge_runs: u64,
-    pub background_purge_runs: u64,
     /// Versions reclaimed by purge passes.
     pub purged_versions: u64,
     pub purged_chains: u64,
@@ -271,11 +270,6 @@ impl MetricsSnapshot {
         counter(&mut out, "ssi_gc_purge_runs_total", self.gc.purge_runs);
         counter(
             &mut out,
-            "ssi_gc_background_purge_runs_total",
-            self.gc.background_purge_runs,
-        );
-        counter(
-            &mut out,
             "ssi_gc_purged_versions_total",
             self.gc.purged_versions,
         );
@@ -439,11 +433,9 @@ impl MetricsSnapshot {
         }
         out.push_str("}},");
         out.push_str(&format!(
-            "\"gc\":{{\"purge_runs\":{},\"background_purge_runs\":{},\
-             \"purged_versions\":{},\"purged_chains\":{},\
+            "\"gc\":{{\"purge_runs\":{},\"purged_versions\":{},\"purged_chains\":{},\
              \"pruned_inline_versions\":{}}},",
             self.gc.purge_runs,
-            self.gc.background_purge_runs,
             self.gc.purged_versions,
             self.gc.purged_chains,
             self.gc.pruned_inline_versions,

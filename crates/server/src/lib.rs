@@ -29,8 +29,9 @@
 //!   accepting, harvest idle sessions, let in-flight requests finish —
 //!   a commit whose acknowledgement has been written is never abandoned —
 //!   then join every thread before returning. The server's `Database`
-//!   handle outlives all workers, so engine maintenance teardown cannot
-//!   race server threads.
+//!   handle outlives all workers, so the engine's close (its final log
+//!   sync and the release of its directory lock) cannot race server
+//!   threads.
 //!
 //! # Framing
 //!

@@ -186,8 +186,7 @@ impl Shared {
 /// Dropping the server drains it (see [`Server::shutdown`]). The server
 /// holds a `Database` handle for its whole lifetime, and `shutdown` joins
 /// every worker before returning — so all server threads are guaranteed
-/// gone *before* the engine's `MaintenanceHub` can be torn down by the last
-/// database handle dropping.
+/// gone *before* the last database handle drops and the engine closes.
 pub struct Server {
     shared: Arc<Shared>,
     local_addr: SocketAddr,
@@ -269,7 +268,7 @@ impl Server {
     /// 4. Every worker is joined, then the reaper. When this returns, no
     ///    server thread exists, no session survives, and no transaction
     ///    opened over the wire is still registered — the engine can be
-    ///    closed or dropped (joining its own maintenance threads) safely.
+    ///    closed or dropped safely.
     pub fn shutdown(&mut self) {
         self.shared.state.store(STATE_DRAINING, Ordering::Release);
         // Wake the acceptor out of `accept()` with a throwaway connection.

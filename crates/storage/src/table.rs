@@ -1446,8 +1446,8 @@ impl Table {
     }
 
     /// Garbage-collects one hash shard at the given reclamation horizon —
-    /// the incremental unit background GC schedules, so a single pass never
-    /// touches more than one shard's worth of chains. Purging every shard
+    /// the unit purge passes are built from, so a committer's slice of
+    /// shards never sweeps the whole table. Purging every shard
     /// at one pinned horizon reclaims exactly what
     /// [`Table::purge_old_versions`] at that horizon would: the shards
     /// partition the key space, and dead-key removal stays inside the shard

@@ -562,9 +562,15 @@ impl WalWriter {
     /// requested watermark, fsyncs the current segment and advances
     /// `durable_ts` over everything sealed before the capture, then prunes
     /// the frames that fsync covered from the unsynced buffer.
+    ///
+    /// With nothing pending at or below the requested watermark,
+    /// `durable_ts` advances to the watermark itself: every timestamp up to
+    /// it is sealed or has no record — a commit that failed after taking
+    /// its timestamp publishes it without one — so a wait on such a
+    /// timestamp ends instead of re-electing its caller forever.
     fn flush_pass(&self) -> WalResult<()> {
         self.check_poisoned()?;
-        let (file, path, target, upto_seq, dirty) = {
+        let (file, path, sealed, target, upto_seq, dirty) = {
             let mut appender = self.appender.lock();
             self.reemit_unsynced(&mut appender)?;
             // A committer whose append failed retryably left its record
@@ -573,16 +579,26 @@ impl WalWriter {
             if self.buffers_unsynced() && requested > appender.sealed_ts {
                 self.seal_locked(&mut appender, requested)?;
             }
+            let target = match appender.pending.first_key_value() {
+                Some((&ts, _)) if ts <= requested => appender.sealed_ts,
+                _ => appender.sealed_ts.max(requested),
+            };
             (
                 appender.file.clone(),
                 appender.path.clone(),
                 appender.sealed_ts,
+                target,
                 appender.append_seq,
                 std::mem::take(&mut appender.dirty),
             )
         };
-        if !dirty && self.flush.lock().durable_ts >= target {
-            return Ok(()); // nothing appended since the last pass is unsynced
+        {
+            let mut flush = self.flush.lock();
+            if !dirty && flush.durable_ts >= sealed {
+                // Nothing appended since the last pass is unsynced.
+                flush.durable_ts = flush.durable_ts.max(target);
+                return Ok(());
+            }
         }
         {
             // Recorded before any other fsync can run. If a rotation
@@ -942,6 +958,33 @@ mod tests {
         wal.seal_upto(5).unwrap();
         assert_eq!(commit_ts(&read_segment(&dir, 1)), vec![2, 3, 4, 5]);
         assert_eq!(wal.stats().records.load(Ordering::Relaxed), 4);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn wait_durable_ends_for_a_timestamp_without_a_record() {
+        // ts 3 belongs to a commit that failed after taking its timestamp:
+        // the clock covers it, but no record will ever be sealed for it.
+        let dir = temp_dir("no-record");
+        let wal = Arc::new(WalWriter::open(&dir, 1, SyncPolicy::GroupCommit).unwrap());
+        commit(&wal, 2).unwrap();
+        assert_eq!(wal.durable_ts(), 2);
+        let fsyncs = wal.stats().fsyncs.load(Ordering::Relaxed);
+        let (tx, rx) = std::sync::mpsc::channel();
+        let waiter = Arc::clone(&wal);
+        let handle = std::thread::spawn(move || {
+            let _ = tx.send(waiter.seal_upto(3).and_then(|()| waiter.wait_durable(3)));
+        });
+        rx.recv_timeout(Duration::from_secs(10))
+            .expect("wait_durable(3) kept re-electing its caller")
+            .unwrap();
+        handle.join().unwrap();
+        assert_eq!(wal.durable_ts(), 3);
+        assert_eq!(
+            wal.stats().fsyncs.load(Ordering::Relaxed),
+            fsyncs,
+            "nothing was appended, so the pass needs no fsync"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -33,9 +33,8 @@ pub use ssi_common::{
 };
 pub use ssi_core::{
     CommitPhase, Database, DbHealth, Durability, DurabilityOptions, FaultMode, FaultOp, FaultRule,
-    FaultVfs, FieldKind, GcPin, IndexKeyPart, IndexKeySpec, IndexRef, LockGranularity,
-    MaintenanceEvent, MaintenanceHook, MaintenanceOptions, Options, PurgeStats, SsiOptions,
-    SsiVariant, TableRef, Transaction,
+    FaultVfs, FieldKind, GcPin, IndexKeyPart, IndexKeySpec, IndexRef, LockGranularity, Options,
+    PurgeStats, SsiOptions, SsiVariant, TableRef, Transaction,
 };
 pub use ssi_obs::{EventKind, MetricsSnapshot, TraceBatch, TraceEvent};
 pub use ssi_server::{Client, ClientTxn, Server, ServerOptions};

@@ -35,14 +35,14 @@ use std::io;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use serializable_si::wal::{StdVfs, Vfs, VfsFile};
 use serializable_si::{
     Database, DbHealth, DegradedReason, Durability, Error, FaultMode, FaultOp, FaultRule, FaultVfs,
-    Options,
+    IsolationLevel, Options, TableRef,
 };
 
 static NEXT_DIR: AtomicU64 = AtomicU64::new(0);
@@ -665,12 +665,13 @@ fn panicking_flush_leader_degrades_instead_of_hanging() {
     );
     // Both commits were published before the flush: only their
     // persistence is uncertain, so neither is rolled back in memory — not
-    // even the one whose committer unwound.
+    // even the one whose committer unwound. A reader sees them, and its
+    // commit reports that uncertainty instead of acknowledging them.
     let mut read = db.begin_read_only();
     for key in [b"during-1", b"during-2"] {
         assert!(read.get(&t, key).unwrap().is_some());
     }
-    read.commit().unwrap();
+    assert!(matches!(read.commit(), Err(Error::Durability(_))));
     let mut writer = db.begin();
     let err = writer.put(&t, b"after", b"v").unwrap_err();
     assert!(matches!(
@@ -679,6 +680,175 @@ fn panicking_flush_leader_degrades_instead_of_hanging() {
     ));
     drop(writer);
     drop(db); // the final sync must not wait for the dead leader
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+// ---------------------------------------------------------------------------
+// Read-only commits wait for the log to cover what they read.
+// ---------------------------------------------------------------------------
+
+/// How long every segment fsync is held once a scenario's writer starts.
+const FSYNC_DELAY: Duration = Duration::from_millis(600);
+
+/// A group-commit database over `fault` holding the durable keys 0..4.
+fn seeded_log(dir: &Path, fault: &FaultVfs) -> (Database, TableRef) {
+    let db = Database::open(faulty_options(dir, fault));
+    let t = db.create_table("t").unwrap();
+    let mut setup = db.begin();
+    for k in 0..4u64 {
+        setup.put(&t, &k.to_be_bytes(), b"seed").unwrap();
+    }
+    setup.commit().unwrap();
+    (db, t)
+}
+
+/// Holds every later segment fsync for [`FSYNC_DELAY`] (failing it
+/// fatally afterwards when `then_fail`), starts `write` on its own thread
+/// and returns once its commit is published and its flush is under way.
+fn start_delayed_writer(
+    db: &Database,
+    fault: &FaultVfs,
+    then_fail: bool,
+    write: impl FnOnce(&Database) -> serializable_si::Result<()> + Send + 'static,
+) -> std::thread::JoinHandle<serializable_si::Result<()>> {
+    let delay = FaultMode::Delay {
+        millis: FSYNC_DELAY.as_millis() as u64,
+    };
+    fault.add_rule(FaultRule::new(FaultOp::Fsync, delay, io::ErrorKind::Other).on_path("segment-"));
+    if then_fail {
+        fault.add_rule(
+            FaultRule::new(FaultOp::Fsync, FaultMode::FailOnce, io::ErrorKind::Other)
+                .on_path("segment-"),
+        );
+    }
+    let writer_db = db.clone();
+    let writer = std::thread::spawn(move || write(&writer_db));
+    while fault.delayed() == 0 {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    writer
+}
+
+fn fsyncs(db: &Database) -> u64 {
+    db.durability_stats()
+        .unwrap()
+        .fsyncs
+        .load(Ordering::Relaxed)
+}
+
+#[test]
+fn read_only_commit_waits_for_the_fsync_of_the_value_it_read() {
+    let dir = temp_dir("ro-waits");
+    let fault = FaultVfs::new(vec![]);
+    let (db, t) = seeded_log(&dir, &fault);
+    let wt = t.clone();
+    let writer = start_delayed_writer(&db, &fault, false, move |db| {
+        let mut txn = db.begin();
+        txn.put(&wt, &0u64.to_be_bytes(), b"new")?;
+        txn.commit()
+    });
+    let before = fsyncs(&db);
+    let mut reader = db.begin_read_only();
+    let value = reader.get(&t, &0u64.to_be_bytes()).unwrap();
+    assert_eq!(value.as_deref(), Some(b"new".as_slice()));
+    let started = Instant::now();
+    reader.commit().unwrap();
+    assert!(
+        fsyncs(&db) > before && started.elapsed() >= FSYNC_DELAY / 2,
+        "the reader acknowledged a value before its writer's fsync finished"
+    );
+    writer.join().unwrap().unwrap();
+    drop(db);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn read_only_commit_of_a_value_whose_fsync_fails_reports_durability() {
+    let dir = temp_dir("ro-fails");
+    let fault = FaultVfs::new(vec![]);
+    let (db, t) = seeded_log(&dir, &fault);
+    let wt = t.clone();
+    let writer = start_delayed_writer(&db, &fault, true, move |db| {
+        let mut txn = db.begin();
+        txn.put(&wt, &0u64.to_be_bytes(), b"lost")?;
+        txn.commit()
+    });
+    let mut reader = db.begin_read_only();
+    let value = reader.get(&t, &0u64.to_be_bytes()).unwrap();
+    assert_eq!(value.as_deref(), Some(b"lost".as_slice()));
+    let outcome = reader.commit();
+    assert!(
+        matches!(outcome, Err(Error::Durability(_))),
+        "a reader of a value whose fsync failed must not be acknowledged, got {outcome:?}"
+    );
+    assert!(matches!(writer.join().unwrap(), Err(Error::Durability(_))));
+    assert_eq!(
+        db.health(),
+        DbHealth::Degraded {
+            reason: DegradedReason::WalPoisoned
+        }
+    );
+    drop(db);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn read_only_commit_of_rows_the_writer_did_not_touch_does_not_wait() {
+    let dir = temp_dir("ro-no-wait");
+    let fault = FaultVfs::new(vec![]);
+    let (db, t) = seeded_log(&dir, &fault);
+    let wt = t.clone();
+    let writer = start_delayed_writer(&db, &fault, false, move |db| {
+        let mut txn = db.begin();
+        txn.put(&wt, &0u64.to_be_bytes(), b"new")?;
+        txn.commit()
+    });
+    let before = fsyncs(&db);
+    let started = Instant::now();
+    let mut reader = db.begin_read_only();
+    let value = reader.get(&t, &1u64.to_be_bytes()).unwrap();
+    assert_eq!(value.as_deref(), Some(b"seed".as_slice()));
+    reader.commit().unwrap();
+    assert!(
+        fsyncs(&db) == before && started.elapsed() < FSYNC_DELAY / 2,
+        "a reader of durable rows waited behind an unrelated fsync"
+    );
+    writer.join().unwrap().unwrap();
+    drop(db);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn read_only_point_miss_waits_for_a_purged_s2pl_delete() {
+    // An S2PL delete holds no snapshot, so nothing holds the purge horizon
+    // below it: its tombstone can be unlinked while its fsync is still
+    // under way. A later reader then finds no chain at all, and only the
+    // snapshot rule keeps it from acknowledging that absence early.
+    let dir = temp_dir("ro-miss");
+    let fault = FaultVfs::new(vec![]);
+    let (db, t) = seeded_log(&dir, &fault);
+    let wt = t.clone();
+    let writer = start_delayed_writer(&db, &fault, false, move |db| {
+        let mut txn = db.begin_with(IsolationLevel::StrictTwoPhaseLocking);
+        txn.delete(&wt, &0u64.to_be_bytes())?;
+        txn.commit()
+    });
+    // A snapshot transaction finishing moves the horizon past the delete.
+    let mut bump = db.begin_with(IsolationLevel::SnapshotIsolation);
+    bump.get(&t, &1u64.to_be_bytes()).unwrap();
+    bump.commit().unwrap();
+    assert_eq!(db.purge().chains, 1, "the tombstoned key was not unlinked");
+    let before = fsyncs(&db);
+    let mut reader = db.begin_read_only();
+    assert_eq!(reader.get(&t, &0u64.to_be_bytes()).unwrap(), None);
+    let started = Instant::now();
+    reader.commit().unwrap();
+    assert!(
+        fsyncs(&db) > before && started.elapsed() >= FSYNC_DELAY / 2,
+        "the reader acknowledged an absence before the delete's fsync finished"
+    );
+    writer.join().unwrap().unwrap();
+    drop(db);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

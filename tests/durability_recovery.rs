@@ -565,19 +565,18 @@ fn checkpoint_racing_purge_recovers_transfer_invariant_at_any_cut() {
 
 #[test]
 fn background_maintenance_with_checkpoints_survives_any_cut() {
-    // The PR-4 checkpoint-vs-purge race, now with the incremental
-    // background GC thread in the mix, plus a checkpoint looper and
-    // transfer writers. Crash-cut at several fractions of the tail
-    // segment: the SmallBank sum must hold at every cut.
+    // The checkpoint-vs-purge race with committer-run purge slices (one
+    // after every write commit), a checkpoint looper and transfer writers.
+    // Crash-cut at several fractions of the tail segment: the SmallBank sum
+    // must hold at every cut.
     const ACCOUNTS: u64 = 8;
     const INITIAL: i64 = 1000;
     let dir = temp_dir("bg-ckpt-cut");
     let final_accounts = {
         let options = Options::default()
             .with_durability(Durability::GroupCommit, &dir)
-            .with_background_gc(std::time::Duration::from_millis(1));
+            .with_auto_purge(1);
         let db = Database::open(options);
-        assert!(db.has_background_gc());
         let t = db.create_table("accounts").unwrap();
         let mut setup = db.begin();
         for a in 0..ACCOUNTS {
@@ -648,12 +647,12 @@ fn background_maintenance_with_checkpoints_survives_any_cut() {
             }
             stop.store(1, Ordering::Relaxed);
         });
-        // The background GC thread must actually have run while the
-        // checkpoints and transfers raced it.
+        // Purge slices must actually have run while the checkpoints and
+        // transfers raced them.
         let stats = db.transaction_manager().stats();
         assert!(
-            stats.background_purge_runs.load(Ordering::Relaxed) > 0,
-            "background GC never ran during the race window"
+            stats.purge_runs.load(Ordering::Relaxed) > 0,
+            "no purge slice ran during the race window"
         );
         dump(&db).remove("accounts")
     };
@@ -674,7 +673,7 @@ fn background_maintenance_with_checkpoints_survives_any_cut() {
         assert_eq!(
             sum,
             ACCOUNTS as i64 * INITIAL,
-            "background maintenance broke the transfer invariant (cut {cut_permille}‰)"
+            "committer-run purge broke the transfer invariant (cut {cut_permille}‰)"
         );
         if whole {
             assert_eq!(
@@ -1081,8 +1080,8 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 8, ..ProptestConfig::default() })]
 
-    /// Crash net for the maintenance hub: transfer writers run with group
-    /// commit and the background GC thread mid-flight while a
+    /// Crash net for committer-run maintenance: transfer writers run with
+    /// group commit and a purge slice after every commit while a
     /// *live* copy of the durable directory is taken (the crash image),
     /// which is then cut at an arbitrary byte. The recovered state must be
     /// a whole-transaction prefix (the SmallBank sum holds), must contain
@@ -1101,7 +1100,7 @@ proptest! {
         {
             let options = Options::default()
                 .with_durability(Durability::GroupCommit, &dir)
-                .with_background_gc(std::time::Duration::from_millis(1));
+                .with_auto_purge(1);
             let db = Database::open(options);
             let t = db.create_table("accounts").unwrap();
             let counters = db.create_table("counters").unwrap();

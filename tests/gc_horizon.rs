@@ -398,3 +398,46 @@ fn pins_hold_against_horizon_reads_made_by_pruning_writers() {
     });
     assert!(db.metrics().gc.pruned_inline_versions > 0);
 }
+
+#[test]
+fn commit_cadence_purges_a_quarter_of_the_shards_per_trip() {
+    // Every write commit trips a purge slice. 256 keys spread over all 64
+    // storage shards are deleted in one commit; from then on each trip
+    // purges the dead keys of the next 16 shards, so the sweep takes four
+    // trips — no committer pays for a whole-table pass.
+    let db = Database::open(Options::default().with_auto_purge(1));
+    let t = db.create_table("t").unwrap();
+    let tick = db.create_table("tick").unwrap();
+    let mut load = db.begin();
+    for k in 0..256u64 {
+        load.put(&t, &k.to_be_bytes(), b"v").unwrap();
+    }
+    load.commit().unwrap();
+    let runs = || db.metrics().gc.purge_runs;
+    let runs_before = runs();
+    let mut delete = db.begin();
+    for k in 0..256u64 {
+        delete.delete(&t, &k.to_be_bytes()).unwrap();
+    }
+    delete.commit().unwrap();
+    let mut left = vec![t.key_count()];
+    for i in 0..3u64 {
+        let mut txn = db.begin();
+        txn.put(&tick, b"tick", &i.to_be_bytes()).unwrap();
+        txn.commit().unwrap();
+        left.push(t.key_count());
+    }
+    assert_eq!(runs() - runs_before, 4, "one slice per write commit");
+    for (trip, pair) in left.windows(2).enumerate() {
+        assert!(
+            pair[1] < pair[0],
+            "trip {} purged nothing: keys left per trip {left:?}",
+            trip + 2
+        );
+    }
+    assert!(left[0] < 256, "the first trip purged nothing: {left:?}");
+    assert_eq!(
+        left[3], 0,
+        "the fourth trip must complete the sweep: {left:?}"
+    );
+}

@@ -1,9 +1,10 @@
 //! Randomized stress net for safe version garbage collection.
 //!
 //! Eight threads of reads, writes, scans and insert/delete churn run with
-//! version GC firing continuously — both automatically on the commit
-//! cadence (`Options::purge_every_commits`) and from a dedicated purge
-//! thread hammering `Database::purge` — under both conflict-flag variants.
+//! version GC firing continuously — both automatically, in shard slices on
+//! the commit cadence (`Options::purge_every_commits`), and from a
+//! dedicated purge thread hammering `Database::purge` — under both
+//! conflict-flag variants.
 //! The oracle is three-fold:
 //!
 //! * **visibility** — the preloaded hot keys are only ever overwritten,
@@ -130,29 +131,16 @@ fn run_one(
     }
 }
 
-/// How reclamation is scheduled during a stress run.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum GcMode {
-    /// Inline commit-cadence purge (`purge_every_commits`), as in PR 4.
-    Inline,
-    /// The background maintenance thread purges incrementally per shard;
-    /// the commit path does zero purge work.
-    Background,
-}
-
-fn gc_stress(variant: SsiVariant, threads: usize, iters: u64, keys: u64, seed: u64, mode: GcMode) {
-    let mut options = Options {
+fn gc_stress(variant: SsiVariant, threads: usize, iters: u64, keys: u64, seed: u64) {
+    let options = Options {
         ssi: serializable_si::SsiOptions {
             variant,
             ..Default::default()
         },
         ..Options::default()
     }
-    .with_history();
-    options = match mode {
-        GcMode::Inline => options.with_auto_purge(16),
-        GcMode::Background => options.with_background_gc(std::time::Duration::from_micros(500)),
-    };
+    .with_history()
+    .with_auto_purge(16);
     let db = Database::open(options);
     let table = setup(&db, keys);
     let stats = StressStats::default();
@@ -218,19 +206,12 @@ fn gc_stress(variant: SsiVariant, threads: usize, iters: u64, keys: u64, seed: u
         stats.aborted.load(Ordering::Relaxed),
     );
 
-    // Reclamation must actually have happened (auto cadence + hammer), and
-    // in background mode the GC thread must have carried its share.
+    // Reclamation must actually have happened (auto cadence + hammer).
     let counters = db.transaction_manager().stats();
     assert!(
         counters.purge_runs.load(Ordering::Relaxed) > 0,
         "no purge ran during the stress window"
     );
-    if mode == GcMode::Background {
-        assert!(
-            counters.background_purge_runs.load(Ordering::Relaxed) > 0,
-            "the background GC thread never ran a pass"
-        );
-    }
 
     // Resource invariants: with every handle finished, one cleanup + purge
     // round drains the suspended list, the registry, every SIREAD lock —
@@ -262,12 +243,12 @@ fn gc_stress(variant: SsiVariant, threads: usize, iters: u64, keys: u64, seed: u
 
 #[test]
 fn enhanced_variant_stays_serializable_under_continuous_gc() {
-    gc_stress(SsiVariant::Enhanced, 8, 400, 8, 0x6C0FFEE, GcMode::Inline);
+    gc_stress(SsiVariant::Enhanced, 8, 400, 8, 0x6C0FFEE);
 }
 
 #[test]
 fn basic_variant_stays_serializable_under_continuous_gc() {
-    gc_stress(SsiVariant::Basic, 8, 400, 8, 0x6CBEEF, GcMode::Inline);
+    gc_stress(SsiVariant::Basic, 8, 400, 8, 0x6CBEEF);
 }
 
 #[test]
@@ -275,27 +256,7 @@ fn wider_key_range_with_gc_keeps_chains_bounded() {
     // Fewer collisions, more commits per thread: exercises the steady-state
     // watermark path (cached horizon, generation-gated sweeps) and keeps
     // version chains from growing without bound.
-    gc_stress(SsiVariant::Enhanced, 6, 500, 64, 42, GcMode::Inline);
-}
-
-#[test]
-fn enhanced_variant_stays_serializable_under_background_gc_thread() {
-    // Same 8-thread churn, but reclamation now runs on the maintenance
-    // hub's incremental per-shard GC thread instead of inline on
-    // committers — every visibility and MVSG oracle must still hold.
-    gc_stress(
-        SsiVariant::Enhanced,
-        8,
-        400,
-        8,
-        0xBAD6C0,
-        GcMode::Background,
-    );
-}
-
-#[test]
-fn basic_variant_stays_serializable_under_background_gc_thread() {
-    gc_stress(SsiVariant::Basic, 8, 400, 8, 0xBAD6C1, GcMode::Background);
+    gc_stress(SsiVariant::Enhanced, 6, 500, 64, 42);
 }
 
 // ---------------------------------------------------------------------
@@ -408,7 +369,7 @@ fn indexed_gc_stress(variant: SsiVariant, threads: usize, iters: u64, keys: u64,
         ..Options::default()
     }
     .with_history()
-    .with_background_gc(std::time::Duration::from_micros(500));
+    .with_auto_purge(4);
     let db = Database::open(options);
     let table = db.create_table("people").unwrap();
     // Created before any write so the index covers every version ever
@@ -435,7 +396,7 @@ fn indexed_gc_stress(variant: SsiVariant, threads: usize, iters: u64, keys: u64,
     let stats = StressStats::default();
     let stop = AtomicU64::new(0);
     std::thread::scope(|scope| {
-        // Purge hammer on top of the background GC thread, as in the row
+        // Purge hammer on top of the commit-cadence slices, as in the row
         // net; horizons stay monotone.
         {
             let db = db.clone();
@@ -549,8 +510,8 @@ proptest! {
     /// random version history is installed into two tables, one purged in
     /// a single whole-table pass and one shard by shard (scrambled order)
     /// at the same pinned horizon — reclaimed counts and surviving state
-    /// must agree exactly. This is the equivalence the background GC
-    /// thread's incremental scheduling rests on.
+    /// must agree exactly. This is the equivalence committers' purge
+    /// slices rest on.
     fn per_shard_purge_matches_whole_table_purge(
         (ops, horizon) in (proptest::collection::vec((0u8..48, 0u8..4), 1..120), 1u64..40)
     ) {
