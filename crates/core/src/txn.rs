@@ -461,6 +461,9 @@ impl Transaction {
             // fsync can still fail. It waits — after the epilogue, holding
             // no lock — only when the newest commit its reads relied on is
             // not yet durable, which is rare for a reader of settled rows.
+            // Waiting for the whole snapshot instead would fail every such
+            // commit once one fsync failed, since later snapshots all cover
+            // the lost commit: a degraded database could serve no reads.
             if self.db.options.durability.mode == Durability::GroupCommit
                 && self.read_upto > durable.wal.durable_ts()
             {

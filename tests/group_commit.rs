@@ -183,7 +183,7 @@ fn parked_committers_are_acknowledged_by_the_leaders_retried_fsync() {
 }
 
 #[test]
-fn drop_joins_background_threads_before_releasing_the_wal_lock() {
+fn drop_syncs_before_releasing_the_wal_lock() {
     // Drop ordering contract (DbInner::drop): the final log sync runs
     // *before* the WAL directory lock is released, so a fast reopen can
     // never race the old incarnation. A failed `try_open` here (the
