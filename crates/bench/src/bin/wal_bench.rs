@@ -26,7 +26,7 @@ use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::time::Instant;
 
-use ssi_core::{Database, Durability, MetricsSnapshot, Options};
+use ssi_core::{Database, DbHealth, Durability, MetricsSnapshot, Options};
 
 struct Case {
     name: &'static str,
@@ -41,9 +41,9 @@ struct CaseResult {
     /// Unified engine snapshot taken before the database is dropped — the
     /// WAL counters reported below come from it, so the bench artifact can
     /// never disagree with `Database::metrics()`. On the clean-disk path
-    /// `wal.io_failures` and `wal.fsync_retries` must both be zero:
-    /// nonzero means the robustness machinery (fault classification,
-    /// retry-with-backoff) intruded on a healthy run.
+    /// `wal.io_failures` must be zero and the database healthy: the log is
+    /// fail-stop, so one failure would have degraded the run
+    /// ([`run_case`] panics if not).
     metrics: MetricsSnapshot,
 }
 
@@ -98,6 +98,10 @@ fn run_case(case: &Case, threads: usize, txns_per_thread: u64) -> CaseResult {
     let elapsed_secs = start.elapsed().as_secs_f64();
 
     let metrics = db.metrics();
+    if case.mode.is_some() {
+        assert_eq!(metrics.wal.io_failures, 0, "{}: I/O failures", case.name);
+        assert_eq!(db.health(), DbHealth::Healthy, "{}", case.name);
+    }
     drop(db);
     let _ = std::fs::remove_dir_all(&dir);
     CaseResult {

@@ -182,18 +182,17 @@ impl fmt::Display for AbortReason {
 /// reads keep serving, writers fail fast with [`Error::Degraded`].
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum DegradedReason {
-    /// The write-ahead log was poisoned: an fsync (or append) failed and
-    /// retries were exhausted, so durability of further commits cannot be
-    /// promised ("fsync reports an error only once" — the failed range is
-    /// never re-fsynced as if nothing happened).
+    /// The write-ahead log was poisoned by its first failed append,
+    /// segment creation or fsync; nothing is retried ("fsync reports an
+    /// error only once" — a failed range is never re-fsynced as if nothing
+    /// happened). Reopen to recover.
     WalPoisoned,
-    /// The log device ran out of space and a checkpoint-to-reclaim attempt
-    /// did not free enough to continue.
+    /// As [`DegradedReason::WalPoisoned`], but the failure was ENOSPC or
+    /// EDQUOT: free space, then reopen.
     OutOfSpace,
-    /// A committer leading a WAL flush panicked mid-pass (a `Vfs` or the
-    /// reclaim checkpoint unwound); nothing vouches for the tail it was
-    /// syncing.
-    WalThreadPanic,
+    /// A committer leading a WAL flush panicked mid-pass (a `Vfs`
+    /// unwound); nothing vouches for the tail it was syncing.
+    WalLeaderPanic,
 }
 
 impl DegradedReason {
@@ -202,7 +201,7 @@ impl DegradedReason {
         match self {
             DegradedReason::WalPoisoned => "wal-poisoned",
             DegradedReason::OutOfSpace => "out-of-space",
-            DegradedReason::WalThreadPanic => "wal-thread-panic",
+            DegradedReason::WalLeaderPanic => "wal-leader-panic",
         }
     }
 }

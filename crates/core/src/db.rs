@@ -201,14 +201,10 @@ impl DbInner {
         let _creates_quiesced = durable.create_lock.lock();
         self.metrics.trace.emit(EventKind::Checkpoint, 0, 0, 0);
         let t0 = std::time::Instant::now();
-        let (cut_ts, old_seq) = durable.wal.rotate(|| self.txns.current_ts()).map_err(|e| {
-            // A failed fsync of the old segment poisons the log: degrade
-            // now, not at the next commit that trips over it.
-            if durable.wal.is_poisoned() {
-                self.degrade_from_wal();
-            }
-            Error::Durability(format!("log rotation failed: {e}"))
-        })?;
+        let (cut_ts, old_seq) = durable
+            .wal
+            .rotate(|| self.txns.current_ts())
+            .map_err(|e| self.log_failure("log rotation failed", e))?;
         // The snapshot persists tables and rows but not index definitions,
         // and the truncation below prunes the segments holding their
         // original create records: re-log every definition into the fresh
@@ -226,7 +222,7 @@ impl DbInner {
                     index.spec().encode(),
                 )
                 .map_err(|e| {
-                    Error::Durability(format!("re-logging index {}: {e}", index.name()))
+                    self.log_failure(format_args!("re-logging index {}", index.name()), e)
                 })?;
         }
         let stats = Checkpointer::with_vfs(durable.vfs.clone(), &durable.dir)
@@ -283,19 +279,25 @@ impl DbInner {
         }
     }
 
-    /// Maps the WAL's recorded poison cause onto a degradation reason (a
-    /// poisoned log with no recorded cause reads as a plain I/O poisoning).
+    /// Degrades the database if its log is poisoned, mapping the recorded
+    /// poison cause onto a degradation reason.
     pub(crate) fn degrade_from_wal(&self) {
-        let cause = self
-            .durable
-            .as_ref()
-            .and_then(|d| d.wal.poison_cause())
-            .unwrap_or(PoisonCause::Io);
+        let Some(cause) = self.durable.as_ref().and_then(|d| d.wal.poison_cause()) else {
+            return;
+        };
         self.degrade(match cause {
             PoisonCause::Io => DegradedReason::WalPoisoned,
             PoisonCause::OutOfSpace => DegradedReason::OutOfSpace,
-            PoisonCause::Panic => DegradedReason::WalThreadPanic,
+            PoisonCause::Panic => DegradedReason::WalLeaderPanic,
         });
+    }
+
+    /// The error for a failed log operation. Every failed append, segment
+    /// creation or fsync poisons the log, so the database degrades here,
+    /// not at the next commit that trips over it.
+    pub(crate) fn log_failure(&self, what: impl std::fmt::Display, e: ssi_wal::WalError) -> Error {
+        self.degrade_from_wal();
+        Error::Durability(format!("{what}: {e}"))
     }
 
     /// Runs one version-GC pass over `count` storage shards of every table,
@@ -494,29 +496,9 @@ impl Database {
             commits_since_purge: AtomicU64::new(0),
             purge_lock: Mutex::new(0),
         };
-        let db = Database {
+        Ok(Database {
             inner: Arc::new(inner),
-        };
-        if let Some(durable) = &db.inner.durable {
-            // Checkpoint-to-reclaim: when a flush leader hits ENOSPC it
-            // asks us — once per incident — to free log space by
-            // checkpointing (snapshot + truncate the covered segments). The
-            // checkpoint runs on the leader's committer thread, so it must
-            // never wait for a commit that could be waiting on that leader.
-            // It does not: it pins and cuts at the published clock, every
-            // record up to the cut is already pending or sealed, and a
-            // durable commit settles in memory before it publishes its
-            // timestamp, so the fuzzy snapshot never waits on one. The weak
-            // handle keeps the hook from holding the database alive; once
-            // the last user handle drops, reclaim attempts do nothing.
-            let weak = Arc::downgrade(&db.inner);
-            durable.wal.set_reclaim_hook(Box::new(move || {
-                if let Some(inner) = weak.upgrade() {
-                    let _ = inner.checkpoint();
-                }
-            }));
-        }
-        Ok(db)
+        })
     }
 
     /// Opens a database with default options (Serializable SI, row-level
@@ -572,10 +554,10 @@ impl Database {
                     return Err(Error::TableExists(name.to_string()));
                 }
                 let id = self.inner.catalog.next_table_id();
-                durable
-                    .wal
-                    .append_create_table(id, name)
-                    .map_err(|e| Error::Durability(format!("logging create_table({name}): {e}")))?;
+                durable.wal.append_create_table(id, name).map_err(|e| {
+                    self.inner
+                        .log_failure(format_args!("logging create_table({name})"), e)
+                })?;
                 let table = self.inner.catalog.create_table(name)?;
                 debug_assert_eq!(table.id(), id, "create serialization violated");
                 table
@@ -614,7 +596,10 @@ impl Database {
                 durable
                     .wal
                     .append_create_index(id, table.id(), name, unique, spec.encode())
-                    .map_err(|e| Error::Durability(format!("logging create_index({name}): {e}")))?;
+                    .map_err(|e| {
+                        self.inner
+                            .log_failure(format_args!("logging create_index({name})"), e)
+                    })?;
                 let index = self
                     .inner
                     .catalog
@@ -782,8 +767,6 @@ impl Database {
                 fsyncs: load(&w.fsyncs),
                 seal_batches: load(&w.seal_batches),
                 io_failures: load(&w.io_failures),
-                fsync_retries: load(&w.fsync_retries),
-                reclaim_attempts: load(&w.reclaim_attempts),
             },
         };
         let (requests, waits, deadlocks, timeouts) = self.inner.locks.stats().snapshot();

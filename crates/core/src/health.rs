@@ -1,14 +1,14 @@
 //! Database health: `Healthy → Degraded{reason} → Closed`.
 //!
-//! Degradation is the engine's answer to durability failures that survive
-//! the retry budget (see the `ssi-wal` crate docs, § Failure handling): the
-//! database stops accepting writes — they fail fast with
-//! [`ssi_common::Error::Degraded`] — while snapshot reads keep serving from
-//! the in-memory version store, which is complete and consistent (every
-//! version in it committed). The transition is one-way and first-cause-wins:
-//! concurrent failures race to a single CAS, so [`DbHealth::Degraded`]
-//! always reports the *original* fault, not whichever symptom was observed
-//! last.
+//! Degradation is the engine's answer to a poisoned log. The log is
+//! fail-stop (see the `ssi-wal` crate docs, § Failure handling): its first
+//! failed append, segment creation or fsync degrades the database until it
+//! is reopened. Writes fail fast with [`ssi_common::Error::Degraded`];
+//! snapshot reads keep serving from the in-memory version store, which is
+//! complete and consistent (every version in it committed). The transition
+//! is one-way and first-cause-wins: concurrent failures race to a single
+//! CAS, so [`DbHealth::Degraded`] always reports the *original* fault, not
+//! whichever symptom was observed last.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
@@ -32,7 +32,7 @@ pub enum DbHealth {
 const HEALTHY: u8 = 0;
 const WAL_POISONED: u8 = 1;
 const OUT_OF_SPACE: u8 = 2;
-const WAL_THREAD_PANIC: u8 = 3;
+const WAL_LEADER_PANIC: u8 = 3;
 const CLOSED: u8 = 4;
 
 /// Stable numeric code of a degradation reason, also used as the `state`
@@ -41,7 +41,7 @@ pub(crate) fn reason_code(reason: DegradedReason) -> u8 {
     match reason {
         DegradedReason::WalPoisoned => WAL_POISONED,
         DegradedReason::OutOfSpace => OUT_OF_SPACE,
-        DegradedReason::WalThreadPanic => WAL_THREAD_PANIC,
+        DegradedReason::WalLeaderPanic => WAL_LEADER_PANIC,
     }
 }
 
@@ -49,7 +49,7 @@ fn code_reason(code: u8) -> Option<DegradedReason> {
     match code {
         WAL_POISONED => Some(DegradedReason::WalPoisoned),
         OUT_OF_SPACE => Some(DegradedReason::OutOfSpace),
-        WAL_THREAD_PANIC => Some(DegradedReason::WalThreadPanic),
+        WAL_LEADER_PANIC => Some(DegradedReason::WalLeaderPanic),
         _ => None,
     }
 }

@@ -98,9 +98,9 @@ pub enum Durability {
     /// when what it read — the newest version a point read returned, or the
     /// snapshot for an absence and for a scan — is not yet on the device,
     /// so no value is acknowledged whose writer's fsync can still fail.
-    /// The elected committer retries transient failures, and ENOSPC after
-    /// one checkpoint-to-reclaim, within a fixed budget before the database
-    /// degrades (`ssi-wal` crate docs, § Failure handling).
+    /// The first failed append or fsync degrades the database until it is
+    /// reopened; nothing is retried (`ssi-wal` crate docs, § Failure
+    /// handling).
     GroupCommit,
 }
 

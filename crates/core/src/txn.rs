@@ -482,11 +482,11 @@ impl Transaction {
     /// Blocks until the log covers `ts` on the device: waits for the clock
     /// to cover it, so every record up to it is submitted, seals the
     /// ordered prefix and waits (in group-commit mode) for an fsync — its
-    /// own, if elected to lead the flush, or a neighbour's. A failure that
-    /// poisoned the log degrades the database, so later writers fail fast
+    /// own, if elected to lead the flush, or a neighbour's. A failure (it
+    /// poisoned the log) degrades the database, so later writers fail fast
     /// instead of piling onto it, and comes back as the error to report.
-    /// A panic of a flush this caller leads (a `Vfs` or the reclaim
-    /// checkpoint unwound; the log has poisoned itself) is kept in
+    /// A panic of a flush this caller leads (a `Vfs` unwound; the log has
+    /// poisoned itself) is kept in
     /// `leader_panic` for the caller to resume once its bookkeeping is done.
     fn wait_durable(
         &self,
@@ -506,10 +506,7 @@ impl Transaction {
             Err(ssi_wal::WalError::poisoned())
         });
         let e = result.err()?;
-        if durable.wal.is_poisoned() {
-            self.db.degrade_from_wal();
-        }
-        Some(Error::Durability(format!("log up to ts {ts}: {e}")))
+        Some(self.db.log_failure(format_args!("log up to ts {ts}"), e))
     }
 
     /// Settles the `Committing` window as committed, re-running the

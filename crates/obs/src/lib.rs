@@ -56,8 +56,8 @@
 //! `purged_versions + pruned_inline_versions` is every version reclaimed.
 //!
 //! **WAL** ([`WalMetrics`]) — `records`, `bytes`, `fsyncs`, `seal_batches`,
-//! `io_failures`, `fsync_retries`, `reclaim_attempts`; plus an `enabled`
-//! gauge (durability may be off).
+//! `io_failures` (the first one poisons the log); plus an `enabled` gauge
+//! (durability may be off).
 //!
 //! **Locks** ([`LockMetrics`]) — `requests` (lock-table requests, one per
 //! key of a batch: every EXCLUSIVE and SHARED lock — an S2PL transaction's

@@ -101,8 +101,6 @@ pub struct WalMetrics {
     pub fsyncs: u64,
     pub seal_batches: u64,
     pub io_failures: u64,
-    pub fsync_retries: u64,
-    pub reclaim_attempts: u64,
 }
 
 /// Lock-manager counters.
@@ -297,16 +295,6 @@ impl MetricsSnapshot {
             self.wal.seal_batches,
         );
         counter(&mut out, "ssi_wal_io_failures_total", self.wal.io_failures);
-        counter(
-            &mut out,
-            "ssi_wal_fsync_retries_total",
-            self.wal.fsync_retries,
-        );
-        counter(
-            &mut out,
-            "ssi_wal_reclaim_attempts_total",
-            self.wal.reclaim_attempts,
-        );
 
         counter(&mut out, "ssi_lock_requests_total", self.locks.requests);
         counter(&mut out, "ssi_lock_waits_total", self.locks.waits);
@@ -442,15 +430,13 @@ impl MetricsSnapshot {
         ));
         out.push_str(&format!(
             "\"wal\":{{\"enabled\":{},\"records\":{},\"bytes\":{},\"fsyncs\":{},\
-             \"seal_batches\":{},\"io_failures\":{},\"fsync_retries\":{},\"reclaim_attempts\":{}}},",
+             \"seal_batches\":{},\"io_failures\":{}}},",
             self.wal.enabled,
             self.wal.records,
             self.wal.bytes,
             self.wal.fsyncs,
             self.wal.seal_batches,
             self.wal.io_failures,
-            self.wal.fsync_retries,
-            self.wal.reclaim_attempts,
         ));
         out.push_str(&format!(
             "\"locks\":{{\"requests\":{},\"waits\":{},\"deadlocks\":{},\"timeouts\":{}}},",

@@ -1,12 +1,11 @@
 //! Typed error taxonomy of the durability subsystem.
 //!
 //! Every failure the write-ahead log, checkpointer or recovery can hit is
-//! classified into a [`WalErrorKind`] — most importantly *transient* vs
-//! *fatal* — and carries the operation ([`WalOp`]), the path involved and
-//! the underlying OS error. The classification is what the flush leader's
-//! retry-with-backoff policy keys on: transient failures (and ENOSPC,
-//! which a checkpoint may reclaim) are retried within a budget; fatal
-//! failures poison the log immediately.
+//! classified into a [`WalErrorKind`] and carries the operation
+//! ([`WalOp`]), the path involved and the underlying OS error. The log
+//! retries nothing: its first failed append, segment creation or fsync
+//! poisons it, whatever the kind. The kind tells the operator what to fix
+//! before the reopen — ENOSPC poisons as out of space.
 
 use std::fmt;
 use std::io;
@@ -59,27 +58,24 @@ impl WalOp {
 /// the subsystem itself.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum WalErrorKind {
-    /// A failure that has a real chance of succeeding on retry
-    /// (interrupted syscall, timeout, resource temporarily busy). The
-    /// flush leader retries these within its budget — but never by re-fsyncing
-    /// the same range: the kernel reports an fsync error only once, so
-    /// retried durability is re-established by re-writing the unsynced
-    /// frames to a fresh segment and fsyncing *that*.
+    /// A failure that might not recur (interrupted syscall, timeout,
+    /// resource temporarily busy). It still poisons the log: after a failed
+    /// fsync the kernel may have dropped the dirty pages and cleared the
+    /// error, so a retry could report success for data that is gone. A
+    /// reopen is likely to succeed.
     Transient,
-    /// The device or quota is full (`ENOSPC`/`EDQUOT`). Retryable in a
-    /// stronger sense than [`WalErrorKind::Transient`]: a checkpoint can
-    /// actively *reclaim* space by pruning covered segments, so the
-    /// flush leader attempts checkpoint-to-reclaim once before giving up.
+    /// The device or quota is full (`ENOSPC`/`EDQUOT`). Poisons the log as
+    /// out of space; free space (or set `checkpoint_every_bytes` so the
+    /// log stays bounded), then reopen.
     OutOfSpace,
-    /// An I/O failure with no reason to believe a retry would differ
-    /// (media error, bad file descriptor, permission change). Poisons the
-    /// log immediately.
+    /// An I/O failure with no reason to believe it would not recur (media
+    /// error, bad file descriptor, permission change).
     Fatal,
     /// The log was already poisoned by an earlier failure; nothing can be
     /// made durable anymore. Carries no fresh OS error.
     Poisoned,
     /// On-disk state that exists but does not decode (a corrupt snapshot
-    /// whose covering segments are pruned). Never retryable.
+    /// whose covering segments are pruned).
     Corrupt,
     /// The durable directory is locked by another live database handle.
     Locked,
@@ -98,8 +94,8 @@ impl WalErrorKind {
     }
 }
 
-/// Classifies an OS error into the retry taxonomy. Conservative: anything
-/// not positively known to be worth retrying is fatal.
+/// Classifies an OS error. Conservative: anything not positively known to
+/// be transient or out of space is fatal.
 pub fn classify(kind: io::ErrorKind) -> WalErrorKind {
     match kind {
         io::ErrorKind::Interrupted
@@ -115,7 +111,7 @@ pub fn classify(kind: io::ErrorKind) -> WalErrorKind {
 /// classified, and the OS error underneath (when there is one).
 #[derive(Debug)]
 pub struct WalError {
-    /// Retry classification.
+    /// Classification.
     pub kind: WalErrorKind,
     /// The operation that failed.
     pub op: WalOp,
@@ -185,19 +181,6 @@ impl WalError {
         self.detail = Some(detail.into());
         self
     }
-
-    /// True when a retry has a real chance (transient or reclaimable).
-    pub fn is_retryable(&self) -> bool {
-        matches!(
-            self.kind,
-            WalErrorKind::Transient | WalErrorKind::OutOfSpace
-        )
-    }
-
-    /// True when checkpoint-to-reclaim may free the resource (`ENOSPC`).
-    pub fn is_reclaimable(&self) -> bool {
-        self.kind == WalErrorKind::OutOfSpace
-    }
 }
 
 impl fmt::Display for WalError {
@@ -262,15 +245,16 @@ mod tests {
         assert!(msg.contains("transient"), "{msg}");
         assert!(msg.contains("segment-1.wal"), "{msg}");
         assert!(msg.contains("boom"), "{msg}");
-        assert!(e.is_retryable());
-        assert!(!e.is_reclaimable());
         assert!(std::error::Error::source(&e).is_some());
     }
 
     #[test]
-    fn poisoned_and_corrupt_are_not_retryable() {
-        assert!(!WalError::poisoned().is_retryable());
-        assert!(!WalError::corrupt("/x/snap", "bad crc").is_retryable());
-        assert!(!WalError::locked("/x").is_retryable());
+    fn logical_states_carry_their_own_kinds() {
+        assert_eq!(WalError::poisoned().kind, WalErrorKind::Poisoned);
+        assert_eq!(
+            WalError::corrupt("/x/snap", "bad crc").kind,
+            WalErrorKind::Corrupt
+        );
+        assert_eq!(WalError::locked("/x").kind, WalErrorKind::Locked);
     }
 }

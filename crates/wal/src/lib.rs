@@ -88,53 +88,38 @@
 //!
 //! # Failure handling
 //!
-//! Every failure is classified by the [`WalError`] taxonomy ([`error`]
-//! module) as *transient*, *out-of-space*, or *fatal*. A partial append is
-//! rolled back to the last whole-frame boundary and the record returned to
-//! the pending buffer (its committer can still seal it later).
+//! The log is fail-stop. Its first failed append, segment creation or
+//! fsync *poisons* it where it happens: from then on every append, fsync
+//! and durability wait fails, and the database degrades — writers fail
+//! fast, snapshot reads keep serving. Nothing is retried. After a failed
+//! fsync the kernel may have dropped the dirty pages and cleared the
+//! error, so a second fsync could report success for data that is gone
+//! (PostgreSQL's "fsyncgate"; Rebello et al., ATC 2020). Recovery is a
+//! reopen: it is prefix-exact and idempotent, so no acknowledged commit is
+//! lost. A partial append is first rolled back to the last whole-frame
+//! boundary, so the poisoned segment ends cleanly when a reopen appends
+//! newer ones after it.
 //!
-//! In `GroupCommit` the log keeps a copy of every frame written but not
-//! yet covered by an fsync, and the flush leader retries failures itself:
-//!
-//! * a retryable append failure during a committer's seal is *deferred* —
-//!   the record stays pending, and the leader's pass re-seals everything up
-//!   to the highest timestamp any committer asked to seal before it fsyncs;
-//! * a transient or out-of-space failure is retried up to 4 times, 5 ms
-//!   apart, honouring the "fsync reports an error only once" rule: a file
-//!   whose fsync errored is never fsynced again — the buffered unsynced
-//!   frames are re-emitted to a *fresh* segment and that is fsynced
-//!   instead;
-//! * ENOSPC gets one checkpoint-to-reclaim attempt per incident (pruning
-//!   covered segments frees log space; the checkpoint runs on the
-//!   leader's thread) in place of its first backoff;
-//! * only a fatal failure or an exhausted budget *poisons* the log: every
-//!   further append and durability wait fails, so no commit is ever
-//!   acknowledged that recovery might silently discard. A leader whose
-//!   pass panics poisons it too, so its waiters never park forever.
-//!
-//! `Buffered` syncs only at checkpoints and clean close, keeps no frame
-//! copies, and its first fsync failure poisons the log. A failed fsync of
-//! the old segment during a checkpoint's rotation poisons the log in
-//! either mode. Segment fsyncs run one at a time, and a leader records its
-//! failure before the next one starts: a rotation (the reclaim checkpoint
-//! on the leader's thread, or a concurrent one) that finds the old segment
-//! errored does not fsync it again, but re-emits the unsynced frames into
-//! its new segment and leaves `durable_ts` to the leader's next fsync.
+//! One mutex is held across every segment fsync, the flush leader's and a
+//! checkpoint rotation's. Under it a caller checks for poison, fsyncs, and
+//! on failure poisons before releasing it, so no segment is ever fsynced
+//! after a failed fsync. A leader whose pass panics poisons the log too, so
+//! its waiters never park forever. Both durability modes follow the same
+//! rules; buffered mode simply fsyncs only at checkpoints and clean close.
 //!
 //! ## Failure-mode matrix
 //!
-//! What each injected fault class guarantees in `GroupCommit` (`Off` has no
-//! WAL and is unaffected by storage faults by definition):
+//! What each fault guarantees (`Off` has no WAL and is unaffected by
+//! storage faults by definition). The database reports a poisoned log as
+//! `Degraded{reason}` with the `DegradedReason` named here:
 //!
-//! | Fault | `GroupCommit` | Guarantee |
+//! | Fault | Outcome | Guarantee |
 //! |---|---|---|
-//! | transient append (`EINTR`…) | seal deferred, the leader re-seals; the commit acks once a retried flush covers it | no ack lost; retries visible in stats |
-//! | transient fsync | the leader re-emits unsynced frames to a fresh segment and fsyncs that; waiters stay parked until durable | never re-fsync an errored range; no ack lost |
-//! | short write (torn append) | rolled back to frame boundary, record re-pended | segment stays frame-aligned; commit still seals later |
-//! | ENOSPC | checkpoint-to-reclaim once, then the retry budget | reclaim prunes covered segments; degrade only if still full |
-//! | failed rename (checkpoint) | checkpoint fails, `.tmp` removed, old snapshot authoritative | no torn snapshot ever authoritative; no `.tmp` leak |
-//! | fatal fsync / exhausted budget | log poisoned → `Degraded(ReadOnly)`, parked committers woken with a typed error | acknowledged prefix recoverable; reads keep serving |
-//! | leader panic (`Vfs`, reclaim hook) | log poisoned → `Degraded(WalThreadPanic)`, parked committers woken with an error | no waiter hangs |
+//! | failed append or fsync, any kind but ENOSPC | log poisoned → `Degraded{WalPoisoned}`; the committer gets a durability error, parked committers are woken with one | acknowledged prefix recoverable; reads keep serving; no segment fsynced after a failed fsync |
+//! | short write (torn append) | rolled back to the frame boundary, then as above | the segment stays frame-aligned |
+//! | ENOSPC / EDQUOT on an append, a segment creation or an fsync | log poisoned → `Degraded{OutOfSpace}` | as above; free space and reopen (`checkpoint_every_bytes` keeps the log bounded) |
+//! | failed rename (checkpoint) | checkpoint fails, `.tmp` removed, old snapshot authoritative; the log is not poisoned | no torn snapshot ever authoritative; no `.tmp` leak |
+//! | flush leader panic (`Vfs`) | log poisoned → `Degraded{WalLeaderPanic}`, parked committers woken with an error | no waiter hangs |
 //! | crash at any byte | torn tail (a frame cut short, over the reserved zeros or at end of file) truncated on recovery; a zero tail is a clean end | prefix-consistent committed state |
 //!
 //! # Checkpoint / recovery invariants
@@ -159,8 +144,7 @@
 //! Recovery ([`recover_into`]) deletes orphaned `.tmp` files, loads the
 //! newest valid snapshot, replays every whole commit record with `ts >` the
 //! snapshot timestamp from the remaining segments in timestamp order
-//! (deduplicating by commit timestamp, since retried flushes may have
-//! re-emitted frames into more than one segment), and reports the highest
+//! (keeping one record per commit timestamp), and reports the highest
 //! committed timestamp so the engine can restore its commit/begin clocks.
 //! Replayed versions are installed committed-at-their-original-timestamp,
 //! so recovery is idempotent: recovering the same directory twice produces

@@ -1,20 +1,20 @@
 //! The append side of the redo log: segment files, the pending buffer fed
 //! by committers, timestamp-ordered sealing, and group commit — the
-//! elected leader's flush pass with its retry policy (protocol in the
-//! crate docs).
+//! elected leader's flush pass (protocol and failure handling in the crate
+//! docs).
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, OnceLock};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use parking_lot::{Condvar, Mutex, MutexGuard};
 
 use ssi_common::{TableId, Timestamp, TxnId};
 use ssi_obs::{EngineMetrics, EventKind};
 
-use crate::error::{ctx, WalError, WalOp, WalResult};
+use crate::error::{ctx, WalError, WalErrorKind, WalOp, WalResult};
 use crate::record::{crc32, Record, WriteEntry, FRAME_HEADER};
 use crate::segment_path;
 use crate::vfs::{StdVfs, Vfs, VfsFile};
@@ -27,8 +27,8 @@ pub enum SyncPolicy {
     /// may lose the buffered suffix, never the prefix order.
     Never,
     /// Committers wait for an fsync covering their commit timestamp; one
-    /// elected leader syncs for every sealed commit at once (group commit)
-    /// and retries failures within a fixed budget.
+    /// elected leader syncs for every sealed commit at once (group commit).
+    /// Its first failure poisons the log; nothing is retried.
     GroupCommit,
 }
 
@@ -36,24 +36,14 @@ pub enum SyncPolicy {
 /// degradation it causes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PoisonCause {
-    /// A fatal I/O failure (or an exhausted retry budget over transient
-    /// ones).
+    /// An append, a segment creation or an fsync failed.
     Io,
-    /// The device stayed full after checkpoint-to-reclaim and the retry
-    /// budget.
+    /// One of those failed because the device or quota is full.
     OutOfSpace,
-    /// A flush leader's pass unwound (a `Vfs` or the reclaim checkpoint
-    /// panicked); nothing vouches for the tail it was syncing.
+    /// A flush leader's pass unwound (a `Vfs` panicked); nothing vouches
+    /// for the tail it was syncing.
     Panic,
 }
-
-/// Retries a flush leader takes over transient or out-of-space failures
-/// before it poisons the log.
-const RETRY_BUDGET: u32 = 4;
-
-/// Sleep between two retries (skipped after the one reclaim attempt of an
-/// ENOSPC incident).
-const RETRY_BACKOFF: Duration = Duration::from_millis(5);
 
 /// Activity counters, exposed for tests, stats and `wal_bench`.
 #[derive(Default, Debug)]
@@ -66,14 +56,9 @@ pub struct WalStats {
     pub fsyncs: AtomicU64,
     /// `seal_upto` calls that appended at least one record.
     pub seal_batches: AtomicU64,
-    /// I/O operations that came back with an error (includes injected
-    /// faults; zero on the clean path).
+    /// Appends and fsyncs that came back with an error (includes injected
+    /// faults; zero on the clean path). The first one poisons the log.
     pub io_failures: AtomicU64,
-    /// Flush attempts re-run by the leader's retry policy after a
-    /// transient or out-of-space failure (zero on the clean path).
-    pub fsync_retries: AtomicU64,
-    /// Checkpoint-to-reclaim attempts triggered by ENOSPC.
-    pub reclaim_attempts: AtomicU64,
 }
 
 impl WalStats {
@@ -142,7 +127,7 @@ impl PreparedCommit {
 /// under way), which is rare and bounded.
 struct Appender {
     file: Arc<dyn VfsFile>,
-    path: PathBuf,
+    path: Arc<Path>,
     seq: u64,
     /// Encoded frames submitted by committers, awaiting sealing, keyed by
     /// commit timestamp.
@@ -159,25 +144,6 @@ struct Appender {
     /// just `sealed_ts`: a `create_table` record appended after the last
     /// durable commit would otherwise be skipped by a clean close's sync.
     dirty: bool,
-    /// Monotone id assigned to each frame written to any segment; the
-    /// pruning watermark of the unsynced-frame buffer.
-    append_seq: u64,
-    /// In [`SyncPolicy::GroupCommit`]: copies of every frame written but
-    /// not yet covered by a successful fsync, keyed by `append_seq`. This
-    /// is what makes fsync failure retryable *without* re-fsyncing the
-    /// errored file — the frames are re-emitted to a fresh segment and
-    /// that is fsynced instead (see `WalWriter::fsync_failed`). (In
-    /// `Never` nobody fsyncs between checkpoints, so the buffer would only
-    /// grow.)
-    unsynced: VecDeque<(u64, Vec<u8>)>,
-}
-
-/// Flush state for the group-commit protocol.
-struct FlushState {
-    /// Commit timestamps `<= durable_ts` are on stable storage.
-    durable_ts: Timestamp,
-    /// True while an elected leader runs a flush pass for the group.
-    flush_in_progress: bool,
 }
 
 /// Poison-cause codes stored in `WalWriter::poison_cause` (0 = none).
@@ -191,37 +157,33 @@ pub struct WalWriter {
     dir: PathBuf,
     policy: SyncPolicy,
     appender: Mutex<Appender>,
-    flush: Mutex<FlushState>,
+    /// Commit timestamps `<= durable_ts` are on stable storage. Advanced
+    /// (`fetch_max`) only under `flush`, so a committer that reads it under
+    /// `flush` and then parks on `flushed` misses no advance; a plain read
+    /// takes no lock.
+    durable_ts: AtomicU64,
+    /// True while an elected leader runs a flush pass for the group.
+    flush: Mutex<bool>,
     flushed: Condvar,
-    /// Highest timestamp any committer has asked to seal. In
-    /// [`SyncPolicy::GroupCommit`] a seal whose append failed retryably is
-    /// *deferred*: the committer's record stays pending and the next flush
-    /// pass re-seals up to this watermark.
+    /// Highest timestamp any committer has asked to seal; a flush pass
+    /// that finds nothing pending at or below it advances `durable_ts` to
+    /// it.
     requested_seal: AtomicU64,
-    /// Set when the log can no longer vouch for what is on the device: a
-    /// partial append that could not be rolled back (the segment may end in
-    /// a half-frame that a later append would bury), or a failed `fsync`
-    /// that the retry policy cannot repair (the kernel may have dropped
-    /// dirty pages and consumed the error, so a bare retry could spuriously
-    /// succeed — the PostgreSQL fsync lesson). Once set, every append and
-    /// every durability wait fails: no commit is ever acknowledged that
-    /// recovery might silently discard.
+    /// Set by the first failed append, segment creation or fsync: from
+    /// then on every append, fsync and durability wait fails (fail-stop),
+    /// so no commit is acknowledged that recovery might discard, and no
+    /// segment is fsynced after a failed fsync — the kernel may have
+    /// dropped the dirty pages and cleared the error, so a second fsync
+    /// could report success for data that is gone. Recovery is a reopen.
     poisoned: AtomicBool,
     /// Why (one of the `CAUSE_*` codes; 0 while healthy). First cause wins.
     poison_cause: AtomicU8,
-    /// Held across every segment fsync; true while the current segment has
-    /// a failed fsync behind it. Such a segment is never fsynced again —
-    /// the kernel may have dropped its dirty pages and reports the error
-    /// to one caller only, so a second fsync could succeed spuriously —
-    /// and nothing in it counts as durable until its unsynced frames are
-    /// re-emitted to a fresh segment ([`WalWriter::reemit_unsynced`]) and
-    /// that is fsynced. Set before the mutex is released, so no other fsync
-    /// (a checkpoint's rotation racing the leader) runs between a failure
-    /// and its record. Lock order: append -> this.
-    fsync_failed: Mutex<bool>,
-    /// Checkpoint-to-reclaim hook installed by the database: invoked by
-    /// the flush leader once per ENOSPC incident in place of a backoff.
-    reclaim: Mutex<Option<Box<dyn Fn() + Send + Sync>>>,
+    /// Held across every segment fsync, the leader's and a rotation's.
+    /// Under it: check for poison, fsync, and on failure poison before
+    /// releasing it — so a checkpoint's rotation racing a leader whose
+    /// fsync fails can never fsync the segment again. Lock order:
+    /// append -> this -> flush.
+    fsync_lock: Mutex<()>,
     stats: WalStats,
     /// Engine observability, installed once by the database after open
     /// (fsync latency histogram plus seal/fsync/rotate trace events).
@@ -229,11 +191,10 @@ pub struct WalWriter {
     obs: OnceLock<Arc<EngineMetrics>>,
 }
 
-/// Ends a leader's flush pass: clears `flush_in_progress` and wakes every
-/// waiter. A pass that unwinds instead of returning (a `Vfs` or the
-/// reclaim checkpoint panicked) first poisons the log, so its waiters —
-/// and every later committer — get an error instead of parking forever
-/// behind a flag nobody clears.
+/// Ends a leader's flush pass: clears the in-progress flag and wakes every
+/// waiter. A pass that unwinds instead of returning (a `Vfs` panicked)
+/// first poisons the log, so its waiters — and every later committer — get
+/// an error instead of parking forever behind a flag nobody clears.
 struct LeaderGuard<'a> {
     wal: &'a WalWriter,
 }
@@ -243,7 +204,7 @@ impl Drop for LeaderGuard<'_> {
         if std::thread::panicking() {
             self.wal.poison_with(PoisonCause::Panic);
         }
-        self.wal.flush.lock().flush_in_progress = false;
+        *self.wal.flush.lock() = false;
         self.wal.flushed.notify_all();
     }
 }
@@ -276,19 +237,14 @@ impl WalWriter {
                 sealed_ts: 0,
                 epoch_bytes: 0,
                 dirty: false,
-                append_seq: 0,
-                unsynced: VecDeque::new(),
             }),
-            flush: Mutex::new(FlushState {
-                durable_ts: 0,
-                flush_in_progress: false,
-            }),
+            durable_ts: AtomicU64::new(0),
+            flush: Mutex::new(false),
             flushed: Condvar::new(),
             requested_seal: AtomicU64::new(0),
             poisoned: AtomicBool::new(false),
             poison_cause: AtomicU8::new(0),
-            fsync_failed: Mutex::new(false),
-            reclaim: Mutex::new(None),
+            fsync_lock: Mutex::new(()),
             stats: WalStats::default(),
             obs: OnceLock::new(),
         })
@@ -297,13 +253,6 @@ impl WalWriter {
     /// The sync policy the log was opened with.
     pub fn policy(&self) -> SyncPolicy {
         self.policy
-    }
-
-    /// True in [`SyncPolicy::GroupCommit`], the one policy that fsyncs
-    /// between checkpoints: frames are kept until an fsync covers them,
-    /// and a retryable seal failure is left to the next flush pass.
-    fn buffers_unsynced(&self) -> bool {
-        self.policy == SyncPolicy::GroupCommit
     }
 
     /// Activity counters.
@@ -330,23 +279,6 @@ impl WalWriter {
     /// Bytes appended since the last rotation (or open).
     pub fn epoch_bytes(&self) -> u64 {
         self.appender.lock().epoch_bytes
-    }
-
-    /// Installs the checkpoint-to-reclaim hook the flush leader invokes on
-    /// ENOSPC. The hook runs on the leader's thread, with
-    /// `flush_in_progress` set and neither the append nor the flush mutex
-    /// held: it may rotate and append, but must not wait for a commit's
-    /// durability — that commit could be waiting on this leader.
-    pub fn set_reclaim_hook(&self, hook: Box<dyn Fn() + Send + Sync>) {
-        *self.reclaim.lock() = Some(hook);
-    }
-
-    /// Runs the reclaim hook, if any. Counted in stats either way.
-    fn try_reclaim(&self) {
-        self.stats.reclaim_attempts.fetch_add(1, Ordering::Relaxed);
-        if let Some(hook) = self.reclaim.lock().as_ref() {
-            hook();
-        }
     }
 
     /// Appends a create-table control record immediately. Not fsynced by
@@ -413,36 +345,19 @@ impl WalWriter {
     /// segment, in timestamp order. Callers invoke this only after the
     /// snapshot clock covers `ts`, which guarantees the pending buffer
     /// holds *all* records up to `ts` — so the file stays timestamp-ordered
-    /// no matter which committer seals first. Idempotent.
-    ///
-    /// In [`SyncPolicy::GroupCommit`] a *retryable* append failure is
-    /// deferred rather than surfaced: the failed record is back in the
-    /// pending buffer (the seal loop guarantees that), the requested
-    /// watermark is recorded, and the committer's
-    /// [`WalWriter::wait_durable`] runs — or waits for — a flush pass that
-    /// re-seals it first (or errors once the retry budget poisons the log).
+    /// no matter which committer seals first. Idempotent. A failed append
+    /// poisons the log.
     pub fn seal_upto(&self, ts: Timestamp) -> WalResult<()> {
         self.requested_seal.fetch_max(ts, Ordering::AcqRel);
-        let result = self.seal_locked(&mut self.appender.lock(), ts);
-        match result {
-            Err(e) if self.defers(&e) => Ok(()),
-            result => result,
-        }
-    }
-
-    /// True when a failed seal is left to the next flush pass instead of
-    /// failing its caller.
-    fn defers(&self, error: &WalError) -> bool {
-        self.buffers_unsynced() && error.is_retryable() && !self.is_poisoned()
+        self.seal_locked(&mut self.appender.lock(), ts)
     }
 
     /// The seal loop, under the held append lock (shared by
-    /// [`WalWriter::seal_upto`], [`WalWriter::rotate`] and the flush pass).
-    /// A record whose append fails is put *back* into the pending buffer
-    /// before the error is returned: the failed frame may belong to a
-    /// different committer than the caller, and that committer must still
-    /// find its record sealable later (or hit the poisoned log) rather than
-    /// be acknowledged durable while its record exists nowhere.
+    /// [`WalWriter::seal_upto`] and [`WalWriter::rotate`]). A record whose
+    /// append fails is put *back* into the pending buffer before the error
+    /// is returned: the flush pass must keep finding it there, or it would
+    /// take the failed timestamp for one without a record and count it
+    /// durable.
     fn seal_locked(&self, appender: &mut Appender, ts: Timestamp) -> WalResult<()> {
         let mut batch = 0u64;
         let mut bytes = 0u64;
@@ -481,20 +396,20 @@ impl WalWriter {
         if self.policy == SyncPolicy::Never {
             return Ok(());
         }
-        let mut flush = self.flush.lock();
+        let mut in_progress = self.flush.lock();
         loop {
-            if flush.durable_ts >= ts {
+            if self.durable_ts() >= ts {
                 return Ok(());
             }
             // Checked inside the loop: a leader that fails poisons the log
-            // and wakes everyone, and no waiter may then re-elect itself
-            // and be "confirmed" by a spuriously succeeding retry.
+            // and wakes everyone, and no waiter may then lead a pass of
+            // its own.
             self.check_poisoned()?;
-            if flush.flush_in_progress {
-                self.flushed.wait(&mut flush);
+            if *in_progress {
+                self.flushed.wait(&mut in_progress);
             } else {
-                self.lead_flush(flush)?;
-                flush = self.flush.lock();
+                self.lead_flush(in_progress)?;
+                in_progress = self.flush.lock();
             }
         }
     }
@@ -505,63 +420,24 @@ impl WalWriter {
     /// Pending records of in-flight commits, if any, are not sealed — their
     /// owners are still before their publication point.
     pub fn sync(&self) -> WalResult<()> {
-        let mut flush = self.flush.lock();
-        while flush.flush_in_progress {
-            self.flushed.wait(&mut flush);
+        let mut in_progress = self.flush.lock();
+        while *in_progress {
+            self.flushed.wait(&mut in_progress);
         }
-        self.lead_flush(flush)
+        self.lead_flush(in_progress)
     }
 
-    /// Runs one flush pass, retried per the policy, as the elected leader:
-    /// `flush_in_progress` is set under the held `flush` guard, which is
-    /// released for the pass. Only one pass runs at a time, so no second
-    /// pass can fsync a file whose error this one consumed.
-    fn lead_flush(&self, mut flush: MutexGuard<'_, FlushState>) -> WalResult<()> {
-        flush.flush_in_progress = true;
-        drop(flush);
+    /// Runs one flush pass as the elected leader: the in-progress flag is
+    /// set under the held `flush` guard, which is released for the pass.
+    fn lead_flush(&self, mut in_progress: MutexGuard<'_, bool>) -> WalResult<()> {
+        *in_progress = true;
+        drop(in_progress);
         let _guard = LeaderGuard { wal: self };
-        self.flush_with_retry()
+        self.flush_pass()
     }
 
-    /// The flush pass under the retry policy (crate docs, § Failure
-    /// handling): a transient or out-of-space failure is retried up to
-    /// [`RETRY_BUDGET`] times, [`RETRY_BACKOFF`] apart; after an fsync
-    /// failure the next pass first re-emits the buffered unsynced frames to
-    /// a fresh segment, since the errored file is never fsynced again;
-    /// ENOSPC gets one checkpoint-to-reclaim attempt instead of its first
-    /// backoff. Without the unsynced-frame buffer (`Never`), or on a fatal
-    /// failure, or once the budget is spent, the log is poisoned.
-    fn flush_with_retry(&self) -> WalResult<()> {
-        let mut retries = 0;
-        let mut reclaimed = false;
-        loop {
-            let error = match self.flush_pass() {
-                Ok(()) => return Ok(()),
-                Err(e) => e,
-            };
-            if self.is_poisoned() {
-                return Err(error);
-            }
-            if !self.buffers_unsynced() || !error.is_retryable() || retries == RETRY_BUDGET {
-                self.poison_for(&error);
-                return Err(error);
-            }
-            retries += 1;
-            self.stats.fsync_retries.fetch_add(1, Ordering::Relaxed);
-            if error.is_reclaimable() && !reclaimed {
-                reclaimed = true;
-                self.try_reclaim();
-            } else {
-                std::thread::sleep(RETRY_BACKOFF);
-            }
-        }
-    }
-
-    /// One flush pass: re-emits the unsynced frames if the current
-    /// segment's fsync failed, re-seals deferred records up to the
-    /// requested watermark, fsyncs the current segment and advances
-    /// `durable_ts` over everything sealed before the capture, then prunes
-    /// the frames that fsync covered from the unsynced buffer.
+    /// One flush pass: fsyncs the current segment and advances
+    /// `durable_ts` over everything sealed before the capture.
     ///
     /// With nothing pending at or below the requested watermark,
     /// `durable_ts` advances to the watermark itself: every timestamp up to
@@ -570,15 +446,9 @@ impl WalWriter {
     /// timestamp ends instead of re-electing its caller forever.
     fn flush_pass(&self) -> WalResult<()> {
         self.check_poisoned()?;
-        let (file, path, sealed, target, upto_seq, dirty) = {
+        let (file, path, sealed, target, dirty) = {
             let mut appender = self.appender.lock();
-            self.reemit_unsynced(&mut appender)?;
-            // A committer whose append failed retryably left its record
-            // pending; this pass must cover it before fsyncing.
             let requested = self.requested_seal.load(Ordering::Acquire);
-            if self.buffers_unsynced() && requested > appender.sealed_ts {
-                self.seal_locked(&mut appender, requested)?;
-            }
             let target = match appender.pending.first_key_value() {
                 Some((&ts, _)) if ts <= requested => appender.sealed_ts,
                 _ => appender.sealed_ts.max(requested),
@@ -588,157 +458,46 @@ impl WalWriter {
                 appender.path.clone(),
                 appender.sealed_ts,
                 target,
-                appender.append_seq,
                 std::mem::take(&mut appender.dirty),
             )
         };
-        {
-            let mut flush = self.flush.lock();
-            if !dirty && flush.durable_ts >= sealed {
-                // Nothing appended since the last pass is unsynced.
-                flush.durable_ts = flush.durable_ts.max(target);
-                return Ok(());
-            }
+        // Skipped when the last pass already synced everything appended.
+        if dirty || self.durable_ts() < sealed {
+            self.fsync_segment(file.as_ref(), &path)?;
         }
-        {
-            // Recorded before any other fsync can run. If a rotation
-            // replaced the captured segment meanwhile, the flag lands on
-            // its successor: one needless re-emission, never a lost error.
-            let mut fsync_failed = self.fsync_failed.lock();
-            let synced = self.fsync_file(file.as_ref(), &path);
-            *fsync_failed |= synced.is_err();
-            synced?;
-        }
-        {
-            let mut flush = self.flush.lock();
-            flush.durable_ts = flush.durable_ts.max(target);
-        }
-        if self.buffers_unsynced() {
-            // Append lock taken after the flush lock is released — the
-            // order is append -> flush, never the reverse.
-            let mut appender = self.appender.lock();
-            while appender
-                .unsynced
-                .front()
-                .is_some_and(|(seq, _)| *seq < upto_seq)
-            {
-                appender.unsynced.pop_front();
-            }
-        }
+        self.publish_durable(target);
         Ok(())
     }
 
-    /// After a failed fsync of the current segment (see
-    /// `WalWriter::fsync_failed`; a no-op otherwise), opens a fresh segment
-    /// and re-writes every buffered unsynced frame into it, oldest first.
-    /// The next fsync covers the fresh segment; on success the buffer is
-    /// pruned as usual. If a write fails the flag stays set, and the next
-    /// call re-emits the full set into yet another segment. Runs under the
-    /// append lock (the flush pass and [`WalWriter::rotate`]).
-    ///
-    /// Re-emitted frames may duplicate records that *did* reach the device
-    /// before the failure — recovery deduplicates replayed commits by
-    /// commit timestamp, so duplicates are harmless.
-    fn reemit_unsynced(&self, appender: &mut Appender) -> WalResult<()> {
-        let mut fsync_failed = self.fsync_failed.lock();
-        if !*fsync_failed {
-            return Ok(());
-        }
-        self.open_next_segment(appender)?;
-        // Not through write_frame: the frames keep their original buffer
-        // entries instead of gaining second ones.
-        for (_, frame) in &appender.unsynced {
-            self.write_at(&*appender.file, &appender.path, appender.epoch_bytes, frame)?;
-            appender.epoch_bytes += frame.len() as u64;
-            self.stats
-                .bytes
-                .fetch_add(frame.len() as u64, Ordering::Relaxed);
-        }
-        appender.dirty = true;
-        *fsync_failed = false;
-        Ok(())
-    }
-
-    /// Creates segment `seq + 1` and makes it the append target.
-    fn open_next_segment(&self, appender: &mut Appender) -> WalResult<()> {
-        let seq = appender.seq + 1;
-        let (file, path) = create_segment(self.vfs.as_ref(), &self.dir, seq)?;
-        appender.file = file;
-        appender.path = path;
-        appender.seq = seq;
-        appender.epoch_bytes = 0;
-        Ok(())
-    }
-
-    /// Rotates to a fresh segment for a checkpoint. Under the append lock:
+    /// Rotates to a fresh segment for a checkpoint, under the append lock:
     /// reads the published clock via `clock`, seals everything up to it,
-    /// fsyncs the old segment, and opens segment `seq + 1`. Returns
-    /// `(cut_ts, old_seq)`: every record with `ts <= cut_ts` is in segments
-    /// `<= old_seq`, every later record lands in newer segments — the cut
-    /// invariant checkpointing relies on.
-    ///
-    /// The old segment is fsynced *under* the append lock, so `durable_ts`
-    /// advances before any committer captures the empty new segment as its
-    /// flush target; checkpoints thus stall concurrent commits for one
-    /// device sync. A failure of that fsync poisons the log. If instead a
-    /// flush leader's fsync of the old segment has already failed, it is
-    /// not fsynced again: its unsynced frames are re-emitted into the new
-    /// segment, and `durable_ts` stays put until a leader fsyncs that.
+    /// fsyncs the old segment, opens segment `seq + 1` and advances
+    /// `durable_ts` over the old one — before any committer can capture the
+    /// empty new segment as its flush target. Returns `(cut_ts, old_seq)`:
+    /// every record with `ts <= cut_ts` is in segments `<= old_seq`, every
+    /// later record lands in newer segments — the cut invariant
+    /// checkpointing relies on. Any failure poisons the log.
     pub fn rotate(&self, clock: impl FnOnce() -> Timestamp) -> WalResult<(Timestamp, u64)> {
         self.check_poisoned()?;
         let mut appender = self.appender.lock();
         // Read the clock *after* taking the append lock: any seal that ran
-        // before us covered only timestamps <= this value.
+        // before us covered only timestamps <= this value, and all of the
+        // <= cut_ts prefix is pending or sealed (submit precedes
+        // publication).
         let cut_ts = clock();
-        // Seal the <= cut_ts prefix into the old segment (all of it is
-        // pending or already sealed, because submit precedes publication).
-        if let Err(e) = self.seal_locked(&mut appender, cut_ts) {
-            // Same net as `seal_upto`: a retryable seal failure defers
-            // instead of aborting the rotation — the records stay pending
-            // and the next flush pass re-seals them into the *fresh*
-            // segment. That is exactly the ENOSPC reclaim case: the old
-            // segment cannot take one more byte, and the checkpoint this
-            // rotation serves covers the deferred timestamps anyway
-            // (recovery skips replayed frames at or below the snapshot), so
-            // parking them behind the cut loses nothing. Without the net
-            // the rotation fails and reclaim can never free space.
-            if !self.defers(&e) {
-                return Err(e);
-            }
-            self.requested_seal.fetch_max(cut_ts, Ordering::AcqRel);
-        }
+        self.seal_locked(&mut appender, cut_ts)?;
         let old_seq = appender.seq;
-        let fsync_failed = self.fsync_failed.lock();
-        if *fsync_failed {
-            drop(fsync_failed);
-            self.reemit_unsynced(&mut appender)?;
-        } else {
-            let synced = self.fsync_file(&*appender.file, &appender.path);
-            drop(fsync_failed);
-            if let Err(e) = synced {
-                self.poison_for(&e);
-                return Err(e);
-            }
-            self.open_next_segment(&mut appender)?;
-            appender.dirty = false;
-            // The old segment is fully durable: drop its frames from the
-            // unsynced buffer and advance the durability horizon so
-            // committers covered by it never fsync the (empty) new segment.
-            let synced_upto = appender.append_seq;
-            while appender
-                .unsynced
-                .front()
-                .is_some_and(|(seq, _)| *seq < synced_upto)
-            {
-                appender.unsynced.pop_front();
-            }
-            let sealed = appender.sealed_ts;
-            drop(appender);
-            let mut flush = self.flush.lock();
-            flush.durable_ts = flush.durable_ts.max(sealed);
-            drop(flush);
-            self.flushed.notify_all();
-        }
+        self.fsync_segment(&*appender.file, &appender.path)?;
+        let (file, path) = create_segment(self.vfs.as_ref(), &self.dir, old_seq + 1)
+            .map_err(|e| self.poison_for(e))?;
+        appender.file = file;
+        appender.path = path;
+        appender.seq = old_seq + 1;
+        appender.epoch_bytes = 0;
+        appender.dirty = false;
+        self.publish_durable(appender.sealed_ts);
+        self.flushed.notify_all();
+        drop(appender);
         if let Some(obs) = self.obs() {
             obs.trace.emit(EventKind::WalRotate, old_seq, 0, 0);
         }
@@ -747,7 +506,13 @@ impl WalWriter {
 
     /// Highest commit timestamp known to be on stable storage.
     pub fn durable_ts(&self) -> Timestamp {
-        self.flush.lock().durable_ts
+        self.durable_ts.load(Ordering::Acquire)
+    }
+
+    /// Advances `durable_ts` to `ts` (never back), under `flush`.
+    fn publish_durable(&self, ts: Timestamp) {
+        let _flush = self.flush.lock();
+        self.durable_ts.fetch_max(ts, Ordering::AcqRel);
     }
 
     /// Highest commit timestamp sealed into a segment file.
@@ -781,13 +546,15 @@ impl WalWriter {
         self.poisoned.store(true, Ordering::Release);
     }
 
-    /// Poisons the log for a failure nothing will retry.
-    fn poison_for(&self, error: &WalError) {
-        self.poison_with(if error.is_reclaimable() {
+    /// Poisons the log for the failed append, segment creation or fsync
+    /// `error`, and returns it.
+    fn poison_for(&self, error: WalError) -> WalError {
+        self.poison_with(if error.kind == WalErrorKind::OutOfSpace {
             PoisonCause::OutOfSpace
         } else {
             PoisonCause::Io
         });
+        error
     }
 
     /// Why the log was poisoned (`None` while healthy).
@@ -800,7 +567,7 @@ impl WalWriter {
         }
     }
 
-    /// True once the log has hit an unrecoverable I/O failure (see the
+    /// True once an append, segment creation or fsync has failed (see the
     /// `poisoned` field docs); every later append or durability wait fails.
     pub fn is_poisoned(&self) -> bool {
         self.poisoned.load(Ordering::Acquire)
@@ -813,12 +580,11 @@ impl WalWriter {
         Ok(())
     }
 
-    /// `sync_all` wrapper, timed and traced. Whether a failure poisons the
-    /// log is the caller's call: the flush leader retries by re-emission
-    /// ([`WalWriter::reemit_unsynced`]) — the kernel may have dropped the
-    /// dirty pages *and* consumed the error flag, so a bare retry of the
-    /// same file could spuriously succeed.
-    fn fsync_file(&self, file: &dyn VfsFile, path: &Path) -> WalResult<()> {
+    /// Fsyncs a segment under `fsync_lock`, timed and traced (see that
+    /// field for the rule it enforces).
+    fn fsync_segment(&self, file: &dyn VfsFile, path: &Path) -> WalResult<()> {
+        let _serial = self.fsync_lock.lock();
+        self.check_poisoned()?;
         let t0 = Instant::now();
         let result = file.sync_all();
         self.stats.fsyncs.fetch_add(1, Ordering::Relaxed);
@@ -834,58 +600,46 @@ impl WalWriter {
         }
         result.map_err(|e| {
             self.stats.io_failures.fetch_add(1, Ordering::Relaxed);
-            WalError::io(WalOp::Fsync, path, e)
+            self.poison_for(WalError::io(WalOp::Fsync, path, e))
         })
     }
 
+    /// Appends one frame at the segment's logical end. A failure poisons
+    /// the log, after rolling the segment back to its last whole-frame
+    /// boundary: `write_all` may have left part of the frame in the file,
+    /// and after a reopen this segment is no longer the last one.
     fn write_frame(&self, appender: &mut Appender, frame: &[u8]) -> WalResult<()> {
         self.check_poisoned()?;
-        self.write_at(&*appender.file, &appender.path, appender.epoch_bytes, frame)?;
+        if let Err(e) = appender.file.write_all(frame) {
+            let _ = appender.file.set_len(appender.epoch_bytes);
+            self.stats.io_failures.fetch_add(1, Ordering::Relaxed);
+            return Err(self.poison_for(WalError::io(WalOp::Append, &*appender.path, e)));
+        }
         appender.epoch_bytes += frame.len() as u64;
         appender.dirty = true;
-        if self.buffers_unsynced() {
-            let seq = appender.append_seq;
-            appender.unsynced.push_back((seq, frame.to_vec()));
-        }
-        appender.append_seq += 1;
         Ok(())
-    }
-
-    /// Appends one frame at the segment's logical end `end`. `write_all`
-    /// may have put a partial frame in the file on failure: the segment is
-    /// rolled back to `end`, the last whole-frame boundary, so later
-    /// appends stay readable — and if even that fails, the log is poisoned
-    /// so no later commit can be acknowledged behind unreadable bytes.
-    fn write_at(&self, file: &dyn VfsFile, path: &Path, end: u64, frame: &[u8]) -> WalResult<()> {
-        file.write_all(frame).map_err(|e| {
-            self.stats.io_failures.fetch_add(1, Ordering::Relaxed);
-            if file.set_len(end).is_err() {
-                self.poison_with(PoisonCause::Io);
-            }
-            WalError::io(WalOp::Append, path, e)
-        })
     }
 }
 
-fn create_segment(vfs: &dyn Vfs, dir: &Path, seq: u64) -> WalResult<(Arc<dyn VfsFile>, PathBuf)> {
+fn create_segment(vfs: &dyn Vfs, dir: &Path, seq: u64) -> WalResult<(Arc<dyn VfsFile>, Arc<Path>)> {
     let path = segment_path(dir, seq);
     let file = ctx(vfs.create_segment(&path), WalOp::Create, &path)?;
     if let Err(e) = vfs.sync_dir(dir) {
-        // Segments are always new: take this one back so that a retry
-        // (rotation, re-emission) can create it again.
+        // Segments are always new: take this one back, so that a reopen
+        // can create it again.
         let _ = vfs.remove_file(&path);
         return Err(WalError::io(WalOp::DirSync, dir, e));
     }
-    Ok((file, path))
+    Ok((file, path.into()))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::error::WalErrorKind;
     use crate::record::{decode_stream, Record, WriteEntry};
     use crate::testutil::temp_dir;
     use crate::vfs::{FaultMode, FaultOp, FaultRule, FaultVfs};
+    use std::time::Duration;
 
     fn entry(key: &[u8], value: &[u8]) -> WriteEntry {
         WriteEntry {
@@ -944,6 +698,16 @@ mod tests {
             let waiter = commit(wal, 3);
             (leader.join().unwrap(), waiter)
         })
+    }
+
+    /// Segment fsyncs of `seq` seen by a `Delay` rule so far.
+    fn fsyncs_of_segment(fault: &FaultVfs, seq: u64) -> usize {
+        let name = format!("segment-{seq:010}");
+        fault
+            .events()
+            .iter()
+            .filter(|e| e.starts_with("delay") && e.contains("fsync at") && e.contains(&name))
+            .count()
     }
 
     #[test]
@@ -1030,8 +794,6 @@ mod tests {
         assert_eq!(wal.stats().records.load(Ordering::Relaxed), 160);
         let fsyncs = wal.stats().fsyncs.load(Ordering::Relaxed);
         assert!(fsyncs >= 1);
-        // Clean path: the retry machinery must not have fired.
-        assert_eq!(wal.stats().fsync_retries.load(Ordering::Relaxed), 0);
         assert_eq!(wal.stats().io_failures.load(Ordering::Relaxed), 0);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1049,6 +811,7 @@ mod tests {
         let (cut, old_seq) = wal.rotate(|| 3).unwrap();
         assert_eq!((cut, old_seq), (3, 1));
         assert_eq!(wal.current_segment(), 2);
+        assert_eq!(wal.durable_ts(), 3);
         assert_eq!(read_segment(&dir, 1).len(), 2);
         wal.seal_upto(7).unwrap();
         assert_eq!(
@@ -1091,11 +854,10 @@ mod tests {
         let wal = WalWriter::open_with(fault.handle(), &dir, 1, SyncPolicy::Never).unwrap();
         wal.submit(2, TxnId(1), vec![entry(b"a", b"1")]);
         wal.seal_upto(2).unwrap();
-        // No unsynced-frame buffer to re-emit from: even a transient
-        // failure poisons, and nothing is retried.
         assert!(wal.sync().is_err());
         assert_eq!(wal.poison_cause(), Some(PoisonCause::Io));
-        assert_eq!(wal.stats().fsync_retries.load(Ordering::Relaxed), 0);
+        assert_eq!(wal.sync().unwrap_err().kind, WalErrorKind::Poisoned);
+        assert_eq!(wal.stats().fsyncs.load(Ordering::Relaxed), 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1113,79 +875,32 @@ mod tests {
     }
 
     #[test]
-    fn leader_retries_transient_fsync_failures_by_reemission() {
-        // Two failed fsyncs: the leader re-emits the unsynced frames to a
-        // fresh segment after each and fsyncs that, so both the leader and
-        // the committer parked behind it are acknowledged.
-        let dir = temp_dir("leader-retry");
-        let (fault, wal) = slow_log(
-            &dir,
-            20,
-            vec![FaultRule::new(
-                FaultOp::Fsync,
-                FaultMode::FailTimes(2),
-                std::io::ErrorKind::Interrupted,
-            )],
-        );
-        let (leader, waiter) = leader_and_waiter(&fault, &wal);
-        leader.unwrap();
-        waiter.unwrap();
-        assert!(!wal.is_poisoned(), "transient faults must not poison");
-        assert_eq!(wal.stats().fsync_retries.load(Ordering::Relaxed), 2);
-        assert_eq!(wal.current_segment(), 3, "one fresh segment per failure");
-        assert_eq!(commit_ts(&read_segment(&dir, 3)), vec![2, 3]);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn exhausted_retry_budget_poisons_and_wakes_the_waiter() {
-        let dir = temp_dir("leader-budget");
-        let (fault, wal) = slow_log(
-            &dir,
-            10,
-            vec![FaultRule::new(
-                FaultOp::Fsync,
-                FaultMode::FailAlways,
-                std::io::ErrorKind::Interrupted,
-            )],
-        );
-        let (leader, waiter) = leader_and_waiter(&fault, &wal);
-        let leader = leader.unwrap_err();
-        assert_eq!(
-            (leader.op, leader.kind),
-            (WalOp::Fsync, WalErrorKind::Transient)
-        );
-        assert_eq!(waiter.unwrap_err().kind, WalErrorKind::Poisoned);
-        assert_eq!(wal.poison_cause(), Some(PoisonCause::Io));
-        assert_eq!(
-            wal.stats().fsync_retries.load(Ordering::Relaxed),
-            RETRY_BUDGET as u64,
-            "must exhaust exactly the budget"
-        );
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn fatal_fsync_failure_poisons_without_retrying() {
-        let dir = temp_dir("leader-fatal");
-        let (fault, wal) = slow_log(
-            &dir,
-            20,
-            vec![FaultRule::new(
-                FaultOp::Fsync,
-                FaultMode::FailAlways,
-                std::io::ErrorKind::PermissionDenied,
-            )],
-        );
-        let (leader, waiter) = leader_and_waiter(&fault, &wal);
-        assert_eq!(leader.unwrap_err().kind, WalErrorKind::Fatal);
-        assert_eq!(waiter.unwrap_err().kind, WalErrorKind::Poisoned);
-        assert_eq!(
-            wal.stats().fsync_retries.load(Ordering::Relaxed),
-            0,
-            "fatal failures must not burn retries"
-        );
-        let _ = std::fs::remove_dir_all(&dir);
+    fn failed_fsync_poisons_and_wakes_the_waiter() {
+        // Transient or fatal alike: the leader's first failed fsync poisons
+        // the log. The leader gets the I/O error, the committer parked
+        // behind it gets `Poisoned`, nothing becomes durable, and no fresh
+        // segment is opened to retry into.
+        for (kind, class) in [
+            (std::io::ErrorKind::Interrupted, WalErrorKind::Transient),
+            (std::io::ErrorKind::PermissionDenied, WalErrorKind::Fatal),
+        ] {
+            let dir = temp_dir("leader-fails");
+            let (fault, wal) = slow_log(
+                &dir,
+                20,
+                vec![FaultRule::new(FaultOp::Fsync, FaultMode::FailOnce, kind)],
+            );
+            let (leader, waiter) = leader_and_waiter(&fault, &wal);
+            let leader = leader.unwrap_err();
+            assert_eq!((leader.op, leader.kind), (WalOp::Fsync, class));
+            assert_eq!(waiter.unwrap_err().kind, WalErrorKind::Poisoned);
+            assert_eq!(wal.poison_cause(), Some(PoisonCause::Io));
+            assert_eq!(wal.durable_ts(), 0);
+            assert_eq!(wal.current_segment(), 1);
+            assert_eq!(wal.stats().fsyncs.load(Ordering::Relaxed), 1);
+            assert_eq!(commit(&wal, 4).unwrap_err().kind, WalErrorKind::Poisoned);
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]
@@ -1217,27 +932,15 @@ mod tests {
     }
 
     #[test]
-    fn deferred_seal_is_resealed_by_the_leader() {
-        let dir = temp_dir("defer-seal");
-        let fault = FaultVfs::new(vec![FaultRule::new(
-            FaultOp::Write,
-            FaultMode::FailOnce,
-            std::io::ErrorKind::Interrupted,
-        )
-        .on_path("segment-")]);
-        let wal = WalWriter::open_with(fault.handle(), &dir, 1, SyncPolicy::GroupCommit).unwrap();
-        wal.submit(2, TxnId(1), vec![entry(b"a", b"1")]);
-        // The injected write failure defers the seal instead of erroring.
-        wal.seal_upto(2).unwrap();
-        assert_eq!(wal.sealed_ts(), 0, "seal must have been deferred");
-        // The leader re-seals up to the requested watermark and syncs.
-        wal.wait_durable(2).unwrap();
-        assert_eq!(wal.durable_ts(), 2);
-        assert_eq!(read_segment(&dir, 1).len(), 1);
-
+    fn short_write_poisons_and_rolls_back_to_the_frame_boundary() {
         // A short write leaves part of a frame in the segment's reserved
-        // space; the rollback cuts it off and the retry writes the frame
-        // whole where it began (`read_segment` asserts no torn tail).
+        // space. The rollback cuts it off — the logical end equals the
+        // file length, and `read_segment` finds no torn tail — and the
+        // commit errors on a poisoned log.
+        let dir = temp_dir("short-write");
+        let fault = FaultVfs::new(vec![]);
+        let wal = WalWriter::open_with(fault.handle(), &dir, 1, SyncPolicy::GroupCommit).unwrap();
+        commit(&wal, 2).unwrap();
         fault.add_rule(
             FaultRule::new(
                 FaultOp::Write,
@@ -1246,136 +949,61 @@ mod tests {
             )
             .on_path("segment-"),
         );
-        wal.submit(3, TxnId(2), vec![entry(b"b", b"2")]);
-        assert!(wal.seal_upto(3).is_err(), "the short write must surface");
+        let err = commit(&wal, 3).unwrap_err();
+        assert_eq!((err.op, err.kind), (WalOp::Append, WalErrorKind::Fatal));
+        assert_eq!(wal.poison_cause(), Some(PoisonCause::Io));
         assert_eq!(
             wal.epoch_bytes(),
             std::fs::metadata(segment_path(&dir, 1)).unwrap().len()
         );
-        fault.clear_rules();
-        wal.seal_upto(3).unwrap();
-        wal.wait_durable(3).unwrap();
-        assert_eq!(read_segment(&dir, 1).len(), 2);
-        assert!(!wal.is_poisoned());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn enospc_runs_the_reclaim_hook_once_per_incident() {
-        // The first three appends fail with ENOSPC: the committer's own
-        // seal (deferred), then the leader's first two re-seals. The first
-        // retry runs the reclaim hook instead of the backoff, the second
-        // backs off, the third attempt lands.
-        let dir = temp_dir("leader-reclaim");
-        let fault = FaultVfs::new(vec![FaultRule::new(
-            FaultOp::Write,
-            FaultMode::FailTimes(3),
-            std::io::ErrorKind::StorageFull,
-        )
-        .on_path("segment-")]);
-        let wal = WalWriter::open_with(fault.handle(), &dir, 1, SyncPolicy::GroupCommit).unwrap();
-        let hook_calls = Arc::new(AtomicU64::new(0));
-        let calls = hook_calls.clone();
-        wal.set_reclaim_hook(Box::new(move || {
-            calls.fetch_add(1, Ordering::Relaxed);
-        }));
-        commit(&wal, 2).unwrap();
-        assert_eq!(hook_calls.load(Ordering::Relaxed), 1);
-        assert_eq!(wal.stats().reclaim_attempts.load(Ordering::Relaxed), 1);
-        assert_eq!(wal.stats().fsync_retries.load(Ordering::Relaxed), 2);
         assert_eq!(commit_ts(&read_segment(&dir, 1)), vec![2]);
+        assert_eq!(
+            wal.wait_durable(3).unwrap_err().kind,
+            WalErrorKind::Poisoned
+        );
+        assert_eq!(wal.durable_ts(), 2);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn rotation_defers_a_failed_seal_and_the_record_lands_in_the_new_segment() {
-        // The ENOSPC-reclaim shape: the old segment cannot take one more
-        // byte, so the rotation's seal fails retryably. The rotation must
-        // still succeed (defer, not abort) — otherwise checkpoint-to-
-        // reclaim could never run against a full log — and the next flush
-        // pass re-seals the record into the *fresh* segment.
-        let dir = temp_dir("rotate-defer");
+    fn rotation_whose_seal_fails_poisons_the_log() {
+        // The old segment cannot take one more byte: the rotation's seal
+        // fails, the rotation returns the error, and the log is poisoned
+        // out of space with the record still pending and no new segment.
+        let dir = temp_dir("rotate-seal-fails");
         let fault = FaultVfs::new(vec![FaultRule::new(
             FaultOp::Write,
-            FaultMode::FailTimes(1),
+            FaultMode::FailOnce,
             std::io::ErrorKind::StorageFull,
         )
         .on_path("segment-")]);
         let wal = WalWriter::open_with(fault.handle(), &dir, 1, SyncPolicy::GroupCommit).unwrap();
         wal.submit(2, TxnId(1), vec![entry(b"a", b"1")]);
-        let (cut_ts, old_seq) = wal.rotate(|| 2).unwrap();
-        assert_eq!((cut_ts, old_seq), (2, 1));
-        assert_eq!(wal.current_segment(), 2);
-        assert!(
-            read_segment(&dir, 1).is_empty(),
-            "old segment must be empty"
-        );
-        // The budget recovers (FailTimes(1) exhausted): the leader re-seals
-        // the deferred record into segment 2 and syncs it.
-        wal.wait_durable(2).unwrap();
-        assert_eq!(read_segment(&dir, 2).len(), 1);
-        assert!(!wal.is_poisoned());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    /// Counts every later fsync of segment 1 (as a zero-length delay).
-    fn count_segment_one_fsyncs(fault: &FaultVfs) {
-        fault.add_rule(
-            FaultRule::new(
-                FaultOp::Fsync,
-                FaultMode::Delay { millis: 0 },
-                std::io::ErrorKind::Other,
-            )
-            .on_path("segment-0000000001"),
-        );
-    }
-
-    #[test]
-    fn reclaim_rotation_after_a_failed_fsync_reemits_instead_of_refsyncing() {
-        // ENOSPC on the leader's fsync of segment 1. The reclaim hook's
-        // rotation must neither fsync segment 1 again (a second fsync may
-        // succeed spuriously) nor move `durable_ts`: it re-emits the
-        // unsynced frame into segment 2, and the commit is acknowledged
-        // only once the leader's retry fsyncs that.
-        let dir = temp_dir("reclaim-rotate");
-        let fault = FaultVfs::new(vec![FaultRule::new(
-            FaultOp::Fsync,
-            FaultMode::FailOnce,
-            std::io::ErrorKind::StorageFull,
-        )
-        .on_path("segment-")]);
-        count_segment_one_fsyncs(&fault);
-        let wal = Arc::new(
-            WalWriter::open_with(fault.handle(), &dir, 1, SyncPolicy::GroupCommit).unwrap(),
-        );
-        let seen = Arc::new(Mutex::new(None));
-        let (log, hook_seen) = (Arc::downgrade(&wal), seen.clone());
-        wal.set_reclaim_hook(Box::new(move || {
-            let wal = log.upgrade().unwrap();
-            let rotated = wal.rotate(|| 2).map_err(|e| e.kind);
-            *hook_seen.lock() = Some((rotated, wal.durable_ts()));
-        }));
-        commit(&wal, 2).unwrap();
-        let (rotated, durable_in_hook) = seen.lock().take().expect("reclaim hook ran");
-        assert_eq!(rotated, Ok((2, 1)));
+        let err = wal.rotate(|| 2).unwrap_err();
         assert_eq!(
-            durable_in_hook, 0,
-            "rotation acknowledged an errored segment"
+            (err.op, err.kind),
+            (WalOp::Append, WalErrorKind::OutOfSpace)
         );
-        assert_eq!(fault.delayed(), 0, "segment 1 was fsynced again");
-        assert_eq!(wal.durable_ts(), 2);
-        assert_eq!(wal.current_segment(), 2);
-        assert_eq!(commit_ts(&read_segment(&dir, 2)), vec![2]);
-        assert_eq!(wal.stats().fsync_retries.load(Ordering::Relaxed), 1);
+        assert_eq!(wal.poison_cause(), Some(PoisonCause::OutOfSpace));
+        assert_eq!(wal.current_segment(), 1);
+        assert_eq!(wal.sealed_ts(), 0);
+        assert_eq!(wal.stats().fsyncs.load(Ordering::Relaxed), 0);
+        assert_eq!(
+            wal.wait_durable(2).unwrap_err().kind,
+            WalErrorKind::Poisoned
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn rotation_racing_a_failing_leader_fsync_reemits_instead_of_refsyncing() {
+    fn rotation_racing_a_failing_leader_fsync_is_poisoned_without_refsyncing() {
         // A checkpoint's rotation starts while the leader's fsync of
-        // segment 1 is in flight and about to fail. The rotation waits for
-        // that fsync and sees its failure: segment 1 is fsynced once only,
-        // and the leader's retry fsyncs the re-emitted segment 2.
+        // segment 1 is in flight and about to fail. The test holds `flush`
+        // meanwhile, so the leader cannot end its pass before the rotation
+        // has run: the log must be poisoned by the time the fsync mutex is
+        // released, not when the failure reaches the end of the pass. The
+        // rotation then finds it poisoned: segment 1 is fsynced once only,
+        // and nothing becomes durable.
         let dir = temp_dir("rotate-race");
         let (fault, wal) = slow_log(
             &dir,
@@ -1391,18 +1019,30 @@ mod tests {
             while fault.delayed() == 0 {
                 std::thread::yield_now();
             }
-            assert_eq!(wal.rotate(|| 2).unwrap(), (2, 1));
-            leader.join().unwrap().unwrap();
+            let pass_cannot_end = wal.flush.lock();
+            let rotation = s.spawn(|| wal.rotate(|| 2));
+            // Until the rotation is done, or has fsynced segment 1 again
+            // and waits for `flush` to publish what it synced.
+            while !rotation.is_finished() && fault.delayed() < 2 {
+                std::thread::yield_now();
+            }
+            drop(pass_cannot_end);
+            assert_eq!(
+                rotation.join().unwrap().unwrap_err().kind,
+                WalErrorKind::Poisoned
+            );
+            assert_eq!(
+                leader.join().unwrap().unwrap_err().kind,
+                WalErrorKind::Transient
+            );
         });
-        let segment_one_fsyncs = fault
-            .events()
-            .iter()
-            .filter(|e| e.starts_with("delay") && e.contains("fsync at"))
-            .filter(|e| e.contains("segment-0000000001"))
-            .count();
-        assert_eq!(segment_one_fsyncs, 1, "segment 1 was fsynced again");
-        assert_eq!(wal.durable_ts(), 2);
-        assert_eq!(commit_ts(&read_segment(&dir, 2)), vec![2]);
+        assert_eq!(
+            fsyncs_of_segment(&fault, 1),
+            1,
+            "segment 1 was fsynced again"
+        );
+        assert_eq!(wal.durable_ts(), 0);
+        assert_eq!(wal.current_segment(), 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

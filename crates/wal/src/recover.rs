@@ -31,9 +31,9 @@ pub struct Recovered {
     /// or I/O failure mid-checkpoint leaves one; they are never valid
     /// snapshots and recovery sweeps them.
     pub tmp_files_removed: u64,
-    /// Duplicate commit records dropped. The flush leader's re-emission retry
-    /// path can write a commit's frame into a fresh segment while an
-    /// earlier copy already reached the old one; recovery keeps one.
+    /// Duplicate commit records dropped. The log writes each commit once,
+    /// but logs written before it became fail-stop could frame a commit in
+    /// two segments (a retry re-emitted it); recovery keeps one.
     pub duplicate_commits: u64,
     /// First free segment sequence number: the reopened log appends here.
     pub next_segment_seq: u64,
@@ -55,8 +55,8 @@ pub fn recover_into(dir: &Path, catalog: &Catalog) -> WalResult<Recovered> {
 ///    first torn or corrupt frame;
 /// 4. apply create-table records, then replay every whole commit record
 ///    with `ts >` the snapshot timestamp, in commit-timestamp order —
-///    deduplicated by commit timestamp, since the flush leader's re-emission
-///    retry can leave the same commit framed in two segments — so each
+///    deduplicated by commit timestamp (see
+///    [`Recovered::duplicate_commits`]) — so each
 ///    key's version chain is rebuilt newest-first.
 ///
 /// Replayed versions are installed committed at their original timestamps
@@ -141,8 +141,7 @@ pub fn recover_into_with(vfs: &dyn Vfs, dir: &Path, catalog: &Catalog) -> WalRes
             match record {
                 Record::CreateTable { table, name } => {
                     // Idempotent: the snapshot (or an earlier segment, or a
-                    // re-emitted duplicate frame) may already have created
-                    // it.
+                    // duplicate frame) may already have created it.
                     let _ = catalog.create_table_with_id(table, &name);
                 }
                 Record::CreateIndex {
@@ -182,9 +181,8 @@ pub fn recover_into_with(vfs: &dyn Vfs, dir: &Path, catalog: &Catalog) -> WalRes
     // sealing protocol; sorting makes recovery robust to reordered
     // segments too). Commit timestamps are unique — the publication clock
     // hands each commit its own tick — so two records with the same
-    // timestamp are the same commit, framed twice by the flush leader's
-    // re-emission retry; keep the first. Write order within a transaction
-    // is preserved.
+    // timestamp are the same commit, framed twice by an older log's retry;
+    // keep the first. Write order within a transaction is preserved.
     commits.sort_by_key(|c| c.commit_ts);
     let before = commits.len();
     commits.dedup_by_key(|c| c.commit_ts);
@@ -604,9 +602,9 @@ mod tests {
 
     #[test]
     fn duplicate_commit_frames_replay_once() {
-        // The flush leader's re-emission retry can frame the same commit into
-        // two segments (the first copy's fsync failed transiently but the
-        // bytes landed). Recovery must apply it once.
+        // A log written before the log became fail-stop could frame the
+        // same commit into two segments (a retry re-emitted it after a
+        // failed fsync whose bytes landed). Recovery must apply it once.
         let dir = temp_dir("rec-dup");
         {
             let wal = WalWriter::open(&dir, 1, SyncPolicy::Never).unwrap();

@@ -300,8 +300,8 @@ pub enum FaultMode {
     /// VFS exceed `bytes`, every matching write fails with the rule's
     /// error kind (typically `StorageFull`). Removing a file refunds its
     /// length (a segment's reserved zeros included, so a refund may
-    /// exceed what the budget counted; it stops at zero), modelling
-    /// checkpoint-to-reclaim.
+    /// exceed what the budget counted; it stops at zero), modelling the
+    /// space a checkpoint frees when it prunes segments.
     NoSpaceAfter {
         /// Cumulative write budget in bytes.
         bytes: u64,

@@ -7,20 +7,14 @@
 //! * **no acknowledged commit is ever lost** — an `Ok` from `commit()` in
 //!   group-commit mode means the record was fsynced; after any fault
 //!   schedule plus a clean reopen, every acknowledged key must be present;
-//! * **transient faults recover invisibly** — fsync hiccups inside the
-//!   retry budget never surface to committers and never degrade health,
-//!   but they are visible in the fault counters; the budget is exactly 4
-//!   retries, after which the log is poisoned;
-//! * **fatal faults degrade, not corrupt** — the database transitions to
-//!   `Degraded`, snapshot reads keep serving, writers fail fast with the
-//!   typed [`Error::Degraded`], and the pre-fault prefix survives reopen;
-//! * **ENOSPC reclaims before degrading** — a full log triggers one
-//!   checkpoint-to-reclaim (pruning covered segments refunds the modelled
-//!   budget) and commits continue, and a segment whose fsync failed is
-//!   never fsynced again by the reclaim's rotation; when reclaim cannot
-//!   free space, the database degrades as out of space after the budget;
-//! * **buffered mode does not retry** — with no unsynced frames kept to
-//!   re-emit, its first fsync failure (at a checkpoint) poisons the log;
+//! * **the log is fail-stop** — the first failed append, segment creation
+//!   or fsync, transient or not, degrades the database: `Degraded{OutOfSpace}`
+//!   for ENOSPC, `Degraded{WalPoisoned}` otherwise. The committer gets a
+//!   durability error, snapshot reads keep serving, writers fail fast with
+//!   the typed [`Error::Degraded`], and a reopen is healthy again with the
+//!   acknowledged prefix;
+//! * **no segment is fsynced after a failed fsync** — not even by a later
+//!   checkpoint's rotation;
 //! * **a panicking flush leader degrades, never hangs** — committers
 //!   parked behind it are woken with an error.
 //!
@@ -69,9 +63,9 @@ fn reopen_clean(dir: &std::path::Path) -> Database {
 
 #[test]
 fn clean_path_keeps_every_fault_counter_at_zero() {
-    // Satellite contract for the observability counters: a fault-free run
-    // (even through a FaultVfs with no rules) costs zero — no retries, no
-    // observed faults, no degraded transitions, nothing injected.
+    // Contract for the observability counters: a fault-free run (even
+    // through a FaultVfs with no rules) costs zero — no observed faults, no
+    // degraded transitions, nothing injected.
     let dir = temp_dir("clean");
     let fault = FaultVfs::new(vec![]);
     let db = Database::open(faulty_options(&dir, &fault));
@@ -86,59 +80,74 @@ fn clean_path_keeps_every_fault_counter_at_zero() {
     assert_eq!(stats.degraded_transitions.load(Ordering::Relaxed), 0);
     let wal = db.durability_stats().unwrap();
     assert_eq!(wal.io_failures.load(Ordering::Relaxed), 0);
-    assert_eq!(wal.fsync_retries.load(Ordering::Relaxed), 0);
     assert_eq!(fault.injected(), 0);
     drop(db);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-#[test]
-fn transient_fsync_faults_recover_within_the_retry_budget() {
-    // Two consecutive fsync failures on the log segment: inside the retry
-    // budget (4), so every commit must still be acknowledged, health stays
-    // Healthy, and the incident is visible only in the counters.
-    let dir = temp_dir("transient");
-    let fault = FaultVfs::new(vec![FaultRule::new(
-        FaultOp::Fsync,
-        FaultMode::FailTimes(2),
-        std::io::ErrorKind::Interrupted,
-    )
-    .on_path("segment-")]);
-    let db = Database::open(faulty_options(&dir, &fault));
-    let t = db.create_table("t").unwrap();
-    for k in 0..10u64 {
-        let mut txn = db.begin();
-        txn.put(&t, &k.to_be_bytes(), b"v").unwrap();
-        txn.commit().unwrap_or_else(|e| {
-            panic!(
-                "commit {k} must survive transient faults, got {e}\n{:#?}",
-                fault.events()
-            )
-        });
-    }
-    assert_eq!(db.health(), DbHealth::Healthy);
-    assert!(fault.injected() >= 2, "the schedule never fired");
-    let wal = db.durability_stats().unwrap();
-    assert!(
-        wal.fsync_retries.load(Ordering::Relaxed) >= 1,
-        "durability stats must surface the leader's retries"
-    );
-    assert!(wal.io_failures.load(Ordering::Relaxed) >= 1);
-    let stats = db.transaction_manager().stats();
-    assert_eq!(stats.degraded_transitions.load(Ordering::Relaxed), 0);
-    drop(db);
+/// Commits `k -> value` in one transaction.
+fn put_one(db: &Database, t: &TableRef, k: u64, value: &[u8]) -> serializable_si::Result<()> {
+    let mut txn = db.begin();
+    txn.put(t, &k.to_be_bytes(), value)?;
+    txn.commit()
+}
 
-    let db = reopen_clean(&dir);
+/// Reopens `dir` cleanly and asserts that keys `0..n` of table `t` are
+/// all present: nothing acknowledged was lost.
+fn assert_acked_survive_reopen(dir: &Path, n: u64) {
+    let db = reopen_clean(dir);
+    assert_eq!(db.health(), DbHealth::Healthy);
     let t = db.table("t").unwrap();
     let mut check = db.begin_read_only();
-    for k in 0..10u64 {
+    for k in 0..n {
         assert!(
             check.get(&t, &k.to_be_bytes()).unwrap().is_some(),
-            "acknowledged key {k} lost after transient-fault run"
+            "acknowledged key {k} lost"
         );
     }
     check.commit().unwrap();
+    put_one(&db, &t, n, b"after reopen").expect("a reopened database takes writes");
+}
+
+#[test]
+fn one_transient_fsync_fault_degrades_and_the_acked_prefix_survives_reopen() {
+    // A single interrupted fsync of the log segment. Nothing retries it:
+    // the committer gets the durability error, the database degrades as
+    // WalPoisoned and writers fail fast, and a reopen recovers every
+    // earlier acknowledged commit.
+    let dir = temp_dir("transient");
+    let fault = FaultVfs::new(vec![]);
+    let db = Database::open(faulty_options(&dir, &fault));
+    let t = db.create_table("t").unwrap();
+    for k in 0..5u64 {
+        put_one(&db, &t, k, b"acked").unwrap();
+    }
+    fault.add_rule(
+        FaultRule::new(
+            FaultOp::Fsync,
+            FaultMode::FailOnce,
+            io::ErrorKind::Interrupted,
+        )
+        .on_path("segment-"),
+    );
+    let err = put_one(&db, &t, 5, b"v").unwrap_err();
+    assert!(matches!(err, Error::Durability(_)), "got {err:?}");
+    assert_eq!(
+        db.health(),
+        DbHealth::Degraded {
+            reason: DegradedReason::WalPoisoned
+        }
+    );
+    let err = db.begin().put(&t, b"rejected", b"v").unwrap_err();
+    assert!(
+        matches!(err, Error::Degraded(DegradedReason::WalPoisoned)),
+        "got {err:?}"
+    );
+    assert_eq!(fault.injected(), 1);
+    let wal = db.durability_stats().unwrap();
+    assert_eq!(wal.io_failures.load(Ordering::Relaxed), 1);
     drop(db);
+    assert_acked_survive_reopen(&dir, 5);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -158,8 +167,8 @@ fn persistent_fatal_fsync_degrades_reads_serve_writes_fail_typed() {
         txn.commit().unwrap();
     }
 
-    // The disk dies: every further segment fsync fails with a
-    // non-retryable kind, so the first flush pass poisons the log.
+    // The disk dies: every further segment fsync fails, so the first
+    // flush pass poisons the log.
     fault.add_rule(
         FaultRule::new(
             FaultOp::Fsync,
@@ -221,77 +230,77 @@ fn persistent_fatal_fsync_degrades_reads_serve_writes_fail_typed() {
 }
 
 #[test]
-fn enospc_triggers_checkpoint_to_reclaim_and_commits_continue() {
+fn enospc_on_append_degrades_out_of_space_and_a_cleared_disk_reopens_healthy() {
     // A byte-budgeted log volume: once cumulative writes exceed the budget,
-    // segment appends fail with StorageFull. The flush leader's reclaim hook
-    // checkpoints — pruning covered segments refunds their bytes — and the
-    // deferred commits then land in the fresh segment. A hot-key workload
-    // keeps the snapshot tiny, so reclaim always frees (almost) the whole
-    // budget and the run never degrades.
+    // segment appends fail with StorageFull. The first such append
+    // degrades the database as out of space. Once the disk has room again
+    // (the rules cleared), a reopen on the same VFS is healthy and every
+    // hot key holds its last acknowledged value.
     let dir = temp_dir("enospc");
     let fault = FaultVfs::new(vec![FaultRule::new(
         FaultOp::Write,
         FaultMode::NoSpaceAfter { bytes: 8192 },
-        std::io::ErrorKind::StorageFull,
+        io::ErrorKind::StorageFull,
     )
     .on_path("segment-")]);
     let db = Database::open(faulty_options(&dir, &fault));
-    let t = db.create_table("hot").unwrap();
+    let t = db.create_table("t").unwrap();
+    let mut acked = [None; 4];
     for i in 0..400u64 {
-        let mut txn = db.begin();
-        txn.put(&t, &(i % 4).to_be_bytes(), &i.to_be_bytes())
-            .unwrap();
-        txn.commit().unwrap_or_else(|e| {
-            panic!(
-                "commit {i} must survive ENOSPC via reclaim, got {e}\n{:#?}",
-                fault.events()
-            )
-        });
+        match put_one(&db, &t, i % 4, &i.to_be_bytes()) {
+            Ok(()) => acked[(i % 4) as usize] = Some(i),
+            Err(e) => {
+                assert!(matches!(e, Error::Durability(_)), "got {e:?}");
+                break;
+            }
+        }
     }
-    assert_eq!(db.health(), DbHealth::Healthy, "{:#?}", fault.events());
     assert!(fault.injected() >= 1, "the budget never depleted");
-    let wal = db.durability_stats().unwrap();
+    assert_eq!(
+        db.health(),
+        DbHealth::Degraded {
+            reason: DegradedReason::OutOfSpace
+        }
+    );
+    let err = db.begin().put(&t, b"rejected", b"v").unwrap_err();
     assert!(
-        wal.reclaim_attempts.load(Ordering::Relaxed) >= 1,
-        "ENOSPC must trigger the checkpoint-to-reclaim hook"
+        matches!(err, Error::Degraded(DegradedReason::OutOfSpace)),
+        "got {err:?}"
     );
     drop(db);
 
-    let db = reopen_clean(&dir);
-    let t = db.table("hot").unwrap();
+    fault.clear_rules();
+    let db = Database::open(faulty_options(&dir, &fault));
+    assert_eq!(db.health(), DbHealth::Healthy);
+    let t = db.table("t").unwrap();
     let mut check = db.begin_read_only();
-    for k in 0..4u64 {
-        let got = check.get(&t, &k.to_be_bytes()).unwrap();
-        let expect = (396 + k).to_be_bytes();
+    for (k, last) in acked.iter().enumerate() {
+        let got = check.get(&t, &(k as u64).to_be_bytes()).unwrap();
         assert_eq!(
             got.as_deref(),
-            Some(expect.as_slice()),
+            last.map(u64::to_be_bytes).as_ref().map(|v| v.as_slice()),
             "hot key {k} must hold its last acknowledged value"
         );
     }
     check.commit().unwrap();
+    put_one(&db, &t, 0, b"after reopen").unwrap();
     drop(db);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
-fn enospc_on_fsync_reclaims_without_refsyncing_the_errored_segment() {
-    // The leader's fsync of the log segment fails with ENOSPC. Its
-    // checkpoint-to-reclaim rotates the log on the leader's own thread; the
-    // rotation must not fsync the errored segment again (the retry could
-    // succeed spuriously and acknowledge frames the device dropped) but
-    // re-emit them into the fresh segment that the leader then fsyncs.
+fn enospc_on_fsync_degrades_out_of_space_and_checkpoint_never_refsyncs() {
+    // The leader's fsync of segment 1 fails with ENOSPC: the database
+    // degrades as out of space. A checkpoint afterwards must fail without
+    // fsyncing segment 1 again (a second fsync may succeed spuriously and
+    // vouch for frames the device dropped). Every later segment-1 fsync
+    // would show up as a zero-length delay event.
     let dir = temp_dir("enospc-fsync");
     let fault = FaultVfs::new(vec![]);
     let db = Database::open(faulty_options(&dir, &fault));
     let t = db.create_table("t").unwrap();
-    let commit = |k: u64| {
-        let mut txn = db.begin();
-        txn.put(&t, &k.to_be_bytes(), b"v").unwrap();
-        txn.commit()
-    };
     for k in 0..5u64 {
-        commit(k).unwrap();
+        put_one(&db, &t, k, b"acked").unwrap();
     }
     fault.add_rule(
         FaultRule::new(
@@ -301,183 +310,109 @@ fn enospc_on_fsync_reclaims_without_refsyncing_the_errored_segment() {
         )
         .on_path("segment-"),
     );
-    // Every later segment fsync shows up as a zero-length delay event.
     fault.add_rule(
         FaultRule::new(
             FaultOp::Fsync,
             FaultMode::Delay { millis: 0 },
             io::ErrorKind::Other,
         )
-        .on_path("segment-"),
+        .on_path("segment-0000000001"),
     );
-    commit(5).unwrap_or_else(|e| panic!("commit 5 must survive via reclaim, got {e}"));
-    commit(6).unwrap();
-    assert_eq!(db.health(), DbHealth::Healthy, "{:#?}", fault.events());
-    let events = fault.events();
-    let errored = events
-        .iter()
-        .find_map(|e| e.strip_prefix("inject "))
-        .and_then(|e| e.split(" at ").nth(1))
-        .and_then(|e| e.split(" (call").next())
-        .expect("the fsync fault never fired");
-    assert!(
-        !events
-            .iter()
-            .any(|e| e.starts_with("delay") && e.ends_with(errored)),
-        "the errored segment was fsynced again: {events:#?}"
-    );
-    let wal = db.durability_stats().unwrap();
-    assert_eq!(wal.reclaim_attempts.load(Ordering::Relaxed), 1);
-    assert_eq!(wal.fsync_retries.load(Ordering::Relaxed), 1);
-    drop(db);
-
-    let db = reopen_clean(&dir);
-    let t = db.table("t").unwrap();
-    let mut check = db.begin_read_only();
-    for k in 0..7u64 {
-        assert!(
-            check.get(&t, &k.to_be_bytes()).unwrap().is_some(),
-            "acknowledged key {k} lost"
-        );
-    }
-    check.commit().unwrap();
-    drop(db);
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn exhausted_retry_budget_degrades_after_four_leader_retries() {
-    // A disk whose fsyncs fail transiently forever: the flush leader
-    // re-emits and retries exactly the budget (4) and then poisons, so the
-    // in-flight committer gets the durability error, health degrades, and
-    // writers fail fast — while the acknowledged prefix survives reopen.
-    let dir = temp_dir("budget");
-    let fault = FaultVfs::new(vec![]);
-    let db = Database::open(faulty_options(&dir, &fault));
-    let t = db.create_table("t").unwrap();
-    for k in 0..5u64 {
-        let mut txn = db.begin();
-        txn.put(&t, &k.to_be_bytes(), b"acked").unwrap();
-        txn.commit().unwrap();
-    }
-    fault.add_rule(
-        FaultRule::new(
-            FaultOp::Fsync,
-            FaultMode::FailAlways,
-            std::io::ErrorKind::Interrupted,
-        )
-        .on_path("segment-"),
-    );
-    let mut txn = db.begin();
-    txn.put(&t, b"doomed", b"v").unwrap();
-    let err = txn.commit().unwrap_err();
-    assert!(
-        matches!(err, Error::Durability(_)),
-        "the leader's exhausted budget must surface as a durability error, got {err:?}"
-    );
-    let wal = db.durability_stats().unwrap();
-    assert_eq!(wal.fsync_retries.load(Ordering::Relaxed), 4);
-    assert_eq!(wal.io_failures.load(Ordering::Relaxed), 5);
-    assert_eq!(
-        db.health(),
-        DbHealth::Degraded {
-            reason: DegradedReason::WalPoisoned
-        }
-    );
-    let mut writer = db.begin();
-    let err = writer.put(&t, b"rejected", b"v").unwrap_err();
-    assert!(
-        matches!(err, Error::Degraded(DegradedReason::WalPoisoned)),
-        "got {err:?}"
-    );
-    drop(writer);
-    drop(db);
-
-    let db = reopen_clean(&dir);
-    let t = db.table("t").unwrap();
-    let mut check = db.begin_read_only();
-    for k in 0..5u64 {
-        assert!(
-            check.get(&t, &k.to_be_bytes()).unwrap().is_some(),
-            "acknowledged key {k} lost after the retry budget ran out"
-        );
-    }
-    check.commit().unwrap();
-    drop(db);
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn enospc_that_reclaim_cannot_relieve_degrades_out_of_space() {
-    // Every segment write fails with ENOSPC. The flush leader runs one
-    // checkpoint-to-reclaim on its own thread (it must complete, not wait
-    // on the commit the leader is flushing), backs off for the rest of the
-    // budget, and then degrades the database as out of space.
-    let dir = temp_dir("enospc-stuck");
-    let fault = FaultVfs::new(vec![]);
-    let db = Database::open(faulty_options(&dir, &fault));
-    let t = db.create_table("t").unwrap();
-    for k in 0..3u64 {
-        let mut txn = db.begin();
-        txn.put(&t, &k.to_be_bytes(), b"acked").unwrap();
-        txn.commit().unwrap();
-    }
-    fault.add_rule(
-        FaultRule::new(
-            FaultOp::Write,
-            FaultMode::FailAlways,
-            std::io::ErrorKind::StorageFull,
-        )
-        .on_path("segment-"),
-    );
-    let mut txn = db.begin();
-    txn.put(&t, b"stuck", b"v").unwrap();
-    let err = txn.commit().unwrap_err();
+    let err = put_one(&db, &t, 5, b"v").unwrap_err();
     assert!(matches!(err, Error::Durability(_)), "got {err:?}");
-    let wal = db.durability_stats().unwrap();
-    assert_eq!(
-        wal.reclaim_attempts.load(Ordering::Relaxed),
-        1,
-        "one checkpoint-to-reclaim per ENOSPC incident"
-    );
-    assert_eq!(wal.fsync_retries.load(Ordering::Relaxed), 4);
     assert_eq!(
         db.health(),
         DbHealth::Degraded {
             reason: DegradedReason::OutOfSpace
         }
     );
-    let snapshots = std::fs::read_dir(&dir)
-        .unwrap()
-        .filter(|e| {
-            let name = e.as_ref().unwrap().file_name();
-            let name = name.to_string_lossy();
-            name.starts_with("snapshot-") && name.ends_with(".ckpt")
-        })
-        .count();
-    assert_eq!(snapshots, 1, "the reclaim checkpoint did not complete");
+    let err = db.checkpoint().unwrap_err();
+    assert!(matches!(err, Error::Durability(_)), "got {err:?}");
+    assert_eq!(fault.delayed(), 0, "segment 1 was fsynced again");
+    assert_eq!(fault.injected(), 1);
     drop(db);
+    assert_acked_survive_reopen(&dir, 5);
+    let _ = std::fs::remove_dir_all(&dir);
+}
 
-    let db = reopen_clean(&dir);
-    let t = db.table("t").unwrap();
-    let mut check = db.begin_read_only();
+#[test]
+fn rotation_that_cannot_create_its_segment_degrades_out_of_space() {
+    // A checkpoint's rotation fsyncs the old segment, then cannot create
+    // the next one (ENOSPC). Segment creation is a log write like any
+    // other: the database degrades at once, and a reopen recovers.
+    let dir = temp_dir("create-enospc");
+    let fault = FaultVfs::new(vec![]);
+    let db = Database::open(faulty_options(&dir, &fault));
+    let t = db.create_table("t").unwrap();
     for k in 0..3u64 {
-        assert!(
-            check.get(&t, &k.to_be_bytes()).unwrap().is_some(),
-            "acknowledged key {k} lost after the out-of-space run"
-        );
+        put_one(&db, &t, k, b"acked").unwrap();
     }
-    check.commit().unwrap();
+    fault.add_rule(
+        FaultRule::new(
+            FaultOp::Create,
+            FaultMode::FailOnce,
+            io::ErrorKind::StorageFull,
+        )
+        .on_path("segment-"),
+    );
+    let err = db.checkpoint().unwrap_err();
+    assert!(matches!(err, Error::Durability(_)), "got {err:?}");
+    assert_eq!(
+        db.health(),
+        DbHealth::Degraded {
+            reason: DegradedReason::OutOfSpace
+        }
+    );
+    assert!(matches!(
+        put_one(&db, &t, 9, b"v"),
+        Err(Error::Degraded(DegradedReason::OutOfSpace))
+    ));
     drop(db);
+    assert_acked_survive_reopen(&dir, 3);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn failed_create_table_append_degrades_at_once() {
+    // DDL appends its control record directly; that append failing poisons
+    // the log like any other, and the database degrades right there — not
+    // at the next commit. The table is not created.
+    let dir = temp_dir("ddl-fails");
+    let fault = FaultVfs::new(vec![]);
+    let db = Database::open(faulty_options(&dir, &fault));
+    let t = db.create_table("t").unwrap();
+    put_one(&db, &t, 0, b"acked").unwrap();
+    fault.add_rule(
+        FaultRule::new(
+            FaultOp::Write,
+            FaultMode::FailOnce,
+            io::ErrorKind::Interrupted,
+        )
+        .on_path("segment-"),
+    );
+    let err = db.create_table("u").unwrap_err();
+    assert!(matches!(err, Error::Durability(_)), "got {err:?}");
+    assert_eq!(
+        db.health(),
+        DbHealth::Degraded {
+            reason: DegradedReason::WalPoisoned
+        }
+    );
+    assert!(db.table("u").is_err());
+    let mut read = db.begin_read_only();
+    assert!(read.get(&t, &0u64.to_be_bytes()).unwrap().is_some());
+    read.commit().unwrap();
+    drop(db);
+    assert_acked_survive_reopen(&dir, 1);
+    assert!(reopen_clean(&dir).table("u").is_err());
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn buffered_checkpoint_poisons_on_its_first_fsync_failure() {
-    // Buffered durability never fsyncs at commit and keeps no unsynced
-    // frames to re-emit, so the checkpoint's fsync of the old segment is
-    // its only chance — and the first failure there, transient or not,
-    // poisons the log without a retry.
+    // Buffered durability never fsyncs at commit, so the checkpoint's
+    // fsync of the old segment is the first one — and its failure,
+    // transient or not, poisons the log like any other.
     let dir = temp_dir("buffered");
     let fault = FaultVfs::new(vec![]);
     let db = Database::open(
@@ -503,7 +438,6 @@ fn buffered_checkpoint_poisons_on_its_first_fsync_failure() {
     );
     let err = db.checkpoint().unwrap_err();
     assert!(matches!(err, Error::Durability(_)), "got {err:?}");
-    assert_eq!(wal.fsync_retries.load(Ordering::Relaxed), 0);
     assert_eq!(wal.io_failures.load(Ordering::Relaxed), 1);
     assert_eq!(
         db.health(),
@@ -603,7 +537,7 @@ fn panicking_flush_leader_degrades_instead_of_hanging() {
     // The committer leading a flush panics inside fsync once a second
     // commit is sealed behind it. The leader's guard must poison the log,
     // wake the parked committer with an error, and degrade health to
-    // WalThreadPanic — the next writer fails fast instead of parking
+    // WalLeaderPanic — the next writer fails fast instead of parking
     // forever behind a flush nobody ends.
     let dir = temp_dir("leader-panic");
     let gate: FsyncGate = Arc::default();
@@ -660,7 +594,7 @@ fn panicking_flush_leader_degrades_instead_of_hanging() {
     assert_eq!(
         db.health(),
         DbHealth::Degraded {
-            reason: DegradedReason::WalThreadPanic
+            reason: DegradedReason::WalLeaderPanic
         }
     );
     // Both commits were published before the flush: only their
@@ -676,7 +610,7 @@ fn panicking_flush_leader_degrades_instead_of_hanging() {
     let err = writer.put(&t, b"after", b"v").unwrap_err();
     assert!(matches!(
         err,
-        Error::Degraded(DegradedReason::WalThreadPanic)
+        Error::Degraded(DegradedReason::WalLeaderPanic)
     ));
     drop(writer);
     drop(db); // the final sync must not wait for the dead leader
@@ -865,9 +799,10 @@ fn balance(raw: &[u8]) -> u64 {
 }
 
 /// Generates a random fault schedule from the seed: mostly transient fsync
-/// and write hiccups, sometimes a delay, occasionally a fatal fault — so
-/// some seeds recover invisibly and some degrade, and both must preserve
-/// the invariants.
+/// and write hiccups, sometimes a delay, occasionally a fatal fault. The
+/// log is fail-stop, so any of them but a delay degrades the run when it
+/// fires; a seed whose faults never fire (or only delay) runs clean. Both
+/// must preserve the invariants.
 fn random_schedule(rng: &mut SmallRng) -> Vec<FaultRule> {
     let mut rules = Vec::new();
     for _ in 0..rng.gen_range(1..4u32) {
@@ -883,8 +818,7 @@ fn random_schedule(rng: &mut SmallRng) -> Vec<FaultRule> {
                 std::io::ErrorKind::Interrupted,
             )
         } else if roll < 6 {
-            // Out of space, on a write or an fsync: the leader's one
-            // checkpoint-to-reclaim runs mid-incident.
+            // Out of space, on a write or an fsync.
             (
                 FaultMode::FailTimes(rng.gen_range(1..3u32)),
                 std::io::ErrorKind::StorageFull,
@@ -897,7 +831,7 @@ fn random_schedule(rng: &mut SmallRng) -> Vec<FaultRule> {
                 std::io::ErrorKind::Other,
             )
         } else {
-            // Fatal: not retryable, the run degrades when this fires.
+            // Fatal.
             (FaultMode::FailOnce, std::io::ErrorKind::Other)
         };
         rules.push(
@@ -916,21 +850,10 @@ fn run_seed(seed: u64) -> Result<(), String> {
     let fault = FaultVfs::new(random_schedule(&mut rng));
     let db = Database::open(faulty_options(&dir, &fault));
 
-    // DDL appends its control record directly (no seal deferral), so a
-    // transient fault can surface here — and, being transient, a retry
-    // clears it. A fault that persists through the retries (a fatal rule
-    // fired) makes this a degraded run: no workload, but recovery over
+    // DDL appends its control record directly, so a fault can fire here:
+    // that makes this a degraded run — no workload, but recovery over
     // whatever is on disk must still succeed below.
-    let mut table = None;
-    for _ in 0..8 {
-        match db.create_table("bank") {
-            Ok(t) => {
-                table = Some(t);
-                break;
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(1)),
-        }
-    }
+    let table = db.create_table("bank").ok();
 
     // Seed the accounts (a fatal rule can fire here too, so failure again
     // just means a degraded run).
