@@ -16,11 +16,7 @@
 //! `ssi_wal::FaultVfs` delay rule.
 //!
 //! The `experiments` binary (in `src/bin`) prints these series as text
-//! tables; the Criterion benches under `benches/` reuse the same
-//! definitions for per-operation microbenchmarks and ablations.
-
-pub mod baseline;
-pub mod storage_micro;
+//! tables.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -28,9 +24,7 @@ use std::time::Duration;
 
 use ssi_common::stats::RunStats;
 use ssi_common::{AbortKind, IsolationLevel};
-use ssi_core::{
-    Database, Durability, FaultMode, FaultOp, FaultRule, FaultVfs, Options, SsiVariant,
-};
+use ssi_core::{Database, Durability, FaultMode, FaultOp, FaultRule, FaultVfs, Options};
 use ssi_workloads::driver::{run_workload, RunConfig, Workload};
 use ssi_workloads::sibench::SiBench;
 use ssi_workloads::smallbank::{SmallBank, SmallBankConfig};
@@ -402,7 +396,7 @@ pub fn find_experiment(id: &str) -> Option<ExperimentDef> {
 
 /// Builds the engine options an experiment uses for a given isolation level;
 /// a flush figure logs to `log_dir`.
-pub fn options_for(spec: &WorkloadSpec, isolation: IsolationLevel, log_dir: &Path) -> Options {
+fn options_for(spec: &WorkloadSpec, isolation: IsolationLevel, log_dir: &Path) -> Options {
     match spec {
         WorkloadSpec::SmallBank { pages, flush, .. } => {
             let options = Options::berkeley_like(*pages).with_isolation(isolation);
@@ -429,7 +423,7 @@ pub fn options_for(spec: &WorkloadSpec, isolation: IsolationLevel, log_dir: &Pat
 }
 
 /// Builds the workload an experiment uses (loading its data into `db`).
-pub fn build_workload(
+fn build_workload(
     spec: &WorkloadSpec,
     db: &Database,
     harness: &HarnessConfig,
@@ -516,26 +510,6 @@ pub fn run_experiment(def: &ExperimentDef, harness: &HarnessConfig) -> Vec<Point
         }
     }
     results
-}
-
-/// Ablation configurations for the paper's design choices: basic vs enhanced
-/// conflict representation, SIREAD upgrade on/off, and the mixed mode that
-/// runs read-only queries at SI.
-pub fn ablation_options(base: IsolationLevel) -> Vec<(&'static str, Options)> {
-    let mut enhanced = Options::default().with_isolation(base);
-    enhanced.ssi.variant = SsiVariant::Enhanced;
-    let mut basic = Options::default().with_isolation(base);
-    basic.ssi.variant = SsiVariant::Basic;
-    let mut no_upgrade = Options::default().with_isolation(base);
-    no_upgrade.ssi.upgrade_siread = false;
-    let mut mixed = Options::default().with_isolation(base);
-    mixed.read_only_queries_at_si = true;
-    vec![
-        ("enhanced", enhanced),
-        ("basic-flags", basic),
-        ("no-siread-upgrade", no_upgrade),
-        ("queries-at-si", mixed),
-    ]
 }
 
 /// Formats a set of points as an aligned text table (one block per
@@ -655,15 +629,5 @@ mod tests {
         let table = format_table(&def, &points);
         assert!(table.contains("fig6_6"));
         assert!(table.contains("SSI"));
-    }
-
-    #[test]
-    fn ablation_configurations_differ() {
-        let configs = ablation_options(IsolationLevel::SerializableSnapshotIsolation);
-        assert_eq!(configs.len(), 4);
-        assert_eq!(configs[0].1.ssi.variant, SsiVariant::Enhanced);
-        assert_eq!(configs[1].1.ssi.variant, SsiVariant::Basic);
-        assert!(!configs[2].1.ssi.upgrade_siread);
-        assert!(configs[3].1.read_only_queries_at_si);
     }
 }

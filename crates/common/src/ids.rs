@@ -88,7 +88,7 @@ pub enum IsolationLevel {
     SnapshotIsolation,
     /// Serializable isolation implemented with strict two-phase locking
     /// (Sec. 2.2.1): shared read locks and exclusive write locks held until
-    /// commit, gap locks against phantoms.
+    /// commit; a scan's range blocks the insert of a phantom into it.
     StrictTwoPhaseLocking,
     /// The paper's contribution (Ch. 3): snapshot isolation plus SIREAD
     /// locks and rw-antidependency tracking, aborting a transaction whenever

@@ -144,14 +144,6 @@ impl RunStats {
         }
         self.aborts[abort_index(kind)] as f64 / self.commits as f64
     }
-
-    /// Overall abort ratio: cc aborts / commits.
-    pub fn abort_ratio(&self) -> f64 {
-        if self.commits == 0 {
-            return 0.0;
-        }
-        self.cc_aborts() as f64 / self.commits as f64
-    }
 }
 
 #[cfg(test)]
@@ -192,7 +184,6 @@ mod tests {
         assert!((stats.throughput() - 50.0).abs() < 1e-9);
         assert!((stats.aborts_per_commit(AbortKind::Unsafe) - 0.1).abs() < 1e-9);
         assert_eq!(stats.cc_aborts(), 10);
-        assert!((stats.abort_ratio() - 0.1).abs() < 1e-9);
         assert_eq!(stats.mean_latency, Duration::from_micros(50));
         assert_eq!(stats.mpl, 4);
     }
@@ -202,7 +193,7 @@ mod tests {
         let stats = RunStats::aggregate(&[], Duration::from_secs(1), 1);
         assert_eq!(stats.commits, 0);
         assert_eq!(stats.throughput(), 0.0);
-        assert_eq!(stats.abort_ratio(), 0.0);
+        assert_eq!(stats.cc_aborts(), 0);
         assert_eq!(stats.aborts_per_commit(AbortKind::Deadlock), 0.0);
     }
 

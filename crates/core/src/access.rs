@@ -653,8 +653,7 @@ impl Transaction {
             // registers later is found by the install if this transaction
             // goes on to write the row; if it never does, the row did not
             // change and the reader missed nothing.
-            let upgrade = self.db.options.ssi.upgrade_siread;
-            let found = table.table.probe_for_update(key, id, upgrade);
+            let found = table.table.probe_for_update(key, id);
             let newest = found.probe.newest_committed_ts;
             if newest.is_some_and(|newest| newest > snapshot) {
                 return Err(Error::update_conflict(id));
@@ -728,13 +727,10 @@ impl Transaction {
         // versioning granularity match on a chain, so first-committer-wins
         // covers any later writer of the row).
         let txns = &self.db.txns;
-        let upgrade = self.db.options.ssi.upgrade_siread;
         let mut value = value;
         let mut upgraded = false;
         let installed = loop {
-            let installed = table
-                .table
-                .install(key, id, value, upgrade, || txns.gc_horizon());
+            let installed = table.table.install(key, id, value, || txns.gc_horizon());
             if installed.pruned > 0 {
                 txns.stats()
                     .pruned_inline_versions

@@ -18,7 +18,7 @@
 //!   (protocol in the `access` module docs);
 //! * [`Options`] selects the isolation level and the experimental knobs the
 //!   paper studies: row- vs page-granularity locking, basic vs enhanced
-//!   conflict tracking, SIREAD-lock upgrades, abort-early, flush at commit
+//!   conflict tracking, abort-early, flush at commit
 //!   ([`Durability::GroupCommit`]) and the SI-queries/SSI-updates mixed mode.
 //!
 //! Three isolation levels matter for the paper's evaluation (a fourth,

@@ -923,10 +923,10 @@ impl TransactionManager {
 
     /// Installs (or clears) the test-only commit-pipeline pause hook: it is
     /// called with the committing transaction's id at each [`CommitPhase`]
-    /// point. Tests and the straggler benchmark use it to hold one
-    /// committer inside its commit window — timestamp allocated and
-    /// published, versions provisionally stamped, finalize withheld — while
-    /// readers and later committers proceed. Not for production use.
+    /// point. Tests use it to hold one committer inside its commit window —
+    /// timestamp allocated and published, versions provisionally stamped,
+    /// finalize withheld — while readers and later committers proceed. Not
+    /// for production use.
     #[doc(hidden)]
     pub fn set_commit_pause_hook(&self, hook: Option<CommitPauseHook>) {
         self.commit_hook_set
@@ -1117,9 +1117,8 @@ impl TransactionManager {
     /// otherwise the record is retired immediately and its conflict edges
     /// cleared. A transaction must be suspended when it still holds SIREADs
     /// (`sireads`: lock-table keys and chain registrations alike), and also
-    /// — with the SIREAD-upgrade optimization of Sec. 3.7.3 — when it has
-    /// recorded an outgoing conflict, even if its SIREADs were all upgraded
-    /// away.
+    /// when it has recorded an outgoing conflict, even if its own writes
+    /// upgraded all its SIREADs away (Sec. 3.7.3).
     ///
     /// A suspending commit reads the horizon once and makes one pass over
     /// the suspended list (`reclaim_pass`);

@@ -3,9 +3,11 @@
 //! The options mirror the experimental dimensions of the thesis: lock and
 //! conflict-detection granularity (row-level like InnoDB vs page-level like
 //! Berkeley DB), the basic vs enhanced conflict representation of Secs. 3.2
-//! and 3.6, the SIREAD-upgrade optimization of Sec. 3.7.3, abort-early
-//! (Sec. 3.7.1), and the mixed mode that runs read-only transactions at plain
-//! SI (Sec. 3.8). Sec. 6.1's "flush at commit" is [`Durability::GroupCommit`].
+//! and 3.6, abort-early (Sec. 3.7.1), and the mixed mode that runs read-only
+//! transactions at plain SI (Sec. 3.8). Sec. 6.1's "flush at commit" is
+//! [`Durability::GroupCommit`]. The SIREAD upgrade of Sec. 3.7.3 is not an
+//! option: a write always drops its transaction's own registration on the
+//! row (`ssi_storage::Table::install`).
 //! Phantom protection (Sec. 3.5) is not an option: at row granularity every
 //! Serializable-SI and S2PL scan registers its range (`ssi_storage::range`),
 //! and at page granularity the page locks cover rows and gaps alike.
@@ -60,9 +62,6 @@ pub enum SsiVariant {
 pub struct SsiOptions {
     /// Conflict-flag representation.
     pub variant: SsiVariant,
-    /// Drop a transaction's SIREAD lock on an item when it acquires the
-    /// EXCLUSIVE lock on the same item (read-modify-write), Sec. 3.7.3.
-    pub upgrade_siread: bool,
     /// Abort a pivot as soon as both conflicts are present rather than
     /// waiting for its commit (Sec. 3.7.1).
     pub abort_early: bool,
@@ -72,7 +71,6 @@ impl Default for SsiOptions {
     fn default() -> Self {
         SsiOptions {
             variant: SsiVariant::Enhanced,
-            upgrade_siread: true,
             abort_early: true,
         }
     }
@@ -281,7 +279,6 @@ mod tests {
         );
         assert_eq!(o.granularity, LockGranularity::Row);
         assert_eq!(o.ssi.variant, SsiVariant::Enhanced);
-        assert!(o.ssi.upgrade_siread);
         assert!(!o.record_history);
     }
 

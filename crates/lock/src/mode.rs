@@ -73,8 +73,8 @@ impl fmt::Display for LockMode {
 /// A small set of lock modes held by one transaction on one item.
 ///
 /// A single transaction may hold several modes on the same item (for example
-/// SIREAD and EXCLUSIVE after a read-modify-write when the SIREAD-upgrade
-/// optimization of Sec. 3.7.3 is disabled).
+/// SIREAD and EXCLUSIVE after a read-modify-write of a page: the SIREAD
+/// upgrade of Sec. 3.7.3 drops only a row's chain registration).
 #[derive(Clone, Copy, PartialEq, Eq, Default, Hash)]
 pub struct ModeSet(u8);
 

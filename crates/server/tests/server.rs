@@ -153,44 +153,56 @@ fn write_skew_pair_over_two_connections_aborts_one_under_ssi() {
 #[test]
 fn pipelined_batches_answer_in_request_order() {
     let server = start(Database::open_default());
-    let mut c = connect(&server);
-    c.create_table("t").unwrap();
+    connect(&server).create_table("t").unwrap();
 
     // Queue a whole batch before reading anything: an interactive begin,
     // N puts against a handle we predict? No — handles are server-chosen,
     // so pipeline autocommit puts and then the reads that depend on them.
+    // CONNECTIONS clients do so at once, each over keys of its own.
+    const CONNECTIONS: usize = 32;
     const N: usize = 64;
-    for i in 0..N {
-        c.send(&Request::Put {
-            handle: ssi_server::AUTOCOMMIT,
-            table: "t".to_string(),
-            key: format!("k{i:03}").into_bytes(),
-            value: format!("v{i}").into_bytes(),
-        })
-        .unwrap();
-    }
-    for i in 0..N {
-        c.send(&Request::Get {
-            handle: ssi_server::AUTOCOMMIT,
-            table: "t".to_string(),
-            key: format!("k{i:03}").into_bytes(),
-        })
-        .unwrap();
-    }
-    c.flush().unwrap();
-    // Responses arrive strictly in request order: N oks, then N values.
-    for i in 0..N {
-        match c.recv().unwrap() {
-            Response::Ok => {}
-            other => panic!("put #{i} answered {other:?}"),
+    std::thread::scope(|s| {
+        for conn in 0..CONNECTIONS {
+            let mut c = connect(&server);
+            s.spawn(move || {
+                let key = |i: usize| format!("c{conn:02}-k{i:03}").into_bytes();
+                for i in 0..N {
+                    c.send(&Request::Put {
+                        handle: ssi_server::AUTOCOMMIT,
+                        table: "t".to_string(),
+                        key: key(i),
+                        value: format!("v{conn}-{i}").into_bytes(),
+                    })
+                    .unwrap();
+                }
+                for i in 0..N {
+                    c.send(&Request::Get {
+                        handle: ssi_server::AUTOCOMMIT,
+                        table: "t".to_string(),
+                        key: key(i),
+                    })
+                    .unwrap();
+                }
+                c.flush().unwrap();
+                // Responses arrive strictly in request order: N oks, then N
+                // values.
+                for i in 0..N {
+                    match c.recv().unwrap() {
+                        Response::Ok => {}
+                        other => panic!("connection {conn}: put #{i} answered {other:?}"),
+                    }
+                }
+                for i in 0..N {
+                    match c.recv().unwrap() {
+                        Response::Value(Some(v)) => {
+                            assert_eq!(v, format!("v{conn}-{i}").into_bytes())
+                        }
+                        other => panic!("connection {conn}: get #{i} answered {other:?}"),
+                    }
+                }
+            });
         }
-    }
-    for i in 0..N {
-        match c.recv().unwrap() {
-            Response::Value(Some(v)) => assert_eq!(v, format!("v{i}").into_bytes()),
-            other => panic!("get #{i} answered {other:?}"),
-        }
-    }
+    });
 }
 
 #[test]

@@ -163,8 +163,6 @@ struct Model {
     seed: u64,
     /// The schedule is a function of the seed alone.
     rng: WorkloadRng,
-    /// Whether writers drop their own SIREAD (Sec. 3.7.3).
-    upgrade: bool,
     table: Table,
     locks: LockManager,
     oracle: LockManager,
@@ -182,7 +180,6 @@ impl Model {
         Model {
             seed,
             rng: WorkloadRng::new(seed),
-            upgrade: !seed.is_multiple_of(3),
             table: Table::new(TableId(1), "model"),
             locks: LockManager::with_defaults(),
             oracle: LockManager::with_defaults(),
@@ -425,20 +422,17 @@ impl Model {
         let (mut range_readers, mut blocked_by) = (Ids::new(), Ids::new());
         let upgraded = if install {
             let value = (!delete).then(|| vec![k as u8].into());
-            let done = self
-                .table
-                .install(&key(k), id, value, self.upgrade, || TS_ZERO);
+            let done = self.table.install(&key(k), id, value, || TS_ZERO);
             readers.extend(done.readers.iter());
             range_readers.extend(done.range_readers.iter());
             blocked_by.extend(done.blocked_by.iter());
             self.txns[at].writes.push((k, done.version));
             done.upgraded
         } else {
-            let found = self.table.probe_for_update(&key(k), id, self.upgrade);
+            let found = self.table.probe_for_update(&key(k), id);
             readers.extend(found.readers.iter());
             found.upgraded
         };
-        assert!(!upgraded || self.upgrade, "{context}");
         if upgraded {
             self.txns[at].covered.retain(|held| *held != k);
         }
@@ -449,11 +443,9 @@ impl Model {
         // The point space: the row's readers.
         let granted = self.oracle.lock(id, &lock_key(k), LockMode::Exclusive);
         let mut expected = ids(&granted.expect("no other holder").rw_conflicts);
-        if self.upgrade {
-            self.oracle.unlock(id, &lock_key(k), LockMode::SiRead);
-            self.txns[at].oracle_sireads.retain(|held| *held != k);
-            self.txns[at].upgraded.push(k);
-        }
+        self.oracle.unlock(id, &lock_key(k), LockMode::SiRead);
+        self.txns[at].oracle_sireads.retain(|held| *held != k);
+        self.txns[at].upgraded.push(k);
         expected.extend(self.table_only(k));
         expected.remove(&id);
         assert_eq!(readers, expected, "{context}: readers reported");

@@ -683,14 +683,14 @@ impl ReaderSet {
     }
 
     /// Every holder but `writer`, for the writer's conflict marking; drops
-    /// `writer`'s own registration too when `upgrade` (reported second).
-    fn report_to(&mut self, writer: TxnId, upgrade: bool) -> (RowReaders, bool) {
+    /// `writer`'s own registration too (reported second: whether it held one).
+    fn report_to(&mut self, writer: TxnId) -> (RowReaders, bool) {
         if self.is_empty() {
             // Every write below Serializable SI, and most above it.
             return (RowReaders::new(), false);
         }
         let readers = self.iter().filter(|id| *id != writer).collect();
-        (readers, upgrade && self.remove(writer))
+        (readers, self.remove(writer))
     }
 }
 
@@ -1013,16 +1013,16 @@ impl Table {
 
     /// [`Table::write_probe`] for a locking read (`get_for_update`): the
     /// same chain visit also reports the row's SIREAD holders other than
-    /// `writer`, who holds the key's EXCLUSIVE lock, and with `upgrade` drops
-    /// `writer`'s own registration.
-    pub fn probe_for_update(&self, key: &[u8], writer: TxnId, upgrade: bool) -> ForUpdateProbe {
+    /// `writer`, who holds the key's EXCLUSIVE lock, and drops `writer`'s own
+    /// registration.
+    pub fn probe_for_update(&self, key: &[u8], writer: TxnId) -> ForUpdateProbe {
         let rows = self.shard(key).rows.read();
         let Some(chain) = rows.get(key) else {
             return ForUpdateProbe::default();
         };
         let mut state = chain.state.lock();
         let probe = write_probe(&state.versions);
-        let (readers, upgraded) = state.readers.report_to(writer, upgrade);
+        let (readers, upgraded) = state.readers.report_to(writer);
         ForUpdateProbe {
             probe,
             readers,
@@ -1042,7 +1042,7 @@ impl Table {
         creator: TxnId,
         value: Option<Vec<u8>>,
     ) -> Arc<Version> {
-        self.install(key, creator, value.map(Bytes::from), true, || TS_ZERO)
+        self.install(key, creator, value.map(Bytes::from), || TS_ZERO)
             .version
     }
 
@@ -1057,8 +1057,8 @@ impl Table {
     ///
     /// **The readers.** The critical section that makes the version
     /// reachable also reports whose SIREAD covers it: the row's registered
-    /// readers ([`Installed::readers`]; with `upgrade` the creator's own
-    /// registration is dropped there too, [`Installed::upgraded`]) and the
+    /// readers ([`Installed::readers`]; the creator's own registration is
+    /// dropped there too, [`Installed::upgraded`]) and the
     /// holders of every live SIREAD range that contains the key
     /// ([`Installed::range_readers`]). A Serializable-SI reader either
     /// registered before that critical section and is reported, or reads
@@ -1080,7 +1080,6 @@ impl Table {
         key: &[u8],
         creator: TxnId,
         value: Option<Bytes>,
-        upgrade: bool,
         horizon: impl FnOnce() -> Timestamp,
     ) -> Installed {
         let version = Arc::new(Version::new(creator, value));
@@ -1095,7 +1094,7 @@ impl Table {
         {
             let rows = shard.rows.read();
             if let Some(chain) = rows.get(key) {
-                return self.push_pruning(key, chain, version, upgrade, horizon);
+                return self.push_pruning(key, chain, version, horizon);
             }
         }
 
@@ -1103,7 +1102,7 @@ impl Table {
         // write lock, then publish the chain in both maps.
         let mut rows = shard.rows.write();
         if let Some(chain) = rows.get(key) {
-            return self.push_pruning(key, chain, version, upgrade, horizon);
+            return self.push_pruning(key, chain, version, horizon);
         }
         let key_arc: Arc<[u8]> = Arc::from(key);
         let chain = RowChain::with_version(version.clone());
@@ -1139,7 +1138,6 @@ impl Table {
         key: &[u8],
         chain: &RowChain,
         version: Arc<Version>,
-        upgrade: bool,
         horizon: impl FnOnce() -> Timestamp,
     ) -> Installed {
         let mut state = chain.state.lock();
@@ -1155,7 +1153,7 @@ impl Table {
             0
         };
         let creator = version.creator();
-        let (readers, upgraded) = state.readers.report_to(creator, upgrade);
+        let (readers, upgraded) = state.readers.report_to(creator);
         let links = !write_probe(&state.versions).has_live_version;
         state.versions.push(version.clone());
         // Pushed first, ranges second, under the one hold of the chain
@@ -1816,15 +1814,15 @@ mod tests {
         let value = || Some(Bytes::from(vec![7]));
         // Up to the bound nobody asks for the horizon.
         for ts in 1..=PRUNE_ABOVE as u64 {
-            let installed = tbl.install(b"a", t(ts), value(), true, || unreachable!("short chain"));
+            let installed = tbl.install(b"a", t(ts), value(), || unreachable!("short chain"));
             assert_eq!(installed.pruned, 0);
             installed.version.mark_committed(10 * ts);
         }
-        let installed = tbl.install(b"a", t(5), value(), true, || unreachable!("at the bound"));
+        let installed = tbl.install(b"a", t(5), value(), || unreachable!("at the bound"));
         installed.version.mark_committed(50);
         // Over it: a horizon of 35 keeps the version committed at 30 (what a
         // snapshot at 35 reads) and everything newer, and drops 10 and 20.
-        let installed = tbl.install(b"a", t(6), value(), true, || 35);
+        let installed = tbl.install(b"a", t(6), value(), || 35);
         assert_eq!(installed.pruned, 2);
         assert_eq!(tbl.version_count(), 4);
         assert_eq!(tbl.read(b"a", t(9), 35).read_version_ts, Some(30));
@@ -2090,12 +2088,11 @@ mod tests {
         assert!(!set.remove(t(1)));
         assert!(set.insert(t(6)));
         assert_eq!(set.inline, [t(6), t(2)]);
-        // The writer is left out of its own report, and dropped on upgrade.
-        let (readers, upgraded) = set.report_to(t(2), false);
-        assert_eq!((readers.len(), upgraded), (4, false));
-        let (readers, upgraded) = set.report_to(t(2), true);
+        // The writer is left out of its own report, and dropped: once.
+        let (readers, upgraded) = set.report_to(t(2));
         assert_eq!((readers.len(), upgraded), (4, true));
-        assert!(!set.report_to(t(2), true).1);
+        let (readers, upgraded) = set.report_to(t(2));
+        assert_eq!((readers.len(), upgraded), (4, false));
         // The spill goes when its last holder does.
         for id in 3..=5 {
             assert!(set.remove(t(id)));
@@ -2127,7 +2124,7 @@ mod tests {
         assert_eq!(tbl.siread_holder_count(), 1);
         // A writer is handed the reader with its install, and a read after
         // the install sees the writer's version.
-        let installed = tbl.install(b"a", t(3), Some(vec![3].into()), true, || TS_ZERO);
+        let installed = tbl.install(b"a", t(3), Some(vec![3].into()), || TS_ZERO);
         assert_eq!(installed.readers, vec![t(2)]);
         assert!(!installed.upgraded, "the writer had not read the row");
         let (read, _) = tbl.read_registering(b"a", t(4), 20);
@@ -2135,15 +2132,18 @@ mod tests {
         // The writer's own read of its write registers nothing.
         let (own, siread) = tbl.read_registering(b"a", t(3), 20);
         assert!(own.read_own_write && matches!(siread, Siread::Held));
-        // A reader that writes is upgraded away, unless told to stay.
+        // A reader that writes is upgraded away, once.
         installed.version.mark_committed(30);
-        let kept = tbl.install(b"a", t(4), Some(vec![4].into()), false, || TS_ZERO);
-        assert_eq!((kept.readers.to_vec(), kept.upgraded), (vec![t(2)], false));
-        assert_eq!(tbl.siread_holder_count(), 2);
-        let again = tbl.install(b"a", t(4), Some(vec![5].into()), true, || TS_ZERO);
-        assert!(again.upgraded);
+        let first = tbl.install(b"a", t(4), Some(vec![4].into()), || TS_ZERO);
+        assert_eq!((first.readers.to_vec(), first.upgraded), (vec![t(2)], true));
+        assert_eq!(tbl.siread_holder_count(), 1);
+        let again = tbl.install(b"a", t(4), Some(vec![5].into()), || TS_ZERO);
+        assert!(
+            !again.upgraded,
+            "its registration went with its first write"
+        );
         // The locking read reports and upgrades like the install.
-        let probe = tbl.probe_for_update(b"a", t(2), true);
+        let probe = tbl.probe_for_update(b"a", t(2));
         assert_eq!(probe.probe.newest_committed_ts, Some(30));
         assert!(probe.readers.is_empty() && probe.upgraded);
         assert!(!handle.release_siread(t(2)), "upgraded away already");
@@ -2167,7 +2167,7 @@ mod tests {
         assert_eq!((tbl.key_count(), tbl.version_count()), (1, 0));
         tbl.purge_old_versions(100);
         assert_eq!(tbl.key_count(), 1, "a pass leaves it too");
-        let again = tbl.install(b"k", t(3), Some(vec![3].into()), true, || TS_ZERO);
+        let again = tbl.install(b"k", t(3), Some(vec![3].into()), || TS_ZERO);
         assert_eq!(again.readers, vec![t(2)]);
         // Same for a tombstone a pass would otherwise take the key with.
         again.version.mark_committed(10);
@@ -2175,7 +2175,7 @@ mod tests {
         let stats = tbl.purge_old_versions(30);
         assert_eq!((stats.versions, stats.chains), (1, 0));
         assert_eq!(tbl.key_count(), 1);
-        let reinsert = tbl.install(b"k", t(5), Some(vec![5].into()), true, || TS_ZERO);
+        let reinsert = tbl.install(b"k", t(5), Some(vec![5].into()), || TS_ZERO);
         assert_eq!(reinsert.readers, vec![t(2)]);
         // Once the reader is gone the next pass unmaps a chain left unused…
         reinsert.version.mark_aborted();
@@ -2207,7 +2207,7 @@ mod tests {
         let clock = std::cell::Cell::new(10);
         let write = |key: &[u8], creator: u64, value: Option<Vec<u8>>| {
             let value = value.map(Bytes::from);
-            let installed = tbl.install(key, t(creator), value, true, || TS_ZERO);
+            let installed = tbl.install(key, t(creator), value, || TS_ZERO);
             clock.set(clock.get() + 1);
             installed.version.mark_committed(clock.get());
             installed.range_readers
@@ -2228,7 +2228,7 @@ mod tests {
         assert_eq!(write(b"c", 4, Some(vec![4])), vec![t(2)]);
         // So is an insert onto a chain that a rollback left mapped for a
         // point reader, who is reported beside the scan.
-        let first = tbl.install(b"ee", t(5), Some(vec![5].into()), true, || TS_ZERO);
+        let first = tbl.install(b"ee", t(5), Some(vec![5].into()), || TS_ZERO);
         assert_eq!(first.range_readers, vec![t(2)]);
         assert!(matches!(
             tbl.read_registering(b"ee", t(6), 20).1,
@@ -2237,7 +2237,7 @@ mod tests {
         first.version.mark_aborted();
         tbl.unlink_version(b"ee", &first.version);
         assert_eq!((tbl.key_count(), tbl.siread_holder_count()), (6, 2));
-        let again = tbl.install(b"ee", t(7), Some(vec![7].into()), true, || TS_ZERO);
+        let again = tbl.install(b"ee", t(7), Some(vec![7].into()), || TS_ZERO);
         assert_eq!(again.readers, vec![t(6)]);
         assert_eq!(again.range_readers, vec![t(2)]);
         // Outside the bounds nobody is told, however close the neighbours.
@@ -2248,7 +2248,7 @@ mod tests {
         // to the table only, which the writer then undoes as a rollback would.
         let shared = register(8, RangeMode::Shared).expect("a mode of its own");
         let undone = |key: &[u8]| {
-            let installed = tbl.install(key, t(3), Some(vec![3].into()), true, || TS_ZERO);
+            let installed = tbl.install(key, t(3), Some(vec![3].into()), || TS_ZERO);
             installed.version.mark_aborted();
             tbl.unlink_version(key, &installed.version);
             let told = [installed.range_readers, installed.blocked_by];
@@ -2261,7 +2261,7 @@ mod tests {
         // Unless a point reader registers between a link and its undo: the
         // chain stays mapped with no version, an S2PL listing of it skips it,
         // and a push onto it links the key all the same.
-        let linked = tbl.install(b"de", t(3), Some(vec![3].into()), true, || TS_ZERO);
+        let linked = tbl.install(b"de", t(3), Some(vec![3].into()), || TS_ZERO);
         assert_eq!(linked.blocked_by, vec![t(8)]);
         let (_, siread) = tbl.read_registering(b"de", t(6), 20);
         assert!(matches!(siread, Siread::New(_)));
@@ -2306,7 +2306,7 @@ mod tests {
         let value = |n: u32| Some(Bytes::from(n.to_le_bytes().to_vec()));
         let clock = std::cell::Cell::new(10);
         let write = |key: &[u8], creator: u64, n: u32| {
-            let installed = tbl.install(key, t(creator), value(n), true, || TS_ZERO);
+            let installed = tbl.install(key, t(creator), value(n), || TS_ZERO);
             clock.set(clock.get() + 1);
             installed.version.mark_committed(clock.get());
             installed.range_readers
@@ -2334,7 +2334,7 @@ mod tests {
         let shared = idx.register_range(lower, upper, t(8), RangeMode::Shared);
         let shared = shared.expect("a mode of its own");
         let blocked_by = |key: &[u8], n| {
-            let installed = tbl.install(key, t(4), value(n), true, || TS_ZERO);
+            let installed = tbl.install(key, t(4), value(n), || TS_ZERO);
             installed.version.mark_committed(clock.get() + 1);
             clock.set(clock.get() + 1);
             installed.blocked_by.to_vec()
@@ -2396,9 +2396,7 @@ mod tests {
                         let _held = exclusive[slot].lock();
                         // Prunes at the newest commit once the chain is long.
                         let horizon = || clock.load(Ordering::SeqCst);
-                        let v = tbl
-                            .install(key, txn, Some(payload.into()), true, horizon)
-                            .version;
+                        let v = tbl.install(key, txn, Some(payload.into()), horizon).version;
                         if n.is_multiple_of(3) {
                             // Rollback path: abort and unlink.
                             v.mark_aborted();

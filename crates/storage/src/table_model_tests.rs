@@ -305,12 +305,10 @@ impl Model {
         let horizon = self.horizon();
         let before = self.chain(k);
         let mut horizon_reads = 0;
-        let installed = self
-            .table
-            .install(&key(k), txn, value.map(Into::into), true, || {
-                horizon_reads += 1;
-                horizon
-            });
+        let installed = self.table.install(&key(k), txn, value.map(Into::into), || {
+            horizon_reads += 1;
+            horizon
+        });
         let after = self.chain(k);
         let context = format!("seed {} install on key {k} at horizon {horizon}", self.seed);
 

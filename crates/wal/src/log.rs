@@ -45,7 +45,7 @@ pub enum PoisonCause {
     Panic,
 }
 
-/// Activity counters, exposed for tests, stats and `wal_bench`.
+/// Activity counters, read by `Database::metrics()` and by tests.
 #[derive(Default, Debug)]
 pub struct WalStats {
     /// Commit records appended to segment files.

@@ -235,6 +235,5 @@ mod tests {
         let stats = run_workload(&db, &workload, &cfg);
         assert!(stats.commits > 0);
         assert_eq!(stats.cc_aborts(), 0);
-        assert_eq!(stats.abort_ratio(), 0.0);
     }
 }

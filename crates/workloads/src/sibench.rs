@@ -66,7 +66,7 @@ impl SiBench {
     }
 
     /// The query transaction: id of the row with the smallest value.
-    pub fn query_min(&self, db: &Database) -> Result<Option<u64>, Error> {
+    fn query_min(&self, db: &Database) -> Result<Option<u64>, Error> {
         let mut txn = db.begin_read_only();
         let rows = txn.scan(&self.table, Bound::Unbounded, Bound::Unbounded)?;
         let min = rows
@@ -78,7 +78,7 @@ impl SiBench {
     }
 
     /// The update transaction: increment one row's value.
-    pub fn update_row(&self, db: &Database, id: u64) -> Result<(), Error> {
+    fn update_row(&self, db: &Database, id: u64) -> Result<(), Error> {
         let mut txn = db.begin();
         let key = item_key(id);
         let current = txn

@@ -7,7 +7,9 @@
 //! * [`core`](ssi_core) — the embedded database with SI, S2PL and
 //!   Serializable SI concurrency control (the paper's contribution);
 //! * [`storage`](ssi_storage) — the multi-version storage substrate;
-//! * [`lock`](ssi_lock) — the lock manager with SIREAD and gap locks;
+//! * [`lock`](ssi_lock) — the lock manager: SHARED and EXCLUSIVE locks,
+//!   and the SIREAD locks of pages and of reads that find no row (a row's
+//!   SIREAD lives on its version chain in `storage`);
 //! * [`server`](ssi_server) — the TCP service layer (framed protocol,
 //!   session registry, blocking client SDK);
 //! * [`workloads`](ssi_workloads) — SmallBank, sibench and TPC-C++ plus the

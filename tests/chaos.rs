@@ -65,24 +65,40 @@ fn reopen_clean(dir: &std::path::Path) -> Database {
 fn clean_path_keeps_every_fault_counter_at_zero() {
     // Contract for the observability counters: a fault-free run (even
     // through a FaultVfs with no rules) costs zero — no observed faults, no
-    // degraded transitions, nothing injected.
-    let dir = temp_dir("clean");
-    let fault = FaultVfs::new(vec![]);
-    let db = Database::open(faulty_options(&dir, &fault));
-    let t = db.create_table("t").unwrap();
-    for k in 0..20u64 {
-        let mut txn = db.begin();
-        txn.put(&t, &k.to_be_bytes(), b"v").unwrap();
-        txn.commit().unwrap();
+    // degraded transitions, nothing injected — in both logging modes, with
+    // eight writers committing at once (the fail-stop log would degrade on
+    // its first failure).
+    const WRITERS: u64 = 8;
+    const COMMITS: u64 = 40;
+    for mode in [Durability::GroupCommit, Durability::Buffered] {
+        let dir = temp_dir("clean");
+        let fault = FaultVfs::new(vec![]);
+        let options = Options::default()
+            .with_durability(mode, &dir)
+            .with_vfs(fault.handle());
+        let db = Database::open(options);
+        let t = db.create_table("t").unwrap();
+        std::thread::scope(|s| {
+            for w in 0..WRITERS {
+                let (db, t) = (&db, &t);
+                // Disjoint fresh keys: no transaction can abort.
+                s.spawn(move || {
+                    for i in 0..COMMITS {
+                        put_one(db, t, w << 32 | i, b"v").unwrap();
+                    }
+                });
+            }
+        });
+        assert_eq!(db.health(), DbHealth::Healthy, "{mode:?}");
+        let stats = db.transaction_manager().stats();
+        assert_eq!(stats.degraded_transitions.load(Ordering::Relaxed), 0);
+        let wal = db.durability_stats().unwrap();
+        assert_eq!(wal.io_failures.load(Ordering::Relaxed), 0, "{mode:?}");
+        assert!(wal.records.load(Ordering::Relaxed) >= WRITERS * COMMITS);
+        assert_eq!(fault.injected(), 0);
+        drop(db);
+        let _ = std::fs::remove_dir_all(&dir);
     }
-    assert_eq!(db.health(), DbHealth::Healthy);
-    let stats = db.transaction_manager().stats();
-    assert_eq!(stats.degraded_transitions.load(Ordering::Relaxed), 0);
-    let wal = db.durability_stats().unwrap();
-    assert_eq!(wal.io_failures.load(Ordering::Relaxed), 0);
-    assert_eq!(fault.injected(), 0);
-    drop(db);
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Commits `k -> value` in one transaction.

@@ -32,7 +32,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serializable_si::common::encoding::{KeyBuilder, ValueWriter};
+use serializable_si::common::encoding::{KeyBuilder, ValueReader, ValueWriter};
 use serializable_si::{
     Database, Error, FieldKind, IndexKeyPart, IndexKeySpec, IndexRef, IsolationLevel, Options,
     SsiVariant, TableRef,
@@ -488,6 +488,19 @@ fn indexed_gc_stress(variant: SsiVariant, threads: usize, iters: u64, keys: u64,
             "hot name {} lost after final purge",
             hot_name(k)
         );
+    }
+    // Every name, hot or churn, resolves through the index to exactly the
+    // rows that a scan of the table filtered by name finds (both in
+    // primary-key order).
+    let all = check.scan_prefix(&table, b"").unwrap();
+    for name in (0..keys).map(hot_name).chain((0..6).map(churn_name)) {
+        let via_index = check.index_lookup(&index, &name_key(&name)).unwrap();
+        let via_scan: Vec<_> = all
+            .iter()
+            .filter(|(_, value)| ValueReader::new(value).str() == name)
+            .cloned()
+            .collect();
+        assert_eq!(via_index, via_scan, "index and scan disagree on {name}");
     }
     check.commit().unwrap();
 }

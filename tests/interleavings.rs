@@ -484,7 +484,9 @@ mod row_siread {
 mod range_siread {
     use std::ops::Bound;
     use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, AtomicUsize, Ordering};
-    use std::time::Instant;
+    use std::sync::mpsc::{channel, Sender};
+    use std::sync::{Arc, Mutex};
+    use std::time::{Duration, Instant};
 
     use serializable_si::{AbortKind, Database, IsolationLevel, TableRef, Transaction};
 
@@ -836,7 +838,10 @@ mod range_siread {
     /// conflict is marked, or finds the list without it. Nothing is handed
     /// from one to the other, so whichever way a round falls no registration
     /// is left, nothing panics and the table's range count is back to zero.
-    /// 300 rounds, sweeping the write across the instant the holder lets go.
+    /// 300 rounds, sweeping the write across the instant the holder lets go,
+    /// and then one forced round of each order: the write done while the
+    /// reclaiming commit is held in its horizon sweep, before it reclaims
+    /// (the sweep pause hook), and the write done after that commit returned.
     ///
     /// Guards the `range.release()` pass over `entry.sireads.ranges` in
     /// `TransactionManager::reclaim_pass`: without it every round leaves S's
@@ -848,7 +853,7 @@ mod range_siread {
             let (db, table) = open(variant, &[]);
             let race = Race::new();
             let (mut writer_first, mut writer_last) = (0, 0);
-            for i in 0..ROUNDS {
+            for i in 0..ROUNDS + 2 {
                 // S commits and stays suspended for as long as `overlap`,
                 // which began before S committed, is active.
                 let mut overlap = db.begin_with(IsolationLevel::SnapshotIsolation);
@@ -861,18 +866,52 @@ mod range_siread {
                 assert_eq!(db.siread_holder_count(), 1);
                 // Began after S committed: not what keeps S suspended.
                 let mut w = db.begin();
-                let order = std::thread::scope(|scope| {
-                    let reclaiming = scope.spawn(|| {
+                let order = if i < ROUNDS {
+                    std::thread::scope(|scope| {
+                        let reclaiming = scope.spawn(|| {
+                            let _side = race.side();
+                            race.meet(i + 1);
+                            // Its finish reclaims S.
+                            race.against(|| overlap.commit().unwrap()).1
+                        });
                         let _side = race.side();
                         race.meet(i + 1);
-                        // Its finish reclaims S.
-                        race.against(|| overlap.commit().unwrap()).1
+                        race.write(|| w.put(&table, &above(i), b"w").unwrap());
+                        race.fell(reclaiming.join().unwrap())
+                    })
+                } else if i == ROUNDS {
+                    // The first horizon sweep from here on reports that it
+                    // is paused and waits to be let go.
+                    let armed = AtomicBool::new(true);
+                    let (paused, paused_rx) = channel::<Sender<()>>();
+                    let paused = Mutex::new(paused);
+                    let hook = move |_shard| {
+                        if armed.swap(false, Ordering::SeqCst) {
+                            let (resume, resume_rx) = channel();
+                            paused.lock().unwrap().send(resume).unwrap();
+                            resume_rx.recv().unwrap();
+                        }
+                    };
+                    let manager = db.transaction_manager();
+                    manager.set_sweep_pause_hook(Some(Arc::new(hook)));
+                    std::thread::scope(|scope| {
+                        let reclaiming = scope.spawn(|| overlap.commit().unwrap());
+                        let resume = paused_rx
+                            .recv_timeout(Duration::from_secs(10))
+                            .expect("the reclaiming commit swept the horizon");
+                        assert_eq!(db.siread_holder_count(), 1, "S is not reclaimed yet");
+                        w.put(&table, &above(i), b"w").unwrap();
+                        resume.send(()).unwrap();
+                        reclaiming.join().unwrap();
                     });
-                    let _side = race.side();
-                    race.meet(i + 1);
-                    race.write(|| w.put(&table, &above(i), b"w").unwrap());
-                    race.fell(reclaiming.join().unwrap())
-                });
+                    manager.set_sweep_pause_hook(None);
+                    Order::WriterFirst
+                } else {
+                    overlap.commit().unwrap();
+                    assert_eq!(db.siread_holder_count(), 0, "S is reclaimed");
+                    w.put(&table, &above(i), b"w").unwrap();
+                    Order::WriterLast
+                };
                 w.commit().unwrap();
                 writer_first += usize::from(order == Order::WriterFirst);
                 writer_last += usize::from(order == Order::WriterLast);
@@ -885,7 +924,7 @@ mod range_siread {
                     "{variant:?} round {i}"
                 );
             }
-            // The sweep crossed the instant it aims at, both ways.
+            // The rounds crossed the instant they aim at, both ways.
             assert!(
                 writer_first > 0 && writer_last > 0,
                 "{variant:?}: {writer_first} before, {writer_last} after"
