@@ -87,9 +87,6 @@ pub enum AbortReason {
     /// A peer doomed this transaction (victim selection from another
     /// thread); the doom was observed at the next operation or commit.
     DoomedByPeer,
-    /// A speculatively read commit dependency aborted, cascading into this
-    /// transaction.
-    DependencyCascade,
     /// The database is in degraded (read-only) mode and rejected a write.
     /// (Surfaced as [`Error::Degraded`]; counted here for the rollback.)
     DegradedRejected,
@@ -105,7 +102,7 @@ pub enum AbortReason {
 
 impl AbortReason {
     /// Number of distinct reasons (the length of [`AbortReason::ALL`]).
-    pub const COUNT: usize = 12;
+    pub const COUNT: usize = 11;
 
     /// Every reason, in `index()` order — iterate this to render the
     /// per-reason counters.
@@ -118,7 +115,6 @@ impl AbortReason {
         AbortReason::UnsafeAtCommit,
         AbortReason::BasicFlagCheck,
         AbortReason::DoomedByPeer,
-        AbortReason::DependencyCascade,
         AbortReason::DegradedRejected,
         AbortReason::UserRollback,
         AbortReason::UniqueViolation,
@@ -140,7 +136,6 @@ impl AbortReason {
             AbortReason::UnsafeAtCommit => "unsafe-at-commit",
             AbortReason::BasicFlagCheck => "basic-flag-check",
             AbortReason::DoomedByPeer => "doomed-by-peer",
-            AbortReason::DependencyCascade => "dependency-cascade",
             AbortReason::DegradedRejected => "degraded-rejected",
             AbortReason::UserRollback => "user-rollback",
             AbortReason::UniqueViolation => "unique-violation",
@@ -159,7 +154,6 @@ impl AbortReason {
             | AbortReason::UnsafeAtCommit
             | AbortReason::BasicFlagCheck
             | AbortReason::DoomedByPeer
-            | AbortReason::DependencyCascade
             | AbortReason::DegradedRejected => AbortKind::Unsafe,
         }
     }

@@ -142,27 +142,14 @@ use ssi_common::{AbortReason, Bytes, Error, IsolationLevel, Result, Timestamp, T
 use ssi_lock::{LockKey, LockMode, ModeSet};
 use ssi_storage::{
     as_ref_bound, clone_bound, decode_entry, encode_entry, entry_range, Index, RangeHandle,
-    RangeMode, ScanRow, Siread, VisibleRead,
+    RangeMode, Siread, VisibleRead,
 };
 
 use crate::db::{IndexRef, TableRef};
 use crate::options::LockGranularity;
 use crate::ssi::{self, CallerRole};
 use crate::txn::{Transaction, WriteRecord};
-use crate::txn_shared::DependencyOutcome;
 use crate::verify::{ReadRecord, WriteRecordEntry};
-
-/// How a speculative read (of a provisionally stamped version) resolved.
-enum Speculation {
-    /// The creator settled as committed meanwhile: an ordinary read.
-    Committed,
-    /// The creator is still in its commit window; a commit dependency on it
-    /// is registered and the value is used speculatively.
-    Speculative,
-    /// The creator aborted (or retired): the version chain has changed —
-    /// or is about to — so the read must be retried.
-    Retry,
-}
 
 impl Transaction {
     // ------------------------------------------------------------------
@@ -382,13 +369,7 @@ impl Transaction {
     /// transaction's own uncommitted write: they impose no ordering
     /// constraints between transactions and would otherwise be
     /// indistinguishable from reads of a non-existent key.
-    fn record_read(
-        &mut self,
-        table: &TableRef,
-        key: &[u8],
-        version_ts: Option<Timestamp>,
-        speculative: bool,
-    ) {
+    fn record_read(&mut self, table: &TableRef, key: &[u8], version_ts: Option<Timestamp>) {
         if self.db.history.is_some() {
             let mut own = self.writes.iter();
             let after_own_write = own.any(|w| w.table.id() == table.id() && w.key == key);
@@ -396,7 +377,6 @@ impl Transaction {
                 table: table.id(),
                 key: key.to_vec(),
                 version_ts,
-                speculative,
                 after_own_write,
             });
         }
@@ -412,108 +392,6 @@ impl Transaction {
                 .unwrap_or_else(|| self.db.txns.current_ts())
         });
         self.read_upto = self.read_upto.max(ts);
-    }
-
-    // ------------------------------------------------------------------
-    // Speculative-read resolution
-    // ------------------------------------------------------------------
-
-    /// Snapshot point read that resolves provisional versions itself
-    /// instead of waiting for the creator's timestamp to be published.
-    ///
-    /// When the storage layer reports the visible version as provisional
-    /// (`speculative_of`), the creator is in its commit window with a
-    /// stamped timestamp at or below our snapshot. Three cases:
-    ///
-    /// * the creator already settled as committed — an ordinary read;
-    /// * the creator is still committing — the value is taken
-    ///   *speculatively* after registering a commit dependency, so an
-    ///   eventual abort of the creator dooms this transaction too
-    ///   (and our own commit waits for the creator to settle first);
-    /// * the creator aborted or retired — the chain is changing under us,
-    ///   retry until the read settles.
-    ///
-    /// The returned read keeps `speculative_of` set only if the value was
-    /// actually taken speculatively.
-    fn snapshot_read(&mut self, table: &TableRef, key: &[u8], snapshot: Timestamp) -> VisibleRead {
-        let id = self.shared.id();
-        self.settled_read(|| table.table.read(key, id, snapshot))
-    }
-
-    /// [`Transaction::snapshot_read`] of a scanned row, through the chain
-    /// handle its page carries instead of a lookup by key.
-    fn snapshot_read_row(
-        &mut self,
-        table: &TableRef,
-        row: &ScanRow,
-        snapshot: Timestamp,
-    ) -> VisibleRead {
-        let id = self.shared.id();
-        self.settled_read(|| table.table.read_row(row, id, snapshot))
-    }
-
-    /// Repeats `read` until it returns a value that is settled or safely
-    /// speculative (see [`Transaction::snapshot_read`]).
-    fn settled_read(&mut self, read: impl Fn() -> VisibleRead) -> VisibleRead {
-        let first = read();
-        self.settle(first, read)
-    }
-
-    /// [`Transaction::settled_read`] when the first read is already made —
-    /// by a call that must not be repeated, such as a registering read.
-    fn settle(&mut self, mut read: VisibleRead, again: impl Fn() -> VisibleRead) -> VisibleRead {
-        loop {
-            let Some(creator) = read.speculative_of else {
-                return read;
-            };
-            match self.resolve_speculative_creator(creator) {
-                Speculation::Committed => {
-                    read.speculative_of = None;
-                    return read;
-                }
-                Speculation::Speculative => {
-                    self.db
-                        .txns
-                        .stats()
-                        .speculative_reads
-                        .fetch_add(1, Ordering::Relaxed);
-                    return read;
-                }
-                Speculation::Retry => {
-                    std::hint::spin_loop();
-                    read = again();
-                }
-            }
-        }
-    }
-
-    /// Resolves the creator of a provisionally stamped version, registering
-    /// a commit dependency when it is still in its window. A creator gone
-    /// from the registry is ambiguous — committed-and-retired or
-    /// aborted-and-retired — but both have already settled the version cell
-    /// (plain stamp or un-stamp happen *before* retirement), so a retry
-    /// reads the truth.
-    fn resolve_speculative_creator(&mut self, creator: TxnId) -> Speculation {
-        if self.speculative_deps.iter().any(|d| d.id() == creator) {
-            // Already a dependency: our commit waits for it either way.
-            return Speculation::Speculative;
-        }
-        let Some(writer) = self.db.txns.find(creator) else {
-            return Speculation::Retry;
-        };
-        match writer.register_commit_dependent(&self.shared) {
-            DependencyOutcome::Committed => Speculation::Committed,
-            DependencyOutcome::Aborted => Speculation::Retry,
-            DependencyOutcome::Registered => {
-                self.db
-                    .txns
-                    .stats()
-                    .commit_dependencies
-                    .fetch_add(1, Ordering::Relaxed);
-                self.speculative_deps.push(writer);
-                Speculation::Speculative
-            }
-        }
     }
 
     // ------------------------------------------------------------------
@@ -549,7 +427,8 @@ impl Transaction {
             Siread::Held => {}
             Siread::NoChain => return self.ssi_read_locked(table, key, snapshot),
         }
-        self.finish_ssi_read(table, key, snapshot, read)
+        self.mark_read_conflicts(&read.newer_creators)?;
+        Ok(read)
     }
 
     /// The lock-table form of the row read, in the paper's order: the SIREAD
@@ -568,22 +447,6 @@ impl Transaction {
         let outcome = self.acquire(lock, LockMode::SiRead)?;
         self.mark_read_conflicts(&outcome.rw_conflicts)?;
         let read = table.table.read(key, self.shared.id(), snapshot);
-        self.finish_ssi_read(table, key, snapshot, read)
-    }
-
-    /// Settles a row read made under its SIREAD — resolving a creator caught
-    /// in its commit window instead of waiting for its timestamp to be
-    /// published; the SIREAD stands, so a retry reads without registering —
-    /// and marks the conflict with the creator of every newer version.
-    fn finish_ssi_read(
-        &mut self,
-        table: &TableRef,
-        key: &[u8],
-        snapshot: Timestamp,
-        read: VisibleRead,
-    ) -> Result<VisibleRead> {
-        let id = self.shared.id();
-        let read = self.settle(read, || table.table.read(key, id, snapshot));
         self.mark_read_conflicts(&read.newer_creators)?;
         Ok(read)
     }
@@ -606,15 +469,10 @@ impl Transaction {
             }
             IsolationLevel::SnapshotIsolation => {
                 let snapshot = self.db.txns.ensure_snapshot(&self.shared);
-                let read = self.snapshot_read(table, key, snapshot);
+                let read = table.table.read(key, self.shared.id(), snapshot);
                 self.note_read(read.read_version_ts);
                 if !read.read_own_write {
-                    self.record_read(
-                        table,
-                        key,
-                        read.read_version_ts,
-                        read.speculative_of.is_some(),
-                    );
+                    self.record_read(table, key, read.read_version_ts);
                 }
                 Ok(read.value)
             }
@@ -623,12 +481,7 @@ impl Transaction {
                 let read = self.ssi_read(table, key, snapshot)?;
                 self.note_read(read.read_version_ts);
                 if !read.read_own_write {
-                    self.record_read(
-                        table,
-                        key,
-                        read.read_version_ts,
-                        read.speculative_of.is_some(),
-                    );
+                    self.record_read(table, key, read.read_version_ts);
                 }
                 Ok(read.value)
             }
@@ -673,7 +526,7 @@ impl Transaction {
         let read = table.table.read_latest(key, self.shared.id());
         self.note_read(read.read_version_ts);
         if !read.read_own_write {
-            self.record_read(table, key, read.read_version_ts, false);
+            self.record_read(table, key, read.read_version_ts);
         }
         read.value
     }
@@ -962,12 +815,9 @@ impl Transaction {
                 }
             }
             // Each row is read once, under the range or the page lock taken
-            // above: the read sees every writer that cannot see those. It
-            // resolves provisional rows at every level, registering a commit
-            // dependency on a mid-window creator: even read-committed must
-            // not return data that can still roll back.
+            // above: the read sees every writer that cannot see those.
             for row in page.rows {
-                let read = self.snapshot_read_row(table, &row, snapshot);
+                let read = table.table.read_row(&row, self.shared.id(), snapshot);
                 if ssi {
                     self.mark_read_conflicts(&read.newer_creators)?;
                 }
@@ -975,12 +825,7 @@ impl Transaction {
                     continue;
                 }
                 if isolation != IsolationLevel::ReadCommitted && !read.read_own_write {
-                    self.record_read(
-                        table,
-                        &row.key,
-                        read.read_version_ts,
-                        read.speculative_of.is_some(),
-                    );
+                    self.record_read(table, &row.key, read.read_version_ts);
                 }
                 if let Some(value) = read.value {
                     result.push((row.key.to_vec(), value));
@@ -1034,7 +879,6 @@ impl Transaction {
         index: &Arc<Index>,
         entry: &[u8],
         version_ts: Option<Timestamp>,
-        speculative: bool,
     ) {
         if self.db.history.is_some() {
             let mut own = self.index_writes.iter();
@@ -1043,7 +887,6 @@ impl Transaction {
                 table: index.id(),
                 key: entry.to_vec(),
                 version_ts,
-                speculative,
                 after_own_write,
             });
         }
@@ -1094,7 +937,7 @@ impl Transaction {
                 IsolationLevel::SerializableSnapshotIsolation => {
                     self.ssi_read(&table, &pk, snapshot)?
                 }
-                IsolationLevel::SnapshotIsolation => self.snapshot_read(&table, &pk, snapshot),
+                IsolationLevel::SnapshotIsolation => table.table.read(&pk, id, snapshot),
                 IsolationLevel::StrictTwoPhaseLocking => {
                     let lock = self.lock_target(&table, pk.as_slice());
                     self.acquire(lock, LockMode::Shared)?;
@@ -1104,9 +947,8 @@ impl Transaction {
             };
             self.note_read(read.read_version_ts);
             let recorded = isolation != IsolationLevel::ReadCommitted && !read.read_own_write;
-            let speculative = read.speculative_of.is_some();
             if recorded {
-                self.record_read(&table, &pk, read.read_version_ts, speculative);
+                self.record_read(&table, &pk, read.read_version_ts);
             }
             let live = read
                 .value
@@ -1114,7 +956,7 @@ impl Transaction {
                 .is_some_and(|v| idx.spec().extract(&pk, v).as_deref() == Some(ik.as_slice()));
             if live {
                 if recorded {
-                    self.record_index_read(&idx, &entry, read.read_version_ts, speculative);
+                    self.record_index_read(&idx, &entry, read.read_version_ts);
                 }
                 result.push((pk, read.value.expect("live implies Some")));
             }

@@ -741,10 +741,6 @@ impl Database {
             cleaned: load(&s.cleaned),
             suspended_now: self.inner.txns.suspended_len() as u64,
             publish_parks: load(&s.publish_parks),
-            read_publication_waits: load(&s.read_publication_waits),
-            speculative_reads: load(&s.speculative_reads),
-            commit_dependencies: load(&s.commit_dependencies),
-            dependency_cascade_aborts: load(&s.dependency_cascade_aborts),
             watermark_sweeps: load(&s.watermark_sweeps),
             siread_row_registrations: load(&s.siread_row_registrations),
             siread_range_registrations: load(&s.siread_range_registrations),

@@ -81,7 +81,7 @@ mod engine_tests;
 
 pub use db::{Database, IndexRef, TableRef};
 pub use health::DbHealth;
-pub use manager::{CommitPauseHook, CommitPhase, GcPin, ManagerStats, TransactionManager};
+pub use manager::{CommitPauseHook, GcPin, ManagerStats, TransactionManager};
 pub use options::{
     Durability, DurabilityOptions, LockGranularity, Options, SsiOptions, SsiVariant, VfsHandle,
 };
@@ -89,8 +89,7 @@ pub use ssi::CallerRole;
 pub use txn::Transaction;
 pub use txn_shared::{TxnShared, TxnStatus};
 pub use verify::{
-    CommittedTxn, DanglingSpeculativeRead, HistoryRecorder, LostRead, MvsgReport, ReadRecord,
-    WriteRecordEntry,
+    CommittedTxn, HistoryRecorder, LostRead, MvsgReport, ReadRecord, WriteRecordEntry,
 };
 
 pub use ssi_common::{

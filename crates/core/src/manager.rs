@@ -43,45 +43,41 @@
 //! 3. **Ordered timestamp publication (deposit-drain)** — commit
 //!    timestamps are *allocated* from one counter (`next_ts`, a fetch-add)
 //!    but *published* to the snapshot clock (`clock`) strictly in
-//!    allocation order. The owner of timestamp `t` stamps its versions
-//!    first, then *deposits* `t`; whoever completes the pending prefix
-//!    drains every consecutive deposited timestamp into the clock in one
-//!    step, so no committer ever needs a predecessor to be scheduled again
-//!    after it finished stamping. New snapshots read `clock`, so a
-//!    snapshot at `s` sees every commit with timestamp `<= s` at least
-//!    *provisionally* stamped, while commits whose write sets touch
+//!    allocation order. The owner of timestamp `t` settles its commit and
+//!    stamps its versions first, then *deposits* `t`; whoever completes the
+//!    pending prefix drains every consecutive deposited timestamp into the
+//!    clock in one step, so no committer ever needs a predecessor to be
+//!    scheduled again after it finished stamping. New snapshots read
+//!    `clock`, so a snapshot at `s` sees every commit with timestamp
+//!    `<= s` settled and stamped, while commits whose write sets touch
 //!    different keys run the whole pipeline in parallel.
 //!
-//!    **No committer waits for its own timestamp to be published.** A
-//!    non-durable commit deposits its timestamp mid-window (between
-//!    provisional stamping and finalize) and returns as soon as its own
-//!    finalize settles — its latency is decoupled from straggler
-//!    predecessors entirely. The price is that a new snapshot can cover a
-//!    commit that is still in its window: the reader then finds a
-//!    *provisionally* stamped version and resolves it **itself** from the
-//!    creator's state word — committed, pending (take the read
-//!    speculatively and register a commit dependency), or aborted — instead
-//!    of parking on the publication condvar (the protocol lives in
-//!    [`crate::txn_shared`], § the `Committing` state machine). The read
-//!    path therefore never blocks on publication;
-//!    [`ManagerStats::read_publication_waits`] counts the read-side slow
-//!    path — which no longer has any engine call site — to prove it.
+//! There is one write-commit body, the same with and without a log (see
+//! [`crate::Transaction::commit`]): enter `Committing` (the SSI check),
+//! allocate the timestamp, finalize (`Committing → Committed`), stamp every
+//! version committed, submit the redo record when logging, deposit the
+//! timestamp. A version is stamped only once its creator has settled, so a
+//! reader never meets one that can still roll back, and a checkpoint never
+//! streams one.
 //!
-//!    The SSI checks used to lean on publication as a fence ("once
-//!    `clock >= t`, anything still unstamped commits after `t`"); they now
-//!    get the same bound cheaper from the state word: timestamps are
-//!    allocated only *after* the `Active → Committing` transition, so a
-//!    word still showing `Active` belongs to a transaction whose eventual
-//!    commit timestamp exceeds everything already allocated — no waiting
-//!    required (see [`crate::ssi`]).
+//! **In memory, no committer waits for another.** A committer that has
+//! allocated its timestamp and not yet deposited it holds the clock back:
+//! new snapshots do not cover it, nor any later commit. Later committers
+//! only deposit and return; a reader whose snapshot is older reads the
+//! committed version beneath the straggler's (recording an rw-edge at
+//! Serializable SI). The only engine caller of
+//! [`TransactionManager::wait_for_publication`] is a durable commit's wait
+//! for its log record, which waits for the clock to cover its timestamp
+//! because the seal follows timestamp order; in memory,
+//! `ManagerStats::publish_parks` stays zero.
 //!
-//!    Ordered publication itself survives for the two consumers that
-//!    genuinely need a prefix-closed clock: snapshot acquisition, and the
-//!    WAL seal order in durable mode — durable commits finalize *before*
-//!    stamping (no provisional window, since a checkpoint must never
-//!    stream a version that can still roll back) and keep a commit-path
-//!    [`TransactionManager::wait_for_publication`] so log sealing follows
-//!    timestamp order.
+//! The SSI checks used to lean on publication as a fence ("once `clock >=
+//! t`, anything still unstamped commits after `t`"); they get the same
+//! bound from the state word instead: timestamps are allocated only *after*
+//! the `Active → Committing` transition, so a word still showing `Active`
+//! belongs to a transaction whose eventual commit timestamp exceeds
+//! everything already allocated, and a `Committing` word carries its
+//! pending timestamp (see [`crate::ssi`] and [`crate::txn_shared`]).
 //!
 //! Every allocated timestamp **must** be published exactly once, even when
 //! the commit fails between allocation and publication (the timestamp is
@@ -275,8 +271,8 @@ pub const REGISTRY_SHARDS: usize = 64;
 pub type SweepPauseHook = Arc<dyn Fn(usize) + Send + Sync>;
 
 /// The shared spin budget for the commit pipeline's short waits — the
-/// publication wait loop, the `Allocating` settle loop in [`crate::ssi`]
-/// and the dependency wait in [`crate::txn`]. On multi-core machines the
+/// publication wait loop and the `Allocating` settle loop in
+/// [`crate::ssi`]. On multi-core machines the
 /// awaited thread is typically a few instructions from done on another
 /// core, so a short spin beats parking or yielding. On a single-core
 /// machine spinning is counterproductive — the awaited thread cannot run
@@ -291,25 +287,11 @@ fn commit_spin_limit() -> u32 {
 }
 
 /// Test-only instrumentation callback: invoked with the committing
-/// transaction's id at the [`CommitPhase`] points of the write-commit
-/// pipeline, so tests and benchmarks can hold a committer mid-window (the
+/// transaction's id once per write commit, after its timestamp is allocated
+/// and before it finalizes, so tests can hold a committer there (the
 /// "straggler" choreography) while readers and later committers proceed.
 /// See [`TransactionManager::set_commit_pause_hook`].
-pub type CommitPauseHook = Arc<dyn Fn(TxnId, CommitPhase) + Send + Sync>;
-
-/// Points in the write-commit pipeline where the commit pause hook fires.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum CommitPhase {
-    /// After versions are provisionally stamped, before the commit
-    /// timestamp is deposited for publication: a committer held here has
-    /// allocated its timestamp but new snapshots cannot cover it yet.
-    PreDeposit,
-    /// After the timestamp is deposited, before the dependency wait and
-    /// finalize: a committer held here is the straggler scenario — its
-    /// timestamp is published, readers can take its versions
-    /// speculatively, later committers must not wait for it.
-    PreFinalize,
-}
+pub type CommitPauseHook = Arc<dyn Fn(TxnId) + Send + Sync>;
 
 /// The SIREADs a committed Serializable-SI transaction leaves behind, to be
 /// released when nothing concurrent with it remains (Sec. 3.3).
@@ -451,24 +433,9 @@ pub struct ManagerStats {
     /// `suspended - cleaned` is the list's current length.
     pub cleaned: AtomicU64,
     /// Publication waits that outlasted the spin phase and parked the
-    /// thread (commit pipeline contention signal).
+    /// thread. Only a durable commit waits for publication, so in memory
+    /// this stays zero.
     pub publish_parks: AtomicU64,
-    /// Publication waits taken on the *read* path. After the read-side
-    /// commit-resolution change this has no engine call site left, so the
-    /// stress net asserts it stays zero — readers resolve in-flight
-    /// commits from the creator's state word instead of parking.
-    pub read_publication_waits: AtomicU64,
-    /// Reads that took a provisionally stamped version speculatively
-    /// (creator still in its commit window, timestamp covered by the
-    /// reader's snapshot).
-    pub speculative_reads: AtomicU64,
-    /// Commit dependencies registered by speculative readers on
-    /// still-committing creators (a subset of `speculative_reads`: a
-    /// creator that settles before registration needs no dependency).
-    pub commit_dependencies: AtomicU64,
-    /// Transactions doomed because a creator they speculatively read from
-    /// aborted out of its commit window (dependency-abort cascades).
-    pub dependency_cascade_aborts: AtomicU64,
     /// SIREADs registered on version chains (one per row a Serializable-SI
     /// transaction newly read; see `ssi_storage::table`, § SIREAD on the
     /// row). Each transaction counts its own in a plain field and adds them
@@ -611,7 +578,7 @@ pub struct TransactionManager {
     sweep_hook_set: std::sync::atomic::AtomicBool,
     /// Test-only commit-pipeline instrumentation (straggler choreography);
     /// same `None` + relaxed-flag fast path as the sweep hook, checked
-    /// twice per write commit.
+    /// once per write commit.
     commit_pause_hook: Mutex<Option<CommitPauseHook>>,
     commit_hook_set: std::sync::atomic::AtomicBool,
     /// Activity counters.
@@ -813,27 +780,10 @@ impl TransactionManager {
     ///
     /// After this returns the snapshot clock covers `ts`: every commit at
     /// or below it has deposited. The durable commit path uses this to keep
-    /// the WAL seal order aligned with timestamp order; **the read path
-    /// never calls it** — readers resolve in-flight commits from the
-    /// creator's state word instead (see the module docs).
+    /// the WAL seal order aligned with timestamp order; nothing else in the
+    /// engine waits for publication (see the module docs).
     pub fn wait_for_publication(&self, ts: Timestamp) {
         if self.clock.load(Ordering::Acquire) < ts {
-            self.wait_until_published(ts);
-        }
-    }
-
-    /// Read-path variant of [`TransactionManager::wait_for_publication`],
-    /// instrumented with [`ManagerStats::read_publication_waits`]. The
-    /// read-side commit-resolution protocol removed every engine call site
-    /// of this function; it is kept (and counted) so the stress net can
-    /// assert the counter stays at zero — any future change that re-blocks
-    /// the read path on publication shows up as a counted regression, not
-    /// a silent tail-latency bug.
-    pub fn wait_for_publication_for_read(&self, ts: Timestamp) {
-        if self.clock.load(Ordering::Acquire) < ts {
-            self.stats
-                .read_publication_waits
-                .fetch_add(1, Ordering::Relaxed);
             self.wait_until_published(ts);
         }
     }
@@ -922,11 +872,11 @@ impl TransactionManager {
     }
 
     /// Installs (or clears) the test-only commit-pipeline pause hook: it is
-    /// called with the committing transaction's id at each [`CommitPhase`]
-    /// point. Tests use it to hold one committer inside its commit window —
-    /// timestamp allocated and published, versions provisionally stamped,
-    /// finalize withheld — while readers and later committers proceed. Not
-    /// for production use.
+    /// called with the committing transaction's id once per write commit,
+    /// after the timestamp is allocated and before finalize. Tests use it to
+    /// hold one committer inside its commit window — timestamp allocated,
+    /// nothing stamped, nothing deposited — while readers and later
+    /// committers proceed. Not for production use.
     #[doc(hidden)]
     pub fn set_commit_pause_hook(&self, hook: Option<CommitPauseHook>) {
         self.commit_hook_set
@@ -937,11 +887,11 @@ impl TransactionManager {
     /// Fires the commit pause hook, if one is installed (one relaxed load
     /// when not).
     #[inline]
-    pub(crate) fn fire_commit_pause(&self, id: TxnId, phase: CommitPhase) {
+    pub(crate) fn fire_commit_pause(&self, id: TxnId) {
         if self.commit_hook_set.load(Ordering::Relaxed) {
             let hook = self.commit_pause_hook.lock().clone();
             if let Some(hook) = hook {
-                hook(id, phase);
+                hook(id);
             }
         }
     }
@@ -1384,46 +1334,17 @@ mod tests {
     }
 
     #[test]
-    fn read_path_publication_wait_is_counted() {
-        let m = mgr();
-        // Published prefix: the fast path takes no wait and counts nothing.
-        let ts = tick(&m);
-        m.wait_for_publication_for_read(ts);
-        assert_eq!(
-            m.stats().read_publication_waits.load(Ordering::Relaxed),
-            0,
-            "covered timestamps must not count as read waits"
-        );
-        let t2 = m.allocate_commit_ts();
-        std::thread::scope(|s| {
-            let m2 = &m;
-            let waiter = s.spawn(move || m2.wait_for_publication_for_read(t2));
-            std::thread::sleep(std::time::Duration::from_millis(10));
-            m.publish_commit_ts(t2);
-            waiter.join().unwrap();
-        });
-        assert_eq!(m.stats().read_publication_waits.load(Ordering::Relaxed), 1);
-    }
-
-    #[test]
     fn commit_pause_hook_fires_and_clears() {
         let m = mgr();
         let seen = Arc::new(Mutex::new(Vec::new()));
         let s2 = seen.clone();
-        m.set_commit_pause_hook(Some(Arc::new(move |id, phase| {
-            s2.lock().push((id, phase));
+        m.set_commit_pause_hook(Some(Arc::new(move |id| {
+            s2.lock().push(id);
         })));
-        m.fire_commit_pause(TxnId(7), CommitPhase::PreDeposit);
-        m.fire_commit_pause(TxnId(7), CommitPhase::PreFinalize);
+        m.fire_commit_pause(TxnId(7));
         m.set_commit_pause_hook(None);
-        m.fire_commit_pause(TxnId(8), CommitPhase::PreDeposit);
-        assert_eq!(
-            *seen.lock(),
-            vec![
-                (TxnId(7), CommitPhase::PreDeposit),
-                (TxnId(7), CommitPhase::PreFinalize)
-            ]
-        );
+        m.fire_commit_pause(TxnId(8));
+        assert_eq!(*seen.lock(), vec![TxnId(7)]);
     }
 
     #[test]

@@ -78,10 +78,15 @@ impl Default for SsiOptions {
 
 /// When (and whether) committed write sets reach stable storage. See the
 /// `ssi-wal` crate docs for the log format and the group-commit protocol.
+///
+/// Every mode runs the same write-commit body (`Transaction::commit`): a
+/// commit settles, stamps its versions and only then deposits its
+/// timestamp, so it is visible once settled. A log adds two steps to it:
+/// the redo record is submitted before the deposit, and after the deposit
+/// the committer waits for the log as its mode says.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum Durability {
-    /// Pure in-memory operation (the default): no log, no recovery, no
-    /// change to any existing code path.
+    /// Pure in-memory operation (the default): no log, no recovery.
     #[default]
     Off,
     /// Commits are appended to the redo log in publication order but

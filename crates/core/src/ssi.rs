@@ -222,7 +222,7 @@ fn caller_pivot_reason(caller: CallerRole) -> AbortReason {
 /// conflict flags (the Fig. 3.2 commit-time flag check fired).
 fn basic_commit_word_reason(txn: &TxnShared) -> AbortReason {
     if txn.is_doomed() {
-        txn.doom_reason()
+        AbortReason::DoomedByPeer
     } else {
         AbortReason::BasicFlagCheck
     }
@@ -273,7 +273,7 @@ fn mark_conflict_basic(
     // re-checks in case the doom lands mid-call.
     if caller_txn.is_doomed() {
         return Err(Error::abort_with_reason(
-            caller_txn.doom_reason(),
+            AbortReason::DoomedByPeer,
             caller_txn.id(),
         ));
     }
@@ -312,7 +312,7 @@ fn mark_conflict_basic(
     loop {
         if word & WORD_DOOMED != 0 {
             return Err(Error::abort_with_reason(
-                caller_txn.doom_reason(),
+                AbortReason::DoomedByPeer,
                 caller_txn.id(),
             ));
         }
@@ -391,7 +391,7 @@ fn mark_conflict_enhanced(
     }
     if caller_txn.is_doomed() {
         return Err(Error::abort_with_reason(
-            caller_txn.doom_reason(),
+            AbortReason::DoomedByPeer,
             caller_txn.id(),
         ));
     }
@@ -495,7 +495,10 @@ pub(crate) fn mark_conflict_with_retired_writer(
             let mut word = reader.load_word();
             loop {
                 if word & WORD_DOOMED != 0 {
-                    return Err(Error::abort_with_reason(reader.doom_reason(), reader.id()));
+                    return Err(Error::abort_with_reason(
+                        AbortReason::DoomedByPeer,
+                        reader.id(),
+                    ));
                 }
                 if word & WORD_OUT != 0 {
                     break;
@@ -521,7 +524,10 @@ pub(crate) fn mark_conflict_with_retired_writer(
         SsiVariant::Enhanced => {
             let mut st = reader.conflicts.lock();
             if reader.is_doomed() {
-                return Err(Error::abort_with_reason(reader.doom_reason(), reader.id()));
+                return Err(Error::abort_with_reason(
+                    AbortReason::DoomedByPeer,
+                    reader.id(),
+                ));
             }
             st.out_edge = ConflictEdge::SelfLoop;
             reader.set_out_flag();
@@ -546,7 +552,10 @@ fn enhanced_commit_check_locked(
     st: &mut ConflictState,
 ) -> Result<()> {
     if txn.is_doomed() {
-        return Err(Error::abort_with_reason(txn.doom_reason(), txn.id()));
+        return Err(Error::abort_with_reason(
+            AbortReason::DoomedByPeer,
+            txn.id(),
+        ));
     }
     if unsafe_at_commit(mgr, txn, st) {
         return Err(Error::abort_with_reason(
@@ -593,9 +602,10 @@ pub(crate) fn commit_check(
 /// Opens a writer's commit window: runs the commit-time unsafe check
 /// (Fig. 3.2 / Fig. 3.10) fused with the `Active → Committing` transition,
 /// then allocates the commit timestamp and installs it into the state word
-/// as pending. Returns the timestamp the caller must stamp its versions
-/// with (provisionally), deposit for publication, and eventually settle
-/// with [`finalize_commit`] — or withdraw by aborting.
+/// as pending. Returns the timestamp the caller settles with
+/// [`finalize_commit`] before it stamps its versions with it and deposits
+/// it for publication — or publishes empty and aborts if the finalize
+/// fails.
 ///
 /// * Basic variant: check and transition are a single CAS on the state
 ///   word; a conflict flag arriving between the check and the CAS forces a
@@ -626,7 +636,10 @@ pub(crate) fn begin_commit(
             let mut st = txn.conflicts.lock();
             enhanced_commit_check_locked(mgr, txn, &mut st)?;
             if txn.enter_committing(false).is_err() {
-                return Err(Error::abort_with_reason(txn.doom_reason(), txn.id()));
+                return Err(Error::abort_with_reason(
+                    AbortReason::DoomedByPeer,
+                    txn.id(),
+                ));
             }
         }
     }
@@ -637,23 +650,23 @@ pub(crate) fn begin_commit(
 
 /// Settles a writer's commit window (`Committing → Committed`). The basic
 /// variant re-checks the pivot flags — markers kept setting them during
-/// the window, so a dangerous structure completed mid-window fails here
-/// (and, if speculative readers took this transaction's versions, cascades
-/// into their abort). The enhanced variant only re-checks the doomed flag:
-/// structures completed mid-window were resolved by the marker against the
-/// pending timestamp (see [`mark_conflict_enhanced`]).
+/// the window, so a dangerous structure completed mid-window fails here.
+/// The enhanced variant only re-checks the doomed flag: structures
+/// completed mid-window were resolved by the marker against the pending
+/// timestamp (see [`mark_conflict_enhanced`]).
 ///
-/// On failure the caller owns the cleanup: un-stamp versions, mark the
-/// transaction aborted, drain and doom its commit dependents. The
-/// timestamp was already deposited, so the publication chain is not
-/// stalled by the failure.
+/// This runs before anything of the transaction is visible: its versions
+/// are still unstamped and its timestamp is not deposited. On failure the
+/// caller publishes the timestamp empty, so the publication chain does not
+/// stall, and rolls the transaction back; no reader has seen any of it.
 pub(crate) fn finalize_commit(opts: &SsiOptions, txn: &Arc<TxnShared>) -> Result<()> {
     let check_pivot = matches!(opts.variant, SsiVariant::Basic);
     match txn.finalize_commit(check_pivot) {
         Ok(()) => Ok(()),
-        Err(word) if word & WORD_DOOMED != 0 => {
-            Err(Error::abort_with_reason(txn.doom_reason(), txn.id()))
-        }
+        Err(word) if word & WORD_DOOMED != 0 => Err(Error::abort_with_reason(
+            AbortReason::DoomedByPeer,
+            txn.id(),
+        )),
         Err(_) => Err(Error::abort_with_reason(
             AbortReason::BasicFlagCheck,
             txn.id(),
@@ -663,8 +676,8 @@ pub(crate) fn finalize_commit(opts: &SsiOptions, txn: &Arc<TxnShared>) -> Result
 
 /// Commits a transaction with no writes: the commit-time unsafe check plus
 /// a single `Active → Committed` CAS at the current snapshot clock. No
-/// window, no allocation, nothing to publish. (Callers that performed
-/// speculative reads must have waited their dependencies out first.)
+/// window, no allocation, nothing to publish. Everything the transaction
+/// read was committed and settled when it read it.
 pub(crate) fn commit_read_only(
     mgr: &TransactionManager,
     opts: &SsiOptions,
@@ -687,14 +700,16 @@ pub(crate) fn commit_read_only(
             let ts = mgr.current_ts();
             match txn.try_commit_word(ts, false) {
                 Ok(()) => Ok(ts),
-                Err(_) => Err(Error::abort_with_reason(txn.doom_reason(), txn.id())),
+                Err(_) => Err(Error::abort_with_reason(
+                    AbortReason::DoomedByPeer,
+                    txn.id(),
+                )),
             }
         }
     }
 }
 
-/// Whole write-commit pipeline in one call, minus stamping and dependency
-/// waits — a test helper probing the check/transition logic in isolation.
+/// Whole write-commit pipeline in one call, minus stamping — a test helper probing the check/transition logic in isolation.
 /// On a finalize failure the timestamp is deposited and the transaction
 /// marked aborted, mirroring (in miniature) the engine's abort path.
 #[cfg(test)]

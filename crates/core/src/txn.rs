@@ -15,10 +15,10 @@ use ssi_lock::{FxBuildHasher, LockKey, LockMode, LockOutcome, ModeSet};
 use ssi_storage::{RangeHandle, RowHandle, Table, Version};
 
 use crate::db::{DbInner, DurableState};
-use crate::manager::{CommitPhase, HeldSireads};
+use crate::manager::HeldSireads;
 use crate::options::Durability;
 use crate::ssi;
-use crate::txn_shared::{TxnShared, TxnStatus};
+use crate::txn_shared::TxnShared;
 use crate::verify::{CommittedTxn, ReadRecord, WriteRecordEntry};
 
 /// Local (handle-side) transaction state.
@@ -77,11 +77,6 @@ pub struct Transaction {
     /// keyed by `(index id, entry bytes)` so they flow through the MVSG
     /// exactly like row writes. Only populated with history recording on.
     pub(crate) index_writes: Vec<WriteRecordEntry>,
-    /// Creators of provisionally stamped versions this transaction read
-    /// speculatively. Every one of them must settle (commit) before this
-    /// transaction may finalize its own commit; if any aborts, this
-    /// transaction is doomed with it.
-    pub(crate) speculative_deps: Vec<Arc<TxnShared>>,
     /// The newest commit this transaction's reads rely on: the largest
     /// commit timestamp among the versions and tombstones its point reads
     /// returned, raised to the snapshot (the clock, at a level without one)
@@ -107,7 +102,6 @@ impl Transaction {
             writes: Vec::new(),
             reads: Vec::new(),
             index_writes: Vec::new(),
-            speculative_deps: Vec::new(),
             read_upto: 0,
             read_only,
         }
@@ -149,9 +143,11 @@ impl Transaction {
             _ => return Err(Error::TransactionClosed),
         }
         if self.shared.is_doomed() {
-            let reason = self.shared.doom_reason();
-            self.abort_internal(reason);
-            return Err(Error::abort_with_reason(reason, self.shared.id()));
+            self.abort_internal(AbortReason::DoomedByPeer);
+            return Err(Error::abort_with_reason(
+                AbortReason::DoomedByPeer,
+                self.shared.id(),
+            ));
         }
         Ok(())
     }
@@ -192,22 +188,20 @@ impl Transaction {
     /// suspended (Sec. 3.3) — and eligible suspended transactions are cleaned
     /// up (Sec. 4.6.1).
     ///
-    /// The commit pipeline (see [`crate::manager`]) is wait-free on the
-    /// read side: a writer enters the `Committing` window (running its
-    /// unsafe check), allocates its timestamp, stamps its write set
-    /// *provisionally*, deposits the timestamp for ordered publication —
-    /// and never waits for the snapshot clock to catch up. Readers who
-    /// encounter a provisional version at or below their snapshot take it
-    /// speculatively, registering a commit dependency on the writer; the
-    /// writer settles those dependencies when it finalizes (or dooms the
-    /// dependents if it aborts out of the window). A committer with
-    /// speculative reads of its own must wait for *its* dependencies to
-    /// settle before finalizing — see [`Transaction::wait_for_dependencies`].
-    ///
-    /// Durable mode opts out of speculation entirely: the WAL's seal order
-    /// requires commits to become visible in timestamp order, so durable
-    /// commits finalize before stamping and keep the ordered-publication
-    /// wait on the commit path (never on the read path).
+    /// A write commit has one body, with or without a log (see
+    /// [`crate::manager`], § The commit pipeline): it enters the
+    /// `Committing` window (running the unsafe check), allocates its
+    /// timestamp, finalizes (`Committing → Committed`), stamps its versions
+    /// committed, submits its redo record when logging, and deposits the
+    /// timestamp for ordered publication. The commit is visible once it has
+    /// settled: no reader ever meets a version that can still roll back.
+    /// If finalize fails, the timestamp is published empty and the
+    /// transaction aborts. In memory nobody waits for a committer held
+    /// inside the window — later committers only deposit, and readers read
+    /// the committed version beneath — but until it deposits, new snapshots
+    /// do not cover any later commit. The only durable-specific step is the
+    /// wait for the log afterwards, which waits for the clock to cover the
+    /// commit's timestamp first.
     pub fn commit(self) -> Result<()> {
         // Whole-commit latency, including aborted attempts (sampled).
         let metrics = self.db.metrics.clone();
@@ -222,9 +216,11 @@ impl Transaction {
             return Err(Error::TransactionClosed);
         }
         if self.shared.is_doomed() {
-            let reason = self.shared.doom_reason();
-            self.abort_internal(reason);
-            return Err(Error::abort_with_reason(reason, self.shared.id()));
+            self.abort_internal(AbortReason::DoomedByPeer);
+            return Err(Error::abort_with_reason(
+                AbortReason::DoomedByPeer,
+                self.shared.id(),
+            ));
         }
         let is_ssi = self.shared.isolation() == IsolationLevel::SerializableSnapshotIsolation;
         let has_writes = !self.writes.is_empty();
@@ -233,9 +229,9 @@ impl Transaction {
         // deep copies and buffer growth happen here, outside the ordered-
         // publication window, so a large write set never stalls the
         // publication of successor timestamps. Only the timestamp patch and
-        // one CRC pass remain inside the window (submit below). Dropped
+        // one CRC pass remain inside the window (`settle_writes`). Dropped
         // unused if the commit check fails.
-        let mut prepared = match &self.db.durable {
+        let prepared = match &self.db.durable {
             Some(_) if has_writes => Some(ssi_wal::PreparedCommit::from_parts(
                 self.shared.id(),
                 self.writes
@@ -247,129 +243,29 @@ impl Transaction {
 
         // --- commit point ---------------------------------------------------
         // Commit-section latency (entry into the commit point through the
-        // settled stamps; sampled, recorded for successful sections only).
+        // deposit; sampled, recorded for successful sections only).
         let section_t0 = self.db.metrics.commit_section.start();
-        let commit_ts = if has_writes {
-            // Writers open a `Committing` window: the unsafe check runs on
-            // entry and the timestamp is allocated strictly *after* entry —
-            // that ordering is what lets SSI checks bound a neighbour's
-            // commit timestamp without waiting for publication.
-            let entered = if is_ssi {
-                ssi::begin_commit(&self.db.txns, &self.db.options.ssi, &self.shared)
-            } else {
-                // Non-SSI levels have no commit-time check; they share the
-                // window so readers can resolve their provisional stamps.
-                match self.shared.enter_committing(false) {
-                    Ok(()) => {
-                        let ts = self.db.txns.allocate_commit_ts();
-                        self.shared.set_pending_commit_ts(ts);
-                        Ok(ts)
-                    }
-                    Err(_) => Err(Error::unsafe_abort(self.shared.id())),
-                }
-            };
-            match entered {
-                Ok(ts) => ts,
-                Err(e) => {
-                    self.abort_internal(e.rollback_provenance());
-                    return Err(e);
-                }
-            }
-        } else {
+        let settled = if has_writes {
+            self.settle_writes(is_ssi, prepared)
+        } else if is_ssi {
             // No writes: nothing to stamp, so the commit is a single
-            // settling step — but only after any speculative reads have
-            // been confirmed, since a read-only answer derived from a
-            // rolled-back version must not be returned as committed.
-            if let Err(e) = self.wait_for_dependencies() {
+            // settling step.
+            ssi::commit_read_only(&self.db.txns, &self.db.options.ssi, &self.shared)
+        } else {
+            // Read-only transactions do not advance the clock — their
+            // "commit time" is the current instant, which is all the
+            // overlap bookkeeping needs.
+            let ts = self.db.txns.current_ts();
+            self.shared.mark_committed(ts);
+            Ok(ts)
+        };
+        let commit_ts = match settled {
+            Ok(ts) => ts,
+            Err(e) => {
                 self.abort_internal(e.rollback_provenance());
                 return Err(e);
             }
-            let settled = if is_ssi {
-                ssi::commit_read_only(&self.db.txns, &self.db.options.ssi, &self.shared)
-            } else {
-                // Read-only transactions do not advance the clock — their
-                // "commit time" is the current instant, which is all the
-                // overlap bookkeeping needs.
-                let ts = self.db.txns.current_ts();
-                self.shared.mark_committed(ts);
-                Ok(ts)
-            };
-            match settled {
-                Ok(ts) => ts,
-                Err(e) => {
-                    self.abort_internal(e.rollback_provenance());
-                    return Err(e);
-                }
-            }
         };
-
-        let mut durability_error = None;
-        if has_writes {
-            if self.db.durable.is_some() {
-                // Durable mode: no speculation. The WAL requires commits to
-                // become visible in timestamp order, so settle the outcome
-                // *before* stamping — versions go straight from uncommitted
-                // to committed, and a reader never sees a stampable window.
-                // The timestamp was allocated but not yet deposited, so a
-                // failure here must still deposit it — an allocated-but-
-                // never-deposited timestamp would stall the publication
-                // chain for every successor.
-                let settled = self
-                    .wait_for_dependencies()
-                    .and_then(|()| self.finalize_window(is_ssi));
-                if let Err(e) = settled {
-                    self.db.txns.publish_commit_ts(commit_ts);
-                    self.abort_internal(e.rollback_provenance());
-                    return Err(e);
-                }
-                // Redo logging, step 1 of the protocol in `ssi-wal`: park
-                // the pre-encoded write set in the log's pending buffer
-                // *before* the timestamp is deposited for publication, so
-                // whoever advances the clock past `commit_ts` can rely on
-                // the record being present and the log file staying
-                // timestamp-ordered.
-                if let Some(durable) = &self.db.durable {
-                    durable
-                        .wal
-                        .submit_prepared(commit_ts, prepared.take().expect("prepared above"));
-                }
-                for w in &self.writes {
-                    w.version.mark_committed(commit_ts);
-                }
-                self.db.txns.publish_commit_ts(commit_ts);
-            } else {
-                // Speculative pipeline: stamp provisionally, deposit the
-                // timestamp (never waiting for publication), then settle.
-                for w in &self.writes {
-                    w.version.mark_provisional(commit_ts);
-                }
-                self.db
-                    .txns
-                    .fire_commit_pause(self.shared.id(), CommitPhase::PreDeposit);
-                self.db.txns.publish_commit_ts(commit_ts);
-                self.db
-                    .txns
-                    .fire_commit_pause(self.shared.id(), CommitPhase::PreFinalize);
-                if let Err(e) = self.wait_for_dependencies() {
-                    self.abort_internal(e.rollback_provenance());
-                    return Err(e);
-                }
-                if let Err(e) = self.finalize_window(is_ssi) {
-                    self.abort_internal(e.rollback_provenance());
-                    return Err(e);
-                }
-                // Settle the stamps: plain committed timestamps that decode
-                // without the creator-word lookup.
-                for w in &self.writes {
-                    w.version.mark_committed(commit_ts);
-                }
-            }
-            // The word is settled (`Committed`), so dependents who re-check
-            // see the commit; anyone registered before the flip is drained
-            // here and simply dropped — registration was their guarantee of
-            // learning the outcome, and the outcome is now readable.
-            drop(self.shared.take_dependents());
-        }
         self.db.metrics.commit_section.finish(section_t0);
 
         // --- durability (real log: seal + group-commit fsync) ---------------
@@ -379,6 +275,7 @@ impl Transaction {
         // `Error::Durability`). So is a panic of a flush this committer
         // leads: it resumes after the epilogue, since unwinding from here
         // would roll back a published commit.
+        let mut durability_error = None;
         let mut leader_panic = None;
         if has_writes {
             if let Some(durable) = &self.db.durable {
@@ -479,6 +376,55 @@ impl Transaction {
         }
     }
 
+    /// The write commit up to its deposit: the `Committing` window is
+    /// entered — the unsafe check runs on entry and the timestamp is
+    /// allocated strictly *after* it, the ordering that lets SSI checks
+    /// bound a neighbour's commit timestamp without waiting for publication
+    /// — then finalized, the versions are stamped, the redo record is
+    /// submitted and the timestamp deposited. On failure the caller rolls
+    /// back; a timestamp already allocated has been published empty, since
+    /// one never deposited would stall the publication chain for every
+    /// successor.
+    fn settle_writes(
+        &self,
+        is_ssi: bool,
+        prepared: Option<ssi_wal::PreparedCommit>,
+    ) -> Result<Timestamp> {
+        let commit_ts = if is_ssi {
+            ssi::begin_commit(&self.db.txns, &self.db.options.ssi, &self.shared)?
+        } else {
+            // Non-SSI levels have no commit-time check; they share the
+            // window so an SSI marker that meets one of their versions can
+            // bound its commit timestamp.
+            self.shared
+                .enter_committing(false)
+                .map_err(|_| Error::unsafe_abort(self.shared.id()))?;
+            let ts = self.db.txns.allocate_commit_ts();
+            self.shared.set_pending_commit_ts(ts);
+            ts
+        };
+        self.db.txns.fire_commit_pause(self.shared.id());
+        if let Err(e) = self.finalize_window(is_ssi) {
+            self.db.txns.publish_commit_ts(commit_ts);
+            return Err(e);
+        }
+        for w in &self.writes {
+            w.version.mark_committed(commit_ts);
+        }
+        // Redo logging, step 1 of the protocol in `ssi-wal`: park the
+        // pre-encoded write set in the log's pending buffer *before* the
+        // timestamp is deposited for publication, so whoever advances the
+        // clock past `commit_ts` can rely on the record being present and
+        // the log file staying timestamp-ordered.
+        if let Some(durable) = &self.db.durable {
+            durable
+                .wal
+                .submit_prepared(commit_ts, prepared.expect("prepared when logging"));
+        }
+        self.db.txns.publish_commit_ts(commit_ts);
+        Ok(commit_ts)
+    }
+
     /// Blocks until the log covers `ts` on the device: waits for the clock
     /// to cover it, so every record up to it is submitted, seals the
     /// ordered prefix and waits (in group-commit mode) for an fsync — its
@@ -515,58 +461,12 @@ impl Transaction {
         if is_ssi {
             ssi::finalize_commit(&self.db.options.ssi, &self.shared)
         } else {
-            // Non-SSI windows only fail if a dependency cascade doomed us
-            // mid-window (a creator we read speculatively rolled back).
+            // Non-SSI windows have no re-check; only a doom, by an SSI
+            // marker that picked this transaction as its victim, fails one.
             self.shared
                 .finalize_commit(false)
-                .map_err(|_| Error::abort_with_reason(self.shared.doom_reason(), self.shared.id()))
+                .map_err(|_| Error::abort_with_reason(AbortReason::DoomedByPeer, self.shared.id()))
         }
-    }
-
-    /// Blocks until every commit dependency (creator of a speculatively
-    /// read version) settles. Returns an error if any of them aborted — the
-    /// speculative read was of data that never committed — or if this
-    /// transaction was doomed while waiting.
-    ///
-    /// Dependencies always point at transactions that entered their commit
-    /// window *before* this one took the speculative read, so the wait
-    /// graph is acyclic and the earliest unsettled window can always make
-    /// progress. The spin budget is the manager's shared one (zero on
-    /// single-core hosts).
-    fn wait_for_dependencies(&self) -> Result<()> {
-        if self.speculative_deps.is_empty() {
-            return Ok(());
-        }
-        let spin_limit = self.db.txns.spin_limit();
-        for dep in &self.speculative_deps {
-            let mut spins = 0u32;
-            loop {
-                match dep.status() {
-                    TxnStatus::Committed => break,
-                    TxnStatus::Aborted => {
-                        return Err(Error::abort_with_reason(
-                            AbortReason::DependencyCascade,
-                            self.shared.id(),
-                        ));
-                    }
-                    TxnStatus::Active | TxnStatus::Committing => {
-                        if self.shared.is_doomed() {
-                            return Err(Error::abort_with_reason(
-                                self.shared.doom_reason(),
-                                self.shared.id(),
-                            ));
-                        }
-                        if spins < spin_limit {
-                            spins += 1;
-                            std::hint::spin_loop();
-                        } else {
-                            std::thread::yield_now();
-                        }
-                    }
-                }
-            }
-        }
-        Ok(())
     }
 
     /// Adds this transaction's row and range SIREAD registrations to the
@@ -631,22 +531,6 @@ impl Transaction {
         }
 
         self.shared.mark_aborted();
-        // Dependency cascade: anyone who speculatively read one of the
-        // versions just unlinked must not commit. The word is already
-        // `Aborted` (stored before this drain), so late registrants learn
-        // the outcome from `register_commit_dependent` itself; everyone who
-        // registered earlier is doomed here.
-        let dependents = self.shared.take_dependents();
-        if !dependents.is_empty() {
-            let stats = self.db.txns.stats();
-            for dep in dependents {
-                dep.set_doom_reason(AbortReason::DependencyCascade);
-                dep.doom();
-                stats
-                    .dependency_cascade_aborts
-                    .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            }
-        }
         self.db
             .txns
             .finish_abort(&self.shared, reason, &self.db.locks);

@@ -38,10 +38,10 @@
 //!
 //! # The `Committing` state machine
 //!
-//! Commit is not one transition but two, with a visible window in between
-//! (the window is what lets readers resolve an in-flight commit themselves
-//! instead of parking on the ordered-publication condvar — see
-//! [`crate::manager`]):
+//! A write commit is not one transition but two, with a window in between
+//! that conflict markers can see (the window is what lets them bound the
+//! committer's timestamp without waiting for ordered publication — see
+//! [`crate::manager`] and [`crate::ssi`]):
 //!
 //! ```text
 //!            enter_committing            finalize_commit
@@ -67,24 +67,12 @@
 //! 3. [`TxnShared::finalize_commit`] CASes `Committing → Committed`,
 //!    re-checking the doomed bit (and, for the basic variant, the pivot
 //!    flags, which concurrent markers may have completed during the
-//!    window). Failure aborts the transaction instead.
+//!    window). Failure aborts the transaction instead; its timestamp is
+//!    then published empty.
 //!
-//! # Commit dependencies
-//!
-//! During the window a transaction's versions are stamped *provisionally*
-//! and its timestamp may already be published, so a reader whose snapshot
-//! covers the timestamp can observe state that might still be rolled back.
-//! Such a reader takes the read **speculatively**: it registers itself as a
-//! *commit dependent* ([`TxnShared::register_commit_dependent`]) of the
-//! committing transaction. A speculative reader may not finalize its own
-//! commit until every transaction it depends on has settled
-//! (`wait_for_dependencies` in [`crate::txn`]); a creator that aborts
-//! drains its dependents ([`TxnShared::take_dependents`]) and dooms each of
-//! them, cascading the abort through any chain of speculation.
-//! Registration and draining serialize on the dependents mutex, and the
-//! final status is stored in the word *before* the drain, so a registration
-//! that misses the drain observes the settled status instead — no dependent
-//! is ever lost.
+//! Nothing of the transaction is visible to readers during the window: its
+//! versions are stamped only after `finalize_commit` succeeds, and its
+//! timestamp is deposited for publication only after that.
 //!
 //! The *identities* of conflict neighbours (the enhanced variant's
 //! [`ConflictEdge::Txn`] references, Sec. 3.6) cannot fit in the word; they
@@ -95,12 +83,12 @@
 //! the mutex is held, so lock-free readers (commit suspension, statistics)
 //! always see correct flags under both variants.
 
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use ssi_common::{AbortReason, IsolationLevel, Timestamp, TxnId, TS_ZERO};
+use ssi_common::{IsolationLevel, Timestamp, TxnId, TS_ZERO};
 
 /// Width of the commit-timestamp field in the state word.
 const WORD_TS_BITS: u32 = 56;
@@ -128,9 +116,9 @@ pub enum TxnStatus {
     /// Running; operations are being executed.
     Active,
     /// Passed its commit checks and entered the commit window: a commit
-    /// timestamp is allocated (or about to be) and versions are being
-    /// stamped provisionally, but the transaction can still abort. See the
-    /// module docs for the state machine.
+    /// timestamp is allocated (or about to be), nothing is stamped yet, and
+    /// the transaction can still abort. See the module docs for the state
+    /// machine.
     Committing,
     /// Successfully committed.
     Committed,
@@ -194,19 +182,6 @@ pub(crate) fn word_commit_resolution(word: u64) -> CommitResolution {
             ts => CommitResolution::Pending(ts),
         },
     }
-}
-
-/// Outcome of [`TxnShared::register_commit_dependent`].
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub(crate) enum DependencyOutcome {
-    /// The creator is still committing; the dependent is registered and
-    /// will be drained (and doomed) if the creator aborts.
-    Registered,
-    /// The creator already committed; the read is settled, no dependency.
-    Committed,
-    /// The creator already aborted; the speculative value must be
-    /// discarded and the read retried.
-    Aborted,
 }
 
 /// Endpoint of a recorded rw-conflict edge (Sec. 3.6).
@@ -302,17 +277,14 @@ pub struct TxnShared {
     /// transactions' conflict mutexes must be held together, they are
     /// acquired in increasing transaction-id order.
     pub(crate) conflicts: Mutex<ConflictState>,
-    /// Transactions that took one of this transaction's provisionally
-    /// stamped versions speculatively while this transaction was in its
-    /// commit window. Drained once the outcome settles: dropped on commit,
-    /// doomed on abort. See the module docs ("Commit dependencies").
-    dependents: Mutex<Vec<Arc<TxnShared>>>,
-    /// Why this transaction was doomed, as `AbortReason::index() + 1`
-    /// (0 = not recorded). Written best-effort by whoever dooms the
-    /// transaction; read when the doomed flag finally surfaces as an abort
-    /// so provenance survives the gap between victim selection and the
-    /// victim noticing.
-    doom_reason: AtomicU8,
+    /// Unused: keeps the record at 104 bytes. Other threads' conflict
+    /// markers CAS a running transaction's state word, and at 72 bytes the
+    /// record cost `sibench_ssi_mem` about a quarter of its throughput on 2
+    /// CPUs in most runs (which line it then shared, and with what, is
+    /// unmeasured). `#[repr(align(64))]` restored the throughput but, as an
+    /// aligned allocation per transaction, added 10 % to SmallBank's peak
+    /// RSS.
+    _layout: [u64; 4],
 }
 
 impl TxnShared {
@@ -324,8 +296,7 @@ impl TxnShared {
             begin_ts: AtomicU64::new(TS_ZERO),
             state: AtomicU64::new(0),
             conflicts: Mutex::new(ConflictState::default()),
-            dependents: Mutex::new(Vec::new()),
-            doom_reason: AtomicU8::new(0),
+            _layout: [0; 4],
         }
     }
 
@@ -505,9 +476,8 @@ impl TxnShared {
     /// word still passes the commit check: not doomed and — when
     /// `check_pivot` is set — not a pivot (markers may have completed the
     /// dangerous structure during the window; under the basic variant that
-    /// must fail this transaction, which is what triggers dependency-abort
-    /// cascades organically). Returns the offending word on failure, in
-    /// which case the caller must abort and drain-doom its dependents.
+    /// must fail this transaction). Returns the offending word on failure,
+    /// in which case the caller publishes its timestamp empty and aborts.
     pub(crate) fn finalize_commit(&self, check_pivot: bool) -> Result<(), u64> {
         let mut current = self.load_word();
         loop {
@@ -527,36 +497,6 @@ impl TxnShared {
         }
     }
 
-    /// Registers `dep` as a commit dependent of this transaction, or
-    /// reports that the outcome has already settled. The status check and
-    /// the registration are atomic with respect to
-    /// [`TxnShared::take_dependents`] (both hold the dependents mutex), and
-    /// settling paths store the final word status *before* draining, so a
-    /// registration can never be missed by the drain *and* observe a
-    /// not-yet-settled status.
-    pub(crate) fn register_commit_dependent(&self, dep: &Arc<TxnShared>) -> DependencyOutcome {
-        let mut deps = self.dependents.lock();
-        match self.status() {
-            TxnStatus::Committed => DependencyOutcome::Committed,
-            TxnStatus::Aborted => DependencyOutcome::Aborted,
-            _ => {
-                deps.push(dep.clone());
-                DependencyOutcome::Registered
-            }
-        }
-    }
-
-    /// Drains the registered dependents. Callers must have stored the final
-    /// (`Committed` or `Aborted`) status into the word first; on commit the
-    /// returned list is simply dropped, on abort each entry must be doomed.
-    pub(crate) fn take_dependents(&self) -> Vec<Arc<TxnShared>> {
-        debug_assert!(matches!(
-            self.status(),
-            TxnStatus::Committed | TxnStatus::Aborted
-        ));
-        std::mem::take(&mut *self.dependents.lock())
-    }
-
     /// Marks the transaction aborted.
     pub fn mark_aborted(&self) {
         self.state
@@ -571,24 +511,6 @@ impl TxnShared {
     /// Sec. 3.7.1/3.7.2).
     pub fn doom(&self) {
         self.state.fetch_or(WORD_DOOMED, Ordering::AcqRel);
-    }
-
-    /// Records why this transaction is being doomed. First writer wins, so
-    /// the reason reported matches the doom that actually took effect.
-    pub(crate) fn set_doom_reason(&self, reason: AbortReason) {
-        let encoded = reason.index() as u8 + 1;
-        let _ = self
-            .doom_reason
-            .compare_exchange(0, encoded, Ordering::AcqRel, Ordering::Relaxed);
-    }
-
-    /// The recorded doom provenance, defaulting to `DoomedByPeer` when the
-    /// doomer did not (or could not) say why.
-    pub(crate) fn doom_reason(&self) -> AbortReason {
-        match self.doom_reason.load(Ordering::Acquire) {
-            0 => AbortReason::DoomedByPeer,
-            n => AbortReason::from_index(n as usize - 1).unwrap_or(AbortReason::DoomedByPeer),
-        }
     }
 
     /// Dooms the transaction only if it is still active; returns true when
@@ -674,6 +596,11 @@ mod tests {
     fn set_in(t: &TxnShared, edge: ConflictEdge) {
         t.conflicts.lock().in_edge = edge;
         t.set_in_flag();
+    }
+
+    #[test]
+    fn record_keeps_its_measured_size() {
+        assert_eq!(std::mem::size_of::<TxnShared>(), 104);
     }
 
     #[test]
@@ -882,49 +809,6 @@ mod tests {
         assert_eq!(q.commit_ts(), None);
         assert_eq!(q.allocated_commit_ts(), None);
         assert_eq!(q.commit_resolution(), CommitResolution::Aborted);
-    }
-
-    #[test]
-    fn commit_dependents_register_and_drain() {
-        let creator = Arc::new(txn(1));
-        let r1 = Arc::new(txn(2));
-        let r2 = Arc::new(txn(3));
-
-        creator.enter_committing(true).unwrap();
-        creator.set_pending_commit_ts(5);
-        assert_eq!(
-            creator.register_commit_dependent(&r1),
-            DependencyOutcome::Registered
-        );
-
-        // Settle as committed: the drain returns the dependent (caller
-        // drops it) and later registrations see the settled status.
-        creator.finalize_commit(true).unwrap();
-        let drained = creator.take_dependents();
-        assert_eq!(drained.len(), 1);
-        assert_eq!(drained[0].id(), r1.id());
-        assert_eq!(
-            creator.register_commit_dependent(&r2),
-            DependencyOutcome::Committed
-        );
-        assert!(creator.take_dependents().is_empty());
-
-        // Abort path: dependents drained for dooming, later registrations
-        // told to retry.
-        let aborter = Arc::new(txn(4));
-        aborter.enter_committing(true).unwrap();
-        aborter.set_pending_commit_ts(6);
-        assert_eq!(
-            aborter.register_commit_dependent(&r1),
-            DependencyOutcome::Registered
-        );
-        aborter.mark_aborted();
-        let doomed = aborter.take_dependents();
-        assert_eq!(doomed.len(), 1);
-        assert_eq!(
-            aborter.register_commit_dependent(&r2),
-            DependencyOutcome::Aborted
-        );
     }
 
     #[test]

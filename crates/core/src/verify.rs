@@ -40,13 +40,6 @@ pub struct ReadRecord {
     /// Commit timestamp of the version read; `None` means the item did not
     /// exist (or only the transaction's own write was visible).
     pub version_ts: Option<Timestamp>,
-    /// True if the version was provisionally stamped when read — its
-    /// creator was still in its commit window, and the reader registered a
-    /// commit dependency instead of waiting for publication. By the time
-    /// the reader committed, the creator must have committed too; the
-    /// verifier checks exactly that (see
-    /// [`MvsgReport::dangling_speculative_reads`]).
-    pub speculative: bool,
     /// True if the transaction had written the item before this read, whose
     /// own version is then one a read of absence can have missed.
     pub after_own_write: bool,
@@ -158,24 +151,6 @@ pub struct LostRead {
     pub missed_ts: Timestamp,
 }
 
-/// A committed speculative read whose observed version never committed.
-/// The reader consumed a provisionally stamped value; its commit dependency
-/// on the creator should have either confirmed the version (creator
-/// committed, so the version appears in the history) or doomed the reader
-/// (creator aborted). A committed reader of a version absent from the
-/// history means the dependency was lost — dirty data escaped.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct DanglingSpeculativeRead {
-    /// The reader.
-    pub reader: TxnId,
-    /// Table of the item.
-    pub table: TableId,
-    /// Item key.
-    pub key: Vec<u8>,
-    /// The provisional commit timestamp the reader observed.
-    pub version_ts: Timestamp,
-}
-
 /// Result of analysing a recorded history.
 #[derive(Clone, Debug)]
 pub struct MvsgReport {
@@ -189,19 +164,13 @@ pub struct MvsgReport {
     /// Reads of absence that should have observed a live value (see
     /// [`LostRead`]).
     pub lost_reads: Vec<LostRead>,
-    /// Speculative reads of versions that never committed (see
-    /// [`DanglingSpeculativeRead`]).
-    pub dangling_speculative_reads: Vec<DanglingSpeculativeRead>,
 }
 
 impl MvsgReport {
-    /// True if the history is conflict-serializable: the MVSG is acyclic,
-    /// no read lost a value it was entitled to see, and every speculative
-    /// read was confirmed by its creator's commit.
+    /// True if the history is conflict-serializable: the MVSG is acyclic
+    /// and no read lost a value it was entitled to see.
     pub fn is_serializable(&self) -> bool {
-        self.cycle.is_none()
-            && self.lost_reads.is_empty()
-            && self.dangling_speculative_reads.is_empty()
+        self.cycle.is_none() && self.lost_reads.is_empty()
     }
 
     /// Builds the MVSG for a set of committed transactions and analyses it.
@@ -234,7 +203,6 @@ impl MvsgReport {
 
         let mut edges: HashSet<Edge> = HashSet::new();
         let mut lost_reads: Vec<LostRead> = Vec::new();
-        let mut dangling_speculative_reads: Vec<DanglingSpeculativeRead> = Vec::new();
 
         // ww edges: consecutive writers in version order.
         for list in versions.values() {
@@ -253,25 +221,6 @@ impl MvsgReport {
         for txn in history {
             for r in &txn.reads {
                 let item_versions = versions.get(&(r.table, r.key.as_slice()));
-                // A speculative read must have been confirmed: the observed
-                // (then-provisional) version has to appear in the committed
-                // history. Otherwise the reader committed on dirty data.
-                if r.speculative {
-                    let confirmed = r.version_ts.is_some_and(|ts| {
-                        item_versions
-                            .into_iter()
-                            .flatten()
-                            .any(|&(vts, _, _)| vts == ts)
-                    });
-                    if !confirmed {
-                        dangling_speculative_reads.push(DanglingSpeculativeRead {
-                            reader: txn.id,
-                            table: r.table,
-                            key: r.key.clone(),
-                            version_ts: r.version_ts.unwrap_or(0),
-                        });
-                    }
-                }
                 // The version this read observed. A read of *absence*
                 // (`version_ts: None`) is pinned to the newest version
                 // committed at or before the reader's snapshot, if any:
@@ -353,7 +302,6 @@ impl MvsgReport {
             cycle,
             pivots,
             lost_reads,
-            dangling_speculative_reads,
         }
     }
 }
@@ -461,7 +409,6 @@ mod tests {
                     table: TableId(1),
                     key: k.to_vec(),
                     version_ts: ts,
-                    speculative: false,
                     after_own_write: false,
                 })
                 .collect(),
@@ -674,41 +621,6 @@ mod tests {
         let report = MvsgReport::build(&history);
         assert!(report.edges.iter().all(|e| e.from != e.to));
         assert!(report.is_serializable());
-    }
-
-    #[test]
-    fn speculative_reads_must_be_confirmed_by_the_creators_commit() {
-        // T1 commits x at 10; T2 read it while T1 was still in its commit
-        // window (speculative) and committed later. The creator's version
-        // is in the history, so the speculation was confirmed.
-        let mut t2 = txn(2, 5, 20, vec![], vec![]);
-        t2.reads.push(ReadRecord {
-            table: TableId(1),
-            key: b"x".to_vec(),
-            version_ts: Some(10),
-            speculative: true,
-            after_own_write: false,
-        });
-        let history = vec![txn(1, 1, 10, vec![], vec![b"x"]), t2.clone()];
-        let report = MvsgReport::build(&history);
-        assert!(report.dangling_speculative_reads.is_empty());
-        assert!(report.is_serializable());
-
-        // Same read with the creator's commit missing from the history:
-        // the reader committed on data that never committed — the
-        // dependency machinery lost an abort.
-        let history = vec![t2];
-        let report = MvsgReport::build(&history);
-        assert_eq!(
-            report.dangling_speculative_reads,
-            vec![DanglingSpeculativeRead {
-                reader: TxnId(2),
-                table: TableId(1),
-                key: b"x".to_vec(),
-                version_ts: 10,
-            }]
-        );
-        assert!(!report.is_serializable());
     }
 
     #[test]

@@ -24,17 +24,16 @@
 //!   or out-edge), `unsafe-at-commit` (enhanced-variant commit-time ordering
 //!   test), `basic-flag-check` (basic-variant conflict-flag test at commit),
 //!   `doomed-by-peer` (marked for death by a concurrent transaction's
-//!   victim selection), `dependency-cascade` (speculative-read dependency's
-//!   writer aborted), `degraded-rejected` (engine in degraded mode),
+//!   victim selection), `degraded-rejected` (engine in degraded mode),
 //!   `user-rollback` (explicit rollback / drop without commit),
 //!   `unique-violation` (a second live claim of a unique index key).
 //! - `suspended` / `cleaned` — commits that entered the suspended list
 //!   (some active transaction was still concurrent with them) and entries
 //!   reclaimed from it; `suspended_now` is the gauge of its current length
 //!   (`ssi_txn_suspended` in the text exposition).
-//! - `publish_parks`, `read_publication_waits`, `speculative_reads`,
-//!   `commit_dependencies`, `dependency_cascade_aborts` — commit-pipeline
-//!   internals (see `ssi-core`).
+//! - `publish_parks` — publication waits that parked the thread; only a
+//!   durable commit waits for publication, so in memory it stays 0 (see
+//!   `ssi-core`).
 //! - `watermark_sweeps` — lock-free refreshes of the begin watermark the
 //!   commit epilogue and the GC horizon share (64 atomic loads each; about
 //!   one per commit while transactions have registry shards to themselves).

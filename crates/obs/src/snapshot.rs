@@ -56,10 +56,6 @@ pub struct TxnMetrics {
     /// Gauge: committed transactions on the suspended list right now.
     pub suspended_now: u64,
     pub publish_parks: u64,
-    pub read_publication_waits: u64,
-    pub speculative_reads: u64,
-    pub commit_dependencies: u64,
-    pub dependency_cascade_aborts: u64,
     pub watermark_sweeps: u64,
     /// Row SIREADs registered on version chains, flushed per transaction
     /// at finish.
@@ -211,26 +207,6 @@ impl MetricsSnapshot {
             &mut out,
             "ssi_txn_publish_parks_total",
             self.txn.publish_parks,
-        );
-        counter(
-            &mut out,
-            "ssi_txn_read_publication_waits_total",
-            self.txn.read_publication_waits,
-        );
-        counter(
-            &mut out,
-            "ssi_txn_speculative_reads_total",
-            self.txn.speculative_reads,
-        );
-        counter(
-            &mut out,
-            "ssi_txn_commit_dependencies_total",
-            self.txn.commit_dependencies,
-        );
-        counter(
-            &mut out,
-            "ssi_txn_dependency_cascade_aborts_total",
-            self.txn.dependency_cascade_aborts,
         );
         counter(
             &mut out,
@@ -387,9 +363,7 @@ impl MetricsSnapshot {
         let mut out = String::from("{");
         out.push_str(&format!(
             "\"txn\":{{\"started\":{},\"committed\":{},\"aborted\":{},\"suspended\":{},\
-             \"cleaned\":{},\"suspended_now\":{},\"publish_parks\":{},\"read_publication_waits\":{},\
-             \"speculative_reads\":{},\"commit_dependencies\":{},\
-             \"dependency_cascade_aborts\":{},\"watermark_sweeps\":{},\
+             \"cleaned\":{},\"suspended_now\":{},\"publish_parks\":{},\"watermark_sweeps\":{},\
              \"siread_row_registrations\":{},\"siread_range_registrations\":{},\
              \"siread_rows_now\":{},\"siread_ranges_now\":{},\"abort_reasons\":{{",
             self.txn.started,
@@ -399,10 +373,6 @@ impl MetricsSnapshot {
             self.txn.cleaned,
             self.txn.suspended_now,
             self.txn.publish_parks,
-            self.txn.read_publication_waits,
-            self.txn.speculative_reads,
-            self.txn.commit_dependencies,
-            self.txn.dependency_cascade_aborts,
             self.txn.watermark_sweeps,
             self.txn.siread_row_registrations,
             self.txn.siread_range_registrations,

@@ -49,7 +49,7 @@ const ST_OK: u8 = 0;
 #[repr(u8)]
 pub enum ErrorCode {
     /// Concurrency-control abort (write conflict, SSI unsafe, deadlock
-    /// victim, dependency cascade…). Retry in a fresh transaction.
+    /// victim…). Retry in a fresh transaction.
     Aborted = 1,
     /// The named transaction handle is unknown, already committed, or
     /// already rolled back.

@@ -81,15 +81,18 @@
 //! A chain is stored oldest first and read newest first. Going from the
 //! newest version, and leaving aborted versions aside, a chain holds
 //!
-//! 1. the unsettled (uncommitted or provisionally stamped) versions of
-//!    **one** transaction — the holder of the key's EXCLUSIVE lock — then
+//! 1. the uncommitted versions of **one** transaction — the holder of the
+//!    key's EXCLUSIVE lock — then
 //! 2. committed versions in non-increasing commit-timestamp order.
 //!
 //! The table does not enforce this, the engine's write protocol does: every
 //! isolation level takes the EXCLUSIVE lock before [`Table::install`] and
 //! keeps it until its versions are stamped committed (or marked aborted and
 //! unlinked), and commit timestamps come from one counter, so the next
-//! writer of the key commits later than everything already in the chain.
+//! writer of the key commits later than everything already in the chain. A
+//! version is stamped only once its creator's commit has settled, so the
+//! stamp is final: an uncommitted version turns committed or aborted, never
+//! back.
 //! Recovery replays commits in timestamp order on top of a checkpoint that
 //! holds one version per key, which builds the same order. `install`
 //! `debug_assert`s the invariant over the newest few versions.
@@ -97,8 +100,8 @@
 //! Everything a point operation does leans on it, which is what makes its
 //! cost depend on the versions newer than its snapshot and never on history:
 //!
-//! * a snapshot read stops at the first version that is visible to it (or
-//!   that it takes speculatively): all beneath is older committed history;
+//! * a snapshot read stops at the first version that is visible to it: all
+//!   beneath is older committed history;
 //! * the newest commit timestamp — the first-committer-wins check — is that
 //!   of the first committed version from the newest end
 //!   ([`Table::write_probe`]);
@@ -312,12 +315,6 @@ pub struct VisibleRead {
     /// True if the read was satisfied by the reader's own uncommitted write;
     /// such reads impose no inter-transaction ordering constraints.
     pub read_own_write: bool,
-    /// Creator of the version the read observed when that version was
-    /// *provisionally* stamped (creator still committing) at or below the
-    /// reader's snapshot. The value was taken speculatively: the engine
-    /// must register a commit dependency on this transaction (and retry the
-    /// read if it turns out to have aborted) before using the value.
-    pub speculative_of: Option<TxnId>,
 }
 
 /// One row produced by a snapshot range scan.
@@ -338,9 +335,6 @@ pub struct ScanEntry {
     /// True if the visible version was the reader's own uncommitted write
     /// (see [`VisibleRead::read_own_write`]).
     pub read_own_write: bool,
-    /// Creator to register a commit dependency with when the entry's value
-    /// was taken speculatively (see [`VisibleRead::speculative_of`]).
-    pub speculative_of: Option<TxnId>,
 }
 
 /// What one garbage-collection pass reclaimed (see
@@ -534,7 +528,6 @@ impl Iterator for ScanEntries<'_> {
                 newer_creators: r.newer_creators,
                 read_version_ts: r.read_version_ts,
                 read_own_write: r.read_own_write,
-                speculative_of: r.speculative_of,
             });
         }
     }
@@ -762,14 +755,13 @@ impl RowChain {
 }
 
 /// The snapshot read: walks from the newest version and stops at the first
-/// one that is visible or taken speculatively. By the order invariant
+/// one that is visible. By the order invariant
 /// everything beneath it is older committed history, so the walk costs the
 /// versions newer than the snapshot and nothing else.
 fn snapshot_read(versions: &[Arc<Version>], reader: TxnId, snapshot_ts: Timestamp) -> VisibleRead {
     let mut out = VisibleRead::default();
     for v in versions.iter().rev() {
-        let state = v.state();
-        if state == VersionState::Aborted {
+        if v.state() == VersionState::Aborted {
             continue;
         }
         out.key_exists = true;
@@ -779,22 +771,8 @@ fn snapshot_read(versions: &[Arc<Version>], reader: TxnId, snapshot_ts: Timestam
             out.read_own_write = v.creator() == reader;
             break;
         }
-        match state {
-            // Provisionally stamped at or below the snapshot: the
-            // creator allocated its timestamp and published it, but its
-            // final commit step is still pending. Take the value
-            // speculatively and report the creator so the engine can
-            // register a commit dependency (or retry if the creator
-            // aborted).
-            VersionState::Provisional(ts) if ts <= snapshot_ts => {
-                out.value = v.value_handle();
-                out.read_version_ts = Some(ts);
-                out.speculative_of = Some(v.creator());
-                break;
-            }
-            // Not visible: newer than whatever will be read.
-            _ => out.newer_creators.push(v.creator()),
-        }
+        // Not visible: newer than whatever will be read.
+        out.newer_creators.push(v.creator());
     }
     out
 }
@@ -1630,30 +1608,25 @@ mod tests {
     }
 
     #[test]
-    fn provisional_version_is_taken_speculatively_when_snapshot_covers_it() {
+    fn unstamped_version_is_skipped_until_its_commit_settles() {
         let tbl = table();
         let v1 = tbl.install_version(b"a", t(1), Some(vec![1]));
         v1.mark_committed(10);
+        // t2 is committing at timestamp 20 but has not stamped yet: a
+        // snapshot that already covers 20 reads the committed version
+        // beneath and reports t2 as the creator of a newer version.
         let v2 = tbl.install_version(b"a", t(2), Some(vec![2]));
-        v2.mark_provisional(20);
-        // Snapshot below the provisional stamp: plain invisible-newer.
-        let r = tbl.read(b"a", t(3), 15);
-        assert_eq!(val(&r), Some(vec![1]));
-        assert_eq!(r.newer_creators, vec![t(2)]);
-        assert_eq!(r.speculative_of, None);
-        // Snapshot covering the provisional stamp: the value is taken, but
-        // flagged speculative-of its creator; the newest *committed*
-        // timestamp still excludes the unsettled version.
         let r = tbl.read(b"a", t(3), 25);
-        assert_eq!(val(&r), Some(vec![2]));
-        assert_eq!(r.speculative_of, Some(t(2)));
-        assert_eq!(r.read_version_ts, Some(20));
+        assert_eq!(val(&r), Some(vec![1]));
+        assert_eq!(r.read_version_ts, Some(10));
+        assert_eq!(r.newer_creators, vec![t(2)]);
         assert_eq!(tbl.write_probe(b"a").newest_committed_ts, Some(10));
-        // Once finalized the same read settles with no speculation.
+        // The one stamp settles it for every later read.
         v2.mark_committed(20);
         let r = tbl.read(b"a", t(3), 25);
         assert_eq!(val(&r), Some(vec![2]));
-        assert_eq!(r.speculative_of, None);
+        assert_eq!(r.read_version_ts, Some(20));
+        assert!(r.newer_creators.is_empty());
         assert_eq!(tbl.write_probe(b"a").newest_committed_ts, Some(20));
     }
 

@@ -62,7 +62,6 @@ struct Answer {
     key_exists: bool,
     read_version_ts: Option<Timestamp>,
     read_own_write: bool,
-    speculative_of: Option<TxnId>,
 }
 
 fn answer(r: &VisibleRead) -> Answer {
@@ -72,7 +71,6 @@ fn answer(r: &VisibleRead) -> Answer {
         key_exists: r.key_exists,
         read_version_ts: r.read_version_ts,
         read_own_write: r.read_own_write,
-        speculative_of: r.speculative_of,
     }
 }
 
@@ -86,8 +84,7 @@ fn reference_read(chain: &Chain, reader: TxnId, snapshot_ts: Timestamp) -> Answe
     let mut out = Answer::default();
     let mut found = false;
     for v in chain {
-        let state = v.state();
-        if state == VersionState::Aborted {
+        if v.state() == VersionState::Aborted {
             continue;
         }
         out.key_exists = true;
@@ -101,15 +98,7 @@ fn reference_read(chain: &Chain, reader: TxnId, snapshot_ts: Timestamp) -> Answe
             out.read_own_write = v.creator() == reader;
             continue;
         }
-        match state {
-            VersionState::Provisional(ts) if ts <= snapshot_ts => {
-                found = true;
-                out.value = v.value().map(<[u8]>::to_vec);
-                out.read_version_ts = Some(ts);
-                out.speculative_of = Some(v.creator());
-            }
-            _ => out.newer_creators.push(v.creator()),
-        }
+        out.newer_creators.push(v.creator());
     }
     out
 }
@@ -159,7 +148,7 @@ fn is_dead_tombstone(chain: &Chain, horizon: Timestamp) -> bool {
 }
 
 /// The order invariant over a whole chain (newest first): the holder's
-/// unsettled versions, then committed ones in non-increasing timestamp order.
+/// uncommitted versions, then committed ones in non-increasing timestamp order.
 fn assert_order(chain: &Chain, holder: Option<TxnId>, context: &str) {
     let mut newer_commit: Option<Timestamp> = None;
     for v in chain {
@@ -174,7 +163,7 @@ fn assert_order(chain: &Chain, holder: Option<TxnId>, context: &str) {
             }
             _ => assert!(
                 newer_commit.is_none() && Some(v.creator()) == holder,
-                "{context}: unsettled version out of place: {chain:?}"
+                "{context}: uncommitted version out of place: {chain:?}"
             ),
         }
     }
@@ -192,12 +181,13 @@ fn same_versions(a: &Chain, b: &Chain) -> bool {
 struct Holder {
     txn: TxnId,
     /// Its snapshot; `None` models a writer at a level without snapshots,
-    /// whose provisional stamp the horizon can overtake.
+    /// whose allocated commit timestamp the horizon can overtake.
     begin: Option<Timestamp>,
     /// Its versions of the key, oldest first.
     versions: Chain,
-    /// Its commit timestamp once provisionally stamped.
-    stamp: Option<Timestamp>,
+    /// Its commit timestamp once allocated: the holder is committing, and
+    /// its versions stay uncommitted until the commit stamps them.
+    allocated: Option<Timestamp>,
 }
 
 struct Model {
@@ -284,7 +274,10 @@ impl Model {
     }
 
     fn write(&mut self, k: usize) {
-        if self.holders[k].as_ref().is_some_and(|h| h.stamp.is_some()) {
+        if self.holders[k]
+            .as_ref()
+            .is_some_and(|h| h.allocated.is_some())
+        {
             return; // committing: no more writes
         }
         if self.holders[k].is_none() {
@@ -294,7 +287,7 @@ impl Model {
                 txn,
                 begin: (self.rng.below(4) != 0).then_some(self.clock),
                 versions: Vec::new(),
-                stamp: None,
+                allocated: None,
             });
         }
         let txn = self.holders[k].as_ref().expect("holder set above").txn;
@@ -343,16 +336,15 @@ impl Model {
         holder.versions.push(installed.version);
     }
 
-    fn stamp(&mut self, k: usize) {
+    /// The holder enters its commit and allocates its timestamp; nothing is
+    /// stamped until [`Model::commit`].
+    fn allocate(&mut self, k: usize) {
         let Some(holder) = self.holders[k].as_mut() else {
             return;
         };
-        if holder.stamp.is_none() {
+        if holder.allocated.is_none() {
             self.clock += 1;
-            holder.stamp = Some(self.clock);
-            for v in &holder.versions {
-                v.mark_provisional(self.clock);
-            }
+            holder.allocated = Some(self.clock);
         }
     }
 
@@ -360,7 +352,7 @@ impl Model {
         let Some(holder) = self.holders[k].take() else {
             return;
         };
-        let ts = holder.stamp.unwrap_or_else(|| {
+        let ts = holder.allocated.unwrap_or_else(|| {
             self.clock += 1;
             self.clock
         });
@@ -514,7 +506,7 @@ impl Model {
         let k = self.rng.below(KEYS as u64) as usize;
         match self.rng.below(16) {
             0..=6 => self.write(k),
-            7 => self.stamp(k),
+            7 => self.allocate(k),
             8..=10 => self.commit(k),
             11 => self.abort(k),
             12 => self.toggle_snapshot(),

@@ -2,10 +2,12 @@
 //!
 //! Every write installs a new [`Version`] at the head of the key's version
 //! chain. A version starts out *uncommitted* (visible only to its creator);
-//! when the creating transaction commits, the engine stamps the version with
-//! the creator's commit timestamp, which makes all of that transaction's
-//! versions visible "instantaneously" to any transaction whose snapshot is at
-//! or after that timestamp (Sec. 2.5 of the thesis). Aborting a transaction
+//! once the creating transaction's commit has settled, the engine stamps the
+//! version with the creator's commit timestamp, which makes all of that
+//! transaction's versions visible "instantaneously" to any transaction whose
+//! snapshot is at or after that timestamp (Sec. 2.5 of the thesis). A stamp
+//! is final: a version goes from uncommitted straight to committed, so no
+//! reader ever meets one that can still roll back. Aborting a transaction
 //! removes its uncommitted versions.
 //!
 //! Deletes install a *tombstone* version: a version with no value. Tombstones
@@ -23,13 +25,6 @@ use ssi_common::{Bytes, Timestamp, TxnId, TS_ZERO};
 pub enum VersionState {
     /// The creating transaction has not committed yet.
     Uncommitted,
-    /// The creating transaction is *committing* at the contained timestamp:
-    /// the timestamp is allocated and stamped, but the creator's final
-    /// commit step has not run, so the transaction can still abort. Readers
-    /// whose snapshot covers the timestamp may take the version
-    /// *speculatively* by registering a commit dependency on the creator
-    /// (resolution lives in `ssi-core`; storage only reports the state).
-    Provisional(Timestamp),
     /// The creating transaction committed at the contained timestamp.
     Committed(Timestamp),
     /// The creating transaction aborted; the version is logically absent and
@@ -39,12 +34,6 @@ pub enum VersionState {
 
 /// Sentinel stored in the commit-timestamp cell of aborted versions.
 const ABORTED_SENTINEL: u64 = u64::MAX;
-
-/// Bit set in the commit-timestamp cell while the stamp is provisional
-/// (creator still committing). Timestamps are far below 2^63, and
-/// [`ABORTED_SENTINEL`] has every *other* bit set too, so the flag is
-/// unambiguous.
-const PROVISIONAL_BIT: u64 = 1 << 63;
 
 /// One version of one row.
 #[derive(Debug)]
@@ -101,7 +90,6 @@ impl Version {
         match self.commit_ts.load(Ordering::Acquire) {
             TS_ZERO => VersionState::Uncommitted,
             ABORTED_SENTINEL => VersionState::Aborted,
-            ts if ts & PROVISIONAL_BIT != 0 => VersionState::Provisional(ts & !PROVISIONAL_BIT),
             ts => VersionState::Committed(ts),
         }
     }
@@ -116,24 +104,10 @@ impl Version {
     }
 
     /// Stamps the version with its creator's commit timestamp. Called by the
-    /// engine once the creator's commit outcome is settled (directly for
-    /// commit paths that never expose a provisional window, or as the
-    /// finalizing re-stamp after [`Version::mark_provisional`]).
+    /// engine once the creator's commit has settled, so the stamp is final.
     pub fn mark_committed(&self, ts: Timestamp) {
-        debug_assert!(ts != TS_ZERO && ts != ABORTED_SENTINEL && ts & PROVISIONAL_BIT == 0);
+        debug_assert!(ts != TS_ZERO && ts != ABORTED_SENTINEL);
         self.commit_ts.store(ts, Ordering::Release);
-    }
-
-    /// Stamps the version with a *provisional* commit timestamp: the
-    /// creator has allocated `ts` and entered its committing window, but
-    /// can still abort. Readers resolve the version through the creator's
-    /// transaction state; the creator re-stamps with
-    /// [`Version::mark_committed`] (or [`Version::mark_aborted`]) once the
-    /// outcome is settled.
-    pub fn mark_provisional(&self, ts: Timestamp) {
-        debug_assert!(ts != TS_ZERO && ts != ABORTED_SENTINEL && ts & PROVISIONAL_BIT == 0);
-        self.commit_ts
-            .store(ts | PROVISIONAL_BIT, Ordering::Release);
     }
 
     /// Marks the version as rolled back. The table will unlink it; until
@@ -151,11 +125,6 @@ impl Version {
         match self.state() {
             VersionState::Uncommitted => self.creator == reader,
             VersionState::Committed(ts) => ts <= snapshot_ts || self.creator == reader,
-            // A provisional stamp is never *settled*-visible; the chain
-            // read reports it separately so the engine can take it
-            // speculatively (with a commit dependency) when the snapshot
-            // covers it.
-            VersionState::Provisional(_) => self.creator == reader,
             VersionState::Aborted => false,
         }
     }
@@ -167,9 +136,6 @@ impl Version {
         match self.state() {
             VersionState::Uncommitted => self.creator == reader,
             VersionState::Committed(_) => true,
-            // Read committed must never surface a value that can still be
-            // rolled back: skip to the settled version beneath.
-            VersionState::Provisional(_) => self.creator == reader,
             VersionState::Aborted => false,
         }
     }
@@ -228,25 +194,24 @@ mod tests {
     }
 
     #[test]
-    fn provisional_stamp_is_not_settled_visible() {
+    fn the_stamp_goes_from_uncommitted_straight_to_committed() {
         let v = Version::new(t(1), Some(vec![1].into()));
-        v.mark_provisional(10);
-        assert_eq!(v.state(), VersionState::Provisional(10));
-        assert_eq!(v.commit_ts(), None);
-        // Never settled-visible to others, even with a covering snapshot;
-        // still visible to its creator.
-        assert!(!v.visible_to(t(2), 100));
+        // Until its creator has settled, a version is invisible to others
+        // however far their snapshot reaches; its creator sees it.
+        assert!(!v.visible_to(t(2), u64::MAX - 1));
         assert!(v.visible_to(t(1), 1));
         assert!(!v.visible_to_read_committed(t(2)));
-        // Finalizing re-stamp settles it.
+        // The one stamp makes it visible from its timestamp on.
         v.mark_committed(10);
         assert_eq!(v.state(), VersionState::Committed(10));
+        assert!(!v.visible_to(t(2), 9));
         assert!(v.visible_to(t(2), 10));
-        // An aborting creator overwrites the provisional stamp.
+        assert!(v.visible_to_read_committed(t(2)));
+        // A creator that fails to settle aborts an uncommitted version.
         let v2 = Version::new(t(2), Some(vec![2].into()));
-        v2.mark_provisional(11);
         v2.mark_aborted();
         assert_eq!(v2.state(), VersionState::Aborted);
+        assert!(!v2.visible_to(t(3), u64::MAX - 1));
     }
 
     #[test]

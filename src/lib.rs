@@ -34,9 +34,9 @@ pub use ssi_common::{
     AbortKind, AbortReason, DegradedReason, Error, IsolationLevel, Result, TxnId,
 };
 pub use ssi_core::{
-    CommitPhase, Database, DbHealth, Durability, DurabilityOptions, FaultMode, FaultOp, FaultRule,
-    FaultVfs, FieldKind, GcPin, IndexKeyPart, IndexKeySpec, IndexRef, LockGranularity, Options,
-    PurgeStats, SsiOptions, SsiVariant, TableRef, Transaction,
+    Database, DbHealth, Durability, DurabilityOptions, FaultMode, FaultOp, FaultRule, FaultVfs,
+    FieldKind, GcPin, IndexKeyPart, IndexKeySpec, IndexRef, LockGranularity, Options, PurgeStats,
+    SsiOptions, SsiVariant, TableRef, Transaction,
 };
 pub use ssi_obs::{EventKind, MetricsSnapshot, TraceBatch, TraceEvent};
 pub use ssi_server::{Client, ClientTxn, Server, ServerOptions};

@@ -125,7 +125,6 @@ fn clean_path_preserves_zeros() {
     assert_eq!(snap.txn.committed, 32);
     assert_eq!(snap.txn.aborted, 0);
     assert_eq!(snap.txn.abort_reasons, [0; AbortReason::COUNT]);
-    assert_eq!(snap.txn.dependency_cascade_aborts, 0);
     assert_eq!(snap.locks.deadlocks, 0);
     assert_eq!(snap.locks.timeouts, 0);
     assert_eq!(snap.gc.purge_runs, 0);

@@ -341,11 +341,9 @@ fn paging_scans_against_churn(level: IsolationLevel) {
     let report = db.history().unwrap().analyze();
     assert!(
         report.is_serializable(),
-        "{level:?}: non-serializable history committed: cycle {:?}, lost reads {:?}, \
-         dangling {:?}",
+        "{level:?}: non-serializable history committed: cycle {:?}, lost reads {:?}",
         report.cycle,
         report.lost_reads,
-        report.dangling_speculative_reads
     );
 
     // Every lock is released once the suspended transactions are reclaimed.
