@@ -22,7 +22,3 @@ pub mod stats;
 pub use error::{AbortKind, AbortReason, DegradedReason, Error, Result};
 pub use ids::{IsolationLevel, TableId, Timestamp, TxnId, TS_INFINITY, TS_ZERO};
 pub use inline_vec::InlineVec;
-
-/// Reference-counted immutable byte payload. Snapshot reads hand out clones
-/// of this handle (a refcount bump) instead of copying row bytes.
-pub type Bytes = std::sync::Arc<[u8]>;

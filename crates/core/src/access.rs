@@ -138,11 +138,11 @@ use std::ops::Bound;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use ssi_common::{AbortReason, Bytes, Error, IsolationLevel, Result, Timestamp, TxnId};
+use ssi_common::{AbortReason, Error, IsolationLevel, Result, Timestamp, TxnId};
 use ssi_lock::{LockKey, LockMode, ModeSet};
 use ssi_storage::{
     as_ref_bound, clone_bound, decode_entry, encode_entry, entry_range, Index, RangeHandle,
-    RangeMode, Siread, VisibleRead,
+    RangeMode, Siread, Value, VisibleRead,
 };
 
 use crate::db::{IndexRef, TableRef};
@@ -157,10 +157,11 @@ impl Transaction {
     // ------------------------------------------------------------------
 
     /// Reads the value of `key`, or `None` if it does not exist (for this
-    /// transaction's snapshot / isolation level). The value is a refcounted
-    /// handle to the stored version's payload — the snapshot read path
-    /// performs no byte copy.
-    pub fn get(&mut self, table: &TableRef, key: &[u8]) -> Result<Option<Bytes>> {
+    /// transaction's snapshot / isolation level). The value is a handle on
+    /// the stored version that derefs to its payload
+    /// ([`ssi_storage::Value`]): the read path performs no byte copy and no
+    /// allocation.
+    pub fn get(&mut self, table: &TableRef, key: &[u8]) -> Result<Option<Value>> {
         let t0 = self.db.metrics.read.start();
         let result = self.run_op(|txn| txn.do_get(table, key));
         self.db.metrics.read.finish(t0);
@@ -172,14 +173,13 @@ impl Transaction {
     /// is returned (the behaviour of `SELECT … FOR UPDATE` in the InnoDB
     /// prototype, Sec. 4.5). Under SI/SSI the first-committer-wins check is
     /// applied exactly as for a write.
-    pub fn get_for_update(&mut self, table: &TableRef, key: &[u8]) -> Result<Option<Bytes>> {
+    pub fn get_for_update(&mut self, table: &TableRef, key: &[u8]) -> Result<Option<Value>> {
         self.run_op(|txn| txn.do_get_for_update(table, key))
     }
 
     /// Writes `value` for `key` (insert or update).
     pub fn put(&mut self, table: &TableRef, key: &[u8], value: &[u8]) -> Result<()> {
-        // The one copy of the payload: the version stores this handle.
-        let value = Bytes::from(value);
+        // The install makes the one copy of the payload, into the version.
         self.run_op(|txn| txn.do_write(table, key, Some(value)))
     }
 
@@ -195,7 +195,7 @@ impl Transaction {
         table: &TableRef,
         lower: Bound<&[u8]>,
         upper: Bound<&[u8]>,
-    ) -> Result<Vec<(Vec<u8>, Bytes)>> {
+    ) -> Result<Vec<(Vec<u8>, Value)>> {
         let table = table.clone();
         let lower: Bound<Vec<u8>> = clone_bound(lower);
         let upper: Bound<Vec<u8>> = clone_bound(upper);
@@ -221,7 +221,7 @@ impl Transaction {
         index: &IndexRef,
         lower: Bound<&[u8]>,
         upper: Bound<&[u8]>,
-    ) -> Result<Vec<(Vec<u8>, Bytes)>> {
+    ) -> Result<Vec<(Vec<u8>, Value)>> {
         let index = index.clone();
         let lower: Bound<Vec<u8>> = clone_bound(lower);
         let upper: Bound<Vec<u8>> = clone_bound(upper);
@@ -240,7 +240,7 @@ impl Transaction {
         &mut self,
         index: &IndexRef,
         index_key: &[u8],
-    ) -> Result<Vec<(Vec<u8>, Bytes)>> {
+    ) -> Result<Vec<(Vec<u8>, Value)>> {
         self.index_scan(
             index,
             Bound::Included(index_key),
@@ -253,7 +253,7 @@ impl Transaction {
         &mut self,
         table: &TableRef,
         prefix: &[u8],
-    ) -> Result<Vec<(Vec<u8>, Bytes)>> {
+    ) -> Result<Vec<(Vec<u8>, Value)>> {
         match prefix_upper_bound(prefix) {
             Some(upper) => self.scan(
                 table,
@@ -372,7 +372,7 @@ impl Transaction {
     fn record_read(&mut self, table: &TableRef, key: &[u8], version_ts: Option<Timestamp>) {
         if self.db.history.is_some() {
             let mut own = self.writes.iter();
-            let after_own_write = own.any(|w| w.table.id() == table.id() && w.key == key);
+            let after_own_write = own.any(|w| w.table.id() == table.id() && *w.key == *key);
             self.reads.push(ReadRecord {
                 table: table.id(),
                 key: key.to_vec(),
@@ -455,7 +455,7 @@ impl Transaction {
     // Point reads
     // ------------------------------------------------------------------
 
-    fn do_get(&mut self, table: &TableRef, key: &[u8]) -> Result<Option<Bytes>> {
+    fn do_get(&mut self, table: &TableRef, key: &[u8]) -> Result<Option<Value>> {
         match self.shared.isolation() {
             IsolationLevel::ReadCommitted => {
                 let read = table.table.read_latest(key, self.shared.id());
@@ -488,7 +488,7 @@ impl Transaction {
         }
     }
 
-    fn do_get_for_update(&mut self, table: &TableRef, key: &[u8]) -> Result<Option<Bytes>> {
+    fn do_get_for_update(&mut self, table: &TableRef, key: &[u8]) -> Result<Option<Value>> {
         let id = self.shared.id();
         let isolation = self.shared.isolation();
         let lock = self.lock_target(table, key);
@@ -522,7 +522,7 @@ impl Transaction {
     /// The read of a row under a lock the caller holds (S2PL, and every
     /// level's locking read): the latest committed value or this
     /// transaction's own write, recorded unless it is the latter.
-    fn locked_read(&mut self, table: &TableRef, key: &[u8]) -> Option<Bytes> {
+    fn locked_read(&mut self, table: &TableRef, key: &[u8]) -> Option<Value> {
         let read = table.table.read_latest(key, self.shared.id());
         self.note_read(read.read_version_ts);
         if !read.read_own_write {
@@ -535,7 +535,7 @@ impl Transaction {
     // Writes
     // ------------------------------------------------------------------
 
-    fn do_write(&mut self, table: &TableRef, key: &[u8], value: Option<Bytes>) -> Result<()> {
+    fn do_write(&mut self, table: &TableRef, key: &[u8], value: Option<&[u8]>) -> Result<()> {
         // Degraded (read-only) or closed: fail fast with the typed error
         // before taking any lock, instead of letting the commit discover a
         // poisoned log later. Reads stay untouched — the in-memory version
@@ -567,7 +567,7 @@ impl Transaction {
         // index-point marker lock and the verifier's index-space write
         // records. Must run *before* the version is installed so the
         // shadowed state is still readable.
-        self.index_maintenance(table, key, value.as_deref())?;
+        self.index_maintenance(table, key, value)?;
 
         // A long chain is pruned on the way in, at the horizon the purge
         // pass would use; the horizon is only read if the chain is long. The
@@ -580,7 +580,6 @@ impl Transaction {
         // versioning granularity match on a chain, so first-committer-wins
         // covers any later writer of the row).
         let txns = &self.db.txns;
-        let mut value = value;
         let mut upgraded = false;
         let installed = loop {
             let installed = table.table.install(key, id, value, || txns.gc_horizon());
@@ -598,7 +597,6 @@ impl Transaction {
             // holder with nothing of this write in storage — a SHARED request
             // on the name it holds EXCLUSIVE until it finishes, let go once
             // granted — and install again.
-            value = installed.version.value_handle();
             installed.version.mark_aborted();
             table.table.unlink_version(key, &installed.version);
             for holder in &installed.blocked_by {
@@ -609,7 +607,7 @@ impl Transaction {
         };
         self.writes.push(WriteRecord {
             table: Arc::clone(&table.table),
-            key: key.to_vec(),
+            key: installed.key,
             version: installed.version,
         });
         if isolation == IsolationLevel::SerializableSnapshotIsolation {
@@ -778,7 +776,7 @@ impl Transaction {
         table: &TableRef,
         lower: Bound<&[u8]>,
         upper: Bound<&[u8]>,
-    ) -> Result<Vec<(Vec<u8>, Bytes)>> {
+    ) -> Result<Vec<(Vec<u8>, Value)>> {
         // Fig. 3.6's SIREADs, all of them, or S2PL's protection against
         // phantoms: the range covers every row and every gap between the
         // bounds. Registered before anything is listed, so a writer that
@@ -845,7 +843,7 @@ impl Transaction {
         table: &TableRef,
         lower: Bound<&[u8]>,
         upper: Bound<&[u8]>,
-    ) -> Result<Vec<(Vec<u8>, Bytes)>> {
+    ) -> Result<Vec<(Vec<u8>, Value)>> {
         let row_granularity = self.row_granularity();
         self.note_read(None);
         let mut result = Vec::new();
@@ -907,7 +905,7 @@ impl Transaction {
         index: &IndexRef,
         lower: Bound<&[u8]>,
         upper: Bound<&[u8]>,
-    ) -> Result<Vec<(Vec<u8>, Bytes)>> {
+    ) -> Result<Vec<(Vec<u8>, Value)>> {
         let id = self.shared.id();
         let table = index.table.clone();
         let idx = Arc::clone(&index.index);

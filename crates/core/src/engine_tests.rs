@@ -52,7 +52,8 @@ fn read_your_own_writes_and_deletes() {
             Some(b"v2".as_slice())
         );
         let all = txn.scan(&t, Bound::Unbounded, Bound::Unbounded).unwrap();
-        assert_eq!(all, [(b"k".to_vec(), b"v2".as_slice().into())]);
+        let all: Vec<_> = all.iter().map(|(k, v)| (&k[..], &v[..])).collect();
+        assert_eq!(all, [(&b"k"[..], &b"v2"[..])]);
         txn.commit().unwrap();
 
         let mut txn = db.begin();

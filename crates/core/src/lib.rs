@@ -89,7 +89,7 @@ pub use ssi::CallerRole;
 pub use txn::Transaction;
 pub use txn_shared::{TxnShared, TxnStatus};
 pub use verify::{
-    CommittedTxn, HistoryRecorder, LostRead, MvsgReport, ReadRecord, WriteRecordEntry,
+    CommittedTxn, DanglingRead, HistoryRecorder, LostRead, MvsgReport, ReadRecord, WriteRecordEntry,
 };
 
 pub use ssi_common::{
@@ -99,7 +99,7 @@ pub use ssi_obs::{
     EngineMetrics, EventKind, GcMetrics, HistSummary, LatencyMetrics, LockMetrics, MetricsSnapshot,
     TableMetrics, TraceBatch, TraceEvent, TxnMetrics, WalMetrics,
 };
-pub use ssi_storage::{FieldKind, IndexKeyPart, IndexKeySpec, PurgeStats};
+pub use ssi_storage::{FieldKind, IndexKeyPart, IndexKeySpec, PurgeStats, Value};
 pub use ssi_wal::{
     CheckpointStats, FaultMode, FaultOp, FaultRule, FaultVfs, Recovered, StdVfs, Vfs, WalStats,
 };

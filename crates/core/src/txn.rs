@@ -33,7 +33,8 @@ enum LocalState {
 /// or rollback.
 pub(crate) struct WriteRecord {
     pub(crate) table: Arc<Table>,
-    pub(crate) key: Vec<u8>,
+    /// The key, shared with the table's maps ([`ssi_storage::Installed::key`]).
+    pub(crate) key: Arc<[u8]>,
     pub(crate) version: Arc<Version>,
 }
 
@@ -236,7 +237,7 @@ impl Transaction {
                 self.shared.id(),
                 self.writes
                     .iter()
-                    .map(|w| (w.table.id(), w.key.as_slice(), w.version.value())),
+                    .map(|w| (w.table.id(), &w.key[..], w.version.value())),
             )),
             _ => None,
         };
@@ -295,7 +296,7 @@ impl Transaction {
                     .iter()
                     .map(|w| WriteRecordEntry {
                         table: w.table.id(),
-                        key: w.key.clone(),
+                        key: w.key.to_vec(),
                         tombstone: w.version.is_tombstone(),
                     })
                     .chain(std::mem::take(&mut self.index_writes))

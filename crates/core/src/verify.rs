@@ -10,6 +10,15 @@
 //! * is the execution conflict-serializable (is the MVSG acyclic)?
 //! * does it contain the *dangerous structure* of Theorem 2 (two consecutive
 //!   rw-antidependencies with the outgoing transaction committing first)?
+//! * did every read return a version that committed ([`DanglingRead`]), and
+//!   the newest one its snapshot covers ([`LostRead`])?
+//!
+//! A read's snapshot is the recorded `begin_ts`: the snapshot at SI and
+//! Serializable SI, and the commit timestamp at the levels without one, whose
+//! recorded reads (S2PL reads, every level's locking reads; read committed
+//! records no other) hold a lock on the row from the read to the commit, so
+//! no write of it commits in between. The last two checks therefore cover
+//! every recorded read at every level.
 //!
 //! The graph is built exactly as in Sec. 2.5.1: ww-edges between writers of
 //! the same item in version order, wr-edges from a version's creator to its
@@ -151,6 +160,20 @@ pub struct LostRead {
     pub missed_ts: Timestamp,
 }
 
+/// A committed read that returned a version of its item that no committed
+/// transaction of the history wrote: an uncommitted or rolled-back value.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct DanglingRead {
+    /// The reader.
+    pub reader: TxnId,
+    /// Table of the item.
+    pub table: TableId,
+    /// Item key.
+    pub key: Vec<u8>,
+    /// The timestamp the read named.
+    pub version_ts: Timestamp,
+}
+
 /// Result of analysing a recorded history.
 #[derive(Clone, Debug)]
 pub struct MvsgReport {
@@ -164,13 +187,23 @@ pub struct MvsgReport {
     /// Reads of absence that should have observed a live value (see
     /// [`LostRead`]).
     pub lost_reads: Vec<LostRead>,
+    /// Stale reads: reads of a version older than the newest one committed
+    /// at or before the reader's snapshot, which is the `missed_ts` of the
+    /// [`LostRead`] (a snapshot at `s` sees every commit at or below `s`).
+    pub stale_reads: Vec<LostRead>,
+    /// Reads of versions nobody committed (see [`DanglingRead`]).
+    pub dangling_reads: Vec<DanglingRead>,
 }
 
 impl MvsgReport {
-    /// True if the history is conflict-serializable: the MVSG is acyclic
-    /// and no read lost a value it was entitled to see.
+    /// True if the history is conflict-serializable: the MVSG is acyclic,
+    /// no read lost or missed a value it was entitled to see and none saw a
+    /// value that never committed.
     pub fn is_serializable(&self) -> bool {
-        self.cycle.is_none() && self.lost_reads.is_empty()
+        self.cycle.is_none()
+            && self.lost_reads.is_empty()
+            && self.stale_reads.is_empty()
+            && self.dangling_reads.is_empty()
     }
 
     /// Builds the MVSG for a set of committed transactions and analyses it.
@@ -203,6 +236,8 @@ impl MvsgReport {
 
         let mut edges: HashSet<Edge> = HashSet::new();
         let mut lost_reads: Vec<LostRead> = Vec::new();
+        let mut stale_reads: Vec<LostRead> = Vec::new();
+        let mut dangling_reads: Vec<DanglingRead> = Vec::new();
 
         // ww edges: consecutive writers in version order.
         for list in versions.values() {
@@ -221,6 +256,34 @@ impl MvsgReport {
         for txn in history {
             for r in &txn.reads {
                 let item_versions = versions.get(&(r.table, r.key.as_slice()));
+                if let Some(read_ts) = r.version_ts {
+                    let listed = item_versions.into_iter().flatten();
+                    if !listed.clone().any(|&(ts, _, _)| ts == read_ts) {
+                        dangling_reads.push(DanglingRead {
+                            reader: txn.id,
+                            table: r.table,
+                            key: r.key.clone(),
+                            version_ts: read_ts,
+                        });
+                    }
+                    // Another transaction's commit the snapshot covers, newer
+                    // than the version read. The reader's own version, and
+                    // every version after its own write, are not what it read.
+                    let missed = listed
+                        .filter(|&&(ts, writer, _)| {
+                            read_ts < ts && ts <= txn.begin_ts && writer != txn.id
+                        })
+                        .map(|&(ts, _, _)| ts)
+                        .max();
+                    if let (Some(missed_ts), false) = (missed, r.after_own_write) {
+                        stale_reads.push(LostRead {
+                            reader: txn.id,
+                            table: r.table,
+                            key: r.key.clone(),
+                            missed_ts,
+                        });
+                    }
+                }
                 // The version this read observed. A read of *absence*
                 // (`version_ts: None`) is pinned to the newest version
                 // committed at or before the reader's snapshot, if any:
@@ -302,6 +365,8 @@ impl MvsgReport {
             cycle,
             pivots,
             lost_reads,
+            stale_reads,
+            dangling_reads,
         }
     }
 }
@@ -584,6 +649,86 @@ mod tests {
         let report = MvsgReport::build(&[s2pl]);
         assert_eq!(report.lost_reads.len(), 1, "{:?}", report.lost_reads);
         assert_eq!(report.lost_reads[0].missed_ts, 50);
+    }
+
+    #[test]
+    fn a_read_of_a_version_nobody_committed_is_dangling() {
+        // T2 reads k at 15, but the only committed writer of k committed at
+        // 10: the value it saw was uncommitted or rolled back.
+        let history = vec![
+            txn(1, 1, 10, vec![], vec![b"k"]),
+            txn(2, 20, 30, vec![(b"k", Some(15))], vec![]),
+        ];
+        let report = MvsgReport::build(&history);
+        assert_eq!(
+            report.dangling_reads,
+            vec![DanglingRead {
+                reader: TxnId(2),
+                table: TableId(1),
+                key: b"k".to_vec(),
+                version_ts: 15,
+            }]
+        );
+        assert!(report.cycle.is_none() && report.lost_reads.is_empty());
+        assert!(
+            !report.is_serializable(),
+            "a dangling read fails the oracle"
+        );
+        // A version of another key at that timestamp does not make it real.
+        let history = vec![
+            txn(1, 1, 10, vec![], vec![b"k"]),
+            txn(3, 11, 15, vec![], vec![b"j"]),
+            txn(2, 20, 30, vec![(b"k", Some(15))], vec![]),
+        ];
+        assert_eq!(MvsgReport::build(&history).dangling_reads.len(), 1);
+        // The version read committed: nothing to report.
+        let history = vec![
+            txn(1, 1, 15, vec![], vec![b"k"]),
+            txn(2, 20, 30, vec![(b"k", Some(15))], vec![]),
+        ];
+        assert!(MvsgReport::build(&history).is_serializable());
+    }
+
+    #[test]
+    fn a_read_that_misses_a_commit_its_snapshot_covers_is_stale() {
+        // T1 writes k at 10 and T2 at 20; T3's snapshot at 25 covers both
+        // but it read T1's version. Acyclic: only this check sees it.
+        let history = vec![
+            txn(1, 1, 10, vec![], vec![b"k"]),
+            txn(2, 11, 20, vec![], vec![b"k"]),
+            txn(3, 25, 30, vec![(b"k", Some(10))], vec![]),
+        ];
+        let report = MvsgReport::build(&history);
+        assert!(report.cycle.is_none() && report.dangling_reads.is_empty());
+        assert_eq!(
+            report.stale_reads,
+            vec![LostRead {
+                reader: TxnId(3),
+                table: TableId(1),
+                key: b"k".to_vec(),
+                missed_ts: 20,
+            }]
+        );
+        assert!(!report.is_serializable(), "a stale read fails the oracle");
+        // A tombstone the snapshot covers is missed just the same.
+        let history = vec![
+            txn(1, 1, 10, vec![], vec![b"k"]),
+            as_delete(txn(2, 11, 20, vec![], vec![b"k"])),
+            txn(3, 25, 30, vec![(b"k", Some(10))], vec![]),
+        ];
+        assert_eq!(MvsgReport::build(&history).stale_reads.len(), 1);
+        // A commit after the snapshot is not missed: that is an rw edge.
+        let history = vec![
+            txn(1, 1, 10, vec![], vec![b"k"]),
+            txn(3, 15, 30, vec![(b"k", Some(10))], vec![]),
+            txn(2, 11, 20, vec![], vec![b"k"]),
+        ];
+        assert!(MvsgReport::build(&history).is_serializable());
+        // A lock-based reader, recorded with its commit as its snapshot,
+        // that read k and then wrote it did not miss its own version.
+        let s2pl = txn(5, 50, 50, vec![(b"k", Some(10))], vec![b"k"]);
+        let history = vec![txn(1, 1, 10, vec![], vec![b"k"]), s2pl];
+        assert!(MvsgReport::build(&history).is_serializable());
     }
 
     #[test]

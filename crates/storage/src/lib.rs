@@ -58,4 +58,4 @@ pub use table::{
     ScanCursor, ScanEntries, ScanEntry, ScanPage, ScanRow, Siread, Table, VisibleRead, WriteProbe,
     SCAN_PAGE_SIZE, SHARD_COUNT,
 };
-pub use version::{Version, VersionState};
+pub use version::{Value, Version, VersionState, INLINE_CAPACITY};

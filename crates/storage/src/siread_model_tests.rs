@@ -421,7 +421,8 @@ impl Model {
         let mut readers = ids(&granted.expect("no other holder").rw_conflicts);
         let (mut range_readers, mut blocked_by) = (Ids::new(), Ids::new());
         let upgraded = if install {
-            let value = (!delete).then(|| vec![k as u8].into());
+            let value = [k as u8];
+            let value = (!delete).then_some(&value[..]);
             let done = self.table.install(&key(k), id, value, || TS_ZERO);
             readers.extend(done.readers.iter());
             range_readers.extend(done.range_readers.iter());
@@ -601,7 +602,7 @@ impl Model {
             let mut held: Ids = chain.as_ref().map_or(Ids::new(), |chain| {
                 chain.state.lock().readers.iter().collect()
             });
-            let no_versions = |c: &Arc<RowChain>| c.state.lock().versions.is_empty();
+            let no_versions = |c: &Arc<RowChain>| c.state.lock().versions.as_slice().is_empty();
             if chain.as_ref().is_some_and(no_versions) && !held.is_empty() {
                 self.reached.kept_mapped += 1;
             }

@@ -109,6 +109,20 @@
 //!   (`reclaimable_prefix`) walks from the oldest end and stops at the
 //!   first version that has to stay.
 //!
+//! ### The layout of a chain
+//!
+//! A row costs its chain (72 bytes with the `Arc`'s counts), one
+//! [`Version`] per version (56 bytes, the payload inside it up to 22 bytes;
+//! see [`crate::version`]), its key (shared by both maps, the lock table and
+//! the write sets of its writers) and a slot in each map. The versions are
+//! held in a 24-byte `Versions`: up to two of them inline, more in a
+//! buffer. A row a purge pass left with one version takes its next update
+//! without an allocation beyond the version's; the third version spills
+//! the chain, and whatever shrinks it to two or fewer again — a rollback, a
+//! pruning writer, a purge pass, a dead tombstone's removal — frees the
+//! buffer. The order above is the order of `Versions::as_slice`, whatever
+//! the layout, and every walk goes through it.
+//!
 //! ### Who may shorten a chain
 //!
 //! Versions leave a chain in three ways, each under the key's shard lock
@@ -266,12 +280,12 @@ use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock};
 
-use ssi_common::{Bytes, InlineVec, TableId, Timestamp, TxnId, TS_ZERO};
+use ssi_common::{InlineVec, TableId, Timestamp, TxnId, TS_ZERO};
 use ssi_lock::FxBuildHasher;
 
 use crate::index::Index;
 use crate::range::{RangeHandle, RangeMode, RangeReaders};
-use crate::version::{Version, VersionState};
+use crate::version::{Value, Version, VersionState};
 
 /// Number of hash shards per table. Power of two so the shard selector is a
 /// mask; 64 matches the lock manager's sharding and is comfortably above
@@ -299,9 +313,9 @@ pub type RowReaders = InlineVec<TxnId, NEWER_INLINE>;
 /// Result of a snapshot read of one key.
 #[derive(Clone, Debug, Default)]
 pub struct VisibleRead {
-    /// The visible value, if any (and not a tombstone). A refcounted handle
-    /// to the version's payload — cloning it never copies the bytes.
-    pub value: Option<Bytes>,
+    /// The visible value, if any (and not a tombstone): a handle on the
+    /// version read, so neither taking nor cloning it copies the bytes.
+    pub value: Option<Value>,
     /// Creators of versions newer than the version that was read (both
     /// uncommitted ones and ones committed after the reader's snapshot).
     /// Each is a potential rw-antidependency for Serializable SI.
@@ -325,7 +339,7 @@ pub struct ScanEntry {
     /// Visible value (`None` when the visible version is a tombstone or no
     /// version is visible to the snapshot). Entries with `None` are still
     /// reported so the caller can register conflicts for them.
-    pub value: Option<Bytes>,
+    pub value: Option<Value>,
     /// Creators of versions newer than the visible one (see
     /// [`VisibleRead::newer_creators`]).
     pub newer_creators: NewerCreators,
@@ -392,7 +406,7 @@ impl RowHandle {
     /// True if the chain holds a version that is not aborted; if not, the
     /// key's next install links it (module docs, § Why scans stay consistent).
     pub fn holds_version(&self) -> bool {
-        write_probe(&self.chain.state.lock().versions).has_live_version
+        write_probe(self.chain.state.lock().versions.as_slice()).has_live_version
     }
 }
 
@@ -576,6 +590,9 @@ pub struct WriteProbe {
 pub struct Installed {
     /// The new version, for commit stamping or rollback.
     pub version: Arc<Version>,
+    /// The key, shared with the table's maps: a write set can keep it
+    /// without a copy of its own.
+    pub key: Arc<[u8]>,
     /// Old versions the install dropped from the chain on its way (0 unless
     /// the chain was longer than the pruning bound).
     pub pruned: usize,
@@ -687,19 +704,119 @@ impl ReaderSet {
     }
 }
 
-/// What a chain's mutex guards: the versions, **oldest first** — installing
-/// is a push, pruning drops a prefix, and every reader walks them in reverse
-/// (newest first); see the module docs, § Locking protocol, for the order
-/// they are in — and the row's SIREAD holders.
+/// The versions of a chain, **oldest first** — installing is a push,
+/// pruning drops a prefix, and every reader walks them in reverse (newest
+/// first); see the module docs, § The order of a chain. Most rows hold one
+/// version, and an update between two purge passes adds a second, so up to
+/// two are kept inline and only a third spills the chain to a buffer. Every
+/// shrink (rollback, pruning, a purge pass, a dead tombstone's removal) that
+/// leaves two or fewer brings them back inline, so between operations
+/// `Many` holds three or more. 24 bytes, a `Vec`'s size.
+#[derive(Default)]
+enum Versions {
+    #[default]
+    Empty,
+    One(Arc<Version>),
+    Two([Arc<Version>; 2]),
+    Many(Vec<Arc<Version>>),
+}
+
+impl Versions {
+    fn as_slice(&self) -> &[Arc<Version>] {
+        match self {
+            Versions::Empty => &[],
+            Versions::One(version) => std::slice::from_ref(version),
+            Versions::Two(versions) => versions,
+            Versions::Many(versions) => versions,
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.as_slice().len()
+    }
+
+    /// Appends `version` as the newest. A spill makes room for as many
+    /// versions as a writer lets a chain reach before it prunes.
+    fn push(&mut self, version: Arc<Version>) {
+        *self = match std::mem::take(self) {
+            Versions::Empty => Versions::One(version),
+            Versions::One(older) => Versions::Two([older, version]),
+            Versions::Two(older) => {
+                let mut versions = Vec::with_capacity(PRUNE_ABOVE + 1);
+                versions.extend(older);
+                versions.push(version);
+                Versions::Many(versions)
+            }
+            Versions::Many(mut versions) => {
+                versions.push(version);
+                Versions::Many(versions)
+            }
+        };
+    }
+
+    /// Removes every version `remove` picks — it is passed each version's
+    /// position, oldest first — and returns how many went. The survivors
+    /// keep their order; a spilled chain stays spilled until
+    /// [`Versions::collapse`], since a pruning writer pushes next.
+    fn remove_if(&mut self, mut remove: impl FnMut(usize, &Arc<Version>) -> bool) -> usize {
+        let before = self.len();
+        if let Versions::Many(versions) = self {
+            let mut at = 0;
+            versions.retain(|v| {
+                at += 1;
+                !remove(at - 1, v)
+            });
+        } else {
+            for (at, v) in std::mem::take(self).into_oldest_first().enumerate() {
+                if !remove(at, &v) {
+                    self.push(v);
+                }
+            }
+        }
+        before - self.len()
+    }
+
+    /// Brings a spilled chain that a shrink left with two versions or fewer
+    /// back inline, freeing its buffer.
+    fn collapse(&mut self) {
+        if matches!(self, Versions::Many(versions) if versions.len() <= 2) {
+            for v in std::mem::take(self).into_oldest_first() {
+                self.push(v);
+            }
+        }
+    }
+
+    /// Moves the versions out, oldest first.
+    fn into_oldest_first(self) -> impl Iterator<Item = Arc<Version>> {
+        let (inline, spilled) = match self {
+            Versions::Empty => ([None, None], Vec::new()),
+            Versions::One(only) => ([Some(only), None], Vec::new()),
+            Versions::Two([older, newer]) => ([Some(older), Some(newer)], Vec::new()),
+            Versions::Many(versions) => ([None, None], versions),
+        };
+        inline.into_iter().flatten().chain(spilled)
+    }
+
+    /// The layout rule: up to two versions inline, `Many` for three or more.
+    #[cfg(test)]
+    fn layout_holds(&self) -> bool {
+        match self {
+            Versions::Empty | Versions::One(_) | Versions::Two(_) => true,
+            Versions::Many(versions) => versions.len() > 2,
+        }
+    }
+}
+
+/// What a chain's mutex guards: the versions and the row's SIREAD holders.
 struct ChainState {
-    versions: Vec<Arc<Version>>,
+    versions: Versions,
     readers: ReaderSet,
 }
 
 impl ChainState {
     /// No version and no reader: nothing would be lost by unmapping.
     fn is_unused(&self) -> bool {
-        self.versions.is_empty() && self.readers.is_empty()
+        self.versions.as_slice().is_empty() && self.readers.is_empty()
     }
 }
 
@@ -713,14 +830,14 @@ impl RowChain {
     fn with_version(version: Arc<Version>) -> Arc<Self> {
         Arc::new(RowChain {
             state: Mutex::new(ChainState {
-                versions: vec![version],
+                versions: Versions::One(version),
                 readers: ReaderSet::default(),
             }),
         })
     }
 
     fn read_all(&self, reader: TxnId, snapshot_ts: Timestamp) -> VisibleRead {
-        snapshot_read(&self.state.lock().versions, reader, snapshot_ts)
+        snapshot_read(self.state.lock().versions.as_slice(), reader, snapshot_ts)
     }
 
     /// The Serializable-SI read: the snapshot read and the reader's SIREAD
@@ -730,7 +847,7 @@ impl RowChain {
     /// own uncommitted write is not registered.
     fn read_registering(&self, reader: TxnId, snapshot_ts: Timestamp) -> (VisibleRead, bool) {
         let mut state = self.state.lock();
-        let read = snapshot_read(&state.versions, reader, snapshot_ts);
+        let read = snapshot_read(state.versions.as_slice(), reader, snapshot_ts);
         let fresh = !read.read_own_write && state.readers.insert(reader);
         (read, fresh)
     }
@@ -738,7 +855,7 @@ impl RowChain {
     /// Latest committed version, or the reader's own uncommitted write.
     fn read_latest(&self, reader: TxnId) -> VisibleRead {
         let state = self.state.lock();
-        let mut latest = state.versions.iter().rev();
+        let mut latest = state.versions.as_slice().iter().rev();
         let Some(v) = latest.find(|v| v.visible_to_read_committed(reader)) else {
             return VisibleRead::default();
         };
@@ -985,7 +1102,7 @@ impl Table {
     pub fn write_probe(&self, key: &[u8]) -> WriteProbe {
         let rows = self.shard(key).rows.read();
         rows.get(key).map_or(WriteProbe::default(), |chain| {
-            write_probe(&chain.state.lock().versions)
+            write_probe(chain.state.lock().versions.as_slice())
         })
     }
 
@@ -999,7 +1116,7 @@ impl Table {
             return ForUpdateProbe::default();
         };
         let mut state = chain.state.lock();
-        let probe = write_probe(&state.versions);
+        let probe = write_probe(state.versions.as_slice());
         let (readers, upgraded) = state.readers.report_to(writer);
         ForUpdateProbe {
             probe,
@@ -1011,22 +1128,24 @@ impl Table {
     /// Installs a new uncommitted version of `key` (a value or, when `value`
     /// is `None`, a deletion tombstone) created by `creator`, and returns a
     /// handle the caller keeps in its write set for later commit stamping or
-    /// rollback. [`Table::install`] with a copied payload, the creator's
-    /// SIREAD upgraded away and a horizon of zero, at which nothing is
-    /// reclaimable — for loads, recovery and tests.
+    /// rollback. [`Table::install`] with the creator's SIREAD upgraded away
+    /// and a horizon of zero, at which nothing is reclaimable — for loads,
+    /// recovery and tests.
     pub fn install_version(
         &self,
         key: &[u8],
         creator: TxnId,
         value: Option<Vec<u8>>,
     ) -> Arc<Version> {
-        self.install(key, creator, value.map(Bytes::from), || TS_ZERO)
+        self.install(key, creator, value.as_deref(), || TS_ZERO)
             .version
     }
 
-    /// Installs a new uncommitted version of `key` holding `value` (shared,
-    /// not copied; `None` is a deletion tombstone) on behalf of `creator`,
-    /// who must hold the key's EXCLUSIVE lock.
+    /// Installs a new uncommitted version of `key` holding a copy of `value`
+    /// (`None` is a deletion tombstone) on behalf of `creator`, who must
+    /// hold the key's EXCLUSIVE lock. The copy is the only one the write
+    /// makes: into the version itself, or beside it for a value longer than
+    /// [`crate::version::INLINE_CAPACITY`].
     ///
     /// Updates of existing keys take the shard **read** lock plus the chain
     /// mutex, so concurrent writers of different keys never contend; only
@@ -1057,7 +1176,7 @@ impl Table {
         &self,
         key: &[u8],
         creator: TxnId,
-        value: Option<Bytes>,
+        value: Option<&[u8]>,
         horizon: impl FnOnce() -> Timestamp,
     ) -> Installed {
         let version = Arc::new(Version::new(creator, value));
@@ -1071,7 +1190,7 @@ impl Table {
         // and its references or neither.
         {
             let rows = shard.rows.read();
-            if let Some(chain) = rows.get(key) {
+            if let Some((key, chain)) = rows.get_key_value(key) {
                 return self.push_pruning(key, chain, version, horizon);
             }
         }
@@ -1079,7 +1198,7 @@ impl Table {
         // Slow path: first version of this key. Re-check under the shard
         // write lock, then publish the chain in both maps.
         let mut rows = shard.rows.write();
-        if let Some(chain) = rows.get(key) {
+        if let Some((key, chain)) = rows.get_key_value(key) {
             return self.push_pruning(key, chain, version, horizon);
         }
         let key_arc: Arc<[u8]> = Arc::from(key);
@@ -1096,10 +1215,11 @@ impl Table {
             self.ranges
                 .report_to(key, creator, &mut range_readers, blockers);
         }
-        rows.insert(key_arc, chain);
+        rows.insert(key_arc.clone(), chain);
         self.add_index_refs(key, &version, &mut range_readers, &mut blocked_by);
         Installed {
             version,
+            key: key_arc,
             pruned: 0,
             readers: RowReaders::new(),
             range_readers,
@@ -1113,17 +1233,21 @@ impl Table {
     /// key's shard lock (read or write).
     fn push_pruning(
         &self,
-        key: &[u8],
+        key: &Arc<[u8]>,
         chain: &RowChain,
         version: Arc<Version>,
         horizon: impl FnOnce() -> Timestamp,
     ) -> Installed {
         let mut state = chain.state.lock();
         debug_assert!(
-            order_holds(&state.versions, version.creator(), 2 * PRUNE_ABOVE),
+            order_holds(
+                state.versions.as_slice(),
+                version.creator(),
+                2 * PRUNE_ABOVE
+            ),
             "chain order broken under {:?}: {:?}",
             version.creator(),
-            &state.versions[..]
+            state.versions.as_slice()
         );
         let pruned = if state.versions.len() > PRUNE_ABOVE {
             self.drop_reclaimable(key, &mut state.versions, horizon())
@@ -1132,8 +1256,9 @@ impl Table {
         };
         let creator = version.creator();
         let (readers, upgraded) = state.readers.report_to(creator);
-        let links = !write_probe(&state.versions).has_live_version;
+        let links = !write_probe(state.versions.as_slice()).has_live_version;
         state.versions.push(version.clone());
+        state.versions.collapse();
         // Pushed first, ranges second, under the one hold of the chain
         // mutex that every reader of the row takes too. A push onto a chain
         // that held no version links the key: no `Shared` scan locked it.
@@ -1145,6 +1270,7 @@ impl Table {
         self.add_index_refs(key, &version, &mut range_readers, &mut blocked_by);
         Installed {
             version,
+            key: key.clone(),
             pruned,
             readers,
             range_readers,
@@ -1157,18 +1283,19 @@ impl Table {
     /// can read (see [`reclaimable_prefix`]), releasing their index entry
     /// references. The one rule by which history leaves a chain, shared by
     /// the purge pass and by writers; the caller holds the key's shard lock
-    /// and the chain mutex.
-    fn drop_reclaimable(
-        &self,
-        key: &[u8],
-        versions: &mut Vec<Arc<Version>>,
-        horizon: Timestamp,
-    ) -> usize {
-        let reclaimable = reclaimable_prefix(versions, horizon);
-        for v in versions.drain(..reclaimable) {
-            self.release_index_refs(key, &v);
+    /// and the chain mutex. At least one version stays.
+    fn drop_reclaimable(&self, key: &[u8], versions: &mut Versions, horizon: Timestamp) -> usize {
+        let reclaimable = reclaimable_prefix(versions.as_slice(), horizon);
+        if reclaimable == 0 {
+            return 0;
         }
-        reclaimable
+        versions.remove_if(|at, v| {
+            let reclaimed = at < reclaimable;
+            if reclaimed {
+                self.release_index_refs(key, v);
+            }
+            reclaimed
+        })
     }
 
     /// Adds one entry reference per registered index for a freshly
@@ -1215,7 +1342,7 @@ impl Table {
         let guards: Vec<_> = self.shards.iter().map(|s| s.rows.write()).collect();
         for rows in &guards {
             for (key, chain) in rows.iter() {
-                for v in chain.state.lock().versions.iter() {
+                for v in chain.state.lock().versions.as_slice() {
                     if let Some(value) = v.value() {
                         if let Some(entry) = index.entry_of(key, value) {
                             index.add_ref(&entry);
@@ -1245,13 +1372,10 @@ impl Table {
             let rows = shard.rows.read();
             let Some(chain) = rows.get(key) else { return };
             let (removed, empty) = {
-                // An unsettled version sits at the newest end of its chain.
                 let mut state = chain.state.lock();
-                let found = state.versions.iter().rposition(|v| Arc::ptr_eq(v, version));
-                if let Some(at) = found {
-                    state.versions.remove(at);
-                }
-                (found.is_some(), state.is_unused())
+                let removed = state.versions.remove_if(|_, v| Arc::ptr_eq(v, version)) > 0;
+                state.versions.collapse();
+                (removed, state.is_unused())
             };
             if removed {
                 self.release_index_refs(key, version);
@@ -1443,23 +1567,22 @@ impl Table {
                 // If the only remaining reachable version is a tombstone
                 // and nothing newer exists, the key is gone for good — once
                 // no reader is registered on it any more.
-                if is_dead_tombstone(versions, horizon) && readers.is_empty() {
+                if is_dead_tombstone(versions.as_slice(), horizon) && readers.is_empty() {
                     dead_keys.push(key.clone());
                 }
                 // Also drop aborted leftovers (releasing their index
                 // references: the purge got to them before the creator's
                 // rollback unlink, which will then find nothing to remove
                 // and release nothing).
-                let before = versions.len();
-                versions.retain(|v| {
-                    if v.state() == VersionState::Aborted {
+                let aborted = versions.remove_if(|_, v| {
+                    let aborted = v.state() == VersionState::Aborted;
+                    if aborted {
                         self.release_index_refs(key, v);
-                        false
-                    } else {
-                        true
                     }
+                    aborted
                 });
-                stats.versions += (before - versions.len()) as u64;
+                stats.versions += aborted as u64;
+                versions.collapse();
                 // A chain a rollback emptied while a reader was registered
                 // on it, and the reader has gone since.
                 if state.is_unused() {
@@ -1491,11 +1614,11 @@ impl Table {
             let Some(chain) = rows.get(key) else { return 0 };
             let dead = {
                 let mut state = chain.state.lock();
-                let is_dead =
-                    is_dead_tombstone(&state.versions, horizon) && state.readers.is_empty();
+                let is_dead = is_dead_tombstone(state.versions.as_slice(), horizon)
+                    && state.readers.is_empty();
                 if is_dead {
                     // Empty the chain so scans holding the Arc skip it.
-                    state.versions.clear();
+                    state.versions = Versions::Empty;
                 }
                 is_dead
             };
@@ -1784,7 +1907,7 @@ mod tests {
     #[test]
     fn install_prunes_a_long_chain_at_the_callers_horizon() {
         let tbl = table();
-        let value = || Some(Bytes::from(vec![7]));
+        let value = || Some(&[7][..]);
         // Up to the bound nobody asks for the horizon.
         for ts in 1..=PRUNE_ABOVE as u64 {
             let installed = tbl.install(b"a", t(ts), value(), || unreachable!("short chain"));
@@ -1883,25 +2006,33 @@ mod tests {
     #[test]
     fn read_returns_refcounted_handle_not_a_copy() {
         // The zero-copy guarantee of the read path: every read of the same
-        // version must return a handle to the same heap allocation, i.e. a
-        // refcount bump, never a byte copy.
+        // version returns a handle on that version — the one allocation the
+        // chain stores, payload inline or not — i.e. a refcount bump, never
+        // a byte copy.
         let tbl = table();
-        let v = tbl.install_version(b"a", t(1), Some(vec![42; 128]));
-        v.mark_committed(10);
-        let r1 = tbl.read(b"a", t(2), 20).value.expect("visible");
-        let r2 = tbl.read(b"a", t(3), 20).value.expect("visible");
-        assert!(
-            Arc::ptr_eq(&r1, &r2),
-            "reads must share the version's payload allocation"
-        );
-        assert_eq!(
-            r1.as_ptr(),
-            v.value().unwrap().as_ptr(),
-            "handle points into the stored version"
-        );
+        for (key, len) in [(b"a", 8), (b"b", 128)] {
+            let v = tbl.install_version(key, t(1), Some(vec![42; len]));
+            v.mark_committed(10);
+            let r1 = tbl.read(key, t(2), 20).value.expect("visible");
+            let r2 = tbl.read(key, t(3), 20).value.expect("visible");
+            assert!(
+                Arc::ptr_eq(r1.version(), r2.version()),
+                "reads must share one allocation"
+            );
+            assert!(
+                Arc::ptr_eq(r1.version(), &v),
+                "and that allocation is the stored version"
+            );
+            assert_eq!(r1.as_ptr(), v.value().unwrap().as_ptr(), "no copy");
+            assert_eq!(&r1[..], &vec![42; len][..]);
+        }
         // Scans hand out the same handle.
         let entries = tbl.scan(Bound::Unbounded, Bound::Unbounded, t(4), 20);
-        assert!(Arc::ptr_eq(entries[0].value.as_ref().unwrap(), &r1));
+        let read = tbl.read(b"a", t(2), 20).value.unwrap();
+        assert!(Arc::ptr_eq(
+            entries[0].value.as_ref().unwrap().version(),
+            read.version()
+        ));
     }
 
     #[test]
@@ -2097,7 +2228,7 @@ mod tests {
         assert_eq!(tbl.siread_holder_count(), 1);
         // A writer is handed the reader with its install, and a read after
         // the install sees the writer's version.
-        let installed = tbl.install(b"a", t(3), Some(vec![3].into()), || TS_ZERO);
+        let installed = tbl.install(b"a", t(3), Some(&[3][..]), || TS_ZERO);
         assert_eq!(installed.readers, vec![t(2)]);
         assert!(!installed.upgraded, "the writer had not read the row");
         let (read, _) = tbl.read_registering(b"a", t(4), 20);
@@ -2107,10 +2238,10 @@ mod tests {
         assert!(own.read_own_write && matches!(siread, Siread::Held));
         // A reader that writes is upgraded away, once.
         installed.version.mark_committed(30);
-        let first = tbl.install(b"a", t(4), Some(vec![4].into()), || TS_ZERO);
+        let first = tbl.install(b"a", t(4), Some(&[4][..]), || TS_ZERO);
         assert_eq!((first.readers.to_vec(), first.upgraded), (vec![t(2)], true));
         assert_eq!(tbl.siread_holder_count(), 1);
-        let again = tbl.install(b"a", t(4), Some(vec![5].into()), || TS_ZERO);
+        let again = tbl.install(b"a", t(4), Some(&[5][..]), || TS_ZERO);
         assert!(
             !again.upgraded,
             "its registration went with its first write"
@@ -2140,7 +2271,7 @@ mod tests {
         assert_eq!((tbl.key_count(), tbl.version_count()), (1, 0));
         tbl.purge_old_versions(100);
         assert_eq!(tbl.key_count(), 1, "a pass leaves it too");
-        let again = tbl.install(b"k", t(3), Some(vec![3].into()), || TS_ZERO);
+        let again = tbl.install(b"k", t(3), Some(&[3][..]), || TS_ZERO);
         assert_eq!(again.readers, vec![t(2)]);
         // Same for a tombstone a pass would otherwise take the key with.
         again.version.mark_committed(10);
@@ -2148,7 +2279,7 @@ mod tests {
         let stats = tbl.purge_old_versions(30);
         assert_eq!((stats.versions, stats.chains), (1, 0));
         assert_eq!(tbl.key_count(), 1);
-        let reinsert = tbl.install(b"k", t(5), Some(vec![5].into()), || TS_ZERO);
+        let reinsert = tbl.install(b"k", t(5), Some(&[5][..]), || TS_ZERO);
         assert_eq!(reinsert.readers, vec![t(2)]);
         // Once the reader is gone the next pass unmaps a chain left unused…
         reinsert.version.mark_aborted();
@@ -2179,8 +2310,7 @@ mod tests {
         // Installs and commits, one writer after the other.
         let clock = std::cell::Cell::new(10);
         let write = |key: &[u8], creator: u64, value: Option<Vec<u8>>| {
-            let value = value.map(Bytes::from);
-            let installed = tbl.install(key, t(creator), value, || TS_ZERO);
+            let installed = tbl.install(key, t(creator), value.as_deref(), || TS_ZERO);
             clock.set(clock.get() + 1);
             installed.version.mark_committed(clock.get());
             installed.range_readers
@@ -2201,7 +2331,7 @@ mod tests {
         assert_eq!(write(b"c", 4, Some(vec![4])), vec![t(2)]);
         // So is an insert onto a chain that a rollback left mapped for a
         // point reader, who is reported beside the scan.
-        let first = tbl.install(b"ee", t(5), Some(vec![5].into()), || TS_ZERO);
+        let first = tbl.install(b"ee", t(5), Some(&[5][..]), || TS_ZERO);
         assert_eq!(first.range_readers, vec![t(2)]);
         assert!(matches!(
             tbl.read_registering(b"ee", t(6), 20).1,
@@ -2210,7 +2340,7 @@ mod tests {
         first.version.mark_aborted();
         tbl.unlink_version(b"ee", &first.version);
         assert_eq!((tbl.key_count(), tbl.siread_holder_count()), (6, 2));
-        let again = tbl.install(b"ee", t(7), Some(vec![7].into()), || TS_ZERO);
+        let again = tbl.install(b"ee", t(7), Some(&[7][..]), || TS_ZERO);
         assert_eq!(again.readers, vec![t(6)]);
         assert_eq!(again.range_readers, vec![t(2)]);
         // Outside the bounds nobody is told, however close the neighbours.
@@ -2221,7 +2351,7 @@ mod tests {
         // to the table only, which the writer then undoes as a rollback would.
         let shared = register(8, RangeMode::Shared).expect("a mode of its own");
         let undone = |key: &[u8]| {
-            let installed = tbl.install(key, t(3), Some(vec![3].into()), || TS_ZERO);
+            let installed = tbl.install(key, t(3), Some(&[3][..]), || TS_ZERO);
             installed.version.mark_aborted();
             tbl.unlink_version(key, &installed.version);
             let told = [installed.range_readers, installed.blocked_by];
@@ -2234,7 +2364,7 @@ mod tests {
         // Unless a point reader registers between a link and its undo: the
         // chain stays mapped with no version, an S2PL listing of it skips it,
         // and a push onto it links the key all the same.
-        let linked = tbl.install(b"de", t(3), Some(vec![3].into()), || TS_ZERO);
+        let linked = tbl.install(b"de", t(3), Some(&[3][..]), || TS_ZERO);
         assert_eq!(linked.blocked_by, vec![t(8)]);
         let (_, siread) = tbl.read_registering(b"de", t(6), 20);
         assert!(matches!(siread, Siread::New(_)));
@@ -2276,10 +2406,12 @@ mod tests {
             },
         }));
         tbl.register_index(idx.clone());
-        let value = |n: u32| Some(Bytes::from(n.to_le_bytes().to_vec()));
+        let value = |n: u32| Some(n.to_le_bytes());
         let clock = std::cell::Cell::new(10);
         let write = |key: &[u8], creator: u64, n: u32| {
-            let installed = tbl.install(key, t(creator), value(n), || TS_ZERO);
+            let installed = tbl.install(key, t(creator), value(n).as_ref().map(|v| &v[..]), || {
+                TS_ZERO
+            });
             clock.set(clock.get() + 1);
             installed.version.mark_committed(clock.get());
             installed.range_readers
@@ -2307,7 +2439,7 @@ mod tests {
         let shared = idx.register_range(lower, upper, t(8), RangeMode::Shared);
         let shared = shared.expect("a mode of its own");
         let blocked_by = |key: &[u8], n| {
-            let installed = tbl.install(key, t(4), value(n), || TS_ZERO);
+            let installed = tbl.install(key, t(4), value(n).as_ref().map(|v| &v[..]), || TS_ZERO);
             installed.version.mark_committed(clock.get() + 1);
             clock.set(clock.get() + 1);
             installed.blocked_by.to_vec()
@@ -2369,7 +2501,7 @@ mod tests {
                         let _held = exclusive[slot].lock();
                         // Prunes at the newest commit once the chain is long.
                         let horizon = || clock.load(Ordering::SeqCst);
-                        let v = tbl.install(key, txn, Some(payload.into()), horizon).version;
+                        let v = tbl.install(key, txn, Some(&payload), horizon).version;
                         if n.is_multiple_of(3) {
                             // Rollback path: abort and unlink.
                             v.mark_aborted();

@@ -10,6 +10,13 @@
 //! also checked against the old purge rule version by version, and for the
 //! property that makes it safe: for every snapshot at or above the horizon
 //! the read is the same before and after.
+//!
+//! The schedules also take chains through every change of their layout — a
+//! push onto one version keeps both inline and a push onto two spills them,
+//! and a rollback of the newest version, a writer that prunes down to one
+//! survivor, a purge pass and a dead tombstone's removal bring them back —
+//! and after every step a chain with one or two versions must hold them
+//! inline.
 
 use std::collections::BTreeMap;
 use std::hash::BuildHasher;
@@ -207,7 +214,32 @@ struct Model {
     stale_page: Option<ScanPage>,
     pruned_inline: usize,
     purged: u64,
+    /// How often each layout change happened (see [`Transition`]).
+    transitions: [usize; TRANSITIONS],
 }
+
+/// The layout changes of a chain the schedules must reach.
+#[derive(Clone, Copy, Debug)]
+enum Transition {
+    /// A push onto a chain holding one version: `One → Two`.
+    Pair,
+    /// A push onto a chain holding two: `Two → Many`.
+    Spill,
+    /// A rollback that leaves a spilled chain one or two versions:
+    /// `Many → Two | One`.
+    RollbackInline,
+    /// A rollback that leaves no version: `One → Empty`.
+    RollbackToEmpty,
+    /// A writer that prunes a spilled chain down to one survivor, which
+    /// its push pairs: `Many → Two`.
+    PruneInline,
+    /// A purge pass that leaves a spilled chain one or two versions.
+    PurgeInline,
+    /// A purge pass that removes a dead tombstone: `One → Empty`.
+    TombstoneCleared,
+}
+
+const TRANSITIONS: usize = 7;
 
 impl Model {
     fn new(seed: u64) -> Self {
@@ -236,13 +268,21 @@ impl Model {
             stale_page: None,
             pruned_inline: 0,
             purged: 0,
+            transitions: [0; TRANSITIONS],
         }
     }
 
     /// The chain of key `k`, newest first (empty when the key is gone).
     fn chain(&self, k: usize) -> Chain {
         self.table.chain(&key(k)).map_or(Vec::new(), |c| {
-            c.state.lock().versions.iter().rev().cloned().collect()
+            c.state
+                .lock()
+                .versions
+                .as_slice()
+                .iter()
+                .rev()
+                .cloned()
+                .collect()
         })
     }
 
@@ -298,7 +338,7 @@ impl Model {
         let horizon = self.horizon();
         let before = self.chain(k);
         let mut horizon_reads = 0;
-        let installed = self.table.install(&key(k), txn, value.map(Into::into), || {
+        let installed = self.table.install(&key(k), txn, value.as_deref(), || {
             horizon_reads += 1;
             horizon
         });
@@ -332,6 +372,15 @@ impl Model {
             }
         }
         self.pruned_inline += installed.pruned;
+        let change = match before.len() {
+            1 => Some(Transition::Pair),
+            2 => Some(Transition::Spill),
+            _ if survivors.len() == 1 => Some(Transition::PruneInline),
+            _ => None,
+        };
+        if let Some(change) = change {
+            self.transitions[change as usize] += 1;
+        }
         let holder = self.holders[k].as_mut().expect("holder set above");
         holder.versions.push(installed.version);
     }
@@ -373,8 +422,14 @@ impl Model {
             // A purge pass gets to the leftovers before the rollback does.
             self.purge(None);
         }
+        let before = self.chain(k).len();
         for v in &holder.versions {
             self.table.unlink_version(&key(k), v);
+        }
+        match (before, self.chain(k).len()) {
+            (3.., 1..=2) => self.transitions[Transition::RollbackInline as usize] += 1,
+            (1.., 0) => self.transitions[Transition::RollbackToEmpty as usize] += 1,
+            _ => {}
         }
     }
 
@@ -421,6 +476,11 @@ impl Model {
                 before[k]
             );
             versions += (before[k].len() - after.len()) as u64;
+            if removed {
+                self.transitions[Transition::TombstoneCleared as usize] += 1;
+            } else if before[k].len() > 2 && after.len() <= 2 {
+                self.transitions[Transition::PurgeInline as usize] += 1;
+            }
             let reads_after = self.reads_from(k, horizon);
             if removed {
                 // The key is gone for every snapshot that could still ask.
@@ -459,6 +519,12 @@ impl Model {
             let chain = self.chain(k);
             let holder = self.holders[k].as_ref().map(|h| h.txn);
             assert_order(&chain, holder, &context);
+            let resident = self.table.chain(&key);
+            assert!(
+                resident.is_none_or(|c| c.state.lock().versions.layout_holds()),
+                "{context}: {} versions, not inline up to two and spilled beyond",
+                chain.len()
+            );
             resident_keys += usize::from(self.table.chain(&key).is_some());
             for v in &chain {
                 if let Some(entry) = v.value().and_then(|value| self.index.entry_of(&key, value)) {
@@ -527,6 +593,7 @@ impl Model {
 #[test]
 fn chain_model_matches_the_full_walk_reference_and_pruning_is_safe() {
     let (mut pruned_inline, mut purged) = (0, 0);
+    let mut transitions = [0; TRANSITIONS];
     for seed in 1..=SEEDS {
         let mut model = Model::new(seed);
         for _ in 0..STEPS {
@@ -534,6 +601,16 @@ fn chain_model_matches_the_full_walk_reference_and_pruning_is_safe() {
         }
         pruned_inline += model.pruned_inline;
         purged += model.purged;
+        for (total, n) in transitions.iter_mut().zip(model.transitions) {
+            *total += n;
+        }
+    }
+    // Every layout change of a chain is reached, many times over.
+    for (at, n) in transitions.iter().enumerate() {
+        assert!(
+            *n > SEEDS as usize / 10,
+            "layout change {at} reached {n} times"
+        );
     }
     // The schedules must actually reach both reclamation paths.
     assert!(

@@ -220,10 +220,11 @@ impl SmallBank {
         table: &TableRef,
         customer: u64,
     ) -> Result<(), Error> {
-        let value = txn
-            .get_for_update(table, &balance_key(customer))?
-            .unwrap_or_else(|| encode_i64(0).into());
-        txn.put(table, &balance_key(customer), &value)
+        let key = balance_key(customer);
+        match txn.get_for_update(table, &key)? {
+            Some(value) => txn.put(table, &key, &value),
+            None => txn.put(table, &key, &encode_i64(0)),
+        }
     }
 
     /// Workload parameters.

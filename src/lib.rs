@@ -36,7 +36,7 @@ pub use ssi_common::{
 pub use ssi_core::{
     Database, DbHealth, Durability, DurabilityOptions, FaultMode, FaultOp, FaultRule, FaultVfs,
     FieldKind, GcPin, IndexKeyPart, IndexKeySpec, IndexRef, LockGranularity, Options, PurgeStats,
-    SsiOptions, SsiVariant, TableRef, Transaction,
+    SsiOptions, SsiVariant, TableRef, Transaction, Value,
 };
 pub use ssi_obs::{EventKind, MetricsSnapshot, TraceBatch, TraceEvent};
 pub use ssi_server::{Client, ClientTxn, Server, ServerOptions};

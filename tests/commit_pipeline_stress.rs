@@ -90,6 +90,21 @@ fn run_one(
     }
 }
 
+/// A timing handicap: every fourth write commit gives up its CPU between
+/// allocating its timestamp and settling, while its commit must stay
+/// invisible. A commit body that published its timestamp early would let the
+/// snapshots taken meanwhile miss it, which the verifier reports as stale
+/// reads.
+fn widen_commit_windows(db: &Database) {
+    let yield_some = |id: TxnId| {
+        if id.0.is_multiple_of(4) {
+            std::thread::yield_now();
+        }
+    };
+    db.transaction_manager()
+        .set_commit_pause_hook(Some(Arc::new(yield_some)));
+}
+
 fn stress(variant: SsiVariant, threads: usize, iters: u64, keys: u64, seed: u64) {
     let options = Options {
         ssi: serializable_si::SsiOptions {
@@ -102,6 +117,7 @@ fn stress(variant: SsiVariant, threads: usize, iters: u64, keys: u64, seed: u64)
     let db = Database::open(options);
     let table = setup(&db, keys);
     let stats = StressStats::default();
+    widen_commit_windows(&db);
 
     std::thread::scope(|scope| {
         for t in 0..threads {
@@ -153,8 +169,10 @@ fn stress(variant: SsiVariant, threads: usize, iters: u64, keys: u64, seed: u64)
             }
         }
         panic!(
-            "non-serializable history committed under {variant:?}: cycle {cycle:?} \
-             (committed {committed}, aborted {}){detail}",
+            "non-serializable history committed under {variant:?}: cycle {cycle:?}, \
+             stale reads {:?}, dangling reads {:?} (committed {committed}, aborted {}){detail}",
+            report.stale_reads,
+            report.dangling_reads,
             stats.aborted.load(Ordering::Relaxed),
         );
     }
@@ -258,6 +276,7 @@ fn insert_delete_churn_with_scans_stays_serializable() {
     let db = Database::open(options);
     let table = setup(&db, 8);
     let stats = StressStats::default();
+    widen_commit_windows(&db);
 
     std::thread::scope(|scope| {
         for t in 0..6usize {
@@ -286,8 +305,10 @@ fn insert_delete_churn_with_scans_stays_serializable() {
     let report = db.history().unwrap().analyze();
     assert!(
         report.is_serializable(),
-        "non-serializable churn history: cycle {:?}",
-        report.cycle
+        "non-serializable churn history: cycle {:?}, stale reads {:?}, dangling reads {:?}",
+        report.cycle,
+        report.stale_reads,
+        report.dangling_reads,
     );
     assert_eq!(
         db.transaction_manager()
@@ -375,28 +396,6 @@ fn recorded_commit_ts(db: &Database, id: TxnId) -> u64 {
     let history = db.history().unwrap().snapshot();
     let txn = history.iter().find(|t| t.id == id);
     txn.expect("committed transaction in the history").commit_ts
-}
-
-/// Every committed read of a version names a version the history holds:
-/// no committed transaction observed a value that never committed.
-fn assert_reads_only_committed_versions(db: &Database) {
-    let history = db.history().unwrap().snapshot();
-    for txn in &history {
-        for read in &txn.reads {
-            let Some(ts) = read.version_ts else { continue };
-            let written = history.iter().any(|w| {
-                w.commit_ts == ts
-                    && w.writes
-                        .iter()
-                        .any(|e| e.table == read.table && e.key == read.key)
-            });
-            assert!(
-                written,
-                "{:?} read {:?} at {ts}, which no committed transaction wrote",
-                txn.id, read.key
-            );
-        }
-    }
 }
 
 /// The straggler choreography: one committer is held after allocating its
@@ -586,7 +585,6 @@ fn failed_finalize_publishes_its_held_timestamp_empty() {
     let mut check = db.begin();
     assert_eq!(&check.get(&table, b"y").unwrap().unwrap()[..], b"0");
     check.commit().unwrap();
-    assert_reads_only_committed_versions(&db);
     let report = db.history().unwrap().analyze();
     assert!(
         report.is_serializable(),
